@@ -1500,7 +1500,6 @@ fn serve_bench_cmd(args: &[String]) {
     let burst = (clients * 4).max(8);
     let server = Server::bind(ServerConfig {
         workers: 1,
-        queue_cap: 1,
         engine,
         ..ServerConfig::default()
     })

@@ -13,7 +13,7 @@ use spex_core::{
 };
 use spex_query::Rpeq;
 use spex_trace::{JsonlSink, MemorySink, TeeSink, TraceRecord, TraceSink, Tracer};
-use spex_xml::{RecoveryPolicy, ScannerKind, XmlError};
+use spex_xml::{RecoveryPolicy, XmlError};
 use std::io::{Read, Write};
 use std::sync::Arc;
 
@@ -111,9 +111,6 @@ pub struct Options {
     /// Execution backend: the compiled VM (default) or the interpreter
     /// network (the semantic oracle).
     pub engine: Engine,
-    /// Byte-scanning strategy: the SWAR fast path (default) or the classic
-    /// byte-at-a-time state machine (the differential oracle).
-    pub scanner: ScannerKind,
     /// How undetermined candidates resolve at an unexpected end of stream.
     pub on_truncation: TruncationOutcome,
     /// Named queries (`NAME=EXPR`, repeatable) compiled into one shared
@@ -150,7 +147,6 @@ impl Default for Options {
             stream: false,
             recover: RecoveryPolicy::Strict,
             engine: Engine::default(),
-            scanner: ScannerKind::default(),
             on_truncation: TruncationOutcome::Drop,
             queries: Vec::new(),
             trace_jsonl: None,
@@ -196,8 +192,6 @@ OPTIONS:
     --stream         treat the input as a sequence of documents (SDI mode)
     --engine E       execution backend: vm (compiled plan, default) | network
                      (the interpreter over boxed transducers)
-    --scanner S      byte-scanning strategy: fast (SWAR structural fast
-                     path, default) | classic (byte-at-a-time oracle)
     --recover P      recovery policy for malformed input:
                      strict (default) | repair | skip-subtree
     --on-truncation O     candidates undetermined at an unexpected EOF:
@@ -289,12 +283,6 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
                     .ok_or_else(|| "--engine needs a backend (vm, network)".to_string())?
                     .parse()?
             }
-            "--scanner" => {
-                o.scanner = it
-                    .next()
-                    .ok_or_else(|| "--scanner needs a strategy (fast, classic)".to_string())?
-                    .parse()?
-            }
             "--recover" => {
                 o.recover = it
                     .next()
@@ -344,9 +332,6 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             other if other.starts_with("--engine=") => {
                 o.engine = other["--engine=".len()..].parse()?
-            }
-            other if other.starts_with("--scanner=") => {
-                o.scanner = other["--scanner=".len()..].parse()?
             }
             other if other.starts_with("--recover=") => {
                 o.recover = other["--recover=".len()..].parse()?
@@ -823,7 +808,7 @@ fn eval_multi(
     let _span = tracer.span("cli.evaluate");
     let mut run = set.run_engine_with_limits(options.engine, sinks, options.limits);
     run.set_tracer(tracer.clone());
-    let reader = spex_xml::Reader::new(input).with_scanner(options.scanner);
+    let reader = spex_xml::Reader::new(input);
     let mut reader = if options.stream {
         reader.multi_document()
     } else {
@@ -870,7 +855,7 @@ fn evaluate(
                 on_truncation: options.on_truncation,
                 multi_document: options.stream,
                 engine: options.engine,
-                scanner: options.scanner,
+                ..RecoveryOptions::default()
             };
             let report = spex_core::evaluate_recovering_traced(
                 network,
@@ -888,7 +873,7 @@ fn evaluate(
         }
         let mut eval = Evaluator::with_engine_limits(network, sink, options.engine, options.limits);
         eval.set_tracer(tracer.clone());
-        let reader = spex_xml::Reader::new(input).with_scanner(options.scanner);
+        let reader = spex_xml::Reader::new(input);
         let mut reader = if options.stream {
             reader.multi_document()
         } else {
@@ -966,7 +951,7 @@ fn run_checkpointed(
         resume_state = Some(state);
     }
 
-    let reader = spex_xml::Reader::new(input).with_scanner(options.scanner);
+    let reader = spex_xml::Reader::new(input);
     let mut reader = if options.stream {
         reader.multi_document()
     } else {
@@ -1104,18 +1089,14 @@ mod tests {
         assert!(parse_args(&args(&["--engine", "jit", "a"])).is_err());
     }
 
+    /// `--scanner` is gone (production always runs the fast scanner): an
+    /// unknown option now, in both spellings.
     #[test]
-    fn parse_scanner() {
-        assert_eq!(
-            parse_args(&args(&["a"])).unwrap().scanner,
-            ScannerKind::Fast
-        );
-        let o = parse_args(&args(&["--scanner", "classic", "a"])).unwrap();
-        assert_eq!(o.scanner, ScannerKind::Classic);
-        let o = parse_args(&args(&["--scanner=fast", "a"])).unwrap();
-        assert_eq!(o.scanner, ScannerKind::Fast);
-        assert!(parse_args(&args(&["--scanner"])).is_err());
-        assert!(parse_args(&args(&["--scanner", "simd", "a"])).is_err());
+    fn scanner_flag_is_an_unknown_option() {
+        for argv in [&["--scanner", "classic", "a"][..], &["--scanner=fast", "a"]] {
+            let err = parse_args(&args(argv)).unwrap_err();
+            assert!(err.contains("unknown option"), "{argv:?}: {err}");
+        }
     }
 
     fn run_cli(argv: &[&str], input: &str) -> (i32, String, String) {

@@ -32,8 +32,6 @@ OPTIONS:
                           progress, they no longer cap concurrency
     --max-conns N         admitted-connection cap, clamped to the process fd
                           limit; past it new connections get BUSY (default 16384)
-    --queue N             accepted for compatibility; the reactor admits by
-                          --max-conns and never queues sessions behind BUSY
     --max-frame N         per-frame payload cap in bytes (default 1048576)
     --max-plans N         compiled-plan cache cap, LRU-evicted past it;
                           0 disables caching (default 64)
@@ -47,9 +45,6 @@ OPTIONS:
                           peers (default: loopback peers only)
     --engine E            execution backend for every session:
                           vm (compiled plan, default) | network
-    --scanner S           byte scanner for every session's reader:
-                          fast (SWAR structural fast path, default) |
-                          classic (byte-at-a-time oracle; DESIGN.md §18)
     --queries FILE        preload standing queries from FILE (one NAME=EXPR
                           per line; `#` starts a comment, blank lines are
                           skipped). The set compiles once through the
@@ -160,7 +155,6 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeOptions, String> {
             }
             "--workers" => config.workers = number("--workers", &mut it)?,
             "--max-conns" => config.max_conns = number("--max-conns", &mut it)?,
-            "--queue" => config.queue_cap = number("--queue", &mut it)?,
             "--max-frame" => config.max_frame = number("--max-frame", &mut it)?,
             "--max-plans" => config.max_cached_plans = number("--max-plans", &mut it)?,
             "--read-timeout" => {
@@ -209,12 +203,6 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeOptions, String> {
                     .ok_or_else(|| {
                         "--recover needs a policy (strict, repair, skip-subtree)".to_string()
                     })?
-                    .parse()?
-            }
-            "--scanner" => {
-                config.scanner = it
-                    .next()
-                    .ok_or_else(|| "--scanner needs a strategy (fast, classic)".to_string())?
                     .parse()?
             }
             "--on-truncation" => {
@@ -327,8 +315,6 @@ mod tests {
             "127.0.0.1:0",
             "--workers",
             "8",
-            "--queue",
-            "2",
             "--max-frame",
             "4096",
             "--max-plans",
@@ -351,7 +337,6 @@ mod tests {
         .unwrap();
         assert_eq!(o.config.addr, "127.0.0.1:0");
         assert_eq!(o.config.workers, 8);
-        assert_eq!(o.config.queue_cap, 2);
         assert_eq!(o.config.max_frame, 4096);
         assert_eq!(o.config.max_cached_plans, 8);
         assert_eq!(o.config.read_timeout, None);
@@ -371,17 +356,14 @@ mod tests {
         assert!(parse_serve_args(&args(&["--trace-jsonl"])).is_err());
     }
 
+    /// `--queue` (a no-op since the reactor) and `--scanner` (production
+    /// always runs the fast scanner) are gone: unknown options now.
     #[test]
-    fn parse_scanner_flag() {
-        use spex_xml::ScannerKind;
-        let o = parse_serve_args(&args(&[])).unwrap();
-        assert_eq!(o.config.scanner, ScannerKind::Fast);
-        let o = parse_serve_args(&args(&["--scanner", "classic"])).unwrap();
-        assert_eq!(o.config.scanner, ScannerKind::Classic);
-        let o = parse_serve_args(&args(&["--scanner", "fast"])).unwrap();
-        assert_eq!(o.config.scanner, ScannerKind::Fast);
-        assert!(parse_serve_args(&args(&["--scanner"])).is_err());
-        assert!(parse_serve_args(&args(&["--scanner", "turbo"])).is_err());
+    fn removed_flags_are_unknown_options() {
+        for flag in ["--queue", "--scanner"] {
+            let err = parse_serve_args(&args(&[flag, "1"])).unwrap_err();
+            assert!(err.contains("unknown `spex serve` option"), "{flag}: {err}");
+        }
     }
 
     #[test]

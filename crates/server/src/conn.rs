@@ -6,13 +6,12 @@
 //! when the socket is writable. The session machine, pinned to one worker,
 //! decodes frames out of the inbox and appends frames to the outbound
 //! buffer; neither side ever blocks on the other — coordination is a pair
-//! of small mutex-guarded buffers, a condvar (for the machine's bounded
-//! blocking fallback), and a few atomics.
+//! of small mutex-guarded buffers and a few atomics.
 
 use crate::poll::Waker;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Pause socket reads once this many undecoded bytes sit in the inbox;
@@ -86,9 +85,6 @@ pub(crate) struct Conn {
     pub(crate) worker: usize,
     pub(crate) accepted_at: Instant,
     pub(crate) inbox: Mutex<Inbox>,
-    /// Signaled on every inbox append and termination-state change, for
-    /// the eval source's bounded blocking fallback.
-    pub(crate) inbox_ready: Condvar,
     pub(crate) outbound: Mutex<Outbound>,
     /// [`WANT_INPUT`] / [`WANT_WRITE`]: why the machine is suspended.
     pub(crate) needs: AtomicU8,
@@ -118,7 +114,6 @@ impl Conn {
             worker,
             accepted_at: Instant::now(),
             inbox: Mutex::new(Inbox::default()),
-            inbox_ready: Condvar::new(),
             outbound: Mutex::new(Outbound::default()),
             needs: AtomicU8::new(0),
             queued: AtomicBool::new(false),

@@ -24,8 +24,8 @@
 //! - [`registry`]: the compiled-plan cache.
 //! - [`server`] / `reactor` / `session`: the event loop and per-tenant
 //!   scheduler, and the per-session state machine over the zero-copy
-//!   reader path (`poll` is the readiness backend, `scan` the event-
-//!   horizon prescanner, `conn` the shared per-connection buffers).
+//!   parser path (`poll` is the readiness backend, `conn` the shared
+//!   per-connection buffers).
 //! - [`stats`]: server-wide statistics in the one-shot `--stats-json`
 //!   schema.
 //! - [`client`]: a small blocking client for tests, benches and examples.
@@ -45,7 +45,6 @@ mod poll;
 pub mod protocol;
 mod reactor;
 pub mod registry;
-mod scan;
 pub mod server;
 mod session;
 pub mod signal;

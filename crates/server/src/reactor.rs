@@ -347,9 +347,8 @@ impl Reactor {
         self.update_interest(id);
     }
 
-    /// React to new inbox content: wake the blocking-fallback waiter, spin
-    /// up the session (first bytes), or resume a machine suspended on
-    /// input. Machine-less terminations (a probe that connected and hung
+    /// React to new inbox content: spin up the session (first bytes), or
+    /// resume a machine suspended on input. Machine-less terminations (a probe that connected and hung
     /// up without a byte) are settled here — the only sessions the reactor
     /// itself counts.
     fn on_ingress(&mut self, id: u64) {
@@ -357,7 +356,6 @@ impl Reactor {
             return;
         };
         let conn = Arc::clone(&active.conn);
-        conn.inbox_ready.notify_all();
         let (empty, ended, errored) = {
             let inbox = conn.inbox.lock().expect("inbox lock poisoned");
             (inbox.buf.is_empty(), inbox.ended, inbox.error.is_some())
@@ -508,8 +506,7 @@ impl Reactor {
     }
 
     /// Hard-close with a live machine: mark the connection killed so the
-    /// machine short-circuits to `Failed`, wake every waiter, drop the
-    /// socket now.
+    /// machine short-circuits to `Failed`, wake it, drop the socket now.
     fn kill(&mut self, id: u64) {
         let Some(active) = self.conns.get(&id) else {
             return;
@@ -522,7 +519,6 @@ impl Reactor {
                 inbox.error = Some(std::io::ErrorKind::TimedOut);
             }
         }
-        conn.inbox_ready.notify_all();
         if conn.needs.fetch_and(0, Ordering::AcqRel) & (WANT_INPUT | WANT_WRITE) != 0 {
             self.enqueue(&conn);
         }
@@ -673,7 +669,6 @@ impl Reactor {
                 inbox.error = Some(std::io::ErrorKind::TimedOut);
             }
         }
-        conn.inbox_ready.notify_all();
         if conn.needs.fetch_and(!WANT_INPUT, Ordering::AcqRel) & WANT_INPUT != 0 {
             self.enqueue(&conn);
         }

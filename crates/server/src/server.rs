@@ -29,7 +29,7 @@ use crate::signal;
 use crate::stats::ServerStats;
 use spex_core::{Engine, EngineStats, ResourceLimits, TruncationOutcome};
 use spex_trace::{summary_json, AtomicHistogram, JsonlSink, Tracer};
-use spex_xml::{RecoveryPolicy, ScannerKind};
+use spex_xml::RecoveryPolicy;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -44,12 +44,6 @@ pub struct ServerConfig {
     /// Worker threads advancing session machines (CPU-bound concurrency;
     /// connection concurrency is `max_conns`).
     pub workers: usize,
-    /// Legacy knob from the thread-per-session server, where it bounded
-    /// the admission queue. The reactor has no admission queue — ready
-    /// sessions wait in per-worker scheduling queues without limit, and
-    /// admission control is `max_conns` — so this field is accepted for
-    /// compatibility but no longer sheds load.
-    pub queue_cap: usize,
     /// Maximum concurrent connections; past it new connections are shed
     /// with `BUSY`. Clamped at runtime under the process's soft fd limit.
     pub max_conns: usize,
@@ -60,11 +54,8 @@ pub struct ServerConfig {
     /// Execution backend every session runs on: the compiled VM plan
     /// (default) or the interpreter network.
     pub engine: Engine,
-    /// Reader-side recovery policy for every session.
+    /// Parser-side recovery policy for every session.
     pub recovery: RecoveryPolicy,
-    /// Byte scanner every session's reader runs: the SWAR structural fast
-    /// path (default) or the byte-at-a-time classic oracle (DESIGN.md §18).
-    pub scanner: ScannerKind,
     /// Truncation handling for recovery sessions.
     pub on_truncation: TruncationOutcome,
     /// How long a session waiting for input tolerates no bytes at all
@@ -120,13 +111,11 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 4,
-            queue_cap: 64,
             max_conns: 16384,
             max_frame: crate::protocol::DEFAULT_MAX_FRAME,
             limits: ResourceLimits::default(),
             engine: Engine::default(),
             recovery: RecoveryPolicy::Strict,
-            scanner: ScannerKind::default(),
             on_truncation: TruncationOutcome::default(),
             read_timeout: Some(Duration::from_secs(30)),
             write_timeout: Some(Duration::from_secs(30)),

@@ -7,7 +7,7 @@
 //! protocol logic. A [`SessionMachine`] is pinned to one worker (the
 //! engine's `Run` holds `Rc`-backed state and is not `Send`) and advanced
 //! whenever its connection is ready: [`SessionMachine::advance`] consumes
-//! decoded frames, drives the zero-copy `Reader::next_into` path, emits
+//! decoded frames, drives the zero-copy `Parser::poll_into` path, emits
 //! result frames into the bounded outbound buffer, and reports why it
 //! suspended ([`Advance::NeedInput`], [`Advance::NeedWrite`] for
 //! writability backpressure, [`Advance::Working`] when its CPU slice is
@@ -22,14 +22,13 @@
 //!    or any peer under `ServerConfig::allow_remote_shutdown`).
 //! 2. **Eval**: the first `D`/`E` frame freezes the registration and the
 //!    plan is fetched from (or compiled into) the shared registry. `D`
-//!    payloads are the XML byte stream, chunked arbitrarily — an
-//!    [`EvalSource`] adapts them to `std::io::Read` so the zero-copy
-//!    reader path runs unchanged. Because the pull parser cannot be
-//!    suspended mid-event, the machine only pulls while the
-//!    [`HorizonScanner`] guarantees a complete event is buffered (or the
-//!    stream ended); if that guarantee is ever wrong the source degrades
-//!    to a bounded blocking wait — the old thread-per-session behavior,
-//!    never a corruption.
+//!    payloads are the XML byte stream, chunked arbitrarily: each is fed to
+//!    the session's push [`Parser`] as it is decoded (after the WAL append
+//!    of a durable session) and the parser is polled until it needs more
+//!    input, the CPU slice is spent, or the outbound buffer is full. A
+//!    construct cut off by a frame edge simply stays in the parser until
+//!    the rest arrives; every wait is [`Advance::NeedInput`] under the
+//!    reactor's read/idle deadlines — a worker never waits for bytes.
 //! 3. **Close**: on `E` (or an error) the machine queues any `f` fault
 //!    frames, a `s` stats frame in the one-shot `--stats-json` schema, and
 //!    `n`; the reactor flushes and closes.
@@ -44,7 +43,6 @@ use crate::protocol::{
     error_payload, result_payload, split_resume, Frame, FrameDecoder, FrameKind, ProtocolError,
     RESUME_VERSION,
 };
-use crate::scan::HorizonScanner;
 use crate::server::Shared;
 use spex_core::multi::SharedQuerySet;
 use spex_core::{
@@ -52,24 +50,17 @@ use spex_core::{
     Snapshot,
 };
 use spex_query::Rpeq;
-use spex_xml::{Reader, RecoveryPolicy, StoredKind};
+use spex_xml::{Parser, Poll, RecoveryPolicy, StoredKind};
 use std::cell::RefCell;
-use std::io::Read;
 use std::path::PathBuf;
 use std::rc::Rc;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Maximum events pushed per [`SessionMachine::advance`] before the
 /// machine yields [`Advance::Working`], so one firehose session cannot
 /// starve its worker's other ready sessions.
 const SLICE_EVENTS: usize = 4096;
-
-/// Escape hatch for the horizon gate: once this many undecoded payload
-/// bytes are buffered without a complete event (one giant text node, say),
-/// the machine pulls anyway and accepts the bounded blocking fallback.
-const PARSE_CAP: usize = 4 << 20;
 
 /// How the session ended, for the server-wide counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,14 +131,6 @@ fn classify(err: &EvalError, violation: Option<&ProtocolError>) -> SessionError 
     }
 }
 
-/// Side-channel state the [`EvalSource`] records for the session to
-/// inspect: `spex_xml::XmlError` stringifies I/O errors, so a protocol
-/// violation discovered *inside* the reader loop must travel out of band.
-#[derive(Default)]
-struct SourceState {
-    violation: Option<ProtocolError>,
-}
-
 /// Per-query delivery accounting, shared between every result sink and the
 /// checkpoint hook. `delivered[q]` counts all fragments produced for query
 /// `q` — including suppressed replays, which the client already holds —
@@ -214,82 +197,50 @@ fn close_frames(conn: &Conn, error: Option<&SessionError>) {
     conn.send_frame(FrameKind::SessionEnd, b"");
 }
 
-/// Adapts the ingested `DATA` payload bytes to `std::io::Read` so the
-/// engine's zero-copy reader path runs unchanged over the wire. Frames are
-/// decoded incrementally out of the connection's inbox; `END` — or the
-/// peer hanging up at a frame boundary — reads as EOF (a hangup
-/// mid-document is then exactly a truncated stream: a syntax error under
-/// `strict`, a `truncated` fault under a recovery policy). Any other frame
-/// kind mid-stream is a protocol violation, recorded in the shared
-/// [`SourceState`].
-///
-/// Reads never block while the machine respects the horizon gate
-/// ([`EvalSource::pull_ready`]); if the parser outruns the horizon (a
-/// recovery-mode resync skim, or the [`PARSE_CAP`] escape), the read falls
-/// back to a bounded condvar wait on the inbox — the reactor keeps filling
-/// it concurrently — failing with `TimedOut` after the configured read
-/// timeout, exactly like the blocking server's socket timeout.
-struct EvalSource {
+/// The wire side of the eval phase: decodes frames out of the connection's
+/// inbox and hands the parser its input. `END` — or the peer hanging up at
+/// a frame boundary — ends the input (a hangup mid-document is then exactly
+/// a truncated stream: a syntax error under `strict`, a `truncated` fault
+/// under a recovery policy). Any other frame kind mid-stream is a protocol
+/// violation, a socket error or a hangup mid-frame an I/O failure; both
+/// fail the parser's input, which surfaces the failure only after the
+/// events already fed.
+struct EvalInput {
     conn: Arc<Conn>,
     notifier: Arc<Notifier>,
     decoder: FrameDecoder,
-    /// Decoded-but-unparsed XML payload bytes.
-    parse: Vec<u8>,
-    pos: usize,
-    ended: bool,
-    scanner: HorizonScanner,
-    state: Rc<RefCell<SourceState>>,
     /// Durable sessions append every incoming `DATA` payload here *before*
-    /// the engine sees the bytes (write-ahead). Replayed bytes preloaded
-    /// at resume bypass this hook, so they are never logged twice. A WAL
-    /// append failure fails the read (and so the session): input the
+    /// the parser sees the bytes (write-ahead). Replayed bytes fed at
+    /// resume bypass this hook, so they are never logged twice. A WAL
+    /// append failure fails the input (and so the session): input the
     /// engine consumed but the log lost could not be replayed.
     log: Option<Rc<RefCell<SessionLog>>>,
-    read_timeout: Option<Duration>,
-    /// An ingest error found by the scheduler's probe, surfaced at the
-    /// next read so the reader's error path classifies it normally.
-    pending_err: Option<std::io::Error>,
+    /// The frame-grammar violation that failed the input, if one did:
+    /// `spex_xml::XmlError` stringifies I/O errors, so the session
+    /// re-classifies the parser's I/O error as a protocol error from here.
+    violation: Option<ProtocolError>,
 }
 
-impl EvalSource {
-    fn violation(&mut self, v: ProtocolError) -> std::io::Error {
-        let msg = v.to_string();
-        self.state.borrow_mut().violation = Some(v);
-        std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
+impl EvalInput {
+    fn violate(&mut self, v: ProtocolError) -> std::io::Error {
+        let e = std::io::Error::new(std::io::ErrorKind::InvalidData, v.to_string());
+        self.violation = Some(v);
+        e
     }
 
-    /// Feed already-logged bytes (a resume's WAL tail, or the first `DATA`
-    /// payload a fresh durable session write-ahead-logged before opening
-    /// the source) without passing through the WAL hook.
-    fn preload(&mut self, bytes: &[u8]) {
-        self.scanner.scan(bytes);
-        self.parse.extend_from_slice(bytes);
+    /// Run `append` against the session's WAL, if it has one.
+    fn write_ahead(
+        &self,
+        append: impl FnOnce(&mut SessionLog) -> std::io::Result<()>,
+    ) -> std::io::Result<()> {
+        self.log
+            .as_ref()
+            .map_or(Ok(()), |log| append(&mut log.borrow_mut()))
     }
 
-    fn buffered(&self) -> usize {
-        self.parse.len() - self.pos
-    }
-
-    /// Can the next `Reader` pull complete without blocking? `consumed` is
-    /// the reader's absolute position. True when an ingest error is
-    /// pending (the pull surfaces it), the stream ended (EOF paths run),
-    /// a complete event construct lies past the reader's position, or the
-    /// [`PARSE_CAP`] escape tripped.
-    fn pull_ready(&self, consumed: u64) -> bool {
-        self.pending_err.is_some()
-            || self.ended
-            || consumed < self.scanner.horizon()
-            || self.buffered() >= PARSE_CAP
-    }
-
-    /// Drain the inbox through the frame decoder into the parse buffer,
-    /// write-ahead logging and horizon-scanning each payload. Returns
-    /// whether any progress was made (bytes, EOF, or an error became
-    /// visible).
-    fn ingest(&mut self) -> std::io::Result<bool> {
-        if self.ended {
-            return Ok(false);
-        }
+    /// Move the inbox's bytes into the frame decoder; returns the inbox's
+    /// (sticky) hangup and socket-error state.
+    fn drain_inbox(&mut self) -> (bool, Option<std::io::ErrorKind>) {
         let (drained, hangup, socket_err) = {
             let mut inbox = self.conn.inbox.lock().expect("inbox lock poisoned");
             let drained = !inbox.buf.is_empty();
@@ -302,152 +253,62 @@ impl EvalSource {
         if drained {
             self.conn.note_inbox_drained(&self.notifier);
         }
-        let mut progress = drained;
-        loop {
-            match self.decoder.next_frame() {
-                Ok(Some(frame)) => {
-                    self.conn.note_frame_complete();
-                    match frame.kind {
-                        FrameKind::Data => {
-                            if let Some(log) = &self.log {
-                                log.borrow_mut().append_data(&frame.payload)?;
-                            }
-                            self.scanner.scan(&frame.payload);
-                            if self.pos == self.parse.len() {
-                                self.parse.clear();
-                                self.pos = 0;
-                            }
-                            self.parse.extend_from_slice(&frame.payload);
-                            progress = true;
-                        }
-                        FrameKind::End => {
-                            if let Some(log) = &self.log {
-                                log.borrow_mut().append_end()?;
-                            }
-                            self.ended = true;
-                            return Ok(true);
-                        }
-                        other => return Err(self.violation(ProtocolError::UnexpectedKind(other))),
-                    }
+        (hangup, socket_err)
+    }
+
+    /// Hand the parser the next piece of its input: one `DATA` payload, or
+    /// the end (or failure) of the stream. `false` means nothing has
+    /// arrived yet — the session suspends on [`Advance::NeedInput`].
+    fn pump(&mut self, parser: &mut Parser) -> bool {
+        let mut frame = self.decoder.next_frame();
+        let mut closed = (false, None);
+        if matches!(frame, Ok(None)) {
+            closed = self.drain_inbox();
+            frame = self.decoder.next_frame();
+        }
+        // Decoded frames come before any termination condition, as a
+        // blocking reader would consume buffered data before hitting the
+        // socket error or hangup; both are sticky in the inbox and seen
+        // again once no frame is left.
+        let fed = match frame {
+            Ok(Some(frame)) => {
+                self.conn.note_frame_complete();
+                match frame.kind {
+                    FrameKind::Data => self
+                        .write_ahead(|log| log.append_data(&frame.payload))
+                        .map(|()| parser.feed(&frame.payload)),
+                    FrameKind::End => self
+                        .write_ahead(SessionLog::append_end)
+                        .map(|()| parser.end_input()),
+                    other => Err(self.violate(ProtocolError::UnexpectedKind(other))),
                 }
-                Ok(None) => break,
-                Err(p) => return Err(self.violation(p)),
             }
-        }
-        // Surface decoded bytes before any termination condition: the
-        // blocking reader would consume buffered data first and only then
-        // hit the socket error or truncation. Both are sticky in the inbox
-        // and re-observed by the next ingest once no progress is possible.
-        if progress {
-            return Ok(true);
-        }
-        if let Some(kind) = socket_err {
-            return Err(std::io::Error::from(kind));
-        }
-        if hangup {
-            if self.decoder.mid_frame() {
+            Err(p) => Err(self.violate(p)),
+            Ok(None) => match closed {
+                (_, Some(kind)) => Err(std::io::Error::from(kind)),
                 // Parity with the blocking `read_frame`: a cut-off frame
                 // header is a protocol-level truncation, a cut-off payload
                 // is an I/O-level unexpected EOF.
-                if self.decoder.buffered() < 5 {
-                    return Err(self.violation(ProtocolError::TruncatedFrame));
+                (true, None) if self.decoder.mid_frame() && self.decoder.buffered() < 5 => {
+                    Err(self.violate(ProtocolError::TruncatedFrame))
                 }
-                return Err(std::io::Error::new(
+                (true, None) if self.decoder.mid_frame() => Err(std::io::Error::new(
                     std::io::ErrorKind::UnexpectedEof,
                     "connection closed mid-frame",
-                ));
-            }
-            // Hangup at a frame boundary: same as END — the XML layer
-            // decides whether the byte stream was complete.
-            self.ended = true;
-            progress = true;
-        }
-        Ok(progress)
-    }
-
-    /// Scheduler-side ingest: refresh the horizon/EOF state without a
-    /// reader pull in flight. Errors are parked and surfaced by the next
-    /// read, so they flow through the reader's normal error path.
-    fn poll_ingest(&mut self) {
-        if self.pending_err.is_some() {
-            return;
-        }
-        if let Err(e) = self.ingest() {
-            self.pending_err = Some(e);
-        }
-    }
-
-    /// The bounded blocking fallback: wait on the inbox condvar until
-    /// bytes, EOF, an error, or the read deadline.
-    fn wait_for_input(&self) -> std::io::Result<()> {
-        let deadline = self.read_timeout.map(|t| Instant::now() + t);
-        let mut inbox = self.conn.inbox.lock().expect("inbox lock poisoned");
-        loop {
-            if !inbox.buf.is_empty() || inbox.ended || inbox.error.is_some() {
-                return Ok(());
-            }
-            if self.conn.killed.load(Ordering::Relaxed) {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::ConnectionAborted,
-                    "connection closed by the server",
-                ));
-            }
-            let step = Duration::from_millis(200);
-            let wait = match deadline {
-                Some(d) => {
-                    let now = Instant::now();
-                    if now >= d {
-                        return Err(std::io::Error::new(
-                            std::io::ErrorKind::TimedOut,
-                            "read timed out waiting for DATA frames",
-                        ));
-                    }
-                    (d - now).min(step)
+                )),
+                // Hangup at a frame boundary: same as END — the XML layer
+                // decides whether the byte stream was complete.
+                (true, None) => {
+                    parser.end_input();
+                    Ok(())
                 }
-                None => step,
-            };
-            let (guard, _) = self
-                .conn
-                .inbox_ready
-                .wait_timeout(inbox, wait)
-                .expect("inbox lock poisoned");
-            inbox = guard;
+                (false, None) => return false,
+            },
+        };
+        if let Err(e) = fed {
+            parser.fail_input(e);
         }
-    }
-}
-
-impl Read for EvalSource {
-    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
-        // A zero-length read must not reach the EOF paths below: `Ok(0)`
-        // with buffered or still-arriving frames would read as end of
-        // stream and silently truncate the document.
-        if out.is_empty() {
-            return Ok(0);
-        }
-        loop {
-            if self.pos < self.parse.len() {
-                let n = (self.parse.len() - self.pos).min(out.len());
-                out[..n].copy_from_slice(&self.parse[self.pos..self.pos + n]);
-                self.pos += n;
-                if self.pos == self.parse.len() {
-                    self.parse.clear();
-                    self.pos = 0;
-                }
-                return Ok(n);
-            }
-            // A parked scheduler-probe error surfaces only once the decoded
-            // bytes ahead of it were consumed, like the blocking reader.
-            if let Some(e) = self.pending_err.take() {
-                return Err(e);
-            }
-            if self.ended {
-                return Ok(0);
-            }
-            if self.ingest()? {
-                continue;
-            }
-            self.wait_for_input()?;
-        }
+        true
     }
 }
 
@@ -467,14 +328,14 @@ struct RegisterPhase {
 /// otherwise touched while `run` is alive.
 struct EvalPhase {
     run: Option<spex_core::EngineRun<'static, 'static>>,
-    reader: Reader<EvalSource>,
+    parser: Parser,
+    input: EvalInput,
     plan: Arc<SharedQuerySet>,
     sinks: Vec<Box<dyn ResultSink>>,
     quarantines: Vec<Rc<RefCell<Quarantine>>>,
     delivery: Rc<RefCell<Delivery>>,
     names: Vec<String>,
     durable: Option<DurableCtx>,
-    source_state: Rc<RefCell<SourceState>>,
     documents: u64,
 }
 
@@ -520,9 +381,8 @@ impl SessionMachine {
         }
     }
 
-    /// Run until the session suspends or finishes. Never blocks while the
-    /// horizon gate holds; bounded by the CPU slice and the outbound
-    /// watermark.
+    /// Run until the session suspends or finishes. Never blocks; bounded by
+    /// the CPU slice and the outbound watermark.
     pub(crate) fn advance(&mut self) -> Advance {
         if self.conn.killed.load(Ordering::Relaxed) && !matches!(self.state, Phase::Finished) {
             // The reactor hard-closed the socket (write deadline,
@@ -789,49 +649,33 @@ impl SessionMachine {
 
         // --- Build the eval pipeline ------------------------------------
         let recovering = self.shared.cfg.recovery != RecoveryPolicy::Strict;
-        let source_state = Rc::new(RefCell::new(SourceState::default()));
-        let resume_point = durable_ctx.as_ref().and_then(|d| {
-            d.snapshot.as_ref().map(|_| {
-                (
-                    d.session.reader_emitted,
-                    d.session.position,
-                    d.session.lt_consumed,
-                )
-            })
-        });
-        let scanner = match resume_point {
-            Some((_, position, lt_consumed)) => {
-                HorizonScanner::resume(position.offset, lt_consumed)
+        let mut parser = Parser::new().multi_document();
+        if recovering {
+            parser = parser.with_recovery(self.shared.cfg.recovery);
+        }
+        if let Some(d) = &durable_ctx {
+            if d.snapshot.is_some() {
+                // The replayed WAL tail starts exactly at the snapshot's
+                // byte offset; the parser continues in the original
+                // coordinates.
+                let s = &d.session;
+                parser = parser.resume_at(s.reader_emitted, s.position, s.lt_consumed);
             }
-            None => HorizonScanner::new(),
-        };
-        let mut source = EvalSource {
+        }
+        // Already logged: a resume's WAL tail, or the first `DATA` payload
+        // a fresh durable session write-ahead-logged above.
+        parser.feed(&preload);
+        drop(preload);
+        if source_ended {
+            parser.end_input();
+        }
+        let input = EvalInput {
             conn: Arc::clone(&self.conn),
             notifier: Arc::clone(&self.shared.notifier),
             decoder,
-            parse: Vec::new(),
-            pos: 0,
-            ended: source_ended,
-            scanner,
-            state: Rc::clone(&source_state),
             log: durable_ctx.as_ref().map(|d| Rc::clone(&d.log)),
-            read_timeout: self.shared.cfg.read_timeout,
-            pending_err: None,
+            violation: None,
         };
-        source.preload(&preload);
-        drop(preload);
-
-        let mut reader = Reader::new(source)
-            .multi_document()
-            .with_scanner(self.shared.cfg.scanner);
-        if recovering {
-            reader = reader.with_recovery(self.shared.cfg.recovery);
-        }
-        if let Some((emitted, position, lt_consumed)) = resume_point {
-            // The preloaded WAL tail starts exactly at the snapshot's byte
-            // offset; the reader continues in the original coordinates.
-            reader = reader.resume_at(emitted, position, lt_consumed);
-        }
 
         let names: Vec<String> = plan.ids().to_vec();
         let nq = names.len();
@@ -888,14 +732,14 @@ impl SessionMachine {
 
         let mut phase = Box::new(EvalPhase {
             run: None,
-            reader,
+            parser,
+            input,
             plan,
             sinks,
             quarantines,
             delivery,
             names,
             durable: durable_ctx,
-            source_state,
             documents: 0,
         });
         init_run(&mut phase, &self.shared);
@@ -937,26 +781,9 @@ impl SessionMachine {
                 self.state = Phase::Eval(phase);
                 return Advance::NeedWrite;
             }
-            if !phase.reader.has_ready_event()
-                && !phase
-                    .reader
-                    .source()
-                    .pull_ready(phase.reader.position().offset)
-            {
-                phase.reader.source_mut().poll_ingest();
-                if !phase.reader.has_ready_event()
-                    && !phase
-                        .reader
-                        .source()
-                        .pull_ready(phase.reader.position().offset)
-                {
-                    self.state = Phase::Eval(phase);
-                    return Advance::NeedInput;
-                }
-            }
             let run = phase.run.as_mut().expect("run lives through the eval loop");
-            match phase.reader.next_into(run.store_mut()) {
-                Ok(Some(id)) => {
+            match phase.parser.poll_into(run.store_mut()) {
+                Ok(Poll::Event(id)) => {
                     events += 1;
                     let end_of_document = run.store().stored(id).kind == StoredKind::EndDocument;
                     if let Err(e) = run.try_push_id(id) {
@@ -972,7 +799,7 @@ impl SessionMachine {
                             checkpoint(
                                 d,
                                 run,
-                                &phase.reader,
+                                &phase.parser,
                                 &phase.quarantines,
                                 &phase.delivery,
                                 phase.documents,
@@ -981,11 +808,16 @@ impl SessionMachine {
                         }
                     }
                 }
-                Ok(None) => return self.finish_eval(phase, None),
+                Ok(Poll::NeedMore) => {
+                    if !phase.input.pump(&mut phase.parser) {
+                        self.state = Phase::Eval(phase);
+                        return Advance::NeedInput;
+                    }
+                }
+                Ok(Poll::End) => return self.finish_eval(phase, None),
                 Err(e) => {
                     // An I/O failure that is really a peer protocol
-                    // violation is re-classified below via the
-                    // SourceState.
+                    // violation is re-classified in `finish_eval`.
                     return self.finish_eval(phase, Some(EvalError::Xml(e)));
                 }
             }
@@ -1036,7 +868,7 @@ impl SessionMachine {
                 .as_ref()
                 .map(|d| d.session.faults.clone())
                 .unwrap_or_default();
-            faults.extend(phase.reader.take_faults());
+            faults.extend(phase.parser.take_faults());
             let truncated = faults
                 .iter()
                 .any(|f| f.kind == spex_xml::FaultKind::Truncated);
@@ -1079,7 +911,7 @@ impl SessionMachine {
 
         let session_error = error
             .as_ref()
-            .map(|e| classify(e, phase.source_state.borrow().violation.as_ref()));
+            .map(|e| classify(e, phase.input.violation.as_ref()));
 
         if let Some(d) = &phase.durable {
             let log = d.log.borrow();
@@ -1344,14 +1176,14 @@ fn frame_sink(
 }
 
 /// Document-boundary checkpoint: snapshot the quiescent run plus the
-/// session bookkeeping (faults, quarantines, delivery counts, reader
+/// session bookkeeping (faults, quarantines, delivery counts, parser
 /// resume point), then durably persist and prune the WAL. All disk
 /// failures are absorbed — a failed checkpoint costs replay time on the
 /// next resume, never the live session.
-fn checkpoint<R: Read>(
+fn checkpoint(
     d: &DurableCtx,
     run: &mut spex_core::EngineRun<'_, '_>,
-    reader: &Reader<R>,
+    parser: &Parser,
     quarantines: &[Rc<RefCell<Quarantine>>],
     delivery: &Rc<RefCell<Delivery>>,
     documents: u64,
@@ -1364,9 +1196,9 @@ fn checkpoint<R: Read>(
         // Not quiescent (should not happen at `</$>`) — skip this boundary.
         Err(_) => return,
     };
-    let (reader_emitted, position, lt_consumed) = reader.resume_point();
+    let (reader_emitted, position, lt_consumed) = parser.resume_point();
     snap.session = Some(SessionState {
-        faults: reader.faults().to_vec(),
+        faults: parser.faults().to_vec(),
         quarantines: quarantines
             .iter()
             .map(|q| q.borrow().export_fragments())
@@ -1417,64 +1249,60 @@ mod tests {
         assert!(shutdown_permitted(true, None));
     }
 
-    fn test_source(conn: Arc<Conn>) -> EvalSource {
+    fn test_input(conn: Arc<Conn>) -> EvalInput {
         let poller = Poller::new().unwrap();
-        EvalSource {
+        EvalInput {
             conn,
             notifier: Arc::new(Notifier::new(poller.waker())),
             decoder: FrameDecoder::new(1024),
-            parse: Vec::new(),
-            pos: 0,
-            ended: false,
-            scanner: HorizonScanner::new(),
-            state: Rc::new(RefCell::new(SourceState::default())),
             log: None,
-            read_timeout: Some(Duration::from_millis(200)),
-            pending_err: None,
+            violation: None,
         }
     }
 
-    /// A zero-length read must not look like EOF — neither with bytes
-    /// still buffered nor with frames still arriving.
+    /// A `DATA` frame split across two inbox deliveries is fed only once
+    /// complete; until then the pump reports that nothing has arrived.
     #[test]
-    fn zero_length_read_is_not_eof() {
+    fn pump_feeds_whole_payloads_and_waits_otherwise() {
         let conn = Arc::new(Conn::new(1, None, 0));
         let mut framed = Vec::new();
         write_frame(&mut framed, FrameKind::Data, b"<a/>").unwrap();
-        conn.inbox.lock().unwrap().buf.extend_from_slice(&framed);
-        let mut source = test_source(Arc::clone(&conn));
-        // Empty buffer, frame pending: an empty read returns 0 without
-        // consuming the frame or flipping the EOF state…
-        assert_eq!(source.read(&mut []).unwrap(), 0);
-        assert!(!source.ended);
-        let mut two = [0u8; 2];
-        assert_eq!(source.read(&mut two).unwrap(), 2);
-        assert_eq!(&two, b"<a");
-        // …and mid-buffer an empty read consumes nothing either.
-        assert_eq!(source.read(&mut []).unwrap(), 0);
-        assert_eq!(source.read(&mut two).unwrap(), 2);
-        assert_eq!(&two, b"/>");
-        // The horizon tracked the ingested payload: the self-closing tag
-        // ends at offset 4.
-        assert_eq!(source.scanner.horizon(), 4);
+        let mut input = test_input(Arc::clone(&conn));
+        let mut parser = Parser::new();
+        let mut store = spex_xml::EventStore::new();
+        assert!(!input.pump(&mut parser));
+        conn.inbox
+            .lock()
+            .unwrap()
+            .buf
+            .extend_from_slice(&framed[..7]);
+        assert!(!input.pump(&mut parser));
+        conn.inbox
+            .lock()
+            .unwrap()
+            .buf
+            .extend_from_slice(&framed[7..]);
+        assert!(input.pump(&mut parser));
+        // `<$>`, `<a>`, `</a>`; the end of the document waits for more.
+        for _ in 0..3 {
+            assert!(matches!(parser.poll_into(&mut store), Ok(Poll::Event(_))));
+        }
+        assert_eq!(parser.poll_into(&mut store), Ok(Poll::NeedMore));
+        assert_eq!(parser.position().offset, 4);
     }
 
-    /// The blocking fallback times out with `TimedOut` (the same class the
-    /// blocking server's socket read timeout produced) instead of hanging.
-    #[test]
-    fn fallback_read_times_out() {
-        let conn = Arc::new(Conn::new(2, None, 0));
-        let mut source = test_source(conn);
-        let mut buf = [0u8; 4];
-        let err = source.read(&mut buf).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::TimedOut);
-    }
-
-    /// A hangup mid-payload is an I/O-class unexpected EOF; a hangup
-    /// mid-header is a protocol-class truncation — parity with
-    /// `read_frame`.
+    /// A hangup mid-payload is an I/O-class failure; a hangup mid-header is
+    /// a protocol-class truncation — parity with `read_frame`.
     #[test]
     fn hangup_truncation_classes_match_blocking_decoder() {
+        let mut store = spex_xml::EventStore::new();
+        let mut failure = |input: &mut EvalInput| {
+            let mut parser = Parser::new();
+            assert!(input.pump(&mut parser));
+            assert!(matches!(parser.poll_into(&mut store), Ok(Poll::Event(_))));
+            parser.poll_into(&mut store).unwrap_err()
+        };
+
         // Mid-payload: full header promising 10 bytes, only 3 delivered.
         let conn = Arc::new(Conn::new(3, None, 0));
         {
@@ -1484,10 +1312,9 @@ mod tests {
             inbox.buf.extend_from_slice(b"abc");
             inbox.ended = true;
         }
-        let mut source = test_source(conn);
-        let mut buf = [0u8; 4];
-        let err = source.read(&mut buf).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+        let mut input = test_input(conn);
+        assert!(!failure(&mut input).kind().is_syntax_class());
+        assert!(input.violation.is_none());
 
         // Mid-header: three header bytes then EOF.
         let conn = Arc::new(Conn::new(4, None, 0));
@@ -1496,11 +1323,10 @@ mod tests {
             inbox.buf.extend_from_slice(&[FrameKind::Data.byte(), 0, 0]);
             inbox.ended = true;
         }
-        let mut source = test_source(Arc::clone(&conn));
-        let err = source.read(&mut buf).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let mut input = test_input(conn);
+        assert!(!failure(&mut input).kind().is_syntax_class());
         assert!(matches!(
-            source.state.borrow().violation,
+            input.violation,
             Some(ProtocolError::TruncatedFrame)
         ));
     }

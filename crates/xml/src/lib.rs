@@ -12,8 +12,10 @@
 //! Contents:
 //!
 //! * [`event`] — the [`XmlEvent`] message type (SAX-like events),
-//! * [`reader`] — a streaming, pull-based, non-validating XML parser
-//!   ([`Reader`]) that never materializes the document,
+//! * [`reader`] — a streaming, non-validating XML parser that never
+//!   materializes the document: a resumable push core ([`Parser`]: feed
+//!   bytes, poll events) and a pull adapter over `std::io::Read`
+//!   ([`Reader`]),
 //! * [`writer`] — an escaping serializer ([`Writer`]) turning event streams
 //!   back into XML text,
 //! * [`tree`] — an arena-allocated in-memory document tree ([`Document`]),
@@ -24,9 +26,8 @@
 //!   borrowing [`RawEvent`] view: one shared byte buffer per run, `u32`
 //!   handles everywhere else,
 //! * [`scan`] — vendored SWAR `memchr`/`memchr2`/`memchr3` delimiter
-//!   search: the branch-light primitives under [`Reader`]'s structural fast
-//!   path ([`ScannerKind`], DESIGN.md §18) and the server's event-horizon
-//!   scanner,
+//!   search: the branch-light primitives under the parser's structural
+//!   fast path ([`ScannerKind`], DESIGN.md §18),
 //! * [`escape`] — text/attribute escaping and entity decoding,
 //! * [`namespaces`] — streaming prefix→URI resolution (the "technical, but
 //!   not difficult" extension the paper sets aside in §II.1),
@@ -36,8 +37,8 @@
 //! DESIGN.md §10 specifies the recovery layer built on [`Reader`]'s fault
 //! reporting, and DESIGN.md §11 the zero-copy pipeline around
 //! [`EventStore`]. This crate deliberately does *not* depend on
-//! `spex-trace`: consumers report the reader's own counters
-//! ([`Reader::events_emitted`], `position`, `faults`) after the stream
+//! `spex-trace`: consumers report the parser's own counters
+//! ([`Parser::events_emitted`], `position`, `faults`) after the stream
 //! drains (DESIGN.md §13).
 //!
 //! ## Example
@@ -75,7 +76,7 @@ pub mod writer;
 
 pub use error::{Position, XmlError, XmlErrorKind};
 pub use event::{Attribute, XmlEvent};
-pub use reader::{Reader, ScannerKind};
+pub use reader::{Parser, Poll, Reader, ScannerKind};
 pub use recover::{Fault, FaultAction, FaultKind, RecoveryPolicy};
 pub use stats::StreamStats;
 pub use store::{AttrsView, EventId, EventStore, RawEvent, StoredEvent, StoredKind};

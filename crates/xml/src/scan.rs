@@ -1,10 +1,9 @@
 //! Branch-light byte-search primitives: a vendored, std-only
 //! `memchr`/`memchr2`/`memchr3` built on SWAR word tricks.
 //!
-//! The streaming reader ([`crate::reader::Reader`]) and the server's
-//! event-horizon scanner both spend most of their time answering one
-//! question: *where is the next interesting delimiter* (`<`, `>`, `&`, a
-//! quote) in a run of uninteresting bytes. A byte-at-a-time state machine
+//! The streaming parser ([`crate::reader::Parser`]) spends most of its time
+//! answering one question: *where is the next interesting delimiter* (`<`,
+//! `>`, `&`, a quote) in a run of uninteresting bytes. A byte-at-a-time state machine
 //! answers it one compare-and-branch per byte; the functions here answer it
 //! eight bytes at a time with plain `u64` arithmetic — SWAR ("SIMD within a
 //! register"), the technique the `memchr` crate uses as its portable
@@ -31,9 +30,9 @@
 //!
 //! `memchr2`/`memchr3` OR two or three such hit masks together before the
 //! zero test, so scanning for `<`-or-`&` costs the same as scanning for one
-//! byte. DESIGN.md §18 describes how the reader layers a structural fast
-//! path on top of these primitives; `crates/server/src/scan.rs` reuses them
-//! for the reactor's event-horizon lookahead.
+//! byte. DESIGN.md §18 describes how the parser layers a structural fast
+//! path, its construct finder and its recovery skims on top of these
+//! primitives.
 
 /// Lowest bit of every lane.
 const LO: u64 = 0x0101_0101_0101_0101;

@@ -1,7 +1,8 @@
 //! Reactor-path integration: the incremental frame decoder against the
 //! blocking decoder (shrinking property — every chunking of a byte stream
 //! decodes identically, error classes included), slowloris reaping under
-//! `--idle-timeout`, wire-level chunking through a live server, and an
+//! `--idle-timeout`, wire-level chunking through a live server, a stalled
+//! giant construct (or recovery skim) that must not hold its worker, and an
 //! in-process idle herd riding through a graceful drain.
 
 use proptest::prelude::*;
@@ -305,6 +306,90 @@ fn chunked_wire_bytes_evaluate_identically() {
     handle.shutdown();
     let report = join.join().unwrap().unwrap();
     assert_eq!(report.sessions_failed, 0);
+}
+
+/// One worker, two sessions: A streams `stalled` and then goes quiet with
+/// its connection open; B, an unrelated 15-byte session pinned to the same
+/// worker, must complete at once — a worker never waits for A's bytes. A is
+/// then reaped by the reactor's read deadline; its transcript is returned.
+fn stall_beside_a_live_session(
+    recovery: spex::xml::RecoveryPolicy,
+    stalled: &[&[u8]],
+) -> spex_serve::SessionTranscript {
+    let (addr, handle, join) = boot(ServerConfig {
+        workers: 1,
+        read_timeout: Some(Duration::from_secs(5)),
+        recovery,
+        ..ServerConfig::default()
+    });
+    let mut a = Client::connect(addr).expect("connect A");
+    a.register("q", "r.x").expect("register A");
+    for payload in stalled {
+        a.send_xml(payload).expect("stream A");
+    }
+    let stalled_at = Instant::now();
+    // Let the server take in everything A sent before B shows up.
+    std::thread::sleep(Duration::from_millis(400));
+
+    let t0 = Instant::now();
+    let mut b = Client::connect(addr).expect("connect B");
+    let t = b
+        .run_session(&[("q", "_*.c")], b"<a><c>1</c></a>")
+        .expect("session B");
+    let took = t0.elapsed();
+    assert!(t.clean_end, "B errors: {:?}", t.errors);
+    assert_eq!(t.output_of("q"), b"<c>1</c>\n");
+    assert!(
+        took < Duration::from_secs(1),
+        "B waited {took:?} behind a stalled session on the same worker"
+    );
+
+    // A is still open; the read deadline (5 s without a byte) ends it.
+    let transcript = a.drain().expect("drain A");
+    let reaped_after = stalled_at.elapsed();
+    assert!(
+        reaped_after >= Duration::from_secs(4) && reaped_after < Duration::from_secs(9),
+        "A ended after {reaped_after:?}, not at the 5 s read deadline"
+    );
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+    transcript
+}
+
+/// Satellite: a text node far larger than any frame, then silence. The
+/// parser just keeps the incomplete construct; the session suspends on
+/// `NeedInput` and fails with the `io` class every stalled session gets.
+#[test]
+fn stalled_giant_construct_does_not_pin_its_worker() {
+    let text = vec![b'x'; 1 << 20];
+    let a = stall_beside_a_live_session(
+        spex::xml::RecoveryPolicy::Strict,
+        &[b"<r>", &text, &text, &text, &text, &text],
+    );
+    assert!(a.clean_end);
+    assert_eq!(a.errors.len(), 1, "errors: {:?}", a.errors);
+    assert_eq!(
+        spex_serve::protocol::error_class(a.errors[0].as_bytes()).as_deref(),
+        Some("io")
+    );
+}
+
+/// The same under `skip-subtree`, stalled inside a subtree the parser is
+/// discarding after a fault: the skim keeps its place instead of waiting,
+/// and the read deadline turns the stall into a `truncated` fault.
+#[test]
+fn stalled_recovery_skim_does_not_pin_its_worker() {
+    let a = stall_beside_a_live_session(
+        spex::xml::RecoveryPolicy::SkipSubtree,
+        &[b"<r><x>1</x><bad><%%%><y>", b"still inside bad"],
+    );
+    assert!(a.clean_end && a.errors.is_empty(), "errors: {:?}", a.errors);
+    assert_eq!(a.output_of("q"), b"<x>1</x>\n");
+    assert!(
+        a.faults.iter().any(|f| f.contains("truncated")),
+        "faults: {:?}",
+        a.faults
+    );
 }
 
 /// An idle herd: hundreds of connected-but-silent peers cost the reactor

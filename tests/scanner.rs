@@ -5,6 +5,11 @@
 //! damage interval), identical final positions and identical errors, under
 //! every recovery policy, in single- and multi-document mode.
 //!
+//! The same holds for *chunking*: the push [`Parser`] fed the bytes at any
+//! split — every single split point, one byte at a time, or random chunk
+//! sizes — must be indistinguishable from one whole-input parse (the
+//! any-chunking suite at the end of this file).
+//!
 //! Three layers:
 //!
 //! * a hand-curated fuzz corpus of pathological shapes (CDATA, comments,
@@ -16,7 +21,9 @@
 //!   mutated.
 
 use proptest::prelude::*;
-use spex::xml::{EventStore, Fault, Position, Reader, RecoveryPolicy, ScannerKind, XmlEvent};
+use spex::xml::{
+    EventStore, Fault, Parser, Poll, Position, Reader, RecoveryPolicy, ScannerKind, XmlEvent,
+};
 use spex_bench::fault::{mutate, Mutator};
 
 /// Drain a document through `Reader::next_into` (the only API the fast path
@@ -252,6 +259,173 @@ proptest! {
             if mutation.changed {
                 assert_scanners_agree(&mutation.xml);
             }
+        }
+    }
+}
+
+// ----- any-chunking equivalence against the parser itself -----
+
+const POLICIES: [RecoveryPolicy; 3] = [
+    RecoveryPolicy::Strict,
+    RecoveryPolicy::Repair,
+    RecoveryPolicy::SkipSubtree,
+];
+
+/// Everything observable about one push parse: the events, the fault log
+/// (kinds, positions, damage intervals), the final position, the resume
+/// point after every `EndDocument`, and the terminal error.
+type Observed = (
+    Vec<XmlEvent>,
+    Vec<Fault>,
+    Position,
+    Vec<(u64, Position, bool)>,
+    Option<String>,
+);
+
+/// Feed `xml` to a push parser in `chunks` (sizes applied cyclically),
+/// polling until `NeedMore` after every feed, then close the input and
+/// drain.
+fn drain_chunked(
+    xml: &[u8],
+    chunks: &[usize],
+    scanner: ScannerKind,
+    policy: RecoveryPolicy,
+    multi: bool,
+) -> Observed {
+    let mut parser = Parser::new().with_recovery(policy).with_scanner(scanner);
+    if multi {
+        parser = parser.multi_document();
+    }
+    let mut store = EventStore::new();
+    let (mut events, mut resumes, mut error) = (Vec::new(), Vec::new(), None);
+    let (mut offset, mut turn, mut closed) = (0, 0, false);
+    'stream: loop {
+        if offset < xml.len() {
+            let n = chunks[turn % chunks.len()].clamp(1, xml.len() - offset);
+            turn += 1;
+            parser.feed(&xml[offset..offset + n]);
+            offset += n;
+        } else {
+            parser.end_input();
+            closed = true;
+        }
+        loop {
+            match parser.poll_into(&mut store) {
+                Ok(Poll::Event(id)) => {
+                    let event = store.get(id).to_owned_event();
+                    if event == XmlEvent::EndDocument {
+                        resumes.push(parser.resume_point());
+                    }
+                    events.push(event);
+                }
+                Ok(Poll::NeedMore) => {
+                    assert!(!closed, "NeedMore after end_input");
+                    // The construct in flight was left untouched: polling
+                    // again without feeding reports the same and moves
+                    // nothing a caller can observe.
+                    let observe = |p: &Parser| {
+                        let faults = p.faults().len();
+                        (faults, p.events_emitted(), p.depth(), p.resume_point())
+                    };
+                    let before = observe(&parser);
+                    assert_eq!(parser.poll_into(&mut store), Ok(Poll::NeedMore));
+                    assert_eq!(observe(&parser), before, "NeedMore moved parser state");
+                    break;
+                }
+                Ok(Poll::End) => break 'stream,
+                Err(e) => {
+                    error = Some(e.to_string());
+                    break 'stream;
+                }
+            }
+        }
+    }
+    (
+        events,
+        parser.take_faults(),
+        parser.position(),
+        resumes,
+        error,
+    )
+}
+
+/// The chunkings every input is put through: every single split point, and
+/// one byte per feed.
+fn assert_chunking_invisible(xml: &str, extra: &[Vec<usize>]) {
+    let bytes = xml.as_bytes();
+    for policy in POLICIES {
+        for multi in [false, true] {
+            for scanner in [ScannerKind::Fast, ScannerKind::Classic] {
+                let whole = drain_chunked(bytes, &[bytes.len().max(1)], scanner, policy, multi);
+                // The pull adapter is the same parser behind 8 KiB reads.
+                let pulled = drain(xml, scanner, policy, multi);
+                assert_eq!(
+                    (&whole.0, &whole.1, &whole.2, &whole.4),
+                    (&pulled.0, &pulled.1, &pulled.2, &pulled.3),
+                    "push vs pull: {policy:?} multi={multi} {scanner:?} on {xml:?}"
+                );
+                let splits = (1..bytes.len()).map(|at| vec![at, bytes.len()]);
+                for chunks in splits.chain([vec![1]]).chain(extra.iter().cloned()) {
+                    let chunked = drain_chunked(bytes, &chunks, scanner, policy, multi);
+                    assert_eq!(
+                        chunked, whole,
+                        "{policy:?} multi={multi} {scanner:?} chunks={chunks:?} on {xml:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn fuzz_corpus_is_chunking_invariant() {
+    for xml in FUZZ_CORPUS {
+        assert_chunking_invisible(xml, &[]);
+    }
+    // Shapes whose end is decided by a lookahead the corpus lacks: document
+    // boundaries behind epilog comments/PIs, DOCTYPE subsets, terminator
+    // look-alikes, and faults followed by long discards.
+    for xml in [
+        "<a/> <!--t--> <?p q?>\n<b>x</b><c/>",
+        "<!DOCTYPE a [<!ELEMENT a (b)> <!-- ] > -->]><a><b/></a><!DOCTYPE b><b/>",
+        "<a><!-- - -- ---><![CDATA[]]]]]><?p ??>?></a>",
+        "<a><bad><%%%><x q=\"</bad>\"/><!-- </bad> --><![CDATA[</bad>]]><y></y></bad><c/></a>",
+        "<a><b>x</c>junk &bogus; <d e='&nope;'/></a>trailing<f/>",
+    ] {
+        assert_chunking_invisible(xml, &[]);
+    }
+}
+
+#[test]
+fn fault_mutators_are_chunking_invariant() {
+    let seeds: Vec<u64> = (0..6).map(|i| 0x5caf + i * 101).collect();
+    let doc = "<r><a k=\"v\"><b>text &amp; more</b></a><c/><d>tail</d></r>";
+    for mutator in Mutator::ALL {
+        for &seed in &seeds {
+            let mutation = mutate(doc, mutator, seed);
+            if mutation.changed {
+                assert_chunking_invisible(&mutation.xml, &[]);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random documents, clean and mutated, under proptest-chosen
+    /// chunkings on top of the fixed ones.
+    #[test]
+    fn random_documents_are_chunking_invariant(
+        xml in document_xml(),
+        seed in 0u64..1_000_000,
+        chunks in proptest::collection::vec(1usize..24, 1..6)
+    ) {
+        assert_chunking_invisible(&xml, std::slice::from_ref(&chunks));
+        let mutator = Mutator::ALL[seed as usize % Mutator::ALL.len()];
+        let mutation = mutate(&xml, mutator, seed);
+        if mutation.changed {
+            assert_chunking_invisible(&mutation.xml, std::slice::from_ref(&chunks));
         }
     }
 }
