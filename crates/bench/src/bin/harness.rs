@@ -15,21 +15,18 @@
 //!                            policies over C-country Mondial (soundness check)
 //! harness bench [--json]     zero-copy pipeline: throughput, peak arena bytes,
 //!                            allocations/event (owned vs zero-copy); --json
-//!                            writes BENCH_3.json and guards >10% regressions;
-//!                            also compares the bytecode VM against the
-//!                            interpreter network (BENCH_6.json, gated: VM
-//!                            >=2x events/s, <6 allocs/event, no >10% drop)
+//!                            writes BENCH_3.json and guards >10% regressions
 //! harness vm-diff [--cases N] [--seed S] [--fault-rounds R]
 //!                            differential rig: N seeded random documents x
-//!                            random queries through the VM, the interpreter
-//!                            network and the DOM baseline simultaneously
-//!                            (clean + fault-injected streams); any
+//!                            random queries through the VM, the reference
+//!                            executor and the DOM baseline simultaneously
+//!                            (clean + fault-repaired streams); any
 //!                            divergence fails the run
 //! harness scan-diff [--cases N] [--seed S] [--fault-rounds R]
 //!                            scanner differential rig: the SWAR fast path
 //!                            vs the classic scanner through the full
 //!                            recovery pipeline (clean + every PR-2 fault
-//!                            mutator x both engines x both policies);
+//!                            mutator x both policies);
 //!                            fragments, faults, quarantine sets and stats
 //!                            must be byte-identical or the run fails
 //! harness scan-bench [--json] [--out PATH]
@@ -41,7 +38,7 @@
 //!                            grid; gated at >=1.5x parse-only and >=1.25x
 //!                            end-to-end aggregate speedup over classic;
 //!                            --json writes BENCH_10.json
-//! harness serve-bench [--json] [--clients N] [--docs M] [--engine E]
+//! harness serve-bench [--json] [--clients N] [--docs M]
 //!                            spex-serve: N concurrent clients x M documents
 //!                            over a loopback server; aggregate events/sec,
 //!                            p50/p99 session latency; the burst that drove
@@ -59,7 +56,7 @@
 //!                            connections plus live sessions, then SIGTERM
 //!                            must drain and exit 0 with every idle
 //!                            connection still open
-//! harness trace-bench [--json] [--engine E]
+//! harness trace-bench [--json]
 //!                            spex-trace overhead: the zero-copy pipeline
 //!                            with tracing off vs on (JSONL sink), run
 //!                            interleaved; --json writes BENCH_5.json and
@@ -69,9 +66,9 @@
 //!                            queries, killed at K random byte offsets per
 //!                            policy, restored from the latest document-
 //!                            boundary snapshot and compared byte-for-byte
-//!                            against the uninterrupted run (both engines x
-//!                            strict/repair/skip-subtree, plus corrupt-
-//!                            snapshot and torn-WAL structured-error checks);
+//!                            against the uninterrupted run (strict/repair/
+//!                            skip-subtree, plus corrupt-snapshot and
+//!                            torn-WAL structured-error checks);
 //!                            any divergence fails the run
 //! harness crash-bench [--json]
 //!                            durable-session costs: snapshot size and
@@ -108,12 +105,12 @@
 //! factor.
 
 use spex_bench::{
-    dmoz_scale, mondial_events, peak_rss_kb, run_parse_only, run_query, run_query_engine,
-    run_spex_owned, run_spex_streaming, run_spex_zero_copy, run_spex_zero_copy_scanner,
-    stream_bytes, synthetic_attr_heavy, synthetic_deep_nesting, synthetic_text_heavy,
-    wordnet_events, Processor, RunResult,
+    dmoz_scale, mondial_events, peak_rss_kb, run_parse_only, run_query, run_spex_owned,
+    run_spex_streaming, run_spex_zero_copy, run_spex_zero_copy_scanner, stream_bytes,
+    synthetic_attr_heavy, synthetic_deep_nesting, synthetic_text_heavy, wordnet_events, Processor,
+    RunResult,
 };
-use spex_core::{CompiledNetwork, Engine};
+use spex_core::CompiledNetwork;
 use spex_query::{QueryMetrics, Rpeq};
 use spex_workloads::{dmoz_content, dmoz_structure, queries_for, Dataset, QuoteStream};
 use spex_xml::{EventStore, ScannerKind, XmlEvent};
@@ -594,8 +591,8 @@ impl BenchRow {
 /// ≥2× fewer-allocations-per-event bar against the owned path on Mondial.
 /// The `vm-diff` subcommand: drive the PR-6 differential rig
 /// (`spex_bench::diff`) — seeded random documents × random queries through
-/// the bytecode VM, the interpreter network, and the DOM baseline at once,
-/// clean and fault-injected. Exits 1 on the first run with any divergence.
+/// the bytecode VM, the reference executor, and the DOM baseline at once,
+/// clean and fault-repaired. Exits 1 on the first run with any divergence.
 fn vm_diff_cmd(args: &[String]) {
     let flag = |name: &str| {
         args.iter()
@@ -615,7 +612,7 @@ fn vm_diff_cmd(args: &[String]) {
         outcome.cases, outcome.selecting_cases, outcome.fragments
     );
     println!(
-        "{} fault comparison(s) (mutator x policy x engine), {} divergence(s)",
+        "{} fault comparison(s) (mutator x policy x executor), {} divergence(s)",
         outcome.fault_comparisons,
         outcome.divergences.len()
     );
@@ -650,7 +647,7 @@ fn scan_diff_cmd(args: &[String]) {
         outcome.cases, outcome.selecting_cases, outcome.fragments
     );
     println!(
-        "{} stream comparison(s) (clean + mutators, x engine x policy), {} divergence(s)",
+        "{} stream comparison(s) (clean + mutators, x policy), {} divergence(s)",
         outcome.fault_comparisons,
         outcome.divergences.len()
     );
@@ -807,18 +804,18 @@ fn scan_bench_cmd(args: &[String]) {
             .expect("workload exists")
             .1;
         let bytes = xml.as_bytes();
-        let mut fast = run_spex_zero_copy_scanner(q, bytes, Engine::Vm, ScannerKind::Fast);
-        let mut classic = run_spex_zero_copy_scanner(q, bytes, Engine::Vm, ScannerKind::Classic);
+        let mut fast = run_spex_zero_copy_scanner(q, bytes, ScannerKind::Fast);
+        let mut classic = run_spex_zero_copy_scanner(q, bytes, ScannerKind::Classic);
         assert_eq!(
             fast.results, classic.results,
             "scanners disagree on result count for {name} `{text}`"
         );
         for _ in 0..4 {
-            let r = run_spex_zero_copy_scanner(q, bytes, Engine::Vm, ScannerKind::Fast);
+            let r = run_spex_zero_copy_scanner(q, bytes, ScannerKind::Fast);
             if r.elapsed < fast.elapsed {
                 fast = r;
             }
-            let r = run_spex_zero_copy_scanner(q, bytes, Engine::Vm, ScannerKind::Classic);
+            let r = run_spex_zero_copy_scanner(q, bytes, ScannerKind::Classic);
             if r.elapsed < classic.elapsed {
                 classic = r;
             }
@@ -1176,203 +1173,9 @@ fn bench_cmd(args: &[String]) {
         println!("wrote {out_path}");
     }
 
-    // BENCH_6: the bytecode VM against the interpreter network it lowers.
-    // Both engines consume the same pre-parsed event stream (the bench
-    // crate's convention), so the ratio isolates engine execution — the
-    // component the plan lowering replaces — from XML parsing, which is
-    // byte-identical on both paths and measured by the pipeline table
-    // above. Interleaved best-of-5 per cell so machine noise cancels out
-    // of the speedup. The results *and* engine statistics must be
-    // identical (the differential rig's identity, re-checked in release
-    // mode on the real workloads).
-    header("bench — bytecode VM vs interpreter network (BENCH_6)");
-    println!(
-        "{:>14} {:>5} {:<28} {:>9} {:>9} {:>8} {:>8} {:>8} {:>11}",
-        "workload",
-        "class",
-        "query",
-        "vm Mev/s",
-        "net Mev/s",
-        "speedup",
-        "vm al/ev",
-        "net al/ev",
-        "results"
-    );
-    struct VmRow {
-        workload: &'static str,
-        class: u8,
-        query: &'static str,
-        events: usize,
-        results: usize,
-        vm_secs: f64,
-        net_secs: f64,
-        vm_allocs: u64,
-        net_allocs: u64,
-    }
-    let mut vrows: Vec<VmRow> = Vec::new();
-    for (name, dataset, events) in &workloads {
-        for qc in queries_for(*dataset) {
-            let q = qc.rpeq();
-            let before = alloc_count();
-            let mut vm = run_query_engine(&q, events, Engine::Vm);
-            let vm_allocs = alloc_count() - before;
-            let before = alloc_count();
-            let mut net = run_query_engine(&q, events, Engine::Network);
-            let net_allocs = alloc_count() - before;
-            for _ in 0..4 {
-                let r = run_query_engine(&q, events, Engine::Vm);
-                if r.elapsed < vm.elapsed {
-                    vm = r;
-                }
-                let r = run_query_engine(&q, events, Engine::Network);
-                if r.elapsed < net.elapsed {
-                    net = r;
-                }
-            }
-            assert_eq!(vm.results, net.results, "engines disagree on {name}");
-            assert_eq!(
-                vm.stats, net.stats,
-                "engine statistics diverge on {name} class {}",
-                qc.class
-            );
-            let row = VmRow {
-                workload: name,
-                class: qc.class,
-                query: qc.text,
-                events: events.len(),
-                results: vm.results,
-                vm_secs: vm.elapsed.as_secs_f64(),
-                net_secs: net.elapsed.as_secs_f64(),
-                vm_allocs,
-                net_allocs,
-            };
-            println!(
-                "{:>14} {:>5} {:<28} {:>9.2} {:>9.2} {:>7.1}x {:>8.2} {:>8.2} {:>11}",
-                row.workload,
-                row.class,
-                row.query,
-                row.events as f64 / row.vm_secs.max(1e-9) / 1e6,
-                row.events as f64 / row.net_secs.max(1e-9) / 1e6,
-                row.net_secs / row.vm_secs.max(1e-9),
-                row.vm_allocs as f64 / row.events as f64,
-                row.net_allocs as f64 / row.events as f64,
-                row.results
-            );
-            vrows.push(row);
-        }
-    }
-    // Per-workload aggregates and the three BENCH_6 gates: VM at least 2x
-    // the interpreter's events/s, VM under 6 heap allocations per event,
-    // and (against a baseline JSON) no >10% drop in the speedup run over
-    // run.
-    let mut vm_summary: Vec<(&'static str, f64, f64, f64, f64)> = Vec::new();
-    for (name, _, _) in &workloads {
-        let cells: Vec<&VmRow> = vrows.iter().filter(|r| r.workload == *name).collect();
-        let events: f64 = cells.iter().map(|r| r.events as f64).sum();
-        let vm_secs: f64 = cells.iter().map(|r| r.vm_secs).sum();
-        let net_secs: f64 = cells.iter().map(|r| r.net_secs).sum();
-        let vm_allocs: f64 = cells.iter().map(|r| r.vm_allocs as f64).sum();
-        let vm_eps = events / vm_secs.max(1e-9);
-        let net_eps = events / net_secs.max(1e-9);
-        vm_summary.push((
-            name,
-            vm_eps,
-            net_eps,
-            net_secs / vm_secs.max(1e-9),
-            vm_allocs / events.max(1.0),
-        ));
-    }
-    for (name, vm_eps, net_eps, speedup, vm_apev) in &vm_summary {
-        println!(
-            "{:>14}: vm {:.2} Mev/s vs network {:.2} Mev/s ({:.1}x), {:.2} vm allocs/event",
-            name,
-            vm_eps / 1e6,
-            net_eps / 1e6,
-            speedup,
-            vm_apev
-        );
-        if *speedup < 2.0 {
-            eprintln!(
-                "VM SPEEDUP REGRESSION: {name} vm only {speedup:.2}x the interpreter (gate: 2x)"
-            );
-            failed = true;
-        }
-        if *vm_apev >= 6.0 {
-            eprintln!("VM ALLOC REGRESSION: {name} vm {vm_apev:.2} allocs/event (gate: <6)");
-            failed = true;
-        }
-    }
-    if json {
-        let out6_path = args
-            .iter()
-            .position(|a| a == "--out6")
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-            .unwrap_or_else(|| format!("{}/../../BENCH_6.json", env!("CARGO_MANIFEST_DIR")));
-        if let Ok(base) = std::fs::read_to_string(&out6_path) {
-            for (name, _, _, speedup, _) in &vm_summary {
-                if let Some(prev) = baseline_speedup(&base, name) {
-                    if *speedup < prev * 0.9 {
-                        eprintln!(
-                            "VM SPEEDUP REGRESSION: {name} speedup {speedup:.3} vs baseline {prev:.3} (>10% drop)"
-                        );
-                        failed = true;
-                    }
-                }
-            }
-        }
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"spex-vm-bench-6\",\n");
-        out.push_str(&format!("  \"dmoz_scale\": {bench_dmoz_scale},\n"));
-        out.push_str("  \"runs\": [\n");
-        for (i, r) in vrows.iter().enumerate() {
-            let sep = if i + 1 == vrows.len() { "" } else { "," };
-            out.push_str(&format!(
-                "    {{\"workload\":\"{}\",\"class\":{},\"query\":{:?},\"events\":{},\"results\":{},\"vm\":{{\"secs\":{:.6},\"events_per_s\":{:.0},\"allocs\":{},\"allocs_per_event\":{:.3}}},\"network\":{{\"secs\":{:.6},\"events_per_s\":{:.0},\"allocs\":{},\"allocs_per_event\":{:.3}}},\"speedup\":{:.3}}}{sep}\n",
-                r.workload,
-                r.class,
-                r.query,
-                r.events,
-                r.results,
-                r.vm_secs,
-                r.events as f64 / r.vm_secs.max(1e-9),
-                r.vm_allocs,
-                r.vm_allocs as f64 / r.events as f64,
-                r.net_secs,
-                r.events as f64 / r.net_secs.max(1e-9),
-                r.net_allocs,
-                r.net_allocs as f64 / r.events as f64,
-                r.net_secs / r.vm_secs.max(1e-9),
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"summary\": [\n");
-        for (i, (name, vm_eps, net_eps, speedup, vm_apev)) in vm_summary.iter().enumerate() {
-            let sep = if i + 1 == vm_summary.len() { "" } else { "," };
-            out.push_str(&format!(
-                "    {{\"workload\":\"{name}\",\"vm_events_per_s\":{vm_eps:.0},\"network_events_per_s\":{net_eps:.0},\"speedup\":{speedup:.4},\"vm_allocs_per_event\":{vm_apev:.3}}}{sep}\n"
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        std::fs::write(&out6_path, out).expect("write BENCH_6.json");
-        println!("wrote {out6_path}");
-    }
     if failed {
         std::process::exit(1);
     }
-}
-
-/// Extract a prior run's VM-vs-network speedup for a workload from the
-/// `summary` section of a BENCH_6.json baseline (line scan, like
-/// [`baseline_vs_owned`]).
-fn baseline_speedup(json: &str, workload: &str) -> Option<f64> {
-    let tag = format!("{{\"workload\":\"{workload}\",\"vm_events_per_s\":");
-    let line = json.lines().find(|l| l.trim_start().starts_with(&tag))?;
-    let at = line.find("\"speedup\":")?;
-    let rest = &line[at + "\"speedup\":".len()..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
 }
 
 /// Extract a prior run's zero-copy/owned throughput ratio for a workload
@@ -1407,12 +1210,6 @@ fn serve_bench_cmd(args: &[String]) {
     };
     let clients = flag("--clients").unwrap_or(4).max(1);
     let docs = flag("--docs").unwrap_or(6).max(1);
-    let engine: Engine = args
-        .iter()
-        .position(|a| a == "--engine")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("--engine: vm or network"))
-        .unwrap_or_default();
     let out_path = args
         .iter()
         .position(|a| a == "--out")
@@ -1420,7 +1217,7 @@ fn serve_bench_cmd(args: &[String]) {
         .cloned()
         .unwrap_or_else(|| format!("{}/../../BENCH_4.json", env!("CARGO_MANIFEST_DIR")));
     header(&format!(
-        "serve-bench — {clients} clients x {docs} documents over loopback spex-serve ({engine} engine)"
+        "serve-bench — {clients} clients x {docs} documents over loopback spex-serve"
     ));
     let xml = std::sync::Arc::new(spex_xml::writer::events_to_string(mondial_events()));
     let mb = xml.len() as f64 / 1e6;
@@ -1432,7 +1229,6 @@ fn serve_bench_cmd(args: &[String]) {
     // Main phase: a server provisioned to match the offered concurrency.
     let server = Server::bind(ServerConfig {
         workers: clients,
-        engine,
         ..ServerConfig::default()
     })
     .expect("bind loopback server");
@@ -1500,7 +1296,6 @@ fn serve_bench_cmd(args: &[String]) {
     let burst = (clients * 4).max(8);
     let server = Server::bind(ServerConfig {
         workers: 1,
-        engine,
         ..ServerConfig::default()
     })
     .expect("bind admission-phase server");
@@ -1596,7 +1391,6 @@ fn serve_bench_cmd(args: &[String]) {
     for &tier in &tiers {
         let server = Server::bind(ServerConfig {
             workers: 4,
-            engine,
             max_conns: tier + HOT_CLIENTS + 64,
             ..ServerConfig::default()
         })
@@ -1711,7 +1505,7 @@ fn serve_bench_cmd(args: &[String]) {
             })
             .collect();
         let out = format!(
-            "{{\n  \"schema\": \"spex-serve-bench-8\",\n  \"engine\": \"{engine}\",\n  \"workers\": 4,\n  \
+            "{{\n  \"schema\": \"spex-serve-bench-8\",\n  \"workers\": 4,\n  \
              \"hot_clients\": {HOT_CLIENTS},\n  \"docs_per_hot_client\": {hot_docs},\n  \
              \"workload\": \"mondial\",\n  \"document_mb\": {mb:.3},\n  \
              \"fd_soft_limit\": {fd_budget},\n  \
@@ -1725,7 +1519,7 @@ fn serve_bench_cmd(args: &[String]) {
 
     if json {
         let out = format!(
-            "{{\n  \"schema\": \"spex-serve-bench-4\",\n  \"engine\": \"{engine}\",\n  \"clients\": {clients},\n  \"docs_per_client\": {docs},\n  \"workers\": {clients},\n  \"workload\": \"mondial\",\n  \"document_mb\": {mb:.3},\n  \"sessions\": {},\n  \"documents\": {},\n  \"elapsed_s\": {elapsed:.3},\n  \"events_per_s\": {events_per_s:.0},\n  \"mb_per_s\": {mb_per_s:.3},\n  \"latency_ms\": {{\"p50\": {p50:.2}, \"p99\": {p99:.2}, \"min\": {:.2}, \"max\": {:.2}}},\n  \"reject\": {{\"workers\": 1, \"queue\": 1, \"offered\": {offered}, \"rejected\": {}, \"rate\": {reject_rate:.4}}}\n}}\n",
+            "{{\n  \"schema\": \"spex-serve-bench-4\",\n  \"clients\": {clients},\n  \"docs_per_client\": {docs},\n  \"workers\": {clients},\n  \"workload\": \"mondial\",\n  \"document_mb\": {mb:.3},\n  \"sessions\": {},\n  \"documents\": {},\n  \"elapsed_s\": {elapsed:.3},\n  \"events_per_s\": {events_per_s:.0},\n  \"mb_per_s\": {mb_per_s:.3},\n  \"latency_ms\": {{\"p50\": {p50:.2}, \"p99\": {p99:.2}, \"min\": {:.2}, \"max\": {:.2}}},\n  \"reject\": {{\"workers\": 1, \"queue\": 1, \"offered\": {offered}, \"rejected\": {}, \"rate\": {reject_rate:.4}}}\n}}\n",
             latencies_ms.len(),
             report.documents,
             latencies_ms.first().copied().unwrap_or(0.0),
@@ -1746,25 +1540,17 @@ fn serve_bench_cmd(args: &[String]) {
 /// run; with `--json` the measurements are also written to `BENCH_5.json`
 /// (repo root by default, `--out PATH` overrides).
 fn trace_bench_cmd(args: &[String]) {
-    use spex_bench::run_spex_traced_engine;
+    use spex_bench::run_spex_traced;
     use spex_trace::{JsonlSink, Tracer};
 
     let json = args.iter().any(|a| a == "--json");
-    let engine: Engine = args
-        .iter()
-        .position(|a| a == "--engine")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("--engine: vm or network"))
-        .unwrap_or_default();
     let out_path = args
         .iter()
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1))
         .cloned()
         .unwrap_or_else(|| format!("{}/../../BENCH_5.json", env!("CARGO_MANIFEST_DIR")));
-    header(&format!(
-        "trace-bench — spex-trace overhead (tracer off vs JSONL tracer on, {engine} engine)"
-    ));
+    header("trace-bench — spex-trace overhead (tracer off vs JSONL tracer on)");
     let jsonl_path = std::env::temp_dir().join("spex-trace-bench.jsonl");
     let sink = std::sync::Arc::new(JsonlSink::create(&jsonl_path).expect("create trace file"));
     let on = Tracer::to_sink(sink.clone());
@@ -1801,8 +1587,8 @@ fn trace_bench_cmd(args: &[String]) {
             let mut off_secs = f64::INFINITY;
             let mut on_secs = f64::INFINITY;
             for _ in 0..5 {
-                let a = run_spex_traced_engine(&q, xml.as_bytes(), &off, engine);
-                let b = run_spex_traced_engine(&q, xml.as_bytes(), &on, engine);
+                let a = run_spex_traced(&q, xml.as_bytes(), &off);
+                let b = run_spex_traced(&q, xml.as_bytes(), &on);
                 assert_eq!(a.results, b.results, "tracing changed results on {name}");
                 off_secs = off_secs.min(a.elapsed.as_secs_f64());
                 on_secs = on_secs.min(b.elapsed.as_secs_f64());
@@ -1848,7 +1634,6 @@ fn trace_bench_cmd(args: &[String]) {
         let mut out = String::new();
         out.push_str("{\n");
         out.push_str("  \"schema\": \"spex-trace-bench-5\",\n");
-        out.push_str(&format!("  \"engine\": \"{engine}\",\n"));
         out.push_str(&format!("  \"dmoz_scale\": {bench_dmoz_scale},\n"));
         out.push_str("  \"runs\": [\n");
         for (i, c) in cells.iter().enumerate() {
@@ -1895,9 +1680,9 @@ fn crash_diff_cmd(args: &[String]) {
     ));
     let outcome = spex_bench::crash::crash_diff(cases, seed, kills);
     println!(
-        "{} case(s) x both engines x strict/repair/skip-subtree: {} kill-point(s), \
-         {} resumed run(s) ({} restored from a document-boundary snapshot)",
-        outcome.cases, outcome.kills, outcome.resumed_runs, outcome.snapshot_resumes
+        "{} case(s) x strict/repair/skip-subtree: {} kill-point(s) resumed \
+         ({} restored from a document-boundary snapshot)",
+        outcome.cases, outcome.kills, outcome.snapshot_resumes
     );
     println!(
         "{} corrupt-snapshot / torn-WAL check(s), {} divergence(s)",
@@ -2097,10 +1882,10 @@ fn reactor_smoke_cmd(args: &[String]) {
 /// Drive `xml` to its final document boundary, then time `checkpoint()` +
 /// encode and decode + `restore()` into a fresh run (best-of-7 each).
 /// Returns (events, snapshot bytes, checkpoint µs, restore µs).
-fn measure_snapshot(query: &Rpeq, engine: Engine, xml: &str) -> (u64, usize, f64, f64) {
+fn measure_snapshot(query: &Rpeq, xml: &str) -> (u64, usize, f64, f64) {
     let network = CompiledNetwork::compile(query);
     let mut sink = spex_core::CountingSink::new();
-    let mut eval = spex_core::Evaluator::with_engine(&network, &mut sink, engine);
+    let mut eval = spex_core::Evaluator::new(&network, &mut sink);
     let mut reader =
         spex_xml::Reader::new(std::io::Cursor::new(xml.as_bytes().to_vec())).multi_document();
     let mut events = 0u64;
@@ -2124,7 +1909,7 @@ fn measure_snapshot(query: &Rpeq, engine: Engine, xml: &str) -> (u64, usize, f64
         let t = Instant::now();
         let snap = spex_core::Snapshot::decode(&bytes).expect("decode own snapshot");
         let mut fresh_sink = spex_core::CountingSink::new();
-        let mut fresh = spex_core::Evaluator::with_engine(&network, &mut fresh_sink, engine);
+        let mut fresh = spex_core::Evaluator::new(&network, &mut fresh_sink);
         fresh.restore(&snap).expect("restore own snapshot");
         restore_us = restore_us.min(t.elapsed().as_secs_f64() * 1e6);
     }
@@ -2144,12 +1929,11 @@ fn crash_bench_cmd(args: &[String]) {
     header("crash-bench — durable sessions: snapshot size/latency and WAL overhead");
 
     // Snapshot size and checkpoint/restore latency across the paper's query
-    // classes, both engines.
+    // classes.
     struct SnapCell {
         workload: &'static str,
         class: u8,
         query: String,
-        engine: Engine,
         events: u64,
         snapshot_bytes: usize,
         checkpoint_us: f64,
@@ -2158,29 +1942,26 @@ fn crash_bench_cmd(args: &[String]) {
     let mondial_xml = spex_xml::writer::events_to_string(mondial_events());
     let mut snaps: Vec<SnapCell> = Vec::new();
     println!(
-        "{:>8} {:>5} {:<28} {:>8} {:>10} {:>12} {:>11}",
-        "workload", "class", "query", "engine", "snapshot", "checkpoint", "restore"
+        "{:>8} {:>5} {:<28} {:>10} {:>12} {:>11}",
+        "workload", "class", "query", "snapshot", "checkpoint", "restore"
     );
-    for engine in [Engine::Vm, Engine::Network] {
-        for qc in queries_for(Dataset::Mondial) {
-            let q = qc.rpeq();
-            let (events, snapshot_bytes, checkpoint_us, restore_us) =
-                measure_snapshot(&q, engine, &mondial_xml);
-            println!(
-                "{:>8} {:>5} {:<28} {:>8} {:>9}B {:>10.1}us {:>9.1}us",
-                "mondial", qc.class, qc.text, engine, snapshot_bytes, checkpoint_us, restore_us
-            );
-            snaps.push(SnapCell {
-                workload: "mondial",
-                class: qc.class,
-                query: qc.text.to_string(),
-                engine,
-                events,
-                snapshot_bytes,
-                checkpoint_us,
-                restore_us,
-            });
-        }
+    for qc in queries_for(Dataset::Mondial) {
+        let q = qc.rpeq();
+        let (events, snapshot_bytes, checkpoint_us, restore_us) =
+            measure_snapshot(&q, &mondial_xml);
+        println!(
+            "{:>8} {:>5} {:<28} {:>9}B {:>10.1}us {:>9.1}us",
+            "mondial", qc.class, qc.text, snapshot_bytes, checkpoint_us, restore_us
+        );
+        snaps.push(SnapCell {
+            workload: "mondial",
+            class: qc.class,
+            query: qc.text.to_string(),
+            events,
+            snapshot_bytes,
+            checkpoint_us,
+            restore_us,
+        });
     }
 
     // Snapshot size vs document depth: the state captured at a quiescent
@@ -2208,7 +1989,7 @@ fn crash_bench_cmd(args: &[String]) {
             xml.push_str("</a>");
         }
         let (events, snapshot_bytes, checkpoint_us, restore_us) =
-            measure_snapshot(&depth_query, Engine::Vm, &xml);
+            measure_snapshot(&depth_query, &xml);
         println!(
             "{:>8} {:>8} {:>9}B {:>10.1}us {:>9.1}us",
             depth, events, snapshot_bytes, checkpoint_us, restore_us
@@ -2333,11 +2114,10 @@ fn crash_bench_cmd(args: &[String]) {
         for (i, c) in snaps.iter().enumerate() {
             let sep = if i + 1 == snaps.len() { "" } else { "," };
             out.push_str(&format!(
-                "    {{\"workload\":\"{}\",\"class\":{},\"query\":{:?},\"engine\":\"{}\",\"events\":{},\"snapshot_bytes\":{},\"checkpoint_us\":{:.3},\"restore_us\":{:.3}}}{sep}\n",
+                "    {{\"workload\":\"{}\",\"class\":{},\"query\":{:?},\"events\":{},\"snapshot_bytes\":{},\"checkpoint_us\":{:.3},\"restore_us\":{:.3}}}{sep}\n",
                 c.workload,
                 c.class,
                 c.query,
-                c.engine,
                 c.events,
                 c.snapshot_bytes,
                 c.checkpoint_us,

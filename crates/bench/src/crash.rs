@@ -6,10 +6,10 @@
 //! restored, continues **byte-identically**: same fragments, same engine
 //! statistics, same fault reports, same determination-latency histograms.
 //! This module turns that claim into a seeded differential test, the same
-//! way [`crate::diff`] proves the VM lowering against the interpreter.
+//! way [`crate::diff`] proves the VM lowering against the reference executor.
 //!
 //! One case is a random query over a random multi-document stream,
-//! evaluated three ways per engine:
+//! evaluated three ways:
 //!
 //! 1. **Baseline** — an uninterrupted run that also captures a snapshot at
 //!    every `</$>` boundary (exactly what `--checkpoint` and the server's
@@ -25,17 +25,17 @@
 //!    panic), and a WAL segment torn mid-record must recover to the
 //!    longest valid prefix.
 //!
-//! Every policy (`strict`, `repair`, `skip-subtree`) runs on both engines;
-//! recovery policies run over mutated (damaged) streams so quarantine sets
-//! and damage intervals cross the snapshot too.
+//! Every policy (`strict`, `repair`, `skip-subtree`) runs; recovery policies
+//! run over mutated (damaged) streams so quarantine sets and damage
+//! intervals cross the snapshot too.
 
 use crate::diff::{gen_document, gen_query};
 use crate::fault::{mutate, Mutator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spex_core::{
-    CompiledNetwork, Engine, Evaluator, FragmentFnSink, Quarantine, ResourceLimits, ResultSink,
-    SessionState, Snapshot, TruncationOutcome,
+    CompiledNetwork, Evaluator, FragmentFnSink, Quarantine, ResultSink, SessionState, Snapshot,
+    TruncationOutcome,
 };
 use spex_trace::HistogramSummary;
 use spex_xml::{Fault, Reader, RecoveryPolicy};
@@ -97,7 +97,6 @@ fn collecting_sink(store: &Rc<RefCell<Vec<String>>>) -> BoxedSink<'static> {
 /// the durable layer's write path, minus the disk.
 fn drive(
     network: &CompiledNetwork,
-    engine: Engine,
     policy: RecoveryPolicy,
     xml: &str,
     resume: Option<&Snapshot>,
@@ -137,10 +136,10 @@ fn drive(
         &mut stream_sink
     };
 
-    let mut eval = Evaluator::with_engine_limits(network, sink, engine, ResourceLimits::default());
+    let mut eval = Evaluator::new(network, sink);
     if let Some(snap) = resume {
         eval.restore(snap)
-            .map_err(|e| format!("{engine}/{policy}: restore failed: {e}"))?;
+            .map_err(|e| format!("{policy}: restore failed: {e}"))?;
     }
 
     let mut documents = session.documents;
@@ -153,7 +152,7 @@ fn drive(
                 if checkpoint {
                     let mut snap = eval
                         .checkpoint()
-                        .map_err(|e| format!("{engine}/{policy}: checkpoint failed: {e}"))?;
+                        .map_err(|e| format!("{policy}: checkpoint failed: {e}"))?;
                     let (reader_emitted, position, lt_consumed) = reader.resume_point();
                     let mut faults = prior_faults.clone();
                     faults.extend(reader.faults().iter().cloned());
@@ -175,7 +174,7 @@ fn drive(
             }
             Ok(Some(false)) => {}
             Ok(None) => break,
-            Err(e) => return Err(format!("{engine}/{policy}: {e}")),
+            Err(e) => return Err(format!("{policy}: {e}")),
         }
     }
 
@@ -209,10 +208,9 @@ fn drive(
 pub struct CrashOutcome {
     /// (query, stream) cases generated.
     pub cases: usize,
-    /// Seeded kill-points exercised (case × policy × kill offset).
+    /// Seeded kill-points exercised (case × policy × kill offset), each one
+    /// restore-and-continue run.
     pub kills: usize,
-    /// Restore-and-continue runs driven (two engines per kill-point).
-    pub resumed_runs: usize,
     /// Kill-points that resumed from a real snapshot (not a from-scratch
     /// rerun because the kill landed before the first boundary).
     pub snapshot_resumes: usize,
@@ -229,8 +227,8 @@ const POLICIES: [RecoveryPolicy; 3] = [
 ];
 
 /// The rig's top-level driver: `cases` seeded random (multi-document
-/// stream, query) pairs; per case and per recovery policy, both engines
-/// run an uninterrupted checkpointing baseline, then `kills` random kill
+/// stream, query) pairs; per case and per recovery policy, an
+/// uninterrupted checkpointing baseline runs, then `kills` random kill
 /// offsets each restore the latest preceding snapshot into a fresh run and
 /// the continuation is compared against the baseline. Deterministic per
 /// `seed`.
@@ -257,19 +255,10 @@ pub fn crash_diff(cases: usize, seed: u64, kills: usize) -> CrashOutcome {
                 mutate(&clean, mutator, rng.gen()).xml
             };
             let label = format!("case {i} (seed {seed}, query `{query}`, {policy})");
-            let vm = drive(&network, Engine::Vm, policy, &xml, None, true);
-            let net = drive(&network, Engine::Network, policy, &xml, None, true);
-            let baselines = match (vm, net) {
-                (Ok(v), Ok(n)) => [(Engine::Vm, v), (Engine::Network, n)],
-                (Err(e), Ok(_)) | (Ok(_), Err(e)) => {
-                    out.divergences
-                        .push(format!("{label}: one engine errored: {e} [doc: {xml}]"));
-                    continue;
-                }
-                // Both engines reject the stream the same way (e.g. strict
-                // over rare still-malformed repairs): agreement, no resume
-                // to test.
-                (Err(_), Err(_)) => continue,
+            // A stream the reader rejects (e.g. strict over rare
+            // still-malformed repairs) has no resume to test.
+            let Ok(base) = drive(&network, policy, &xml, None, true) else {
+                continue;
             };
             if xml.len() < 2 {
                 continue;
@@ -277,68 +266,59 @@ pub fn crash_diff(cases: usize, seed: u64, kills: usize) -> CrashOutcome {
             for _ in 0..kills {
                 let cut = rng.gen_range(1..xml.len() as u64);
                 out.kills += 1;
-                for (engine, base) in &baselines {
-                    let ckpt = base.checkpoints.iter().rev().find(|c| c.offset <= cut);
-                    if ckpt.is_some() {
-                        out.snapshot_resumes += 1;
-                    }
-                    out.resumed_runs += 1;
-                    let resumed = match drive(
-                        &network,
-                        *engine,
-                        policy,
-                        &xml,
-                        ckpt.map(|c| &c.snapshot),
-                        false,
-                    ) {
-                        Ok(r) => r,
-                        Err(e) => {
-                            out.divergences.push(format!(
-                                "{label}: {engine} resume after kill@{cut} errored: {e} [doc: {xml}]"
-                            ));
-                            continue;
-                        }
-                    };
-                    let delivered = ckpt.map_or(0, |c| c.delivered);
-                    if resumed.fragments[..] != base.fragments[delivered..] {
+                let ckpt = base.checkpoints.iter().rev().find(|c| c.offset <= cut);
+                if ckpt.is_some() {
+                    out.snapshot_resumes += 1;
+                }
+                let resumed = match drive(&network, policy, &xml, ckpt.map(|c| &c.snapshot), false)
+                {
+                    Ok(r) => r,
+                    Err(e) => {
                         out.divergences.push(format!(
-                            "{label}: {engine} kill@{cut}: continuation fragments diverge: \
-                             resumed {:?}, baseline tail {:?} [doc: {xml}]",
-                            resumed.fragments,
-                            &base.fragments[delivered..]
+                            "{label}: resume after kill@{cut} errored: {e} [doc: {xml}]"
                         ));
+                        continue;
                     }
-                    if resumed.stats != base.stats {
-                        out.divergences.push(format!(
-                            "{label}: {engine} kill@{cut}: final stats diverge: \
-                             resumed {:?}, baseline {:?} [doc: {xml}]",
-                            resumed.stats, base.stats
-                        ));
-                    }
-                    if resumed.transducers != base.transducers {
-                        out.divergences.push(format!(
-                            "{label}: {engine} kill@{cut}: per-transducer stats diverge [doc: {xml}]"
-                        ));
-                    }
-                    if resumed.latency != base.latency {
-                        out.divergences.push(format!(
-                            "{label}: {engine} kill@{cut}: determination-latency diverges: \
-                             resumed {:?}, baseline {:?} [doc: {xml}]",
-                            resumed.latency, base.latency
-                        ));
-                    }
-                    if resumed.faults != base.faults {
-                        out.divergences.push(format!(
-                            "{label}: {engine} kill@{cut}: fault reports diverge: \
-                             resumed {}, baseline {} [doc: {xml}]",
-                            resumed.faults, base.faults
-                        ));
-                    }
+                };
+                let delivered = ckpt.map_or(0, |c| c.delivered);
+                if resumed.fragments[..] != base.fragments[delivered..] {
+                    out.divergences.push(format!(
+                        "{label}: kill@{cut}: continuation fragments diverge: \
+                         resumed {:?}, baseline tail {:?} [doc: {xml}]",
+                        resumed.fragments,
+                        &base.fragments[delivered..]
+                    ));
+                }
+                if resumed.stats != base.stats {
+                    out.divergences.push(format!(
+                        "{label}: kill@{cut}: final stats diverge: \
+                         resumed {:?}, baseline {:?} [doc: {xml}]",
+                        resumed.stats, base.stats
+                    ));
+                }
+                if resumed.transducers != base.transducers {
+                    out.divergences.push(format!(
+                        "{label}: kill@{cut}: per-transducer stats diverge [doc: {xml}]"
+                    ));
+                }
+                if resumed.latency != base.latency {
+                    out.divergences.push(format!(
+                        "{label}: kill@{cut}: determination-latency diverges: \
+                         resumed {:?}, baseline {:?} [doc: {xml}]",
+                        resumed.latency, base.latency
+                    ));
+                }
+                if resumed.faults != base.faults {
+                    out.divergences.push(format!(
+                        "{label}: kill@{cut}: fault reports diverge: \
+                         resumed {}, baseline {} [doc: {xml}]",
+                        resumed.faults, base.faults
+                    ));
                 }
             }
             // Corruption leg: snapshot bytes with a random bit flip or
             // truncation must fail decoding with a structured error.
-            if let Some(ckpt) = baselines[0].1.checkpoints.first() {
+            if let Some(ckpt) = base.checkpoints.first() {
                 let bytes = ckpt.snapshot.encode();
                 for _ in 0..4 {
                     let mut bad = bytes.clone();

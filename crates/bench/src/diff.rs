@@ -1,30 +1,34 @@
-//! The VM ↔ network differential test rig.
+//! The VM ↔ reference-executor differential test rig.
 //!
-//! PR 6 lowers the transducer network into a flat bytecode [`spex_core::Plan`]
-//! executed by [`spex_core::PlanRun`]; the interpreter network stays as the
-//! semantic oracle. This module is the proof obligation: seeded random
-//! documents × seeded random rpeq queries are evaluated by **both** engines
-//! (plus the DOM baseline as an outside witness), and the first divergence in
-//! delivered fragments, engine statistics, per-transducer statistics,
-//! determination-latency histograms, or fault reports fails the run.
+//! The transducer network runs as a flat bytecode [`spex_core::Plan`]
+//! executed by [`spex_core::PlanRun`]; [`spex_core::network::Run`] steps the
+//! same transducers the obvious way and is the reference the VM's scheduling
+//! is compared against. This module is the proof obligation: seeded random
+//! documents × seeded random rpeq queries are evaluated by **both**
+//! executors (plus the DOM baseline as an outside witness), and the first
+//! divergence in delivered fragments, engine statistics, per-transducer
+//! statistics or determination-latency histograms fails the run.
 //!
-//! Three layers of comparison:
+//! Layers of comparison:
 //!
 //! 1. **Clean streams** ([`diff_case`]) — byte-identical fragments, equal
 //!    [`spex_core::EngineStats`] / [`spex_core::TransducerStats`], equal
 //!    per-output determination-latency summaries, and a result count that
 //!    matches the in-memory DOM evaluation.
 //! 2. **Corrupted streams** ([`diff_fault_case`]) — every PR-2 fault
-//!    [`crate::fault::Mutator`] × recovery policy must yield the same
-//!    [`spex_core::RunReport`] (faults, truncation, delivered, quarantined)
-//!    and the same surviving fragments on both engines.
+//!    [`crate::fault::Mutator`] × recovery policy: the mutant is drained
+//!    once through the recovering reader into its repaired event sequence,
+//!    and that one sequence goes through both executors under the same
+//!    comparison. (The recovery driver's own bookkeeping — `RunReport`,
+//!    quarantine — is judged against DOM by `tests/recovery.rs`.)
 //! 3. **Volume** ([`vm_diff`]) — the `harness vm-diff` subcommand and the CI
 //!    `vm-diff-smoke` job drive thousands of seeded cases; any entry in
 //!    [`DiffOutcome::divergences`] is a bug in the VM lowering.
 //! 4. **Scanners** ([`scan_diff`]) — PR 10 adds a SWAR fast path to the XML
-//!    reader; the same machinery compares the fast and classic scanners
-//!    (clean stream + every mutator × both engines × both policies) so the
-//!    byte-scanning optimization stays observationally invisible.
+//!    reader; the same generators compare the fast and classic scanners
+//!    (clean stream + every mutator × both policies) through the full
+//!    recovery pipeline so the byte-scanning optimization stays
+//!    observationally invisible.
 //!
 //! Everything is deterministic per seed so a failing case replays exactly.
 
@@ -33,12 +37,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spex_baseline::DomEvaluator;
 use spex_core::{
-    evaluate_recovering, CompiledNetwork, Engine, Evaluator, FragmentCollector, RecoveryOptions,
-    ResourceLimits,
+    evaluate_recovering, CompiledNetwork, FragmentCollector, RecoveryOptions, ResourceLimits,
 };
 use spex_query::{Label, Rpeq};
 use spex_trace::HistogramSummary;
-use spex_xml::{Document, RecoveryPolicy, ScannerKind};
+use spex_xml::{Document, RecoveryPolicy, ScannerKind, XmlEvent};
 
 /// The closed label alphabet. Small on purpose: collisions between query
 /// labels and document labels are what make random cases select anything.
@@ -133,85 +136,129 @@ pub fn gen_document(rng: &mut StdRng) -> String {
     out
 }
 
-/// What one engine produced on a clean stream.
-struct EngineOutcome {
+/// What one executor produced on an event sequence.
+#[derive(PartialEq)]
+struct Outcome {
     fragments: Vec<String>,
     stats: spex_core::EngineStats,
     transducers: Vec<spex_core::TransducerStats>,
     latency: Vec<(usize, HistogramSummary)>,
 }
 
-fn run_engine(
-    network: &CompiledNetwork,
-    engine: Engine,
-    xml: &str,
-) -> Result<EngineOutcome, String> {
-    let mut sink = FragmentCollector::new();
-    let mut eval = Evaluator::with_engine(network, &mut sink, engine);
-    eval.push_str(xml).map_err(|e| format!("{engine}: {e}"))?;
-    let latency = eval
-        .determination_latency()
-        .iter()
-        .map(|(id, h)| (*id, h.summary()))
-        .collect();
-    let (stats, transducers) = eval.finish_full();
-    Ok(EngineOutcome {
-        fragments: sink.into_fragments(),
-        stats,
-        transducers,
-        latency,
-    })
+/// Drive `$run` (a `PlanRun` or the reference `Run` — same methods, no
+/// shared trait) over `$events`, delivering into `$sink`. `finish` is for
+/// streams that end at a document boundary; one cut at a terminal reader
+/// error is compared in the state it reached.
+macro_rules! drive {
+    ($run:expr, $events:expr, $sink:ident) => {{
+        let mut run = $run;
+        for ev in &$events.events {
+            run.push(ev.clone());
+        }
+        let latency = run
+            .determination_latency()
+            .iter()
+            .map(|(id, h)| (*id, h.summary()))
+            .collect();
+        let (stats, transducers) = if $events.complete {
+            run.finish_full()
+        } else {
+            (run.stats().clone(), run.transducer_stats().to_vec())
+        };
+        Outcome {
+            fragments: $sink.into_fragments(),
+            stats,
+            transducers,
+            latency,
+        }
+    }};
 }
 
-/// Run one clean-stream case through VM, network, and the DOM baseline.
-/// Returns one human-readable line per divergence (empty = agreement).
+/// Push one event sequence through the VM and the reference executor and
+/// append one line per divergence, each prefixed with `label`.
+fn compare_executors(
+    network: &CompiledNetwork,
+    events: &EventSequence,
+    label: &str,
+    divergences: &mut Vec<String>,
+) -> Vec<String> {
+    let mut sink = FragmentCollector::new();
+    let vm = drive!(network.run(&mut sink), events, sink);
+    let mut sink = FragmentCollector::new();
+    let reference = drive!(
+        spex_core::network::Run::new(network.spec(), vec![&mut sink]),
+        events,
+        sink
+    );
+    if vm.fragments != reference.fragments {
+        divergences.push(format!(
+            "{label}fragments diverge: vm delivered {:?}, network {:?}",
+            vm.fragments, reference.fragments
+        ));
+    }
+    if vm.stats != reference.stats {
+        divergences.push(format!(
+            "{label}engine stats diverge: vm {:?}, network {:?}",
+            vm.stats, reference.stats
+        ));
+    }
+    if vm.transducers != reference.transducers {
+        divergences.push(format!("{label}per-transducer stats diverge"));
+    }
+    if vm.latency != reference.latency {
+        divergences.push(format!(
+            "{label}determination-latency histograms diverge: vm {:?}, network {:?}",
+            vm.latency, reference.latency
+        ));
+    }
+    vm.fragments
+}
+
+/// What a reader made of one input.
+struct EventSequence {
+    events: Vec<XmlEvent>,
+    /// `false` when the reader gave up with a terminal error, leaving the
+    /// sequence cut mid-document.
+    complete: bool,
+}
+
+/// Drain `xml` through a reader under `policy` into the (repaired) event
+/// sequence, up to the terminal error if the reader gives up.
+fn repaired_events(xml: &str, policy: RecoveryPolicy) -> EventSequence {
+    let mut reader = spex_xml::Reader::from_bytes(xml.as_bytes().to_vec()).with_recovery(policy);
+    let mut events = Vec::new();
+    let complete = loop {
+        match reader.next_event() {
+            Ok(Some(ev)) => events.push(ev),
+            Ok(None) => break true,
+            Err(_) => break false,
+        }
+    };
+    EventSequence { events, complete }
+}
+
+/// Run one clean-stream case through VM, reference executor, and the DOM
+/// baseline. Returns one human-readable line per divergence (empty =
+/// agreement).
 pub fn diff_case(query: &Rpeq, xml: &str) -> Vec<String> {
     let mut divergences = Vec::new();
     let network = match CompiledNetwork::try_compile(query) {
         Ok(n) => n,
         Err(e) => return vec![format!("query failed to compile: {e}")],
     };
-    let vm = run_engine(&network, Engine::Vm, xml);
-    let net = run_engine(&network, Engine::Network, xml);
-    let (vm, net) = match (vm, net) {
-        (Ok(v), Ok(n)) => (v, n),
-        (Err(e), Ok(_)) | (Ok(_), Err(e)) => {
-            return vec![format!("one engine errored, the other did not: {e}")]
-        }
-        (Err(_), Err(_)) => return divergences, // both reject: agreement
-    };
-    if vm.fragments != net.fragments {
-        divergences.push(format!(
-            "fragments diverge: vm delivered {:?}, network {:?}",
-            vm.fragments, net.fragments
-        ));
-    }
-    if vm.stats != net.stats {
-        divergences.push(format!(
-            "engine stats diverge: vm {:?}, network {:?}",
-            vm.stats, net.stats
-        ));
-    }
-    if vm.transducers != net.transducers {
-        divergences.push("per-transducer stats diverge".to_string());
-    }
-    if vm.latency != net.latency {
-        divergences.push(format!(
-            "determination-latency histograms diverge: vm {:?}, network {:?}",
-            vm.latency, net.latency
-        ));
-    }
+    let events = repaired_events(xml, RecoveryPolicy::Strict);
+    let fragments = compare_executors(&network, &events, "", &mut divergences);
     // Outside witness: the in-memory DOM evaluation must select the same
     // number of nodes as the streamed run delivered fragments. Skipped when
     // a following step sits inside a qualifier body: the streamed engine
     // determines qualifier conditions when the candidate's subtree closes,
     // so a `[~l]` condition satisfiable only by later stream content is
     // decided false, while the DOM evaluates it over the whole document.
-    // Both engines implement the streamed semantics identically (the
+    // Both executors implement the streamed semantics identically (the
     // comparison above still covers these queries); the witness is only
     // meaningful where the two models agree.
     if !following_in_qualifier(query) {
-        check_dom_witness(query, xml, &vm.fragments, &mut divergences);
+        check_dom_witness(query, xml, &fragments, &mut divergences);
     }
     divergences
 }
@@ -246,44 +293,11 @@ fn check_dom_witness(query: &Rpeq, xml: &str, fragments: &[String], divergences:
     }
 }
 
-/// What one engine produced on a corrupted stream under a recovery policy.
-struct FaultOutcome {
-    fragments: Vec<String>,
-    report: spex_core::RunReport,
-}
-
-fn run_fault_engine(
-    network: &CompiledNetwork,
-    engine: Engine,
-    policy: RecoveryPolicy,
-    scanner: ScannerKind,
-    xml: &str,
-) -> Result<FaultOutcome, String> {
-    let mut collector = FragmentCollector::new();
-    let options = RecoveryOptions {
-        policy,
-        engine,
-        scanner,
-        ..RecoveryOptions::default()
-    };
-    let report = evaluate_recovering(
-        network,
-        std::io::Cursor::new(xml.as_bytes().to_vec()),
-        options,
-        ResourceLimits::default(),
-        &mut collector,
-    )
-    .map_err(|e| format!("{engine}/{policy}: {e}"))?;
-    Ok(FaultOutcome {
-        fragments: collector.into_fragments(),
-        report,
-    })
-}
-
-/// Run every PR-2 fault mutator × recovery policy over `xml`, comparing the
-/// VM and network recovery pipelines end to end: surviving fragments (the
-/// quarantine sets), fault lists, truncation flags, delivered/dropped counts
-/// and engine statistics must all be identical.
+/// Run every PR-2 fault mutator × recovery policy over `xml`: each mutant's
+/// repaired event sequence (cut at the terminal error under `strict`) goes
+/// through the VM and the reference executor, which must agree on
+/// fragments, statistics and determination latency exactly as on a clean
+/// stream.
 pub fn diff_fault_case(query: &Rpeq, xml: &str, seed: u64) -> Vec<String> {
     let mut divergences = Vec::new();
     let network = match CompiledNetwork::try_compile(query) {
@@ -295,57 +309,49 @@ pub fn diff_fault_case(query: &Rpeq, xml: &str, seed: u64) -> Vec<String> {
         if !mutation.changed {
             continue;
         }
-        for policy in [RecoveryPolicy::Repair, RecoveryPolicy::SkipSubtree] {
-            let vm = run_fault_engine(
-                &network,
-                Engine::Vm,
-                policy,
-                ScannerKind::default(),
-                &mutation.xml,
-            );
-            let net = run_fault_engine(
-                &network,
-                Engine::Network,
-                policy,
-                ScannerKind::default(),
-                &mutation.xml,
-            );
-            let (vm, net) = match (vm, net) {
-                (Ok(v), Ok(n)) => (v, n),
-                (Err(e), Ok(_)) | (Ok(_), Err(e)) => {
-                    divergences.push(format!(
-                        "{mutator}: one engine errored, the other did not: {e}"
-                    ));
-                    continue;
-                }
-                (Err(_), Err(_)) => continue,
-            };
-            if vm.fragments != net.fragments {
-                divergences.push(format!(
-                    "{mutator}/{policy}: surviving fragments diverge: vm {:?}, network {:?}",
-                    vm.fragments, net.fragments
-                ));
-            }
-            let (v, n) = (&vm.report, &net.report);
-            if (v.results, v.dropped, v.truncated) != (n.results, n.dropped, n.truncated) {
-                divergences.push(format!(
-                    "{mutator}/{policy}: report counts diverge: vm ({}, {}, {}), \
-                     network ({}, {}, {})",
-                    v.results, v.dropped, v.truncated, n.results, n.dropped, n.truncated
-                ));
-            }
-            if format!("{:?}", v.faults) != format!("{:?}", n.faults) {
-                divergences.push(format!("{mutator}/{policy}: fault lists diverge"));
-            }
-            if format!("{:?}", v.exhausted) != format!("{:?}", n.exhausted) {
-                divergences.push(format!("{mutator}/{policy}: exhaustion reports diverge"));
-            }
-            if v.stats != n.stats || v.transducers != n.transducers {
-                divergences.push(format!("{mutator}/{policy}: engine statistics diverge"));
-            }
+        for policy in [
+            RecoveryPolicy::Strict,
+            RecoveryPolicy::Repair,
+            RecoveryPolicy::SkipSubtree,
+        ] {
+            let events = repaired_events(&mutation.xml, policy);
+            let label = format!("{mutator}/{policy}: ");
+            compare_executors(&network, &events, &label, &mut divergences);
         }
     }
     divergences
+}
+
+/// What the recovery pipeline produced on a stream under a recovery policy.
+struct FaultOutcome {
+    fragments: Vec<String>,
+    report: spex_core::RunReport,
+}
+
+fn run_recovering(
+    network: &CompiledNetwork,
+    policy: RecoveryPolicy,
+    scanner: ScannerKind,
+    xml: &str,
+) -> Result<FaultOutcome, String> {
+    let mut collector = FragmentCollector::new();
+    let options = RecoveryOptions {
+        policy,
+        scanner,
+        ..RecoveryOptions::default()
+    };
+    let report = evaluate_recovering(
+        network,
+        std::io::Cursor::new(xml.as_bytes().to_vec()),
+        options,
+        ResourceLimits::default(),
+        &mut collector,
+    )
+    .map_err(|e| format!("{policy}: {e}"))?;
+    Ok(FaultOutcome {
+        fragments: collector.into_fragments(),
+        report,
+    })
 }
 
 /// Aggregate outcome of a [`vm_diff`] sweep.
@@ -404,8 +410,8 @@ pub fn vm_diff(cases: usize, seed: u64, fault_rounds: usize) -> DiffOutcome {
 }
 
 /// Compare the fast (SWAR) and classic scanners end to end through the full
-/// recovery pipeline: the clean document plus every PR-2 fault mutator, ×
-/// both engines × both recovery policies. The surviving fragments (the
+/// recovery pipeline: the clean document plus every PR-2 fault mutator ×
+/// both recovery policies. The surviving fragments (the
 /// quarantine sets), fault lists, truncation flags, delivered/dropped counts
 /// and engine statistics must be byte-identical — the fast path is only an
 /// optimization if nobody can observe it.
@@ -423,65 +429,58 @@ pub fn scan_diff_case(query: &Rpeq, xml: &str, seed: u64) -> Vec<String> {
         }
     }
     for (label, stream) in &streams {
-        for engine in [Engine::Vm, Engine::Network] {
-            for policy in [RecoveryPolicy::Repair, RecoveryPolicy::SkipSubtree] {
-                let fast = run_fault_engine(&network, engine, policy, ScannerKind::Fast, stream);
-                let classic =
-                    run_fault_engine(&network, engine, policy, ScannerKind::Classic, stream);
-                let (fast, classic) = match (fast, classic) {
-                    (Ok(f), Ok(c)) => (f, c),
-                    (Err(e), Ok(_)) => {
+        for policy in [RecoveryPolicy::Repair, RecoveryPolicy::SkipSubtree] {
+            let fast = run_recovering(&network, policy, ScannerKind::Fast, stream);
+            let classic = run_recovering(&network, policy, ScannerKind::Classic, stream);
+            let (fast, classic) = match (fast, classic) {
+                (Ok(f), Ok(c)) => (f, c),
+                (Err(e), Ok(_)) => {
+                    divergences.push(format!(
+                        "{label}/{policy}: fast scanner errored, classic did not: {e}"
+                    ));
+                    continue;
+                }
+                (Ok(_), Err(e)) => {
+                    divergences.push(format!(
+                        "{label}/{policy}: classic scanner errored, fast did not: {e}"
+                    ));
+                    continue;
+                }
+                (Err(ef), Err(ec)) => {
+                    if ef != ec {
                         divergences.push(format!(
-                            "{label}/{engine}/{policy}: fast scanner errored, classic did not: {e}"
+                            "{label}/{policy}: error texts diverge: \
+                             fast `{ef}`, classic `{ec}`"
                         ));
-                        continue;
                     }
-                    (Ok(_), Err(e)) => {
-                        divergences.push(format!(
-                            "{label}/{engine}/{policy}: classic scanner errored, fast did not: {e}"
-                        ));
-                        continue;
-                    }
-                    (Err(ef), Err(ec)) => {
-                        if ef != ec {
-                            divergences.push(format!(
-                                "{label}/{engine}/{policy}: error texts diverge: \
-                                 fast `{ef}`, classic `{ec}`"
-                            ));
-                        }
-                        continue;
-                    }
-                };
-                if fast.fragments != classic.fragments {
-                    divergences.push(format!(
-                        "{label}/{engine}/{policy}: fragments diverge: fast {:?}, classic {:?}",
-                        fast.fragments, classic.fragments
-                    ));
+                    continue;
                 }
-                let (f, c) = (&fast.report, &classic.report);
-                if (f.results, f.dropped, f.truncated) != (c.results, c.dropped, c.truncated) {
-                    divergences.push(format!(
-                        "{label}/{engine}/{policy}: report counts diverge: fast ({}, {}, {}), \
-                         classic ({}, {}, {})",
-                        f.results, f.dropped, f.truncated, c.results, c.dropped, c.truncated
-                    ));
-                }
-                if format!("{:?}", f.faults) != format!("{:?}", c.faults) {
-                    divergences.push(format!(
-                        "{label}/{engine}/{policy}: fault lists diverge: fast {:?}, classic {:?}",
-                        f.faults, c.faults
-                    ));
-                }
-                if format!("{:?}", f.exhausted) != format!("{:?}", c.exhausted) {
-                    divergences.push(format!(
-                        "{label}/{engine}/{policy}: exhaustion reports diverge"
-                    ));
-                }
-                if f.stats != c.stats || f.transducers != c.transducers {
-                    divergences.push(format!(
-                        "{label}/{engine}/{policy}: engine statistics diverge"
-                    ));
-                }
+            };
+            if fast.fragments != classic.fragments {
+                divergences.push(format!(
+                    "{label}/{policy}: fragments diverge: fast {:?}, classic {:?}",
+                    fast.fragments, classic.fragments
+                ));
+            }
+            let (f, c) = (&fast.report, &classic.report);
+            if (f.results, f.dropped, f.truncated) != (c.results, c.dropped, c.truncated) {
+                divergences.push(format!(
+                    "{label}/{policy}: report counts diverge: fast ({}, {}, {}), \
+                     classic ({}, {}, {})",
+                    f.results, f.dropped, f.truncated, c.results, c.dropped, c.truncated
+                ));
+            }
+            if format!("{:?}", f.faults) != format!("{:?}", c.faults) {
+                divergences.push(format!(
+                    "{label}/{policy}: fault lists diverge: fast {:?}, classic {:?}",
+                    f.faults, c.faults
+                ));
+            }
+            if format!("{:?}", f.exhausted) != format!("{:?}", c.exhausted) {
+                divergences.push(format!("{label}/{policy}: exhaustion reports diverge"));
+            }
+            if f.stats != c.stats || f.transducers != c.transducers {
+                divergences.push(format!("{label}/{policy}: engine statistics diverge"));
             }
         }
     }

@@ -8,8 +8,8 @@
 pub mod serve;
 
 use spex_core::{
-    stats_json, CompiledNetwork, CountingSink, Engine, EngineStats, EvalError, Evaluator,
-    RecoveryOptions, ResourceLimits, RunReport, SpanCollector, TransducerStats, TruncationOutcome,
+    stats_json, CompiledNetwork, CountingSink, EngineStats, EvalError, Evaluator, RecoveryOptions,
+    ResourceLimits, RunReport, SpanCollector, TransducerStats, TruncationOutcome,
 };
 use spex_query::Rpeq;
 use spex_trace::{JsonlSink, MemorySink, TeeSink, TraceRecord, TraceSink, Tracer};
@@ -108,9 +108,6 @@ pub struct Options {
     pub stream: bool,
     /// Recovery policy for malformed input (default: strict).
     pub recover: RecoveryPolicy,
-    /// Execution backend: the compiled VM (default) or the interpreter
-    /// network (the semantic oracle).
-    pub engine: Engine,
     /// How undetermined candidates resolve at an unexpected end of stream.
     pub on_truncation: TruncationOutcome,
     /// Named queries (`NAME=EXPR`, repeatable) compiled into one shared
@@ -146,7 +143,6 @@ impl Default for Options {
             help: false,
             stream: false,
             recover: RecoveryPolicy::Strict,
-            engine: Engine::default(),
             on_truncation: TruncationOutcome::Drop,
             queries: Vec::new(),
             trace_jsonl: None,
@@ -190,8 +186,6 @@ OPTIONS:
                      input prefix it already consumed, and continue; the
                      input must be the same stream the snapshot came from
     --stream         treat the input as a sequence of documents (SDI mode)
-    --engine E       execution backend: vm (compiled plan, default) | network
-                     (the interpreter over boxed transducers)
     --recover P      recovery policy for malformed input:
                      strict (default) | repair | skip-subtree
     --on-truncation O     candidates undetermined at an unexpected EOF:
@@ -212,24 +206,76 @@ EXIT CODES:
     3 I/O failure    4 resource limit exceeded
 ";
 
+/// Parse `flag`'s numeric operand; `operand` names it in the missing-operand
+/// error (`spex` says "number", `spex serve` "value").
+pub(crate) fn number<T: std::str::FromStr>(
+    flag: &str,
+    it: &mut std::slice::Iter<'_, String>,
+    operand: &str,
+) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    it.next()
+        .ok_or_else(|| format!("{flag} needs a {operand}"))?
+        .parse()
+        .map_err(|e| format!("invalid {flag}: {e}"))
+}
+
+/// The per-evaluation flags `spex` and `spex serve` share: `--recover`,
+/// `--on-truncation` and the six `--limit-*` caps. Consumes `flag`'s operand
+/// from `it` and returns `true` if `flag` is one of them; otherwise leaves
+/// `it` untouched and returns `false`.
+pub(crate) fn parse_session_flag(
+    flag: &str,
+    it: &mut std::slice::Iter<'_, String>,
+    operand: &str,
+    limits: &mut ResourceLimits,
+    recover: &mut RecoveryPolicy,
+    on_truncation: &mut TruncationOutcome,
+) -> Result<bool, String> {
+    match flag {
+        "--recover" => {
+            *recover = it
+                .next()
+                .ok_or_else(|| {
+                    "--recover needs a policy (strict, repair, skip-subtree)".to_string()
+                })?
+                .parse()?
+        }
+        "--on-truncation" => {
+            *on_truncation = it
+                .next()
+                .ok_or_else(|| "--on-truncation needs an outcome (drop, force-false)".to_string())?
+                .parse()?
+        }
+        "--limit-depth" => limits.max_stream_depth = Some(number(flag, it, operand)?),
+        "--limit-buffered" => limits.max_buffered_events = Some(number(flag, it, operand)?),
+        "--limit-buffered-bytes" => limits.max_buffered_bytes = Some(number(flag, it, operand)?),
+        "--limit-candidates" => limits.max_live_candidates = Some(number(flag, it, operand)?),
+        "--limit-formula" => limits.max_formula_size = Some(number(flag, it, operand)?),
+        "--limit-messages" => limits.max_total_messages = Some(number(flag, it, operand)?),
+        _ => return Ok(false),
+    }
+    Ok(true)
+}
+
 /// Parse command-line arguments (excluding the program name).
 pub fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut o = Options::default();
     let mut positional: Vec<&String> = Vec::new();
     let mut it = args.iter();
-    fn number<T: std::str::FromStr>(
-        flag: &str,
-        it: &mut std::slice::Iter<'_, String>,
-    ) -> Result<T, String>
-    where
-        T::Err: std::fmt::Display,
-    {
-        it.next()
-            .ok_or_else(|| format!("{flag} needs a number"))?
-            .parse()
-            .map_err(|e| format!("invalid {flag}: {e}"))
-    }
     while let Some(a) = it.next() {
+        if parse_session_flag(
+            a,
+            &mut it,
+            "number",
+            &mut o.limits,
+            &mut o.recover,
+            &mut o.on_truncation,
+        )? {
+            continue;
+        }
         match a.as_str() {
             "--xpath" => o.xpath = true,
             "--count" => o.count = true,
@@ -260,45 +306,7 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
                 )
             }
             "--stream" => o.stream = true,
-            "--limit-depth" => o.limits.max_stream_depth = Some(number("--limit-depth", &mut it)?),
-            "--limit-buffered" => {
-                o.limits.max_buffered_events = Some(number("--limit-buffered", &mut it)?)
-            }
-            "--limit-buffered-bytes" => {
-                o.limits.max_buffered_bytes = Some(number("--limit-buffered-bytes", &mut it)?)
-            }
-            "--limit-candidates" => {
-                o.limits.max_live_candidates = Some(number("--limit-candidates", &mut it)?)
-            }
-            "--limit-formula" => {
-                o.limits.max_formula_size = Some(number("--limit-formula", &mut it)?)
-            }
-            "--limit-messages" => {
-                o.limits.max_total_messages = Some(number("--limit-messages", &mut it)?)
-            }
             "-h" | "--help" => o.help = true,
-            "--engine" => {
-                o.engine = it
-                    .next()
-                    .ok_or_else(|| "--engine needs a backend (vm, network)".to_string())?
-                    .parse()?
-            }
-            "--recover" => {
-                o.recover = it
-                    .next()
-                    .ok_or_else(|| {
-                        "--recover needs a policy (strict, repair, skip-subtree)".to_string()
-                    })?
-                    .parse()?
-            }
-            "--on-truncation" => {
-                o.on_truncation = it
-                    .next()
-                    .ok_or_else(|| {
-                        "--on-truncation needs an outcome (drop, force-false)".to_string()
-                    })?
-                    .parse()?
-            }
             "--query" => o.queries.push(
                 it.next()
                     .ok_or_else(|| "--query needs NAME=EXPR".to_string())?
@@ -329,9 +337,6 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             other if other.starts_with("--resume=") => {
                 o.resume = Some(other["--resume=".len()..].to_string())
-            }
-            other if other.starts_with("--engine=") => {
-                o.engine = other["--engine=".len()..].parse()?
             }
             other if other.starts_with("--recover=") => {
                 o.recover = other["--recover=".len()..].parse()?
@@ -806,7 +811,7 @@ fn eval_multi(
     sinks: Vec<&mut dyn spex_core::ResultSink>,
 ) -> Result<(EngineStats, Vec<TransducerStats>), CliError> {
     let _span = tracer.span("cli.evaluate");
-    let mut run = set.run_engine_with_limits(options.engine, sinks, options.limits);
+    let mut run = set.run_with_limits(sinks, options.limits);
     run.set_tracer(tracer.clone());
     let reader = spex_xml::Reader::new(input);
     let mut reader = if options.stream {
@@ -854,7 +859,6 @@ fn evaluate(
                 policy: options.recover,
                 on_truncation: options.on_truncation,
                 multi_document: options.stream,
-                engine: options.engine,
                 ..RecoveryOptions::default()
             };
             let report = spex_core::evaluate_recovering_traced(
@@ -871,7 +875,7 @@ fn evaluate(
                 Some(report),
             ));
         }
-        let mut eval = Evaluator::with_engine_limits(network, sink, options.engine, options.limits);
+        let mut eval = Evaluator::with_limits(network, sink, options.limits);
         eval.set_tracer(tracer.clone());
         let reader = spex_xml::Reader::new(input);
         let mut reader = if options.stream {
@@ -923,7 +927,7 @@ fn run_checkpointed(
         None => Box::new(stdin),
     };
 
-    let mut eval = Evaluator::with_engine_limits(network, sink, options.engine, options.limits);
+    let mut eval = Evaluator::with_limits(network, sink, options.limits);
     eval.set_tracer(tracer.clone());
 
     // Restore before the first event: decode the snapshot (structured
@@ -1078,22 +1082,16 @@ mod tests {
         assert!(parse_args(&args(&["a", "b", "c"])).is_err());
     }
 
+    /// `--scanner` and `--engine` are gone (production always runs the fast
+    /// scanner on the VM): unknown options now, in both spellings.
     #[test]
-    fn parse_engine() {
-        assert_eq!(parse_args(&args(&["a"])).unwrap().engine, Engine::Vm);
-        let o = parse_args(&args(&["--engine", "network", "a"])).unwrap();
-        assert_eq!(o.engine, Engine::Network);
-        let o = parse_args(&args(&["--engine=vm", "a"])).unwrap();
-        assert_eq!(o.engine, Engine::Vm);
-        assert!(parse_args(&args(&["--engine"])).is_err());
-        assert!(parse_args(&args(&["--engine", "jit", "a"])).is_err());
-    }
-
-    /// `--scanner` is gone (production always runs the fast scanner): an
-    /// unknown option now, in both spellings.
-    #[test]
-    fn scanner_flag_is_an_unknown_option() {
-        for argv in [&["--scanner", "classic", "a"][..], &["--scanner=fast", "a"]] {
+    fn removed_flags_are_unknown_options() {
+        for argv in [
+            &["--scanner", "classic", "a"][..],
+            &["--scanner=fast", "a"],
+            &["--engine", "vm", "a"],
+            &["--engine=network", "a"],
+        ] {
             let err = parse_args(&args(argv)).unwrap_err();
             assert!(err.contains("unknown option"), "{argv:?}: {err}");
         }
@@ -1117,24 +1115,6 @@ mod tests {
         let (code, out, _) = run_cli(&["a.c"], "<a><a><c/></a><b/><c/></a>");
         assert_eq!(code, 0);
         assert_eq!(out, "<c></c>\n");
-    }
-
-    #[test]
-    fn engines_agree_on_output_and_stats() {
-        let xml = "<a><a><c/></a><b/><c/></a>";
-        for argv in [
-            vec!["a.c"],
-            vec!["--count", "_*._"],
-            vec!["--stats", "_*.a[b].c"],
-        ] {
-            let mut vm_argv = vec!["--engine", "vm"];
-            vm_argv.extend(&argv);
-            let mut net_argv = vec!["--engine", "network"];
-            net_argv.extend(&argv);
-            let (vc, vo, ve) = run_cli(&vm_argv, xml);
-            let (nc, no, ne) = run_cli(&net_argv, xml);
-            assert_eq!((vc, &vo, &ve), (nc, &no, &ne), "argv {argv:?}");
-        }
     }
 
     #[test]
@@ -1549,64 +1529,16 @@ mod tests {
         let (code, full, _) = run_cli(&["--stream", "r.x"], xml);
         assert_eq!(code, 0);
 
-        for engine in ["vm", "network"] {
-            // "Crash" after two documents: run only that prefix.
-            let cut = xml.len() / 3 * 2;
-            let (code, head, _) = run_cli(
-                &[
-                    "--stream",
-                    "--engine",
-                    engine,
-                    "--checkpoint",
-                    &snap_str,
-                    "r.x",
-                ],
-                &xml[..cut],
-            );
-            assert_eq!(code, 0);
-            assert_eq!(head, "<x>1</x>\n<x>2</x>\n");
-            // Resume over the FULL stream: the consumed prefix is skipped.
-            let (code, tail, _) = run_cli(
-                &["--stream", "--engine", engine, "--resume", &snap_str, "r.x"],
-                xml,
-            );
-            assert_eq!(code, 0);
-            assert_eq!(tail, "<x>3</x>\n");
-            assert_eq!(format!("{head}{tail}"), full, "engine {engine}");
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Snapshots are engine-portable: a checkpoint taken under one engine
-    /// resumes under the other.
-    #[test]
-    fn checkpoint_resumes_across_engines() {
-        let dir = std::env::temp_dir().join(format!("spex-cli-ckpt-x-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let snap = dir.join("run.snapshot");
-        let snap_str = snap.to_str().unwrap().to_string();
-        let xml = "<r><x>a</x></r><r><x>b</x></r>";
-        let (code, head, _) = run_cli(
-            &[
-                "--stream",
-                "--engine",
-                "vm",
-                "--checkpoint",
-                &snap_str,
-                "r.x",
-            ],
-            &xml[..xml.len() / 2],
-        );
+        // "Crash" after two documents: run only that prefix.
+        let cut = xml.len() / 3 * 2;
+        let (code, head, _) = run_cli(&["--stream", "--checkpoint", &snap_str, "r.x"], &xml[..cut]);
         assert_eq!(code, 0);
-        assert_eq!(head, "<x>a</x>\n");
-        let (code, tail, _) = run_cli(
-            &[
-                "--stream", "--engine", "network", "--resume", &snap_str, "r.x",
-            ],
-            xml,
-        );
+        assert_eq!(head, "<x>1</x>\n<x>2</x>\n");
+        // Resume over the FULL stream: the consumed prefix is skipped.
+        let (code, tail, _) = run_cli(&["--stream", "--resume", &snap_str, "r.x"], xml);
         assert_eq!(code, 0);
-        assert_eq!(tail, "<x>b</x>\n");
+        assert_eq!(tail, "<x>3</x>\n");
+        assert_eq!(format!("{head}{tail}"), full);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

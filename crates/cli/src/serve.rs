@@ -2,7 +2,6 @@
 //! command line. Flag parsing mirrors the one-shot tool's flags where they
 //! overlap (`--limit-*`, `--recover`, `--on-truncation`, `--stats-json`).
 
-use spex_core::ResourceLimits;
 use spex_serve::{Server, ServerConfig};
 use std::io::Write;
 
@@ -43,8 +42,6 @@ OPTIONS:
                           SECS (slowloris defense), 0 disables (default 0)
     --allow-remote-shutdown  honor the 'Q' shutdown frame from non-loopback
                           peers (default: loopback peers only)
-    --engine E            execution backend for every session:
-                          vm (compiled plan, default) | network
     --queries FILE        preload standing queries from FILE (one NAME=EXPR
                           per line; `#` starts a comment, blank lines are
                           skipped). The set compiles once through the
@@ -129,23 +126,20 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeOptions, String> {
         watch_signals: true,
         ..ServerConfig::default()
     };
-    let mut limits = ResourceLimits::default();
     let mut stats_json = false;
     let mut help = false;
     let mut it = args.iter();
-    fn number<T: std::str::FromStr>(
-        flag: &str,
-        it: &mut std::slice::Iter<'_, String>,
-    ) -> Result<T, String>
-    where
-        T::Err: std::fmt::Display,
-    {
-        it.next()
-            .ok_or_else(|| format!("{flag} needs a value"))?
-            .parse()
-            .map_err(|e| format!("invalid {flag}: {e}"))
-    }
     while let Some(a) = it.next() {
+        if crate::parse_session_flag(
+            a,
+            &mut it,
+            "value",
+            &mut config.limits,
+            &mut config.recovery,
+            &mut config.on_truncation,
+        )? {
+            continue;
+        }
         match a.as_str() {
             "--addr" => {
                 config.addr = it
@@ -153,12 +147,14 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeOptions, String> {
                     .ok_or_else(|| "--addr needs host:port".to_string())?
                     .clone()
             }
-            "--workers" => config.workers = number("--workers", &mut it)?,
-            "--max-conns" => config.max_conns = number("--max-conns", &mut it)?,
-            "--max-frame" => config.max_frame = number("--max-frame", &mut it)?,
-            "--max-plans" => config.max_cached_plans = number("--max-plans", &mut it)?,
+            "--workers" => config.workers = crate::number("--workers", &mut it, "value")?,
+            "--max-conns" => config.max_conns = crate::number("--max-conns", &mut it, "value")?,
+            "--max-frame" => config.max_frame = crate::number("--max-frame", &mut it, "value")?,
+            "--max-plans" => {
+                config.max_cached_plans = crate::number("--max-plans", &mut it, "value")?
+            }
             "--read-timeout" => {
-                let secs: u64 = number("--read-timeout", &mut it)?;
+                let secs: u64 = crate::number("--read-timeout", &mut it, "value")?;
                 config.read_timeout = if secs == 0 {
                     None
                 } else {
@@ -166,7 +162,7 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeOptions, String> {
                 };
             }
             "--write-timeout" => {
-                let secs: u64 = number("--write-timeout", &mut it)?;
+                let secs: u64 = crate::number("--write-timeout", &mut it, "value")?;
                 config.write_timeout = if secs == 0 {
                     None
                 } else {
@@ -174,7 +170,7 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeOptions, String> {
                 };
             }
             "--idle-timeout" => {
-                let secs: u64 = number("--idle-timeout", &mut it)?;
+                let secs: u64 = crate::number("--idle-timeout", &mut it, "value")?;
                 config.idle_timeout = if secs == 0 {
                     None
                 } else {
@@ -190,44 +186,6 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeOptions, String> {
                     std::fs::read_to_string(path).map_err(|e| format!("--queries {path}: {e}"))?;
                 config.preload_queries =
                     parse_query_file(&text).map_err(|e| format!("--queries {path}: {e}"))?;
-            }
-            "--engine" => {
-                config.engine = it
-                    .next()
-                    .ok_or_else(|| "--engine needs a backend (vm, network)".to_string())?
-                    .parse()?
-            }
-            "--recover" => {
-                config.recovery = it
-                    .next()
-                    .ok_or_else(|| {
-                        "--recover needs a policy (strict, repair, skip-subtree)".to_string()
-                    })?
-                    .parse()?
-            }
-            "--on-truncation" => {
-                config.on_truncation = it
-                    .next()
-                    .ok_or_else(|| {
-                        "--on-truncation needs an outcome (drop, force-false)".to_string()
-                    })?
-                    .parse()?
-            }
-            "--limit-depth" => limits.max_stream_depth = Some(number("--limit-depth", &mut it)?),
-            "--limit-buffered" => {
-                limits.max_buffered_events = Some(number("--limit-buffered", &mut it)?)
-            }
-            "--limit-buffered-bytes" => {
-                limits.max_buffered_bytes = Some(number("--limit-buffered-bytes", &mut it)?)
-            }
-            "--limit-candidates" => {
-                limits.max_live_candidates = Some(number("--limit-candidates", &mut it)?)
-            }
-            "--limit-formula" => {
-                limits.max_formula_size = Some(number("--limit-formula", &mut it)?)
-            }
-            "--limit-messages" => {
-                limits.max_total_messages = Some(number("--limit-messages", &mut it)?)
             }
             "--stats-json" => stats_json = true,
             "--durable-dir" => {
@@ -254,7 +212,6 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeOptions, String> {
             other => return Err(format!("unknown `spex serve` option `{other}`")),
         }
     }
-    config.limits = limits;
     Ok(ServeOptions {
         config,
         stats_json,
@@ -324,8 +281,6 @@ mod tests {
             "--write-timeout",
             "5",
             "--allow-remote-shutdown",
-            "--engine",
-            "network",
             "--recover",
             "repair",
             "--limit-depth",
@@ -345,7 +300,6 @@ mod tests {
             Some(std::time::Duration::from_secs(5))
         );
         assert!(o.config.allow_remote_shutdown);
-        assert_eq!(o.config.engine, spex_core::Engine::Network);
         assert_eq!(o.config.recovery, spex_xml::RecoveryPolicy::Repair);
         assert_eq!(o.config.limits.max_stream_depth, Some(64));
         assert!(o.stats_json);
@@ -356,11 +310,12 @@ mod tests {
         assert!(parse_serve_args(&args(&["--trace-jsonl"])).is_err());
     }
 
-    /// `--queue` (a no-op since the reactor) and `--scanner` (production
-    /// always runs the fast scanner) are gone: unknown options now.
+    /// `--queue` (a no-op since the reactor), `--scanner` and `--engine`
+    /// (production always runs the fast scanner on the VM) are gone: unknown
+    /// options now.
     #[test]
     fn removed_flags_are_unknown_options() {
-        for flag in ["--queue", "--scanner"] {
+        for flag in ["--queue", "--scanner", "--engine"] {
             let err = parse_serve_args(&args(&[flag, "1"])).unwrap_err();
             assert!(err.contains("unknown `spex serve` option"), "{flag}: {err}");
         }

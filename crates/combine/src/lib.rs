@@ -83,7 +83,7 @@ pub struct SharingReport {
 /// A combined query set: the shared network plus its sharing census.
 #[derive(Debug)]
 pub struct Combined {
-    /// The shared multi-sink query set, ready to run on either engine.
+    /// The shared multi-sink query set, ready to run.
     pub set: SharedQuerySet,
     /// What was shared.
     pub report: SharingReport,

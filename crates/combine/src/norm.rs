@@ -5,9 +5,9 @@
 //! of the same query — `(a|b)`, `(b|a)`, `((b)|a)` — map to one AST and
 //! therefore to **one** compiled sub-network in the combiner. Every rewrite
 //! preserves the result *set* (which document nodes the query selects); the
-//! engines deliver results in document order regardless of spelling, so the
-//! observable output stream is preserved too (property-tested against both
-//! engines in `tests/combine.rs`).
+//! engine delivers results in document order regardless of spelling, so the
+//! observable output stream is preserved too (property-tested in
+//! `tests/combine.rs`).
 //!
 //! The normal form:
 //!

@@ -31,7 +31,7 @@
 
 use crate::network::{NetworkBuilder, NetworkSpec, NodeSpec, Tape};
 use crate::sink::ResultSink;
-use crate::vm::{Engine, EngineRun, Plan, PlanRun};
+use crate::vm::{Plan, PlanRun};
 use spex_query::Rpeq;
 use std::fmt;
 use std::sync::OnceLock;
@@ -116,26 +116,14 @@ impl CompiledNetwork {
     }
 
     /// Instantiate the network over a stream, delivering results to `sink`.
-    pub fn run<'n, 's>(&'n self, sink: &'s mut dyn ResultSink) -> crate::network::Run<'n, 's> {
-        crate::network::Run::new(&self.spec, vec![sink])
+    pub fn run<'n, 's>(&'n self, sink: &'s mut dyn ResultSink) -> PlanRun<'n, 's> {
+        PlanRun::new(self.plan(), vec![sink])
     }
 
     /// The flat VM plan, lowered from the network spec on first use and
     /// cached (see [`Plan`] and DESIGN.md §14).
     pub fn plan(&self) -> &Plan {
         self.plan.get_or_init(|| Plan::compile(&self.spec))
-    }
-
-    /// Instantiate a run on the chosen [`Engine`].
-    pub fn run_engine<'n, 's>(
-        &'n self,
-        engine: Engine,
-        sink: &'s mut dyn ResultSink,
-    ) -> EngineRun<'n, 's> {
-        match engine {
-            Engine::Network => EngineRun::Network(self.run(sink)),
-            Engine::Vm => EngineRun::Vm(PlanRun::new(self.plan(), vec![sink])),
-        }
     }
 }
 

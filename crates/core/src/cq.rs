@@ -30,9 +30,10 @@
 //! ```
 
 use crate::compile::{translate, translate_qualifier};
-use crate::network::{NetworkBuilder, NetworkSpec, Run, Tape};
+use crate::network::{NetworkBuilder, NetworkSpec, Tape};
 use crate::sink::{FragmentCollector, ResultSink};
 use crate::stats::EngineStats;
+use crate::vm::{Plan, PlanRun};
 use spex_query::{ParseError, Rpeq};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
@@ -323,7 +324,8 @@ impl ConjunctiveQuery {
                 .iter_mut()
                 .map(|c| c as &mut dyn ResultSink)
                 .collect();
-            let mut run = Run::new(&spec, sinks);
+            let plan = Plan::compile(&spec);
+            let mut run = PlanRun::new(&plan, sinks);
             for ev in spex_xml::Reader::from_bytes(xml.as_bytes().to_vec()) {
                 run.push(ev?);
             }

@@ -1,5 +1,5 @@
-//! The user-facing evaluator: couples an XML event source with a compiled
-//! network run.
+//! The user-facing evaluator: couples an XML event source with a run of the
+//! compiled plan ([`PlanRun`]).
 //!
 //! ```
 //! use spex_core::{CompiledNetwork, Evaluator, FragmentCollector};
@@ -17,7 +17,7 @@ use crate::compile::CompiledNetwork;
 use crate::limits::{LimitBreach, LimitKind, ResourceLimits};
 use crate::sink::{FragmentCollector, ResultSink};
 use crate::stats::{EngineStats, Tap, TransducerStats};
-use crate::vm::{Engine, EngineRun};
+use crate::vm::PlanRun;
 use spex_query::Rpeq;
 use spex_xml::{XmlError, XmlEvent};
 use std::cell::RefCell;
@@ -120,28 +120,15 @@ impl From<crate::compile::CompileError> for EvalError {
 /// the same stream (each `<$>…</$>` pair is processed independently, as in
 /// the paper's infinite-stream experiments) — transducer stacks are balanced
 /// and return to their initial states at every `</$>`.
-///
-/// Evaluation runs on the default [`Engine`] (the compiled VM) unless an
-/// engine is chosen explicitly with [`Evaluator::with_engine`].
 pub struct Evaluator<'n, 's> {
-    run: EngineRun<'n, 's>,
+    run: PlanRun<'n, 's>,
 }
 
 impl<'n, 's> Evaluator<'n, 's> {
-    /// Start an evaluation of `network` delivering results to `sink`, on the
-    /// default [`Engine`].
+    /// Start an evaluation of `network` delivering results to `sink`.
     pub fn new(network: &'n CompiledNetwork, sink: &'s mut dyn ResultSink) -> Self {
-        Self::with_engine(network, sink, Engine::default())
-    }
-
-    /// Like [`Evaluator::new`], on an explicitly chosen [`Engine`].
-    pub fn with_engine(
-        network: &'n CompiledNetwork,
-        sink: &'s mut dyn ResultSink,
-        engine: Engine,
-    ) -> Self {
         Evaluator {
-            run: network.run_engine(engine, sink),
+            run: network.run(sink),
         }
     }
 
@@ -155,24 +142,9 @@ impl<'n, 's> Evaluator<'n, 's> {
         sink: &'s mut dyn ResultSink,
         limits: ResourceLimits,
     ) -> Self {
-        Self::with_engine_limits(network, sink, Engine::default(), limits)
-    }
-
-    /// Like [`Evaluator::with_limits`], on an explicitly chosen [`Engine`].
-    pub fn with_engine_limits(
-        network: &'n CompiledNetwork,
-        sink: &'s mut dyn ResultSink,
-        engine: Engine,
-        limits: ResourceLimits,
-    ) -> Self {
-        let mut run = network.run_engine(engine, sink);
-        run.set_limits(limits);
-        Evaluator { run }
-    }
-
-    /// The engine this evaluation runs on.
-    pub fn engine(&self) -> Engine {
-        self.run.engine()
+        let mut eval = Self::new(network, sink);
+        eval.run.set_limits(limits);
+        eval
     }
 
     /// Feed one stream event. Infallible: after a resource-limit breach the
@@ -246,13 +218,13 @@ impl<'n, 's> Evaluator<'n, 's> {
     /// drops stale candidate buffers, recycles the event arena, and truncates
     /// the symbol table back to the query-label baseline, while keeping the
     /// compiled network, accumulated statistics, and allocated capacity. See
-    /// [`crate::network::Run::reset_session`].
+    /// [`PlanRun::reset_session`].
     pub fn reset_session(&mut self) {
         self.run.reset_session();
     }
 
     /// Capture the run's accumulator state at a quiescent document boundary
-    /// (see [`crate::network::Run::checkpoint`]). Call right after
+    /// (see [`PlanRun::checkpoint`]). Call right after
     /// [`Evaluator::reset_session`]; returns
     /// [`crate::SnapshotError::NotQuiescent`] anywhere else.
     pub fn checkpoint(&self) -> Result<crate::Snapshot, crate::SnapshotError> {
@@ -260,8 +232,7 @@ impl<'n, 's> Evaluator<'n, 's> {
     }
 
     /// Restore a snapshot into this freshly built evaluator (see
-    /// [`crate::network::Run::restore`]). The snapshot may come from either
-    /// engine.
+    /// [`PlanRun::restore`]).
     pub fn restore(&mut self, snap: &crate::Snapshot) -> Result<(), crate::SnapshotError> {
         self.run.restore(snap)
     }
@@ -271,7 +242,7 @@ impl<'n, 's> Evaluator<'n, 's> {
         self.run.set_tap(tap);
     }
 
-    /// Attach a trace export handle (see [`crate::network::Run::set_tracer`]): the engine
+    /// Attach a trace export handle (see [`PlanRun::set_tracer`]): the engine
     /// emits its counters, buffer high-water marks and per-output-node
     /// determination-latency histograms when the evaluation finishes.
     pub fn set_tracer(&mut self, tracer: spex_trace::Tracer) {
@@ -279,7 +250,7 @@ impl<'n, 's> Evaluator<'n, 's> {
     }
 
     /// Determination-latency histograms, one `(node id, histogram)` pair
-    /// per output node (see [`crate::network::Run::determination_latency`]). Latency is
+    /// per output node (see [`PlanRun::determination_latency`]). Latency is
     /// counted in *events* between a candidate entering the output buffer
     /// and its condition formula becoming determined — the paper's
     /// earliness measure. Snapshot the value before calling
@@ -294,7 +265,7 @@ impl<'n, 's> Evaluator<'n, 's> {
         self.run.transducer_stats()
     }
 
-    /// Enable transition tracing (see [`crate::network::Run::set_tracing`]).
+    /// Enable transition tracing (see [`PlanRun::set_tracing`]).
     pub fn set_tracing(&mut self, on: bool) {
         self.run.set_tracing(on);
     }
@@ -493,30 +464,14 @@ mod tests {
 
     #[test]
     fn session_reuse_keeps_arena_and_symbols_bounded() {
-        // Satellite regression, on both engines: 1000 documents with
-        // disjoint vocabularies through one evaluator. Without the
+        // Satellite regression, on the VM and the reference executor: 1000
+        // documents with disjoint vocabularies through one run. Without the
         // between-document reset the symbol table would grow by one name
         // per document; with it both the table and the arena high-water
-        // mark stay bounded by a single document's footprint — and the VM's
-        // `reset_session` must uphold exactly the bounds the interpreter
-        // run does.
-        let q: Rpeq = "r.x".parse().unwrap();
-        let net = CompiledNetwork::compile(&q);
-        for engine in Engine::ALL {
-            let mut sink = FragmentCollector::new();
-            let mut eval = Evaluator::with_engine(&net, &mut sink, engine);
-            let mut first_doc_peak = 0;
-            for i in 0..1000 {
-                let xml = format!("<r><unique{i}/><x>doc {i}</x></r>");
-                eval.push_str(&xml).unwrap();
-                if i == 0 {
-                    first_doc_peak = eval.stats().peak_arena_bytes;
-                }
-                eval.reset_session();
-            }
-            let stats = eval.finish();
+        // mark stay bounded by a single document's footprint.
+        fn check(engine: &str, stats: &EngineStats, delivered: usize, first_doc_peak: usize) {
             assert_eq!(stats.results, 1000, "{engine}");
-            assert_eq!(sink.fragments().len(), 1000, "{engine}");
+            assert_eq!(delivered, 1000, "{engine}");
             // Symbols: $, r, x, plus at most one live per-document name.
             assert!(
                 stats.interned_symbols <= 4,
@@ -533,6 +488,33 @@ mod tests {
                 first_doc_peak
             );
         }
+        // `Evaluator` and the reference `Run`: same methods, no shared trait.
+        macro_rules! thousand_documents {
+            ($run:expr) => {{
+                let mut run = $run;
+                let mut first_doc_peak = 0;
+                for i in 0..1000 {
+                    let xml = format!("<r><unique{i}/><x>doc {i}</x></r>");
+                    for ev in spex_xml::reader::parse_events(&xml).unwrap() {
+                        run.push(ev);
+                    }
+                    if i == 0 {
+                        first_doc_peak = run.stats().peak_arena_bytes;
+                    }
+                    run.reset_session();
+                }
+                (run.finish(), first_doc_peak)
+            }};
+        }
+        let q: Rpeq = "r.x".parse().unwrap();
+        let net = CompiledNetwork::compile(&q);
+        let mut sink = FragmentCollector::new();
+        let (stats, peak) = thousand_documents!(Evaluator::new(&net, &mut sink));
+        check("vm", &stats, sink.fragments().len(), peak);
+        let mut sink = FragmentCollector::new();
+        let (stats, peak) =
+            thousand_documents!(crate::network::Run::new(net.spec(), vec![&mut sink]));
+        check("reference", &stats, sink.fragments().len(), peak);
     }
 
     #[test]

@@ -17,10 +17,15 @@
 //!   the *numbered transition tables* of the paper's figures (the numbers are
 //!   recorded when tracing is on, so the example traces of Figs. 4, 5 and 13
 //!   are reproduced verbatim by the test suite),
-//! * [`network`] — the network DAG and its tick-synchronous executor
-//!   (Definition 3; "at any time there is only one \[document\] message in the
-//!   network", §III.2),
+//! * [`network`] — the network DAG (Definition 3): its spec, its builder,
+//!   and the *reference* executor — the tick discipline of §III.2 written
+//!   the obvious way, which only tests and `harness vm-diff` run,
 //! * [`compile`] — the denotational translation `C` of Fig. 11,
+//! * [`vm`] — the engine: the network lowered to a flat bytecode [`Plan`]
+//!   and executed tick-synchronously by [`PlanRun`] ("at any time there is
+//!   only one \[document\] message in the network", §III.2); everything
+//!   below runs on it, and a differential rig keeps its scheduling equal to
+//!   the reference executor's (DESIGN.md §14),
 //! * [`engine`] — the user-facing [`Evaluator`] driving XML events through a
 //!   compiled network,
 //! * [`sink`] — result delivery (progressive fragments in document order),
@@ -28,11 +33,7 @@
 //! * [`cq`] — conjunctive queries with regular path expressions (§VII),
 //!   compiled to multi-sink networks via the translation `T` of Fig. 16,
 //! * [`multi`] — the multi-query optimization named in the paper's
-//!   conclusion: many queries share one network through common prefixes,
-//! * [`vm`] — the compiled execution backend: the network lowered to a flat
-//!   bytecode plan run by a small VM ([`Engine::Vm`], the default), kept
-//!   byte-identical to the interpreter by a differential test rig
-//!   (DESIGN.md §14).
+//!   conclusion: many queries share one network through common prefixes.
 //!
 //! The repository-level DESIGN.md maps every module here to its paper
 //! section (§1, the system inventory); §8 fixes the result semantics all
@@ -85,4 +86,4 @@ pub use sink::{
 pub use snapshot::{FragmentState, SessionState, Snapshot, SnapshotError};
 pub use spex_xml::ScannerKind;
 pub use stats::{json_escape, stats_json, EngineStats, Tap, TransducerStats};
-pub use vm::{Engine, EngineRun, Plan, PlanRun};
+pub use vm::{Engine, Plan, PlanRun};

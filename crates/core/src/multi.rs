@@ -26,10 +26,10 @@
 //! assert!(set.degree() < set.unshared_degree());
 //! ```
 
-use crate::network::{NetworkBuilder, NetworkSpec, Run, Tape};
+use crate::network::{NetworkBuilder, NetworkSpec, Tape};
 use crate::sink::{CountingSink, ResultSink, SinkGroup};
 use crate::stats::EngineStats;
-use crate::vm::{Engine, EngineRun, Plan, PlanRun};
+use crate::vm::{Engine, Plan, PlanRun};
 use spex_query::Rpeq;
 use spex_xml::XmlEvent;
 use std::collections::HashMap;
@@ -196,19 +196,19 @@ impl SharedQuerySet {
     /// order == [`SharedQuerySet::ids`] order). Queries aliased onto one
     /// physical sink by the combiner each still receive their own result
     /// stream — the shared sink fans out at delivery time.
-    pub fn run<'n, 's>(&'n self, sinks: Vec<&'s mut dyn ResultSink>) -> Run<'n, 's> {
+    pub fn run<'n, 's>(&'n self, sinks: Vec<&'s mut dyn ResultSink>) -> PlanRun<'n, 's> {
         let groups = SinkGroup::partition(sinks, &self.slot_of, self.spec.sink_count());
-        Run::with_sink_groups(&self.spec, groups)
+        PlanRun::with_sink_groups(self.plan(), groups)
     }
 
     /// Like [`SharedQuerySet::run`], with resource caps attached (see
-    /// [`crate::ResourceLimits`]); use [`Run::try_push`] to observe a
+    /// [`crate::ResourceLimits`]); use [`PlanRun::try_push`] to observe a
     /// breach.
     pub fn run_with_limits<'n, 's>(
         &'n self,
         sinks: Vec<&'s mut dyn ResultSink>,
         limits: crate::limits::ResourceLimits,
-    ) -> Run<'n, 's> {
+    ) -> PlanRun<'n, 's> {
         let mut run = self.run(sinks);
         run.set_limits(limits);
         run
@@ -220,32 +220,14 @@ impl SharedQuerySet {
         self.plan.get_or_init(|| Plan::compile(&self.spec))
     }
 
-    /// Instantiate a run on the chosen [`Engine`] (sink order ==
-    /// [`SharedQuerySet::ids`] order).
+    // Only for `benchmark/trace` (frozen in this PR), which calls `run_engine(Engine::Vm, …)`; the next `benchmark` PR drops it.
+    #[doc(hidden)]
     pub fn run_engine<'n, 's>(
         &'n self,
-        engine: Engine,
+        _engine: Engine,
         sinks: Vec<&'s mut dyn ResultSink>,
-    ) -> EngineRun<'n, 's> {
-        match engine {
-            Engine::Network => EngineRun::Network(self.run(sinks)),
-            Engine::Vm => {
-                let groups = SinkGroup::partition(sinks, &self.slot_of, self.spec.sink_count());
-                EngineRun::Vm(PlanRun::with_sink_groups(self.plan(), groups))
-            }
-        }
-    }
-
-    /// Like [`SharedQuerySet::run_engine`], with resource caps attached.
-    pub fn run_engine_with_limits<'n, 's>(
-        &'n self,
-        engine: Engine,
-        sinks: Vec<&'s mut dyn ResultSink>,
-        limits: crate::limits::ResourceLimits,
-    ) -> EngineRun<'n, 's> {
-        let mut run = self.run_engine(engine, sinks);
-        run.set_limits(limits);
-        run
+    ) -> PlanRun<'n, 's> {
+        self.run(sinks)
     }
 
     /// Convenience: evaluate a full event sequence, returning per-query

@@ -1,20 +1,25 @@
-//! SPEX networks (Definition 3) and their tick-synchronous executor.
+//! SPEX networks (Definition 3): the spec, its builder, and the reference
+//! executor.
 //!
 //! A SPEX network is a DAG of transducers with one source (the input
 //! transducer) and — for plain rpeq queries — one sink (the output
 //! transducer; conjunctive queries, §VII, have one sink per head variable).
-//! The executor realizes the paper's discipline that "at any time there is
-//! only one \[document\] message in the network" (§III.2): each stream event
-//! is one *tick*; within a tick every node, in topological order, consumes
-//! the messages its predecessors produced and appends its output to its
-//! successors' inboxes.
+//! [`NetworkBuilder`] assembles a [`NetworkSpec`]; [`crate::vm::Plan`]
+//! lowers it and [`crate::vm::PlanRun`] executes it.
+//!
+//! [`Run`] is the *reference* executor: the paper's tick discipline written
+//! the obvious way — one boxed transducer per node, a fresh queue per port
+//! per tick, every node stepped on every tick. Nothing in production reaches
+//! it; `harness vm-diff` and the test suite compare the VM's scheduling
+//! against it, so it carries only what a rig compares (fragments in delivery
+//! order, statistics, determination latency, limit breaches, transition
+//! traces, session reset) and documents itself by pointing at [`PlanRun`].
 
 use crate::engine::EvalError;
 use crate::limits::{LimitBreach, ResourceLimits};
 use crate::message::{DocEvent, Message};
 use crate::sink::{ResultSink, SinkGroup};
-use crate::snapshot::{Snapshot, SnapshotError};
-use crate::stats::{EngineStats, Tap, TransducerStats};
+use crate::stats::{EngineStats, TransducerStats};
 use crate::transducers::child::{Child, MatchLabel};
 use crate::transducers::closure::Closure;
 use crate::transducers::input::Input;
@@ -26,9 +31,11 @@ use crate::transducers::var_creator::VarCreator;
 use crate::transducers::var_determinant::VarDeterminant;
 use crate::transducers::var_filter::VarFilter;
 use crate::transducers::Transducer;
+#[cfg(doc)]
+use crate::vm::PlanRun;
 use spex_formula::{QualifierId, VarFactory};
 use spex_query::Label;
-use spex_trace::{Histogram, Tracer, Value};
+use spex_trace::Histogram;
 use spex_xml::{EventId, EventStore, StoredKind, XmlEvent};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -120,7 +127,7 @@ impl NetworkSpec {
     }
 
     /// Number of sink (output transducer) nodes — the count of physical
-    /// result streams a [`Run`] delivers.
+    /// result streams a run delivers.
     pub fn sink_count(&self) -> usize {
         self.sinks.len()
     }
@@ -288,8 +295,9 @@ fn build_nodes(
     (nodes, sink_index)
 }
 
-/// A running instantiation of a network over one stream, pushing results
-/// into borrowed sinks (one per network sink).
+/// The reference executor: a running instantiation of a network over one
+/// stream, pushing results into borrowed sinks (one per network sink). Same
+/// contract as [`PlanRun`], method for method.
 pub struct Run<'n, 's> {
     spec: &'n NetworkSpec,
     nodes: Vec<NodeInstance>,
@@ -299,11 +307,6 @@ pub struct Run<'n, 's> {
     inbox: Vec<Vec<Vec<Message>>>,
     /// consumers[node] — (downstream node, port) pairs.
     consumers: Vec<Vec<(usize, usize)>>,
-    /// The run's event arena: payload bytes live here exactly once; the
-    /// network only moves [`spex_xml::EventId`] handles. Owns the symbol
-    /// table (labels are interned at push time). Reset whenever no output
-    /// transducer is buffering, so its high-water mark measures the bytes
-    /// buffered for undetermined candidates (paper §VI).
     store: EventStore,
     factory: Rc<RefCell<VarFactory>>,
     sinks: Vec<SinkGroup<'s>>,
@@ -311,20 +314,13 @@ pub struct Run<'n, 's> {
     /// Per-node measurements, same indexing as `nodes`.
     node_stats: Vec<TransducerStats>,
     limits: ResourceLimits,
-    /// The first limit breach, latched; further input is refused.
     exhausted: Option<LimitBreach>,
-    tap: Option<Rc<RefCell<dyn Tap>>>,
     tick: u64,
     depth: usize,
     tracing: bool,
-    /// Symbol-table size right after the query labels were resolved; session
-    /// reuse truncates the table back to this baseline between documents.
     symbol_baseline: usize,
-    /// Trace export handle (disabled by default; see [`Run::set_tracer`]).
-    tracer: Tracer,
-    /// Determination-latency histograms accumulated across
-    /// [`Run::reset_session`] rebuilds, indexed like `nodes` (only output
-    /// nodes ever record).
+    /// Accumulated across [`Run::reset_session`] rebuilds, indexed like
+    /// `nodes`.
     det_latency: Vec<Histogram>,
 }
 
@@ -334,10 +330,8 @@ impl<'n, 's> Run<'n, 's> {
         Self::with_sink_groups(spec, sinks.into_iter().map(SinkGroup::One).collect())
     }
 
-    /// Instantiate `spec` with one [`SinkGroup`] per network sink node — a
-    /// group may fan a shared physical sink out to several logical sinks
-    /// (the combiner's aliased-query delivery; see
-    /// [`SinkGroup::partition`]).
+    /// Instantiate `spec` with one [`SinkGroup`] per network sink node (see
+    /// [`PlanRun::with_sink_groups`]).
     pub fn with_sink_groups(spec: &'n NetworkSpec, sinks: Vec<SinkGroup<'s>>) -> Self {
         assert_eq!(
             sinks.len(),
@@ -386,48 +380,25 @@ impl<'n, 's> Run<'n, 's> {
             node_stats,
             limits: ResourceLimits::default(),
             exhausted: None,
-            tap: None,
             tick: 0,
             depth: 0,
             tracing: false,
             symbol_baseline,
-            tracer: Tracer::disabled(),
             det_latency,
         }
     }
 
-    /// Attach resource caps, checked after every tick (see
-    /// [`crate::ResourceLimits`]).
+    /// See [`PlanRun::set_limits`].
     pub fn set_limits(&mut self, limits: ResourceLimits) {
         self.limits = limits;
     }
 
-    /// Attach a live observability tap (see [`Tap`]).
-    pub fn set_tap(&mut self, tap: Rc<RefCell<dyn Tap>>) {
-        self.tap = Some(tap);
-    }
-
-    /// Attach a trace export handle. The engine's hot path is never
-    /// instrumented per event; the tracer receives one batch of counters,
-    /// gauges and histograms (per-node message counts, buffer high-water
-    /// marks, determination latency) when the run finishes — see
-    /// DESIGN.md §13 for the record schema.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
-    /// The first limit breach, if any cap was exceeded.
+    /// See [`PlanRun::exhausted`].
     pub fn exhausted(&self) -> Option<LimitBreach> {
         self.exhausted
     }
 
-    /// The network shape this run instantiates.
-    pub fn spec(&self) -> &NetworkSpec {
-        self.spec
-    }
-
-    /// Enable transition tracing on every node (for the golden paper-trace
-    /// tests).
+    /// See [`PlanRun::set_tracing`].
     pub fn set_tracing(&mut self, on: bool) {
         self.tracing = on;
         for n in &mut self.nodes {
@@ -439,8 +410,7 @@ impl<'n, 's> Run<'n, 's> {
         }
     }
 
-    /// Drain per-node transition traces fired since the last call, rendered
-    /// in the paper's `"1,5"` style, indexed by node id.
+    /// See [`PlanRun::take_traces`].
     pub fn take_traces(&mut self) -> Vec<String> {
         self.nodes
             .iter_mut()
@@ -456,32 +426,12 @@ impl<'n, 's> Run<'n, 's> {
             .collect()
     }
 
-    /// The run's event arena (for zero-copy producers:
-    /// `reader.next_into(run.store_mut())` followed by
-    /// [`Run::try_push_id`]).
-    pub fn store_mut(&mut self) -> &mut EventStore {
-        &mut self.store
-    }
-
-    /// Shared view of the run's event arena.
-    pub fn store(&self) -> &EventStore {
-        &self.store
-    }
-
-    /// Feed one owned stream event through the network (one tick).
-    ///
-    /// Infallible variant of [`Run::try_push`]: once a resource limit has
-    /// been breached the event is silently discarded (with no limits set —
-    /// the default — nothing is ever discarded).
+    /// See [`PlanRun::push`].
     pub fn push(&mut self, event: XmlEvent) {
         let _ = self.try_push(event);
     }
 
-    /// Feed one owned stream event through the network: copies the event
-    /// into the arena, then ticks via [`Run::try_push_id`]. Kept for
-    /// producers that hold owned events (tests, the multi-query driver);
-    /// the zero-copy path is `reader.next_into(run.store_mut())` +
-    /// [`Run::try_push_id`].
+    /// See [`PlanRun::try_push`].
     pub fn try_push(&mut self, event: XmlEvent) -> Result<(), EvalError> {
         if let Some(b) = self.exhausted {
             return Err(b.into());
@@ -490,17 +440,10 @@ impl<'n, 's> Run<'n, 's> {
         self.try_push_id(id)
     }
 
-    /// Feed the arena event `id` through the network (one tick), then check
-    /// the resource limits. On a breach the run aborts: results already
-    /// determined are flushed to the sinks, undetermined buffers are
-    /// released, and this and every further call return
-    /// [`EvalError::ResourceExhausted`]. Statistics stay readable.
-    pub fn try_push_id(&mut self, id: EventId) -> Result<(), EvalError> {
+    /// One tick, then the limit check — see [`PlanRun::try_push_id`].
+    fn try_push_id(&mut self, id: EventId) -> Result<(), EvalError> {
         if let Some(b) = self.exhausted {
             return Err(b.into());
-        }
-        if let Some(tap) = &self.tap {
-            tap.borrow_mut().on_tick(self.tick, &self.store.get(id));
         }
         self.push_unchecked(id);
         self.stats.peak_arena_bytes = self.stats.peak_arena_bytes.max(self.store.bytes_used());
@@ -510,10 +453,6 @@ impl<'n, 's> Run<'n, 's> {
             self.abort();
             return Err(b.into());
         }
-        // Once no output transducer buffers any candidate event, every
-        // outstanding handle is dead: recycle the arena (keeps symbols and
-        // capacity). This is what bounds memory to the undetermined
-        // fragments of the paper's §VI argument.
         if self.outputs_idle() {
             self.store.reset();
         }
@@ -557,7 +496,6 @@ impl<'n, 's> Run<'n, 's> {
 
     fn run_tick(&mut self) {
         let mut outbuf: Vec<Message> = Vec::new();
-        let tap = self.tap.clone();
         for id in 0..self.nodes.len() {
             outbuf.clear();
             match &mut self.nodes[id] {
@@ -570,9 +508,6 @@ impl<'n, 's> Run<'n, 's> {
                         self.stats.observe_formula(size);
                         self.node_stats[id].max_formula_size =
                             self.node_stats[id].max_formula_size.max(size);
-                        if let Some(tap) = &tap {
-                            tap.borrow_mut().on_message(id, &m);
-                        }
                         t.step(m, &mut outbuf);
                     }
                     let (d, c) = t.stack_sizes();
@@ -586,17 +521,11 @@ impl<'n, 's> Run<'n, 's> {
                     let right = std::mem::take(&mut self.inbox[id][1]);
                     self.stats.messages += (left.len() + right.len()) as u64;
                     self.node_stats[id].messages += (left.len() + right.len()) as u64;
-                    if let Some(tap) = &tap {
-                        for m in left.iter().chain(right.iter()) {
-                            tap.borrow_mut().on_message(id, m);
-                        }
-                    }
                     j.step2(left, right, &mut outbuf);
                 }
                 NodeInstance::Output(_) => {
                     let msgs = std::mem::take(&mut self.inbox[id][0]);
                     let sink_idx = self.sink_index[id];
-                    let (results_before, dropped_before) = (self.stats.results, self.stats.dropped);
                     // Split borrow: re-borrow the node mutably inside.
                     if let NodeInstance::Output(o) = &mut self.nodes[id] {
                         for m in msgs {
@@ -606,9 +535,6 @@ impl<'n, 's> Run<'n, 's> {
                             self.stats.observe_formula(size);
                             self.node_stats[id].max_formula_size =
                                 self.node_stats[id].max_formula_size.max(size);
-                            if let Some(tap) = &tap {
-                                tap.borrow_mut().on_message(id, &m);
-                            }
                             o.step(
                                 m,
                                 &mut self.sinks[sink_idx],
@@ -616,14 +542,6 @@ impl<'n, 's> Run<'n, 's> {
                                 &mut self.stats,
                                 &self.store,
                             );
-                        }
-                    }
-                    if let Some(tap) = &tap {
-                        for _ in results_before..self.stats.results {
-                            tap.borrow_mut().on_candidate_resolved(id, true, self.tick);
-                        }
-                        for _ in dropped_before..self.stats.dropped {
-                            tap.borrow_mut().on_candidate_resolved(id, false, self.tick);
                         }
                     }
                     continue;
@@ -669,13 +587,12 @@ impl<'n, 's> Run<'n, 's> {
         }
     }
 
-    /// End of stream: flush the output transducer(s) and return the
-    /// collected statistics.
+    /// See [`PlanRun::finish`].
     pub fn finish(self) -> EngineStats {
         self.finish_full().0
     }
 
-    /// Like [`Run::finish`], also returning the per-transducer snapshots.
+    /// See [`PlanRun::finish_full`].
     pub fn finish_full(mut self) -> (EngineStats, Vec<TransducerStats>) {
         for id in 0..self.nodes.len() {
             let sink_idx = self.sink_index[id];
@@ -693,9 +610,6 @@ impl<'n, 's> Run<'n, 's> {
         self.stats.peak_arena_bytes = self.stats.peak_arena_bytes.max(self.store.peak_bytes());
         self.stats.interned_symbols = self.stats.interned_symbols.max(self.store.symbols().len());
         self.harvest_latency();
-        if self.tracer.enabled() {
-            self.emit_trace();
-        }
         (self.stats, self.node_stats)
     }
 
@@ -709,11 +623,7 @@ impl<'n, 's> Run<'n, 's> {
         }
     }
 
-    /// Determination-latency histograms, one `(node id, histogram)` pair per
-    /// output node, including latencies accumulated across
-    /// [`Run::reset_session`] rebuilds. See
-    /// [`Output::determination_latency`](crate::transducers::output::Output::determination_latency)
-    /// for the measure's definition.
+    /// See [`PlanRun::determination_latency`].
     pub fn determination_latency(&self) -> Vec<(usize, Histogram)> {
         let mut out = Vec::new();
         for (id, n) in self.nodes.iter().enumerate() {
@@ -726,80 +636,9 @@ impl<'n, 's> Run<'n, 's> {
         out
     }
 
-    /// Export the end-of-run measurements as trace records (the engine
-    /// section of the DESIGN.md §13 schema). Called once from
-    /// [`Run::finish_full`] when a tracer is attached.
-    fn emit_trace(&self) {
-        let t = &self.tracer;
-        t.counter("engine.ticks", self.stats.ticks);
-        t.counter("engine.messages", self.stats.messages);
-        t.counter("engine.results", self.stats.results);
-        t.counter("engine.dropped", self.stats.dropped);
-        t.counter("engine.candidates_created", self.stats.candidates_created);
-        t.counter("engine.vars_created", self.stats.vars_created);
-        t.gauge(
-            "engine.peak_buffered_events",
-            self.stats.peak_buffered_events as u64,
-        );
-        t.gauge(
-            "engine.peak_live_candidates",
-            self.stats.peak_live_candidates as u64,
-        );
-        t.gauge(
-            "engine.peak_arena_bytes",
-            self.stats.peak_arena_bytes as u64,
-        );
-        t.gauge(
-            "engine.max_stream_depth",
-            self.stats.max_stream_depth as u64,
-        );
-        for ns in &self.node_stats {
-            t.counter_with(
-                "engine.node.messages",
-                ns.messages,
-                &[
-                    ("node", Value::U64(ns.node as u64)),
-                    ("kind", Value::from(ns.kind.as_str())),
-                ],
-            );
-        }
-        // harvest_latency already folded the live outputs in; reading the
-        // accumulators directly avoids double counting.
-        for (id, n) in self.nodes.iter().enumerate() {
-            if let NodeInstance::Output(_) = n {
-                t.hist(
-                    "engine.determination_latency",
-                    &self.det_latency[id],
-                    &[("node", Value::U64(id as u64)), ("kind", Value::from("OU"))],
-                );
-            }
-        }
-    }
-
-    /// Reset the run for the next document of a long-lived session, keeping
-    /// the compiled network, the accumulated statistics, and the arena's
-    /// allocated capacity.
-    ///
-    /// Call at a document boundary. The reset releases everything the
-    /// previous document could leak into the next one:
-    ///
-    /// * every transducer instance is rebuilt from the spec, so stale
-    ///   candidate buffers, pending activations, and half-popped stacks
-    ///   (e.g. after a truncated document) cannot survive,
-    /// * in-flight inbox messages are discarded,
-    /// * the arena's event bytes are recycled (the high-water mark is folded
-    ///   into the stats),
-    /// * interned symbols beyond the query-label baseline are forgotten, so
-    ///   a session streaming documents with disjoint vocabularies cannot
-    ///   grow the symbol table without bound.
-    ///
-    /// Accumulated statistics and the tick counter continue across the
-    /// reset. A latched resource-limit breach is *not* cleared: an exhausted
-    /// run stays exhausted (the session must be torn down).
+    /// See [`PlanRun::reset_session`]: every transducer instance is rebuilt
+    /// from the spec.
     pub fn reset_session(&mut self) {
-        // The rebuild below discards the output transducers (and with them
-        // the per-document determination latencies) — fold them into the
-        // across-reset accumulators first.
         self.harvest_latency();
         self.store.reset();
         self.store.symbols_mut().truncate(self.symbol_baseline);
@@ -817,124 +656,17 @@ impl<'n, 's> Run<'n, 's> {
         }
     }
 
-    /// Capture the run's accumulator state as a [`Snapshot`], valid only at
-    /// a quiescent document boundary (depth zero, no undetermined
-    /// candidates, empty arena — the state right after
-    /// [`Run::reset_session`]). At such a boundary the live transducer
-    /// state equals a freshly built network's, so the snapshot carries only
-    /// what `reset_session` preserves: statistics, per-node counters,
-    /// determination-latency accumulators, the variable-serial high-water
-    /// mark, limits, and the interned symbols. The returned snapshot has no
-    /// session section; drivers attach one before encoding.
-    pub fn checkpoint(&self) -> Result<Snapshot, SnapshotError> {
-        if self.depth != 0 || !self.outputs_idle() || !self.store.is_empty() {
-            return Err(SnapshotError::NotQuiescent);
-        }
-        // Merge live output latencies into a copy of the accumulators: this
-        // is exactly what the continuing run folds in at its next
-        // harvest, so checkpoint-then-restore and plain continuation agree.
-        let mut det_latency = self.det_latency.clone();
-        for (id, n) in self.nodes.iter().enumerate() {
-            if let NodeInstance::Output(o) = n {
-                det_latency[id].merge(o.determination_latency());
-            }
-        }
-        let symbols = (0..self.store.symbols().len())
-            .map(|i| self.store.symbols().name(i as u32).to_string())
-            .collect();
-        Ok(Snapshot {
-            engine: crate::vm::Engine::Network,
-            tick: self.tick,
-            stats: self.stats.clone(),
-            transducers: self.node_stats.clone(),
-            minted: self.factory.borrow().minted(),
-            det_latency,
-            exhausted: self.exhausted,
-            limits: self.limits,
-            arena_peak: self.store.peak_bytes() as u64,
-            symbols,
-            arena: self.store.export_arena(),
-            session: None,
-        })
-    }
-
-    /// Restore a snapshot into this run. The run must be freshly built over
-    /// the *same* network (same query set, same sink count); the snapshot's
-    /// per-node kind list is verified against this run's nodes and its
-    /// symbol list must extend this run's query-label baseline. Snapshots
-    /// are engine-portable, so a VM-taken snapshot restores here and vice
-    /// versa.
-    pub fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapshotError> {
-        if self.tick != 0 || self.depth != 0 || !self.store.is_empty() {
-            return Err(SnapshotError::NotQuiescent);
-        }
-        if snap.transducers.len() != self.node_stats.len() {
-            return Err(SnapshotError::Mismatch(format!(
-                "snapshot has {} nodes, run has {}",
-                snap.transducers.len(),
-                self.node_stats.len()
-            )));
-        }
-        for (t, mine) in snap.transducers.iter().zip(&self.node_stats) {
-            if t.node != mine.node || t.kind != mine.kind {
-                return Err(SnapshotError::Mismatch(format!(
-                    "node {} is {} in the snapshot but {} in the run",
-                    mine.node, t.kind, mine.kind
-                )));
-            }
-        }
-        if snap.det_latency.len() != self.det_latency.len() {
-            return Err(SnapshotError::Mismatch(format!(
-                "snapshot has {} latency accumulators, run has {}",
-                snap.det_latency.len(),
-                self.det_latency.len()
-            )));
-        }
-        let baseline = self.symbol_baseline;
-        if snap.symbols.len() < baseline || self.store.symbols().len() != baseline {
-            return Err(SnapshotError::Mismatch(format!(
-                "snapshot has {} symbols, run baseline is {}",
-                snap.symbols.len(),
-                baseline
-            )));
-        }
-        for i in 0..baseline {
-            if snap.symbols[i] != self.store.symbols().name(i as u32) {
-                return Err(SnapshotError::Mismatch(format!(
-                    "symbol {i} is {:?} in the snapshot but {:?} in the run",
-                    snap.symbols[i],
-                    self.store.symbols().name(i as u32)
-                )));
-            }
-        }
-        for name in &snap.symbols[baseline..] {
-            self.store.symbols_mut().intern(name);
-        }
-        self.tick = snap.tick;
-        self.stats = snap.stats.clone();
-        self.node_stats = snap.transducers.clone();
-        self.det_latency = snap.det_latency.clone();
-        self.exhausted = snap.exhausted;
-        self.limits = snap.limits;
-        self.factory.borrow_mut().restore_minted(snap.minted);
-        self.store
-            .restore_peak(usize::try_from(snap.arena_peak).unwrap_or(usize::MAX));
-        self.store.import_arena(&snap.arena);
-        Ok(())
-    }
-
-    /// Statistics so far (final values come from [`Run::finish`]).
+    /// See [`PlanRun::stats`].
     pub fn stats(&self) -> &EngineStats {
         &self.stats
     }
 
-    /// Per-transducer snapshots so far, indexed by node id (topological
-    /// order). `sum(messages)` equals [`EngineStats::messages`].
+    /// See [`PlanRun::transducer_stats`].
     pub fn transducer_stats(&self) -> &[TransducerStats] {
         &self.node_stats
     }
 
-    /// The current tick number (document messages pushed so far).
+    /// See [`PlanRun::tick`].
     pub fn tick(&self) -> u64 {
         self.tick
     }
@@ -1027,7 +759,7 @@ mod tests {
     fn per_transducer_messages_sum_to_global_count() {
         let net = crate::CompiledNetwork::compile(&"_*.a[b].c".parse().unwrap());
         let mut sink = FragmentCollector::new();
-        let mut run = net.run(&mut sink);
+        let mut run = Run::new(net.spec(), vec![&mut sink]);
         for ev in spex_xml::reader::parse_events("<a><a><c/></a><b/><c/></a>").unwrap() {
             run.push(ev);
         }
@@ -1050,68 +782,13 @@ mod tests {
         assert_eq!(per.iter().map(|t| t.messages).sum::<u64>(), stats.messages);
     }
 
-    #[derive(Default)]
-    struct RecordingTap {
-        ticks: Vec<u64>,
-        message_nodes: Vec<(u64, usize)>,
-        resolved: Vec<(usize, bool, u64)>,
-        current_tick: u64,
-    }
-
-    impl crate::stats::Tap for RecordingTap {
-        fn on_tick(&mut self, tick: u64, _event: &spex_xml::RawEvent<'_>) {
-            self.ticks.push(tick);
-            self.current_tick = tick;
-        }
-        fn on_message(&mut self, node: usize, _msg: &Message) {
-            self.message_nodes.push((self.current_tick, node));
-        }
-        fn on_candidate_resolved(&mut self, node: usize, accepted: bool, tick: u64) {
-            self.resolved.push((node, accepted, tick));
-        }
-    }
-
-    #[test]
-    fn tap_fires_once_per_tick_in_dag_order() {
-        let net = crate::CompiledNetwork::compile(&"_*.a[b].c".parse().unwrap());
-        let mut sink = FragmentCollector::new();
-        let mut run = net.run(&mut sink);
-        let tap = Rc::new(RefCell::new(RecordingTap::default()));
-        run.set_tap(tap.clone());
-        let events = spex_xml::reader::parse_events("<a><a><c/></a><b/><c/></a>").unwrap();
-        let n_events = events.len();
-        for ev in events {
-            run.push(ev);
-        }
-        let messages = run.stats().messages;
-        let sink_node = net.spec().describe().len() - 1;
-        run.finish();
-        let tap = tap.borrow();
-        // on_tick fired exactly once per pushed event, in order.
-        assert_eq!(tap.ticks, (0..n_events as u64).collect::<Vec<_>>());
-        // on_message fired once per consumed message…
-        assert_eq!(tap.message_nodes.len() as u64, messages);
-        // …and, within each tick, in non-decreasing (topological) node
-        // order.
-        for w in tap.message_nodes.windows(2) {
-            let ((t1, n1), (t2, n2)) = (w[0], w[1]);
-            if t1 == t2 {
-                assert!(n1 <= n2, "tick {t1}: node {n1} fired after {n2}");
-            }
-        }
-        // §III.10: candidate₂ accepted, candidate₁ dropped, both at the sink.
-        assert_eq!(tap.resolved.iter().filter(|(_, a, _)| *a).count(), 1);
-        assert_eq!(tap.resolved.iter().filter(|(_, a, _)| !*a).count(), 1);
-        assert!(tap.resolved.iter().all(|(n, _, _)| *n == sink_node));
-    }
-
     #[test]
     fn limit_breach_drains_and_latches() {
         // `r.x` over a fan-out stream with a message cap low enough to trip
         // mid-stream: results decided before the breach were delivered.
         let net = crate::CompiledNetwork::compile(&"r.x".parse().unwrap());
         let mut sink = FragmentCollector::new();
-        let mut run = net.run(&mut sink);
+        let mut run = Run::new(net.spec(), vec![&mut sink]);
         run.set_limits(crate::ResourceLimits::default().with_max_total_messages(40));
         let events =
             spex_xml::reader::parse_events("<r><x>1</x><x>2</x><x>3</x><x>4</x></r>").unwrap();

@@ -91,9 +91,6 @@ pub struct RecoveryOptions {
     /// Treat the input as a sequence of documents (see
     /// [`spex_xml::Reader::multi_document`]).
     pub multi_document: bool,
-    /// Which execution backend evaluates the repaired stream (see
-    /// [`crate::Engine`]; defaults to the VM).
-    pub engine: crate::Engine,
     /// Which byte-scanning strategy the reader uses (see
     /// [`spex_xml::ScannerKind`]; defaults to the SWAR fast path, with
     /// `Classic` retained as the differential oracle).
@@ -312,8 +309,7 @@ pub fn evaluate_recovering_traced<R: Read>(
     let mut quarantine = Quarantine::new();
     let mut exhausted = None;
     let (stats, transducers) = {
-        let mut eval =
-            Evaluator::with_engine_limits(network, &mut quarantine, options.engine, limits);
+        let mut eval = Evaluator::with_limits(network, &mut quarantine, limits);
         eval.set_tracer(tracer.clone());
         // Zero-copy loop: repaired events land in the run's arena and are
         // pushed by handle, exactly like a clean `push_reader` run.

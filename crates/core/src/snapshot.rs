@@ -7,8 +7,8 @@
 //! The engine's state compresses sharply at *quiescent* points: once every
 //! output candidate is determined, the event arena is empty, the per-node
 //! pushdown stacks are at depth zero, and the inter-transducer inboxes are
-//! drained. After [`crate::network::Run::reset_session`] the live transducer
-//! state is byte-for-byte what a freshly built network would hold — so a
+//! drained. After [`crate::PlanRun::reset_session`] the live transducer
+//! state is byte-for-byte what a freshly built run would hold — so a
 //! snapshot needs only the *accumulators*: engine statistics, per-node
 //! statistics, determination-latency histograms, the condition-variable
 //! serial high-water mark, the interned symbol list, and (for fault-tolerant
@@ -30,7 +30,6 @@
 
 use crate::limits::{LimitBreach, LimitKind, ResourceLimits};
 use crate::stats::{EngineStats, TransducerStats};
-use crate::vm::Engine;
 use spex_trace::Histogram;
 use spex_xml::{Attribute, Fault, FaultAction, FaultKind, Position, XmlEvent};
 
@@ -195,18 +194,12 @@ pub struct SessionState {
 /// A decoded run-state snapshot: the full accumulator state of one engine
 /// run at a quiescent document boundary, plus optional session state.
 ///
-/// Produced by `Run::checkpoint`/`PlanRun::checkpoint` (or
+/// Produced by [`crate::PlanRun::checkpoint`] (or
 /// [`crate::Evaluator::checkpoint`]), serialized with [`Snapshot::encode`],
-/// revived with [`Snapshot::decode`] and applied with `restore`. Snapshots
-/// are engine-portable: a state captured from the interpreter network
-/// restores into the compiled VM and vice versa (the node-kind list is the
-/// shape witness), which is what makes the interpreter snapshot usable as a
-/// cross-engine oracle.
-#[derive(Debug, Clone)]
+/// revived with [`Snapshot::decode`] and applied with `restore` (the
+/// node-kind list is the shape witness).
+#[derive(Debug, Clone, Default)]
 pub struct Snapshot {
-    /// Engine that took the snapshot (informational; restore is
-    /// cross-engine).
-    pub engine: Engine,
     /// Ticks (document messages) pushed before the checkpoint.
     pub tick: u64,
     /// Engine-level accumulated statistics.
@@ -358,20 +351,12 @@ impl<'a> Dec<'a> {
 // Domain codecs
 // ---------------------------------------------------------------------------
 
-fn engine_tag(e: Engine) -> u8 {
-    match e {
-        Engine::Vm => 0,
-        Engine::Network => 1,
-    }
-}
-
-fn engine_from(tag: u8) -> Result<Engine, SnapshotError> {
-    match tag {
-        0 => Ok(Engine::Vm),
-        1 => Ok(Engine::Network),
-        _ => Err(corrupt("invalid engine tag")),
-    }
-}
+/// The core section opens with the tag of the engine that took the
+/// snapshot. There is one engine now, written as `0`; `1` is what binaries
+/// with an `--engine network` wrote, and restores the same (snapshots were
+/// engine-portable by construction).
+const ENGINE_TAG: u8 = 0;
+const ENGINE_TAG_LEGACY_NETWORK: u8 = 1;
 
 fn limit_kind_tag(k: LimitKind) -> u8 {
     match k {
@@ -583,7 +568,7 @@ fn get_fragment(d: &mut Dec<'_>) -> Result<FragmentState, SnapshotError> {
 
 fn encode_core(s: &Snapshot) -> Vec<u8> {
     let mut b = Vec::new();
-    put_u8(&mut b, engine_tag(s.engine));
+    put_u8(&mut b, ENGINE_TAG);
     put_u64(&mut b, s.tick);
     let st = &s.stats;
     put_u64(&mut b, st.ticks);
@@ -647,7 +632,9 @@ fn encode_core(s: &Snapshot) -> Vec<u8> {
 }
 
 fn decode_core(d: &mut Dec<'_>, s: &mut Snapshot) -> Result<(), SnapshotError> {
-    s.engine = engine_from(d.u8()?)?;
+    if !matches!(d.u8()?, ENGINE_TAG | ENGINE_TAG_LEGACY_NETWORK) {
+        return Err(corrupt("invalid engine tag"));
+    }
     s.tick = d.u64()?;
     s.stats = EngineStats {
         ticks: d.u64()?,
@@ -767,25 +754,6 @@ fn decode_session(d: &mut Dec<'_>) -> Result<SessionState, SnapshotError> {
         lt_consumed: d.bool()?,
         documents: d.u64()?,
     })
-}
-
-impl Default for Snapshot {
-    fn default() -> Self {
-        Snapshot {
-            engine: Engine::Vm,
-            tick: 0,
-            stats: EngineStats::default(),
-            transducers: Vec::new(),
-            minted: 0,
-            det_latency: Vec::new(),
-            exhausted: None,
-            limits: ResourceLimits::default(),
-            arena_peak: 0,
-            symbols: Vec::new(),
-            arena: Vec::new(),
-            session: None,
-        }
-    }
 }
 
 impl Snapshot {
@@ -917,7 +885,6 @@ mod tests {
         det.record(3);
         det.record(900);
         Snapshot {
-            engine: Engine::Network,
             tick: 42,
             stats: EngineStats {
                 ticks: 42,
@@ -1017,7 +984,6 @@ mod tests {
     fn assert_round_trip(s: &Snapshot) {
         let bytes = s.encode();
         let back = Snapshot::decode(&bytes).expect("decode");
-        assert_eq!(back.engine, s.engine);
         assert_eq!(back.tick, s.tick);
         assert_eq!(back.stats, s.stats);
         assert_eq!(back.transducers, s.transducers);
@@ -1129,6 +1095,48 @@ mod tests {
         out.extend_from_slice(&payload);
         let back = Snapshot::decode(&out).expect("unknown section must be skipped");
         assert_eq!(back.stats, snap.stats);
+    }
+
+    /// Re-seal `bytes` with the engine tag (first byte of the core section,
+    /// which `encode` writes first) replaced.
+    fn retagged(bytes: &[u8], tag: u8) -> Vec<u8> {
+        let mut out = bytes.to_vec();
+        assert_eq!(out[16], SEC_CORE);
+        out[21] = tag;
+        let crc = crc32(&out[16..]);
+        out[12..16].copy_from_slice(&crc.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn legacy_network_engine_tag_still_restores() {
+        // A snapshot the parent binary took under `--engine network` carries
+        // tag 1; it must resume exactly like one tagged 0.
+        let net = crate::CompiledNetwork::compile(&"_*.a[b].c".parse().unwrap());
+        let docs = ["<a><c>1</c><b/></a>", "<a><a><c>2</c></a><b/><c>3</c></a>"];
+        let mut head = crate::FragmentCollector::new();
+        let mut eval = crate::Evaluator::new(&net, &mut head);
+        eval.push_str(docs[0]).unwrap();
+        eval.reset_session();
+        let bytes = eval.checkpoint().unwrap().encode();
+        assert_eq!(bytes[21], ENGINE_TAG);
+        let resume = |bytes: &[u8]| {
+            let mut sink = crate::FragmentCollector::new();
+            let mut eval = crate::Evaluator::new(&net, &mut sink);
+            eval.restore(&Snapshot::decode(bytes).expect("decode"))
+                .expect("restore");
+            eval.push_str(docs[1]).unwrap();
+            let stats = eval.finish_full();
+            (sink.into_fragments(), stats)
+        };
+        let legacy = retagged(&bytes, ENGINE_TAG_LEGACY_NETWORK);
+        assert_eq!(resume(&legacy), resume(&bytes));
+        // …and identically to never having stopped.
+        eval.push_str(docs[1]).unwrap();
+        assert_eq!(resume(&legacy).1, eval.finish_full());
+
+        let err = Snapshot::decode(&retagged(&bytes, 2)).expect_err("tag 2");
+        assert!(matches!(err, SnapshotError::Corrupt(_)), "{err:?}");
     }
 
     #[test]

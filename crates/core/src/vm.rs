@@ -1,13 +1,8 @@
-//! The compiled execution backend: a flat bytecode plan for the transducer
-//! network, executed by a small VM.
+//! The execution engine: a flat bytecode plan for the transducer network,
+//! executed by a small VM.
 //!
-//! The tick-synchronous interpreter in [`crate::network`] walks a
-//! `Vec<Box<dyn Transducer>>` and re-allocates inter-node message queues on
-//! every tick (`mem::take` discards each inbox's capacity, so the producing
-//! node's `append` re-grows it from zero). That overhead — dynamic dispatch
-//! plus queue churn — dominates the per-event cost once parsing is
-//! zero-copy. [`Plan::compile`] lowers a built [`NetworkSpec`] into a flat
-//! instruction table:
+//! [`Plan::compile`] lowers a built [`NetworkSpec`] into a flat instruction
+//! table:
 //!
 //! * one dense [`Op`] per node (opcode + resolved operand indices) in
 //!   topological order,
@@ -23,15 +18,15 @@
 //! dispatched), message buffers are persistent and recycled by
 //! `swap`/`drain`, and nodes whose inbox is empty are skipped entirely.
 //!
-//! The semantics are the interpreter's by construction: every opcode steps
-//! the *same* transducer implementation the network instantiates, in the
-//! same topological order, with the same per-message statistics, limit
-//! checks, arena recycling and determination-latency accounting. The
-//! interpreter remains the semantic oracle — `harness vm-diff` and the
-//! proptest suite drive random documents × random queries through both
-//! engines (plus the DOM baseline) and fail on the first divergence in
-//! outputs, statistics, faults or earliness. See DESIGN.md §14 for the plan
-//! IR and a worked lowering example.
+//! [`PlanRun`] is the only executor anything outside a differential rig
+//! reaches: [`crate::Evaluator`], the multi-query and conjunctive-query
+//! runs, the recovery driver and the server sessions all run on it. Its
+//! scheduling is checked against the reference executor in
+//! [`crate::network`], which steps the *same* transducer structs one boxed
+//! node at a time: `harness vm-diff` and the proptest suite drive random
+//! documents × random queries through both (plus the DOM baseline) and fail
+//! on the first divergence in outputs, statistics or earliness. See
+//! DESIGN.md §14 for the plan IR and a worked lowering example.
 
 use crate::engine::EvalError;
 use crate::limits::{LimitBreach, ResourceLimits};
@@ -60,50 +55,13 @@ use spex_xml::{EventId, EventStore, StoredKind, XmlEvent};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// Which execution backend evaluates a compiled network.
-///
-/// Both engines implement exactly the same semantics (differentially tested
-/// against each other and the DOM oracle); they differ only in how the tick
-/// loop is executed. The VM is the default.
+// Only for `benchmark/trace` (frozen in this PR), which names `Engine::Vm`; the next `benchmark` PR drops it.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// The tick-synchronous interpreter over boxed transducers
-    /// ([`crate::network::Run`]) — the semantic oracle.
-    Network,
-    /// The compiled flat-plan VM ([`PlanRun`]).
+    /// The compiled flat-plan VM ([`PlanRun`]) — the only engine.
     #[default]
     Vm,
-}
-
-impl Engine {
-    /// All engines, VM first (the default).
-    pub const ALL: [Engine; 2] = [Engine::Vm, Engine::Network];
-
-    /// Stable lowercase name (used by the CLI `--engine` flag and in JSON).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            Engine::Network => "network",
-            Engine::Vm => "vm",
-        }
-    }
-}
-
-impl std::fmt::Display for Engine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for Engine {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "vm" => Ok(Engine::Vm),
-            "network" => Ok(Engine::Network),
-            other => Err(format!("unknown engine `{other}` (expected vm or network)")),
-        }
-    }
 }
 
 /// One instruction of the flat plan: the opcode for a network node with its
@@ -140,7 +98,7 @@ pub enum Op {
 
 /// A compiled, immutable execution plan — the flat lowering of one
 /// [`NetworkSpec`]. Shareable across threads and runs; instantiate with
-/// [`PlanRun::new`] (or via [`crate::Evaluator`] with [`Engine::Vm`]).
+/// [`PlanRun::new`] (or via [`crate::Evaluator`]).
 #[derive(Debug, Clone)]
 pub struct Plan {
     /// One instruction per node, topological order.
@@ -227,7 +185,7 @@ impl Plan {
         }
         port_base.push(slots);
         // Consumer edges, flattened in producer order (ascending consumer id
-        // within each producer, exactly like the interpreter's wiring).
+        // within each producer, exactly like the reference executor's wiring).
         let mut per_node: Vec<Vec<u32>> = vec![Vec::new(); n];
         for (v, ins) in spec.inputs.iter().enumerate() {
             for (port, u) in ins.iter().enumerate() {
@@ -317,8 +275,7 @@ impl Plan {
 
     /// Instantiate the per-run operator states, resolving match labels
     /// against `symbols` in instruction order (the same interning order the
-    /// interpreter's `build_nodes` uses, so symbol ids agree between
-    /// engines).
+    /// reference executor uses, so symbol ids agree between the two).
     fn instantiate(
         &self,
         symbols: &mut spex_xml::SymbolTable,
@@ -452,35 +409,51 @@ impl OpState {
     }
 }
 
-/// A running instantiation of a [`Plan`] over one stream — the VM. Mirrors
-/// the public API of [`crate::network::Run`] exactly (same statistics, same
-/// limit semantics, same session-reset hygiene), so the two engines are
-/// interchangeable behind [`EngineRun`].
+/// A running instantiation of a [`Plan`] over one stream, pushing results
+/// into borrowed sinks (one per output instruction) — the VM, and the type
+/// behind [`crate::Evaluator`] and the server sessions.
+///
+/// Each stream event is one *tick*: the paper's discipline that "at any time
+/// there is only one \[document\] message in the network" (§III.2). Within a
+/// tick every instruction, in topological order, consumes the messages its
+/// producers emitted and appends its output to its consumers' inbox slots.
 pub struct PlanRun<'p, 's> {
     plan: &'p Plan,
     ops: Vec<OpState>,
     /// Flat inbox slots (`plan.port_base` layout). Persistent: capacities
-    /// survive across ticks, which is the allocation win over the
-    /// interpreter.
+    /// survive across ticks, so the hot path never re-grows a queue.
     inbox: Vec<Vec<Message>>,
     /// Recycled drain buffers (second one for the join's right port).
     scratch: Vec<Message>,
     scratch2: Vec<Message>,
     /// Recycled per-node output buffer.
     outbuf: Vec<Message>,
+    /// The run's event arena: payload bytes live here exactly once; the
+    /// plan only moves [`spex_xml::EventId`] handles. Owns the symbol table
+    /// (labels are interned at push time). Reset whenever no output
+    /// operator is buffering, so its high-water mark measures the bytes
+    /// buffered for undetermined candidates (paper §VI).
     store: EventStore,
     factory: Rc<RefCell<VarFactory>>,
     sinks: Vec<SinkGroup<'s>>,
     stats: EngineStats,
+    /// Per-node measurements, indexed by instruction id.
     node_stats: Vec<TransducerStats>,
     limits: ResourceLimits,
+    /// The first limit breach, latched; further input is refused.
     exhausted: Option<LimitBreach>,
     tap: Option<Rc<RefCell<dyn Tap>>>,
     tick: u64,
     depth: usize,
     tracing: bool,
+    /// Symbol-table size right after the query labels were resolved; session
+    /// reuse truncates the table back to this baseline between documents.
     symbol_baseline: usize,
+    /// Trace export handle (disabled by default; see [`PlanRun::set_tracer`]).
     tracer: Tracer,
+    /// Determination-latency histograms accumulated across
+    /// [`PlanRun::reset_session`] rebuilds, indexed by instruction id (only
+    /// output instructions ever record).
     det_latency: Vec<Histogram>,
 }
 
@@ -549,7 +522,8 @@ impl<'p, 's> PlanRun<'p, 's> {
         self.plan
     }
 
-    /// Attach resource caps, checked after every tick.
+    /// Attach resource caps, checked after every tick (see
+    /// [`crate::ResourceLimits`]).
     pub fn set_limits(&mut self, limits: ResourceLimits) {
         self.limits = limits;
     }
@@ -559,8 +533,11 @@ impl<'p, 's> PlanRun<'p, 's> {
         self.tap = Some(tap);
     }
 
-    /// Attach a trace export handle (end-of-run batch, same records as the
-    /// interpreter — see DESIGN.md §13).
+    /// Attach a trace export handle. The hot path is never instrumented per
+    /// event; the tracer receives one batch of counters, gauges and
+    /// histograms (per-node message counts, buffer high-water marks,
+    /// determination latency) when the run finishes — see DESIGN.md §13 for
+    /// the record schema.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
     }
@@ -570,7 +547,8 @@ impl<'p, 's> PlanRun<'p, 's> {
         self.exhausted
     }
 
-    /// Enable transition tracing on every operator.
+    /// Enable transition tracing on every operator (for the golden
+    /// paper-trace tests).
     pub fn set_tracing(&mut self, on: bool) {
         self.tracing = on;
         for op in &mut self.ops {
@@ -578,7 +556,8 @@ impl<'p, 's> PlanRun<'p, 's> {
         }
     }
 
-    /// Drain per-node transition traces, rendered `"1,5"`-style.
+    /// Drain per-node transition traces fired since the last call, rendered
+    /// in the paper's `"1,5"` style, indexed by instruction id.
     pub fn take_traces(&mut self) -> Vec<String> {
         self.ops
             .iter_mut()
@@ -586,7 +565,9 @@ impl<'p, 's> PlanRun<'p, 's> {
             .collect()
     }
 
-    /// The run's event arena (for zero-copy producers).
+    /// The run's event arena (for zero-copy producers:
+    /// `reader.next_into(run.store_mut())` followed by
+    /// [`PlanRun::try_push_id`]).
     pub fn store_mut(&mut self) -> &mut EventStore {
         &mut self.store
     }
@@ -596,13 +577,17 @@ impl<'p, 's> PlanRun<'p, 's> {
         &self.store
     }
 
-    /// Feed one owned stream event (one tick), discarding it silently after
-    /// a limit breach.
+    /// Feed one owned stream event (one tick). Infallible variant of
+    /// [`PlanRun::try_push`]: once a resource limit has been breached the
+    /// event is silently discarded (with no limits set — the default —
+    /// nothing is ever discarded).
     pub fn push(&mut self, event: XmlEvent) {
         let _ = self.try_push(event);
     }
 
-    /// Feed one owned stream event, reporting a limit breach.
+    /// Feed one owned stream event: copies the event into the arena, then
+    /// ticks via [`PlanRun::try_push_id`]. Kept for producers that hold
+    /// owned events (tests, the multi-query driver).
     pub fn try_push(&mut self, event: XmlEvent) -> Result<(), EvalError> {
         if let Some(b) = self.exhausted {
             return Err(b.into());
@@ -612,8 +597,10 @@ impl<'p, 's> PlanRun<'p, 's> {
     }
 
     /// Feed the arena event `id` through the plan (one tick), then check the
-    /// resource limits — identical contract to
-    /// [`crate::network::Run::try_push_id`].
+    /// resource limits. On a breach the run aborts: results already
+    /// determined are flushed to the sinks, undetermined buffers are
+    /// released, and this and every further call return
+    /// [`EvalError::ResourceExhausted`]. Statistics stay readable.
     pub fn try_push_id(&mut self, id: EventId) -> Result<(), EvalError> {
         if let Some(b) = self.exhausted {
             return Err(b.into());
@@ -629,6 +616,10 @@ impl<'p, 's> PlanRun<'p, 's> {
             self.abort();
             return Err(b.into());
         }
+        // Once no output operator buffers any candidate event, every
+        // outstanding handle is dead: recycle the arena (keeps symbols and
+        // capacity). This is what bounds memory to the undetermined
+        // fragments of the paper's §VI argument.
         if self.outputs_idle() {
             self.store.reset();
         }
@@ -713,7 +704,7 @@ impl<'p, 's> PlanRun<'p, 's> {
     /// One tick: execute every instruction, in order, over the messages its
     /// inbox slots hold. Empty nodes are skipped (their stacks cannot have
     /// changed since the last message they consumed, so the observed peaks
-    /// are identical to the interpreter's).
+    /// are those of stepping every node).
     fn run_tick(&mut self) {
         let plan = self.plan;
         for id in 0..plan.code.len() {
@@ -814,8 +805,8 @@ impl<'p, 's> PlanRun<'p, 's> {
                     // Counters batch over the drained slot, and only Activate
                     // messages carry a formula — `formula_size()` is 0 for
                     // everything else and `observe_formula` is a pure max, so
-                    // skipping the zeros is observationally identical to the
-                    // interpreter's per-message accounting.
+                    // skipping the zeros is observationally identical to
+                    // per-message accounting.
                     let consumed = self.scratch.len() as u64;
                     self.stats.messages += consumed;
                     self.node_stats[id].messages += consumed;
@@ -884,8 +875,7 @@ impl<'p, 's> PlanRun<'p, 's> {
                     self.stats.messages += consumed;
                     self.node_stats[id].messages += consumed;
                     if let Some(tap) = self.tap.clone() {
-                        // Observed path: per-message tap callbacks, same
-                        // cadence as the interpreter.
+                        // Observed path: one tap callback per message.
                         for m in self.scratch.drain(..) {
                             if let Message::Activate(f) = &m {
                                 let size = f.size();
@@ -988,7 +978,8 @@ impl<'p, 's> PlanRun<'p, 's> {
         }
     }
 
-    /// End of stream: flush the output operators, return the statistics.
+    /// End of stream: flush the output operators and return the collected
+    /// statistics.
     pub fn finish(self) -> EngineStats {
         self.finish_full().0
     }
@@ -1027,7 +1018,8 @@ impl<'p, 's> PlanRun<'p, 's> {
 
     /// Determination-latency histograms, one `(node id, histogram)` pair per
     /// output node, including latencies accumulated across
-    /// [`PlanRun::reset_session`] rebuilds.
+    /// [`PlanRun::reset_session`] rebuilds. See
+    /// [`Output::determination_latency`] for the measure's definition.
     pub fn determination_latency(&self) -> Vec<(usize, Histogram)> {
         let mut out = Vec::new();
         for &id in &self.plan.outputs {
@@ -1040,8 +1032,9 @@ impl<'p, 's> PlanRun<'p, 's> {
         out
     }
 
-    /// End-of-run trace records (same schema as the interpreter's — the
-    /// engine section of DESIGN.md §13).
+    /// Export the end-of-run measurements as trace records (the engine
+    /// section of the DESIGN.md §13 schema). Called once from
+    /// [`PlanRun::finish_full`] when a tracer is attached.
     fn emit_trace(&self) {
         let t = &self.tracer;
         t.counter("engine.ticks", self.stats.ticks);
@@ -1076,6 +1069,8 @@ impl<'p, 's> PlanRun<'p, 's> {
                 ],
             );
         }
+        // harvest_latency already folded the live outputs in; reading the
+        // accumulators directly avoids double counting.
         for &id in &self.plan.outputs {
             t.hist(
                 "engine.determination_latency",
@@ -1088,14 +1083,30 @@ impl<'p, 's> PlanRun<'p, 's> {
         }
     }
 
-    /// Reset the run for the next document of a long-lived session — the
-    /// VM counterpart of [`crate::network::Run::reset_session`], with
-    /// identical hygiene: operator states are re-instantiated from the plan,
-    /// in-flight messages are discarded, the arena is recycled, and interned
-    /// symbols beyond the query-label baseline are forgotten. The inbox
-    /// slots and drain buffers keep their capacity — the plan and every
-    /// allocation are reused across documents.
+    /// Reset the run for the next document of a long-lived session, keeping
+    /// the plan, the accumulated statistics, and every allocation (inbox
+    /// slots, drain buffers, the arena's capacity).
+    ///
+    /// Call at a document boundary. The reset releases everything the
+    /// previous document could leak into the next one:
+    ///
+    /// * every operator state is re-instantiated from the plan, so stale
+    ///   candidate buffers, pending activations, and half-popped stacks
+    ///   (e.g. after a truncated document) cannot survive,
+    /// * in-flight inbox messages are discarded,
+    /// * the arena's event bytes are recycled (the high-water mark is folded
+    ///   into the stats),
+    /// * interned symbols beyond the query-label baseline are forgotten, so
+    ///   a session streaming documents with disjoint vocabularies cannot
+    ///   grow the symbol table without bound.
+    ///
+    /// Accumulated statistics and the tick counter continue across the
+    /// reset. A latched resource-limit breach is *not* cleared: an exhausted
+    /// run stays exhausted (the session must be torn down).
     pub fn reset_session(&mut self) {
+        // The rebuild below discards the output operators (and with them
+        // the per-document determination latencies) — fold them into the
+        // across-reset accumulators first.
         self.harvest_latency();
         self.store.reset();
         self.store.symbols_mut().truncate(self.symbol_baseline);
@@ -1111,16 +1122,22 @@ impl<'p, 's> PlanRun<'p, 's> {
         }
     }
 
-    /// Capture the run's accumulator state as a [`Snapshot`] — the VM
-    /// counterpart of [`crate::network::Run::checkpoint`], valid only at a
-    /// quiescent document boundary. Snapshots are engine-portable: the
-    /// plan's kind list equals the interpreter network's `describe()`
-    /// output, so a VM snapshot restores into an interpreter run and vice
-    /// versa.
+    /// Capture the run's accumulator state as a [`Snapshot`], valid only at
+    /// a quiescent document boundary (depth zero, no undetermined
+    /// candidates, empty arena — the state right after
+    /// [`PlanRun::reset_session`]). At such a boundary the live operator
+    /// state equals a freshly instantiated plan's, so the snapshot carries
+    /// only what `reset_session` preserves: statistics, per-node counters,
+    /// determination-latency accumulators, the variable-serial high-water
+    /// mark, limits, and the interned symbols. The returned snapshot has no
+    /// session section; drivers attach one before encoding.
     pub fn checkpoint(&self) -> Result<Snapshot, SnapshotError> {
         if self.depth != 0 || !self.outputs_idle() || !self.store.is_empty() {
             return Err(SnapshotError::NotQuiescent);
         }
+        // Merge live output latencies into a copy of the accumulators: this
+        // is exactly what the continuing run folds in at its next
+        // harvest, so checkpoint-then-restore and plain continuation agree.
         let mut det_latency = self.det_latency.clone();
         for &id in &self.plan.outputs {
             if let OpState::Emit(o) = &self.ops[id as usize] {
@@ -1131,7 +1148,6 @@ impl<'p, 's> PlanRun<'p, 's> {
             .map(|i| self.store.symbols().name(i as u32).to_string())
             .collect();
         Ok(Snapshot {
-            engine: Engine::Vm,
             tick: self.tick,
             stats: self.stats.clone(),
             transducers: self.node_stats.clone(),
@@ -1146,9 +1162,10 @@ impl<'p, 's> PlanRun<'p, 's> {
         })
     }
 
-    /// Restore a snapshot into this freshly built run — the VM counterpart
-    /// of [`crate::network::Run::restore`], with identical shape and symbol
-    /// verification.
+    /// Restore a snapshot into this run. The run must be freshly built over
+    /// the *same* network (same query set, same sink count); the snapshot's
+    /// per-node kind list is verified against this run's nodes and its
+    /// symbol list must extend this run's query-label baseline.
     pub fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapshotError> {
         if self.tick != 0 || self.depth != 0 || !self.store.is_empty() {
             return Err(SnapshotError::NotQuiescent);
@@ -1208,150 +1225,21 @@ impl<'p, 's> PlanRun<'p, 's> {
         Ok(())
     }
 
-    /// Statistics so far.
+    /// Statistics so far (final values come from [`PlanRun::finish`]).
     pub fn stats(&self) -> &EngineStats {
         &self.stats
     }
 
-    /// Per-node snapshots so far, indexed by instruction id.
+    /// Per-transducer snapshots so far, indexed by instruction id
+    /// (topological order). `sum(messages)` equals
+    /// [`EngineStats::messages`].
     pub fn transducer_stats(&self) -> &[TransducerStats] {
         &self.node_stats
     }
 
-    /// The current tick number.
+    /// The current tick number (document messages pushed so far).
     pub fn tick(&self) -> u64 {
         self.tick
-    }
-}
-
-/// A run on either backend, chosen at instantiation time — the type behind
-/// [`crate::Evaluator`] and the server sessions. Every method delegates to
-/// the selected engine; the two are interchangeable (differentially tested).
-pub enum EngineRun<'n, 's> {
-    /// Interpreter run.
-    Network(crate::network::Run<'n, 's>),
-    /// Compiled-plan VM run.
-    Vm(PlanRun<'n, 's>),
-}
-
-macro_rules! delegate {
-    ($self:ident, $run:ident => $body:expr) => {
-        match $self {
-            EngineRun::Network($run) => $body,
-            EngineRun::Vm($run) => $body,
-        }
-    };
-}
-
-impl<'n, 's> EngineRun<'n, 's> {
-    /// Which engine this run executes on.
-    pub fn engine(&self) -> Engine {
-        match self {
-            EngineRun::Network(_) => Engine::Network,
-            EngineRun::Vm(_) => Engine::Vm,
-        }
-    }
-
-    /// See [`crate::network::Run::set_limits`].
-    pub fn set_limits(&mut self, limits: ResourceLimits) {
-        delegate!(self, r => r.set_limits(limits))
-    }
-
-    /// See [`crate::network::Run::set_tap`].
-    pub fn set_tap(&mut self, tap: Rc<RefCell<dyn Tap>>) {
-        delegate!(self, r => r.set_tap(tap))
-    }
-
-    /// See [`crate::network::Run::set_tracer`].
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        delegate!(self, r => r.set_tracer(tracer))
-    }
-
-    /// See [`crate::network::Run::exhausted`].
-    pub fn exhausted(&self) -> Option<LimitBreach> {
-        delegate!(self, r => r.exhausted())
-    }
-
-    /// See [`crate::network::Run::set_tracing`].
-    pub fn set_tracing(&mut self, on: bool) {
-        delegate!(self, r => r.set_tracing(on))
-    }
-
-    /// See [`crate::network::Run::take_traces`].
-    pub fn take_traces(&mut self) -> Vec<String> {
-        delegate!(self, r => r.take_traces())
-    }
-
-    /// See [`crate::network::Run::store_mut`].
-    pub fn store_mut(&mut self) -> &mut EventStore {
-        delegate!(self, r => r.store_mut())
-    }
-
-    /// See [`crate::network::Run::store`].
-    pub fn store(&self) -> &EventStore {
-        delegate!(self, r => r.store())
-    }
-
-    /// See [`crate::network::Run::push`].
-    pub fn push(&mut self, event: XmlEvent) {
-        delegate!(self, r => r.push(event))
-    }
-
-    /// See [`crate::network::Run::try_push`].
-    pub fn try_push(&mut self, event: XmlEvent) -> Result<(), EvalError> {
-        delegate!(self, r => r.try_push(event))
-    }
-
-    /// See [`crate::network::Run::try_push_id`].
-    pub fn try_push_id(&mut self, id: EventId) -> Result<(), EvalError> {
-        delegate!(self, r => r.try_push_id(id))
-    }
-
-    /// See [`crate::network::Run::finish`].
-    pub fn finish(self) -> EngineStats {
-        delegate!(self, r => r.finish())
-    }
-
-    /// See [`crate::network::Run::finish_full`].
-    pub fn finish_full(self) -> (EngineStats, Vec<TransducerStats>) {
-        delegate!(self, r => r.finish_full())
-    }
-
-    /// See [`crate::network::Run::determination_latency`].
-    pub fn determination_latency(&self) -> Vec<(usize, Histogram)> {
-        delegate!(self, r => r.determination_latency())
-    }
-
-    /// See [`crate::network::Run::checkpoint`].
-    pub fn checkpoint(&self) -> Result<Snapshot, SnapshotError> {
-        delegate!(self, r => r.checkpoint())
-    }
-
-    /// Restore a snapshot into this freshly built run. Cross-engine: the
-    /// snapshot may come from either backend.
-    pub fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapshotError> {
-        delegate!(self, r => r.restore(snap))
-    }
-
-    /// Reset for the next document of a session (see
-    /// [`crate::network::Run::reset_session`]).
-    pub fn reset_session(&mut self) {
-        delegate!(self, r => r.reset_session())
-    }
-
-    /// See [`crate::network::Run::stats`].
-    pub fn stats(&self) -> &EngineStats {
-        delegate!(self, r => r.stats())
-    }
-
-    /// See [`crate::network::Run::transducer_stats`].
-    pub fn transducer_stats(&self) -> &[TransducerStats] {
-        delegate!(self, r => r.transducer_stats())
-    }
-
-    /// See [`crate::network::Run::tick`].
-    pub fn tick(&self) -> u64 {
-        delegate!(self, r => r.tick())
     }
 }
 
@@ -1377,7 +1265,7 @@ mod tests {
     fn run_network(query: &str, xml: &str) -> (Vec<String>, EngineStats) {
         let net = CompiledNetwork::compile(&query.parse().unwrap());
         let mut sink = FragmentCollector::new();
-        let mut run = net.run(&mut sink);
+        let mut run = crate::network::Run::new(net.spec(), vec![&mut sink]);
         for ev in spex_xml::reader::parse_events(xml).unwrap() {
             run.push(ev);
         }
@@ -1414,8 +1302,8 @@ mod tests {
 
     #[test]
     fn vm_reproduces_figure_5_transition_traces() {
-        // The golden interpreter trace test, through the VM: `a+.c+` over
-        // the Fig. 1 stream fires exactly the transitions of Fig. 5.
+        // `a+.c+` over the Fig. 1 stream fires exactly the transitions of
+        // Fig. 5.
         let net = CompiledNetwork::compile(&"a+.c+".parse().unwrap());
         let mut sink = FragmentCollector::new();
         let mut run = PlanRun::new(net.plan(), vec![&mut sink]);
@@ -1482,12 +1370,59 @@ mod tests {
         assert!(!sink.fragments().is_empty());
     }
 
-    #[test]
-    fn engine_round_trips_through_str() {
-        for e in Engine::ALL {
-            assert_eq!(e.as_str().parse::<Engine>().unwrap(), e);
+    #[derive(Default)]
+    struct RecordingTap {
+        ticks: Vec<u64>,
+        message_nodes: Vec<(u64, usize)>,
+        resolved: Vec<(usize, bool, u64)>,
+        current_tick: u64,
+    }
+
+    impl Tap for RecordingTap {
+        fn on_tick(&mut self, tick: u64, _event: &spex_xml::RawEvent<'_>) {
+            self.ticks.push(tick);
+            self.current_tick = tick;
         }
-        assert!("bogus".parse::<Engine>().is_err());
-        assert_eq!(Engine::default(), Engine::Vm);
+        fn on_message(&mut self, node: usize, _msg: &Message) {
+            self.message_nodes.push((self.current_tick, node));
+        }
+        fn on_candidate_resolved(&mut self, node: usize, accepted: bool, tick: u64) {
+            self.resolved.push((node, accepted, tick));
+        }
+    }
+
+    #[test]
+    fn tap_fires_once_per_tick_in_dag_order() {
+        let net = CompiledNetwork::compile(&"_*.a[b].c".parse().unwrap());
+        let mut sink = FragmentCollector::new();
+        let mut run = PlanRun::new(net.plan(), vec![&mut sink]);
+        let tap = Rc::new(RefCell::new(RecordingTap::default()));
+        run.set_tap(tap.clone());
+        // A text event too: a tap must force the inert-tick bypass off.
+        let events = spex_xml::reader::parse_events("<a><a><c/></a><b/><c>t</c></a>").unwrap();
+        let n_events = events.len();
+        for ev in events {
+            run.push(ev);
+        }
+        let messages = run.stats().messages;
+        let sink_node = net.plan().len() - 1;
+        run.finish();
+        let tap = tap.borrow();
+        // on_tick fired exactly once per pushed event, in order.
+        assert_eq!(tap.ticks, (0..n_events as u64).collect::<Vec<_>>());
+        // on_message fired once per consumed message…
+        assert_eq!(tap.message_nodes.len() as u64, messages);
+        // …and, within each tick, in non-decreasing (topological) node
+        // order.
+        for w in tap.message_nodes.windows(2) {
+            let ((t1, n1), (t2, n2)) = (w[0], w[1]);
+            if t1 == t2 {
+                assert!(n1 <= n2, "tick {t1}: node {n1} fired after {n2}");
+            }
+        }
+        // §III.10: candidate₂ accepted, candidate₁ dropped, both at the sink.
+        assert_eq!(tap.resolved.iter().filter(|(_, a, _)| *a).count(), 1);
+        assert_eq!(tap.resolved.iter().filter(|(_, a, _)| !*a).count(), 1);
+        assert!(tap.resolved.iter().all(|(n, _, _)| *n == sink_node));
     }
 }

@@ -14,9 +14,9 @@
 //! single reactor thread owns every socket through a raw readiness poller
 //! (epoll on Linux), and sessions are nonblocking state machines advanced
 //! by a fixed pool of worker threads — so 10k+ mostly-idle connections
-//! cost file descriptors, not threads. The engine's `Run` is intentionally
-//! single-threaded (`Rc`-backed interning); concurrency comes from one run
-//! per session, pinned to one worker, not from sharing a run.
+//! cost file descriptors, not threads. The engine's `PlanRun` is
+//! intentionally single-threaded (`Rc`-backed interning); concurrency comes
+//! from one run per session, pinned to one worker, not from sharing a run.
 //!
 //! Layers:
 //! - [`protocol`]: the length-prefixed frame grammar and codecs, including

@@ -27,7 +27,7 @@ use crate::reactor::{worker_loop, Reactor, WorkerQueue};
 use crate::registry::Registry;
 use crate::signal;
 use crate::stats::ServerStats;
-use spex_core::{Engine, EngineStats, ResourceLimits, TruncationOutcome};
+use spex_core::{EngineStats, ResourceLimits, TruncationOutcome};
 use spex_trace::{summary_json, AtomicHistogram, JsonlSink, Tracer};
 use spex_xml::RecoveryPolicy;
 use std::net::{SocketAddr, TcpListener};
@@ -51,9 +51,6 @@ pub struct ServerConfig {
     pub max_frame: usize,
     /// Per-session engine resource caps.
     pub limits: ResourceLimits,
-    /// Execution backend every session runs on: the compiled VM plan
-    /// (default) or the interpreter network.
-    pub engine: Engine,
     /// Parser-side recovery policy for every session.
     pub recovery: RecoveryPolicy,
     /// Truncation handling for recovery sessions.
@@ -114,7 +111,6 @@ impl Default for ServerConfig {
             max_conns: 16384,
             max_frame: crate::protocol::DEFAULT_MAX_FRAME,
             limits: ResourceLimits::default(),
-            engine: Engine::default(),
             recovery: RecoveryPolicy::Strict,
             on_truncation: TruncationOutcome::default(),
             read_timeout: Some(Duration::from_secs(30)),

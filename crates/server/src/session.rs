@@ -5,7 +5,7 @@
 //! The reactor (see [`crate::reactor`]) owns the socket and shovels bytes
 //! between it and the connection's [`Conn`] buffers; this module owns all
 //! protocol logic. A [`SessionMachine`] is pinned to one worker (the
-//! engine's `Run` holds `Rc`-backed state and is not `Send`) and advanced
+//! engine's `PlanRun` holds `Rc`-backed state and is not `Send`) and advanced
 //! whenever its connection is ready: [`SessionMachine::advance`] consumes
 //! decoded frames, drives the zero-copy `Parser::poll_into` path, emits
 //! result frames into the bounded outbound buffer, and reports why it
@@ -327,7 +327,7 @@ struct RegisterPhase {
 /// struct (it lives in a `Box` regardless). `plan` and `sinks` are never
 /// otherwise touched while `run` is alive.
 struct EvalPhase {
-    run: Option<spex_core::EngineRun<'static, 'static>>,
+    run: Option<spex_core::PlanRun<'static, 'static>>,
     parser: Parser,
     input: EvalInput,
     plan: Arc<SharedQuerySet>,
@@ -968,7 +968,7 @@ fn init_run(phase: &mut EvalPhase, shared: &Shared) {
         .iter_mut()
         .map(|b| unsafe { &mut *(b.as_mut() as *mut dyn ResultSink) })
         .collect();
-    let mut run = plan_ref.run_engine_with_limits(shared.cfg.engine, sink_refs, shared.cfg.limits);
+    let mut run = plan_ref.run_with_limits(sink_refs, shared.cfg.limits);
     run.set_tracer(shared.trace.tracer.clone());
     phase.run = Some(run);
 }
@@ -1182,7 +1182,7 @@ fn frame_sink(
 /// next resume, never the live session.
 fn checkpoint(
     d: &DurableCtx,
-    run: &mut spex_core::EngineRun<'_, '_>,
+    run: &mut spex_core::PlanRun<'_, '_>,
     parser: &Parser,
     quarantines: &[Rc<RefCell<Quarantine>>],
     delivery: &Rc<RefCell<Delivery>>,

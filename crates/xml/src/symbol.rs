@@ -20,8 +20,8 @@ use std::rc::Rc;
 /// per-call setup dominates. HashDoS resistance is irrelevant here: the
 /// table is bounded by the document vocabulary and truncated back to the
 /// query baseline between documents. The hash does not affect symbol
-/// numbering (ids are assigned in first-seen order), so both engines and
-/// all prior snapshots agree on the dense handles.
+/// numbering (ids are assigned in first-seen order), so all prior snapshots
+/// agree on the dense handles.
 #[derive(Debug, Clone, Copy)]
 struct Fnv1a(u64);
 

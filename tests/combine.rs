@@ -1,15 +1,15 @@
 //! Integration properties of the multi-tenant query combiner
 //! (`spex-combine`): a combined N-query set must be *observationally
 //! indistinguishable* from N independently-compiled evaluations — the same
-//! fragments, byte for byte, per query, on both execution engines — no
-//! matter how aggressively the combiner shares prefixes, hash-conses
+//! fragments, byte for byte, per query, on the VM and on the reference
+//! executor — no matter how aggressively the combiner shares prefixes, hash-conses
 //! qualifiers, or aliases canonically-equal queries onto one sink. On
 //! failure, proptest shrinks to the smallest (document, query set) pair
 //! exhibiting the divergence.
 
 use proptest::prelude::*;
 use spex::core::sink::ResultSink;
-use spex::core::{CompiledNetwork, Engine, Evaluator, FragmentCollector};
+use spex::core::{CompiledNetwork, FragmentCollector, SinkGroup};
 use spex::query::{Label, Rpeq};
 use spex::xml::XmlEvent;
 use std::collections::HashMap;
@@ -117,15 +117,30 @@ fn document() -> impl Strategy<Value = Vec<XmlEvent>> {
     })
 }
 
+/// Which executor a run goes through: the VM everything in production
+/// runs on, or the reference executor (`network::Run`).
+#[derive(Debug, Clone, Copy)]
+enum Executor {
+    Vm,
+    Reference,
+}
+
 /// `query` evaluated alone on its own network: the per-query oracle.
-fn independent_fragments(query: &Rpeq, events: &[XmlEvent], engine: Engine) -> Vec<String> {
+fn independent_fragments(query: &Rpeq, events: &[XmlEvent], executor: Executor) -> Vec<String> {
     let net = CompiledNetwork::compile(query);
     let mut sink = FragmentCollector::new();
-    let mut eval = Evaluator::with_engine(&net, &mut sink, engine);
-    for ev in events {
-        eval.push(ev.clone());
+    match executor {
+        Executor::Vm => {
+            let mut run = net.run(&mut sink);
+            events.iter().for_each(|ev| run.push(ev.clone()));
+            run.finish();
+        }
+        Executor::Reference => {
+            let mut run = spex::core::network::Run::new(net.spec(), vec![&mut sink]);
+            events.iter().for_each(|ev| run.push(ev.clone()));
+            run.finish();
+        }
     }
-    eval.finish();
     sink.into_fragments()
 }
 
@@ -133,7 +148,7 @@ fn independent_fragments(query: &Rpeq, events: &[XmlEvent], engine: Engine) -> V
 fn combined_fragments(
     set: &spex::core::multi::SharedQuerySet,
     events: &[XmlEvent],
-    engine: Engine,
+    executor: Executor,
 ) -> HashMap<String, Vec<String>> {
     let mut collectors: Vec<FragmentCollector> = (0..set.ids().len())
         .map(|_| FragmentCollector::new())
@@ -143,11 +158,19 @@ fn combined_fragments(
             .iter_mut()
             .map(|c| c as &mut dyn ResultSink)
             .collect();
-        let mut run = set.run_engine(engine, sinks);
-        for ev in events {
-            run.push(ev.clone());
+        match executor {
+            Executor::Vm => {
+                let mut run = set.run(sinks);
+                events.iter().for_each(|ev| run.push(ev.clone()));
+                run.finish();
+            }
+            Executor::Reference => {
+                let groups = SinkGroup::partition(sinks, set.slot_of(), set.spec().sink_count());
+                let mut run = spex::core::network::Run::with_sink_groups(set.spec(), groups);
+                events.iter().for_each(|ev| run.push(ev.clone()));
+                run.finish();
+            }
         }
-        run.finish();
     }
     set.ids()
         .iter()
@@ -174,7 +197,7 @@ proptest! {
             .map(|(i, q)| (format!("q{i}"), q.clone()))
             .collect();
         let combined = spex_combine::combine(&named).expect("generated queries compile");
-        for engine in [Engine::Vm, Engine::Network] {
+        for engine in [Executor::Vm, Executor::Reference] {
             let shared = combined_fragments(&combined.set, &events, engine);
             prop_assert_eq!(shared.len(), named.len());
             for (name, query) in &named {

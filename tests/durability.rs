@@ -1,7 +1,7 @@
 //! Durability properties with shrinking: a document-boundary checkpoint
 //! restored into a fresh run is invisible — the continuation delivers the
 //! same fragments at the same ticks and finishes with identical statistics
-//! as the uninterrupted run, on both engines and across them — and a
+//! as the uninterrupted run — and a
 //! corrupted or truncated snapshot always fails to decode with a structured
 //! error, never a panic. The seeded `harness crash-diff` rig covers volume
 //! (random kill offsets, WAL tails, recovery policies); these properties
@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use spex::core::{
-    CompiledNetwork, CountingSink, Engine, EngineStats, Evaluator, FragmentCollector, Snapshot,
+    CompiledNetwork, CountingSink, EngineStats, Evaluator, FragmentCollector, Snapshot,
     TransducerStats,
 };
 use spex::query::{Label, Rpeq};
@@ -86,9 +86,9 @@ type FullRun = (
 
 /// The uninterrupted multi-document session: every document pushed through
 /// one evaluator, `reset_session` at each boundary.
-fn run_full(net: &CompiledNetwork, engine: Engine, docs: &[Vec<XmlEvent>]) -> FullRun {
+fn run_full(net: &CompiledNetwork, docs: &[Vec<XmlEvent>]) -> FullRun {
     let mut sink = FragmentCollector::new();
-    let mut eval = Evaluator::with_engine(net, &mut sink, engine);
+    let mut eval = Evaluator::new(net, &mut sink);
     for doc in docs {
         for ev in doc {
             eval.push(ev.clone());
@@ -102,16 +102,10 @@ fn run_full(net: &CompiledNetwork, engine: Engine, docs: &[Vec<XmlEvent>]) -> Fu
 
 /// The same session killed after `split` documents: checkpoint at the
 /// boundary, encode to bytes, decode, restore into a brand-new evaluator
-/// (possibly on the other engine) and push the remaining documents there.
-fn run_checkpointed(
-    net: &CompiledNetwork,
-    engine: Engine,
-    restore_engine: Engine,
-    docs: &[Vec<XmlEvent>],
-    split: usize,
-) -> FullRun {
+/// and push the remaining documents there.
+fn run_checkpointed(net: &CompiledNetwork, docs: &[Vec<XmlEvent>], split: usize) -> FullRun {
     let mut prefix_sink = FragmentCollector::new();
-    let mut eval = Evaluator::with_engine(net, &mut prefix_sink, engine);
+    let mut eval = Evaluator::new(net, &mut prefix_sink);
     for doc in &docs[..split] {
         for ev in doc {
             eval.push(ev.clone());
@@ -125,7 +119,7 @@ fn run_checkpointed(
     drop(eval);
     let snap = Snapshot::decode(&bytes).expect("own snapshot decodes");
     let mut sink = FragmentCollector::new();
-    let mut eval = Evaluator::with_engine(net, &mut sink, restore_engine);
+    let mut eval = Evaluator::new(net, &mut sink);
     eval.restore(&snap).expect("own snapshot restores");
     for doc in &docs[split..] {
         for ev in doc {
@@ -152,36 +146,24 @@ proptest! {
     ) {
         let net = CompiledNetwork::compile(&q);
         let split = 1 + (split_sel as usize) % (docs.len() - 1);
-        for (engine, restore_engine) in [
-            (Engine::Vm, Engine::Vm),
-            (Engine::Network, Engine::Network),
-            // Snapshots are engine-portable: checkpoint under the VM,
-            // restore into the interpreter network.
-            (Engine::Vm, Engine::Network),
-        ] {
-            let base = run_full(&net, restore_engine, &docs);
-            let resumed = run_checkpointed(&net, engine, restore_engine, &docs, split);
-            prop_assert_eq!(
-                &resumed.0, &base.0,
-                "fragments diverge for `{}` split {} ({}->{})",
-                &q, split, engine, restore_engine
-            );
-            prop_assert_eq!(
-                &resumed.1, &base.1,
-                "stats diverge for `{}` split {} ({}->{})",
-                &q, split, engine, restore_engine
-            );
-            prop_assert_eq!(
-                &resumed.2, &base.2,
-                "transducer stats diverge for `{}` split {} ({}->{})",
-                &q, split, engine, restore_engine
-            );
-            prop_assert_eq!(
-                &resumed.3, &base.3,
-                "delivery timing diverges for `{}` split {} ({}->{})",
-                &q, split, engine, restore_engine
-            );
-        }
+        let base = run_full(&net, &docs);
+        let resumed = run_checkpointed(&net, &docs, split);
+        prop_assert_eq!(
+            &resumed.0, &base.0,
+            "fragments diverge for `{}` split {}", &q, split
+        );
+        prop_assert_eq!(
+            &resumed.1, &base.1,
+            "stats diverge for `{}` split {}", &q, split
+        );
+        prop_assert_eq!(
+            &resumed.2, &base.2,
+            "transducer stats diverge for `{}` split {}", &q, split
+        );
+        prop_assert_eq!(
+            &resumed.3, &base.3,
+            "delivery timing diverges for `{}` split {}", &q, split
+        );
     }
 
     #[test]

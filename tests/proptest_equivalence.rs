@@ -285,26 +285,30 @@ proptest! {
 
     #[test]
     fn vm_matches_the_interpreter_network(events in document(), q in query()) {
-        // The tentpole identity under shrinking: the compiled-plan VM and
-        // the interpreter network it lowers deliver byte-identical
+        // The VM's scheduling identity under shrinking: the compiled-plan
+        // VM and the reference executor (`network::Run`) deliver byte-identical
         // fragments at the same ticks, with equal engine *and*
         // per-transducer statistics. The seeded `harness vm-diff` rig
         // covers volume; this property covers minimization — a divergence
         // here shrinks to the smallest (document, query) pair exhibiting
         // it.
         let net = spex::core::CompiledNetwork::compile(&q);
-        let run = |engine| {
-            let mut sink = spex::core::FragmentCollector::new();
-            let mut eval = spex::core::Evaluator::with_engine(&net, &mut sink, engine);
-            for ev in &events {
-                eval.push(ev.clone());
-            }
-            let (stats, transducers) = eval.finish_full();
-            let timing = sink.timing.clone();
-            (sink.into_fragments(), stats, transducers, timing)
-        };
-        let vm = run(spex::core::Engine::Vm);
-        let net_run = run(spex::core::Engine::Network);
+        // `PlanRun` and the reference `Run`: same methods, no shared trait.
+        macro_rules! outcome {
+            ($run:expr, $sink:ident) => {{
+                let mut run = $run;
+                for ev in &events {
+                    run.push(ev.clone());
+                }
+                let (stats, transducers) = run.finish_full();
+                let timing = $sink.timing.clone();
+                ($sink.into_fragments(), stats, transducers, timing)
+            }};
+        }
+        let mut sink = spex::core::FragmentCollector::new();
+        let vm = outcome!(net.run(&mut sink), sink);
+        let mut sink = spex::core::FragmentCollector::new();
+        let net_run = outcome!(spex::core::network::Run::new(net.spec(), vec![&mut sink]), sink);
         prop_assert_eq!(&vm.0, &net_run.0, "fragments diverge for `{}`", &q);
         prop_assert_eq!(&vm.1, &net_run.1, "engine stats diverge for `{}`", &q);
         prop_assert_eq!(&vm.2, &net_run.2, "transducer stats diverge for `{}`", &q);
@@ -332,34 +336,34 @@ proptest! {
         q2 in nested_query(),
         q3 in query()
     ) {
-        // A three-query shared set on the VM: per-query result counts and
-        // the engine statistics must match the interpreter run of the same
-        // shared network (`count_events`), and each count must match the
-        // query evaluated alone.
+        // A three-query shared set on the VM (`count_events`): per-query
+        // result counts and the engine statistics must match the reference
+        // executor's run of the same shared network, and each count must
+        // match the query evaluated alone.
         use spex::core::sink::ResultSink;
         let set = spex::core::multi::SharedQuerySet::compile(&[
             ("q1".to_string(), q1.clone()),
             ("q2".to_string(), q2.clone()),
             ("q3".to_string(), q3.clone()),
         ]);
-        let (net_counts, net_stats) = set.count_events(events.iter().cloned());
+        let (vm_counts, vm_stats) = set.count_events(events.iter().cloned());
         let mut counters = [
             spex::core::CountingSink::new(),
             spex::core::CountingSink::new(),
             spex::core::CountingSink::new(),
         ];
-        let vm_stats = {
+        let net_stats = {
             let sinks: Vec<&mut dyn ResultSink> = counters
                 .iter_mut()
                 .map(|c| c as &mut dyn ResultSink)
                 .collect();
-            let mut run = set.run_engine(spex::core::Engine::Vm, sinks);
+            let mut run = spex::core::network::Run::new(set.spec(), sinks);
             for ev in &events {
                 run.push(ev.clone());
             }
             run.finish()
         };
-        let vm_counts: Vec<usize> = counters.iter().map(|c| c.results).collect();
+        let net_counts: Vec<usize> = counters.iter().map(|c| c.results).collect();
         prop_assert_eq!(&vm_counts, &net_counts, "q1 `{}`, q2 `{}`, q3 `{}`", &q1, &q2, &q3);
         prop_assert_eq!(&vm_stats, &net_stats, "q1 `{}`, q2 `{}`, q3 `{}`", &q1, &q2, &q3);
         prop_assert_eq!(vm_counts[0], spex_spans(&q1, &events).len(), "q1 `{}`", &q1);
