@@ -36,7 +36,7 @@ fn multiquery(c: &mut Criterion) {
                 b.iter(|| {
                     let mut sinks: Vec<CountingSink> =
                         (0..networks.len()).map(|_| CountingSink::new()).collect();
-                    let mut evals: Vec<Evaluator> = networks
+                    let mut evals: Vec<Evaluator<_>> = networks
                         .iter()
                         .zip(sinks.iter_mut())
                         .map(|(net, sink)| Evaluator::new(net, sink))

@@ -2279,7 +2279,7 @@ fn multiquery() {
         let mut sinks: Vec<spex_core::CountingSink> =
             (0..n).map(|_| spex_core::CountingSink::new()).collect();
         {
-            let mut evals: Vec<spex_core::Evaluator> = networks
+            let mut evals: Vec<spex_core::Evaluator<_>> = networks
                 .iter()
                 .zip(sinks.iter_mut())
                 .map(|(net, sink)| spex_core::Evaluator::new(net, sink))
@@ -2394,7 +2394,7 @@ fn filter_independent(queries: &[(String, Rpeq)], events: &[XmlEvent]) -> (Vec<u
         .collect();
     let start = Instant::now();
     {
-        let mut evals: Vec<spex_core::Evaluator> = networks
+        let mut evals: Vec<spex_core::Evaluator<_>> = networks
             .iter()
             .zip(sinks.iter_mut())
             .map(|(net, sink)| spex_core::Evaluator::new(net, sink))

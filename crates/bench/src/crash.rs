@@ -34,28 +34,40 @@ use crate::fault::{mutate, Mutator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spex_core::{
-    CompiledNetwork, Evaluator, FragmentFnSink, Quarantine, ResultSink, SessionState, Snapshot,
+    CompiledNetwork, FragmentCollector, Quarantine, ResultSink, SessionState, Snapshot,
     TruncationOutcome,
 };
 use spex_trace::HistogramSummary;
-use spex_xml::{Fault, Reader, RecoveryPolicy};
-use std::cell::RefCell;
-use std::rc::Rc;
+use spex_xml::{Fault, Reader, RecoveryPolicy, StoredKind};
 
-/// A [`Quarantine`] behind `Rc<RefCell>` so the checkpoint hook can export
-/// its fragments while the evaluator holds the sink borrow (mirrors the
-/// server's durable session wiring).
-struct SharedQuarantine(Rc<RefCell<Quarantine>>);
+/// The run's sink, owned by the run as the server's session sink is:
+/// fragments stream straight out under `strict`, and are quarantined until
+/// the damage intervals are known under a recovery policy.
+#[derive(Default)]
+struct RigSink {
+    streamed: FragmentCollector,
+    /// `Some` under a recovery policy.
+    held: Option<Quarantine>,
+}
 
-impl ResultSink for SharedQuarantine {
+impl RigSink {
+    fn target(&mut self) -> &mut dyn ResultSink {
+        match &mut self.held {
+            Some(q) => q,
+            None => &mut self.streamed,
+        }
+    }
+}
+
+impl ResultSink for RigSink {
     fn begin(&mut self, meta: spex_core::ResultMeta, now: u64) {
-        self.0.borrow_mut().begin(meta, now);
+        self.target().begin(meta, now);
     }
     fn event(&mut self, event: &spex_xml::RawEvent<'_>, now: u64) {
-        self.0.borrow_mut().event(event, now);
+        self.target().event(event, now);
     }
     fn end(&mut self, now: u64) {
-        self.0.borrow_mut().end(now);
+        self.target().end(now);
     }
 }
 
@@ -78,17 +90,6 @@ struct RunResult {
     stats: spex_core::EngineStats,
     transducers: Vec<spex_core::TransducerStats>,
     latency: Vec<(usize, HistogramSummary)>,
-}
-
-type BoxedSink<'a> = FragmentFnSink<Box<dyn FnMut(&[u8]) + 'a>>;
-
-fn collecting_sink(store: &Rc<RefCell<Vec<String>>>) -> BoxedSink<'static> {
-    let store = Rc::clone(store);
-    FragmentFnSink::new(Box::new(move |fragment: &[u8]| {
-        store
-            .borrow_mut()
-            .push(String::from_utf8_lossy(fragment).into_owned());
-    }))
 }
 
 /// Drive one run to completion: from scratch (`resume == None`) or from a
@@ -119,83 +120,79 @@ fn drive(
         );
     }
 
-    let fragments: Rc<RefCell<Vec<String>>> = Rc::new(RefCell::new(Vec::new()));
-    let quarantine = Rc::new(RefCell::new(Quarantine::new()));
+    let mut sink = RigSink::default();
     if recovering {
+        let mut held = Quarantine::new();
         if let Some(frags) = session.quarantines.first() {
-            quarantine.borrow_mut().import_fragments(frags.clone());
+            held.import_fragments(frags.clone());
         }
+        sink.held = Some(held);
     }
-    let mut stream_sink;
-    let mut quarantine_sink;
-    let sink: &mut dyn ResultSink = if recovering {
-        quarantine_sink = SharedQuarantine(Rc::clone(&quarantine));
-        &mut quarantine_sink
-    } else {
-        stream_sink = collecting_sink(&fragments);
-        &mut stream_sink
-    };
 
-    let mut eval = Evaluator::new(network, sink);
+    let mut run = network.run(sink);
     if let Some(snap) = resume {
-        eval.restore(snap)
+        run.restore(snap)
             .map_err(|e| format!("{policy}: restore failed: {e}"))?;
     }
 
     let mut documents = session.documents;
     let mut checkpoints = Vec::new();
-    loop {
-        match eval.push_step(&mut reader) {
-            Ok(Some(true)) => {
-                documents += 1;
-                eval.reset_session();
-                if checkpoint {
-                    let mut snap = eval
-                        .checkpoint()
-                        .map_err(|e| format!("{policy}: checkpoint failed: {e}"))?;
-                    let (reader_emitted, position, lt_consumed) = reader.resume_point();
-                    let mut faults = prior_faults.clone();
-                    faults.extend(reader.faults().iter().cloned());
-                    snap.session = Some(SessionState {
-                        faults,
-                        quarantines: vec![quarantine.borrow().export_fragments()],
-                        delivered: vec![fragments.borrow().len() as u64],
-                        reader_emitted,
-                        position,
-                        lt_consumed,
-                        documents,
-                    });
-                    checkpoints.push(CheckpointAt {
-                        offset: position.offset,
-                        delivered: fragments.borrow().len(),
-                        snapshot: snap,
-                    });
-                }
-            }
-            Ok(Some(false)) => {}
-            Ok(None) => break,
-            Err(e) => return Err(format!("{policy}: {e}")),
+    while let Some(id) = reader
+        .next_into(run.store_mut())
+        .map_err(|e| format!("{policy}: {e}"))?
+    {
+        let end_of_document = run.store().stored(id).kind == StoredKind::EndDocument;
+        run.try_push_id(id).map_err(|e| format!("{policy}: {e}"))?;
+        if !end_of_document {
+            continue;
+        }
+        documents += 1;
+        run.reset_session();
+        if checkpoint {
+            let mut snap = run
+                .checkpoint()
+                .map_err(|e| format!("{policy}: checkpoint failed: {e}"))?;
+            let (reader_emitted, position, lt_consumed) = reader.resume_point();
+            let mut faults = prior_faults.clone();
+            faults.extend(reader.faults().iter().cloned());
+            let sink = &run.sinks()[0];
+            let delivered = sink.streamed.fragments().len();
+            snap.session = Some(SessionState {
+                faults,
+                quarantines: vec![sink
+                    .held
+                    .as_ref()
+                    .map(Quarantine::export_fragments)
+                    .unwrap_or_default()],
+                delivered: vec![delivered as u64],
+                reader_emitted,
+                position,
+                lt_consumed,
+                documents,
+            });
+            checkpoints.push(CheckpointAt {
+                offset: position.offset,
+                delivered,
+                snapshot: snap,
+            });
         }
     }
 
     let mut all_faults = prior_faults;
     all_faults.extend(reader.take_faults());
-    if recovering {
-        let mut out = collecting_sink(&fragments);
-        quarantine
-            .borrow_mut()
-            .drain_into(&all_faults, TruncationOutcome::Drop, &mut out);
-    }
-    let latency = eval
+    let latency = run
         .determination_latency()
         .iter()
         .map(|(id, h)| (*id, h.summary()))
         .collect();
-    let (stats, transducers) = eval.finish_full();
-    let fragments = fragments.borrow().clone();
+    let (stats, transducers, mut sinks) = run.finish_into_sinks();
+    let mut sink = sinks.pop().expect("one query, one sink");
+    if let Some(mut held) = sink.held.take() {
+        held.drain_into(&all_faults, TruncationOutcome::Drop, &mut sink.streamed);
+    }
     Ok(RunResult {
         checkpoints,
-        fragments,
+        fragments: sink.streamed.into_fragments(),
         faults: format!("{all_faults:?}"),
         stats,
         transducers,

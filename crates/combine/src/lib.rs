@@ -21,8 +21,8 @@
 //!    canonical form is equal (the limit case of common-suffix merging —
 //!    the downstream context is identical) share one physical output
 //!    transducer; each registered name still gets its own logical result
-//!    stream, fanned out at result-delivery time
-//!    ([`spex_core::SinkGroup`]). Result delivery is the rare path, so
+//!    stream, fanned out at result-delivery time (the run's slot table,
+//!    [`spex_core::PlanRun::with_slots`]). Result delivery is the rare path, so
 //!    aliases are free per event — this is what makes per-event cost scale
 //!    with the number of *distinct* query structures, not registrations.
 //!

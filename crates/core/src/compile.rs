@@ -34,7 +34,7 @@ use crate::sink::ResultSink;
 use crate::vm::{Plan, PlanRun};
 use spex_query::Rpeq;
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Queries outside the compilable fragment.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,7 +72,7 @@ pub struct CompiledNetwork {
     spec: NetworkSpec,
     query: Rpeq,
     /// The flat VM plan, lowered on first use and shared by every run.
-    plan: OnceLock<Plan>,
+    plan: OnceLock<Arc<Plan>>,
 }
 
 impl CompiledNetwork {
@@ -116,14 +116,15 @@ impl CompiledNetwork {
     }
 
     /// Instantiate the network over a stream, delivering results to `sink`.
-    pub fn run<'n, 's>(&'n self, sink: &'s mut dyn ResultSink) -> PlanRun<'n, 's> {
-        PlanRun::new(self.plan(), vec![sink])
+    pub fn run<S: ResultSink>(&self, sink: S) -> PlanRun<S> {
+        PlanRun::new(Arc::clone(self.plan()), vec![sink])
     }
 
     /// The flat VM plan, lowered from the network spec on first use and
     /// cached (see [`Plan`] and DESIGN.md §14).
-    pub fn plan(&self) -> &Plan {
-        self.plan.get_or_init(|| Plan::compile(&self.spec))
+    pub fn plan(&self) -> &Arc<Plan> {
+        self.plan
+            .get_or_init(|| Arc::new(Plan::compile(&self.spec)))
     }
 }
 

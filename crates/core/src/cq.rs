@@ -31,12 +31,12 @@
 
 use crate::compile::{translate, translate_qualifier};
 use crate::network::{NetworkBuilder, NetworkSpec, Tape};
-use crate::sink::{FragmentCollector, ResultSink};
-use crate::stats::EngineStats;
+use crate::sink::FragmentCollector;
 use crate::vm::{Plan, PlanRun};
 use spex_query::{ParseError, Rpeq};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// One atom `Y r Z`: from the bindings of `Y`, evaluate `r`, binding `Z`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -316,21 +316,14 @@ impl ConjunctiveQuery {
     /// fragments per head variable.
     pub fn evaluate_str(&self, xml: &str) -> Result<BTreeMap<String, Vec<String>>, CqError> {
         let (spec, sink_vars) = self.compile()?;
-        let mut collectors: Vec<FragmentCollector> = (0..sink_vars.len())
+        let collectors = (0..sink_vars.len())
             .map(|_| FragmentCollector::new())
             .collect();
-        {
-            let sinks: Vec<&mut dyn ResultSink> = collectors
-                .iter_mut()
-                .map(|c| c as &mut dyn ResultSink)
-                .collect();
-            let plan = Plan::compile(&spec);
-            let mut run = PlanRun::new(&plan, sinks);
-            for ev in spex_xml::Reader::from_bytes(xml.as_bytes().to_vec()) {
-                run.push(ev?);
-            }
-            let _: EngineStats = run.finish();
+        let mut run = PlanRun::new(Arc::new(Plan::compile(&spec)), collectors);
+        for ev in spex_xml::Reader::from_bytes(xml.as_bytes().to_vec()) {
+            run.push(ev?);
         }
+        let (_, _, collectors) = run.finish_into_sinks();
         Ok(sink_vars
             .into_iter()
             .zip(collectors)

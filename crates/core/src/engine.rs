@@ -16,13 +16,13 @@
 use crate::compile::CompiledNetwork;
 use crate::limits::{LimitBreach, LimitKind, ResourceLimits};
 use crate::sink::{FragmentCollector, ResultSink};
-use crate::stats::{EngineStats, Tap, TransducerStats};
+use crate::stats::{EngineStats, TransducerStats};
+#[cfg(doc)]
+use crate::vm::Machine;
 use crate::vm::PlanRun;
 use spex_query::Rpeq;
 use spex_xml::{XmlError, XmlEvent};
-use std::cell::RefCell;
 use std::fmt;
-use std::rc::Rc;
 
 /// Errors surfaced by the evaluator and the convenience functions.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -120,13 +120,15 @@ impl From<crate::compile::CompileError> for EvalError {
 /// the same stream (each `<$>…</$>` pair is processed independently, as in
 /// the paper's infinite-stream experiments) — transducer stacks are balanced
 /// and return to their initial states at every `</$>`.
-pub struct Evaluator<'n, 's> {
-    run: PlanRun<'n, 's>,
+pub struct Evaluator<S: ResultSink> {
+    run: PlanRun<S>,
 }
 
-impl<'n, 's> Evaluator<'n, 's> {
-    /// Start an evaluation of `network` delivering results to `sink`.
-    pub fn new(network: &'n CompiledNetwork, sink: &'s mut dyn ResultSink) -> Self {
+impl<S: ResultSink> Evaluator<S> {
+    /// Start an evaluation of `network` delivering results to `sink`. The
+    /// evaluation owns `sink`; pass `&mut sink` to read it afterwards (a
+    /// driver that needs its sink back by value runs a [`PlanRun`] itself).
+    pub fn new(network: &CompiledNetwork, sink: S) -> Self {
         Evaluator {
             run: network.run(sink),
         }
@@ -137,11 +139,7 @@ impl<'n, 's> Evaluator<'n, 's> {
     /// [`EvalError::ResourceExhausted`] from the push methods and refuses
     /// further input, but statistics remain readable and results already
     /// determined have reached the sink.
-    pub fn with_limits(
-        network: &'n CompiledNetwork,
-        sink: &'s mut dyn ResultSink,
-        limits: ResourceLimits,
-    ) -> Self {
+    pub fn with_limits(network: &CompiledNetwork, sink: S, limits: ResourceLimits) -> Self {
         let mut eval = Self::new(network, sink);
         eval.run.set_limits(limits);
         eval
@@ -218,13 +216,13 @@ impl<'n, 's> Evaluator<'n, 's> {
     /// drops stale candidate buffers, recycles the event arena, and truncates
     /// the symbol table back to the query-label baseline, while keeping the
     /// compiled network, accumulated statistics, and allocated capacity. See
-    /// [`PlanRun::reset_session`].
+    /// [`Machine::reset_session`].
     pub fn reset_session(&mut self) {
         self.run.reset_session();
     }
 
     /// Capture the run's accumulator state at a quiescent document boundary
-    /// (see [`PlanRun::checkpoint`]). Call right after
+    /// (see [`Machine::checkpoint`]). Call right after
     /// [`Evaluator::reset_session`]; returns
     /// [`crate::SnapshotError::NotQuiescent`] anywhere else.
     pub fn checkpoint(&self) -> Result<crate::Snapshot, crate::SnapshotError> {
@@ -232,17 +230,12 @@ impl<'n, 's> Evaluator<'n, 's> {
     }
 
     /// Restore a snapshot into this freshly built evaluator (see
-    /// [`PlanRun::restore`]).
+    /// [`Machine::restore`]).
     pub fn restore(&mut self, snap: &crate::Snapshot) -> Result<(), crate::SnapshotError> {
         self.run.restore(snap)
     }
 
-    /// Attach a live observability tap (see [`Tap`]).
-    pub fn set_tap(&mut self, tap: Rc<RefCell<dyn Tap>>) {
-        self.run.set_tap(tap);
-    }
-
-    /// Attach a trace export handle (see [`PlanRun::set_tracer`]): the engine
+    /// Attach a trace export handle (see [`Machine::set_tracer`]): the engine
     /// emits its counters, buffer high-water marks and per-output-node
     /// determination-latency histograms when the evaluation finishes.
     pub fn set_tracer(&mut self, tracer: spex_trace::Tracer) {
@@ -250,7 +243,7 @@ impl<'n, 's> Evaluator<'n, 's> {
     }
 
     /// Determination-latency histograms, one `(node id, histogram)` pair
-    /// per output node (see [`PlanRun::determination_latency`]). Latency is
+    /// per output node (see [`Machine::determination_latency`]). Latency is
     /// counted in *events* between a candidate entering the output buffer
     /// and its condition formula becoming determined — the paper's
     /// earliness measure. Snapshot the value before calling
@@ -265,7 +258,7 @@ impl<'n, 's> Evaluator<'n, 's> {
         self.run.transducer_stats()
     }
 
-    /// Enable transition tracing (see [`PlanRun::set_tracing`]).
+    /// Enable transition tracing (see [`Machine::set_tracing`]).
     pub fn set_tracing(&mut self, on: bool) {
         self.run.set_tracing(on);
     }

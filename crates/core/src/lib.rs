@@ -23,9 +23,10 @@
 //! * [`compile`] — the denotational translation `C` of Fig. 11,
 //! * [`vm`] — the engine: the network lowered to a flat bytecode [`Plan`]
 //!   and executed tick-synchronously by [`PlanRun`] ("at any time there is
-//!   only one \[document\] message in the network", §III.2); everything
-//!   below runs on it, and a differential rig keeps its scheduling equal to
-//!   the reference executor's (DESIGN.md §14),
+//!   only one \[document\] message in the network", §III.2), which owns
+//!   what it runs on — a share of the plan, the run-wide variable namespace
+//!   and its sinks; everything below runs on it, and a differential rig
+//!   keeps its scheduling equal to the reference executor's (DESIGN.md §14),
 //! * [`engine`] — the user-facing [`Evaluator`] driving XML events through a
 //!   compiled network,
 //! * [`sink`] — result delivery (progressive fragments in document order),
@@ -80,10 +81,10 @@ pub use recover::{
     RecoveryOptions, RunReport, TruncationOutcome,
 };
 pub use sink::{
-    CountingSink, FragmentCollector, FragmentFnSink, ResultMeta, ResultSink, SinkGroup,
-    SpanCollector, StreamingSink,
+    CountingSink, FragmentCollector, FragmentFnSink, ResultMeta, ResultSink, SpanCollector,
+    StreamingSink,
 };
 pub use snapshot::{FragmentState, SessionState, Snapshot, SnapshotError};
 pub use spex_xml::ScannerKind;
-pub use stats::{json_escape, stats_json, EngineStats, Tap, TransducerStats};
-pub use vm::{Engine, Plan, PlanRun};
+pub use stats::{json_escape, stats_json, EngineStats, TransducerStats};
+pub use vm::{Engine, Machine, Plan, PlanRun};

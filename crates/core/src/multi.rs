@@ -27,13 +27,13 @@
 //! ```
 
 use crate::network::{NetworkBuilder, NetworkSpec, Tape};
-use crate::sink::{CountingSink, ResultSink, SinkGroup};
+use crate::sink::{CountingSink, ResultSink};
 use crate::stats::EngineStats;
 use crate::vm::{Engine, Plan, PlanRun};
 use spex_query::Rpeq;
 use spex_xml::XmlEvent;
 use std::collections::HashMap;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Many queries compiled into one shared multi-sink network. See the
 /// [module documentation](self).
@@ -50,7 +50,7 @@ pub struct SharedQuerySet {
     /// The flat VM plan, lowered on first use and shared by every session
     /// (the server's plan registry caches `Arc<SharedQuerySet>`, so the
     /// lowering happens once per cached entry).
-    plan: OnceLock<Plan>,
+    plan: OnceLock<Arc<Plan>>,
 }
 
 impl SharedQuerySet {
@@ -193,22 +193,21 @@ impl SharedQuerySet {
     }
 
     /// Instantiate over a stream with one sink per *logical* query (sink
-    /// order == [`SharedQuerySet::ids`] order). Queries aliased onto one
-    /// physical sink by the combiner each still receive their own result
-    /// stream — the shared sink fans out at delivery time.
-    pub fn run<'n, 's>(&'n self, sinks: Vec<&'s mut dyn ResultSink>) -> PlanRun<'n, 's> {
-        let groups = SinkGroup::partition(sinks, &self.slot_of, self.spec.sink_count());
-        PlanRun::with_sink_groups(self.plan(), groups)
+    /// order == [`SharedQuerySet::ids`] order), owned by the run. Queries
+    /// aliased onto one physical sink by the combiner each still receive
+    /// their own result stream — the shared sink fans out at delivery time.
+    pub fn run<S: ResultSink>(&self, sinks: Vec<S>) -> PlanRun<S> {
+        PlanRun::with_slots(Arc::clone(self.plan()), sinks, &self.slot_of)
     }
 
     /// Like [`SharedQuerySet::run`], with resource caps attached (see
     /// [`crate::ResourceLimits`]); use [`PlanRun::try_push`] to observe a
     /// breach.
-    pub fn run_with_limits<'n, 's>(
-        &'n self,
-        sinks: Vec<&'s mut dyn ResultSink>,
+    pub fn run_with_limits<S: ResultSink>(
+        &self,
+        sinks: Vec<S>,
         limits: crate::limits::ResourceLimits,
-    ) -> PlanRun<'n, 's> {
+    ) -> PlanRun<S> {
         let mut run = self.run(sinks);
         run.set_limits(limits);
         run
@@ -216,17 +215,14 @@ impl SharedQuerySet {
 
     /// The flat VM plan, lowered from the shared network on first use and
     /// cached (see [`Plan`] and DESIGN.md §14).
-    pub fn plan(&self) -> &Plan {
-        self.plan.get_or_init(|| Plan::compile(&self.spec))
+    pub fn plan(&self) -> &Arc<Plan> {
+        self.plan
+            .get_or_init(|| Arc::new(Plan::compile(&self.spec)))
     }
 
     // Only for `benchmark/trace` (frozen in this PR), which calls `run_engine(Engine::Vm, …)`; the next `benchmark` PR drops it.
     #[doc(hidden)]
-    pub fn run_engine<'n, 's>(
-        &'n self,
-        _engine: Engine,
-        sinks: Vec<&'s mut dyn ResultSink>,
-    ) -> PlanRun<'n, 's> {
+    pub fn run_engine<S: ResultSink>(&self, _engine: Engine, sinks: Vec<S>) -> PlanRun<S> {
         self.run(sinks)
     }
 
@@ -236,19 +232,12 @@ impl SharedQuerySet {
         &self,
         events: impl IntoIterator<Item = XmlEvent>,
     ) -> (Vec<usize>, EngineStats) {
-        let mut counters: Vec<CountingSink> =
-            (0..self.ids.len()).map(|_| CountingSink::new()).collect();
-        let stats = {
-            let sinks: Vec<&mut dyn ResultSink> = counters
-                .iter_mut()
-                .map(|c| c as &mut dyn ResultSink)
-                .collect();
-            let mut run = self.run(sinks);
-            for ev in events {
-                run.push(ev);
-            }
-            run.finish()
-        };
+        let counters = (0..self.ids.len()).map(|_| CountingSink::new()).collect();
+        let mut run = self.run(counters);
+        for ev in events {
+            run.push(ev);
+        }
+        let (stats, _, counters) = run.finish_into_sinks();
         (counters.into_iter().map(|c| c.results).collect(), stats)
     }
 }

@@ -18,7 +18,7 @@
 use crate::engine::EvalError;
 use crate::limits::{LimitBreach, ResourceLimits};
 use crate::message::{DocEvent, Message};
-use crate::sink::{ResultSink, SinkGroup};
+use crate::sink::{ResultSink, SinkBank, Slot};
 use crate::stats::{EngineStats, TransducerStats};
 use crate::transducers::child::{Child, MatchLabel};
 use crate::transducers::closure::Closure;
@@ -32,13 +32,11 @@ use crate::transducers::var_determinant::VarDeterminant;
 use crate::transducers::var_filter::VarFilter;
 use crate::transducers::Transducer;
 #[cfg(doc)]
-use crate::vm::PlanRun;
+use crate::vm::{Machine, PlanRun};
 use spex_formula::{QualifierId, VarFactory};
 use spex_query::Label;
 use spex_trace::Histogram;
 use spex_xml::{EventId, EventStore, StoredKind, XmlEvent};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// The template of one network node — which transducer to instantiate.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -244,7 +242,6 @@ enum NodeInstance {
 fn build_nodes(
     spec: &NetworkSpec,
     symbols: &mut spex_xml::SymbolTable,
-    factory: &Rc<RefCell<VarFactory>>,
 ) -> (Vec<NodeInstance>, Vec<usize>) {
     let mut nodes = Vec::with_capacity(spec.nodes.len());
     let mut sink_index = vec![usize::MAX; spec.nodes.len()];
@@ -260,16 +257,10 @@ fn build_nodes(
             NodeSpec::Following(l) => NodeInstance::Single(Box::new(
                 crate::transducers::following::Following::new(MatchLabel::resolve(l, symbols)),
             )),
-            NodeSpec::Preceding(l, q) => {
-                NodeInstance::Single(Box::new(crate::transducers::preceding::Preceding::new(
-                    MatchLabel::resolve(l, symbols),
-                    *q,
-                    factory.clone(),
-                )))
-            }
-            NodeSpec::VarCreator(q) => {
-                NodeInstance::Single(Box::new(VarCreator::new(*q, factory.clone())))
-            }
+            NodeSpec::Preceding(l, q) => NodeInstance::Single(Box::new(
+                crate::transducers::preceding::Preceding::new(MatchLabel::resolve(l, symbols), *q),
+            )),
+            NodeSpec::VarCreator(q) => NodeInstance::Single(Box::new(VarCreator::new(*q))),
             NodeSpec::VarFilterPos(q, inner) => {
                 NodeInstance::Single(Box::new(VarFilter::positive(*q, inner.0..inner.1)))
             }
@@ -296,9 +287,9 @@ fn build_nodes(
 }
 
 /// The reference executor: a running instantiation of a network over one
-/// stream, pushing results into borrowed sinks (one per network sink). Same
+/// stream, pushing results into its sinks (one per logical query). Same
 /// contract as [`PlanRun`], method for method.
-pub struct Run<'n, 's> {
+pub struct Run<'n, S: ResultSink> {
     spec: &'n NetworkSpec,
     nodes: Vec<NodeInstance>,
     /// Which sink (index into `sinks`) each node feeds, for output nodes.
@@ -308,8 +299,8 @@ pub struct Run<'n, 's> {
     /// consumers[node] — (downstream node, port) pairs.
     consumers: Vec<Vec<(usize, usize)>>,
     store: EventStore,
-    factory: Rc<RefCell<VarFactory>>,
-    sinks: Vec<SinkGroup<'s>>,
+    vars: VarFactory,
+    sinks: SinkBank<S>,
     stats: EngineStats,
     /// Per-node measurements, same indexing as `nodes`.
     node_stats: Vec<TransducerStats>,
@@ -324,25 +315,20 @@ pub struct Run<'n, 's> {
     det_latency: Vec<Histogram>,
 }
 
-impl<'n, 's> Run<'n, 's> {
+impl<'n, S: ResultSink> Run<'n, S> {
     /// Instantiate `spec` with one sink per network sink node.
-    pub fn new(spec: &'n NetworkSpec, sinks: Vec<&'s mut dyn ResultSink>) -> Self {
-        Self::with_sink_groups(spec, sinks.into_iter().map(SinkGroup::One).collect())
+    pub fn new(spec: &'n NetworkSpec, sinks: Vec<S>) -> Self {
+        let identity: Vec<usize> = (0..spec.sinks.len()).collect();
+        Self::with_slots(spec, sinks, &identity)
     }
 
-    /// Instantiate `spec` with one [`SinkGroup`] per network sink node (see
-    /// [`PlanRun::with_sink_groups`]).
-    pub fn with_sink_groups(spec: &'n NetworkSpec, sinks: Vec<SinkGroup<'s>>) -> Self {
-        assert_eq!(
-            sinks.len(),
-            spec.sinks.len(),
-            "network has {} sink(s), {} provided",
-            spec.sinks.len(),
-            sinks.len()
-        );
+    /// Instantiate `spec` with one sink per logical query, `slot_of[i]`
+    /// naming the network sink node serving `sinks[i]` (see
+    /// [`PlanRun::with_slots`]).
+    pub fn with_slots(spec: &'n NetworkSpec, sinks: Vec<S>, slot_of: &[usize]) -> Self {
+        let sinks = SinkBank::new(sinks, slot_of, spec.sinks.len());
         let mut store = EventStore::new();
-        let factory = Rc::new(RefCell::new(VarFactory::new()));
-        let (nodes, sink_index) = build_nodes(spec, store.symbols_mut(), &factory);
+        let (nodes, sink_index) = build_nodes(spec, store.symbols_mut());
         let symbol_baseline = store.symbols().len();
         // Wire consumers: node u feeds (v, port) for each input edge of v.
         let mut consumers: Vec<Vec<(usize, usize)>> = vec![Vec::new(); spec.nodes.len()];
@@ -374,7 +360,7 @@ impl<'n, 's> Run<'n, 's> {
             inbox,
             consumers,
             store,
-            factory,
+            vars: VarFactory::new(),
             sinks,
             stats: EngineStats::default(),
             node_stats,
@@ -388,17 +374,17 @@ impl<'n, 's> Run<'n, 's> {
         }
     }
 
-    /// See [`PlanRun::set_limits`].
+    /// See [`Machine::set_limits`].
     pub fn set_limits(&mut self, limits: ResourceLimits) {
         self.limits = limits;
     }
 
-    /// See [`PlanRun::exhausted`].
+    /// See [`Machine::exhausted`].
     pub fn exhausted(&self) -> Option<LimitBreach> {
         self.exhausted
     }
 
-    /// See [`PlanRun::set_tracing`].
+    /// See [`Machine::set_tracing`].
     pub fn set_tracing(&mut self, on: bool) {
         self.tracing = on;
         for n in &mut self.nodes {
@@ -410,7 +396,7 @@ impl<'n, 's> Run<'n, 's> {
         }
     }
 
-    /// See [`PlanRun::take_traces`].
+    /// See [`Machine::take_traces`].
     pub fn take_traces(&mut self) -> Vec<String> {
         self.nodes
             .iter_mut()
@@ -508,7 +494,7 @@ impl<'n, 's> Run<'n, 's> {
                         self.stats.observe_formula(size);
                         self.node_stats[id].max_formula_size =
                             self.node_stats[id].max_formula_size.max(size);
-                        t.step(m, &mut outbuf);
+                        t.step(m, &mut self.vars, &mut outbuf);
                     }
                     let (d, c) = t.stack_sizes();
                     self.stats.observe_stacks(d, c);
@@ -537,7 +523,7 @@ impl<'n, 's> Run<'n, 's> {
                                 self.node_stats[id].max_formula_size.max(size);
                             o.step(
                                 m,
-                                &mut self.sinks[sink_idx],
+                                &mut Slot(&mut self.sinks, sink_idx),
                                 self.tick,
                                 &mut self.stats,
                                 &self.store,
@@ -573,7 +559,7 @@ impl<'n, 's> Run<'n, 's> {
             let sink_idx = self.sink_index[id];
             if let NodeInstance::Output(o) = &mut self.nodes[id] {
                 o.abort(
-                    &mut self.sinks[sink_idx],
+                    &mut Slot(&mut self.sinks, sink_idx),
                     self.tick,
                     &mut self.stats,
                     &self.store,
@@ -598,7 +584,7 @@ impl<'n, 's> Run<'n, 's> {
             let sink_idx = self.sink_index[id];
             if let NodeInstance::Output(o) = &mut self.nodes[id] {
                 o.finish(
-                    &mut self.sinks[sink_idx],
+                    &mut Slot(&mut self.sinks, sink_idx),
                     self.tick,
                     &mut self.stats,
                     &self.store,
@@ -606,7 +592,7 @@ impl<'n, 's> Run<'n, 's> {
             }
         }
         self.stats.ticks = self.tick;
-        self.stats.vars_created = u64::from(self.factory.borrow().minted());
+        self.stats.vars_created = u64::from(self.vars.minted());
         self.stats.peak_arena_bytes = self.stats.peak_arena_bytes.max(self.store.peak_bytes());
         self.stats.interned_symbols = self.stats.interned_symbols.max(self.store.symbols().len());
         self.harvest_latency();
@@ -623,7 +609,7 @@ impl<'n, 's> Run<'n, 's> {
         }
     }
 
-    /// See [`PlanRun::determination_latency`].
+    /// See [`Machine::determination_latency`].
     pub fn determination_latency(&self) -> Vec<(usize, Histogram)> {
         let mut out = Vec::new();
         for (id, n) in self.nodes.iter().enumerate() {
@@ -636,13 +622,13 @@ impl<'n, 's> Run<'n, 's> {
         out
     }
 
-    /// See [`PlanRun::reset_session`]: every transducer instance is rebuilt
+    /// See [`Machine::reset_session`]: every transducer instance is rebuilt
     /// from the spec.
     pub fn reset_session(&mut self) {
         self.harvest_latency();
         self.store.reset();
         self.store.symbols_mut().truncate(self.symbol_baseline);
-        let (nodes, sink_index) = build_nodes(self.spec, self.store.symbols_mut(), &self.factory);
+        let (nodes, sink_index) = build_nodes(self.spec, self.store.symbols_mut());
         self.nodes = nodes;
         self.sink_index = sink_index;
         for ports in &mut self.inbox {
@@ -656,17 +642,17 @@ impl<'n, 's> Run<'n, 's> {
         }
     }
 
-    /// See [`PlanRun::stats`].
+    /// See [`Machine::stats`].
     pub fn stats(&self) -> &EngineStats {
         &self.stats
     }
 
-    /// See [`PlanRun::transducer_stats`].
+    /// See [`Machine::transducer_stats`].
     pub fn transducer_stats(&self) -> &[TransducerStats] {
         &self.node_stats
     }
 
-    /// See [`PlanRun::tick`].
+    /// See [`Machine::tick`].
     pub fn tick(&self) -> u64 {
         self.tick
     }
@@ -824,6 +810,6 @@ mod tests {
         let (mut b, t) = NetworkBuilder::with_input();
         b.add_sink(t);
         let spec = b.finish();
-        let _ = Run::new(&spec, vec![]);
+        let _ = Run::<FragmentCollector>::new(&spec, vec![]);
     }
 }

@@ -36,6 +36,22 @@ pub trait ResultSink {
     fn end(&mut self, now: u64);
 }
 
+/// A borrowed sink is a sink: a run that owns its sinks by value takes
+/// `&mut FragmentCollector` or `&mut dyn ResultSink` like any other `S`.
+impl<T: ResultSink + ?Sized> ResultSink for &mut T {
+    fn begin(&mut self, meta: ResultMeta, now: u64) {
+        (**self).begin(meta, now);
+    }
+
+    fn event(&mut self, event: &RawEvent<'_>, now: u64) {
+        (**self).event(event, now);
+    }
+
+    fn end(&mut self, now: u64) {
+        (**self).end(now);
+    }
+}
+
 /// Collects fragments as serialized XML strings.
 ///
 /// Serialization is incremental: each event is written into the fragment's
@@ -234,49 +250,32 @@ impl<F: FnMut(&[u8])> ResultSink for FragmentFnSink<F> {
     }
 }
 
-/// One physical network sink's delivery target: either a single logical
-/// sink, or a fan-out to several.
+/// A run's sinks: one per *logical* query, in query order, owned by value.
 ///
-/// The multi-query combiner ([`crate::multi::SharedQuerySet`] built by
-/// `spex-combine`) deduplicates queries whose canonical forms are equal:
-/// one physical OU serves every aliased registration. At run instantiation
-/// the logical per-query sinks are partitioned into one `SinkGroup` per
-/// physical sink; a group with aliases replays each `begin`/`event`/`end`
-/// callback to all of its members in registration order. Fan-out happens at
+/// The multi-query combiner (`spex-combine`) deduplicates queries whose
+/// canonical forms are equal, so one physical OU may serve several
+/// registrations: the slot table, built once per run from `slot_of`, maps
+/// each physical slot to the logical sinks behind it. Fan-out happens at
 /// result-delivery time — the rare path — so aliased queries add zero
 /// per-event cost.
-pub enum SinkGroup<'s> {
-    /// The common case: one physical sink, one logical sink.
-    One(&'s mut dyn ResultSink),
-    /// An aliased sink: every member receives every fragment.
-    Fanout(Vec<&'s mut dyn ResultSink>),
+pub(crate) struct SinkBank<S> {
+    pub(crate) sinks: Vec<S>,
+    /// `logical[base[slot]..base[slot + 1]]` are slot's logical sink indices,
+    /// in registration order.
+    base: Vec<u32>,
+    logical: Vec<u32>,
 }
 
-impl std::fmt::Debug for SinkGroup<'_> {
-    // Manual impl: trait objects are not `Debug`.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SinkGroup::One(_) => f.write_str("SinkGroup::One"),
-            SinkGroup::Fanout(v) => write!(f, "SinkGroup::Fanout({})", v.len()),
-        }
-    }
-}
-
-impl<'s> SinkGroup<'s> {
-    /// Partition `sinks` (one per logical query) into one group per physical
-    /// sink slot. `slot_of[i]` names the physical slot logical sink `i`
-    /// feeds from; `slots` is the number of physical sinks.
+impl<S> SinkBank<S> {
+    /// `slot_of[i]` names the physical slot `sinks[i]` feeds from; `slots`
+    /// is the number of physical sinks.
     ///
     /// # Panics
     ///
-    /// If `slot_of.len() != sinks.len()`, if any slot index is out of
-    /// range, or if a physical slot ends up with no logical sink (every
+    /// If `sinks` and `slot_of` disagree in length, a slot index is out of
+    /// range, or a physical slot ends up with no logical sink (every
     /// physical sink must deliver somewhere).
-    pub fn partition(
-        sinks: Vec<&'s mut dyn ResultSink>,
-        slot_of: &[usize],
-        slots: usize,
-    ) -> Vec<SinkGroup<'s>> {
+    pub(crate) fn new(sinks: Vec<S>, slot_of: &[usize], slots: usize) -> Self {
         assert_eq!(
             sinks.len(),
             slot_of.len(),
@@ -284,58 +283,65 @@ impl<'s> SinkGroup<'s> {
             sinks.len(),
             slot_of.len()
         );
-        let mut groups: Vec<Vec<&'s mut dyn ResultSink>> = (0..slots).map(|_| Vec::new()).collect();
-        for (sink, &slot) in sinks.into_iter().zip(slot_of) {
+        let mut base = vec![0u32; slots + 1];
+        for &slot in slot_of {
             assert!(slot < slots, "sink slot {slot} out of range ({slots})");
-            groups[slot].push(sink);
+            base[slot + 1] += 1;
         }
-        groups
-            .into_iter()
-            .enumerate()
-            .map(|(slot, mut g)| {
-                assert!(!g.is_empty(), "physical sink {slot} has no logical sink");
-                if g.len() == 1 {
-                    SinkGroup::One(g.pop().expect("length checked"))
-                } else {
-                    SinkGroup::Fanout(g)
-                }
-            })
-            .collect()
+        for slot in 0..slots {
+            assert!(
+                base[slot + 1] > 0,
+                "physical sink {slot} has no logical sink"
+            );
+            base[slot + 1] += base[slot];
+        }
+        let mut next = base.clone();
+        let mut logical = vec![0u32; slot_of.len()];
+        for (i, &slot) in slot_of.iter().enumerate() {
+            logical[next[slot] as usize] = i as u32;
+            next[slot] += 1;
+        }
+        SinkBank {
+            sinks,
+            base,
+            logical,
+        }
     }
 }
 
-impl ResultSink for SinkGroup<'_> {
-    fn begin(&mut self, meta: ResultMeta, now: u64) {
-        match self {
-            SinkGroup::One(s) => s.begin(meta, now),
-            SinkGroup::Fanout(v) => {
-                for s in v {
-                    s.begin(meta, now);
-                }
-            }
+/// A run's sinks with the sink type erased, addressed by physical slot. This
+/// is how the VM's tick loop sees them, so that loop is compiled once — in
+/// this crate, next to the transducers it steps — whatever `S` a run
+/// delivers to.
+pub(crate) trait SlotSinks {
+    /// Hand every logical sink behind `slot` to `deliver`, in registration
+    /// order.
+    fn for_slot(&mut self, slot: usize, deliver: &mut dyn FnMut(&mut dyn ResultSink));
+}
+
+impl<S: ResultSink> SlotSinks for SinkBank<S> {
+    fn for_slot(&mut self, slot: usize, deliver: &mut dyn FnMut(&mut dyn ResultSink)) {
+        for &t in &self.logical[self.base[slot] as usize..self.base[slot + 1] as usize] {
+            deliver(&mut self.sinks[t as usize]);
         }
+    }
+}
+
+/// One physical slot of a run's sinks — what an output transducer delivers
+/// to: every logical sink behind the slot receives every callback.
+pub(crate) struct Slot<'a>(pub(crate) &'a mut dyn SlotSinks, pub(crate) usize);
+
+impl ResultSink for Slot<'_> {
+    fn begin(&mut self, meta: ResultMeta, now: u64) {
+        self.0.for_slot(self.1, &mut |s| s.begin(meta, now));
     }
 
     fn event(&mut self, event: &RawEvent<'_>, now: u64) {
-        match self {
-            SinkGroup::One(s) => s.event(event, now),
-            SinkGroup::Fanout(v) => {
-                for s in v {
-                    s.event(event, now);
-                }
-            }
-        }
+        self.0.for_slot(self.1, &mut |s| s.event(event, now));
     }
 
     fn end(&mut self, now: u64) {
-        match self {
-            SinkGroup::One(s) => s.end(now),
-            SinkGroup::Fanout(v) => {
-                for s in v {
-                    s.end(now);
-                }
-            }
-        }
+        self.0.for_slot(self.1, &mut |s| s.end(now));
     }
 }
 
@@ -430,30 +436,26 @@ mod tests {
     }
 
     #[test]
-    fn sink_group_fans_out_to_every_alias() {
-        let mut a = CountingSink::new();
-        let mut b = CountingSink::new();
-        let mut c = CountingSink::new();
-        {
-            let sinks: Vec<&mut dyn ResultSink> = vec![&mut a, &mut b, &mut c];
-            // Logical sinks 0 and 2 alias physical slot 0; sink 1 is alone
-            // on slot 1.
-            let mut groups = SinkGroup::partition(sinks, &[0, 1, 0], 2);
-            assert_eq!(groups.len(), 2);
-            groups[0].begin(ResultMeta { start_tick: 4 }, 4);
-            groups[0].event(&RawEvent::from_event(&XmlEvent::open("x")), 4);
-            groups[0].end(5);
-        }
+    fn sink_bank_fans_out_to_every_alias() {
+        // Logical sinks 0 and 2 alias physical slot 0; sink 1 is alone on
+        // slot 1.
+        let sinks = (0..3).map(|_| CountingSink::new()).collect();
+        let mut bank = SinkBank::new(sinks, &[0, 1, 0], 2);
+        let mut shared = Slot(&mut bank, 0);
+        shared.begin(ResultMeta { start_tick: 4 }, 4);
+        shared.event(&RawEvent::from_event(&XmlEvent::open("x")), 4);
+        shared.end(5);
+        let [a, b, c] = &bank.sinks[..] else {
+            unreachable!()
+        };
         assert_eq!((a.results, b.results, c.results), (1, 0, 1));
         assert_eq!((a.events, c.events), (1, 1));
     }
 
     #[test]
     #[should_panic(expected = "physical sink 1 has no logical sink")]
-    fn sink_group_rejects_unserved_slots() {
-        let mut a = CountingSink::new();
-        let sinks: Vec<&mut dyn ResultSink> = vec![&mut a];
-        let _ = SinkGroup::partition(sinks, &[0], 2);
+    fn sink_bank_rejects_unserved_slots() {
+        let _ = SinkBank::new(vec![CountingSink::new()], &[0], 2);
     }
 
     #[test]

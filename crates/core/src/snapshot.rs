@@ -7,7 +7,7 @@
 //! The engine's state compresses sharply at *quiescent* points: once every
 //! output candidate is determined, the event arena is empty, the per-node
 //! pushdown stacks are at depth zero, and the inter-transducer inboxes are
-//! drained. After [`crate::PlanRun::reset_session`] the live transducer
+//! drained. After [`crate::Machine::reset_session`] the live transducer
 //! state is byte-for-byte what a freshly built run would hold — so a
 //! snapshot needs only the *accumulators*: engine statistics, per-node
 //! statistics, determination-latency histograms, the condition-variable
@@ -194,7 +194,7 @@ pub struct SessionState {
 /// A decoded run-state snapshot: the full accumulator state of one engine
 /// run at a quiescent document boundary, plus optional session state.
 ///
-/// Produced by [`crate::PlanRun::checkpoint`] (or
+/// Produced by [`crate::Machine::checkpoint`] (or
 /// [`crate::Evaluator::checkpoint`]), serialized with [`Snapshot::encode`],
 /// revived with [`Snapshot::decode`] and applied with `restore` (the
 /// node-kind list is the shape witness).

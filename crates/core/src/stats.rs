@@ -8,16 +8,11 @@
 //! counterparts so the complexity experiments (E6/E7 in DESIGN.md) and the
 //! bounded-memory tests on infinite streams (E11) can assert them.
 //!
-//! Two finer-grained observability surfaces complement the global counters:
-//!
-//! * [`TransducerStats`] — the same measurements broken down per network
-//!   node, so a hot or stack-heavy transducer can be pinpointed (the paper
-//!   states its bounds *per transducer*; this is their measured counterpart),
-//! * [`Tap`] — callbacks fired by the executor as it runs, for live
-//!   monitoring without waiting for the run to finish.
-
-use crate::message::Message;
-use spex_xml::RawEvent;
+//! [`TransducerStats`] breaks the same measurements down per network node,
+//! so a hot or stack-heavy transducer can be pinpointed (the paper states
+//! its bounds *per transducer*; this is their measured counterpart). Both
+//! are readable while the run is live ([`crate::Machine::stats`],
+//! [`crate::Machine::transducer_stats`]).
 
 /// Measured resource usage of one evaluation run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -212,24 +207,6 @@ pub struct TransducerStats {
     pub max_cond_stack: usize,
     /// Largest condition formula in any message this node consumed.
     pub max_formula_size: usize,
-}
-
-/// Live observability callbacks, keyed by transducer (node) id. Every method
-/// has a no-op default, so an implementation overrides only what it needs.
-/// Attach with [`crate::Evaluator::set_tap`] (or `Run::set_tap`).
-pub trait Tap {
-    /// A stream event is about to enter the network (once per tick). The
-    /// event is a borrowed view into the run's event arena; call
-    /// [`RawEvent::to_owned_event`] to keep it beyond the callback.
-    fn on_tick(&mut self, _tick: u64, _event: &RawEvent<'_>) {}
-
-    /// Node `node` is about to consume `msg`. Within one tick, nodes fire in
-    /// topological (DAG) order.
-    fn on_message(&mut self, _node: usize, _msg: &Message) {}
-
-    /// The output transducer `node` decided a candidate: `accepted` is
-    /// `true` for a result, `false` for a dropped candidate.
-    fn on_candidate_resolved(&mut self, _node: usize, _accepted: bool, _tick: u64) {}
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 
 use super::{Trace, Transducer};
 use crate::message::{DocEvent, Message};
-use spex_formula::Formula;
+use spex_formula::{Formula, VarFactory};
 use spex_query::Label;
 
 /// Depth-stack alphabet Γ_depth = {m, l} of Fig. 2.
@@ -89,7 +89,7 @@ impl Child {
 }
 
 impl Transducer for Child {
-    fn step(&mut self, msg: Message, out: &mut Vec<Message>) {
+    fn step(&mut self, msg: Message, _vars: &mut VarFactory, out: &mut Vec<Message>) {
         match msg {
             Message::Activate(f) => match self.state {
                 // (1) activation while waiting.
@@ -252,6 +252,7 @@ mod tests {
     /// the Fig. 1 stream and compare the transition traces to Fig. 4.
     #[test]
     fn figure_4_transition_traces() {
+        let mut vars = VarFactory::new();
         let mut store = EventStore::new();
         let stream = fig1_stream(&mut store);
         let a = store.symbols_mut().intern("a");
@@ -267,14 +268,14 @@ mod tests {
         let mut trace2 = Vec::new();
         for msg in stream {
             let mut tape0 = Vec::new();
-            input.step(msg, &mut tape0);
+            input.step(msg, &mut vars, &mut tape0);
             let mut tape1 = Vec::new();
             for m in tape0 {
-                t1.step(m, &mut tape1);
+                t1.step(m, &mut vars, &mut tape1);
             }
             let mut tape2 = Vec::new();
             for m in tape1 {
-                t2.step(m, &mut tape2);
+                t2.step(m, &mut vars, &mut tape2);
             }
             trace1.push(format_transitions(&t1.take_transitions()));
             trace2.push(format_transitions(&t2.take_transitions()));
@@ -295,6 +296,7 @@ mod tests {
     /// The matched `<c>` of example III.1 is announced with an activation.
     #[test]
     fn example_iii_1_emits_one_match() {
+        let mut vars = VarFactory::new();
         let mut store = EventStore::new();
         let stream = fig1_stream(&mut store);
         let a = store.symbols_mut().intern("a");
@@ -307,13 +309,13 @@ mod tests {
         let mut final_tape = Vec::new();
         for msg in stream {
             let mut tape0 = Vec::new();
-            input.step(msg, &mut tape0);
+            input.step(msg, &mut vars, &mut tape0);
             let mut tape1 = Vec::new();
             for m in tape0 {
-                t1.step(m, &mut tape1);
+                t1.step(m, &mut vars, &mut tape1);
             }
             for m in tape1 {
-                t2.step(m, &mut final_tape);
+                t2.step(m, &mut vars, &mut final_tape);
             }
         }
         let activations: Vec<String> = final_tape
@@ -341,6 +343,7 @@ mod tests {
 
     #[test]
     fn stack_sizes_track_depth() {
+        let mut vars = VarFactory::new();
         let mut store = EventStore::new();
         let stream =
             crate::transducers::test_util::stream_of(&mut store, "<a><b><b><b/></b></b></a>");
@@ -349,7 +352,7 @@ mod tests {
         let mut out = Vec::new();
         // Never activated: the depth stack still tracks every level.
         for msg in stream {
-            t.step(msg, &mut out);
+            t.step(msg, &mut vars, &mut out);
             max_depth = max_depth.max(t.stack_sizes().0);
             assert_eq!(t.stack_sizes().1, 0);
         }
@@ -360,13 +363,15 @@ mod tests {
     #[test]
     fn determination_updates_stored_formulas() {
         use spex_formula::{CondVar, Formula};
+        let mut vars = VarFactory::new();
         let mut t = Child::new(MatchLabel::Symbol(1));
         let v = CondVar::new(0, 1);
         let mut out = Vec::new();
-        t.step(Message::Activate(Formula::Var(v)), &mut out);
+        t.step(Message::Activate(Formula::Var(v)), &mut vars, &mut out);
         assert_eq!(t.cond, vec![Formula::Var(v)]);
         t.step(
             Message::Determine(v, crate::message::Determination::True),
+            &mut vars,
             &mut out,
         );
         assert_eq!(t.cond, vec![Formula::True]);

@@ -19,7 +19,7 @@
 use super::child::MatchLabel;
 use super::{Trace, Transducer};
 use crate::message::{DocEvent, Message};
-use spex_formula::Formula;
+use spex_formula::{Formula, VarFactory};
 
 /// Depth-stack alphabet Γ_depth = {l, s, ns, e} of Fig. 3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,7 +66,7 @@ impl Closure {
 }
 
 impl Transducer for Closure {
-    fn step(&mut self, msg: Message, out: &mut Vec<Message>) {
+    fn step(&mut self, msg: Message, _vars: &mut VarFactory, out: &mut Vec<Message>) {
         match msg {
             Message::Activate(f) => match self.state {
                 // (1) activation while waiting.
@@ -229,6 +229,7 @@ mod tests {
     /// to Fig. 5 of the paper.
     #[test]
     fn figure_5_transition_traces() {
+        let mut vars = VarFactory::new();
         let mut store = EventStore::new();
         let stream = fig1_stream(&mut store);
         let a = store.symbols_mut().intern("a");
@@ -244,14 +245,14 @@ mod tests {
         let mut trace2 = Vec::new();
         for msg in stream {
             let mut tape0 = Vec::new();
-            input.step(msg, &mut tape0);
+            input.step(msg, &mut vars, &mut tape0);
             let mut tape1 = Vec::new();
             for m in tape0 {
-                t1.step(m, &mut tape1);
+                t1.step(m, &mut vars, &mut tape1);
             }
             let mut tape2 = Vec::new();
             for m in tape1 {
-                t2.step(m, &mut tape2);
+                t2.step(m, &mut vars, &mut tape2);
             }
             trace1.push(format_transitions(&t1.take_transitions()));
             trace2.push(format_transitions(&t2.take_transitions()));
@@ -273,6 +274,7 @@ mod tests {
     /// of the nested `<a>`) and the later `<c>` (child of the outer `<a>`).
     #[test]
     fn example_iii_2_matches() {
+        let mut vars = VarFactory::new();
         let mut store = EventStore::new();
         let stream = fig1_stream(&mut store);
         let a = store.symbols_mut().intern("a");
@@ -285,13 +287,13 @@ mod tests {
         let mut final_tape = Vec::new();
         for msg in stream {
             let mut tape0 = Vec::new();
-            input.step(msg, &mut tape0);
+            input.step(msg, &mut vars, &mut tape0);
             let mut tape1 = Vec::new();
             for m in tape0 {
-                t1.step(m, &mut tape1);
+                t1.step(m, &mut vars, &mut tape1);
             }
             for m in tape1 {
-                t2.step(m, &mut final_tape);
+                t2.step(m, &mut vars, &mut final_tape);
             }
         }
         let mut matches = 0;
@@ -308,6 +310,7 @@ mod tests {
     #[test]
     fn nested_scope_disjunction() {
         use spex_formula::{CondVar, Formula};
+        let mut vars = VarFactory::new();
         let mut store = EventStore::new();
         let a = store.symbols_mut().intern("a");
         let mut t = Closure::new(MatchLabel::Symbol(a));
@@ -315,35 +318,36 @@ mod tests {
         let vb = Formula::Var(CondVar::new(0, 2));
         let mut out = Vec::new();
         // Activate with va, open activator (the root-ish element).
-        t.step(Message::Activate(va.clone()), &mut out);
+        t.step(Message::Activate(va.clone()), &mut vars, &mut out);
         let open_x = crate::transducers::test_util::stream_of(&mut store, "<x><a><a/></a></x>");
-        t.step(open_x[1].clone(), &mut out); // <x> → (5) scope
-                                             // First <a> matches with va (7).
+        t.step(open_x[1].clone(), &mut vars, &mut out); // <x> → (5) scope
+                                                        // First <a> matches with va (7).
         out.clear();
-        t.step(open_x[2].clone(), &mut out);
+        t.step(open_x[2].clone(), &mut vars, &mut out);
         assert!(matches!(&out[0], Message::Activate(f) if *f == va));
         // A nested activation with vb arrives, followed by a matching <a>:
         // (6) then (12) — the match is announced with the *outer* formula va,
         // and the stack top becomes va ∨ vb.
         out.clear();
-        t.step(Message::Activate(vb.clone()), &mut out);
-        t.step(open_x[3].clone(), &mut out);
+        t.step(Message::Activate(vb.clone()), &mut vars, &mut out);
+        t.step(open_x[3].clone(), &mut vars, &mut out);
         assert!(matches!(&out[0], Message::Activate(f) if *f == va));
         assert_eq!(*t.cond.last().unwrap(), Formula::or(va, vb));
     }
 
     #[test]
     fn stacks_balance_over_a_document() {
+        let mut vars = VarFactory::new();
         let mut store = EventStore::new();
         let stream = crate::transducers::test_util::stream_of(&mut store, "<a><a><b/><a/></a></a>");
         let mut input = crate::transducers::input::Input::new();
         let mut t = Closure::new(MatchLabel::Symbol(store.symbols_mut().intern("a")));
         for msg in stream {
             let mut tape0 = Vec::new();
-            input.step(msg, &mut tape0);
+            input.step(msg, &mut vars, &mut tape0);
             let mut out = Vec::new();
             for m in tape0 {
-                t.step(m, &mut out);
+                t.step(m, &mut vars, &mut out);
             }
         }
         assert_eq!(t.stack_sizes(), (0, 0));

@@ -23,7 +23,7 @@
 use super::child::MatchLabel;
 use super::{Trace, Transducer};
 use crate::message::{DocEvent, Message};
-use spex_formula::Formula;
+use spex_formula::{Formula, VarFactory};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Depth {
@@ -63,7 +63,7 @@ impl Following {
 }
 
 impl Transducer for Following {
-    fn step(&mut self, msg: Message, out: &mut Vec<Message>) {
+    fn step(&mut self, msg: Message, _vars: &mut VarFactory, out: &mut Vec<Message>) {
         match msg {
             // (1) activation: remember the formula, await its activator.
             Message::Activate(f) => {
@@ -151,6 +151,7 @@ mod tests {
     /// `~b` activated at the root: only `b` elements after `</a₁>` match.
     #[test]
     fn matches_only_after_scope_close() {
+        let mut vars = VarFactory::new();
         let mut store = EventStore::new();
         let stream = stream_of(&mut store, "<r><a><b/></a><b/><c><b/></c></r>");
         let b = store.symbols_mut().intern("b");
@@ -159,9 +160,9 @@ mod tests {
         let mut tape = Vec::new();
         for (i, m) in stream.iter().enumerate() {
             if i == 2 {
-                t.step(Message::Activate(Formula::True), &mut tape);
+                t.step(Message::Activate(Formula::True), &mut vars, &mut tape);
             }
-            t.step(m.clone(), &mut tape);
+            t.step(m.clone(), &mut vars, &mut tape);
         }
         let matches: Vec<usize> = tape
             .iter()
@@ -180,6 +181,7 @@ mod tests {
 
     #[test]
     fn resets_between_documents() {
+        let mut vars = VarFactory::new();
         let mut store = EventStore::new();
         let b = store.symbols_mut().intern("b");
         let mut t = Following::new(MatchLabel::Symbol(b));
@@ -188,9 +190,9 @@ mod tests {
         // First document: activate at <a>.
         for (i, m) in doc.iter().enumerate() {
             if i == 2 {
-                t.step(Message::Activate(Formula::True), &mut tape);
+                t.step(Message::Activate(Formula::True), &mut vars, &mut tape);
             }
-            t.step(m.clone(), &mut tape);
+            t.step(m.clone(), &mut vars, &mut tape);
         }
         let first: usize = tape
             .iter()
@@ -200,7 +202,7 @@ mod tests {
         // Second document without activation: no carried-over matches.
         tape.clear();
         for m in &doc {
-            t.step(m.clone(), &mut tape);
+            t.step(m.clone(), &mut vars, &mut tape);
         }
         assert!(tape.iter().all(|m| !matches!(m, Message::Activate(_))));
         assert_eq!(t.stack_sizes(), (0, 0));
@@ -209,6 +211,7 @@ mod tests {
     #[test]
     fn multiple_contexts_disjoin() {
         use spex_formula::CondVar;
+        let mut vars = VarFactory::new();
         let mut store = EventStore::new();
         let x = store.symbols_mut().intern("x");
         let mut t = Following::new(MatchLabel::Symbol(x));
@@ -218,12 +221,12 @@ mod tests {
         let mut tape = Vec::new();
         for (i, m) in stream.iter().enumerate() {
             if i == 2 {
-                t.step(Message::Activate(va.clone()), &mut tape);
+                t.step(Message::Activate(va.clone()), &mut vars, &mut tape);
             }
             if i == 4 {
-                t.step(Message::Activate(vb.clone()), &mut tape);
+                t.step(Message::Activate(vb.clone()), &mut vars, &mut tape);
             }
-            t.step(m.clone(), &mut tape);
+            t.step(m.clone(), &mut vars, &mut tape);
         }
         let act: Vec<&Message> = tape
             .iter()

@@ -9,7 +9,7 @@
 
 use super::{Trace, Transducer};
 use crate::message::{DocEvent, Message, DOC_SYMBOL};
-use spex_formula::Formula;
+use spex_formula::{Formula, VarFactory};
 
 /// The network source. See the [module documentation](self).
 #[derive(Debug, Default)]
@@ -25,7 +25,7 @@ impl Input {
 }
 
 impl Transducer for Input {
-    fn step(&mut self, msg: Message, out: &mut Vec<Message>) {
+    fn step(&mut self, msg: Message, _vars: &mut VarFactory, out: &mut Vec<Message>) {
         if let Message::Doc(DocEvent::Open {
             label: DOC_SYMBOL, ..
         }) = &msg
@@ -53,11 +53,12 @@ mod tests {
 
     #[test]
     fn activation_sent_on_start_document() {
+        let mut vars = VarFactory::new();
         let mut store = EventStore::new();
         let stream = fig1_stream(&mut store);
         let mut t = Input::new();
         let mut out = Vec::new();
-        t.step(stream[0].clone(), &mut out);
+        t.step(stream[0].clone(), &mut vars, &mut out);
         assert_eq!(out.len(), 2);
         assert!(matches!(&out[0], Message::Activate(f) if f.is_true()));
         assert!(matches!(
@@ -68,12 +69,13 @@ mod tests {
 
     #[test]
     fn other_messages_forwarded_verbatim() {
+        let mut vars = VarFactory::new();
         let mut store = EventStore::new();
         let stream = fig1_stream(&mut store);
         let mut t = Input::new();
         for msg in &stream[1..] {
             let mut out = Vec::new();
-            t.step(msg.clone(), &mut out);
+            t.step(msg.clone(), &mut vars, &mut out);
             assert_eq!(out.len(), 1);
         }
     }

@@ -38,6 +38,7 @@ pub mod var_determinant;
 pub mod var_filter;
 
 use crate::message::Message;
+use spex_formula::VarFactory;
 
 /// Transition-number trace recorder shared by all transducers.
 #[derive(Debug, Default, Clone)]
@@ -69,7 +70,9 @@ impl Trace {
 /// transducer have their own interfaces; see [`join`] and [`output`].)
 pub trait Transducer {
     /// Process one input message, appending any output messages to `out`.
-    fn step(&mut self, msg: Message, out: &mut Vec<Message>);
+    /// `vars` is the run-wide condition-variable namespace (§III.5); only the
+    /// transducers that mint instances (VC, PR) touch it.
+    fn step(&mut self, msg: Message, vars: &mut VarFactory, out: &mut Vec<Message>);
 
     /// Current (depth stack, condition stack) heights, for instrumentation.
     fn stack_sizes(&self) -> (usize, usize) {

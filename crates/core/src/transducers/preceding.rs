@@ -26,8 +26,6 @@ use super::child::MatchLabel;
 use super::{Trace, Transducer};
 use crate::message::{Determination, DocEvent, Message};
 use spex_formula::{CondVar, Formula, QualifierId, VarFactory};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Depth {
@@ -44,7 +42,6 @@ pub struct Preceding {
     label: MatchLabel,
     /// Qualifier id under which the speculative variables are minted.
     qualifier: QualifierId,
-    factory: Rc<RefCell<VarFactory>>,
     depth: Vec<Depth>,
     /// Variables of matches still open (parallel to the `Match` entries).
     open_vars: Vec<CondVar>,
@@ -55,15 +52,10 @@ pub struct Preceding {
 
 impl Preceding {
     /// Create a preceding transducer.
-    pub fn new(
-        label: MatchLabel,
-        qualifier: QualifierId,
-        factory: Rc<RefCell<VarFactory>>,
-    ) -> Self {
+    pub fn new(label: MatchLabel, qualifier: QualifierId) -> Self {
         Preceding {
             label,
             qualifier,
-            factory,
             depth: Vec::new(),
             open_vars: Vec::new(),
             closed_vars: Vec::new(),
@@ -73,7 +65,7 @@ impl Preceding {
 }
 
 impl Transducer for Preceding {
-    fn step(&mut self, msg: Message, out: &mut Vec<Message>) {
+    fn step(&mut self, msg: Message, vars: &mut VarFactory, out: &mut Vec<Message>) {
         match msg {
             // (1) a context arrives: every closed candidate is satisfied —
             // outright, or conditionally on the context's own formula.
@@ -96,7 +88,7 @@ impl Transducer for Preceding {
                     if self.label.matches(*label) {
                         // (2) speculative match.
                         self.trace.fire(2);
-                        let p = self.factory.borrow_mut().fresh(self.qualifier);
+                        let p = vars.fresh(self.qualifier);
                         self.open_vars.push(p);
                         self.depth.push(Depth::Match);
                         out.push(Message::Activate(Formula::Var(p)));
@@ -165,17 +157,14 @@ mod tests {
 
     fn pr(store: &mut EventStore, label: &str) -> Preceding {
         let l = store.symbols_mut().intern(label);
-        Preceding::new(
-            MatchLabel::Symbol(l),
-            QualifierId(0),
-            Rc::new(RefCell::new(VarFactory::new())),
-        )
+        Preceding::new(MatchLabel::Symbol(l), QualifierId(0))
     }
 
     /// `^b` with a context arriving at the second <a>: the first <b> (which
     /// closed before) is satisfied; the later <b> resolves to false.
     #[test]
     fn closed_candidates_satisfied_by_later_context() {
+        let mut vars = VarFactory::new();
         let mut store = EventStore::new();
         let stream = stream_of(&mut store, "<r><b/><a/><b/></r>");
         let mut t = pr(&mut store, "b");
@@ -183,9 +172,9 @@ mod tests {
         for (i, m) in stream.iter().enumerate() {
             if i == 4 {
                 // context <a> opens at index 4.
-                t.step(Message::Activate(Formula::True), &mut tape);
+                t.step(Message::Activate(Formula::True), &mut vars, &mut tape);
             }
-            t.step(m.clone(), &mut tape);
+            t.step(m.clone(), &mut vars, &mut tape);
         }
         let dets: Vec<String> = tape
             .iter()
@@ -206,6 +195,7 @@ mod tests {
     #[test]
     fn conditional_context_implies() {
         use spex_formula::CondVar;
+        let mut vars = VarFactory::new();
         let mut store = EventStore::new();
         let stream = stream_of(&mut store, "<r><b/><a/></r>");
         let mut t = pr(&mut store, "b");
@@ -213,9 +203,9 @@ mod tests {
         let mut tape = Vec::new();
         for (i, m) in stream.iter().enumerate() {
             if i == 4 {
-                t.step(Message::Activate(ctx.clone()), &mut tape);
+                t.step(Message::Activate(ctx.clone()), &mut vars, &mut tape);
             }
-            t.step(m.clone(), &mut tape);
+            t.step(m.clone(), &mut vars, &mut tape);
         }
         let dets: Vec<String> = tape
             .iter()
@@ -230,15 +220,16 @@ mod tests {
     /// Still-open candidates are not satisfied (ancestors are excluded).
     #[test]
     fn open_candidates_not_satisfied() {
+        let mut vars = VarFactory::new();
         let mut store = EventStore::new();
         let stream = stream_of(&mut store, "<b><a/></b>");
         let mut t = pr(&mut store, "b");
         let mut tape = Vec::new();
         for (i, m) in stream.iter().enumerate() {
             if i == 2 {
-                t.step(Message::Activate(Formula::True), &mut tape);
+                t.step(Message::Activate(Formula::True), &mut vars, &mut tape);
             }
-            t.step(m.clone(), &mut tape);
+            t.step(m.clone(), &mut vars, &mut tape);
         }
         let dets: Vec<String> = tape
             .iter()

@@ -9,6 +9,7 @@
 
 use super::{Trace, Transducer};
 use crate::message::Message;
+use spex_formula::VarFactory;
 
 /// The split transducer. See the [module documentation](self).
 #[derive(Debug, Default)]
@@ -24,7 +25,7 @@ impl Split {
 }
 
 impl Transducer for Split {
-    fn step(&mut self, msg: Message, out: &mut Vec<Message>) {
+    fn step(&mut self, msg: Message, _vars: &mut VarFactory, out: &mut Vec<Message>) {
         // (1) any symbol is forwarded (to both tapes, via network fan-out).
         self.trace.fire(1);
         out.push(msg);
@@ -46,19 +47,21 @@ mod tests {
 
     #[test]
     fn forwards_everything() {
+        let mut vars = VarFactory::new();
         let mut t = Split::new();
         let mut out = Vec::new();
-        t.step(Message::Activate(Formula::True), &mut out);
+        t.step(Message::Activate(Formula::True), &mut vars, &mut out);
         t.step(
             Message::Determine(
                 spex_formula::CondVar::new(0, 1),
                 crate::message::Determination::True,
             ),
+            &mut vars,
             &mut out,
         );
         assert_eq!(out.len(), 2);
         t.set_tracing(true);
-        t.step(Message::Activate(Formula::True), &mut out);
+        t.step(Message::Activate(Formula::True), &mut vars, &mut out);
         assert_eq!(t.take_transitions(), vec![1]);
     }
 }

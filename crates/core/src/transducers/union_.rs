@@ -23,7 +23,7 @@
 
 use super::{Trace, Transducer};
 use crate::message::{Determination, Message};
-use spex_formula::{CondVar, Formula};
+use spex_formula::{CondVar, Formula, VarFactory};
 
 /// The union connector. See the [module documentation](self).
 #[derive(Debug, Default)]
@@ -47,7 +47,7 @@ impl Union {
 }
 
 impl Transducer for Union {
-    fn step(&mut self, msg: Message, out: &mut Vec<Message>) {
+    fn step(&mut self, msg: Message, _vars: &mut VarFactory, out: &mut Vec<Message>) {
         match msg {
             Message::Activate(f) => {
                 // (1) first formula stored; (2) later formulas join the
@@ -118,68 +118,74 @@ mod tests {
 
     #[test]
     fn two_activations_merge_to_disjunction() {
+        let mut vars = VarFactory::new();
         let mut store = EventStore::new();
         let a = stream_of(&mut store, "<a/>")[1].clone();
         let mut u = Union::new();
         let mut out = Vec::new();
-        u.step(Message::Activate(var(1)), &mut out);
-        u.step(Message::Activate(var(2)), &mut out);
+        u.step(Message::Activate(var(1)), &mut vars, &mut out);
+        u.step(Message::Activate(var(2)), &mut vars, &mut out);
         assert!(out.is_empty()); // nothing until the document message
-        u.step(a, &mut out);
+        u.step(a, &mut vars, &mut out);
         let rendered: Vec<String> = out.iter().map(|m| render(&store, m)).collect();
         assert_eq!(rendered, vec!["[c0.1 ∨ c0.2]", "<a>"]);
     }
 
     #[test]
     fn single_activation_passes() {
+        let mut vars = VarFactory::new();
         let mut store = EventStore::new();
         let a = stream_of(&mut store, "<a/>")[1].clone();
         let mut u = Union::new();
         let mut out = Vec::new();
-        u.step(Message::Activate(var(1)), &mut out);
-        u.step(a, &mut out);
+        u.step(Message::Activate(var(1)), &mut vars, &mut out);
+        u.step(a, &mut vars, &mut out);
         let rendered: Vec<String> = out.iter().map(|m| render(&store, m)).collect();
         assert_eq!(rendered, vec!["[c0.1]", "<a>"]);
     }
 
     #[test]
     fn three_activations_merge() {
+        let mut vars = VarFactory::new();
         let mut store = EventStore::new();
         let a = stream_of(&mut store, "<a/>")[1].clone();
         let mut u = Union::new();
         let mut out = Vec::new();
         for s in 1..=3 {
-            u.step(Message::Activate(var(s)), &mut out);
+            u.step(Message::Activate(var(s)), &mut vars, &mut out);
         }
-        u.step(a, &mut out);
+        u.step(a, &mut vars, &mut out);
         assert_eq!(out[0].to_string(), "[c0.1 ∨ c0.2 ∨ c0.3]");
     }
 
     #[test]
     fn plain_documents_forwarded() {
+        let mut vars = VarFactory::new();
         let mut store = EventStore::new();
         let stream = stream_of(&mut store, "<a><b/></a>");
         let mut u = Union::new();
         let mut out = Vec::new();
         for m in &stream {
-            u.step(m.clone(), &mut out);
+            u.step(m.clone(), &mut vars, &mut out);
         }
         assert_eq!(out.len(), stream.len());
     }
 
     #[test]
     fn determination_updates_pending_formula() {
+        let mut vars = VarFactory::new();
         let mut store = EventStore::new();
         let a = stream_of(&mut store, "<a/>")[1].clone();
         let mut u = Union::new();
         let mut out = Vec::new();
         let c = CondVar::new(0, 1);
-        u.step(Message::Activate(Formula::Var(c)), &mut out);
+        u.step(Message::Activate(Formula::Var(c)), &mut vars, &mut out);
         u.step(
             Message::Determine(c, crate::message::Determination::True),
+            &mut vars,
             &mut out,
         );
-        u.step(a, &mut out);
+        u.step(a, &mut vars, &mut out);
         let rendered: Vec<String> = out.iter().map(|m| render(&store, m)).collect();
         // The determination was held behind the pending activation (so it
         // cannot overtake it) and re-emitted after the — already updated —
@@ -189,15 +195,16 @@ mod tests {
 
     #[test]
     fn duplicate_conjuncts_removed() {
+        let mut vars = VarFactory::new();
         // "Note, that such a disjunction can be normalized by removing
         // multiple occurrences of the same conjuncts" (§III.4).
         let mut store = EventStore::new();
         let a = stream_of(&mut store, "<a/>")[1].clone();
         let mut u = Union::new();
         let mut out = Vec::new();
-        u.step(Message::Activate(var(1)), &mut out);
-        u.step(Message::Activate(var(1)), &mut out);
-        u.step(a, &mut out);
+        u.step(Message::Activate(var(1)), &mut vars, &mut out);
+        u.step(Message::Activate(var(1)), &mut vars, &mut out);
+        u.step(a, &mut vars, &mut out);
         assert_eq!(out[0].to_string(), "[c0.1]");
     }
 }

@@ -10,8 +10,6 @@
 use super::{Trace, Transducer};
 use crate::message::{DocEvent, Message};
 use spex_formula::{CondVar, Formula, QualifierId, VarFactory};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// Depth-stack alphabet Γ_depth = {l, s} of Fig. 6.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,7 +32,6 @@ enum State {
 #[derive(Debug)]
 pub struct VarCreator {
     qualifier: QualifierId,
-    factory: Rc<RefCell<VarFactory>>,
     state: State,
     depth: Vec<Depth>,
     /// Condition stack: the variable names of open instances (Fig. 6 keeps
@@ -44,12 +41,11 @@ pub struct VarCreator {
 }
 
 impl VarCreator {
-    /// Create a variable creator for `qualifier`, minting variables from the
-    /// run-wide `factory`.
-    pub fn new(qualifier: QualifierId, factory: Rc<RefCell<VarFactory>>) -> Self {
+    /// Create a variable creator for `qualifier`; each step mints from the
+    /// run-wide factory it is handed.
+    pub fn new(qualifier: QualifierId) -> Self {
         VarCreator {
             qualifier,
-            factory,
             state: State::Working,
             depth: Vec::new(),
             vars: Vec::new(),
@@ -59,7 +55,7 @@ impl VarCreator {
 }
 
 impl Transducer for VarCreator {
-    fn step(&mut self, msg: Message, out: &mut Vec<Message>) {
+    fn step(&mut self, msg: Message, vars: &mut VarFactory, out: &mut Vec<Message>) {
         match msg {
             // (1) activation: mint an instance, emit [f ∧ c].
             Message::Activate(f) => {
@@ -69,7 +65,7 @@ impl Transducer for VarCreator {
                     "activation while already activated"
                 );
                 self.trace.fire(1);
-                let c = self.factory.borrow_mut().fresh(self.qualifier);
+                let c = vars.fresh(self.qualifier);
                 self.vars.push(c);
                 self.state = State::Activate;
                 out.push(Message::Activate(Formula::and(f, Formula::Var(c))));
@@ -145,14 +141,15 @@ mod tests {
     use spex_xml::EventStore;
 
     fn vc() -> VarCreator {
-        VarCreator::new(QualifierId(1), Rc::new(RefCell::new(VarFactory::new())))
+        VarCreator::new(QualifierId(1))
     }
 
     #[test]
     fn creates_conjunction_with_fresh_variable() {
+        let mut vars = VarFactory::new();
         let mut t = vc();
         let mut out = Vec::new();
-        t.step(Message::Activate(Formula::True), &mut out);
+        t.step(Message::Activate(Formula::True), &mut vars, &mut out);
         match &out[0] {
             Message::Activate(f) => {
                 assert_eq!(f.to_string(), "c1.1");
@@ -163,18 +160,19 @@ mod tests {
 
     #[test]
     fn invalidates_on_scope_close() {
+        let mut vars = VarFactory::new();
         let mut store = EventStore::new();
         let stream = stream_of(&mut store, "<a><b/></a>");
         let mut t = vc();
         let mut tape = Vec::new();
         // Activate before the <a> element (index 1): <a> is the scope.
-        t.step(stream[0].clone(), &mut tape); // <$> (2)
-        t.step(Message::Activate(Formula::True), &mut tape); // (1)
-        t.step(stream[1].clone(), &mut tape); // <a> (5) scope opens
-        t.step(stream[2].clone(), &mut tape); // <b> (2)
-        t.step(stream[3].clone(), &mut tape); // </b> (3)
+        t.step(stream[0].clone(), &mut vars, &mut tape); // <$> (2)
+        t.step(Message::Activate(Formula::True), &mut vars, &mut tape); // (1)
+        t.step(stream[1].clone(), &mut vars, &mut tape); // <a> (5) scope opens
+        t.step(stream[2].clone(), &mut vars, &mut tape); // <b> (2)
+        t.step(stream[3].clone(), &mut vars, &mut tape); // </b> (3)
         tape.clear();
-        t.step(stream[4].clone(), &mut tape); // </a> (4): {c,false};</a>
+        t.step(stream[4].clone(), &mut vars, &mut tape); // </a> (4): {c,false};</a>
         assert_eq!(tape.len(), 2);
         assert!(matches!(&tape[0], Message::Determine(c, Determination::False) if c.serial == 1));
         assert!(matches!(&tape[1], Message::Doc(DocEvent::Close { .. })));
@@ -183,26 +181,28 @@ mod tests {
 
     #[test]
     fn nested_instances_stack() {
+        let mut vars = VarFactory::new();
         let mut store = EventStore::new();
         let stream = stream_of(&mut store, "<a><a/></a>");
         let mut t = vc();
         let mut tape = Vec::new();
-        t.step(stream[0].clone(), &mut tape); // <$>
-        t.step(Message::Activate(Formula::True), &mut tape);
-        t.step(stream[1].clone(), &mut tape); // outer <a>: scope of c1
-        t.step(Message::Activate(Formula::True), &mut tape);
-        t.step(stream[2].clone(), &mut tape); // inner <a>: scope of c2
+        t.step(stream[0].clone(), &mut vars, &mut tape); // <$>
+        t.step(Message::Activate(Formula::True), &mut vars, &mut tape);
+        t.step(stream[1].clone(), &mut vars, &mut tape); // outer <a>: scope of c1
+        t.step(Message::Activate(Formula::True), &mut vars, &mut tape);
+        t.step(stream[2].clone(), &mut vars, &mut tape); // inner <a>: scope of c2
         assert_eq!(t.stack_sizes().1, 2);
         tape.clear();
-        t.step(stream[3].clone(), &mut tape); // inner </a>: {c2,false}
+        t.step(stream[3].clone(), &mut vars, &mut tape); // inner </a>: {c2,false}
         assert!(matches!(&tape[0], Message::Determine(c, Determination::False) if c.serial == 2));
         tape.clear();
-        t.step(stream[4].clone(), &mut tape); // outer </a>: {c1,false}
+        t.step(stream[4].clone(), &mut vars, &mut tape); // outer </a>: {c1,false}
         assert!(matches!(&tape[0], Message::Determine(c, Determination::False) if c.serial == 1));
     }
 
     #[test]
     fn figure_13_t3_trace() {
+        let mut vars = VarFactory::new();
         // The VC(q) row (T3) of Fig. 13 for `_*.a[b].c` over the Fig. 1
         // stream: VC is activated at both <a> messages (because CL(_)·CH(a)
         // matched them) and fires 4 at both </a>.
@@ -216,9 +216,9 @@ mod tests {
         for (i, msg) in stream.iter().enumerate() {
             let mut out = Vec::new();
             if i == 1 || i == 2 {
-                t.step(Message::Activate(Formula::True), &mut out);
+                t.step(Message::Activate(Formula::True), &mut vars, &mut out);
             }
-            t.step(msg.clone(), &mut out);
+            t.step(msg.clone(), &mut vars, &mut out);
             traces.push(crate::transducers::format_transitions(
                 &t.take_transitions(),
             ));

@@ -20,7 +20,7 @@
 
 use super::{Trace, Transducer};
 use crate::message::{Determination, Message};
-use spex_formula::QualifierId;
+use spex_formula::{QualifierId, VarFactory};
 use std::ops::Range;
 
 /// The variable-determinant transducer. See the [module documentation](self).
@@ -45,7 +45,7 @@ impl VarDeterminant {
 }
 
 impl Transducer for VarDeterminant {
-    fn step(&mut self, msg: Message, out: &mut Vec<Message>) {
+    fn step(&mut self, msg: Message, _vars: &mut VarFactory, out: &mut Vec<Message>) {
         match msg {
             // (1) a qualifier-path match: determine every instance variable.
             Message::Activate(f) => {
@@ -94,16 +94,18 @@ mod tests {
 
     #[test]
     fn unconditional_activation_becomes_true_determination() {
+        let mut vars = VarFactory::new();
         let mut t = VarDeterminant::new(QualifierId(1), 2..2);
         let mut out = Vec::new();
         let c = CondVar::new(1, 4);
-        t.step(Message::Activate(Formula::Var(c)), &mut out);
+        t.step(Message::Activate(Formula::Var(c)), &mut vars, &mut out);
         assert_eq!(out.len(), 1);
         assert!(matches!(&out[0], Message::Determine(v, Determination::True) if *v == c));
     }
 
     #[test]
     fn outer_variables_are_projected_out() {
+        let mut vars = VarFactory::new();
         // f = c0.7 ∧ c1.4 — the outer context variable c0.7 is structurally
         // satisfied; the q1 instance is satisfied unconditionally.
         let mut t = VarDeterminant::new(QualifierId(1), 2..2);
@@ -112,7 +114,7 @@ mod tests {
             Formula::Var(CondVar::new(0, 7)),
             Formula::Var(CondVar::new(1, 4)),
         );
-        t.step(Message::Activate(f), &mut out);
+        t.step(Message::Activate(f), &mut vars, &mut out);
         assert_eq!(out.len(), 1);
         assert!(matches!(
             &out[0],
@@ -122,13 +124,14 @@ mod tests {
 
     #[test]
     fn inner_variables_become_residuals() {
+        let mut vars = VarFactory::new();
         // f = c1.4 ∧ c2.9 with q2 nested inside q1: the match is conditional
         // on the inner instance — {c1.4 := c1.4 ∨ c2.9}.
         let mut t = VarDeterminant::new(QualifierId(1), 2..3);
         let mut out = Vec::new();
         let inner = CondVar::new(2, 9);
         let f = Formula::and(Formula::Var(CondVar::new(1, 4)), Formula::Var(inner));
-        t.step(Message::Activate(f), &mut out);
+        t.step(Message::Activate(f), &mut vars, &mut out);
         assert_eq!(out.len(), 1);
         match &out[0] {
             Message::Determine(v, Determination::Implied(r)) => {
@@ -141,10 +144,12 @@ mod tests {
 
     #[test]
     fn incoming_determinations_forwarded() {
+        let mut vars = VarFactory::new();
         let mut t = VarDeterminant::new(QualifierId(1), 2..3);
         let mut out = Vec::new();
         t.step(
             Message::Determine(CondVar::new(2, 4), Determination::False),
+            &mut vars,
             &mut out,
         );
         assert_eq!(out.len(), 1);
@@ -153,12 +158,13 @@ mod tests {
     #[test]
     fn document_messages_forwarded() {
         use spex_xml::EventStore;
+        let mut vars = VarFactory::new();
         let mut store = EventStore::new();
         let stream = crate::transducers::test_util::stream_of(&mut store, "<a>x</a>");
         let mut t = VarDeterminant::new(QualifierId(0), 1..1);
         let mut out = Vec::new();
         for m in &stream {
-            t.step(m.clone(), &mut out);
+            t.step(m.clone(), &mut vars, &mut out);
         }
         assert_eq!(out.len(), stream.len());
     }

@@ -26,7 +26,7 @@
 
 use super::{Trace, Transducer};
 use crate::message::Message;
-use spex_formula::QualifierId;
+use spex_formula::{QualifierId, VarFactory};
 use std::ops::Range;
 
 /// The variable-filter transducer. See the [module documentation](self).
@@ -64,7 +64,7 @@ impl VarFilter {
 }
 
 impl Transducer for VarFilter {
-    fn step(&mut self, msg: Message, out: &mut Vec<Message>) {
+    fn step(&mut self, msg: Message, _vars: &mut VarFactory, out: &mut Vec<Message>) {
         match msg {
             Message::Activate(f) => {
                 if self.positive {
@@ -125,39 +125,45 @@ mod tests {
 
     #[test]
     fn positive_filter_passes_activations_with_q_vars() {
+        let mut vars = VarFactory::new();
         let mut t = VarFilter::positive(QualifierId(1), 2..3);
         let mut out = Vec::new();
-        t.step(Message::Activate(f_mixed()), &mut out);
+        t.step(Message::Activate(f_mixed()), &mut vars, &mut out);
         assert_eq!(out.len(), 1);
         assert!(matches!(&out[0], Message::Activate(f) if *f == f_mixed()));
     }
 
     #[test]
     fn positive_filter_drops_foreign_activations() {
+        let mut vars = VarFactory::new();
         let mut t = VarFilter::positive(QualifierId(9), 10..10);
         let mut out = Vec::new();
-        t.step(Message::Activate(f_mixed()), &mut out);
-        t.step(Message::Activate(Formula::True), &mut out);
+        t.step(Message::Activate(f_mixed()), &mut vars, &mut out);
+        t.step(Message::Activate(Formula::True), &mut vars, &mut out);
         assert!(out.is_empty());
     }
 
     #[test]
     fn positive_filter_forwards_only_inner_determinations() {
+        let mut vars = VarFactory::new();
         let mut t = VarFilter::positive(QualifierId(1), 2..4);
         let mut out = Vec::new();
         // Inner qualifier (id 2): passes.
         t.step(
             Message::Determine(CondVar::new(2, 5), Determination::True),
+            &mut vars,
             &mut out,
         );
         assert_eq!(out.len(), 1);
         // Own qualifier and outer qualifiers: dropped (main branch has them).
         t.step(
             Message::Determine(CondVar::new(1, 1), Determination::False),
+            &mut vars,
             &mut out,
         );
         t.step(
             Message::Determine(CondVar::new(0, 7), Determination::True),
+            &mut vars,
             &mut out,
         );
         assert_eq!(out.len(), 1);
@@ -165,6 +171,7 @@ mod tests {
 
     #[test]
     fn negative_filter_projects_out_qualifier_vars() {
+        let mut vars = VarFactory::new();
         let mut t = VarFilter::negative(QualifierId(1));
         let mut out = Vec::new();
         // Conjunction: dropping c1.1 leaves the rest.
@@ -172,14 +179,14 @@ mod tests {
             Formula::Var(CondVar::new(1, 1)),
             Formula::Var(CondVar::new(2, 3)),
         );
-        t.step(Message::Activate(f), &mut out);
+        t.step(Message::Activate(f), &mut vars, &mut out);
         match &out[0] {
             Message::Activate(f) => assert_eq!(f.to_string(), "c2.3"),
             other => panic!("unexpected {other:?}"),
         }
         out.clear();
         // Disjunction: existential projection makes it trivially true.
-        t.step(Message::Activate(f_mixed()), &mut out);
+        t.step(Message::Activate(f_mixed()), &mut vars, &mut out);
         match &out[0] {
             Message::Activate(f) => assert!(f.is_true()),
             other => panic!("unexpected {other:?}"),
@@ -187,11 +194,13 @@ mod tests {
         out.clear();
         t.step(
             Message::Determine(CondVar::new(1, 1), Determination::False),
+            &mut vars,
             &mut out,
         );
         assert!(out.is_empty());
         t.step(
             Message::Determine(CondVar::new(2, 3), Determination::False),
+            &mut vars,
             &mut out,
         );
         assert_eq!(out.len(), 1);
@@ -200,6 +209,7 @@ mod tests {
     #[test]
     fn document_messages_pass_both_polarities() {
         use spex_xml::EventStore;
+        let mut vars = VarFactory::new();
         let mut store = EventStore::new();
         let stream = crate::transducers::test_util::stream_of(&mut store, "<a/>");
         for mut t in [
@@ -208,7 +218,7 @@ mod tests {
         ] {
             let mut out = Vec::new();
             for m in &stream {
-                t.step(m.clone(), &mut out);
+                t.step(m.clone(), &mut vars, &mut out);
             }
             assert_eq!(out.len(), stream.len());
         }

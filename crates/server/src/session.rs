@@ -4,8 +4,7 @@
 //!
 //! The reactor (see [`crate::reactor`]) owns the socket and shovels bytes
 //! between it and the connection's [`Conn`] buffers; this module owns all
-//! protocol logic. A [`SessionMachine`] is pinned to one worker (the
-//! engine's `PlanRun` holds `Rc`-backed state and is not `Send`) and advanced
+//! protocol logic. A [`SessionMachine`] is pinned to one worker and advanced
 //! whenever its connection is ready: [`SessionMachine::advance`] consumes
 //! decoded frames, drives the zero-copy `Parser::poll_into` path, emits
 //! result frames into the bounded outbound buffer, and reports why it
@@ -44,16 +43,13 @@ use crate::protocol::{
     RESUME_VERSION,
 };
 use crate::server::Shared;
-use spex_core::multi::SharedQuerySet;
 use spex_core::{
-    stats_json, EvalError, FragmentFnSink, Quarantine, ResultSink, RunReport, SessionState,
+    stats_json, EvalError, PlanRun, Quarantine, ResultMeta, ResultSink, RunReport, SessionState,
     Snapshot,
 };
 use spex_query::Rpeq;
-use spex_xml::{Parser, Poll, RecoveryPolicy, StoredKind};
-use std::cell::RefCell;
+use spex_xml::{FaultKind, Parser, Poll, RawEvent, RecoveryPolicy, StoredKind};
 use std::path::PathBuf;
-use std::rc::Rc;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -131,34 +127,65 @@ fn classify(err: &EvalError, violation: Option<&ProtocolError>) -> SessionError 
     }
 }
 
-/// Per-query delivery accounting, shared between every result sink and the
-/// checkpoint hook. `delivered[q]` counts all fragments produced for query
-/// `q` — including suppressed replays, which the client already holds —
-/// so a snapshot's counts line up with what the client received.
-/// `suppress[q]` is the number of upcoming fragments to swallow instead of
-/// sending: at resume it is `client_received[q] - snapshot_delivered[q]`,
-/// the fragments the replayed input will regenerate.
-#[derive(Default)]
-struct Delivery {
-    delivered: Vec<u64>,
-    suppress: Vec<u64>,
+/// One query's end of the network, owned by the session's run. Under
+/// `strict` each fragment is serialized and sent as a result frame the
+/// moment it completes; under a recovery policy every fragment is held in
+/// the sink's [`Quarantine`] until the damage intervals are known, and the
+/// closing drain replays the survivors through the same sink.
+struct SessionSink {
+    name: String,
+    conn: Arc<Conn>,
+    /// All fragments produced for this query — including suppressed
+    /// replays, which the client already holds — so a snapshot's counts
+    /// line up with what the client received.
+    delivered: u64,
+    /// Upcoming fragments to swallow instead of sending: at resume,
+    /// `client_received - snapshot_delivered`, the fragments the replayed
+    /// input will regenerate.
+    suppress: u64,
+    /// `Some` under a recovery policy until the closing drain takes it.
+    quarantine: Option<Quarantine>,
+    /// The fragment being serialized, byte for byte as
+    /// [`spex_core::FragmentFnSink`] (and so the one-shot CLI) writes it.
+    current: Option<spex_xml::Writer<Vec<u8>>>,
 }
 
-/// A [`Quarantine`] behind `Rc<RefCell>`, so the checkpoint hook can export
-/// its buffered fragments while the run holds the sink borrow.
-struct SharedQuarantine(Rc<RefCell<Quarantine>>);
-
-impl ResultSink for SharedQuarantine {
-    fn begin(&mut self, meta: spex_core::ResultMeta, now: u64) {
-        self.0.borrow_mut().begin(meta, now);
+impl ResultSink for SessionSink {
+    fn begin(&mut self, meta: ResultMeta, now: u64) {
+        match &mut self.quarantine {
+            Some(q) => q.begin(meta, now),
+            None => self.current = Some(spex_xml::Writer::new(Vec::new())),
+        }
     }
 
-    fn event(&mut self, event: &spex_xml::RawEvent<'_>, now: u64) {
-        self.0.borrow_mut().event(event, now);
+    fn event(&mut self, event: &RawEvent<'_>, now: u64) {
+        match (&mut self.quarantine, &mut self.current) {
+            (Some(q), _) => q.event(event, now),
+            (None, Some(w)) => w
+                .write_view(event)
+                .expect("writing a fragment to a Vec cannot fail"),
+            (None, None) => {}
+        }
     }
 
+    /// Every fragment bumps the delivery counter; while `suppress` is
+    /// positive the fragment is a replay the client already holds, so it is
+    /// counted but not sent. The payload is the fragment plus a newline
+    /// (the one-shot CLI's per-line output) behind the query name header.
     fn end(&mut self, now: u64) {
-        self.0.borrow_mut().end(now);
+        if let Some(q) = &mut self.quarantine {
+            return q.end(now);
+        }
+        let Some(w) = self.current.take() else { return };
+        self.delivered += 1;
+        if self.suppress > 0 {
+            self.suppress -= 1;
+            return;
+        }
+        let fragment = w.into_inner().expect("flush to Vec cannot fail");
+        let mut payload = result_payload(&self.name, &fragment);
+        payload.push(b'\n');
+        self.conn.send_frame(FrameKind::Result, &payload);
     }
 }
 
@@ -168,7 +195,7 @@ impl ResultSink for SharedQuarantine {
 struct DurableCtx {
     root: PathBuf,
     token: String,
-    log: Rc<RefCell<SessionLog>>,
+    log: SessionLog,
     /// Engine snapshot to restore before consuming input (resume only).
     snapshot: Option<Snapshot>,
     /// Continuation state (default-empty for fresh sessions and for
@@ -209,12 +236,6 @@ struct EvalInput {
     conn: Arc<Conn>,
     notifier: Arc<Notifier>,
     decoder: FrameDecoder,
-    /// Durable sessions append every incoming `DATA` payload here *before*
-    /// the parser sees the bytes (write-ahead). Replayed bytes fed at
-    /// resume bypass this hook, so they are never logged twice. A WAL
-    /// append failure fails the input (and so the session): input the
-    /// engine consumed but the log lost could not be replayed.
-    log: Option<Rc<RefCell<SessionLog>>>,
     /// The frame-grammar violation that failed the input, if one did:
     /// `spex_xml::XmlError` stringifies I/O errors, so the session
     /// re-classifies the parser's I/O error as a protocol error from here.
@@ -226,16 +247,6 @@ impl EvalInput {
         let e = std::io::Error::new(std::io::ErrorKind::InvalidData, v.to_string());
         self.violation = Some(v);
         e
-    }
-
-    /// Run `append` against the session's WAL, if it has one.
-    fn write_ahead(
-        &self,
-        append: impl FnOnce(&mut SessionLog) -> std::io::Result<()>,
-    ) -> std::io::Result<()> {
-        self.log
-            .as_ref()
-            .map_or(Ok(()), |log| append(&mut log.borrow_mut()))
     }
 
     /// Move the inbox's bytes into the frame decoder; returns the inbox's
@@ -259,7 +270,14 @@ impl EvalInput {
     /// Hand the parser the next piece of its input: one `DATA` payload, or
     /// the end (or failure) of the stream. `false` means nothing has
     /// arrived yet — the session suspends on [`Advance::NeedInput`].
-    fn pump(&mut self, parser: &mut Parser) -> bool {
+    ///
+    /// A durable session passes its WAL as `log`: every incoming `DATA`
+    /// payload is appended *before* the parser sees the bytes (write-ahead).
+    /// Replayed bytes fed at resume bypass this hook, so they are never
+    /// logged twice. A WAL append failure fails the input (and so the
+    /// session): input the engine consumed but the log lost could not be
+    /// replayed.
+    fn pump(&mut self, parser: &mut Parser, mut log: Option<&mut SessionLog>) -> bool {
         let mut frame = self.decoder.next_frame();
         let mut closed = (false, None);
         if matches!(frame, Ok(None)) {
@@ -274,11 +292,13 @@ impl EvalInput {
             Ok(Some(frame)) => {
                 self.conn.note_frame_complete();
                 match frame.kind {
-                    FrameKind::Data => self
-                        .write_ahead(|log| log.append_data(&frame.payload))
+                    FrameKind::Data => log
+                        .as_mut()
+                        .map_or(Ok(()), |log| log.append_data(&frame.payload))
                         .map(|()| parser.feed(&frame.payload)),
-                    FrameKind::End => self
-                        .write_ahead(SessionLog::append_end)
+                    FrameKind::End => log
+                        .as_mut()
+                        .map_or(Ok(()), |log| log.append_end())
                         .map(|()| parser.end_input()),
                     other => Err(self.violate(ProtocolError::UnexpectedKind(other))),
                 }
@@ -318,23 +338,12 @@ struct RegisterPhase {
     queries: Vec<(String, Rpeq)>,
 }
 
-/// The eval phase's working state.
-///
-/// `run` borrows `plan` (through the `Arc`) and `sinks` (through the
-/// boxes) with `'static` lifetimes conjured in [`init_run`]; the field
-/// order makes the compiler drop `run` before either referent, and the
-/// referents are heap allocations whose addresses survive moves of this
-/// struct (it lives in a `Box` regardless). `plan` and `sinks` are never
-/// otherwise touched while `run` is alive.
+/// The eval phase's working state. The run owns the plan share and the
+/// per-query sinks; `durable` owns the WAL.
 struct EvalPhase {
-    run: Option<spex_core::PlanRun<'static, 'static>>,
+    run: PlanRun<SessionSink>,
     parser: Parser,
     input: EvalInput,
-    plan: Arc<SharedQuerySet>,
-    sinks: Vec<Box<dyn ResultSink>>,
-    quarantines: Vec<Rc<RefCell<Quarantine>>>,
-    delivery: Rc<RefCell<Delivery>>,
-    names: Vec<String>,
     durable: Option<DurableCtx>,
     documents: u64,
 }
@@ -586,7 +595,7 @@ impl SessionMachine {
                 // The durable input byte count, announced before any
                 // replayed result frames so the client knows where to
                 // continue its stream from.
-                let total = ctx.log.borrow().total_bytes();
+                let total = ctx.log.total_bytes();
                 self.conn
                     .send_frame(FrameKind::ResumeOk, &total.to_be_bytes());
                 (Some(ctx), replay, replay_ended)
@@ -621,7 +630,7 @@ impl SessionMachine {
                                 let ctx = DurableCtx {
                                     root,
                                     token,
-                                    log: Rc::new(RefCell::new(log)),
+                                    log,
                                     snapshot: None,
                                     session: SessionState::default(),
                                     suppress: vec![0; queries.len()],
@@ -673,88 +682,46 @@ impl SessionMachine {
             conn: Arc::clone(&self.conn),
             notifier: Arc::clone(&self.shared.notifier),
             decoder,
-            log: durable_ctx.as_ref().map(|d| Rc::clone(&d.log)),
             violation: None,
         };
 
-        let names: Vec<String> = plan.ids().to_vec();
-        let nq = names.len();
-        let delivery = {
-            let mut delivered = durable_ctx
-                .as_ref()
-                .map(|d| d.session.delivered.clone())
-                .unwrap_or_default();
-            delivered.resize(nq, 0);
-            let mut suppress = durable_ctx
-                .as_ref()
-                .map(|d| d.suppress.clone())
-                .unwrap_or_default();
-            suppress.resize(nq, 0);
-            Rc::new(RefCell::new(Delivery {
-                delivered,
-                suppress,
-            }))
-        };
-
-        // Under a recovery policy every fragment is quarantined until the
-        // damage intervals are known; under `strict` fragments stream
-        // straight into result frames. Quarantines sit behind
-        // `Rc<RefCell>` so the checkpoint hook can export them while the
-        // run holds the sink borrow.
-        let mut quarantines: Vec<Rc<RefCell<Quarantine>>> = Vec::new();
-        let sinks: Vec<Box<dyn ResultSink>> = if recovering {
-            quarantines = (0..nq)
-                .map(|_| Rc::new(RefCell::new(Quarantine::new())))
-                .collect();
-            if let Some(d) = &durable_ctx {
-                for (q, frags) in quarantines.iter().zip(d.session.quarantines.iter()) {
-                    q.borrow_mut().import_fragments(frags.clone());
+        // One sink per logical query, in the plan's query order. A resume
+        // seeds each with its share of the continuation: the delivery
+        // count, the replayed fragments to suppress, and (under a recovery
+        // policy) the fragments quarantined before the restart.
+        let resumed = durable_ctx.as_ref();
+        let sinks = plan
+            .ids()
+            .iter()
+            .enumerate()
+            .map(|(i, name)| {
+                let mut quarantine = recovering.then(Quarantine::new);
+                let held = resumed.and_then(|d| d.session.quarantines.get(i));
+                if let (Some(q), Some(held)) = (&mut quarantine, held) {
+                    q.import_fragments(held.clone());
                 }
-            }
-            quarantines
-                .iter()
-                .map(|q| Box::new(SharedQuarantine(Rc::clone(q))) as Box<dyn ResultSink>)
-                .collect()
-        } else {
-            names
-                .iter()
-                .enumerate()
-                .map(|(i, name)| {
-                    Box::new(frame_sink(
-                        name.clone(),
-                        Arc::clone(&self.conn),
-                        i,
-                        Rc::clone(&delivery),
-                    )) as Box<dyn ResultSink>
-                })
-                .collect()
-        };
+                SessionSink {
+                    name: name.clone(),
+                    conn: Arc::clone(&self.conn),
+                    delivered: resumed
+                        .and_then(|d| d.session.delivered.get(i).copied())
+                        .unwrap_or(0),
+                    suppress: resumed
+                        .and_then(|d| d.suppress.get(i).copied())
+                        .unwrap_or(0),
+                    quarantine,
+                    current: None,
+                }
+            })
+            .collect();
+        let mut run = plan.run_with_limits(sinks, self.shared.cfg.limits);
+        run.set_tracer(self.shared.trace.tracer.clone());
 
-        let mut phase = Box::new(EvalPhase {
-            run: None,
-            parser,
-            input,
-            plan,
-            sinks,
-            quarantines,
-            delivery,
-            names,
-            durable: durable_ctx,
-            documents: 0,
-        });
-        init_run(&mut phase, &self.shared);
-
-        if let Some(d) = &phase.durable {
+        if let Some(d) = &durable_ctx {
             if let Some(snap) = &d.snapshot {
                 let mut span = self.shared.trace.tracer.span("serve.restore");
                 span.set_attr("token", d.token.as_str());
-                let restored = phase
-                    .run
-                    .as_mut()
-                    .expect("run initialized above")
-                    .restore(snap);
-                if let Err(e) = restored {
-                    drop(phase.run.take());
+                if let Err(e) = run.restore(snap) {
                     let e = SessionError::new(
                         "io",
                         3,
@@ -764,7 +731,13 @@ impl SessionMachine {
                 }
             }
         }
-        self.state = Phase::Eval(phase);
+        self.state = Phase::Eval(Box::new(EvalPhase {
+            run,
+            parser,
+            input,
+            durable: durable_ctx,
+            documents: 0,
+        }));
         Step::Enter
     }
 
@@ -781,7 +754,7 @@ impl SessionMachine {
                 self.state = Phase::Eval(phase);
                 return Advance::NeedWrite;
             }
-            let run = phase.run.as_mut().expect("run lives through the eval loop");
+            let run = &mut phase.run;
             match phase.parser.poll_into(run.store_mut()) {
                 Ok(Poll::Event(id)) => {
                     events += 1;
@@ -795,21 +768,23 @@ impl SessionMachine {
                         // document's interned symbols and candidate state
                         // before the next document on the same stream.
                         run.reset_session();
-                        if let Some(d) = &phase.durable {
-                            checkpoint(
-                                d,
-                                run,
-                                &phase.parser,
-                                &phase.quarantines,
-                                &phase.delivery,
-                                phase.documents,
-                                &self.shared,
-                            );
+                        // A `</$>` synthesized for a stream that broke off
+                        // mid-document is not a boundary of the client's
+                        // stream: a snapshot there would resume past bytes
+                        // the client is about to send again.
+                        let truncated = phase
+                            .parser
+                            .faults()
+                            .last()
+                            .is_some_and(|f| f.kind == FaultKind::Truncated);
+                        if let (Some(d), false) = (&mut phase.durable, truncated) {
+                            checkpoint(d, run, &phase.parser, phase.documents, &self.shared);
                         }
                     }
                 }
                 Ok(Poll::NeedMore) => {
-                    if !phase.input.pump(&mut phase.parser) {
+                    let log = phase.durable.as_mut().map(|d| &mut d.log);
+                    if !phase.input.pump(&mut phase.parser, log) {
                         self.state = Phase::Eval(phase);
                         return Advance::NeedInput;
                     }
@@ -827,14 +802,20 @@ impl SessionMachine {
     /// The closing sequence, ported from the blocking server: harvest the
     /// run, drain recovery quarantines (faults first), settle durable
     /// state, then queue `STAT` + optional error + `END`.
-    fn finish_eval(&mut self, mut phase: Box<EvalPhase>, error: Option<EvalError>) -> Advance {
+    fn finish_eval(&mut self, phase: Box<EvalPhase>, error: Option<EvalError>) -> Advance {
         let shared = Arc::clone(&self.shared);
         shared
             .stats
             .documents
             .fetch_add(phase.documents, Ordering::Relaxed);
 
-        let run = phase.run.take().expect("run lives until finish");
+        let EvalPhase {
+            run,
+            mut parser,
+            input,
+            durable,
+            documents: _,
+        } = *phase;
         let exhausted = run.exhausted();
         // Fold this session's determination latency into the server-wide
         // aggregate behind the `T` frame. This must happen while the run
@@ -848,13 +829,12 @@ impl SessionMachine {
         // behind; `finish_full` asserts balance, so an errored run is
         // snapshotted and dropped instead of finished (a resource breach
         // is different: the run drained cleanly and can finish).
-        let (stats, transducers) = if matches!(error, Some(EvalError::Xml(_))) {
+        let (stats, transducers, mut sinks) = if matches!(error, Some(EvalError::Xml(_))) {
             let stats = run.stats().clone();
             let transducers = run.transducer_stats().to_vec();
-            drop(run);
-            (stats, transducers)
+            (stats, transducers, run.into_sinks())
         } else {
-            run.finish_full()
+            run.finish_into_sinks()
         };
         shared.stats.absorb_engine(&stats);
 
@@ -863,15 +843,12 @@ impl SessionMachine {
             // A resumed session re-reports the faults recorded before the
             // crash: damage intervals must stay complete for the final
             // drain.
-            let mut faults = phase
-                .durable
+            let mut faults = durable
                 .as_ref()
                 .map(|d| d.session.faults.clone())
                 .unwrap_or_default();
-            faults.extend(phase.parser.take_faults());
-            let truncated = faults
-                .iter()
-                .any(|f| f.kind == spex_xml::FaultKind::Truncated);
+            faults.extend(parser.take_faults());
+            let truncated = faults.iter().any(|f| f.kind == FaultKind::Truncated);
             // Faults first, so a client sees why fragments were withheld
             // before the surviving results arrive.
             for fault in &faults {
@@ -880,16 +857,13 @@ impl SessionMachine {
             }
             let mut delivered = 0u64;
             let mut dropped = 0u64;
-            for (i, (q, name)) in phase.quarantines.iter().zip(&phase.names).enumerate() {
-                let mut sink = frame_sink(
-                    name.clone(),
-                    Arc::clone(&self.conn),
-                    i,
-                    Rc::clone(&phase.delivery),
-                );
-                let (d, p) =
-                    q.borrow_mut()
-                        .drain_into(&faults, shared.cfg.on_truncation, &mut sink);
+            for sink in &mut sinks {
+                // With its quarantine taken the sink streams: the drain
+                // replays the survivors as result frames.
+                let Some(mut held) = sink.quarantine.take() else {
+                    continue;
+                };
+                let (d, p) = held.drain_into(&faults, shared.cfg.on_truncation, sink);
                 delivered += d;
                 dropped += p;
             }
@@ -911,20 +885,17 @@ impl SessionMachine {
 
         let session_error = error
             .as_ref()
-            .map(|e| classify(e, phase.input.violation.as_ref()));
+            .map(|e| classify(e, input.violation.as_ref()));
 
-        if let Some(d) = &phase.durable {
-            let log = d.log.borrow();
+        if let Some(d) = &durable {
             shared
                 .trace
                 .tracer
-                .counter("wal.bytes", log.wal_bytes_written());
-            let ended_clean = log.ended();
-            drop(log);
+                .counter("wal.bytes", d.log.wal_bytes_written());
             // A clean END means the session is over and will never be
             // resumed; a hangup or error keeps the durable state for a
             // later `M` frame.
-            if session_error.is_none() && ended_clean {
+            if session_error.is_none() && d.log.ended() {
                 let _ = durable::remove(&d.root, &d.token);
             }
         }
@@ -947,30 +918,6 @@ enum FirstInput {
         first_data: Option<Vec<u8>>,
     },
     Resume(Box<(DurableCtx, Vec<u8>, bool)>),
-}
-
-/// Conjure the `'static` borrows the [`EvalPhase`] run needs from its
-/// sibling fields and start the engine run. The one `unsafe` island in the
-/// server crate.
-#[allow(unsafe_code)]
-fn init_run(phase: &mut EvalPhase, shared: &Shared) {
-    // SAFETY: `plan` is kept alive by the `Arc` stored in the same
-    // `EvalPhase` as the run, and the `Arc`'s pointee never moves; the
-    // sink boxes likewise live in `phase.sinks` until the run is dropped,
-    // and a `Box`'s pointee never moves. The field order in `EvalPhase`
-    // drops `run` before `plan`/`sinks`, and no other code touches
-    // `phase.plan`/`phase.sinks` while `run` is `Some` — so the conjured
-    // `'static` references are valid for the run's entire life and never
-    // aliased.
-    let plan_ref: &'static SharedQuerySet = unsafe { &*Arc::as_ptr(&phase.plan) };
-    let sink_refs: Vec<&'static mut dyn ResultSink> = phase
-        .sinks
-        .iter_mut()
-        .map(|b| unsafe { &mut *(b.as_mut() as *mut dyn ResultSink) })
-        .collect();
-    let mut run = plan_ref.run_with_limits(sink_refs, shared.cfg.limits);
-    run.set_tracer(shared.trace.tracer.clone());
-    phase.run = Some(run);
 }
 
 /// Handle an `M` frame: validate it, read the session's durable state back
@@ -1106,7 +1053,7 @@ fn handle_resume(
         DurableCtx {
             root,
             token: token.to_string(),
-            log: Rc::new(RefCell::new(log)),
+            log,
             snapshot,
             session,
             suppress,
@@ -1149,43 +1096,15 @@ fn register_one(frame: &Frame, queries: &mut Vec<(String, Rpeq)>, conn: &Conn) {
     }
 }
 
-/// Build the per-query result-frame sink: fragment bytes (plus the
-/// newline, matching the one-shot CLI's per-line output) behind the query
-/// name header. Every fragment bumps the shared delivery counter; while
-/// `suppress[idx]` is positive the fragment is a replay the client already
-/// holds, so it is counted but not sent.
-fn frame_sink(
-    name: String,
-    conn: Arc<Conn>,
-    idx: usize,
-    delivery: Rc<RefCell<Delivery>>,
-) -> FragmentFnSink<impl FnMut(&[u8]) + 'static> {
-    FragmentFnSink::new(move |fragment: &[u8]| {
-        {
-            let mut d = delivery.borrow_mut();
-            d.delivered[idx] += 1;
-            if d.suppress[idx] > 0 {
-                d.suppress[idx] -= 1;
-                return;
-            }
-        }
-        let mut payload = result_payload(&name, fragment);
-        payload.push(b'\n');
-        conn.send_frame(FrameKind::Result, &payload);
-    })
-}
-
 /// Document-boundary checkpoint: snapshot the quiescent run plus the
 /// session bookkeeping (faults, quarantines, delivery counts, parser
 /// resume point), then durably persist and prune the WAL. All disk
 /// failures are absorbed — a failed checkpoint costs replay time on the
 /// next resume, never the live session.
 fn checkpoint(
-    d: &DurableCtx,
-    run: &mut spex_core::PlanRun<'_, '_>,
+    d: &mut DurableCtx,
+    run: &PlanRun<SessionSink>,
     parser: &Parser,
-    quarantines: &[Rc<RefCell<Quarantine>>],
-    delivery: &Rc<RefCell<Delivery>>,
     documents: u64,
     shared: &Arc<Shared>,
 ) {
@@ -1197,23 +1116,27 @@ fn checkpoint(
         Err(_) => return,
     };
     let (reader_emitted, position, lt_consumed) = parser.resume_point();
+    let sinks = run.sinks();
     snap.session = Some(SessionState {
-        faults: parser.faults().to_vec(),
-        quarantines: quarantines
+        // A resumed session's parser knows only the faults since the
+        // restart; the ones the restored snapshot carried still taint the
+        // fragments quarantined before it.
+        faults: [&d.session.faults[..], parser.faults()].concat(),
+        quarantines: sinks
             .iter()
-            .map(|q| q.borrow().export_fragments())
+            .filter_map(|s| s.quarantine.as_ref())
+            .map(Quarantine::export_fragments)
             .collect(),
-        delivered: delivery.borrow().delivered.clone(),
+        delivered: sinks.iter().map(|s| s.delivered).collect(),
         reader_emitted,
         position,
         lt_consumed,
         documents: d.session.documents + documents,
     });
     let bytes = snap.encode();
-    let mut log = d.log.borrow_mut();
-    let _ = log.sync_for_document();
-    let _ = log.write_snapshot(&bytes);
-    let _ = log.prune(position.offset);
+    let _ = d.log.sync_for_document();
+    let _ = d.log.write_snapshot(&bytes);
+    let _ = d.log.prune(position.offset);
 }
 
 /// One fault as a line of JSON (same field names as the one-shot schema's
@@ -1255,7 +1178,6 @@ mod tests {
             conn,
             notifier: Arc::new(Notifier::new(poller.waker())),
             decoder: FrameDecoder::new(1024),
-            log: None,
             violation: None,
         }
     }
@@ -1270,19 +1192,19 @@ mod tests {
         let mut input = test_input(Arc::clone(&conn));
         let mut parser = Parser::new();
         let mut store = spex_xml::EventStore::new();
-        assert!(!input.pump(&mut parser));
+        assert!(!input.pump(&mut parser, None));
         conn.inbox
             .lock()
             .unwrap()
             .buf
             .extend_from_slice(&framed[..7]);
-        assert!(!input.pump(&mut parser));
+        assert!(!input.pump(&mut parser, None));
         conn.inbox
             .lock()
             .unwrap()
             .buf
             .extend_from_slice(&framed[7..]);
-        assert!(input.pump(&mut parser));
+        assert!(input.pump(&mut parser, None));
         // `<$>`, `<a>`, `</a>`; the end of the document waits for more.
         for _ in 0..3 {
             assert!(matches!(parser.poll_into(&mut store), Ok(Poll::Event(_))));
@@ -1298,7 +1220,7 @@ mod tests {
         let mut store = spex_xml::EventStore::new();
         let mut failure = |input: &mut EvalInput| {
             let mut parser = Parser::new();
-            assert!(input.pump(&mut parser));
+            assert!(input.pump(&mut parser, None));
             assert!(matches!(parser.poll_into(&mut store), Ok(Poll::Event(_))));
             parser.poll_into(&mut store).unwrap_err()
         };

@@ -36,7 +36,7 @@ fn main() {
     let mut sinks: Vec<FragmentCollector> = (0..networks.len())
         .map(|_| FragmentCollector::new())
         .collect();
-    let mut evals: Vec<Evaluator> = networks
+    let mut evals: Vec<Evaluator<_>> = networks
         .iter()
         .zip(sinks.iter_mut())
         .map(|((_, net), sink)| Evaluator::new(net, sink))

@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use spex::core::sink::ResultSink;
-use spex::core::{CompiledNetwork, FragmentCollector, SinkGroup};
+use spex::core::{CompiledNetwork, FragmentCollector};
 use spex::query::{Label, Rpeq};
 use spex::xml::XmlEvent;
 use std::collections::HashMap;
@@ -165,8 +165,8 @@ fn combined_fragments(
                 run.finish();
             }
             Executor::Reference => {
-                let groups = SinkGroup::partition(sinks, set.slot_of(), set.spec().sink_count());
-                let mut run = spex::core::network::Run::with_sink_groups(set.spec(), groups);
+                let mut run =
+                    spex::core::network::Run::with_slots(set.spec(), sinks, set.slot_of());
                 events.iter().for_each(|ev| run.push(ev.clone()));
                 run.finish();
             }

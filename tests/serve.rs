@@ -409,3 +409,131 @@ fn serve_stats_json_matches_one_shot_schema() {
     handle.shutdown();
     join.join().unwrap().unwrap();
 }
+
+/// A durable recovery session resumed by token is invisible to its client:
+/// the results of every life, concatenated, and the final fault frames are
+/// byte-identical to one uninterrupted session. Two registrations the
+/// combiner aliases onto one physical sink plus one distinct query, a
+/// damaged document between clean ones, and two hangups mid-document after
+/// `</$>` checkpoints — so the quarantine export/import, the fault list, the
+/// per-query `suppress` counts and the alias fan-out all cross a restart,
+/// and the second restart resumes from a snapshot a resumed life wrote.
+#[test]
+fn durable_recovery_session_resumes_byte_identically() {
+    let dir = std::env::temp_dir().join(format!("spex-serve-resume-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (addr, handle, join) = boot(ServerConfig {
+        durable_dir: Some(dir.to_str().unwrap().to_string()),
+        recovery: spex_xml::RecoveryPolicy::Repair,
+        ..ServerConfig::default()
+    });
+    // `alias1` and `alias2` are canonically equal (one shared output
+    // transducer); names are registered sorted, the server's query order.
+    let queries = [("alias1", "r.x"), ("alias2", "(r).x"), ("other", "r.y")];
+    let docs = [
+        "<r><x>one</x><y>1</y></r>",
+        "<r><x>two</x><y><z></nope></z></y><x>lost</x></r>", // stray close
+        "<r><y>3</y><x>three</x></r>",
+        "<r><x>four</x><y>4</y></r>",
+    ];
+    let stream = docs.concat();
+    // Mid-document three (after "<r><y>3</y>") and mid-document four (after
+    // "<r><x>fou"): each life dies with a document open.
+    let cuts = [docs[..2].concat().len() + 11, docs[..3].concat().len() + 9];
+
+    let mut reference = Client::connect(addr).expect("connect");
+    let whole = reference
+        .run_session(&queries, stream.as_bytes())
+        .expect("uninterrupted session");
+    assert!(whole.clean_end && whole.errors.is_empty(), "{whole:?}");
+    assert!(!whole.faults.is_empty(), "the damaged document went unseen");
+    assert!(!whole.output_of("other").is_empty());
+    assert_eq!(whole.output_of("alias1"), whole.output_of("alias2"));
+
+    // The interrupted lives: stream up to the cut, then half-close — the
+    // server sees a hangup mid-document and drains what survives the
+    // truncation to the still-listening client.
+    let mut token: Option<String> = None;
+    let mut got: Vec<(String, Vec<u8>)> = Vec::new();
+    let received = |got: &[(String, Vec<u8>)]| -> Vec<u64> {
+        let count = |name: &str| got.iter().filter(|(n, _)| n == name).count() as u64;
+        queries.iter().map(|(name, _)| count(name)).collect()
+    };
+    let mut sent = 0;
+    for cut in cuts {
+        let mut life = std::net::TcpStream::connect(addr).expect("connect");
+        match &token {
+            None => {
+                for (name, expr) in queries {
+                    let registration = format!("{name}={expr}");
+                    spex_serve::write_frame(
+                        &mut life,
+                        FrameKind::Register,
+                        registration.as_bytes(),
+                    )
+                    .unwrap();
+                }
+            }
+            Some(token) => {
+                let resume = spex_serve::protocol::resume_payload(token, &received(&got));
+                spex_serve::write_frame(&mut life, FrameKind::Resume, &resume).unwrap();
+            }
+        }
+        spex_serve::write_frame(&mut life, FrameKind::Data, &stream.as_bytes()[sent..cut]).unwrap();
+        life.shutdown(std::net::Shutdown::Write).unwrap();
+        sent = cut;
+        let mut reader = std::io::BufReader::new(life);
+        while let Some(frame) =
+            spex_serve::read_frame(&mut reader, spex_serve::DEFAULT_MAX_FRAME).expect("read")
+        {
+            let text = String::from_utf8_lossy(&frame.payload).into_owned();
+            match frame.kind {
+                FrameKind::Ok => {
+                    token = token.or(text.strip_prefix("session=").map(str::to_string));
+                }
+                FrameKind::Result => {
+                    let (name, fragment) = spex_serve::split_result(&frame.payload).unwrap();
+                    got.push((name.to_string(), fragment.to_vec()));
+                }
+                FrameKind::Error => panic!("interrupted life failed: {text}"),
+                _ => {}
+            }
+        }
+        let token = token.as_deref().expect("session token ack");
+        assert!(
+            dir.join(token).join("snapshot.bin").exists(),
+            "no checkpoint was written before the hangup"
+        );
+        assert!(received(&got).iter().all(|&n| n > 0), "nothing to suppress");
+    }
+
+    // The last life: resume by token with the received counts, send the
+    // rest, end cleanly.
+    let mut last = Client::connect(addr).expect("connect");
+    last.resume(token.as_deref().unwrap(), &received(&got))
+        .unwrap();
+    last.send_xml(&stream.as_bytes()[sent..]).unwrap();
+    last.end().unwrap();
+    let t = last.drain().expect("last life");
+    assert!(t.clean_end && t.errors.is_empty(), "{t:?}");
+    // Every byte the interrupted lives sent was durable.
+    assert_eq!(t.resume_ok, Some(sent as u64));
+    assert_eq!(t.faults, whole.faults);
+    got.extend(t.results);
+    for (name, _) in queries {
+        let all: Vec<u8> = got
+            .iter()
+            .filter(|(n, _)| n == name)
+            .flat_map(|(_, fragment)| fragment.iter().copied())
+            .collect();
+        assert_eq!(
+            String::from_utf8_lossy(&all),
+            String::from_utf8_lossy(&whole.output_of(name)),
+            "query {name}"
+        );
+    }
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
