@@ -1884,22 +1884,18 @@ fn reactor_smoke_cmd(args: &[String]) {
 /// Returns (events, snapshot bytes, checkpoint µs, restore µs).
 fn measure_snapshot(query: &Rpeq, xml: &str) -> (u64, usize, f64, f64) {
     let network = CompiledNetwork::compile(query);
-    let mut sink = spex_core::CountingSink::new();
-    let mut eval = spex_core::Evaluator::new(&network, &mut sink);
-    let mut reader =
-        spex_xml::Reader::new(std::io::Cursor::new(xml.as_bytes().to_vec())).multi_document();
-    let mut events = 0u64;
-    while let Some(end) = eval.push_step(&mut reader).expect("clean stream") {
-        events += 1;
-        if end {
-            eval.reset_session();
-        }
-    }
+    let options = spex_core::RecoveryOptions {
+        multi_document: true,
+        ..Default::default()
+    };
+    let mut pump = spex_core::Pump::new(network.run(spex_core::CountingSink::new()), options);
+    pump.run_from(&mut xml.as_bytes()).expect("clean stream");
+    let events = pump.parser().events_emitted();
     let mut checkpoint_us = f64::INFINITY;
     let mut bytes = Vec::new();
     for _ in 0..7 {
         let t = Instant::now();
-        let snap = eval.checkpoint().expect("quiescent at document boundary");
+        let snap = pump.checkpoint().expect("quiescent at document boundary");
         let enc = snap.encode();
         checkpoint_us = checkpoint_us.min(t.elapsed().as_secs_f64() * 1e6);
         bytes = enc;
@@ -1908,8 +1904,7 @@ fn measure_snapshot(query: &Rpeq, xml: &str) -> (u64, usize, f64, f64) {
     for _ in 0..7 {
         let t = Instant::now();
         let snap = spex_core::Snapshot::decode(&bytes).expect("decode own snapshot");
-        let mut fresh_sink = spex_core::CountingSink::new();
-        let mut fresh = spex_core::Evaluator::new(&network, &mut fresh_sink);
+        let mut fresh = spex_core::Pump::new(network.run(spex_core::CountingSink::new()), options);
         fresh.restore(&snap).expect("restore own snapshot");
         restore_us = restore_us.min(t.elapsed().as_secs_f64() * 1e6);
     }

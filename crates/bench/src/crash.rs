@@ -33,43 +33,9 @@ use crate::diff::{gen_document, gen_query};
 use crate::fault::{mutate, Mutator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use spex_core::{
-    CompiledNetwork, FragmentCollector, Quarantine, ResultSink, SessionState, Snapshot,
-    TruncationOutcome,
-};
+use spex_core::{CompiledNetwork, FragmentCollector, Pump, RecoveryOptions, Snapshot, Yield};
 use spex_trace::HistogramSummary;
-use spex_xml::{Fault, Reader, RecoveryPolicy, StoredKind};
-
-/// The run's sink, owned by the run as the server's session sink is:
-/// fragments stream straight out under `strict`, and are quarantined until
-/// the damage intervals are known under a recovery policy.
-#[derive(Default)]
-struct RigSink {
-    streamed: FragmentCollector,
-    /// `Some` under a recovery policy.
-    held: Option<Quarantine>,
-}
-
-impl RigSink {
-    fn target(&mut self) -> &mut dyn ResultSink {
-        match &mut self.held {
-            Some(q) => q,
-            None => &mut self.streamed,
-        }
-    }
-}
-
-impl ResultSink for RigSink {
-    fn begin(&mut self, meta: spex_core::ResultMeta, now: u64) {
-        self.target().begin(meta, now);
-    }
-    fn event(&mut self, event: &spex_xml::RawEvent<'_>, now: u64) {
-        self.target().event(event, now);
-    }
-    fn end(&mut self, now: u64) {
-        self.target().end(now);
-    }
-}
+use spex_xml::RecoveryPolicy;
 
 /// A snapshot captured at one document boundary of a baseline run.
 struct CheckpointAt {
@@ -92,10 +58,11 @@ struct RunResult {
     latency: Vec<(usize, HistogramSummary)>,
 }
 
-/// Drive one run to completion: from scratch (`resume == None`) or from a
-/// restored snapshot consuming only the input after its boundary. When
-/// `checkpoint` is set, a snapshot is captured at every `</$>` — exactly
-/// the durable layer's write path, minus the disk.
+/// Drive one run to completion on the [`Pump`] the server's sessions run:
+/// from the start (`resume == None`) or from a restored snapshot consuming
+/// only the input after its boundary. When `checkpoint` is set, the pump's
+/// snapshot is captured at every `</$>` — exactly the durable layer's write
+/// path, minus the disk.
 fn drive(
     network: &CompiledNetwork,
     policy: RecoveryPolicy,
@@ -103,99 +70,63 @@ fn drive(
     resume: Option<&Snapshot>,
     checkpoint: bool,
 ) -> Result<RunResult, String> {
-    let recovering = policy != RecoveryPolicy::Strict;
-    let session = resume.and_then(|s| s.session.clone()).unwrap_or_default();
-    let prior_faults: Vec<Fault> = session.faults.clone();
-
-    let source = std::io::Cursor::new(xml.as_bytes()[session.position.offset as usize..].to_vec());
-    let mut reader = Reader::new(source).multi_document();
-    if recovering {
-        reader = reader.with_recovery(policy);
-    }
-    if resume.is_some() {
-        reader = reader.resume_at(
-            session.reader_emitted,
-            session.position,
-            session.lt_consumed,
-        );
-    }
-
-    let mut sink = RigSink::default();
-    if recovering {
-        let mut held = Quarantine::new();
-        if let Some(frags) = session.quarantines.first() {
-            held.import_fragments(frags.clone());
-        }
-        sink.held = Some(held);
-    }
-
-    let mut run = network.run(sink);
+    let options = RecoveryOptions {
+        policy,
+        multi_document: true,
+        ..RecoveryOptions::default()
+    };
+    let mut pump = Pump::new(network.run(FragmentCollector::new()), options);
+    let mut input = xml.as_bytes();
     if let Some(snap) = resume {
-        run.restore(snap)
+        pump.restore(snap)
             .map_err(|e| format!("{policy}: restore failed: {e}"))?;
+        let offset = snap.session.as_ref().map_or(0, |s| s.position.offset);
+        input = &input[offset as usize..];
     }
 
-    let mut documents = session.documents;
     let mut checkpoints = Vec::new();
-    while let Some(id) = reader
-        .next_into(run.store_mut())
-        .map_err(|e| format!("{policy}: {e}"))?
-    {
-        let end_of_document = run.store().stored(id).kind == StoredKind::EndDocument;
-        run.try_push_id(id).map_err(|e| format!("{policy}: {e}"))?;
-        if !end_of_document {
-            continue;
-        }
-        documents += 1;
-        run.reset_session();
-        if checkpoint {
-            let mut snap = run
-                .checkpoint()
-                .map_err(|e| format!("{policy}: checkpoint failed: {e}"))?;
-            let (reader_emitted, position, lt_consumed) = reader.resume_point();
-            let mut faults = prior_faults.clone();
-            faults.extend(reader.faults().iter().cloned());
-            let sink = &run.sinks()[0];
-            let delivered = sink.streamed.fragments().len();
-            snap.session = Some(SessionState {
-                faults,
-                quarantines: vec![sink
-                    .held
-                    .as_ref()
-                    .map(Quarantine::export_fragments)
-                    .unwrap_or_default()],
-                delivered: vec![delivered as u64],
-                reader_emitted,
-                position,
-                lt_consumed,
-                documents,
-            });
-            checkpoints.push(CheckpointAt {
-                offset: position.offset,
-                delivered,
-                snapshot: snap,
-            });
+    loop {
+        match pump
+            .step(usize::MAX)
+            .map_err(|e| format!("{policy}: {e}"))?
+        {
+            Yield::NeedMore => pump.parser_mut().read_from(&mut input),
+            Yield::Boundary if checkpoint => {
+                if let Some(snapshot) = pump.checkpoint() {
+                    let session = snapshot
+                        .session
+                        .as_ref()
+                        .expect("pump snapshots carry a session");
+                    checkpoints.push(CheckpointAt {
+                        offset: session.position.offset,
+                        delivered: session.delivered[0] as usize,
+                        snapshot,
+                    });
+                }
+            }
+            Yield::End => break,
+            Yield::Boundary | Yield::Budget => {}
         }
     }
 
-    let mut all_faults = prior_faults;
-    all_faults.extend(reader.take_faults());
-    let latency = run
+    let latency = pump
+        .machine()
         .determination_latency()
         .iter()
         .map(|(id, h)| (*id, h.summary()))
         .collect();
-    let (stats, transducers, mut sinks) = run.finish_into_sinks();
-    let mut sink = sinks.pop().expect("one query, one sink");
-    if let Some(mut held) = sink.held.take() {
-        held.drain_into(&all_faults, TruncationOutcome::Drop, &mut sink.streamed);
-    }
+    let mut done = pump.finish();
+    let faults = done.report.map(|r| r.faults).unwrap_or_default();
     Ok(RunResult {
         checkpoints,
-        fragments: sink.streamed.into_fragments(),
-        faults: format!("{all_faults:?}"),
-        stats,
-        transducers,
+        fragments: done
+            .sinks
+            .pop()
+            .expect("one query, one sink")
+            .into_fragments(),
+        faults: format!("{faults:?}"),
+        stats: done.stats,
+        transducers: done.transducers,
         latency,
     })
 }

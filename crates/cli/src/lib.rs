@@ -8,8 +8,9 @@
 pub mod serve;
 
 use spex_core::{
-    stats_json, CompiledNetwork, CountingSink, EngineStats, EvalError, Evaluator, RecoveryOptions,
-    ResourceLimits, RunReport, SpanCollector, TransducerStats, TruncationOutcome,
+    stats_json, CompiledNetwork, CountingSink, EngineStats, EvalError, PlanRun, Pump,
+    RecoveryOptions, ResourceLimits, ResultSink, RunReport, Snapshot, SpanCollector,
+    TransducerStats, TruncationOutcome, Yield,
 };
 use spex_query::Rpeq;
 use spex_trace::{JsonlSink, MemorySink, TeeSink, TraceRecord, TraceSink, Tracer};
@@ -540,23 +541,20 @@ fn run_inner(
     }
 
     let trace = TraceSetup::build(options)?;
+    let file = options.file.as_deref();
+    let mut evaluate_into = |sink: &mut dyn ResultSink| {
+        evaluate(network.run(sink), options, &trace.tracer, file, stdin)
+    };
 
     // Choose the sink by output mode.
-    let (stats, transducers, report) = if options.checkpoint.is_some() || options.resume.is_some() {
-        let mut sink = spex_core::StreamingSink::new(&mut *stdout);
-        let out = run_checkpointed(&network, options, &trace.tracer, stdin, &mut sink)?;
-        if let Some(e) = sink.take_error() {
-            return Err(e.into());
-        }
-        out
-    } else if options.count {
+    let (stats, transducers, report) = if options.count {
         let mut sink = CountingSink::new();
-        let out = evaluate(&network, options, &trace.tracer, stdin, &mut sink)?;
+        let out = evaluate_into(&mut sink)?;
         writeln!(stdout, "{}", sink.results)?;
         out
     } else if options.spans {
         let mut sink = SpanCollector::new();
-        let out = evaluate(&network, options, &trace.tracer, stdin, &mut sink)?;
+        let out = evaluate_into(&mut sink)?;
         for s in &sink.starts {
             writeln!(stdout, "{s}")?;
         }
@@ -566,7 +564,7 @@ fn run_inner(
         // not after the stream ends. (Under a recovery policy delivery is
         // deferred to end of run — quarantine needs the whole stream.)
         let mut sink = spex_core::StreamingSink::new(&mut *stdout);
-        let out = evaluate(&network, options, &trace.tracer, stdin, &mut sink)?;
+        let out = evaluate_into(&mut sink)?;
         if let Some(e) = sink.take_error() {
             return Err(e.into());
         }
@@ -669,7 +667,7 @@ fn run_multi(
     }
     // With --query there is no positional QUERY; the first (only)
     // positional is the input file.
-    let file = options.query.clone();
+    let file = options.query.as_deref();
 
     let mut queries: Vec<(String, Rpeq)> = Vec::new();
     for spec in &options.queries {
@@ -711,24 +709,14 @@ fn run_multi(
         return Ok(());
     }
 
-    let mut input: Box<dyn Read> = match &file {
-        Some(path) => Box::new(std::io::BufReader::new(
-            std::fs::File::open(path).map_err(|e| CliError::Io(format!("{path}: {e}")))?,
-        )),
-        None => Box::new(stdin),
-    };
-
     let trace = TraceSetup::build(options)?;
-    let (stats, transducers) = if options.count {
+    let mut evaluate_into = |sinks: Vec<&mut dyn ResultSink>| {
+        evaluate(set.run(sinks), options, &trace.tracer, file, stdin)
+    };
+    let (stats, transducers, _) = if options.count {
         let mut counters: Vec<CountingSink> =
             (0..queries.len()).map(|_| CountingSink::new()).collect();
-        let out = {
-            let sinks = counters
-                .iter_mut()
-                .map(|c| c as &mut dyn spex_core::ResultSink)
-                .collect();
-            eval_multi(&set, options, &trace.tracer, &mut input, sinks)?
-        };
+        let out = evaluate_into(counters.iter_mut().map(|c| c as _).collect())?;
         for (name, counter) in set.ids().iter().zip(&counters) {
             writeln!(stdout, "{name}\t{}", counter.results)?;
         }
@@ -736,13 +724,7 @@ fn run_multi(
     } else if options.spans {
         let mut collectors: Vec<SpanCollector> =
             (0..queries.len()).map(|_| SpanCollector::new()).collect();
-        let out = {
-            let sinks = collectors
-                .iter_mut()
-                .map(|c| c as &mut dyn spex_core::ResultSink)
-                .collect();
-            eval_multi(&set, options, &trace.tracer, &mut input, sinks)?
-        };
+        let out = evaluate_into(collectors.iter_mut().map(|c| c as _).collect())?;
         for (name, collector) in set.ids().iter().zip(&collectors) {
             for start in &collector.starts {
                 writeln!(stdout, "{name}\t{start}")?;
@@ -780,13 +762,7 @@ fn run_multi(
                 }) as Box<dyn FnMut(&[u8])>)
             })
             .collect();
-        let out = {
-            let sinks = sinks_store
-                .iter_mut()
-                .map(|s| s as &mut dyn spex_core::ResultSink)
-                .collect();
-            eval_multi(&set, options, &trace.tracer, &mut input, sinks)?
-        };
+        let out = evaluate_into(sinks_store.iter_mut().map(|s| s as _).collect())?;
         drop(sinks_store);
         if let Some(e) = shared_out.borrow_mut().1.take() {
             return Err(e.into());
@@ -799,206 +775,90 @@ fn run_multi(
     outcome
 }
 
-/// Drive the shared network over the input: the same zero-copy
-/// `next_into`/`try_push_id` loop as the single-query evaluator, with a
-/// session reset at every document boundary under `--stream` so infinite
-/// document sequences stay bounded.
-fn eval_multi(
-    set: &spex_core::multi::SharedQuerySet,
-    options: &Options,
-    tracer: &Tracer,
-    input: &mut dyn Read,
-    sinks: Vec<&mut dyn spex_core::ResultSink>,
-) -> Result<(EngineStats, Vec<TransducerStats>), CliError> {
-    let _span = tracer.span("cli.evaluate");
-    let mut run = set.run_with_limits(sinks, options.limits);
-    run.set_tracer(tracer.clone());
-    let reader = spex_xml::Reader::new(input);
-    let mut reader = if options.stream {
-        reader.multi_document()
-    } else {
-        reader
-    };
-    loop {
-        match reader.next_into(run.store_mut()) {
-            Ok(Some(id)) => {
-                let end_of_document =
-                    run.store().stored(id).kind == spex_xml::StoredKind::EndDocument;
-                run.try_push_id(id).map_err(CliError::from)?;
-                if end_of_document && options.stream {
-                    run.reset_session();
-                }
-            }
-            Ok(None) => break,
-            Err(e) => return Err(e.into()),
-        }
-    }
-    if tracer.enabled() {
-        tracer.counter("xml.events", reader.events_emitted());
-        tracer.counter("xml.bytes", reader.position().offset);
-        tracer.counter("xml.faults", reader.faults().len() as u64);
-    }
-    Ok(run.finish_full())
-}
-
+/// Engine statistics, per-transducer statistics and, under a recovery
+/// policy, the fault report.
 type EvalOutcome = (EngineStats, Vec<TransducerStats>, Option<RunReport>);
 
+/// The one evaluation loop behind every one-shot mode — single query or
+/// shared `--query` set, strict or recovering, `--checkpoint`/`--resume` —
+/// pumping `file` (stdin when absent) through `run`. The modes differ only
+/// in the sinks `run` delivers to and in the snapshot written at each
+/// document boundary under `--checkpoint` (DESIGN.md §15): a killed
+/// `--checkpoint` run re-run with `--resume` over the *same* input stream
+/// skips the consumed prefix byte-for-byte and delivers exactly the
+/// fragments the interrupted run had not yet produced.
 fn evaluate(
-    network: &CompiledNetwork,
+    mut run: PlanRun<&mut dyn ResultSink>,
     options: &Options,
     tracer: &Tracer,
+    file: Option<&str>,
     stdin: &mut dyn Read,
-    sink: &mut dyn spex_core::ResultSink,
-) -> Result<EvalOutcome, CliError> {
-    let run = |input: &mut dyn std::io::Read,
-               sink: &mut dyn spex_core::ResultSink|
-     -> Result<EvalOutcome, CliError> {
-        let _span = tracer.span("cli.evaluate");
-        if options.recover != RecoveryPolicy::Strict {
-            let recovery = RecoveryOptions {
-                policy: options.recover,
-                on_truncation: options.on_truncation,
-                multi_document: options.stream,
-                ..RecoveryOptions::default()
-            };
-            let report = spex_core::evaluate_recovering_traced(
-                network,
-                input,
-                recovery,
-                options.limits,
-                sink,
-                tracer,
-            )?;
-            return Ok((
-                report.stats.clone(),
-                report.transducers.clone(),
-                Some(report),
-            ));
-        }
-        let mut eval = Evaluator::with_limits(network, sink, options.limits);
-        eval.set_tracer(tracer.clone());
-        let reader = spex_xml::Reader::new(input);
-        let mut reader = if options.stream {
-            reader.multi_document()
-        } else {
-            reader
-        };
-        // Zero-copy hot loop: events are parsed into the run's arena and
-        // pushed by handle (no per-event allocation in steady state).
-        eval.push_from(&mut reader).map_err(CliError::from)?;
-        if tracer.enabled() {
-            tracer.counter("xml.events", reader.events_emitted());
-            tracer.counter("xml.bytes", reader.position().offset);
-            tracer.counter("xml.faults", reader.faults().len() as u64);
-        }
-        let (stats, transducers) = eval.finish_full();
-        Ok((stats, transducers, None))
-    };
-    match &options.file {
-        Some(path) => {
-            let file =
-                std::fs::File::open(path).map_err(|e| CliError::Io(format!("{path}: {e}")))?;
-            let mut buffered = std::io::BufReader::new(file);
-            run(&mut buffered, sink)
-        }
-        None => run(stdin, sink),
-    }
-}
-
-/// The durable one-shot mode (`--checkpoint`/`--resume`): evaluation with a
-/// run-state snapshot (DESIGN.md §15) written at every document boundary,
-/// and/or restored before the first event. A killed `--checkpoint` run can
-/// be re-run with `--resume` over the *same* input stream and delivers
-/// exactly the fragments the interrupted run had not yet produced — the
-/// consumed prefix is skipped byte-for-byte, so `interrupted output +
-/// resumed output` is byte-identical to an uninterrupted run.
-fn run_checkpointed(
-    network: &CompiledNetwork,
-    options: &Options,
-    tracer: &Tracer,
-    stdin: &mut dyn Read,
-    sink: &mut dyn spex_core::ResultSink,
 ) -> Result<EvalOutcome, CliError> {
     let _span = tracer.span("cli.evaluate");
-    let mut input: Box<dyn Read> = match &options.file {
+    let mut input: Box<dyn Read + '_> = match file {
         Some(path) => Box::new(std::io::BufReader::new(
             std::fs::File::open(path).map_err(|e| CliError::Io(format!("{path}: {e}")))?,
         )),
         None => Box::new(stdin),
     };
-
-    let mut eval = Evaluator::with_limits(network, sink, options.limits);
-    eval.set_tracer(tracer.clone());
-
-    // Restore before the first event: decode the snapshot (structured
-    // errors on corruption — never a panic), load the run state, and skip
-    // the input prefix the interrupted run already consumed.
-    let mut resume_state: Option<spex_core::SessionState> = None;
+    run.set_limits(options.limits);
+    run.set_tracer(tracer.clone());
+    let mut pump = Pump::new(
+        run,
+        RecoveryOptions {
+            policy: options.recover,
+            on_truncation: options.on_truncation,
+            multi_document: options.stream,
+            ..RecoveryOptions::default()
+        },
+    );
     if let Some(path) = &options.resume {
-        let bytes = std::fs::read(path).map_err(|e| CliError::Io(format!("{path}: {e}")))?;
-        let snap = spex_core::Snapshot::decode(&bytes)
-            .map_err(|e| CliError::Io(format!("{path}: {e}")))?;
-        let state = snap.session.clone().unwrap_or_default();
-        let skipped = std::io::copy(
-            &mut std::io::Read::take(&mut input, state.position.offset),
-            &mut std::io::sink(),
-        )?;
-        if skipped != state.position.offset {
-            return Err(CliError::Io(format!(
-                "input is shorter ({skipped} bytes) than the {} bytes the \
-                 snapshot already consumed — resume needs the same stream",
-                state.position.offset
-            )));
-        }
-        eval.restore(&snap)
-            .map_err(|e| CliError::Io(format!("{path}: {e}")))?;
-        resume_state = Some(state);
+        resume(&mut pump, path, &mut *input)?;
     }
-
-    let reader = spex_xml::Reader::new(input);
-    let mut reader = if options.stream {
-        reader.multi_document()
-    } else {
-        reader
-    };
-    if let Some(state) = &resume_state {
-        reader = reader.resume_at(state.reader_emitted, state.position, state.lt_consumed);
-    }
-    let mut documents = resume_state.as_ref().map_or(0, |s| s.documents);
-
     loop {
-        match eval.push_step(&mut reader)? {
-            Some(true) => {
-                documents += 1;
-                // The boundary reset makes the run quiescent (empty arena,
-                // baseline symbols) — the precondition for `checkpoint()`.
-                eval.reset_session();
-                if let Some(path) = &options.checkpoint {
-                    let mut snap = eval
-                        .checkpoint()
-                        .map_err(|e| CliError::Io(format!("checkpoint failed: {e}")))?;
-                    let (reader_emitted, position, lt_consumed) = reader.resume_point();
-                    snap.session = Some(spex_core::SessionState {
-                        reader_emitted,
-                        position,
-                        lt_consumed,
-                        documents,
-                        ..spex_core::SessionState::default()
-                    });
+        match pump.step(usize::MAX) {
+            Ok(Yield::NeedMore) => pump.parser_mut().read_from(&mut *input),
+            Ok(Yield::Boundary) => {
+                if let (Some(path), Some(snap)) = (&options.checkpoint, pump.checkpoint()) {
                     write_snapshot_file(path, &snap.encode())?;
                 }
             }
-            Some(false) => {}
-            None => break,
+            Ok(Yield::Budget) => {}
+            Ok(Yield::End) => break,
+            // A recovering run has drained what was determined; the breach
+            // is reported with the faults.
+            Err(EvalError::ResourceExhausted { .. })
+                if options.recover != RecoveryPolicy::Strict =>
+            {
+                break
+            }
+            Err(e) => return Err(e.into()),
         }
     }
-    if tracer.enabled() {
-        tracer.counter("xml.events", reader.events_emitted());
-        tracer.counter("xml.bytes", reader.position().offset);
-        tracer.counter("xml.faults", reader.faults().len() as u64);
+    let done = pump.finish();
+    Ok((done.stats, done.transducers, done.report))
+}
+
+/// `--resume`: decode the snapshot at `path` (structured errors on
+/// corruption — never a panic), skip the input prefix the interrupted run
+/// already consumed, and restore the run state into `pump`.
+fn resume(
+    pump: &mut Pump<&mut dyn ResultSink>,
+    path: &str,
+    input: &mut dyn Read,
+) -> Result<(), CliError> {
+    let bytes = std::fs::read(path).map_err(|e| CliError::Io(format!("{path}: {e}")))?;
+    let snap = Snapshot::decode(&bytes).map_err(|e| CliError::Io(format!("{path}: {e}")))?;
+    let offset = snap.session.as_ref().map_or(0, |s| s.position.offset);
+    let skipped = std::io::copy(&mut input.take(offset), &mut std::io::sink())?;
+    if skipped != offset {
+        return Err(CliError::Io(format!(
+            "input is shorter ({skipped} bytes) than the {offset} bytes the \
+             snapshot already consumed — resume needs the same stream"
+        )));
     }
-    let (stats, transducers) = eval.finish_full();
-    Ok((stats, transducers, None))
+    pump.restore(&snap)
+        .map_err(|e| CliError::Io(format!("{path}: {e}")))
 }
 
 /// Write a snapshot atomically: tmp file first, then rename — a crash
@@ -1285,6 +1145,29 @@ mod tests {
         let (code, _, err) = run_cli(&["r.x"], "<r><x>1</x></r><r><x>2</x></r>");
         assert_eq!(code, 2);
         assert!(err.contains("after the root element"));
+
+        // 1,000 documents, each naming an element of its own: every mode
+        // resets the run at each document boundary, so the symbol table
+        // holds the query labels plus the one live per-document name.
+        let many: String = (0..1000)
+            .map(|i| format!("<r><u{i}/><x>doc {i}</x></r>"))
+            .collect();
+        for argv in [
+            &["--stream", "--stats-json", "r.x"][..],
+            &["--stream", "--recover", "repair", "--stats-json", "r.x"],
+            &["--stream", "--stats-json", "--query", "q=r.x"],
+        ] {
+            let (code, out, err) = run_cli(argv, &many);
+            assert_eq!(code, 0, "{argv:?}: {err}");
+            assert_eq!(out.lines().count(), 1000, "{argv:?}");
+            let symbols: usize = err
+                .split("\"interned_symbols\":")
+                .nth(1)
+                .and_then(|rest| rest.split(',').next())
+                .and_then(|n| n.parse().ok())
+                .unwrap_or_else(|| panic!("{argv:?}: no symbol count in {err}"));
+            assert!(symbols <= 4, "{argv:?}: {symbols} symbols interned");
+        }
     }
 
     #[test]

@@ -15,6 +15,7 @@
 
 use crate::compile::CompiledNetwork;
 use crate::limits::{LimitBreach, LimitKind, ResourceLimits};
+use crate::pump::Yield;
 use crate::sink::{FragmentCollector, ResultSink};
 use crate::stats::{EngineStats, TransducerStats};
 #[cfg(doc)]
@@ -120,6 +121,12 @@ impl From<crate::compile::CompileError> for EvalError {
 /// the same stream (each `<$>…</$>` pair is processed independently, as in
 /// the paper's infinite-stream experiments) — transducer stacks are balanced
 /// and return to their initial states at every `</$>`.
+///
+/// This is the in-process convenience over a [`PlanRun`]: owned events,
+/// strings and readers. Byte streams go through the pump's event loop
+/// ([`Evaluator::push_from`]); a caller that feeds bytes as they arrive,
+/// checkpoints, or recovers from malformed input runs a
+/// [`crate::Pump`].
 pub struct Evaluator<S: ResultSink> {
     run: PlanRun<S>,
 }
@@ -169,41 +176,22 @@ impl<S: ResultSink> Evaluator<S> {
         self.push_from(&mut reader)
     }
 
-    /// Drain an already-configured reader through the zero-copy path: each
-    /// event is parsed straight into the run's event arena
-    /// ([`spex_xml::Reader::next_into`]) and pushed by handle, so the hot
-    /// loop moves `u32`s, not strings. Stops at the first reader error or
-    /// resource-limit breach.
+    /// Drain an already-configured reader through the pump's event loop
+    /// ([`crate::pump`]): each event is parsed straight into the run's event
+    /// arena and pushed by handle, so the hot loop moves `u32`s, not
+    /// strings, and the run is reset at every `</$>`. Stops at the first
+    /// reader error or resource-limit breach.
     pub fn push_from<R: std::io::Read>(
         &mut self,
         reader: &mut spex_xml::Reader<R>,
     ) -> Result<(), EvalError> {
         loop {
-            match reader.next_into(self.run.store_mut()) {
-                Ok(Some(id)) => self.run.try_push_id(id)?,
-                Ok(None) => return Ok(()),
-                Err(e) => return Err(e.into()),
+            let (machine, sinks) = self.run.parts();
+            match crate::pump::pump_events(reader, machine, sinks, usize::MAX)? {
+                Yield::NeedMore => reader.fill(),
+                Yield::End => return Ok(()),
+                Yield::Boundary | Yield::Budget => {}
             }
-        }
-    }
-
-    /// Feed exactly one event from the reader through the zero-copy path.
-    /// Returns `Ok(Some(true))` when the event closed a document (`</$>` —
-    /// the quiescent boundary where [`Evaluator::checkpoint`] is legal,
-    /// after [`Evaluator::reset_session`]), `Ok(Some(false))` for any other
-    /// event, and `Ok(None)` at end of input.
-    pub fn push_step<R: std::io::Read>(
-        &mut self,
-        reader: &mut spex_xml::Reader<R>,
-    ) -> Result<Option<bool>, EvalError> {
-        match reader.next_into(self.run.store_mut()) {
-            Ok(Some(id)) => {
-                let end = self.run.store().stored(id).kind == spex_xml::StoredKind::EndDocument;
-                self.run.try_push_id(id)?;
-                Ok(Some(end))
-            }
-            Ok(None) => Ok(None),
-            Err(e) => Err(e.into()),
         }
     }
 

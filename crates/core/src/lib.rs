@@ -27,6 +27,11 @@
 //!   what it runs on — a share of the plan, the run-wide variable namespace
 //!   and its sinks; everything below runs on it, and a differential rig
 //!   keeps its scheduling equal to the reference executor's (DESIGN.md §14),
+//! * [`pump`] — the one loop from bytes to results: [`Pump`] owns the push
+//!   parser, the run and the recovery policy, resets the run at every
+//!   document boundary, snapshots it there for durable callers, and drains
+//!   the recovery quarantine at the end; the CLI, the server sessions and
+//!   [`evaluate_recovering`] all drive it,
 //! * [`engine`] — the user-facing [`Evaluator`] driving XML events through a
 //!   compiled network,
 //! * [`sink`] — result delivery (progressive fragments in document order),
@@ -65,6 +70,7 @@ pub mod limits;
 pub mod message;
 pub mod multi;
 pub mod network;
+pub mod pump;
 pub mod recover;
 pub mod sink;
 pub mod snapshot;
@@ -76,9 +82,9 @@ pub use compile::{CompileError, CompiledNetwork};
 pub use engine::{evaluate_events, evaluate_str, EvalError, Evaluator};
 pub use limits::{LimitBreach, LimitKind, ResourceLimits};
 pub use message::{DocEvent, Message, Symbol, SymbolTable};
+pub use pump::{Finished, Pump, Yield};
 pub use recover::{
-    evaluate_recovering, evaluate_recovering_traced, evaluate_str_recovering, Quarantine,
-    RecoveryOptions, RunReport, TruncationOutcome,
+    evaluate_recovering, evaluate_str_recovering, RecoveryOptions, RunReport, TruncationOutcome,
 };
 pub use sink::{
     CountingSink, FragmentCollector, FragmentFnSink, ResultMeta, ResultSink, SpanCollector,

@@ -2,7 +2,8 @@
 //! the [`RunReport`] surfaced instead of a bare error.
 //!
 //! This is the engine half of the recovery layer (the reader half lives in
-//! `spex_xml::recover`). [`evaluate_recovering`] drives a repaired event
+//! `spex_xml::recover`). A [`crate::Pump`] under a recovery policy — and so
+//! [`evaluate_recovering`], its one-shot form — drives a repaired event
 //! stream through a compiled network while *quarantining* results whose
 //! lifetime overlaps a repaired region:
 //!
@@ -28,11 +29,11 @@
 //! nothing", which can only turn qualifiers false, never fabricate them).
 
 use crate::compile::CompiledNetwork;
-use crate::engine::{EvalError, Evaluator};
+use crate::engine::EvalError;
 use crate::limits::{LimitBreach, ResourceLimits};
+use crate::pump::Pump;
 use crate::sink::{ResultMeta, ResultSink};
 use crate::stats::{EngineStats, TransducerStats};
-use spex_xml::reader::Reader;
 use spex_xml::{Fault, FaultKind, RawEvent, RecoveryPolicy, XmlEvent};
 use std::io::Read;
 
@@ -136,14 +137,13 @@ struct BufferedFragment {
 
 /// Buffers all fragments until end of run so damaged ones can be withheld.
 ///
-/// This is the quarantine half of [`evaluate_recovering`], exposed so other
-/// drivers of a recovering run (the `spex-serve` sessions, which own their
-/// reader loop and evaluate many queries over one stream) can reuse the
-/// exact same damage-overlap logic: use one `Quarantine` as the
-/// [`ResultSink`] per query, then [`Quarantine::drain_into`] the surviving
-/// fragments once the reader's faults are known.
+/// Under a recovery policy a [`crate::Pump`] holds one per query in front
+/// of the caller's sink, carries its fragments across snapshots, and
+/// [`Quarantine::drain_into`]s the survivors once the reader's faults are
+/// known — the one drain every recovering caller (one-shot, `spex serve`,
+/// crash-diff) shares.
 #[derive(Default)]
-pub struct Quarantine {
+pub(crate) struct Quarantine {
     done: Vec<BufferedFragment>,
     current: Option<BufferedFragment>,
 }
@@ -263,82 +263,40 @@ impl ResultSink for Quarantine {
 /// network under a recovery policy, delivering surviving fragments to
 /// `sink` and returning a [`RunReport`] instead of a bare error.
 ///
-/// With [`RecoveryPolicy::Strict`] this behaves like a plain
-/// [`Evaluator::push_reader`] run: the first input fault is returned as an
-/// error. Under `Repair`/`SkipSubtree`, input faults are repaired by the
-/// reader and any fragment whose lifetime overlaps a repaired region is
-/// quarantined (counted in [`RunReport::dropped`], not delivered).
-/// A resource-limit breach does not abort either: the run drains per PR 1's
-/// accounting and the breach is reported in [`RunReport::exhausted`].
+/// A one-shot [`Pump`] over `input`. With [`RecoveryPolicy::Strict`] this
+/// behaves like a plain [`crate::Evaluator::push_reader`] run: the first
+/// input fault is returned as an error. Under `Repair`/`SkipSubtree`, input
+/// faults are repaired by the reader and any fragment whose lifetime
+/// overlaps a repaired region is quarantined (counted in
+/// [`RunReport::dropped`], not delivered). A resource-limit breach does not
+/// abort either: the run drains what was determined and the breach is
+/// reported in [`RunReport::exhausted`].
 pub fn evaluate_recovering<R: Read>(
     network: &CompiledNetwork,
-    input: R,
+    mut input: R,
     options: RecoveryOptions,
     limits: ResourceLimits,
     sink: &mut dyn ResultSink,
 ) -> Result<RunReport, EvalError> {
-    evaluate_recovering_traced(
-        network,
-        input,
-        options,
-        limits,
-        sink,
-        &spex_trace::Tracer::disabled(),
-    )
-}
-
-/// [`evaluate_recovering`] with a [`spex_trace::Tracer`] attached: the
-/// engine's end-of-run trace records (counters, buffer gauges and the
-/// per-output determination-latency histograms) plus `xml.events` /
-/// `xml.bytes` / `xml.faults` reader counters are emitted to the tracer's
-/// sink. A disabled tracer makes this identical to the untraced entry point.
-pub fn evaluate_recovering_traced<R: Read>(
-    network: &CompiledNetwork,
-    input: R,
-    options: RecoveryOptions,
-    limits: ResourceLimits,
-    sink: &mut dyn ResultSink,
-    tracer: &spex_trace::Tracer,
-) -> Result<RunReport, EvalError> {
-    let mut reader = Reader::new(input)
-        .with_recovery(options.policy)
-        .with_scanner(options.scanner);
-    if options.multi_document {
-        reader = reader.multi_document();
+    let mut run = network.run(sink);
+    run.set_limits(limits);
+    let mut pump = Pump::new(run, options);
+    match pump.run_from(&mut input) {
+        Ok(()) | Err(EvalError::ResourceExhausted { .. }) => {}
+        Err(e) => return Err(e),
     }
-    let mut quarantine = Quarantine::new();
-    let mut exhausted = None;
-    let (stats, transducers) = {
-        let mut eval = Evaluator::with_limits(network, &mut quarantine, limits);
-        eval.set_tracer(tracer.clone());
-        // Zero-copy loop: repaired events land in the run's arena and are
-        // pushed by handle, exactly like a clean `push_reader` run.
-        match eval.push_from(&mut reader) {
-            Ok(()) => {}
-            Err(EvalError::ResourceExhausted { .. }) => {
-                exhausted = eval.exhausted();
-            }
-            Err(e) => return Err(e),
-        }
-        eval.finish_full()
-    };
-    if tracer.enabled() {
-        tracer.counter("xml.events", reader.events_emitted());
-        tracer.counter("xml.bytes", reader.position().offset);
-        tracer.counter("xml.faults", reader.faults().len() as u64);
-    }
-    let faults = reader.take_faults();
-    let truncated = faults.iter().any(|f| f.kind == FaultKind::Truncated);
-    let (results, dropped) = quarantine.drain_into(&faults, options.on_truncation, sink);
-    Ok(RunReport {
-        faults,
-        truncated,
-        results,
-        dropped,
+    let exhausted = pump.machine().exhausted();
+    let done = pump.finish();
+    // Strict runs stream straight into `sink`: nothing was withheld.
+    Ok(done.report.unwrap_or(RunReport {
+        faults: Vec::new(),
+        truncated: false,
+        results: done.stats.results,
+        dropped: 0,
         exhausted,
-        stats,
-        transducers,
-    })
+        stats: done.stats,
+        transducers: done.transducers,
+    }))
 }
 
 /// Convenience wrapper: compile `query`, run [`evaluate_recovering`] over

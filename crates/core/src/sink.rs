@@ -10,7 +10,7 @@
 //!
 //! Sinks receive borrowed [`RawEvent`] views into the run's event arena —
 //! the zero-copy end of the pipeline. A sink that needs to keep an event
-//! past the callback (e.g. [`crate::recover::Quarantine`]) converts it
+//! past the callback (the recovery quarantine of [`crate::Pump`]) converts it
 //! with [`RawEvent::to_owned_event`]; the built-in sinks serialize or count
 //! without ever materializing owned events.
 
@@ -305,6 +305,15 @@ impl<S> SinkBank<S> {
             sinks,
             base,
             logical,
+        }
+    }
+
+    /// The same slot table over `wrap(sink)` for each sink.
+    pub(crate) fn map<T>(self, wrap: impl FnMut(S) -> T) -> SinkBank<T> {
+        SinkBank {
+            sinks: self.sinks.into_iter().map(wrap).collect(),
+            base: self.base,
+            logical: self.logical,
         }
     }
 }

@@ -151,7 +151,7 @@ fn corrupt(what: &str) -> SnapshotError {
 // ---------------------------------------------------------------------------
 
 /// One quarantined (still-withheld) result fragment, exported from a
-/// [`crate::recover::Quarantine`] so fault reports survive a restart.
+/// [`crate::Pump`]'s recovery quarantine so fault reports survive a restart.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FragmentState {
     /// Emitted-event index at which the fragment's match started.
@@ -167,8 +167,9 @@ pub struct FragmentState {
 /// Consumer-side continuation state carried alongside the engine
 /// accumulators: reader resume point, prior faults, quarantine sets, and
 /// per-query delivery counts. Everything the *driver* of an evaluation
-/// (server session, CLI loop, crash-diff rig) needs to pick up where the
-/// crashed process left off.
+/// needs to pick up where the crashed process left off; written by
+/// [`crate::Pump::checkpoint`] and read back by [`crate::Pump::restore`],
+/// whoever drives the pump (server session, CLI, crash-diff rig).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SessionState {
     /// Faults recorded before the checkpoint (the resumed reader starts
@@ -194,8 +195,8 @@ pub struct SessionState {
 /// A decoded run-state snapshot: the full accumulator state of one engine
 /// run at a quiescent document boundary, plus optional session state.
 ///
-/// Produced by [`crate::Machine::checkpoint`] (or
-/// [`crate::Evaluator::checkpoint`]), serialized with [`Snapshot::encode`],
+/// Produced by [`crate::Machine::checkpoint`] (with the session section, by
+/// [`crate::Pump::checkpoint`]), serialized with [`Snapshot::encode`],
 /// revived with [`Snapshot::decode`] and applied with `restore` (the
 /// node-kind list is the shape witness).
 #[derive(Debug, Clone, Default)]

@@ -559,6 +559,21 @@ impl<S: ResultSink> PlanRun<S> {
         self.sinks.sinks
     }
 
+    /// The same run delivering to `wrap(sink)` for each of its sinks (the
+    /// pump's per-query bookkeeping wraps the caller's sinks this way).
+    pub(crate) fn map_sinks<T: ResultSink>(self, wrap: impl FnMut(S) -> T) -> PlanRun<T> {
+        PlanRun {
+            machine: self.machine,
+            sinks: self.sinks.map(wrap),
+        }
+    }
+
+    /// The machine and the sinks with their type erased: what the pump's
+    /// event loop runs on, so that loop is compiled once, in this crate.
+    pub(crate) fn parts(&mut self) -> (&mut Machine, &mut dyn SlotSinks) {
+        (&mut self.machine, &mut self.sinks)
+    }
+
     /// Feed one owned stream event (one tick). Infallible variant of
     /// [`PlanRun::try_push`]: once a resource limit has been breached the
     /// event is silently discarded (with no limits set — the default —
@@ -626,6 +641,11 @@ impl Machine {
         self.tracer = tracer;
     }
 
+    /// The attached trace export handle.
+    pub(crate) fn tracer(&self) -> &Tracer {
+        &self.tracer
+    }
+
     /// The first limit breach, if any cap was exceeded.
     pub fn exhausted(&self) -> Option<LimitBreach> {
         self.exhausted
@@ -661,7 +681,11 @@ impl Machine {
         &self.store
     }
 
-    fn try_push_id(&mut self, id: EventId, sinks: &mut dyn SlotSinks) -> Result<(), EvalError> {
+    pub(crate) fn try_push_id(
+        &mut self,
+        id: EventId,
+        sinks: &mut dyn SlotSinks,
+    ) -> Result<(), EvalError> {
         if let Some(b) = self.exhausted {
             return Err(b.into());
         }

@@ -6,8 +6,8 @@
 //! between it and the connection's [`Conn`] buffers; this module owns all
 //! protocol logic. A [`SessionMachine`] is pinned to one worker and advanced
 //! whenever its connection is ready: [`SessionMachine::advance`] consumes
-//! decoded frames, drives the zero-copy `Parser::poll_into` path, emits
-//! result frames into the bounded outbound buffer, and reports why it
+//! decoded frames, drives the session's [`Pump`], emits result frames into
+//! the bounded outbound buffer, and reports why it
 //! suspended ([`Advance::NeedInput`], [`Advance::NeedWrite`] for
 //! writability backpressure, [`Advance::Working`] when its CPU slice is
 //! spent) or how it finished.
@@ -22,9 +22,9 @@
 //! 2. **Eval**: the first `D`/`E` frame freezes the registration and the
 //!    plan is fetched from (or compiled into) the shared registry. `D`
 //!    payloads are the XML byte stream, chunked arbitrarily: each is fed to
-//!    the session's push [`Parser`] as it is decoded (after the WAL append
-//!    of a durable session) and the parser is polled until it needs more
-//!    input, the CPU slice is spent, or the outbound buffer is full. A
+//!    the pump's push [`Parser`] as it is decoded (after the WAL append of a
+//!    durable session) and the pump is stepped until it needs more input,
+//!    the CPU slice is spent, or the outbound buffer is full. A
 //!    construct cut off by a frame edge simply stays in the parser until
 //!    the rest arrives; every wait is [`Advance::NeedInput`] under the
 //!    reactor's read/idle deadlines — a worker never waits for bytes.
@@ -44,11 +44,10 @@ use crate::protocol::{
 };
 use crate::server::Shared;
 use spex_core::{
-    stats_json, EvalError, PlanRun, Quarantine, ResultMeta, ResultSink, RunReport, SessionState,
-    Snapshot,
+    stats_json, EvalError, Pump, RecoveryOptions, ResultMeta, ResultSink, Snapshot, Yield,
 };
 use spex_query::Rpeq;
-use spex_xml::{FaultKind, Parser, Poll, RawEvent, RecoveryPolicy, StoredKind};
+use spex_xml::{Parser, RawEvent};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -127,57 +126,41 @@ fn classify(err: &EvalError, violation: Option<&ProtocolError>) -> SessionError 
     }
 }
 
-/// One query's end of the network, owned by the session's run. Under
-/// `strict` each fragment is serialized and sent as a result frame the
-/// moment it completes; under a recovery policy every fragment is held in
-/// the sink's [`Quarantine`] until the damage intervals are known, and the
-/// closing drain replays the survivors through the same sink.
+/// One query's end of the network, owned by the session's pump. Each
+/// fragment that reaches it is serialized and sent as a result frame the
+/// moment it completes: under `strict` as the run determines it, under a
+/// recovery policy when the pump's closing drain replays the survivors of
+/// its quarantine. The pump counts what reached the sink for snapshots.
 struct SessionSink {
     name: String,
     conn: Arc<Conn>,
-    /// All fragments produced for this query — including suppressed
-    /// replays, which the client already holds — so a snapshot's counts
-    /// line up with what the client received.
-    delivered: u64,
     /// Upcoming fragments to swallow instead of sending: at resume,
     /// `client_received - snapshot_delivered`, the fragments the replayed
     /// input will regenerate.
     suppress: u64,
-    /// `Some` under a recovery policy until the closing drain takes it.
-    quarantine: Option<Quarantine>,
     /// The fragment being serialized, byte for byte as
     /// [`spex_core::FragmentFnSink`] (and so the one-shot CLI) writes it.
     current: Option<spex_xml::Writer<Vec<u8>>>,
 }
 
 impl ResultSink for SessionSink {
-    fn begin(&mut self, meta: ResultMeta, now: u64) {
-        match &mut self.quarantine {
-            Some(q) => q.begin(meta, now),
-            None => self.current = Some(spex_xml::Writer::new(Vec::new())),
+    fn begin(&mut self, _meta: ResultMeta, _now: u64) {
+        self.current = Some(spex_xml::Writer::new(Vec::new()));
+    }
+
+    fn event(&mut self, event: &RawEvent<'_>, _now: u64) {
+        if let Some(w) = &mut self.current {
+            w.write_view(event)
+                .expect("writing a fragment to a Vec cannot fail");
         }
     }
 
-    fn event(&mut self, event: &RawEvent<'_>, now: u64) {
-        match (&mut self.quarantine, &mut self.current) {
-            (Some(q), _) => q.event(event, now),
-            (None, Some(w)) => w
-                .write_view(event)
-                .expect("writing a fragment to a Vec cannot fail"),
-            (None, None) => {}
-        }
-    }
-
-    /// Every fragment bumps the delivery counter; while `suppress` is
-    /// positive the fragment is a replay the client already holds, so it is
-    /// counted but not sent. The payload is the fragment plus a newline
-    /// (the one-shot CLI's per-line output) behind the query name header.
-    fn end(&mut self, now: u64) {
-        if let Some(q) = &mut self.quarantine {
-            return q.end(now);
-        }
+    /// While `suppress` is positive the fragment is a replay the client
+    /// already holds, so it is not sent. The payload is the fragment plus a
+    /// newline (the one-shot CLI's per-line output) behind the query name
+    /// header.
+    fn end(&mut self, _now: u64) {
         let Some(w) = self.current.take() else { return };
-        self.delivered += 1;
         if self.suppress > 0 {
             self.suppress -= 1;
             return;
@@ -196,11 +179,9 @@ struct DurableCtx {
     root: PathBuf,
     token: String,
     log: SessionLog,
-    /// Engine snapshot to restore before consuming input (resume only).
+    /// The snapshot to restore before consuming input (resumes whose
+    /// snapshot is usable; the others replay the whole WAL).
     snapshot: Option<Snapshot>,
-    /// Continuation state (default-empty for fresh sessions and for
-    /// resumes that replay the whole WAL).
-    session: SessionState,
     /// Per-query count of replayed fragments to suppress.
     suppress: Vec<u64>,
 }
@@ -338,14 +319,12 @@ struct RegisterPhase {
     queries: Vec<(String, Rpeq)>,
 }
 
-/// The eval phase's working state. The run owns the plan share and the
-/// per-query sinks; `durable` owns the WAL.
+/// The eval phase's working state. The pump owns the parser, the plan
+/// share and the per-query sinks; `durable` owns the WAL.
 struct EvalPhase {
-    run: PlanRun<SessionSink>,
-    parser: Parser,
+    pump: Pump<SessionSink>,
     input: EvalInput,
     durable: Option<DurableCtx>,
-    documents: u64,
 }
 
 enum Phase {
@@ -632,7 +611,6 @@ impl SessionMachine {
                                     token,
                                     log,
                                     snapshot: None,
-                                    session: SessionState::default(),
                                     suppress: vec![0; queries.len()],
                                 };
                                 (Some(ctx), preload, was_end)
@@ -657,71 +635,42 @@ impl SessionMachine {
         };
 
         // --- Build the eval pipeline ------------------------------------
-        let recovering = self.shared.cfg.recovery != RecoveryPolicy::Strict;
-        let mut parser = Parser::new().multi_document();
-        if recovering {
-            parser = parser.with_recovery(self.shared.cfg.recovery);
-        }
-        if let Some(d) = &durable_ctx {
-            if d.snapshot.is_some() {
-                // The replayed WAL tail starts exactly at the snapshot's
-                // byte offset; the parser continues in the original
-                // coordinates.
-                let s = &d.session;
-                parser = parser.resume_at(s.reader_emitted, s.position, s.lt_consumed);
-            }
-        }
-        // Already logged: a resume's WAL tail, or the first `DATA` payload
-        // a fresh durable session write-ahead-logged above.
-        parser.feed(&preload);
-        drop(preload);
-        if source_ended {
-            parser.end_input();
-        }
-        let input = EvalInput {
-            conn: Arc::clone(&self.conn),
-            notifier: Arc::clone(&self.shared.notifier),
-            decoder,
-            violation: None,
-        };
-
-        // One sink per logical query, in the plan's query order. A resume
-        // seeds each with its share of the continuation: the delivery
-        // count, the replayed fragments to suppress, and (under a recovery
-        // policy) the fragments quarantined before the restart.
-        let resumed = durable_ctx.as_ref();
+        // One sink per logical query, in the plan's query order; a resume
+        // suppresses the replayed fragments the client already holds.
         let sinks = plan
             .ids()
             .iter()
             .enumerate()
-            .map(|(i, name)| {
-                let mut quarantine = recovering.then(Quarantine::new);
-                let held = resumed.and_then(|d| d.session.quarantines.get(i));
-                if let (Some(q), Some(held)) = (&mut quarantine, held) {
-                    q.import_fragments(held.clone());
-                }
-                SessionSink {
-                    name: name.clone(),
-                    conn: Arc::clone(&self.conn),
-                    delivered: resumed
-                        .and_then(|d| d.session.delivered.get(i).copied())
-                        .unwrap_or(0),
-                    suppress: resumed
-                        .and_then(|d| d.suppress.get(i).copied())
-                        .unwrap_or(0),
-                    quarantine,
-                    current: None,
-                }
+            .map(|(i, name)| SessionSink {
+                name: name.clone(),
+                conn: Arc::clone(&self.conn),
+                suppress: durable_ctx
+                    .as_ref()
+                    .and_then(|d| d.suppress.get(i).copied())
+                    .unwrap_or(0),
+                current: None,
             })
             .collect();
         let mut run = plan.run_with_limits(sinks, self.shared.cfg.limits);
         run.set_tracer(self.shared.trace.tracer.clone());
-
+        let mut pump = Pump::new(
+            run,
+            RecoveryOptions {
+                policy: self.shared.cfg.recovery,
+                on_truncation: self.shared.cfg.on_truncation,
+                multi_document: true,
+                ..RecoveryOptions::default()
+            },
+        );
         if let Some(d) = &durable_ctx {
             if let Some(snap) = &d.snapshot {
+                // The replayed WAL tail starts exactly at the snapshot's
+                // byte offset; the parser continues in the original
+                // coordinates, and the pump takes back the faults,
+                // quarantines and delivery counts of the lives before.
                 let mut span = self.shared.trace.tracer.span("serve.restore");
                 span.set_attr("token", d.token.as_str());
-                if let Err(e) = run.restore(snap) {
+                if let Err(e) = pump.restore(snap) {
                     let e = SessionError::new(
                         "io",
                         3,
@@ -731,12 +680,23 @@ impl SessionMachine {
                 }
             }
         }
+        // Already logged: a resume's WAL tail, or the first `DATA` payload
+        // a fresh durable session write-ahead-logged above.
+        pump.parser_mut().feed(&preload);
+        drop(preload);
+        if source_ended {
+            pump.parser_mut().end_input();
+        }
+        let input = EvalInput {
+            conn: Arc::clone(&self.conn),
+            notifier: Arc::clone(&self.shared.notifier),
+            decoder,
+            violation: None,
+        };
         self.state = Phase::Eval(Box::new(EvalPhase {
-            run,
-            parser,
+            pump,
             input,
             durable: durable_ctx,
-            documents: 0,
         }));
         Step::Enter
     }
@@ -754,134 +714,66 @@ impl SessionMachine {
                 self.state = Phase::Eval(phase);
                 return Advance::NeedWrite;
             }
-            let run = &mut phase.run;
-            match phase.parser.poll_into(run.store_mut()) {
-                Ok(Poll::Event(id)) => {
+            match phase.pump.step(1) {
+                Ok(Yield::Budget) => events += 1,
+                Ok(Yield::Boundary) => {
                     events += 1;
-                    let end_of_document = run.store().stored(id).kind == StoredKind::EndDocument;
-                    if let Err(e) = run.try_push_id(id) {
-                        return self.finish_eval(phase, Some(e));
-                    }
-                    if end_of_document {
-                        phase.documents += 1;
-                        // Long-lived connection hygiene: drop the
-                        // document's interned symbols and candidate state
-                        // before the next document on the same stream.
-                        run.reset_session();
-                        // A `</$>` synthesized for a stream that broke off
-                        // mid-document is not a boundary of the client's
-                        // stream: a snapshot there would resume past bytes
-                        // the client is about to send again.
-                        let truncated = phase
-                            .parser
-                            .faults()
-                            .last()
-                            .is_some_and(|f| f.kind == FaultKind::Truncated);
-                        if let (Some(d), false) = (&mut phase.durable, truncated) {
-                            checkpoint(d, run, &phase.parser, phase.documents, &self.shared);
-                        }
+                    if let Some(d) = &mut phase.durable {
+                        checkpoint(d, &phase.pump, &self.shared);
                     }
                 }
-                Ok(Poll::NeedMore) => {
+                Ok(Yield::NeedMore) => {
                     let log = phase.durable.as_mut().map(|d| &mut d.log);
-                    if !phase.input.pump(&mut phase.parser, log) {
+                    if !phase.input.pump(phase.pump.parser_mut(), log) {
                         self.state = Phase::Eval(phase);
                         return Advance::NeedInput;
                     }
                 }
-                Ok(Poll::End) => return self.finish_eval(phase, None),
-                Err(e) => {
-                    // An I/O failure that is really a peer protocol
-                    // violation is re-classified in `finish_eval`.
-                    return self.finish_eval(phase, Some(EvalError::Xml(e)));
-                }
+                Ok(Yield::End) => return self.finish_eval(phase, None),
+                // An I/O failure that is really a peer protocol violation is
+                // re-classified in `finish_eval`.
+                Err(e) => return self.finish_eval(phase, Some(e)),
             }
         }
     }
 
-    /// The closing sequence, ported from the blocking server: harvest the
-    /// run, drain recovery quarantines (faults first), settle durable
-    /// state, then queue `STAT` + optional error + `END`.
+    /// The closing sequence: fold the session into the server-wide stats,
+    /// send the fault frames, finish the pump (which drains the recovery
+    /// quarantines as result frames), settle durable state, then queue
+    /// `STAT` + optional error + `END`.
     fn finish_eval(&mut self, phase: Box<EvalPhase>, error: Option<EvalError>) -> Advance {
         let shared = Arc::clone(&self.shared);
+        let EvalPhase {
+            pump,
+            input,
+            durable,
+        } = *phase;
         shared
             .stats
             .documents
-            .fetch_add(phase.documents, Ordering::Relaxed);
-
-        let EvalPhase {
-            run,
-            mut parser,
-            input,
-            durable,
-            documents: _,
-        } = *phase;
-        let exhausted = run.exhausted();
+            .fetch_add(pump.documents(), Ordering::Relaxed);
         // Fold this session's determination latency into the server-wide
         // aggregate behind the `T` frame. This must happen while the run
         // is live; `</$>` boundaries already harvested every closed
         // document, so only the tail of a truncated stream is missing
         // here.
-        for (_, hist) in run.determination_latency() {
+        for (_, hist) in pump.machine().determination_latency() {
             shared.trace.det_latency.merge(&hist);
         }
-        // A malformed or cut-off stream leaves undetermined candidates
-        // behind; `finish_full` asserts balance, so an errored run is
-        // snapshotted and dropped instead of finished (a resource breach
-        // is different: the run drained cleanly and can finish).
-        let (stats, transducers, mut sinks) = if matches!(error, Some(EvalError::Xml(_))) {
-            let stats = run.stats().clone();
-            let transducers = run.transducer_stats().to_vec();
-            (stats, transducers, run.into_sinks())
-        } else {
-            run.finish_into_sinks()
-        };
-        shared.stats.absorb_engine(&stats);
-
-        let recovering = shared.cfg.recovery != RecoveryPolicy::Strict;
-        let report = if recovering {
-            // A resumed session re-reports the faults recorded before the
-            // crash: damage intervals must stay complete for the final
-            // drain.
-            let mut faults = durable
-                .as_ref()
-                .map(|d| d.session.faults.clone())
-                .unwrap_or_default();
-            faults.extend(parser.take_faults());
-            let truncated = faults.iter().any(|f| f.kind == FaultKind::Truncated);
-            // Faults first, so a client sees why fragments were withheld
-            // before the surviving results arrive.
-            for fault in &faults {
-                self.conn
-                    .send_frame(FrameKind::Fault, fault_json(fault).as_bytes());
-            }
-            let mut delivered = 0u64;
-            let mut dropped = 0u64;
-            for sink in &mut sinks {
-                // With its quarantine taken the sink streams: the drain
-                // replays the survivors as result frames.
-                let Some(mut held) = sink.quarantine.take() else {
-                    continue;
-                };
-                let (d, p) = held.drain_into(&faults, shared.cfg.on_truncation, sink);
-                delivered += d;
-                dropped += p;
-            }
+        // Faults first, so a client sees why fragments were withheld
+        // before the surviving results arrive. A resumed session re-reports
+        // the faults recorded before the crash.
+        for fault in pump.faults() {
+            self.conn
+                .send_frame(FrameKind::Fault, fault_json(fault).as_bytes());
+        }
+        let done = pump.finish();
+        shared.stats.absorb_engine(&done.stats);
+        if let Some(r) = &done.report {
             shared
                 .stats
-                .absorb_faults(&faults, truncated, delivered, dropped);
-            Some(RunReport {
-                faults,
-                truncated,
-                results: delivered,
-                dropped,
-                exhausted,
-                stats: stats.clone(),
-                transducers: transducers.clone(),
-            })
-        } else {
-            None
-        };
+                .absorb_faults(&r.faults, r.truncated, r.results, r.dropped);
+        }
 
         let session_error = error
             .as_ref()
@@ -900,7 +792,7 @@ impl SessionMachine {
             }
         }
 
-        let json = stats_json(&stats, &transducers, report.as_ref());
+        let json = stats_json(&done.stats, &done.transducers, done.report.as_ref());
         self.conn.send_frame(FrameKind::Stat, json.as_bytes());
         let end = if session_error.is_some() {
             SessionEnd::Failed
@@ -1019,19 +911,15 @@ fn handle_resume(
     // Decode the snapshot, tolerating corruption: a bad snapshot falls back
     // to replaying the whole WAL (possible until pruning discards early
     // segments) — a structured error either way, never a panic.
-    let mut snapshot: Option<Snapshot> = None;
-    let mut session = SessionState::default();
-    if let Some(bytes) = &recovered.snapshot {
-        if let Ok(snap) = Snapshot::decode(bytes) {
-            match &snap.session {
-                Some(s) if s.position.offset >= wal_start && s.position.offset <= total => {
-                    session = s.clone();
-                    snapshot = Some(snap);
-                }
-                _ => {}
-            }
-        }
-    }
+    let snapshot = recovered
+        .snapshot
+        .as_deref()
+        .and_then(|bytes| Snapshot::decode(bytes).ok())
+        .filter(|snap| {
+            snap.session
+                .as_ref()
+                .is_some_and(|s| s.position.offset >= wal_start && s.position.offset <= total)
+        });
     if snapshot.is_none() && wal_start > 0 {
         return Err(SessionError::new(
             "io",
@@ -1039,13 +927,17 @@ fn handle_resume(
             "durable snapshot is unusable and early WAL segments were pruned",
         ));
     }
-    let replay = recovered.wal[(session.position.offset - wal_start) as usize..].to_vec();
-    let mut suppress = vec![0u64; queries.len()];
-    for (i, s) in suppress.iter_mut().enumerate() {
-        let base = session.delivered.get(i).copied().unwrap_or(0);
-        *s = received[i].saturating_sub(base);
-    }
-    session.delivered.resize(queries.len(), 0);
+    let session = snapshot.as_ref().and_then(|snap| snap.session.as_ref());
+    let offset = session.map_or(0, |s| s.position.offset);
+    let replay = recovered.wal[(offset - wal_start) as usize..].to_vec();
+    let suppress = received
+        .iter()
+        .enumerate()
+        .map(|(i, received)| {
+            let base = session.and_then(|s| s.delivered.get(i).copied());
+            received.saturating_sub(base.unwrap_or(0))
+        })
+        .collect();
     let log = SessionLog::append_after(&root, token, total, recovered.ended, shared.cfg.fsync)
         .map_err(io_err("reopening the durable session log failed"))?;
     let ended = recovered.ended;
@@ -1055,7 +947,6 @@ fn handle_resume(
             token: token.to_string(),
             log,
             snapshot,
-            session,
             suppress,
         },
         replay,
@@ -1096,47 +987,22 @@ fn register_one(frame: &Frame, queries: &mut Vec<(String, Rpeq)>, conn: &Conn) {
     }
 }
 
-/// Document-boundary checkpoint: snapshot the quiescent run plus the
-/// session bookkeeping (faults, quarantines, delivery counts, parser
-/// resume point), then durably persist and prune the WAL. All disk
-/// failures are absorbed — a failed checkpoint costs replay time on the
-/// next resume, never the live session.
-fn checkpoint(
-    d: &mut DurableCtx,
-    run: &PlanRun<SessionSink>,
-    parser: &Parser,
-    documents: u64,
-    shared: &Arc<Shared>,
-) {
+/// Document-boundary checkpoint: the pump's snapshot (run, faults,
+/// quarantines, delivery counts, parser resume point), durably persisted,
+/// then the WAL pruned. All disk failures are absorbed — a failed checkpoint
+/// costs replay time on the next resume, never the live session.
+fn checkpoint(d: &mut DurableCtx, pump: &Pump<SessionSink>, shared: &Arc<Shared>) {
+    // `None` at a `</$>` synthesized for a truncated stream: the client
+    // resends that document's tail to the next life.
+    let Some(snap) = pump.checkpoint() else {
+        return;
+    };
     let mut span = shared.trace.tracer.span("serve.checkpoint");
     span.set_attr("token", d.token.as_str());
-    let mut snap = match run.checkpoint() {
-        Ok(snap) => snap,
-        // Not quiescent (should not happen at `</$>`) — skip this boundary.
-        Err(_) => return,
-    };
-    let (reader_emitted, position, lt_consumed) = parser.resume_point();
-    let sinks = run.sinks();
-    snap.session = Some(SessionState {
-        // A resumed session's parser knows only the faults since the
-        // restart; the ones the restored snapshot carried still taint the
-        // fragments quarantined before it.
-        faults: [&d.session.faults[..], parser.faults()].concat(),
-        quarantines: sinks
-            .iter()
-            .filter_map(|s| s.quarantine.as_ref())
-            .map(Quarantine::export_fragments)
-            .collect(),
-        delivered: sinks.iter().map(|s| s.delivered).collect(),
-        reader_emitted,
-        position,
-        lt_consumed,
-        documents: d.session.documents + documents,
-    });
     let bytes = snap.encode();
     let _ = d.log.sync_for_document();
     let _ = d.log.write_snapshot(&bytes);
-    let _ = d.log.prune(position.offset);
+    let _ = d.log.prune(pump.parser().position().offset);
 }
 
 /// One fault as a line of JSON (same field names as the one-shot schema's
@@ -1158,6 +1024,7 @@ mod tests {
     use super::*;
     use crate::poll::Poller;
     use crate::protocol::write_frame;
+    use spex_xml::Poll;
 
     #[test]
     fn shutdown_gate_trusts_loopback_peers_only() {

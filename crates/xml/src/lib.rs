@@ -29,8 +29,6 @@
 //!   search: the branch-light primitives under the parser's structural
 //!   fast path ([`ScannerKind`], DESIGN.md §18),
 //! * [`escape`] — text/attribute escaping and entity decoding,
-//! * [`namespaces`] — streaming prefix→URI resolution (the "technical, but
-//!   not difficult" extension the paper sets aside in §II.1),
 //! * [`stats`] — stream statistics (size, element count, maximum depth)
 //!   matching the figures reported in the paper's evaluation section.
 //!
@@ -64,7 +62,6 @@
 pub mod error;
 pub mod escape;
 pub mod event;
-pub mod namespaces;
 pub mod reader;
 pub mod recover;
 pub mod scan;

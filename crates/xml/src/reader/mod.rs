@@ -283,6 +283,19 @@ impl Parser {
         }
     }
 
+    /// Read once from `input` straight into the parser's spare capacity: a
+    /// zero-byte read ends the input, an error fails it, an interrupted read
+    /// leaves it open. What a caller reading a [`std::io::Read`] does on
+    /// [`Poll::NeedMore`]; [`Reader`]'s pulls call it too.
+    pub fn read_from<R: Read + ?Sized>(&mut self, input: &mut R) {
+        match input.read(self.bytes.spare()) {
+            Ok(0) => self.end_input(),
+            Ok(n) => self.bytes.commit(n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => self.fail_input(e),
+        }
+    }
+
     /// Parse the next event directly into an [`EventStore`], returning its
     /// arena handle. Labels are interned into the store's symbol table at
     /// parse time and payload bytes are copied once into the shared buffer,
@@ -456,13 +469,6 @@ impl<R: Read> Reader<R> {
         self
     }
 
-    /// See [`Parser::resume_at`]. The underlying byte source must already
-    /// be positioned at `position.offset`.
-    pub fn resume_at(mut self, emitted: u64, position: Position, lt_consumed: bool) -> Self {
-        self.parser = self.parser.resume_at(emitted, position, lt_consumed);
-        self
-    }
-
     /// See [`Parser::position`]. (Spelled out because method lookup would
     /// otherwise stop at `Iterator::position` before dereferencing.)
     pub fn position(&self) -> Position {
@@ -483,8 +489,14 @@ impl<R: Read> Reader<R> {
         self.pull(|parser| parser.poll_into(store))
     }
 
-    /// Poll until an event or the end; on `NeedMore`, read straight into
-    /// the parser's spare capacity.
+    /// Read once from the byte source into the parser
+    /// ([`Parser::read_from`]): for callers that poll the parser themselves
+    /// and pull only on [`Poll::NeedMore`].
+    pub fn fill(&mut self) {
+        self.parser.read_from(&mut self.input);
+    }
+
+    /// Poll until an event or the end, filling on `NeedMore`.
     fn pull<T>(
         &mut self,
         mut poll: impl FnMut(&mut Parser) -> Result<Poll<T>>,
@@ -493,13 +505,7 @@ impl<R: Read> Reader<R> {
             match poll(&mut self.parser)? {
                 Poll::Event(event) => return Ok(Some(event)),
                 Poll::End => return Ok(None),
-                Poll::NeedMore => {}
-            }
-            match self.input.read(self.parser.bytes.spare()) {
-                Ok(0) => self.parser.end_input(),
-                Ok(n) => self.parser.bytes.commit(n),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => self.parser.fail_input(e),
+                Poll::NeedMore => self.fill(),
             }
         }
     }
