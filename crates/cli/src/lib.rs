@@ -560,9 +560,10 @@ fn run_inner(
         }
         out
     } else {
-        // Progressive delivery: fragments reach stdout as they are decided,
-        // not after the stream ends. (Under a recovery policy delivery is
-        // deferred to end of run — quarantine needs the whole stream.)
+        // Progressive delivery: fragments decided so far reach stdout before
+        // spex waits for more input, not after the stream ends. (Under a
+        // recovery policy delivery is deferred to end of run — quarantine
+        // needs the whole stream.)
         let mut sink = spex_core::StreamingSink::new(&mut *stdout);
         let out = evaluate_into(&mut sink)?;
         if let Some(e) = sink.take_error() {
@@ -631,9 +632,57 @@ fn report_outcome(
     Ok(())
 }
 
-/// Per-query fragment sink of the multi-query mode: a boxed closure
-/// writing `NAME<TAB>fragment` lines to the shared output handle.
-type TaggedSink<'a> = spex_core::FragmentFnSink<Box<dyn FnMut(&[u8]) + 'a>>;
+/// The multi-query mode's one output handle: `NAME<TAB>fragment` lines
+/// collect in a 64 KiB buffer that reaches stdout when the pump flushes (or
+/// the buffer fills). The first write error is kept and ends delivery.
+struct TaggedOut<'a> {
+    out: std::io::BufWriter<&'a mut dyn Write>,
+    error: Option<std::io::Error>,
+}
+
+impl TaggedOut<'_> {
+    fn attempt(&mut self, write: impl FnOnce(&mut dyn Write) -> std::io::Result<()>) {
+        if self.error.is_none() {
+            if let Err(e) = write(&mut self.out) {
+                self.error = Some(e);
+            }
+        }
+    }
+}
+
+/// Per-query fragment sink of the multi-query mode. Fragments of different
+/// queries interleave in the stream, so each is serialized into the query's
+/// own reusable buffer and written whole, prefixed with `NAME<TAB>`, to the
+/// shared [`TaggedOut`].
+struct TaggedSink<'a> {
+    prefix: Vec<u8>,
+    fragment: spex_xml::Writer<Vec<u8>>,
+    out: std::rc::Rc<std::cell::RefCell<TaggedOut<'a>>>,
+}
+
+impl ResultSink for TaggedSink<'_> {
+    fn begin(&mut self, _meta: spex_core::ResultMeta, _now: u64) {}
+
+    fn event(&mut self, event: &spex_xml::RawEvent<'_>, _now: u64) {
+        self.fragment
+            .write_view(event)
+            .expect("writing a fragment to a Vec cannot fail");
+    }
+
+    fn end(&mut self, _now: u64) {
+        let fragment = self.fragment.get_mut();
+        self.out.borrow_mut().attempt(|out| {
+            out.write_all(&self.prefix)?;
+            out.write_all(fragment)?;
+            out.write_all(b"\n")
+        });
+        fragment.clear();
+    }
+
+    fn flush(&mut self) {
+        self.out.borrow_mut().attempt(|out| out.flush());
+    }
+}
 
 /// The multi-query one-shot mode (`--query NAME=EXPR`, repeatable): all
 /// queries compile through the multi-query combiner into **one** shared
@@ -733,38 +782,22 @@ fn run_multi(
         out
     } else {
         // Progressive delivery, multiplexed: whole fragments (never partial
-        // ones) are written as soon as each is decided, tagged with the
-        // query name.
-        use std::cell::RefCell;
-        use std::rc::Rc;
-        let shared_out: Rc<RefCell<(&mut dyn Write, Option<std::io::Error>)>> =
-            Rc::new(RefCell::new((stdout, None)));
-        let mut sinks_store: Vec<TaggedSink<'_>> = set
+        // ones), tagged with the query name, leave when the pump flushes.
+        let shared_out = std::rc::Rc::new(std::cell::RefCell::new(TaggedOut {
+            out: std::io::BufWriter::with_capacity(64 << 10, stdout),
+            error: None,
+        }));
+        let mut sinks: Vec<TaggedSink<'_>> = set
             .ids()
             .iter()
-            .map(|name| {
-                let shared_out = Rc::clone(&shared_out);
-                let prefix = format!("{name}\t");
-                spex_core::FragmentFnSink::new(Box::new(move |fragment: &[u8]| {
-                    let mut guard = shared_out.borrow_mut();
-                    let (writer, error) = &mut *guard;
-                    if error.is_some() {
-                        return;
-                    }
-                    let outcome = writer
-                        .write_all(prefix.as_bytes())
-                        .and_then(|()| writer.write_all(fragment))
-                        .and_then(|()| writer.write_all(b"\n"))
-                        .and_then(|()| writer.flush());
-                    if let Err(e) = outcome {
-                        *error = Some(e);
-                    }
-                }) as Box<dyn FnMut(&[u8])>)
+            .map(|name| TaggedSink {
+                prefix: format!("{name}\t").into_bytes(),
+                fragment: spex_xml::Writer::new(Vec::new()),
+                out: shared_out.clone(),
             })
             .collect();
-        let out = evaluate_into(sinks_store.iter_mut().map(|s| s as _).collect())?;
-        drop(sinks_store);
-        if let Some(e) = shared_out.borrow_mut().1.take() {
+        let out = evaluate_into(sinks.iter_mut().map(|s| s as _).collect())?;
+        if let Some(e) = shared_out.borrow_mut().error.take() {
             return Err(e.into());
         }
         out
@@ -1477,6 +1510,227 @@ mod tests {
         assert_eq!(o.resume.as_deref(), Some("/tmp/r"));
         assert!(parse_args(&args(&["--checkpoint"])).is_err());
         assert!(parse_args(&args(&["--resume"])).is_err());
+    }
+
+    /// Where a [`run_dripped`] probe is called from.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    enum At {
+        Read,
+        Write,
+    }
+
+    type Probe<'a> = std::cell::RefCell<&'a mut dyn FnMut(At, &[u8])>;
+
+    /// Stdin of [`run_dripped`]: at most `chunk` bytes per `read`.
+    struct Drip<'a> {
+        input: &'a [u8],
+        chunk: usize,
+        reads: usize,
+        stdout: &'a std::cell::RefCell<Vec<u8>>,
+        probe: &'a Probe<'a>,
+    }
+
+    impl Read for Drip<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.reads > 0 {
+                (*self.probe.borrow_mut())(At::Read, &self.stdout.borrow());
+            }
+            self.reads += 1;
+            let n = self.chunk.min(buf.len()).min(self.input.len());
+            buf[..n].copy_from_slice(&self.input[..n]);
+            self.input = &self.input[n..];
+            Ok(n)
+        }
+    }
+
+    /// Stdout of [`run_dripped`]: keeps the bytes and counts `write` calls.
+    struct Screen<'a> {
+        writes: usize,
+        stdout: &'a std::cell::RefCell<Vec<u8>>,
+        probe: &'a Probe<'a>,
+    }
+
+    impl Write for Screen<'_> {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            (*self.probe.borrow_mut())(At::Write, &self.stdout.borrow());
+            self.writes += 1;
+            self.stdout.borrow_mut().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    struct Dripped {
+        code: i32,
+        out: String,
+        err: String,
+        reads: usize,
+        writes: usize,
+    }
+
+    /// Run `spex` in-process with `input` arriving `chunk` bytes per read.
+    /// `probe` sees stdout so far before every read but the first — when
+    /// spex is about to wait for input — and before every stdout `write`.
+    fn run_dripped(
+        argv: &[&str],
+        input: &[u8],
+        chunk: usize,
+        mut probe: impl FnMut(At, &[u8]),
+    ) -> Dripped {
+        let o = parse_args(&args(argv)).unwrap();
+        let stdout = std::cell::RefCell::new(Vec::new());
+        let probe: Probe<'_> = std::cell::RefCell::new(&mut probe);
+        let mut stdin = Drip {
+            input,
+            chunk,
+            reads: 0,
+            stdout: &stdout,
+            probe: &probe,
+        };
+        let mut screen = Screen {
+            writes: 0,
+            stdout: &stdout,
+            probe: &probe,
+        };
+        let mut err = Vec::new();
+        let code = run(&o, &mut stdin, &mut screen, &mut err);
+        Dripped {
+            code,
+            out: String::from_utf8(stdout.take()).unwrap(),
+            err: String::from_utf8(err).unwrap(),
+            reads: stdin.reads,
+            writes: screen.writes,
+        }
+    }
+
+    fn lines(out: &[u8]) -> usize {
+        out.iter().filter(|&&b| b == b'\n').count()
+    }
+
+    /// A flat document with `n` results for `r.x` (attribute and escaped
+    /// text) and one `_*.y` result per three; what `spex r.x` prints; and
+    /// what `spex --query a=r.x --query b=_*.y` prints.
+    fn flat_doc(n: usize) -> (String, String, String) {
+        let (mut xml, mut single, mut multi) = ("<r>".to_string(), String::new(), String::new());
+        for i in 0..n {
+            let x = format!("<x id=\"{i}\">v&amp;{i}</x>");
+            xml.push_str(&x);
+            single.push_str(&format!("{x}\n"));
+            multi.push_str(&format!("a\t{x}\n"));
+            if i % 3 == 0 {
+                xml.push_str("<y/>");
+                multi.push_str("b\t<y></y>\n");
+            }
+        }
+        xml.push_str("</r>");
+        (xml, single, multi)
+    }
+
+    /// Results leave stdout when spex would wait for input: with input
+    /// arriving 4 KiB per read, there is at most one stdout `write` per
+    /// read (plus the end of run), not one per fragment — in single-query
+    /// and in `--query` mode — and the bytes are unchanged.
+    #[test]
+    fn one_write_per_input_read() {
+        let (xml, single, multi) = flat_doc(6000);
+        for (argv, expected) in [
+            (&["r.x"][..], &single),
+            (&["--query", "a=r.x", "--query", "b=_*.y"], &multi),
+        ] {
+            let run = run_dripped(argv, xml.as_bytes(), 4096, |_, _| {});
+            assert_eq!(run.code, 0, "{argv:?}: {}", run.err);
+            assert_eq!(&run.out, expected, "{argv:?}");
+            assert!(
+                run.writes <= run.reads + 2,
+                "{argv:?}: {} stdout writes for {} input reads",
+                run.writes,
+                run.reads
+            );
+        }
+    }
+
+    /// The exact, timing-free form of the benchmark's stalled-stdin check:
+    /// whenever spex is about to read again, stdout holds every fragment a
+    /// pump stepped over the same input prefix has completed.
+    #[test]
+    fn results_reach_stdout_before_the_next_read() {
+        let (xml, _, _) = flat_doc(3000);
+        let network = CompiledNetwork::compile(&"r.x".parse().unwrap());
+        let mut pump = Pump::new(network.run(CountingSink::new()), RecoveryOptions::default());
+        let mut due = Vec::new();
+        for chunk in xml.as_bytes().chunks(4096) {
+            pump.parser_mut().feed(chunk);
+            while pump.step(usize::MAX).unwrap() != Yield::NeedMore {}
+            due.push(pump.machine().stats().results as usize);
+        }
+        assert!(due.len() > 10 && due[0] > 0 && due[0] < due[due.len() - 1]);
+
+        let mut seen = Vec::new();
+        let run = run_dripped(&["r.x"], xml.as_bytes(), 4096, |at, out| {
+            if at == At::Read {
+                seen.push(lines(out));
+            }
+        });
+        assert_eq!(run.code, 0, "{}", run.err);
+        assert_eq!(seen, due);
+    }
+
+    /// Under `--checkpoint`, a snapshot never counts a fragment as
+    /// delivered before stdout has it: checked before every stdout write
+    /// and every read, with several document boundaries per read.
+    #[test]
+    fn checkpoints_count_only_fragments_stdout_has() {
+        let dir = std::env::temp_dir().join(format!("spex-cli-ckpt-order-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let snap = dir.join("run.snapshot");
+        let snap_str = snap.to_str().unwrap().to_string();
+        let xml: String = (0..400)
+            .map(|i| format!("<r><x>{i}</x><x>{i}b</x></r>"))
+            .collect();
+        let mut checks = 0;
+        let run = run_dripped(
+            &["--stream", "--checkpoint", &snap_str, "r.x"],
+            xml.as_bytes(),
+            64,
+            |at, out| {
+                let Ok(bytes) = std::fs::read(&snap) else {
+                    return;
+                };
+                let delivered = Snapshot::decode(&bytes).unwrap().session.unwrap().delivered[0];
+                assert!(
+                    delivered as usize <= lines(out),
+                    "{at:?}: snapshot counts {delivered} delivered, stdout has {}",
+                    lines(out)
+                );
+                checks += 1;
+            },
+        );
+        assert_eq!(run.code, 0, "{}", run.err);
+        assert_eq!(run.out.lines().count(), 800);
+        assert!(checks > 100, "{checks} checks");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A strict syntax error mid-stream still prints every fragment
+    /// completed before it — also when they and the error arrive in one
+    /// read — and then exits 2.
+    #[test]
+    fn strict_syntax_error_prints_what_came_before_it() {
+        let body: String = (0..500).map(|i| format!("<x>{i}</x>")).collect();
+        let xml = format!("<r>{body}<bad></r>");
+        let fragments: String = (0..500).map(|i| format!("<x>{i}</x>\n")).collect();
+        let tagged: String = (0..500).map(|i| format!("q\t<x>{i}</x>\n")).collect();
+        for chunk in [4096, usize::MAX] {
+            for (argv, expected) in [(&["r.x"][..], &fragments), (&["--query", "q=r.x"], &tagged)] {
+                let run = run_dripped(argv, xml.as_bytes(), chunk, |_, _| {});
+                assert_eq!(run.code, 2, "{argv:?} chunk {chunk}");
+                assert!(run.err.contains("mismatched"), "{}", run.err);
+                assert_eq!(&run.out, expected, "{argv:?} chunk {chunk}");
+            }
+        }
     }
 
     #[test]

@@ -18,6 +18,11 @@
 //! `End`. The per-event loop itself is one non-generic function over the
 //! run's type-erased sinks, compiled once, in this crate.
 //!
+//! The pump is also the one place results are flushed
+//! ([`ResultSink::flush`]): at every yield except `Budget`, on an error, and
+//! after the final drain — so output leaves when the program would wait for
+//! input, not once per fragment.
+//!
 //! Two rules of durable sessions live here and nowhere else (DESIGN.md §15):
 //!
 //! * a `</$>` the parser synthesized for a stream that broke off
@@ -86,6 +91,10 @@ impl<S: ResultSink> ResultSink for QuerySink<S> {
                 self.sink.end(now);
             }
         }
+    }
+
+    fn flush(&mut self) {
+        self.sink.flush();
     }
 }
 
@@ -177,9 +186,18 @@ impl<S: ResultSink> Pump<S> {
     /// stopped. An error ends the stream: a malformed input or a failed
     /// transport ([`EvalError::Xml`]), or a resource-limit breach, after
     /// which the run has drained what was already determined.
+    ///
+    /// Unless the budget was spent, every sink is flushed
+    /// ([`ResultSink::flush`]) before the step returns — flush before
+    /// block: whatever the input determined so far has left before the
+    /// caller waits for more input, writes a snapshot that counts those
+    /// fragments as delivered, or reports an error.
     pub fn step(&mut self, budget: usize) -> Result<Yield, EvalError> {
         let (machine, sinks) = self.run.parts();
         let step = pump_events(&mut self.parser, machine, sinks, budget);
+        if !matches!(step, Ok(Yield::Budget)) {
+            self.run.sinks_mut().iter_mut().for_each(ResultSink::flush);
+        }
         match &step {
             Ok(Yield::Boundary) => {
                 self.documents += 1;
@@ -270,7 +288,8 @@ impl<S: ResultSink> Pump<S> {
     /// End the run: flush it (or, after an XML error, abandon it as it
     /// stands — a broken stream leaves candidates that can never be
     /// determined), then drain every quarantine into its sink, withholding
-    /// the fragments that overlap a fault. With a tracer attached, the
+    /// the fragments that overlap a fault, and flush every sink
+    /// ([`ResultSink::flush`]). With a tracer attached, the
     /// parser's `xml.events` / `xml.bytes` / `xml.faults` counters are
     /// emitted beside the engine's records.
     pub fn finish(self) -> Finished<S> {
@@ -308,6 +327,7 @@ impl<S: ResultSink> Pump<S> {
                     results += d;
                     dropped += p;
                 }
+                sink.flush();
                 sink
             })
             .collect();

@@ -34,6 +34,12 @@ pub trait ResultSink {
     fn event(&mut self, event: &RawEvent<'_>, now: u64);
     /// The current fragment is complete.
     fn end(&mut self, now: u64);
+    /// Hand everything delivered so far to the outside world. [`crate::Pump`]
+    /// calls it whenever it hands control back without having spent its
+    /// budget — before the caller blocks on input, at a document boundary,
+    /// on an error and after the final drain — so a sink that buffers its
+    /// output loses no earliness the reader could have observed.
+    fn flush(&mut self) {}
 }
 
 /// A borrowed sink is a sink: a run that owns its sinks by value takes
@@ -49,6 +55,10 @@ impl<T: ResultSink + ?Sized> ResultSink for &mut T {
 
     fn end(&mut self, now: u64) {
         (**self).end(now);
+    }
+
+    fn flush(&mut self) {
+        (**self).flush();
     }
 }
 
@@ -144,25 +154,41 @@ impl ResultSink for CountingSink {
     }
 }
 
-/// Writes result fragments to an [`std::io::Write`] sink **as they are
-/// emitted** — one fragment per line. This is SPEX's progressive delivery
-/// made visible: for past-condition queries, output appears while the input
-/// is still streaming in.
+/// Writes result fragments to an [`std::io::Write`] sink, one fragment per
+/// line, **before the program would wait for input**. This is SPEX's
+/// progressive delivery made visible: for past-condition queries, output
+/// appears while the input is still streaming in.
+///
+/// Fragments are serialized into one reusable buffer, allocated by the first
+/// result. The buffer reaches `out` — one `write_all`, then `out.flush()` —
+/// on [`ResultSink::flush`], which [`crate::Pump`] calls whenever it would
+/// block on input, at every document boundary, on an error and at the end;
+/// and, without the `flush`, whenever 64 KiB are buffered. A result is
+/// therefore never held while the program waits, and a fast producer costs
+/// one `write_all` per input read instead of one write per fragment. A
+/// caller that drives a run without a pump calls [`ResultSink::flush`]
+/// itself.
 ///
 /// Write errors are sticky: the first one is kept and delivery stops;
 /// inspect it with [`StreamingSink::take_error`].
 pub struct StreamingSink<W: std::io::Write> {
-    writer: spex_xml::Writer<W>,
+    /// Serialized bytes not yet handed to `out`.
+    buffer: spex_xml::Writer<Vec<u8>>,
+    out: W,
     error: Option<spex_xml::XmlError>,
     /// Completed fragments so far.
     pub results: usize,
 }
 
+/// Buffered bytes at which a [`StreamingSink`] writes them out unasked.
+const HIGH_WATER: usize = 64 << 10;
+
 impl<W: std::io::Write> StreamingSink<W> {
     /// Stream fragments to `out`.
     pub fn new(out: W) -> Self {
         StreamingSink {
-            writer: spex_xml::Writer::new(out),
+            buffer: spex_xml::Writer::new(Vec::new()),
+            out,
             error: None,
             results: 0,
         }
@@ -173,13 +199,16 @@ impl<W: std::io::Write> StreamingSink<W> {
         self.error.take()
     }
 
-    fn try_write(&mut self, event: &RawEvent<'_>) {
-        if self.error.is_some() {
-            return;
+    /// Hand the buffered bytes to `out` (without flushing it) and empty the
+    /// buffer, keeping its capacity.
+    fn write_out(&mut self) {
+        let buffered = self.buffer.get_mut();
+        if self.error.is_none() && !buffered.is_empty() {
+            if let Err(e) = self.out.write_all(buffered) {
+                self.error = Some(e.into());
+            }
         }
-        if let Err(e) = self.writer.write_view(event) {
-            self.error = Some(e);
-        }
+        buffered.clear();
     }
 }
 
@@ -187,16 +216,28 @@ impl<W: std::io::Write> ResultSink for StreamingSink<W> {
     fn begin(&mut self, _meta: ResultMeta, _now: u64) {}
 
     fn event(&mut self, event: &RawEvent<'_>, _now: u64) {
-        self.try_write(event);
+        if self.error.is_some() {
+            return;
+        }
+        if let Err(e) = self.buffer.write_view(event) {
+            self.error = Some(e);
+        } else if self.buffer.get_mut().len() >= HIGH_WATER {
+            self.write_out();
+        }
     }
 
     fn end(&mut self, _now: u64) {
         self.results += 1;
-        // One fragment per line; flush so consumers see it immediately.
-        self.try_write(&RawEvent::Text("\n"));
-        if let Err(e) = self.writer.flush_inner() {
-            if self.error.is_none() {
-                self.error = Some(e);
+        if self.error.is_none() {
+            self.buffer.get_mut().push(b'\n');
+        }
+    }
+
+    fn flush(&mut self) {
+        self.write_out();
+        if self.error.is_none() {
+            if let Err(e) = self.out.flush() {
+                self.error = Some(e.into());
             }
         }
     }
@@ -419,6 +460,7 @@ mod tests {
             s.event(&RawEvent::Text("x"), 2);
             s.event(&RawEvent::from_event(&XmlEvent::close("a")), 3);
             s.end(3);
+            s.flush();
             assert_eq!(s.results, 1);
             assert!(s.take_error().is_none());
         }
@@ -441,7 +483,45 @@ mod tests {
         s.event(&RawEvent::from_event(&XmlEvent::open("a")), 0);
         s.event(&RawEvent::from_event(&XmlEvent::close("a")), 0);
         s.end(0);
+        assert!(
+            s.take_error().is_none(),
+            "nothing is written before a flush"
+        );
+        s.flush();
         assert!(s.take_error().is_some());
+    }
+
+    /// Without a flush, the buffer goes out only once 64 KiB are pending,
+    /// and then in one `write` — never one per fragment.
+    #[test]
+    fn streaming_sink_writes_unasked_only_past_the_high_water_mark() {
+        #[derive(Default)]
+        struct Writes(Vec<usize>);
+        impl std::io::Write for Writes {
+            fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
+                self.0.push(b.len());
+                Ok(b.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut s = StreamingSink::new(Writes::default());
+        let fragment = "<a>x</a>\n".len();
+        let mut delivered = 0;
+        while delivered < HIGH_WATER + fragment {
+            s.begin(ResultMeta { start_tick: 0 }, 0);
+            s.event(&RawEvent::from_event(&XmlEvent::open("a")), 0);
+            s.event(&RawEvent::Text("x"), 0);
+            s.event(&RawEvent::from_event(&XmlEvent::close("a")), 0);
+            s.end(0);
+            delivered += fragment;
+        }
+        assert_eq!(s.out.0.len(), 1, "one write at the high-water mark");
+        assert!(s.out.0[0] >= HIGH_WATER);
+        s.flush();
+        assert_eq!(s.out.0.iter().sum::<usize>(), delivered);
+        assert!(s.take_error().is_none());
     }
 
     #[test]

@@ -20,8 +20,9 @@ pub fn escape_attr(text: &str) -> Cow<'_, str> {
 }
 
 fn escape_with(text: &str, attr: bool) -> Cow<'_, str> {
-    let needs = |c: char| matches!(c, '&' | '<' | '>') || (attr && c == '"');
-    if !text.chars().any(needs) {
+    // Every special is ASCII, so a byte scan finds them without decoding.
+    let needs = |b: u8| matches!(b, b'&' | b'<' | b'>') || (attr && b == b'"');
+    if !text.bytes().any(needs) {
         return Cow::Borrowed(text);
     }
     let mut out = String::with_capacity(text.len() + 8);

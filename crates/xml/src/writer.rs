@@ -57,7 +57,8 @@ impl<W: Write> Writer<W> {
 
     /// Write one borrowed event view. This is the zero-copy sink side of the
     /// pipeline: result fragments are serialized straight from the event
-    /// arena without materializing owned [`XmlEvent`]s.
+    /// arena without materializing owned [`XmlEvent`]s, and without
+    /// `std::fmt` — names and escaped text go out as byte slices.
     pub fn write_view(&mut self, event: &RawEvent<'_>) -> Result<()> {
         match event {
             RawEvent::StartDocument => {
@@ -73,11 +74,16 @@ impl<W: Write> Writer<W> {
             RawEvent::StartElement { name, attributes } => {
                 self.mark_child();
                 self.indent()?;
-                write!(self.out, "<{name}")?;
+                self.out.write_all(b"<")?;
+                self.out.write_all(name.as_bytes())?;
                 for (n, v) in attributes.iter() {
-                    write!(self.out, " {}=\"{}\"", n, escape_attr(v))?;
+                    self.out.write_all(b" ")?;
+                    self.out.write_all(n.as_bytes())?;
+                    self.out.write_all(b"=\"")?;
+                    self.out.write_all(escape_attr(v).as_bytes())?;
+                    self.out.write_all(b"\"")?;
                 }
-                write!(self.out, ">")?;
+                self.out.write_all(b">")?;
                 self.depth += 1;
                 self.had_children.push(false);
                 self.midline = true;
@@ -94,28 +100,34 @@ impl<W: Write> Writer<W> {
                 if had {
                     self.indent()?;
                 }
-                write!(self.out, "</{name}>")?;
+                self.out.write_all(b"</")?;
+                self.out.write_all(name.as_bytes())?;
+                self.out.write_all(b">")?;
                 self.midline = true;
             }
             RawEvent::Text(t) => {
                 // Text stays attached to the current line to preserve content.
-                write!(self.out, "{}", escape_text(t))?;
+                self.out.write_all(escape_text(t).as_bytes())?;
                 self.midline = true;
             }
             RawEvent::Comment(c) => {
                 self.mark_child();
                 self.indent()?;
-                write!(self.out, "<!--{c}-->")?;
+                self.out.write_all(b"<!--")?;
+                self.out.write_all(c.as_bytes())?;
+                self.out.write_all(b"-->")?;
                 self.midline = true;
             }
             RawEvent::ProcessingInstruction { target, data } => {
                 self.mark_child();
                 self.indent()?;
-                if data.is_empty() {
-                    write!(self.out, "<?{target}?>")?;
-                } else {
-                    write!(self.out, "<?{target} {data}?>")?;
+                self.out.write_all(b"<?")?;
+                self.out.write_all(target.as_bytes())?;
+                if !data.is_empty() {
+                    self.out.write_all(b" ")?;
+                    self.out.write_all(data.as_bytes())?;
                 }
+                self.out.write_all(b"?>")?;
                 self.midline = true;
             }
         }
@@ -136,10 +148,10 @@ impl<W: Write> Writer<W> {
         Ok(self.out)
     }
 
-    /// Flush the underlying sink without consuming the writer.
-    pub fn flush_inner(&mut self) -> Result<()> {
-        self.out.flush()?;
-        Ok(())
+    /// The underlying sink, e.g. to hand off and clear a `Vec<u8>` between
+    /// balanced fragments.
+    pub fn get_mut(&mut self) -> &mut W {
+        &mut self.out
     }
 
     fn mark_child(&mut self) {
@@ -243,6 +255,59 @@ mod tests {
         };
         let s = events_to_string([&ev]);
         assert_eq!(s, r#"<a t="x&quot;&lt;&amp;&gt;y">"#);
+    }
+
+    /// Every event kind, byte for byte: attributes and text carrying all
+    /// five XML specials, an empty attribute, a comment, PIs with and
+    /// without data — compact, and pretty-printed with a declaration.
+    #[test]
+    fn every_event_kind_serializes_byte_for_byte() {
+        let specials = "a&b<c>d\"e'f";
+        let events = [
+            XmlEvent::StartDocument,
+            XmlEvent::StartElement {
+                name: "r".into(),
+                attributes: vec![Attribute::new("k", specials), Attribute::new("z", "")],
+            },
+            XmlEvent::Text(specials.into()),
+            XmlEvent::open("e"),
+            XmlEvent::StartElement {
+                name: "f".into(),
+                attributes: vec![Attribute::new("n", "1")],
+            },
+            XmlEvent::close("f"),
+            XmlEvent::close("e"),
+            XmlEvent::Comment(" c & <d> ".into()),
+            XmlEvent::ProcessingInstruction {
+                target: "pi".into(),
+                data: "x=\"1\" & y".into(),
+            },
+            XmlEvent::ProcessingInstruction {
+                target: "bare".into(),
+                data: String::new(),
+            },
+            XmlEvent::close("r"),
+            XmlEvent::EndDocument,
+        ];
+        let render = |options| {
+            let mut w = Writer::with_options(Vec::new(), options);
+            w.write_all(&events).unwrap();
+            String::from_utf8(w.into_inner().unwrap()).unwrap()
+        };
+        assert_eq!(
+            render(WriteOptions::default()),
+            r#"<r k="a&amp;b&lt;c&gt;d&quot;e'f" z="">a&amp;b&lt;c&gt;d"e'f<e><f n="1"></f></e><!-- c & <d> --><?pi x="1" & y?><?bare?></r>"#
+        );
+        assert_eq!(
+            render(WriteOptions {
+                declaration: true,
+                indent: Some(2),
+            }),
+            "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n\
+             <r k=\"a&amp;b&lt;c&gt;d&quot;e'f\" z=\"\">a&amp;b&lt;c&gt;d\"e'f\n  \
+             <e>\n    <f n=\"1\"></f>\n  </e>\n  <!-- c & <d> -->\n  \
+             <?pi x=\"1\" & y?>\n  <?bare?>\n</r>"
+        );
     }
 
     #[test]
