@@ -29,7 +29,7 @@ pub mod fault;
 use spex_baseline::{DomEvaluator, TreeNfaEvaluator};
 use spex_core::{CompiledNetwork, CountingSink, EngineStats, Evaluator, TransducerStats};
 use spex_query::Rpeq;
-use spex_xml::{Document, ScannerKind, XmlEvent};
+use spex_xml::{Document, XmlEvent};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
@@ -154,192 +154,6 @@ pub fn run_spex_streaming(
     )
 }
 
-/// Evaluate end-to-end from serialized XML via the zero-copy reader path
-/// (`Reader::next_into` feeding arena handles into the network). Timing
-/// includes parsing — this is the full reader→network→sink pipeline the CLI
-/// strict path runs.
-pub fn run_spex_zero_copy(query: &Rpeq, xml: &[u8]) -> RunResult {
-    run_spex_zero_copy_scanner(query, xml, ScannerKind::default())
-}
-
-/// [`run_spex_zero_copy`] on an explicit byte-scanning strategy — `harness
-/// scan-bench` runs it once per [`ScannerKind`] to produce the BENCH_10
-/// end-to-end MB/s axis (fast vs classic scanner through the same engine).
-/// Network compilation and the one-time plan lowering happen outside the
-/// timed region, matching a server-style amortized deployment.
-pub fn run_spex_zero_copy_scanner(query: &Rpeq, xml: &[u8], scanner: ScannerKind) -> RunResult {
-    let network = CompiledNetwork::compile(query);
-    network.plan(); // lower once, outside the timed region
-    let mut sink = CountingSink::new();
-    let start = Instant::now();
-    let mut eval = Evaluator::new(&network, &mut sink);
-    let mut reader = spex_xml::Reader::new(xml).with_scanner(scanner);
-    eval.push_from(&mut reader)
-        .expect("well-formed benchmark stream");
-    let (stats, transducers) = eval.finish_full();
-    RunResult {
-        elapsed: start.elapsed(),
-        results: sink.results,
-        stats: Some(stats),
-        transducer_stats: Some(transducers),
-    }
-}
-
-/// Outcome of one parse-only run (no engine attached): the reader drains
-/// the document into an [`spex_xml::EventStore`] arena via `next_into`,
-/// which is the producer side of the zero-copy pipeline in isolation.
-#[derive(Debug, Clone, Copy)]
-pub struct ParseResult {
-    /// Wall-clock time of the drain.
-    pub elapsed: Duration,
-    /// Events delivered.
-    pub events: u64,
-    /// Input bytes consumed.
-    pub bytes: u64,
-}
-
-impl ParseResult {
-    /// Parse throughput in MB/s (decimal megabytes, as in the paper).
-    pub fn mb_per_s(&self) -> f64 {
-        self.bytes as f64 / 1e6 / self.elapsed.as_secs_f64().max(1e-9)
-    }
-
-    /// Parse throughput in million events per second.
-    pub fn mev_per_s(&self) -> f64 {
-        self.events as f64 / 1e6 / self.elapsed.as_secs_f64().max(1e-9)
-    }
-}
-
-/// Drain `xml` through `Reader::next_into` under `scanner` with no engine
-/// attached — the parse-only leg of `harness scan-bench` (BENCH_10). The
-/// arena is reset at document boundaries exactly like the evaluator's
-/// session reset, so memory stays bounded and the store append cost matches
-/// the real pipeline.
-pub fn run_parse_only(xml: &[u8], scanner: ScannerKind) -> ParseResult {
-    let mut store = spex_xml::EventStore::new();
-    let start = Instant::now();
-    let mut reader = spex_xml::Reader::new(xml).with_scanner(scanner);
-    let mut events = 0u64;
-    while let Some(id) = reader
-        .next_into(&mut store)
-        .expect("well-formed benchmark stream")
-    {
-        events += 1;
-        if store.stored(id).kind == spex_xml::StoredKind::EndDocument {
-            store.reset();
-        }
-    }
-    ParseResult {
-        elapsed: start.elapsed(),
-        events,
-        bytes: reader.position().offset,
-    }
-}
-
-/// Synthetic attribute-heavy workload for the E15 parse-bound grid: `n`
-/// flat records, each carrying eight short attributes — the shape where the
-/// fast scanner's in-chunk attribute walk does the most work per tag.
-pub fn synthetic_attr_heavy(n: usize) -> String {
-    let mut out = String::with_capacity(n * 120 + 16);
-    out.push_str("<recs>");
-    for i in 0..n {
-        out.push_str(&format!(
-            "<rec id=\"{i}\" kind=\"row\" lang=\"en\" rank=\"{}\" a=\"x\" b=\"y\" c=\"z\" flag=\"1\">v</rec>",
-            i % 97
-        ));
-    }
-    out.push_str("</recs>");
-    out
-}
-
-/// Synthetic text-heavy workload for the E15 parse-bound grid: `n`
-/// paragraphs of long entity-free prose — the shape where a single
-/// [`spex_xml::scan::memchr2`] sweep covers hundreds of bytes per call.
-pub fn synthetic_text_heavy(n: usize) -> String {
-    let sentence = "The quick brown fox jumps over the lazy dog while the \
-                    stream evaluator keeps only undetermined fragments buffered. ";
-    let mut out = String::with_capacity(n * (sentence.len() * 4 + 16));
-    out.push_str("<doc>");
-    for _ in 0..n {
-        out.push_str("<p>");
-        for _ in 0..4 {
-            out.push_str(sentence);
-        }
-        out.push_str("</p>");
-    }
-    out.push_str("</doc>");
-    out
-}
-
-/// Synthetic deep-nesting workload for the E15 parse-bound grid: `n`
-/// chains, each `depth` elements deep with one-character tags — maximal
-/// open/close machinery per byte, the fast scanner's worst case.
-pub fn synthetic_deep_nesting(n: usize, depth: usize) -> String {
-    let mut out = String::with_capacity(n * depth * 8 + 16);
-    out.push_str("<root>");
-    for _ in 0..n {
-        for d in 0..depth {
-            out.push('<');
-            out.push((b'a' + (d % 26) as u8) as char);
-            out.push('>');
-        }
-        out.push('x');
-        for d in (0..depth).rev() {
-            out.push_str("</");
-            out.push((b'a' + (d % 26) as u8) as char);
-            out.push('>');
-        }
-    }
-    out.push_str("</root>");
-    out
-}
-
-/// Evaluate end-to-end from serialized XML through a [`spex_core::Pump`]
-/// with a trace handle attached — the configuration the CLI runs under
-/// `--trace-jsonl`: the engine and the reader counters are emitted once, as
-/// the pump finishes. Passing [`spex_trace::Tracer::disabled`] measures the
-/// exact same code path with tracing off; `harness trace-bench` interleaves
-/// the two to bound the overhead.
-pub fn run_spex_traced(query: &Rpeq, mut xml: &[u8], tracer: &spex_trace::Tracer) -> RunResult {
-    let network = CompiledNetwork::compile(query);
-    network.plan(); // lower once, outside the timed region
-    let start = Instant::now();
-    let mut run = network.run(CountingSink::new());
-    run.set_tracer(tracer.clone());
-    let mut pump = spex_core::Pump::new(run, spex_core::RecoveryOptions::default());
-    pump.run_from(&mut xml)
-        .expect("well-formed benchmark stream");
-    let done = pump.finish();
-    RunResult {
-        elapsed: start.elapsed(),
-        results: done.sinks[0].results,
-        stats: Some(done.stats),
-        transducer_stats: Some(done.transducers),
-    }
-}
-
-/// Evaluate end-to-end from serialized XML via the owned-event path
-/// (`Reader::next_event` allocating an [`XmlEvent`] per event, then
-/// `Evaluator::push`). The pre-arena pipeline, kept as the allocation
-/// baseline `harness bench` compares the zero-copy path against.
-pub fn run_spex_owned(query: &Rpeq, xml: &[u8]) -> RunResult {
-    let network = CompiledNetwork::compile(query);
-    let mut sink = CountingSink::new();
-    let start = Instant::now();
-    let mut eval = Evaluator::new(&network, &mut sink);
-    let mut reader = spex_xml::Reader::new(xml);
-    while let Some(ev) = reader.next_event().expect("well-formed benchmark stream") {
-        eval.push(ev);
-    }
-    let (stats, transducers) = eval.finish_full();
-    RunResult {
-        elapsed: start.elapsed(),
-        results: sink.results,
-        stats: Some(stats),
-        transducer_stats: Some(transducers),
-    }
-}
-
 /// Cached MONDIAL events (generated once per process).
 pub fn mondial_events() -> &'static [XmlEvent] {
     static EVENTS: OnceLock<Vec<XmlEvent>> = OnceLock::new();
@@ -403,34 +217,6 @@ mod tests {
             assert_eq!(counts[0], counts[1], "class {} spex vs dom", qc.class);
             assert_eq!(counts[1], counts[2], "class {} dom vs nfa", qc.class);
             assert!(counts[0] > 0, "class {} selected nothing", qc.class);
-        }
-    }
-
-    #[test]
-    fn zero_copy_and_owned_paths_agree() {
-        // The two end-to-end pipelines (arena handles vs owned events) must
-        // deliver the same result counts and the same buffering profile.
-        let events: Vec<XmlEvent> =
-            spex_workloads::mondial::mondial_with(&spex_workloads::mondial::MondialConfig {
-                seed: 7,
-                countries: 10,
-            });
-        let xml = spex_xml::writer::events_to_string(&events);
-        for qc in spex_workloads::queries_for(spex_workloads::Dataset::Mondial) {
-            let q = qc.rpeq();
-            let zc = run_spex_zero_copy(&q, xml.as_bytes());
-            let ow = run_spex_owned(&q, xml.as_bytes());
-            assert_eq!(
-                zc.results, ow.results,
-                "class {} zero-copy vs owned",
-                qc.class
-            );
-            assert_eq!(
-                zc.stats.as_ref().map(|s| s.messages),
-                ow.stats.as_ref().map(|s| s.messages),
-                "class {} message counts diverge",
-                qc.class
-            );
         }
     }
 

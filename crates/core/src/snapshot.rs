@@ -13,8 +13,8 @@
 //! statistics, determination-latency histograms, the condition-variable
 //! serial high-water mark, the interned symbol list, and (for fault-tolerant
 //! runs) the quarantine sets and damage intervals. That is what this module
-//! serializes. The format nonetheless carries an arena section, so a future
-//! mid-document checkpoint is a new section payload, not a new format.
+//! serializes. A future mid-document checkpoint would be a new section, not
+//! a new format.
 //!
 //! # Wire format
 //!
@@ -41,7 +41,8 @@ pub const SNAPSHOT_VERSION: u32 = 1;
 
 const SEC_CORE: u8 = 1;
 const SEC_SYMBOLS: u8 = 2;
-const SEC_ARENA: u8 = 3;
+// Tag 3 is retired, not free: older snapshots carry an always-empty
+// event-arena section under it, which decoding skips as an unknown tag.
 const SEC_SESSION: u8 = 4;
 
 // ---------------------------------------------------------------------------
@@ -221,9 +222,6 @@ pub struct Snapshot {
     /// The full interned symbol list (the run's query-label baseline is a
     /// prefix of this; restore verifies the prefix and interns the tail).
     pub symbols: Vec<String>,
-    /// Arena events live at the checkpoint (empty at quiescence; carried so
-    /// the format already covers mid-document state).
-    pub arena: Vec<XmlEvent>,
     /// Driver continuation state, when the producer attached one.
     pub session: Option<SessionState>,
 }
@@ -777,15 +775,6 @@ impl Snapshot {
             put_str(&mut syms, name);
         }
         section(SEC_SYMBOLS, syms);
-        let mut arena = Vec::new();
-        put_u32(
-            &mut arena,
-            u32::try_from(self.arena.len()).unwrap_or(u32::MAX),
-        );
-        for ev in &self.arena {
-            put_event(&mut arena, ev);
-        }
-        section(SEC_ARENA, arena);
         if let Some(sess) = &self.session {
             section(SEC_SESSION, encode_session(sess));
         }
@@ -851,14 +840,6 @@ impl Snapshot {
                     }
                     snap.symbols = symbols;
                     have_symbols = true;
-                }
-                SEC_ARENA => {
-                    let n = sd.count(1)?;
-                    let mut arena = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        arena.push(get_event(&mut sd)?);
-                    }
-                    snap.arena = arena;
                 }
                 SEC_SESSION => {
                     snap.session = Some(decode_session(&mut sd)?);
@@ -933,13 +914,6 @@ mod tests {
                 .with_max_total_messages(1_000_000),
             arena_peak: 8192,
             symbols: vec!["$".into(), "a".into(), "b".into()],
-            arena: vec![
-                XmlEvent::StartDocument,
-                XmlEvent::StartElement {
-                    name: "a".into(),
-                    attributes: vec![Attribute::new("k", "v")],
-                },
-            ],
             session: Some(SessionState {
                 faults: vec![Fault {
                     kind: FaultKind::MismatchedClose,
@@ -997,7 +971,6 @@ mod tests {
         assert_eq!(back.limits, s.limits);
         assert_eq!(back.arena_peak, s.arena_peak);
         assert_eq!(back.symbols, s.symbols);
-        assert_eq!(back.arena, s.arena);
         assert_eq!(back.session, s.session);
         // Re-encoding the decoded snapshot is byte-identical.
         assert_eq!(back.encode(), bytes);
@@ -1082,12 +1055,16 @@ mod tests {
     fn unknown_sections_are_skipped() {
         let snap = sample_snapshot();
         let bytes = snap.encode();
-        // Rebuild with an extra unknown section appended to the payload.
+        // Rebuild with extra sections appended to the payload: the empty
+        // arena section (tag 3, an event count of 0) older binaries wrote,
+        // and a tag nothing has used.
         let payload_len = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]) as usize;
         let mut payload = bytes[16..16 + payload_len].to_vec();
-        payload.push(200); // unknown tag
-        payload.extend_from_slice(&5u32.to_le_bytes());
-        payload.extend_from_slice(b"extra");
+        for (tag, body) in [(3u8, &[0u8; 4][..]), (200, b"extra")] {
+            payload.push(tag);
+            payload.extend_from_slice(&(body.len() as u32).to_le_bytes());
+            payload.extend_from_slice(body);
+        }
         let mut out = Vec::new();
         out.extend_from_slice(&SNAPSHOT_MAGIC);
         out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());

@@ -1195,7 +1195,6 @@ impl Machine {
             limits: self.limits,
             arena_peak: self.store.peak_bytes() as u64,
             symbols,
-            arena: self.store.export_arena(),
             session: None,
         })
     }
@@ -1259,7 +1258,6 @@ impl Machine {
         self.vars.restore_minted(snap.minted);
         self.store
             .restore_peak(usize::try_from(snap.arena_peak).unwrap_or(usize::MAX));
-        self.store.import_arena(&snap.arena);
         Ok(())
     }
 

@@ -1,5 +1,5 @@
 //! A small blocking client for the spex-serve protocol, used by the CLI
-//! example, the integration tests and the `serve-bench` harness. It is a
+//! example, the integration tests and the harness smokes. It is a
 //! thin convenience over [`crate::protocol`] — nothing here is required to
 //! talk to the server; `nc` plus a frame encoder is enough.
 

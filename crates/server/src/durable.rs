@@ -95,8 +95,7 @@ impl FromStr for FsyncPolicy {
 /// CRC-32 (IEEE) lookup tables for the slicing-by-16 variant: `TABLES[0]`
 /// is the classic byte-at-a-time table, `TABLES[k]` advances a byte `k`
 /// positions further. The WAL checksums every input byte on the hot path,
-/// so the per-byte cost is part of the gated append overhead
-/// (`harness crash-bench`).
+/// so the per-byte cost is part of the append overhead.
 const CRC_TABLES: [[u32; 256]; 16] = {
     let mut tables = [[0u32; 256]; 16];
     let mut i = 0;

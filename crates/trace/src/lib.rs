@@ -5,8 +5,8 @@
 //! End-of-run aggregates (`EngineStats` and friends) cannot show *when* a
 //! match was determined or *where* buffered bytes pile up inside the
 //! transducer DAG — that is this crate's job. It is the measurement
-//! substrate behind the CLI's `--trace-jsonl`/`--trace-summary` flags, the
-//! server's `T` stats frame, and the `harness trace-bench` overhead gate.
+//! substrate behind the CLI's `--trace-jsonl`/`--trace-summary` flags and
+//! the server's `T` stats frame.
 //!
 //! Design constraints (see DESIGN.md §13 for the full rationale and the
 //! normative JSONL schema):

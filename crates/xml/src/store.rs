@@ -273,32 +273,6 @@ impl EventStore {
         }
     }
 
-    /// Copy every live event out as owned [`XmlEvent`]s in push order.
-    ///
-    /// This is the serialization surface for checkpointing: at a quiescent
-    /// document boundary the arena is empty and this returns nothing, but
-    /// the snapshot format still carries the section so a future
-    /// mid-document checkpoint needs no format change.
-    #[must_use]
-    pub fn export_arena(&self) -> Vec<XmlEvent> {
-        (0..self.events.len())
-            .map(|i| {
-                self.get(EventId(u32::try_from(i).unwrap_or(u32::MAX)))
-                    .to_owned_event()
-            })
-            .collect()
-    }
-
-    /// Re-append previously exported events (see [`Self::export_arena`]) in
-    /// order, re-interning labels. Handles are assigned densely from the
-    /// current length, so restoring into an empty store reproduces the
-    /// exported [`EventId`]s exactly.
-    pub fn import_arena(&mut self, events: &[XmlEvent]) {
-        for ev in events {
-            self.push_owned(ev);
-        }
-    }
-
     /// The compact record behind `id`.
     ///
     /// # Panics
@@ -569,25 +543,6 @@ mod tests {
         assert_eq!(store.symbols().len(), 1);
         assert!(store.peak_bytes() >= used);
         assert_eq!(store.bytes_used(), 0);
-    }
-
-    #[test]
-    fn arena_export_import_round_trips() {
-        let mut store = EventStore::new();
-        store.push_start_document();
-        store.push_start("a", [("k", "v")]);
-        store.push_text("payload");
-        store.push_pi("pi", "d");
-        store.push_end("a");
-        store.push_end_document();
-        let exported = store.export_arena();
-        assert_eq!(exported.len(), 6);
-        let mut fresh = EventStore::new();
-        fresh.import_arena(&exported);
-        assert_eq!(fresh.export_arena(), exported);
-        assert_eq!(fresh.len(), store.len());
-        // Empty stores export nothing.
-        assert!(EventStore::new().export_arena().is_empty());
     }
 
     #[test]

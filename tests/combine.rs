@@ -251,3 +251,31 @@ fn combined_degree_strictly_decreases_on_overlap() {
         combined.set.unshared_degree()
     );
 }
+
+#[test]
+fn shared_prefix_tenants_saturate_at_the_distinct_pool() {
+    // E14's sublinearity, without a clock: tenant i registers
+    // `catalog.product.fld{i % 128}`, so canonical dedup leaves at most 128
+    // distinct queries and the shared plan stops growing once the pool is
+    // covered, however many tenants register.
+    let report = |n: usize| {
+        let named: Vec<(String, Rpeq)> = (0..n)
+            .map(|i| {
+                let text = format!("catalog.product.fld{}", i % 128);
+                (format!("q{i}"), text.parse().expect("tenant query parses"))
+            })
+            .collect();
+        spex_combine::combine(&named)
+            .expect("tenant queries compile")
+            .report
+    };
+    let reports = [report(10), report(1_000), report(10_000)];
+    for (r, n) in reports.iter().zip([10usize, 1_000, 10_000]) {
+        assert_eq!(r.queries, n);
+        assert_eq!(r.distinct, n.min(128), "{n} tenants");
+    }
+    assert_eq!(
+        reports[1].degree, reports[2].degree,
+        "10x the tenants over the same pool must not grow the shared plan"
+    );
+}

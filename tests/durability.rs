@@ -5,12 +5,12 @@
 //! corrupted or truncated snapshot always fails to decode with a structured
 //! error, never a panic. The seeded `harness crash-diff` rig covers volume
 //! (random kill offsets, WAL tails, recovery policies); these properties
-//! cover minimization.
+//! cover minimization. A last test pins the snapshot size as O(query).
 
 use proptest::prelude::*;
 use spex::core::{
-    CompiledNetwork, CountingSink, EngineStats, Evaluator, FragmentCollector, Snapshot,
-    TransducerStats,
+    CompiledNetwork, CountingSink, EngineStats, Evaluator, FragmentCollector, Pump,
+    RecoveryOptions, Snapshot, TransducerStats,
 };
 use spex::query::{Label, Rpeq};
 use spex::xml::XmlEvent;
@@ -192,4 +192,34 @@ proptest! {
         let cut = (trunc as usize) % bytes.len();
         prop_assert!(Snapshot::decode(&bytes[..cut]).is_err(), "{}-byte prefix must not decode", cut);
     }
+}
+
+/// DESIGN §15: a checkpoint is O(query), not O(input). The same query over
+/// documents nested 4 to 256 levels deep leaves snapshots of one size.
+#[test]
+fn snapshot_size_is_independent_of_document_depth() {
+    let net = CompiledNetwork::compile(&"_*.a[b].c".parse().expect("query parses"));
+    let sizes: Vec<usize> = [4usize, 16, 64, 256]
+        .into_iter()
+        .map(|depth| {
+            let xml = format!(
+                "{}<c>leaf</c>{}",
+                "<a><b></b>".repeat(depth),
+                "</a>".repeat(depth)
+            );
+            let options = RecoveryOptions {
+                multi_document: true,
+                ..Default::default()
+            };
+            let mut pump = Pump::new(net.run(CountingSink::new()), options);
+            pump.run_from(&mut xml.as_bytes()).expect("well-formed");
+            let snap = pump.checkpoint().expect("quiescent at the final boundary");
+            assert!(snap.stats.max_stream_depth > depth);
+            snap.encode().len()
+        })
+        .collect();
+    assert!(
+        sizes.iter().all(|&n| n == sizes[0]),
+        "snapshot bytes at depth 4/16/64/256: {sizes:?}"
+    );
 }

@@ -2,13 +2,17 @@
 //! blocking decoder (shrinking property — every chunking of a byte stream
 //! decodes identically, error classes included), slowloris reaping under
 //! `--idle-timeout`, wire-level chunking through a live server, a stalled
-//! giant construct (or recovery skim) that must not hold its worker, and an
-//! in-process idle herd riding through a graceful drain.
+//! giant construct (or recovery skim) that must not hold its worker, a
+//! session burst admitted in full by one worker, and an in-process idle
+//! herd riding through a graceful drain.
 
 use proptest::prelude::*;
 use spex_serve::{
     read_frame, write_frame, Client, FrameDecoder, FrameKind, ProtocolError, ReadError, Server,
     ServerConfig, ServerHandle, ServerReport,
+};
+use spex_workloads::{
+    events_to_xml, mondial::mondial_with, mondial::MondialConfig, queries_for, Dataset,
 };
 use std::io::{Read, Write};
 use std::net::SocketAddr;
@@ -390,6 +394,51 @@ fn stalled_recovery_skim_does_not_pin_its_worker() {
         "faults: {:?}",
         a.faults
     );
+}
+
+/// The admission burst: 16 concurrent Mondial sessions against a single
+/// worker. The reactor admits by connection count, not by free worker, so
+/// every session is served; none is rejected BUSY and none fails.
+#[test]
+fn one_worker_admits_a_sixteen_session_burst() {
+    const BURST: usize = 16;
+    let xml = std::sync::Arc::new(events_to_xml(&mondial_with(&MondialConfig {
+        countries: 40,
+        ..MondialConfig::default()
+    })));
+    let queries = queries_for(Dataset::Mondial);
+    let (addr, handle, join) = boot(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    // Every client connects at once, so the burst is real.
+    let start = std::sync::Arc::new(std::sync::Barrier::new(BURST));
+    let clients: Vec<_> = (0..BURST)
+        .map(|i| {
+            let xml = xml.clone();
+            let start = start.clone();
+            let query = queries[i % queries.len()].text;
+            std::thread::spawn(move || {
+                start.wait();
+                let mut client = Client::connect(addr).expect("connect");
+                // Class-3 queries select subtrees the size of the document.
+                client.set_max_frame(16 * 1024 * 1024);
+                let t = client
+                    .run_session(&[("q", query)], xml.as_bytes())
+                    .expect("session");
+                assert!(!t.busy, "session {i} was rejected BUSY");
+                assert!(t.clean_end, "session {i} errors: {:?}", t.errors);
+            })
+        })
+        .collect();
+    for c in clients {
+        c.join().expect("client thread");
+    }
+    handle.shutdown();
+    let report = join.join().unwrap().unwrap();
+    assert_eq!(report.sessions_rejected, 0);
+    assert_eq!(report.sessions_failed, 0);
+    assert_eq!(report.sessions_started as usize, BURST);
 }
 
 /// An idle herd: hundreds of connected-but-silent peers cost the reactor

@@ -2,7 +2,8 @@
 //! schema as emitted by a full evaluation, and the determination-latency
 //! ("earliness") measure checked against a DOM-oracle construction where
 //! the qualifier decides a known number of stream events after the
-//! candidate opens.
+//! candidate opens; and the trace's volume, which does not grow with the
+//! stream.
 
 use spex_baseline::DomEvaluator;
 use spex_core::{CompiledNetwork, CountingSink, Evaluator};
@@ -117,6 +118,42 @@ fn early_and_late_qualifiers_separate_in_the_histogram() {
         max >= 2 * k as u64,
         "late qualifier reported early: max {max}"
     );
+}
+
+/// Evaluate `query` over `xml` through a pump, the way the CLI runs under
+/// `--trace-jsonl`, with or without a tracer. Returns the fragments and the
+/// records traced (each one JSONL line).
+fn eval_pumped(query: &str, xml: &str, traced: bool) -> (Vec<String>, usize) {
+    let network = CompiledNetwork::compile(&query.parse().expect("query parses"));
+    let mut run = network.run(spex_core::FragmentCollector::new());
+    let sink = Arc::new(MemorySink::new());
+    if traced {
+        run.set_tracer(Tracer::to_sink(sink.clone()));
+    }
+    let mut pump = spex_core::Pump::new(run, spex_core::RecoveryOptions::default());
+    pump.run_from(&mut xml.as_bytes()).expect("well-formed");
+    let fragments = pump.finish().sinks.remove(0).into_fragments();
+    (fragments, sink.len())
+}
+
+#[test]
+fn trace_volume_is_independent_of_stream_size() {
+    // The engine and reader counters are emitted once, when the run ends,
+    // not per event: a 100x longer stream traces as many records as the 1x
+    // one, and tracing changes no result.
+    let query = "r.a[b].c";
+    let item = "<a><b/><c>1</c></a><a><c>2</c></a>";
+    let mut records = Vec::new();
+    for copies in [1usize, 100] {
+        let xml = format!("<r>{}</r>", item.repeat(copies));
+        let (traced, n) = eval_pumped(query, &xml, true);
+        let (plain, _) = eval_pumped(query, &xml, false);
+        assert_eq!(traced, plain, "tracing changed the results at {copies}x");
+        assert_eq!(traced.len(), copies);
+        records.push(n);
+    }
+    assert!(records[0] > 0, "no trace records written");
+    assert_eq!(records[0], records[1], "trace records at 1x vs 100x");
 }
 
 #[test]
