@@ -833,52 +833,34 @@ fn multiquery() {
         "profiles", "spex (each)", "spex (shared)", "nfa filter"
     );
     for n in [1usize, 10, 100] {
-        let queries: Vec<Rpeq> = (0..n)
+        let named: Vec<(String, Rpeq)> = (0..n)
             .map(|i| {
-                format!("quotes.quote.sym{}", i % 7)
-                    .replace("sym0", "symbol")
-                    .parse()
-                    .unwrap()
+                let query = format!("quotes.quote.sym{}", i % 7).replace("sym0", "symbol");
+                (format!("q{i}"), query.parse().unwrap())
             })
             .collect();
-        // SPEX: n independent networks, one pass each … shared event loop.
-        let networks: Vec<CompiledNetwork> = queries.iter().map(CompiledNetwork::compile).collect();
-        let start = Instant::now();
-        let mut sinks: Vec<spex_core::CountingSink> =
-            (0..n).map(|_| spex_core::CountingSink::new()).collect();
-        {
-            let mut evals: Vec<spex_core::Evaluator<_>> = networks
-                .iter()
-                .zip(sinks.iter_mut())
-                .map(|(net, sink)| spex_core::Evaluator::new(net, sink))
-                .collect();
-            for ev in &docs {
-                for e in &mut evals {
-                    e.push(ev.clone());
-                }
-            }
-            for e in evals {
-                e.finish();
-            }
-        }
-        let spex_time = start.elapsed();
+        // SPEX: n independent networks, one pass each.
+        let (each_counts, spex_secs) = filter_independent(&named, &docs);
         // Shared SPEX network through the multi-query combiner (the §IX
         // multi-query optimization): canonical forms collapse the seven
         // distinct profiles, the step trie shares the `quotes.quote`
         // prefix, and the remaining duplicates alias sinks on one plan.
-        let named: Vec<(String, Rpeq)> = queries
-            .iter()
-            .enumerate()
-            .map(|(i, q)| (format!("q{i}"), q.clone()))
-            .collect();
-        let shared = spex_combine::combine_set(&named).expect("E12 queries compile");
+        // Its ids are `q0..q{n-1}` sorted as strings; the counts must agree
+        // with the independent networks' per query.
+        let shared = spex_combine::combine(&named)
+            .expect("E12 queries compile")
+            .set;
         let start = Instant::now();
-        let (_counts, _stats) = shared.count_events(docs.iter().cloned());
+        let (shared_counts, _stats) = shared.count_events(docs.iter().cloned());
         let shared_time = start.elapsed();
+        for (id, count) in shared.ids().iter().zip(&shared_counts) {
+            let i: usize = id[1..].parse().expect("E12 ids are q<i>");
+            assert_eq!(*count, each_counts[i], "E12 query {id}");
+        }
         // NFA filter: one shared pass.
         let mut set = spex_baseline::FilterSet::new();
-        for (i, q) in queries.iter().enumerate() {
-            set.add(format!("q{i}"), q).unwrap();
+        for (name, q) in &named {
+            set.add(name.clone(), q).unwrap();
         }
         let start = Instant::now();
         let matched = set.matching(&docs);
@@ -887,7 +869,7 @@ fn multiquery() {
         println!(
             "{:>9} {:>13.3}s {:>13.3}s {:>13.3}s",
             n,
-            spex_time.as_secs_f64(),
+            spex_secs,
             shared_time.as_secs_f64(),
             nfa_time.as_secs_f64()
         );
@@ -950,34 +932,20 @@ fn filter_disjoint_docs(count: usize, cap: usize) -> Vec<Vec<XmlEvent>> {
         .collect()
 }
 
-/// `n` independently-compiled networks over one flattened stream: the
-/// per-query baseline the combiner is measured against.
+/// `n` independently-compiled networks, one pass each over one flattened
+/// stream: the per-query baseline the combiner is measured against (E12 and
+/// E14). Returns the per-query result counts and the seconds taken.
 fn filter_independent(queries: &[(String, Rpeq)], events: &[XmlEvent]) -> (Vec<usize>, f64) {
     let networks: Vec<CompiledNetwork> = queries
         .iter()
         .map(|(_, q)| CompiledNetwork::compile(q))
         .collect();
-    let mut sinks: Vec<spex_core::CountingSink> = (0..queries.len())
-        .map(|_| spex_core::CountingSink::new())
-        .collect();
     let start = Instant::now();
-    {
-        let mut evals: Vec<spex_core::Evaluator<_>> = networks
-            .iter()
-            .zip(sinks.iter_mut())
-            .map(|(net, sink)| spex_core::Evaluator::new(net, sink))
-            .collect();
-        for ev in events {
-            for e in &mut evals {
-                e.push(ev.clone());
-            }
-        }
-        for e in evals {
-            e.finish();
-        }
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    (sinks.iter().map(|s| s.results).collect(), elapsed)
+    let counts = networks
+        .iter()
+        .map(|net| net.count_events(events.iter().cloned()).0[0])
+        .collect();
+    (counts, start.elapsed().as_secs_f64())
 }
 
 /// The `filter-bench` subcommand (E14): multi-tenant filtering, 10 →

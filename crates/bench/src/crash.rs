@@ -75,7 +75,7 @@ fn drive(
         multi_document: true,
         ..RecoveryOptions::default()
     };
-    let mut pump = Pump::new(network.run(FragmentCollector::new()), options);
+    let mut pump = Pump::new(network.run(vec![FragmentCollector::new()]), options);
     let mut input = xml.as_bytes();
     if let Some(snap) = resume {
         pump.restore(snap)

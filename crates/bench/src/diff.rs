@@ -183,7 +183,7 @@ fn compare_executors(
     divergences: &mut Vec<String>,
 ) -> Vec<String> {
     let mut sink = FragmentCollector::new();
-    let vm = drive!(network.run(&mut sink), events, sink);
+    let vm = drive!(network.run(vec![&mut sink]), events, sink);
     let mut sink = FragmentCollector::new();
     let reference = drive!(
         spex_core::network::Run::new(network.spec(), vec![&mut sink]),

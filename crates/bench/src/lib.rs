@@ -1,10 +1,9 @@
 //! Shared infrastructure for the SPEX benchmark suite.
 //!
 //! Every table and figure of the paper's evaluation section (§VI) is
-//! regenerated by a combination of the Criterion benches in `benches/` and
-//! the `harness` binary (paper-style tables and memory measurements). The
-//! per-experiment index lives in DESIGN.md §6; the measured results in
-//! EXPERIMENTS.md.
+//! regenerated by the `harness` binary (paper-style tables and memory
+//! measurements). The per-experiment index lives in DESIGN.md §6; the
+//! measured results in EXPERIMENTS.md.
 //!
 //! The three *processors* compared are the stand-ins defined in
 //! `spex-baseline` (see DESIGN.md §5 for the substitution rationale):

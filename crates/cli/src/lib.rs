@@ -543,7 +543,7 @@ fn run_inner(
     let trace = TraceSetup::build(options)?;
     let file = options.file.as_deref();
     let mut evaluate_into = |sink: &mut dyn ResultSink| {
-        evaluate(network.run(sink), options, &trace.tracer, file, stdin)
+        evaluate(network.run(vec![sink]), options, &trace.tracer, file, stdin)
     };
 
     // Choose the sink by output mode.
@@ -748,7 +748,7 @@ fn run_multi(
             "shared network: {} transducers ({} unshared); \
              {} distinct of {} queries, {}/{} chain steps shared",
             set.degree(),
-            set.unshared_degree(),
+            report.unshared_degree,
             report.distinct,
             report.queries,
             report.steps_shared,
@@ -1659,7 +1659,10 @@ mod tests {
     fn results_reach_stdout_before_the_next_read() {
         let (xml, _, _) = flat_doc(3000);
         let network = CompiledNetwork::compile(&"r.x".parse().unwrap());
-        let mut pump = Pump::new(network.run(CountingSink::new()), RecoveryOptions::default());
+        let mut pump = Pump::new(
+            network.run(vec![CountingSink::new()]),
+            RecoveryOptions::default(),
+        );
         let mut due = Vec::new();
         for chunk in xml.as_bytes().chunks(4096) {
             pump.parser_mut().feed(chunk);

@@ -3,9 +3,9 @@
 //! A [`CanonPool`] interns normalized [`Rpeq`] values: structurally equal
 //! sub-expressions — a chain step, a qualifier, a whole query — receive one
 //! [`CanonId`]. The combiner keys its step trie and its compiled-instance
-//! memo on these integer ids instead of the pretty-printed strings the old
-//! `SharedQuerySet` memo used: an id comparison is O(1), cannot collide and
-//! cannot drift out of sync with the printer.
+//! memo on these integer ids rather than on pretty-printed strings: an id
+//! comparison is O(1), cannot collide and cannot drift out of sync with the
+//! printer.
 
 use spex_query::Rpeq;
 use std::collections::HashMap;

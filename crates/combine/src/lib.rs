@@ -3,9 +3,9 @@
 //!
 //! The paper's conclusion (§IX) names multi-query processing as the road
 //! ahead: "a single transducer network can be used for processing several
-//! queries having common subparts". This crate is that combiner. It turns a
-//! registration list `[(name, rpeq)]` into one
-//! [`spex_core::multi::SharedQuerySet`] in three moves:
+//! queries having common subparts". This crate is that combiner, and the
+//! only multi-query compiler: it turns a registration list `[(name, rpeq)]`
+//! into one [`spex_core::CompiledNetwork`] in three moves:
 //!
 //! 1. **Normalization** ([`normalize`]): every query is rewritten into a
 //!    canonical normal form (alternation sorted and deduplicated,
@@ -22,7 +22,7 @@
 //!    the downstream context is identical) share one physical output
 //!    transducer; each registered name still gets its own logical result
 //!    stream, fanned out at result-delivery time (the run's slot table,
-//!    [`spex_core::PlanRun::with_slots`]). Result delivery is the rare path, so
+//!    [`spex_core::CompiledNetwork::slot_of`]). Result delivery is the rare path, so
 //!    aliases are free per event — this is what makes per-event cost scale
 //!    with the number of *distinct* query structures, not registrations.
 //!
@@ -41,7 +41,7 @@
 //! .unwrap();
 //! assert_eq!(combined.report.queries, 3);
 //! assert_eq!(combined.report.distinct, 2); // "also" aliases "cities"
-//! assert!(combined.set.degree() < combined.set.unshared_degree());
+//! assert!(combined.report.degree < combined.report.unshared_degree);
 //! ```
 
 #![deny(missing_docs)]
@@ -54,7 +54,6 @@ pub use norm::{normalize, nullable};
 
 use canon::CanonPool;
 use spex_core::compile::{check_compilable, translate, translate_qualifier, CompiledNetwork};
-use spex_core::multi::SharedQuerySet;
 use spex_core::network::NetworkBuilder;
 use spex_core::CompileError;
 use spex_query::Rpeq;
@@ -83,8 +82,8 @@ pub struct SharingReport {
 /// A combined query set: the shared network plus its sharing census.
 #[derive(Debug)]
 pub struct Combined {
-    /// The shared multi-sink query set, ready to run.
-    pub set: SharedQuerySet,
+    /// The shared multi-sink program, ready to run.
+    pub set: CompiledNetwork,
     /// What was shared.
     pub report: SharingReport,
 }
@@ -92,9 +91,9 @@ pub struct Combined {
 /// Combine a registration list into one shared network. Names need not be
 /// unique; exact duplicate `(name, canonical expression)` registrations are
 /// dropped (a registration list is a set). The resulting logical query
-/// order — [`SharedQuerySet::ids`] — is sorted by `(name, canonical
+/// order — [`CompiledNetwork::ids`] — is sorted by `(name, canonical
 /// expression)`, so any registration order of the same set produces an
-/// identical `SharedQuerySet` (this is what makes [`canonical_key`] sound
+/// identical program (this is what makes [`canonical_key`] sound
 /// as a cache key).
 ///
 /// # Errors
@@ -109,18 +108,7 @@ pub fn combine(queries: &[(String, Rpeq)]) -> Result<Combined, CompileError> {
     for (_, q) in queries {
         check_compilable(q)?;
     }
-    // Normalize, then order registrations canonically and drop exact
-    // duplicates.
-    let mut entries: Vec<(String, String, Rpeq, &Rpeq)> = queries
-        .iter()
-        .map(|(name, q)| {
-            let n = normalize(q);
-            (name.clone(), n.to_string(), n, q)
-        })
-        .collect();
-    entries.sort_by(|a, b| (&a.0, &a.1).cmp(&(&b.0, &b.1)));
-    entries.dedup_by(|a, b| a.0 == b.0 && a.1 == b.1);
-
+    let entries = canonical_entries(queries);
     let (mut builder, source) = NetworkBuilder::with_input();
     let mut pool = CanonPool::new();
     let mut step_trie = StepTrie::new(source);
@@ -170,13 +158,8 @@ pub fn combine(queries: &[(String, Rpeq)]) -> Result<Combined, CompileError> {
         degree: spec.degree(),
         unshared_degree,
     };
-    let set = SharedQuerySet::from_parts(spec, ids, slot_of, unshared_degree);
+    let set = CompiledNetwork::from_parts(spec, ids, slot_of);
     Ok(Combined { set, report })
-}
-
-/// Convenience: [`combine`], keeping only the shared set.
-pub fn combine_set(queries: &[(String, Rpeq)]) -> Result<SharedQuerySet, CompileError> {
-    combine(queries).map(|c| c.set)
 }
 
 /// Canonicalize a registration list: normalize every expression, sort by
@@ -188,22 +171,32 @@ pub fn combine_set(queries: &[(String, Rpeq)]) -> Result<SharedQuerySet, Compile
 /// received-counts — speaks one order, whatever order the client
 /// registered in.
 pub fn canonicalize_registrations(queries: &[(String, Rpeq)]) -> Vec<(String, Rpeq)> {
-    let mut entries: Vec<(String, String, Rpeq)> = queries
+    canonical_entries(queries)
+        .into_iter()
+        .map(|(name, _, q, _)| (name, q))
+        .collect()
+}
+
+/// Normalize every registration, order by `(name, canonical expression)`
+/// and drop exact duplicates: `(name, canonical text, normal form,
+/// original)` per surviving registration.
+fn canonical_entries(queries: &[(String, Rpeq)]) -> Vec<(String, String, Rpeq, &Rpeq)> {
+    let mut entries: Vec<_> = queries
         .iter()
         .map(|(name, q)| {
             let n = normalize(q);
-            (name.clone(), n.to_string(), n)
+            (name.clone(), n.to_string(), n, q)
         })
         .collect();
     entries.sort_by(|a, b| (&a.0, &a.1).cmp(&(&b.0, &b.1)));
     entries.dedup_by(|a, b| a.0 == b.0 && a.1 == b.1);
-    entries.into_iter().map(|(name, _, q)| (name, q)).collect()
+    entries
 }
 
 /// The canonical, order- and spelling-insensitive cache key of a
 /// registration list: sorted, deduplicated `name=canonical-expression`
 /// lines. Two lists with equal keys combine to identical
-/// [`SharedQuerySet`]s (same ids, same slots, same network), so a compiled
+/// [`CompiledNetwork`]s (same ids, same slots, same network), so a compiled
 /// plan cached under this key serves every equivalent registration order —
 /// the spex-serve plan registry keys its LRU on this.
 pub fn canonical_key(queries: &[(String, Rpeq)]) -> String {
@@ -258,6 +251,19 @@ mod tests {
             .collect()
     }
 
+    /// How many nodes of the combined network `describe()` as `node…`.
+    fn nodes(c: &Combined, node: &str) -> usize {
+        let desc = c.set.spec().describe();
+        desc.iter().filter(|d| d.starts_with(node)).count()
+    }
+
+    /// Per-query result counts of the combined set over `xml`.
+    fn counts(c: &Combined, xml: &str) -> Vec<usize> {
+        c.set
+            .count_events(spex_xml::reader::parse_events(xml).unwrap())
+            .0
+    }
+
     #[test]
     fn spelling_variants_fully_alias() {
         let c = combine(&qs(&["_*.(b|a).c", "_*.(a|b).c", "_*.((a)|b).(c)"])).unwrap();
@@ -265,8 +271,7 @@ mod tests {
         assert_eq!(c.report.distinct, 1);
         assert_eq!(c.set.spec().sink_count(), 1);
         // One OU serves all three logical streams.
-        let desc = c.set.spec().describe();
-        assert_eq!(desc.iter().filter(|d| *d == "OU").count(), 1);
+        assert_eq!(nodes(&c, "OU"), 1);
     }
 
     #[test]
@@ -274,8 +279,24 @@ mod tests {
         let c = combine(&qs(&["_*.country.city", "_*.country.name"])).unwrap();
         assert_eq!(c.report.distinct, 2);
         assert!(c.report.steps_shared >= 2); // `_*` and `country` hit twice
-        let desc = c.set.spec().describe();
-        assert_eq!(desc.iter().filter(|d| *d == "CH(country)").count(), 1);
+        assert_eq!(nodes(&c, "CH(country)"), 1);
+
+        // Shared prefixes of different lengths: `_*.country` and `province`
+        // compile once, each query keeps its own OU.
+        let c = combine(&qs(&[
+            "_*.country.province.city",
+            "_*.country.province.name",
+            "_*.country.code",
+        ]))
+        .unwrap();
+        assert_eq!(nodes(&c, "CH(country)"), 1);
+        assert_eq!(nodes(&c, "CH(province)"), 1);
+        assert_eq!(nodes(&c, "OU"), 3);
+
+        // No false sharing: the `b` steps continue from different tapes.
+        let c = combine(&qs(&["a.b", "c.b"])).unwrap();
+        assert_eq!(nodes(&c, "CH(b)"), 2);
+        assert_eq!(counts(&c, "<a><b/></a>"), vec![1, 0]);
     }
 
     #[test]
@@ -283,8 +304,14 @@ mod tests {
         // The `[meta.lang]` qualifier compiles once for both queries —
         // same tape, same canonical qualifier.
         let c = combine(&qs(&["_*.p[meta.lang].a", "_*.p[(meta).lang].b"])).unwrap();
-        let desc = c.set.spec().describe();
-        assert_eq!(desc.iter().filter(|d| d.starts_with("VC")).count(), 1);
+        assert_eq!(nodes(&c, "VC"), 1);
+
+        // A shared qualified prefix `_*.a[b]`: one VC, and each query still
+        // sees only its own continuation.
+        let c = combine(&qs(&["_*.a[b].c", "_*.a[b].d"])).unwrap();
+        assert_eq!(nodes(&c, "VC"), 1);
+        let xml = "<r><a><b/><c/><d/></a><a><c/><d/></a></r>";
+        assert_eq!(counts(&c, xml), vec![1, 1]);
     }
 
     #[test]
@@ -292,8 +319,7 @@ mod tests {
         // `x.a.y` and `x.a[q].z` share CH(x) *and* CH(a): the qualifier is
         // a separate trie edge wrapped around the shared base tape.
         let c = combine(&qs(&["x.a.y", "x.a[q].z"])).unwrap();
-        let desc = c.set.spec().describe();
-        assert_eq!(desc.iter().filter(|d| *d == "CH(a)").count(), 1);
+        assert_eq!(nodes(&c, "CH(a)"), 1);
     }
 
     #[test]
@@ -325,6 +351,7 @@ mod tests {
         .unwrap();
         assert_eq!(c.set.ids(), ["x"]);
         assert_eq!(c.report.queries, 1);
+        assert_eq!(counts(&c, "<a><b/></a>"), vec![1]);
     }
 
     #[test]
@@ -336,7 +363,16 @@ mod tests {
             "_*.catalog.vendor.name",
         ]))
         .unwrap();
-        assert!(c.set.degree() < c.set.unshared_degree());
+        assert!(c.report.degree < c.report.unshared_degree);
+
+        // 50 profiles on a common `quotes.quote` prefix: IN + CH(quotes) +
+        // CH(quote) + 50×(CH + OU) = 103, against 50 separate 5-node
+        // networks.
+        let profiles: Vec<String> = (0..50).map(|i| format!("quotes.quote.s{i}")).collect();
+        let profiles: Vec<&str> = profiles.iter().map(String::as_str).collect();
+        let c = combine(&qs(&profiles)).unwrap();
+        assert_eq!(c.set.degree(), 103);
+        assert_eq!(c.report.unshared_degree, 50 * 5);
     }
 
     #[test]
@@ -347,16 +383,17 @@ mod tests {
             "_*.a[b].c",
             "a.a",
             "_*.a.b", // alias of the first (after q-name renumbering below)
+            "_*.a.c",
+            "_*._",
+            "_*.a.b", // same query under its own name: aliased, both served
         ];
         // Give the duplicate a duplicate name so it aliases completely.
         let mut queries = qs(&texts);
         queries[4].0 = "q0".to_string();
         let c = combine(&queries).unwrap();
         let xml = "<a><a><b/><c/></a><c/><b><a><b/></a></b></a>";
-        let events = spex_xml::reader::parse_events(xml).unwrap();
-        let (counts, _) = c.set.count_events(events);
-        assert_eq!(c.set.ids().len(), 4); // q0 dup dropped
-        for (id, count) in c.set.ids().iter().zip(&counts) {
+        assert_eq!(c.set.ids().len(), 7); // q0 dup dropped
+        for (id, count) in c.set.ids().iter().zip(&counts(&c, xml)) {
             let idx: usize = id[1..].parse().unwrap();
             let expected = spex_core::evaluate_str(texts[idx], xml).unwrap().len();
             assert_eq!(*count, expected, "query {id} = {}", texts[idx]);

@@ -30,9 +30,11 @@
 //! needed: the qualifier branch ends in VD, which never emits activations.)
 
 use crate::network::{NetworkBuilder, NetworkSpec, NodeSpec, Tape};
-use crate::sink::ResultSink;
-use crate::vm::{Plan, PlanRun};
+use crate::sink::{CountingSink, ResultSink};
+use crate::stats::EngineStats;
+use crate::vm::{Engine, Plan, PlanRun};
 use spex_query::Rpeq;
+use spex_xml::XmlEvent;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -65,13 +67,22 @@ impl fmt::Display for CompileError {
 
 impl std::error::Error for CompileError {}
 
-/// A query compiled to a SPEX network, ready to be instantiated over
-/// streams with [`CompiledNetwork::run`].
+/// A compiled program: one SPEX network with one logical result stream per
+/// query, ready to be instantiated over streams with
+/// [`CompiledNetwork::run`]. The only compiled-query type: a single query
+/// comes from [`CompiledNetwork::compile`] (the translation `C`), a shared
+/// multi-query set from the `spex-combine` combiner, a conjunctive query
+/// from [`crate::cq::ConjunctiveQuery::compile`]; the latter two assemble
+/// it with [`CompiledNetwork::from_parts`].
 #[derive(Debug, Clone)]
 pub struct CompiledNetwork {
     spec: NetworkSpec,
-    query: Rpeq,
-    /// The flat VM plan, lowered on first use and shared by every run.
+    ids: Vec<String>,
+    /// `slot_of[i]` is the physical sink slot serving logical query `i`;
+    /// the combiner aliases canonically equal queries onto one slot.
+    slot_of: Vec<usize>,
+    /// The flat VM plan, lowered on first use and shared by every run (and
+    /// by every session holding the server registry's `Arc`).
     plan: OnceLock<Arc<Plan>>,
 }
 
@@ -87,17 +98,50 @@ impl CompiledNetwork {
         Self::try_compile(query).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Compile, reporting unsupported constructs as errors.
+    /// Compile, reporting unsupported constructs as errors. The one logical
+    /// query is named by its text.
     pub fn try_compile(query: &Rpeq) -> Result<CompiledNetwork, CompileError> {
         check_compilable(query)?;
         let (mut builder, tape) = NetworkBuilder::with_input();
         let tape = translate(query, &mut builder, tape);
         builder.add_sink(tape);
-        Ok(CompiledNetwork {
-            spec: builder.finish(),
-            query: query.clone(),
+        let ids = vec![query.to_string()];
+        Ok(Self::from_parts(builder.finish(), ids, vec![0]))
+    }
+
+    /// Assemble a program from an externally built network — the
+    /// constructor the `spex-combine` combiner and conjunctive queries use.
+    /// `ids` are the logical query names (one sink delivered per name),
+    /// `slot_of[i]` the physical sink slot of `spec` serving logical query
+    /// `i` (aliased queries share a slot).
+    ///
+    /// # Panics
+    ///
+    /// If the lengths disagree, a slot index is out of range, or a physical
+    /// sink of `spec` is served to no logical query.
+    pub fn from_parts(spec: NetworkSpec, ids: Vec<String>, slot_of: Vec<usize>) -> CompiledNetwork {
+        assert_eq!(
+            ids.len(),
+            slot_of.len(),
+            "{} ids for {} slot entries",
+            ids.len(),
+            slot_of.len()
+        );
+        let physical = spec.sink_count();
+        let mut served = vec![false; physical];
+        for &s in &slot_of {
+            assert!(s < physical, "sink slot {s} out of range ({physical})");
+            served[s] = true;
+        }
+        if let Some(idle) = served.iter().position(|s| !s) {
+            panic!("physical sink {idle} is served to no logical query");
+        }
+        CompiledNetwork {
+            spec,
+            ids,
+            slot_of,
             plan: OnceLock::new(),
-        })
+        }
     }
 
     /// The network shape.
@@ -105,9 +149,15 @@ impl CompiledNetwork {
         &self.spec
     }
 
-    /// The compiled query.
-    pub fn query(&self) -> &Rpeq {
-        &self.query
+    /// Logical query ids, in sink order.
+    pub fn ids(&self) -> &[String] {
+        &self.ids
+    }
+
+    /// The physical-slot map: `slot_of()[i]` is the sink slot serving
+    /// logical query `i` (see [`CompiledNetwork::from_parts`]).
+    pub fn slot_of(&self) -> &[usize] {
+        &self.slot_of
     }
 
     /// The network degree (number of transducers).
@@ -115,9 +165,30 @@ impl CompiledNetwork {
         self.spec.degree()
     }
 
-    /// Instantiate the network over a stream, delivering results to `sink`.
-    pub fn run<S: ResultSink>(&self, sink: S) -> PlanRun<S> {
-        PlanRun::new(Arc::clone(self.plan()), vec![sink])
+    /// Instantiate the network over a stream with one sink per *logical*
+    /// query (sink order == [`CompiledNetwork::ids`] order), owned by the
+    /// run; a single query takes `vec![sink]`. Queries aliased onto one
+    /// physical sink each still receive their own result stream — the
+    /// shared sink fans out at delivery time.
+    ///
+    /// # Panics
+    ///
+    /// If `sinks.len()` differs from the number of logical queries.
+    pub fn run<S: ResultSink>(&self, sinks: Vec<S>) -> PlanRun<S> {
+        PlanRun::new(Arc::clone(self.plan()), sinks, &self.slot_of)
+    }
+
+    /// Like [`CompiledNetwork::run`], with resource caps attached (see
+    /// [`crate::ResourceLimits`]); use [`PlanRun::try_push`] to observe a
+    /// breach.
+    pub fn run_with_limits<S: ResultSink>(
+        &self,
+        sinks: Vec<S>,
+        limits: crate::limits::ResourceLimits,
+    ) -> PlanRun<S> {
+        let mut run = self.run(sinks);
+        run.set_limits(limits);
+        run
     }
 
     /// The flat VM plan, lowered from the network spec on first use and
@@ -125,6 +196,28 @@ impl CompiledNetwork {
     pub fn plan(&self) -> &Arc<Plan> {
         self.plan
             .get_or_init(|| Arc::new(Plan::compile(&self.spec)))
+    }
+
+    // Only for `benchmark/trace`, which calls `run_engine(Engine::Vm, …)`; the next `benchmark` PR drops it.
+    #[doc(hidden)]
+    pub fn run_engine<S: ResultSink>(&self, _engine: Engine, sinks: Vec<S>) -> PlanRun<S> {
+        self.run(sinks)
+    }
+
+    /// Convenience: evaluate a full event sequence, returning per-query
+    /// result counts ([`CompiledNetwork::ids`] order) and the engine
+    /// statistics.
+    pub fn count_events(
+        &self,
+        events: impl IntoIterator<Item = XmlEvent>,
+    ) -> (Vec<usize>, EngineStats) {
+        let counters = (0..self.ids.len()).map(|_| CountingSink::new()).collect();
+        let mut run = self.run(counters);
+        for ev in events {
+            run.push(ev);
+        }
+        let (stats, _, counters) = run.finish_into_sinks();
+        (counters.into_iter().map(|c| c.results).collect(), stats)
     }
 }
 
@@ -294,7 +387,7 @@ mod tests {
                 .collect::<Vec<_>>()
                 .join(".");
             let net = compile(&q);
-            let m = QueryMetrics::of(net.query());
+            let m = QueryMetrics::of(&q.parse().unwrap());
             // Exactly one transducer per step, plus IN and OU.
             assert_eq!(net.degree(), m.steps + 2);
         }
@@ -306,7 +399,7 @@ mod tests {
                 .collect::<Vec<_>>()
                 .join(".");
             let net = compile(&q);
-            let m = QueryMetrics::of(net.query());
+            let m = QueryMetrics::of(&q.parse().unwrap());
             assert!(
                 net.degree() <= 6 * m.length + 2,
                 "{} vs {}",

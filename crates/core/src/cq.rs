@@ -29,14 +29,12 @@
 //! assert_eq!(results["X3"], vec!["<c></c>".to_string()]);
 //! ```
 
-use crate::compile::{translate, translate_qualifier};
-use crate::network::{NetworkBuilder, NetworkSpec, Tape};
+use crate::compile::{translate, translate_qualifier, CompiledNetwork};
+use crate::network::{NetworkBuilder, Tape};
 use crate::sink::FragmentCollector;
-use crate::vm::{Plan, PlanRun};
 use spex_query::{ParseError, Rpeq};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
-use std::sync::Arc;
 
 /// One atom `Y r Z`: from the bindings of `Y`, evaluate `r`, binding `Z`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -217,8 +215,9 @@ impl ConjunctiveQuery {
         e
     }
 
-    /// Translate to a multi-sink network (the function `T` of Fig. 16).
-    /// Returns the network and, per sink, the head variable it collects.
+    /// Translate to a multi-sink network (the function `T` of Fig. 16). The
+    /// program's [`CompiledNetwork::ids`] are the head variables, one per
+    /// sink.
     ///
     /// Realization notes (the paper "leaves out some issues" here):
     ///
@@ -230,7 +229,7 @@ impl ConjunctiveQuery {
     ///   conjunction is order-insensitive),
     /// * explicit split transducers are unnecessary: the network executor
     ///   fans a tape out to every consumer.
-    pub fn compile(&self) -> Result<(NetworkSpec, Vec<String>), CqError> {
+    pub fn compile(&self) -> Result<CompiledNetwork, CqError> {
         for atom in &self.atoms {
             crate::compile::check_compilable(&atom.path)?;
             if !self.reaches_head(&atom.target) {
@@ -309,23 +308,27 @@ impl ConjunctiveQuery {
         if sink_vars.is_empty() {
             return Err(CqError::Shape("no head variable was reached".into()));
         }
-        Ok((builder.finish(), sink_vars))
+        let slots = (0..sink_vars.len()).collect();
+        Ok(CompiledNetwork::from_parts(
+            builder.finish(),
+            sink_vars,
+            slots,
+        ))
     }
 
     /// Evaluate against a complete XML document; returns the serialized
     /// fragments per head variable.
     pub fn evaluate_str(&self, xml: &str) -> Result<BTreeMap<String, Vec<String>>, CqError> {
-        let (spec, sink_vars) = self.compile()?;
-        let collectors = (0..sink_vars.len())
-            .map(|_| FragmentCollector::new())
-            .collect();
-        let mut run = PlanRun::new(Arc::new(Plan::compile(&spec)), collectors);
+        let network = self.compile()?;
+        let heads = network.ids();
+        let mut run = network.run(heads.iter().map(|_| FragmentCollector::new()).collect());
         for ev in spex_xml::Reader::from_bytes(xml.as_bytes().to_vec()) {
             run.push(ev?);
         }
         let (_, _, collectors) = run.finish_into_sinks();
-        Ok(sink_vars
-            .into_iter()
+        Ok(heads
+            .iter()
+            .cloned()
             .zip(collectors)
             .map(|(v, c)| (v, c.into_fragments()))
             .collect())

@@ -132,12 +132,13 @@ pub struct Evaluator<S: ResultSink> {
 }
 
 impl<S: ResultSink> Evaluator<S> {
-    /// Start an evaluation of `network` delivering results to `sink`. The
-    /// evaluation owns `sink`; pass `&mut sink` to read it afterwards (a
-    /// driver that needs its sink back by value runs a [`PlanRun`] itself).
+    /// Start an evaluation of the single-query `network` delivering results
+    /// to `sink`. The evaluation owns `sink`; pass `&mut sink` to read it
+    /// afterwards (a driver that needs its sink back by value runs a
+    /// [`PlanRun`] itself).
     pub fn new(network: &CompiledNetwork, sink: S) -> Self {
         Evaluator {
-            run: network.run(sink),
+            run: network.run(vec![sink]),
         }
     }
 
@@ -147,9 +148,9 @@ impl<S: ResultSink> Evaluator<S> {
     /// further input, but statistics remain readable and results already
     /// determined have reached the sink.
     pub fn with_limits(network: &CompiledNetwork, sink: S, limits: ResourceLimits) -> Self {
-        let mut eval = Self::new(network, sink);
-        eval.run.set_limits(limits);
-        eval
+        Evaluator {
+            run: network.run_with_limits(vec![sink], limits),
+        }
     }
 
     /// Feed one stream event. Infallible: after a resource-limit breach the

@@ -20,7 +20,10 @@
 //! * [`network`] — the network DAG (Definition 3): its spec, its builder,
 //!   and the *reference* executor — the tick discipline of §III.2 written
 //!   the obvious way, which only tests and `harness vm-diff` run,
-//! * [`compile`] — the denotational translation `C` of Fig. 11,
+//! * [`compile`] — the denotational translation `C` of Fig. 11 and
+//!   [`CompiledNetwork`], the one compiled-program type: one query, a
+//!   conjunctive query, or a multi-query set from the `spex-combine`
+//!   combiner (the optimization named in the paper's conclusion),
 //! * [`vm`] — the engine: the network lowered to a flat bytecode [`Plan`]
 //!   and executed tick-synchronously by [`PlanRun`] ("at any time there is
 //!   only one \[document\] message in the network", §III.2), which owns
@@ -37,9 +40,7 @@
 //! * [`sink`] — result delivery (progressive fragments in document order),
 //! * [`stats`] — instrumentation backing the §V complexity experiments,
 //! * [`cq`] — conjunctive queries with regular path expressions (§VII),
-//!   compiled to multi-sink networks via the translation `T` of Fig. 16,
-//! * [`multi`] — the multi-query optimization named in the paper's
-//!   conclusion: many queries share one network through common prefixes.
+//!   compiled to multi-sink networks via the translation `T` of Fig. 16.
 //!
 //! The repository-level DESIGN.md maps every module here to its paper
 //! section (§1, the system inventory); §8 fixes the result semantics all
@@ -68,6 +69,7 @@ pub mod cq;
 pub mod engine;
 pub mod limits;
 pub mod message;
+#[doc(hidden)]
 pub mod multi;
 pub mod network;
 pub mod pump;

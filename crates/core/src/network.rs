@@ -324,7 +324,7 @@ impl<'n, S: ResultSink> Run<'n, S> {
 
     /// Instantiate `spec` with one sink per logical query, `slot_of[i]`
     /// naming the network sink node serving `sinks[i]` (see
-    /// [`PlanRun::with_slots`]).
+    /// [`PlanRun::new`]).
     pub fn with_slots(spec: &'n NetworkSpec, sinks: Vec<S>, slot_of: &[usize]) -> Self {
         let sinks = SinkBank::new(sinks, slot_of, spec.sinks.len());
         let mut store = EventStore::new();

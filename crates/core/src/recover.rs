@@ -278,8 +278,7 @@ pub fn evaluate_recovering<R: Read>(
     limits: ResourceLimits,
     sink: &mut dyn ResultSink,
 ) -> Result<RunReport, EvalError> {
-    let mut run = network.run(sink);
-    run.set_limits(limits);
+    let run = network.run_with_limits(vec![sink], limits);
     let mut pump = Pump::new(run, options);
     match pump.run_from(&mut input) {
         Ok(()) | Err(EvalError::ResourceExhausted { .. }) => {}

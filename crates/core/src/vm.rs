@@ -97,7 +97,7 @@ pub enum Op {
 
 /// A compiled, immutable execution plan — the flat lowering of one
 /// [`NetworkSpec`]. Shareable across threads and runs; instantiate with
-/// [`PlanRun::new`] (or via [`crate::Evaluator`]).
+/// [`crate::CompiledNetwork::run`] (or via [`crate::Evaluator`]).
 #[derive(Debug, Clone)]
 pub struct Plan {
     /// One instruction per node, topological order.
@@ -486,22 +486,17 @@ pub struct Machine {
 }
 
 impl<S: ResultSink> PlanRun<S> {
-    /// Instantiate `plan` with one sink per output instruction.
-    pub fn new(plan: Arc<Plan>, sinks: Vec<S>) -> Self {
-        let identity: Vec<usize> = (0..plan.sink_count()).collect();
-        Self::with_slots(plan, sinks, &identity)
-    }
-
     /// Instantiate `plan` with one sink per *logical* query: `slot_of[i]` is
     /// the output instruction (physical sink slot) serving `sinks[i]`. The
     /// combiner aliases canonically equal queries onto one slot; each of
-    /// their sinks still receives every fragment.
+    /// their sinks still receives every fragment. Callers normally go
+    /// through [`crate::CompiledNetwork::run`], which passes its slot table.
     ///
     /// # Panics
     ///
     /// If `sinks` and `slot_of` disagree in length, a slot is out of range,
     /// or an output instruction is served to no sink.
-    pub fn with_slots(plan: Arc<Plan>, sinks: Vec<S>, slot_of: &[usize]) -> Self {
+    pub fn new(plan: Arc<Plan>, sinks: Vec<S>, slot_of: &[usize]) -> Self {
         let sinks = SinkBank::new(sinks, slot_of, plan.sink_count());
         let mut store = EventStore::new();
         let ops = plan.instantiate(store.symbols_mut());
@@ -1290,7 +1285,7 @@ mod tests {
     fn run_vm(query: &str, xml: &str) -> (Vec<String>, EngineStats) {
         let net = CompiledNetwork::compile(&query.parse().unwrap());
         let mut sink = FragmentCollector::new();
-        let mut run = net.run(&mut sink);
+        let mut run = net.run(vec![&mut sink]);
         for ev in spex_xml::reader::parse_events(xml).unwrap() {
             run.push(ev);
         }
@@ -1348,7 +1343,7 @@ mod tests {
         // Fig. 5.
         let net = CompiledNetwork::compile(&"a+.c+".parse().unwrap());
         let mut sink = FragmentCollector::new();
-        let mut run = net.run(&mut sink);
+        let mut run = net.run(vec![&mut sink]);
         run.set_tracing(true);
         let mut t1 = Vec::new();
         let mut t2 = Vec::new();
@@ -1378,7 +1373,7 @@ mod tests {
     fn vm_session_reset_discards_stale_state() {
         let net = CompiledNetwork::compile(&"_*.a[b].c".parse().unwrap());
         let mut sink = FragmentCollector::new();
-        let mut run = net.run(&mut sink);
+        let mut run = net.run(vec![&mut sink]);
         let events = spex_xml::reader::parse_events("<a><c>stale</c><b/></a>").unwrap();
         for ev in events.iter().take(5) {
             run.push(ev.clone());
@@ -1396,7 +1391,7 @@ mod tests {
     fn vm_limit_breach_drains_and_latches() {
         let net = CompiledNetwork::compile(&"r.x".parse().unwrap());
         let mut sink = FragmentCollector::new();
-        let mut run = net.run(&mut sink);
+        let mut run = net.run(vec![&mut sink]);
         run.set_limits(ResourceLimits::default().with_max_total_messages(40));
         let events =
             spex_xml::reader::parse_events("<r><x>1</x><x>2</x><x>3</x><x>4</x></r>").unwrap();

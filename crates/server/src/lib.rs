@@ -7,7 +7,7 @@
 //! fragments progressively — the paper's progressive evaluation, per
 //! connection. Compiled query plans are cached server-wide (see
 //! [`Registry`]): sessions registering structurally equal query sets share
-//! one [`spex_core::multi::SharedQuerySet`], so the compilation cost of a
+//! one [`spex_core::CompiledNetwork`], so the compilation cost of a
 //! popular query set is paid once.
 //!
 //! The crate is std-only (the workspace vendors no async runtime): a

@@ -1,9 +1,10 @@
-//! Compiled-plan caching: one [`SharedQuerySet`] per distinct registration,
+//! Compiled-plan caching: one [`CompiledNetwork`] per distinct registration,
 //! shared across sessions, bounded by a least-recently-used cap.
 //!
-//! A [`SharedQuerySet`] holds only the network *shape* (specs and strings),
-//! so it is `Send + Sync` and can sit behind an `Arc`; each session
-//! instantiates its own single-threaded `Run` over it. The cache key is
+//! A [`CompiledNetwork`] holds only the network *shape* (specs and strings)
+//! and its lazily lowered `Plan`, so it is `Send + Sync` and can sit behind
+//! an `Arc`; each session instantiates its own single-threaded
+//! [`spex_core::PlanRun`] over the shared plan. The cache key is
 //! [`spex_combine::canonical_key`] — sorted, deduplicated
 //! `name=canonical-expression` lines — so two sessions registering the same
 //! queries in a different order, with different whitespace, redundant
@@ -19,7 +20,7 @@
 //! grow admission philosophy as the session queue and `ResourceLimits`.
 //! Evicted plans stay alive for the sessions already holding their `Arc`.
 
-use spex_core::multi::SharedQuerySet;
+use spex_core::CompiledNetwork;
 use spex_query::Rpeq;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -32,7 +33,7 @@ pub const DEFAULT_PLAN_CAP: usize = 64;
 /// every hit, so hot paths never take the write lock).
 #[derive(Debug)]
 struct Entry {
-    plan: Arc<SharedQuerySet>,
+    plan: Arc<CompiledNetwork>,
     last_used: AtomicU64,
 }
 
@@ -74,14 +75,14 @@ impl Registry {
     pub fn get_or_compile(
         &self,
         queries: &[(String, Rpeq)],
-    ) -> Result<(Arc<SharedQuerySet>, bool), spex_core::CompileError> {
+    ) -> Result<(Arc<CompiledNetwork>, bool), spex_core::CompileError> {
         let key = spex_combine::canonical_key(queries);
         let now = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
         if let Some(entry) = self.plans.read().expect("registry lock poisoned").get(&key) {
             entry.last_used.store(now, Ordering::Relaxed);
             return Ok((Arc::clone(&entry.plan), true));
         }
-        let compiled = Arc::new(spex_combine::combine_set(queries)?);
+        let compiled = Arc::new(spex_combine::combine(queries)?.set);
         if self.cap == 0 {
             return Ok((compiled, false));
         }

@@ -26,11 +26,11 @@ fn main() {
     // Several head variables: one network pass fills several sinks.
     let cq2 = ConjunctiveQuery::parse("q(X1, X2) :- Root(_*.a) X1, X1(c) X2").unwrap();
     println!("conjunctive query : {cq2}");
-    let (spec, sink_vars) = cq2.compile().unwrap();
+    let network = cq2.compile().unwrap();
     println!(
         "network           : {} transducers, sinks for {:?}",
-        spec.degree(),
-        sink_vars
+        network.degree(),
+        network.ids()
     );
     let results2 = cq2.evaluate_str(xml).unwrap();
     for (var, frags) in &results2 {

@@ -7,7 +7,6 @@
 //! cargo run --release --example multi_query
 //! ```
 
-use spex::core::multi::SharedQuerySet;
 use spex::core::CompiledNetwork;
 use spex::query::Rpeq;
 use spex::workloads::QuoteStream;
@@ -33,16 +32,21 @@ fn main() {
         ));
     }
 
-    let set = SharedQuerySet::compile(&queries);
+    // The combiner orders a set's queries by name; registering them in that
+    // order lets counts be compared position by position.
+    queries.sort_by(|a, b| a.0.cmp(&b.0));
+    let combined = spex_combine::combine(&queries).unwrap();
+    let (set, report) = (combined.set, combined.report);
+    assert!(set.ids().iter().eq(queries.iter().map(|(name, _)| name)));
     println!(
         "{} queries → shared network of {} transducers (separate networks: {})",
         queries.len(),
         set.degree(),
-        set.unshared_degree()
+        report.unshared_degree
     );
     println!(
         "sharing factor: {:.1}×",
-        set.unshared_degree() as f64 / set.degree() as f64
+        report.unshared_degree as f64 / set.degree() as f64
     );
 
     let events: Vec<XmlEvent> = QuoteStream::new(9, 10).take(400_000).collect();
@@ -58,16 +62,10 @@ fn main() {
         .map(|(_, q)| CompiledNetwork::compile(q))
         .collect();
     let start = Instant::now();
-    let mut individual_counts = Vec::new();
-    for net in &networks {
-        let mut sink = spex::core::CountingSink::new();
-        let mut eval = spex::core::Evaluator::new(net, &mut sink);
-        for ev in &events {
-            eval.push(ev.clone());
-        }
-        eval.finish();
-        individual_counts.push(sink.results);
-    }
+    let individual_counts: Vec<usize> = networks
+        .iter()
+        .map(|net| net.count_events(events.iter().cloned()).0[0])
+        .collect();
     let individual_time = start.elapsed();
 
     assert_eq!(
@@ -83,9 +81,12 @@ fn main() {
         individual_time.as_secs_f64() / shared_time.as_secs_f64()
     );
     println!();
+    let count_of = |name: &str| counts[set.ids().iter().position(|id| id == name).unwrap()];
     println!(
         "example counts   : symbol={} alerted={} price={}",
-        counts[0], counts[1], counts[2]
+        count_of("symbol-0"),
+        count_of("alerted-0"),
+        count_of("price-0")
     );
     println!(
         "max stacks       : d={} c={}",

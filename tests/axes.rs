@@ -4,7 +4,6 @@
 
 mod common;
 
-use spex::core::multi::SharedQuerySet;
 use spex::core::{CompiledNetwork, Evaluator, FragmentCollector};
 use spex::query::Rpeq;
 
@@ -109,13 +108,14 @@ fn axes_in_shared_query_sets() {
         ("p".into(), "r.a.^b".parse().unwrap()),
         ("plain".into(), "r.a".parse().unwrap()),
     ];
-    let set = SharedQuerySet::compile(&queries);
+    let set = spex_combine::combine(&queries).unwrap().set;
     // The `r.a` prefix is shared.
     let desc = set.spec().describe();
     assert_eq!(desc.iter().filter(|d| *d == "CH(a)").count(), 1);
     let xml = "<r><b>x</b><a/><b>y</b></r>";
     let events = spex::xml::reader::parse_events(xml).unwrap();
     let (counts, _) = set.count_events(events);
+    assert_eq!(set.ids(), ["f", "p", "plain"]);
     assert_eq!(counts, vec![1, 1, 1]); // ~b → y; ^b → x; a itself
 }
 
@@ -173,7 +173,7 @@ fn chained_axes() {
 fn preceding_in_qualifier_rejected_everywhere() {
     let bad: Rpeq = "_*.a[^b]".parse().unwrap();
     assert!(spex::core::CompiledNetwork::try_compile(&bad).is_err());
-    assert!(SharedQuerySet::try_compile(&[("q".into(), bad)]).is_err());
+    assert!(spex_combine::combine(&[("q".into(), bad)]).is_err());
     // Conjunctive queries: a side branch containing ^ becomes a qualifier.
     let cq = spex::core::cq::ConjunctiveQuery::parse("q(X1) :- Root(a) X1, X1(^b) X2").unwrap();
     assert!(cq.compile().is_err());

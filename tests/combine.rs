@@ -131,7 +131,7 @@ fn independent_fragments(query: &Rpeq, events: &[XmlEvent], executor: Executor) 
     let mut sink = FragmentCollector::new();
     match executor {
         Executor::Vm => {
-            let mut run = net.run(&mut sink);
+            let mut run = net.run(vec![&mut sink]);
             events.iter().for_each(|ev| run.push(ev.clone()));
             run.finish();
         }
@@ -146,7 +146,7 @@ fn independent_fragments(query: &Rpeq, events: &[XmlEvent], executor: Executor) 
 
 /// The whole combined set in one pass, fragments keyed by query name.
 fn combined_fragments(
-    set: &spex::core::multi::SharedQuerySet,
+    set: &spex::core::CompiledNetwork,
     events: &[XmlEvent],
     executor: Executor,
 ) -> HashMap<String, Vec<String>> {
@@ -240,16 +240,12 @@ fn combined_degree_strictly_decreases_on_overlap() {
         "q3/q4 must collapse to one canonical query"
     );
     assert!(
-        combined.set.degree() < combined.set.unshared_degree(),
+        combined.set.degree() < combined.report.unshared_degree,
         "sharing must strictly shrink the network: degree {} vs unshared {}",
         combined.set.degree(),
-        combined.set.unshared_degree()
+        combined.report.unshared_degree
     );
     assert_eq!(combined.report.degree, combined.set.degree());
-    assert_eq!(
-        combined.report.unshared_degree,
-        combined.set.unshared_degree()
-    );
 }
 
 #[test]

@@ -1,9 +1,12 @@
-//! Docs claim-check: every benchmark artifact and every harness subcommand
-//! the user-facing documents cite must exist. A `BENCH_<n>` (with or
-//! without `.json`) must name a file at the repository root, and a
-//! `harness <subcommand>` inside code (an inline span or a fenced block)
-//! must be an arm of the harness's `main` match. `benchmark/` is checked by
-//! its own runner; ROADMAP.md and CHANGES.md are history and not scanned.
+//! Docs claim-check: every benchmark artifact, source file, harness
+//! subcommand and bench target the user-facing documents cite must exist. A
+//! `BENCH_<n>` (with or without `.json`) must name a file at the repository
+//! root; a rooted `crates/…`, `tests/…`, `examples/…` or `benchmark/…` path
+//! ending in `.rs` must name a file; and inside code (an inline span or a
+//! fenced block) a `harness <subcommand>` must be an arm of the harness's
+//! `main` match and a `cargo bench … --bench NAME` must name a `[[bench]]`
+//! target of some manifest. `benchmark/` is checked by its own runner;
+//! ROADMAP.md and CHANGES.md are history and not scanned.
 
 use std::path::Path;
 
@@ -73,6 +76,52 @@ fn harness_citations(code: &str) -> Vec<String> {
     cited
 }
 
+/// Every `--bench NAME` of a `cargo bench` command in `code`.
+fn bench_target_citations(code: &str) -> Vec<String> {
+    let mut cited = Vec::new();
+    for command in code.split("cargo bench").skip(1) {
+        let command = command.split([';', '&', '|']).next().unwrap_or("");
+        let mut words = command.split_whitespace();
+        while let Some(word) = words.next() {
+            if word == "--bench" {
+                cited.extend(words.next().map(str::to_string));
+            }
+        }
+    }
+    cited
+}
+
+/// The `[[bench]]` target names of the root manifest and every crate's.
+fn bench_targets() -> Vec<String> {
+    let crates = std::fs::read_dir(root().join("crates")).expect("crates/ is listable");
+    let manifests = crates
+        .filter_map(|entry| std::fs::read_to_string(entry.ok()?.path().join("Cargo.toml")).ok());
+    let mut names = Vec::new();
+    for text in manifests.chain([read("Cargo.toml")]) {
+        let mut in_bench = false;
+        for line in text.lines().map(str::trim) {
+            if line.starts_with('[') {
+                in_bench = line == "[[bench]]";
+            } else if let Some(name) = line.strip_prefix("name = \"").filter(|_| in_bench) {
+                names.push(name.trim_end_matches('"').to_string());
+            }
+        }
+    }
+    names
+}
+
+/// Every rooted source path in `text`: a `crates/`, `tests/`, `examples/`
+/// or `benchmark/` path ending in `.rs`, not preceded by another path
+/// segment (a trailing `:line` or sentence period is not part of it).
+fn path_citations(text: &str) -> Vec<String> {
+    const ROOTS: [&str; 4] = ["crates/", "tests/", "examples/", "benchmark/"];
+    text.split(|c: char| !(c.is_ascii_alphanumeric() || matches!(c, '/' | '_' | '-' | '.')))
+        .map(|run| run.trim_end_matches('.'))
+        .filter(|run| run.ends_with(".rs") && ROOTS.iter().any(|r| run.starts_with(r)))
+        .map(str::to_string)
+        .collect()
+}
+
 /// Every `BENCH_<n>` in `text`, as the artifact file name it cites.
 fn bench_citations(text: &str) -> Vec<String> {
     text.match_indices("BENCH_")
@@ -90,12 +139,16 @@ fn bench_citations(text: &str) -> Vec<String> {
 fn cited_artifacts_and_harness_subcommands_exist() {
     let arms = harness_subcommands();
     assert!(arms.contains(&"vm-diff".to_string()), "arms: {arms:?}");
+    let targets = bench_targets();
     let mut missing = Vec::new();
     for doc in DOCS {
         let text = read(doc);
         for (i, line) in text.lines().enumerate() {
-            for file in bench_citations(line) {
-                if !root().join(&file).exists() {
+            for file in bench_citations(line)
+                .into_iter()
+                .chain(path_citations(line))
+            {
+                if !root().join(&file).is_file() {
                     missing.push(format!("{doc}:{}: cites {file}, not in the tree", i + 1));
                 }
             }
@@ -104,6 +157,13 @@ fn cited_artifacts_and_harness_subcommands_exist() {
             for cmd in harness_citations(&code) {
                 if !arms.contains(&cmd) {
                     missing.push(format!("{doc}:{line}: `harness {cmd}` is not a subcommand"));
+                }
+            }
+            for name in bench_target_citations(&code) {
+                if !targets.contains(&name) {
+                    missing.push(format!(
+                        "{doc}:{line}: `--bench {name}` is not a bench target"
+                    ));
                 }
             }
         }
@@ -129,6 +189,16 @@ fn the_scanners_find_what_they_should() {
         bench_citations("BENCH_7.json, BENCH_6 and BENCH_*.json"),
         ["BENCH_7.json", "BENCH_6.json"]
     );
+    assert_eq!(
+        path_citations("see crates/core/src/vm.rs:490, tests/docs.rs. Not ./x/tests/a.rs"),
+        ["crates/core/src/vm.rs", "tests/docs.rs"]
+    );
+    assert!(path_citations("crates/bench/benches/*.rs and tests/{a,b}.rs").is_empty());
+    assert_eq!(
+        bench_target_citations("cargo bench -p spex-bench --bench fig14; cargo bench --bench x"),
+        ["fig14", "x"]
+    );
+    assert!(bench_target_citations("cargo bench --workspace; x --bench y").is_empty());
     let md = "a `harness x` b\n```\nharness y\n```\nharness z";
     assert_eq!(
         code_pieces(md),

@@ -211,7 +211,7 @@ fn snapshot_size_is_independent_of_document_depth() {
                 multi_document: true,
                 ..Default::default()
             };
-            let mut pump = Pump::new(net.run(CountingSink::new()), options);
+            let mut pump = Pump::new(net.run(vec![CountingSink::new()]), options);
             pump.run_from(&mut xml.as_bytes()).expect("well-formed");
             let snap = pump.checkpoint().expect("quiescent at the final boundary");
             assert!(snap.stats.max_stream_depth > depth);

@@ -238,13 +238,15 @@ fn limits_above_the_peaks_change_nothing() {
 
 #[test]
 fn multi_query_runs_accept_limits() {
-    use spex::core::multi::SharedQuerySet;
     use spex::core::ResultSink;
 
-    let set = SharedQuerySet::compile(&[
+    let set = spex_combine::combine(&[
         ("x".to_string(), "r.x".parse().unwrap()),
         ("y".to_string(), "r.y".parse().unwrap()),
-    ]);
+    ])
+    .unwrap()
+    .set;
+    assert_eq!(set.ids(), ["x", "y"]);
     let mut cx = CountingSink::new();
     let mut cy = CountingSink::new();
     {

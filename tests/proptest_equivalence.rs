@@ -170,11 +170,14 @@ proptest! {
 
     #[test]
     fn shared_multi_query_equals_individual(events in document(), q1 in query(), q2 in query()) {
-        let set = spex::core::multi::SharedQuerySet::compile(&[
+        let set = spex_combine::combine(&[
             ("q1".to_string(), q1.clone()),
             ("q2".to_string(), q2.clone()),
-        ]);
+        ])
+        .expect("generated queries compile")
+        .set;
         let (counts, _) = set.count_events(events.iter().cloned());
+        prop_assert_eq!(set.ids(), ["q1", "q2"]);
         prop_assert_eq!(counts[0], spex_spans(&q1, &events).len(), "q1 `{}`", q1);
         prop_assert_eq!(counts[1], spex_spans(&q2, &events).len(), "q2 `{}`", q2);
     }
@@ -306,7 +309,7 @@ proptest! {
             }};
         }
         let mut sink = spex::core::FragmentCollector::new();
-        let vm = outcome!(net.run(&mut sink), sink);
+        let vm = outcome!(net.run(vec![&mut sink]), sink);
         let mut sink = spex::core::FragmentCollector::new();
         let net_run = outcome!(spex::core::network::Run::new(net.spec(), vec![&mut sink]), sink);
         prop_assert_eq!(&vm.0, &net_run.0, "fragments diverge for `{}`", &q);
@@ -336,16 +339,20 @@ proptest! {
         q2 in nested_query(),
         q3 in query()
     ) {
-        // A three-query shared set on the VM (`count_events`): per-query
+        // A three-query combined set on the VM (`count_events`): per-query
         // result counts and the engine statistics must match the reference
-        // executor's run of the same shared network, and each count must
+        // executor's run of the same shared network (with the combiner's
+        // slot table: equal queries share one sink), and each count must
         // match the query evaluated alone.
         use spex::core::sink::ResultSink;
-        let set = spex::core::multi::SharedQuerySet::compile(&[
+        let set = spex_combine::combine(&[
             ("q1".to_string(), q1.clone()),
             ("q2".to_string(), q2.clone()),
             ("q3".to_string(), q3.clone()),
-        ]);
+        ])
+        .expect("generated queries compile")
+        .set;
+        prop_assert_eq!(set.ids(), ["q1", "q2", "q3"]);
         let (vm_counts, vm_stats) = set.count_events(events.iter().cloned());
         let mut counters = [
             spex::core::CountingSink::new(),
@@ -357,7 +364,7 @@ proptest! {
                 .iter_mut()
                 .map(|c| c as &mut dyn ResultSink)
                 .collect();
-            let mut run = spex::core::network::Run::new(set.spec(), sinks);
+            let mut run = spex::core::network::Run::with_slots(set.spec(), sinks, set.slot_of());
             for ev in &events {
                 run.push(ev.clone());
             }

@@ -125,7 +125,7 @@ fn early_and_late_qualifiers_separate_in_the_histogram() {
 /// records traced (each one JSONL line).
 fn eval_pumped(query: &str, xml: &str, traced: bool) -> (Vec<String>, usize) {
     let network = CompiledNetwork::compile(&query.parse().expect("query parses"));
-    let mut run = network.run(spex_core::FragmentCollector::new());
+    let mut run = network.run(vec![spex_core::FragmentCollector::new()]);
     let sink = Arc::new(MemorySink::new());
     if traced {
         run.set_tracer(Tracer::to_sink(sink.clone()));
