@@ -1,6 +1,12 @@
 //! Library backing the `spex` command-line tool: argument parsing and the
 //! command implementations, factored out of the binary so they can be unit-
 //! and integration-tested.
+//!
+//! Every one-shot run goes through one front end: a positional QUERY
+//! compiles to a one-sink network (the paper's translation `C`), a
+//! `--query NAME=EXPR` set to one shared multi-sink network through
+//! `spex_combine::combine`, and from there explain, trace, sink choice,
+//! evaluation and reporting are the same code for both.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -15,6 +21,7 @@ use spex_core::{
 use spex_query::Rpeq;
 use spex_trace::{JsonlSink, MemorySink, TeeSink, TraceRecord, TraceSink, Tracer};
 use spex_xml::{RecoveryPolicy, XmlError};
+use std::cell::RefCell;
 use std::io::{Read, Write};
 use std::sync::Arc;
 
@@ -171,7 +178,8 @@ ARGS:
 OPTIONS:
     --query NAME=EXPR  register a named query (repeatable); all queries are
                      compiled into ONE shared transducer network and each
-                     output line is prefixed with `NAME<TAB>`
+                     output line is prefixed with `NAME<TAB>`; combines
+                     with every other option
     --xpath          parse QUERY as XPath (//country[province]/name)
     --count          print only the number of results
     --spans          print result start offsets (event indices)
@@ -207,18 +215,29 @@ EXIT CODES:
     3 I/O failure    4 resource limit exceeded
 ";
 
-/// Parse `flag`'s numeric operand; `operand` names it in the missing-operand
+/// `flag`'s operand, the next argument; `what` names it in the
+/// missing-operand error.
+pub(crate) fn operand(
+    flag: &str,
+    it: &mut std::slice::Iter<'_, String>,
+    what: &str,
+) -> Result<String, String> {
+    it.next()
+        .cloned()
+        .ok_or_else(|| format!("{flag} needs {what}"))
+}
+
+/// Parse `flag`'s numeric operand; `noun` names it in the missing-operand
 /// error (`spex` says "number", `spex serve` "value").
 pub(crate) fn number<T: std::str::FromStr>(
     flag: &str,
     it: &mut std::slice::Iter<'_, String>,
-    operand: &str,
+    noun: &str,
 ) -> Result<T, String>
 where
     T::Err: std::fmt::Display,
 {
-    it.next()
-        .ok_or_else(|| format!("{flag} needs a {operand}"))?
+    operand(flag, it, &format!("a {noun}"))?
         .parse()
         .map_err(|e| format!("invalid {flag}: {e}"))
 }
@@ -230,32 +249,24 @@ where
 pub(crate) fn parse_session_flag(
     flag: &str,
     it: &mut std::slice::Iter<'_, String>,
-    operand: &str,
+    noun: &str,
     limits: &mut ResourceLimits,
     recover: &mut RecoveryPolicy,
     on_truncation: &mut TruncationOutcome,
 ) -> Result<bool, String> {
     match flag {
         "--recover" => {
-            *recover = it
-                .next()
-                .ok_or_else(|| {
-                    "--recover needs a policy (strict, repair, skip-subtree)".to_string()
-                })?
-                .parse()?
+            *recover = operand(flag, it, "a policy (strict, repair, skip-subtree)")?.parse()?
         }
         "--on-truncation" => {
-            *on_truncation = it
-                .next()
-                .ok_or_else(|| "--on-truncation needs an outcome (drop, force-false)".to_string())?
-                .parse()?
+            *on_truncation = operand(flag, it, "an outcome (drop, force-false)")?.parse()?
         }
-        "--limit-depth" => limits.max_stream_depth = Some(number(flag, it, operand)?),
-        "--limit-buffered" => limits.max_buffered_events = Some(number(flag, it, operand)?),
-        "--limit-buffered-bytes" => limits.max_buffered_bytes = Some(number(flag, it, operand)?),
-        "--limit-candidates" => limits.max_live_candidates = Some(number(flag, it, operand)?),
-        "--limit-formula" => limits.max_formula_size = Some(number(flag, it, operand)?),
-        "--limit-messages" => limits.max_total_messages = Some(number(flag, it, operand)?),
+        "--limit-depth" => limits.max_stream_depth = Some(number(flag, it, noun)?),
+        "--limit-buffered" => limits.max_buffered_events = Some(number(flag, it, noun)?),
+        "--limit-buffered-bytes" => limits.max_buffered_bytes = Some(number(flag, it, noun)?),
+        "--limit-candidates" => limits.max_live_candidates = Some(number(flag, it, noun)?),
+        "--limit-formula" => limits.max_formula_size = Some(number(flag, it, noun)?),
+        "--limit-messages" => limits.max_total_messages = Some(number(flag, it, noun)?),
         _ => return Ok(false),
     }
     Ok(true)
@@ -263,6 +274,22 @@ pub(crate) fn parse_session_flag(
 
 /// Parse command-line arguments (excluding the program name).
 pub fn parse_args(args: &[String]) -> Result<Options, String> {
+    // `--flag=VALUE` spells `--flag VALUE` for these flags.
+    const INLINE: [&str; 6] = [
+        "--query",
+        "--trace-jsonl",
+        "--checkpoint",
+        "--resume",
+        "--recover",
+        "--on-truncation",
+    ];
+    let args: Vec<String> = args
+        .iter()
+        .flat_map(|a| match a.split_once('=') {
+            Some((flag, value)) if INLINE.contains(&flag) => vec![flag.into(), value.into()],
+            _ => vec![a.clone()],
+        })
+        .collect();
     let mut o = Options::default();
     let mut positional: Vec<&String> = Vec::new();
     let mut it = args.iter();
@@ -285,79 +312,63 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
             "--stats" => o.stats = true,
             "--stats-json" => o.stats_json = true,
             "--trace-summary" => o.trace_summary = true,
-            "--trace-jsonl" => {
-                o.trace_jsonl = Some(
-                    it.next()
-                        .ok_or_else(|| "--trace-jsonl needs a file path".to_string())?
-                        .clone(),
-                )
-            }
-            "--checkpoint" => {
-                o.checkpoint = Some(
-                    it.next()
-                        .ok_or_else(|| "--checkpoint needs a file path".to_string())?
-                        .clone(),
-                )
-            }
-            "--resume" => {
-                o.resume = Some(
-                    it.next()
-                        .ok_or_else(|| "--resume needs a file path".to_string())?
-                        .clone(),
-                )
-            }
+            "--trace-jsonl" => o.trace_jsonl = Some(operand(a, &mut it, "a file path")?),
+            "--checkpoint" => o.checkpoint = Some(operand(a, &mut it, "a file path")?),
+            "--resume" => o.resume = Some(operand(a, &mut it, "a file path")?),
             "--stream" => o.stream = true,
             "-h" | "--help" => o.help = true,
-            "--query" => o.queries.push(
-                it.next()
-                    .ok_or_else(|| "--query needs NAME=EXPR".to_string())?
-                    .clone(),
-            ),
-            "--generate" => {
-                o.generate = Some(
-                    it.next()
-                        .ok_or_else(|| "--generate needs a dataset name".to_string())?
-                        .clone(),
-                )
-            }
-            "--scale" => {
-                o.scale = it
-                    .next()
-                    .ok_or_else(|| "--scale needs a number".to_string())?
-                    .parse()
-                    .map_err(|e| format!("invalid --scale: {e}"))?
-            }
-            other if other.starts_with("--query=") => {
-                o.queries.push(other["--query=".len()..].to_string())
-            }
-            other if other.starts_with("--trace-jsonl=") => {
-                o.trace_jsonl = Some(other["--trace-jsonl=".len()..].to_string())
-            }
-            other if other.starts_with("--checkpoint=") => {
-                o.checkpoint = Some(other["--checkpoint=".len()..].to_string())
-            }
-            other if other.starts_with("--resume=") => {
-                o.resume = Some(other["--resume=".len()..].to_string())
-            }
-            other if other.starts_with("--recover=") => {
-                o.recover = other["--recover=".len()..].parse()?
-            }
-            other if other.starts_with("--on-truncation=") => {
-                o.on_truncation = other["--on-truncation=".len()..].parse()?
-            }
+            "--query" => o.queries.push(operand(a, &mut it, "NAME=EXPR")?),
+            "--generate" => o.generate = Some(operand(a, &mut it, "a dataset name")?),
+            "--scale" => o.scale = number(a, &mut it, "number")?,
             other if other.starts_with("--") => {
                 return Err(format!("unknown option `{other}`"));
             }
             _ => positional.push(a),
         }
     }
+    // With --query there is no positional QUERY: the only positional is FILE.
     let mut pos = positional.into_iter();
-    o.query = pos.next().cloned();
+    if o.queries.is_empty() {
+        o.query = pos.next().cloned();
+    }
     o.file = pos.next().cloned();
     if pos.next().is_some() {
         return Err("too many positional arguments".to_string());
     }
     Ok(o)
+}
+
+/// Parse `text` as an rpeq, or as XPath when `xpath` is set.
+fn parse_query(text: &str, xpath: bool) -> Result<Rpeq, String> {
+    if xpath {
+        spex_query::xpath::parse_xpath(text).map_err(|e| e.to_string())
+    } else {
+        text.parse()
+            .map_err(|e: spex_query::ParseError| e.to_string())
+    }
+}
+
+/// Parse one `NAME=EXPR` registration (`--query`, a `--queries FILE` line)
+/// and append it to `queries`. Name and expression are trimmed; the name
+/// must be non-empty and not yet in `queries`.
+pub(crate) fn push_named_query(
+    queries: &mut Vec<(String, Rpeq)>,
+    spec: &str,
+    xpath: bool,
+) -> Result<(), String> {
+    let (name, expr) = spec
+        .split_once('=')
+        .ok_or_else(|| format!("`{spec}` is not of the form NAME=EXPR"))?;
+    let (name, expr) = (name.trim(), expr.trim());
+    if name.is_empty() {
+        return Err(format!("`{spec}`: empty name"));
+    }
+    if queries.iter().any(|(n, _)| n == name) {
+        return Err(format!("name `{name}` given twice"));
+    }
+    let query = parse_query(expr, xpath).map_err(|e| format!("{name}: {e}"))?;
+    queries.push((name.to_string(), query));
+    Ok(())
 }
 
 /// The trace destinations a run writes to, built from the `--trace-jsonl`
@@ -482,6 +493,16 @@ pub fn run(
     }
 }
 
+/// The one front end of every one-shot run. A positional QUERY is a set of
+/// one: it compiles through the paper's translation `C` into a one-sink
+/// network whose output lines carry no prefix. `--query NAME=EXPR` sets
+/// compile through the multi-query combiner into **one** shared network
+/// (common prefixes exist once on the step trie, equal qualifiers are
+/// hash-consed, canonically-equal queries collapse to one sink — the paper's
+/// multi-query outlook, §IX), and every output line is prefixed with
+/// `NAME<TAB>` so the interleaved per-query results can be separated again.
+/// From there explain, trace, sink choice, evaluation and reporting are one
+/// path.
 fn run_inner(
     options: &Options,
     stdin: &mut dyn Read,
@@ -496,13 +517,6 @@ fn run_inner(
         return generate(dataset, options.scale, stdout);
     }
     if options.checkpoint.is_some() || options.resume.is_some() {
-        if !options.queries.is_empty() {
-            return Err(CliError::Usage(
-                "--checkpoint/--resume cannot be combined with --query; use \
-                 `spex serve --durable-dir` for durable multi-query sessions"
-                    .to_string(),
-            ));
-        }
         if options.recover != RecoveryPolicy::Strict {
             return Err(CliError::Usage(
                 "--checkpoint/--resume require strict parsing (durable recovery \
@@ -518,55 +532,64 @@ fn run_inner(
             ));
         }
     }
-    if !options.queries.is_empty() {
-        return run_multi(options, stdin, stdout, stderr);
-    }
-    let query_text = options
-        .query
-        .as_ref()
-        .ok_or_else(|| CliError::Usage(format!("missing QUERY\n\n{USAGE}")))?;
-    let query: Rpeq = if options.xpath {
-        spex_query::xpath::parse_xpath(query_text).map_err(|e| CliError::Usage(e.to_string()))?
-    } else {
-        query_text
-            .parse()
-            .map_err(|e: spex_query::ParseError| CliError::Usage(e.to_string()))?
-    };
-    let network = CompiledNetwork::compile(&query);
+    let (network, prefixes) = compile_queries(options, stdout)?;
     if options.explain {
-        writeln!(stdout, "query: {query}")?;
-        writeln!(stdout, "network ({} transducers):", network.degree())?;
         write!(stdout, "{}", network.spec().dump())?;
         return Ok(());
     }
 
     let trace = TraceSetup::build(options)?;
-    let file = options.file.as_deref();
-    let mut evaluate_into = |sink: &mut dyn ResultSink| {
-        evaluate(network.run(vec![sink]), options, &trace.tracer, file, stdin)
+    let mut evaluate_into = |sinks: Vec<&mut dyn ResultSink>| {
+        evaluate(network.run(sinks), options, &trace.tracer, stdin)
     };
 
-    // Choose the sink by output mode.
+    // Choose the sinks by output mode, one per logical query.
     let (stats, transducers, report) = if options.count {
-        let mut sink = CountingSink::new();
-        let out = evaluate_into(&mut sink)?;
-        writeln!(stdout, "{}", sink.results)?;
-        out
-    } else if options.spans {
-        let mut sink = SpanCollector::new();
-        let out = evaluate_into(&mut sink)?;
-        for s in &sink.starts {
-            writeln!(stdout, "{s}")?;
+        let mut counters: Vec<CountingSink> =
+            prefixes.iter().map(|_| CountingSink::new()).collect();
+        let out = evaluate_into(counters.iter_mut().map(|c| c as _).collect())?;
+        for (prefix, counter) in prefixes.iter().zip(&counters) {
+            writeln!(stdout, "{prefix}{}", counter.results)?;
         }
         out
-    } else {
+    } else if options.spans {
+        let mut collectors: Vec<SpanCollector> =
+            prefixes.iter().map(|_| SpanCollector::new()).collect();
+        let out = evaluate_into(collectors.iter_mut().map(|c| c as _).collect())?;
+        for (prefix, collector) in prefixes.iter().zip(&collectors) {
+            for start in &collector.starts {
+                writeln!(stdout, "{prefix}{start}")?;
+            }
+        }
+        out
+    } else if options.queries.is_empty() {
         // Progressive delivery: fragments decided so far reach stdout before
         // spex waits for more input, not after the stream ends. (Under a
         // recovery policy delivery is deferred to end of run — quarantine
         // needs the whole stream.)
         let mut sink = spex_core::StreamingSink::new(&mut *stdout);
-        let out = evaluate_into(&mut sink)?;
+        let out = evaluate_into(vec![&mut sink])?;
         if let Some(e) = sink.take_error() {
+            return Err(e.into());
+        }
+        out
+    } else {
+        // Progressive delivery, multiplexed: whole fragments (never partial
+        // ones), tagged with the query name, leave when the pump flushes.
+        let tagged = RefCell::new(TaggedOut {
+            out: std::io::BufWriter::with_capacity(64 << 10, stdout),
+            error: None,
+        });
+        let mut sinks: Vec<TaggedSink<'_, '_>> = prefixes
+            .iter()
+            .map(|prefix| TaggedSink {
+                prefix: prefix.as_bytes(),
+                fragment: spex_xml::Writer::new(Vec::new()),
+                out: &tagged,
+            })
+            .collect();
+        let out = evaluate_into(sinks.iter_mut().map(|s| s as _).collect())?;
+        if let Some(e) = tagged.borrow_mut().error.take() {
             return Err(e.into());
         }
         out
@@ -578,6 +601,54 @@ fn run_inner(
     let outcome = report_outcome(options, &stats, &transducers, report.as_ref(), stderr);
     trace.finish(stderr)?;
     outcome
+}
+
+/// Parse and compile the run's queries — the positional QUERY or the
+/// `--query` set — printing the `--explain` header. Returns the network and
+/// each logical query's output-line prefix, in sink order.
+fn compile_queries(
+    options: &Options,
+    stdout: &mut dyn Write,
+) -> Result<(CompiledNetwork, Vec<String>), CliError> {
+    if options.queries.is_empty() {
+        let text = options
+            .query
+            .as_ref()
+            .ok_or_else(|| CliError::Usage(format!("missing QUERY\n\n{USAGE}")))?;
+        let query = parse_query(text, options.xpath).map_err(CliError::Usage)?;
+        let network =
+            CompiledNetwork::try_compile(&query).map_err(|e| CliError::Usage(e.to_string()))?;
+        if options.explain {
+            writeln!(stdout, "query: {query}")?;
+            writeln!(stdout, "network ({} transducers):", network.degree())?;
+        }
+        return Ok((network, vec![String::new()]));
+    }
+    let mut queries = Vec::new();
+    for spec in &options.queries {
+        push_named_query(&mut queries, spec, options.xpath)
+            .map_err(|e| CliError::Usage(format!("--query {e}")))?;
+    }
+    let spex_combine::Combined { set, report } =
+        spex_combine::combine(&queries).map_err(|e| CliError::Usage(e.to_string()))?;
+    if options.explain {
+        for (name, query) in &queries {
+            writeln!(stdout, "query {name}: {query}")?;
+        }
+        writeln!(
+            stdout,
+            "shared network: {} transducers ({} unshared); \
+             {} distinct of {} queries, {}/{} chain steps shared",
+            set.degree(),
+            report.unshared_degree,
+            report.distinct,
+            report.queries,
+            report.steps_shared,
+            report.steps_total,
+        )?;
+    }
+    let prefixes = set.ids().iter().map(|name| format!("{name}\t")).collect();
+    Ok((set, prefixes))
 }
 
 /// Print the `--stats`/`--stats-json` output and the recovery summary,
@@ -653,14 +724,14 @@ impl TaggedOut<'_> {
 /// Per-query fragment sink of the multi-query mode. Fragments of different
 /// queries interleave in the stream, so each is serialized into the query's
 /// own reusable buffer and written whole, prefixed with `NAME<TAB>`, to the
-/// shared [`TaggedOut`].
-struct TaggedSink<'a> {
-    prefix: Vec<u8>,
+/// [`TaggedOut`] the front end's stack frame holds.
+struct TaggedSink<'a, 'o> {
+    prefix: &'a [u8],
     fragment: spex_xml::Writer<Vec<u8>>,
-    out: std::rc::Rc<std::cell::RefCell<TaggedOut<'a>>>,
+    out: &'a RefCell<TaggedOut<'o>>,
 }
 
-impl ResultSink for TaggedSink<'_> {
+impl ResultSink for TaggedSink<'_, '_> {
     fn begin(&mut self, _meta: spex_core::ResultMeta, _now: u64) {}
 
     fn event(&mut self, event: &spex_xml::RawEvent<'_>, _now: u64) {
@@ -672,7 +743,7 @@ impl ResultSink for TaggedSink<'_> {
     fn end(&mut self, _now: u64) {
         let fragment = self.fragment.get_mut();
         self.out.borrow_mut().attempt(|out| {
-            out.write_all(&self.prefix)?;
+            out.write_all(self.prefix)?;
             out.write_all(fragment)?;
             out.write_all(b"\n")
         });
@@ -684,137 +755,13 @@ impl ResultSink for TaggedSink<'_> {
     }
 }
 
-/// The multi-query one-shot mode (`--query NAME=EXPR`, repeatable): all
-/// queries compile through the multi-query combiner into **one** shared
-/// transducer network (common prefixes exist once on the step trie, equal
-/// qualifiers are hash-consed, canonically-equal queries collapse to one
-/// sink — the paper's multi-query outlook, §IX) and stream over the input
-/// together. Every output line is prefixed with `NAME<TAB>` so the
-/// interleaved per-query results can be separated again.
-fn run_multi(
-    options: &Options,
-    stdin: &mut dyn Read,
-    stdout: &mut dyn Write,
-    stderr: &mut dyn Write,
-) -> Result<(), CliError> {
-    if options.xpath {
-        return Err(CliError::Usage(
-            "--xpath cannot be combined with --query".to_string(),
-        ));
-    }
-    if options.recover != RecoveryPolicy::Strict {
-        return Err(CliError::Usage(
-            "--recover is not supported with --query; use `spex serve --recover` \
-             for recovering multi-query sessions"
-                .to_string(),
-        ));
-    }
-    if options.file.is_some() {
-        return Err(CliError::Usage(
-            "too many positional arguments (with --query the only positional is FILE)".to_string(),
-        ));
-    }
-    // With --query there is no positional QUERY; the first (only)
-    // positional is the input file.
-    let file = options.query.as_deref();
-
-    let mut queries: Vec<(String, Rpeq)> = Vec::new();
-    for spec in &options.queries {
-        let (name, expr) = spec.split_once('=').ok_or_else(|| {
-            CliError::Usage(format!("--query `{spec}` is not of the form NAME=EXPR"))
-        })?;
-        if name.is_empty() {
-            return Err(CliError::Usage(format!("--query `{spec}`: empty name")));
-        }
-        if queries.iter().any(|(n, _)| n == name) {
-            return Err(CliError::Usage(format!(
-                "--query name `{name}` given twice"
-            )));
-        }
-        let query: Rpeq = expr
-            .parse()
-            .map_err(|e: spex_query::ParseError| CliError::Usage(format!("--query {name}: {e}")))?;
-        queries.push((name.to_string(), query));
-    }
-    let combined = spex_combine::combine(&queries).map_err(|e| CliError::Usage(e.to_string()))?;
-    let (set, report) = (combined.set, combined.report);
-
-    if options.explain {
-        for (name, query) in &queries {
-            writeln!(stdout, "query {name}: {query}")?;
-        }
-        writeln!(
-            stdout,
-            "shared network: {} transducers ({} unshared); \
-             {} distinct of {} queries, {}/{} chain steps shared",
-            set.degree(),
-            report.unshared_degree,
-            report.distinct,
-            report.queries,
-            report.steps_shared,
-            report.steps_total,
-        )?;
-        write!(stdout, "{}", set.spec().dump())?;
-        return Ok(());
-    }
-
-    let trace = TraceSetup::build(options)?;
-    let mut evaluate_into = |sinks: Vec<&mut dyn ResultSink>| {
-        evaluate(set.run(sinks), options, &trace.tracer, file, stdin)
-    };
-    let (stats, transducers, _) = if options.count {
-        let mut counters: Vec<CountingSink> =
-            (0..queries.len()).map(|_| CountingSink::new()).collect();
-        let out = evaluate_into(counters.iter_mut().map(|c| c as _).collect())?;
-        for (name, counter) in set.ids().iter().zip(&counters) {
-            writeln!(stdout, "{name}\t{}", counter.results)?;
-        }
-        out
-    } else if options.spans {
-        let mut collectors: Vec<SpanCollector> =
-            (0..queries.len()).map(|_| SpanCollector::new()).collect();
-        let out = evaluate_into(collectors.iter_mut().map(|c| c as _).collect())?;
-        for (name, collector) in set.ids().iter().zip(&collectors) {
-            for start in &collector.starts {
-                writeln!(stdout, "{name}\t{start}")?;
-            }
-        }
-        out
-    } else {
-        // Progressive delivery, multiplexed: whole fragments (never partial
-        // ones), tagged with the query name, leave when the pump flushes.
-        let shared_out = std::rc::Rc::new(std::cell::RefCell::new(TaggedOut {
-            out: std::io::BufWriter::with_capacity(64 << 10, stdout),
-            error: None,
-        }));
-        let mut sinks: Vec<TaggedSink<'_>> = set
-            .ids()
-            .iter()
-            .map(|name| TaggedSink {
-                prefix: format!("{name}\t").into_bytes(),
-                fragment: spex_xml::Writer::new(Vec::new()),
-                out: shared_out.clone(),
-            })
-            .collect();
-        let out = evaluate_into(sinks.iter_mut().map(|s| s as _).collect())?;
-        if let Some(e) = shared_out.borrow_mut().error.take() {
-            return Err(e.into());
-        }
-        out
-    };
-
-    let outcome = report_outcome(options, &stats, &transducers, None, stderr);
-    trace.finish(stderr)?;
-    outcome
-}
-
 /// Engine statistics, per-transducer statistics and, under a recovery
 /// policy, the fault report.
 type EvalOutcome = (EngineStats, Vec<TransducerStats>, Option<RunReport>);
 
 /// The one evaluation loop behind every one-shot mode — single query or
 /// shared `--query` set, strict or recovering, `--checkpoint`/`--resume` —
-/// pumping `file` (stdin when absent) through `run`. The modes differ only
+/// pumping `options.file` (stdin when absent) through `run`. The modes differ only
 /// in the sinks `run` delivers to and in the snapshot written at each
 /// document boundary under `--checkpoint` (DESIGN.md §15): a killed
 /// `--checkpoint` run re-run with `--resume` over the *same* input stream
@@ -824,11 +771,10 @@ fn evaluate(
     mut run: PlanRun<&mut dyn ResultSink>,
     options: &Options,
     tracer: &Tracer,
-    file: Option<&str>,
     stdin: &mut dyn Read,
 ) -> Result<EvalOutcome, CliError> {
     let _span = tracer.span("cli.evaluate");
-    let mut input: Box<dyn Read + '_> = match file {
+    let mut input: Box<dyn Read + '_> = match &options.file {
         Some(path) => Box::new(std::io::BufReader::new(
             std::fs::File::open(path).map_err(|e| CliError::Io(format!("{path}: {e}")))?,
         )),
@@ -955,6 +901,9 @@ mod tests {
         assert_eq!(o.query.as_deref(), Some("a.b"));
         assert_eq!(o.file.as_deref(), Some("file.xml"));
         assert!(!o.count);
+        // With --query the only positional is FILE.
+        let o = parse_args(&args(&["--query", "q=a.b", "file.xml"])).unwrap();
+        assert_eq!((o.query, o.file.as_deref()), (None, Some("file.xml")));
     }
 
     #[test]
@@ -973,6 +922,7 @@ mod tests {
         assert!(parse_args(&args(&["--scale"])).is_err());
         assert!(parse_args(&args(&["--bogus"])).is_err());
         assert!(parse_args(&args(&["a", "b", "c"])).is_err());
+        assert!(parse_args(&args(&["--query", "q=a", "b", "c"])).is_err());
     }
 
     /// `--scanner` and `--engine` are gone (production always runs the fast
@@ -1032,11 +982,21 @@ mod tests {
         assert!(out.contains("transducers"));
     }
 
+    /// `out`'s lines, each prefixed with `prefix`: what `--query q=EXPR`
+    /// prints where the positional `EXPR` prints `out`.
+    fn prefixed(prefix: &str, out: &str) -> String {
+        out.lines().map(|l| format!("{prefix}{l}\n")).collect()
+    }
+
     #[test]
     fn xpath_mode() {
-        let (code, out, _) = run_cli(&["--xpath", "//a[b]/c"], "<a><a><c/></a><b/><c/></a>");
+        let xml = "<a><a><c/></a><b/><c/></a>";
+        let (code, out, _) = run_cli(&["--xpath", "//a[b]/c"], xml);
         assert_eq!(code, 0);
         assert_eq!(out, "<c></c>\n");
+        let (code, named, err) = run_cli(&["--xpath", "--query", "q=//a[b]/c"], xml);
+        assert_eq!(code, 0, "{err}");
+        assert_eq!(named, prefixed("q\t", &out));
     }
 
     #[test]
@@ -1239,6 +1199,8 @@ mod tests {
         assert_eq!(strict, repair);
         assert_eq!(repair.0, 0);
         assert_eq!(repair.2, "", "no fault summary on a clean stream");
+        let named = run_cli(&["--recover", "repair", "--query", "q=a.c"], xml);
+        assert_eq!(named, (0, prefixed("q\t", &strict.1), String::new()));
     }
 
     #[test]
@@ -1360,12 +1322,6 @@ mod tests {
         // Bad expression.
         let (code, _, _) = run_cli(&["--query", "q=a..b"], "<a/>");
         assert_eq!(code, 1);
-        // Incompatible flags.
-        let (code, _, _) = run_cli(&["--xpath", "--query", "q=a"], "<a/>");
-        assert_eq!(code, 1);
-        let (code, _, err) = run_cli(&["--recover", "repair", "--query", "q=a"], "<a/>");
-        assert_eq!(code, 1);
-        assert!(err.contains("spex serve"), "got {err}");
     }
 
     #[test]
@@ -1442,19 +1398,22 @@ mod tests {
         let snap = dir.join("run.snapshot");
         let snap_str = snap.to_str().unwrap().to_string();
         let xml = "<r><x>1</x></r><r><x>2</x></r><r><x>3</x></r>";
-        let (code, full, _) = run_cli(&["--stream", "r.x"], xml);
-        assert_eq!(code, 0);
+        for (query, prefix) in [(&["r.x"][..], ""), (&["--query", "q=r.x"], "q\t")] {
+            let cli = |flags: &[&str], input: &str| run_cli(&[flags, query].concat(), input);
+            let (code, full, _) = cli(&["--stream"], xml);
+            assert_eq!(code, 0);
 
-        // "Crash" after two documents: run only that prefix.
-        let cut = xml.len() / 3 * 2;
-        let (code, head, _) = run_cli(&["--stream", "--checkpoint", &snap_str, "r.x"], &xml[..cut]);
-        assert_eq!(code, 0);
-        assert_eq!(head, "<x>1</x>\n<x>2</x>\n");
-        // Resume over the FULL stream: the consumed prefix is skipped.
-        let (code, tail, _) = run_cli(&["--stream", "--resume", &snap_str, "r.x"], xml);
-        assert_eq!(code, 0);
-        assert_eq!(tail, "<x>3</x>\n");
-        assert_eq!(format!("{head}{tail}"), full);
+            // "Crash" after two documents: run only that prefix.
+            let cut = xml.len() / 3 * 2;
+            let (code, head, _) = cli(&["--stream", "--checkpoint", &snap_str], &xml[..cut]);
+            assert_eq!(code, 0);
+            assert_eq!(head, prefixed(prefix, "<x>1</x>\n<x>2</x>\n"));
+            // Resume over the FULL stream: the consumed prefix is skipped.
+            let (code, tail, _) = cli(&["--stream", "--resume", &snap_str], xml);
+            assert_eq!(code, 0);
+            assert_eq!(tail, prefixed(prefix, "<x>3</x>\n"));
+            assert_eq!(format!("{head}{tail}"), full);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1496,7 +1455,6 @@ mod tests {
     #[test]
     fn checkpoint_flag_conflicts_are_usage_errors() {
         for argv in [
-            vec!["--checkpoint", "/tmp/s", "--query", "q=a"],
             vec!["--resume", "/tmp/s", "--recover", "repair", "a"],
             vec!["--checkpoint", "/tmp/s", "--count", "a"],
             vec!["--resume", "/tmp/s", "--spans", "a"],
@@ -1693,27 +1651,33 @@ mod tests {
         let xml: String = (0..400)
             .map(|i| format!("<r><x>{i}</x><x>{i}b</x></r>"))
             .collect();
-        let mut checks = 0;
-        let run = run_dripped(
-            &["--stream", "--checkpoint", &snap_str, "r.x"],
-            xml.as_bytes(),
-            64,
-            |at, out| {
-                let Ok(bytes) = std::fs::read(&snap) else {
-                    return;
-                };
-                let delivered = Snapshot::decode(&bytes).unwrap().session.unwrap().delivered[0];
-                assert!(
-                    delivered as usize <= lines(out),
-                    "{at:?}: snapshot counts {delivered} delivered, stdout has {}",
-                    lines(out)
-                );
-                checks += 1;
-            },
-        );
-        assert_eq!(run.code, 0, "{}", run.err);
-        assert_eq!(run.out.lines().count(), 800);
-        assert!(checks > 100, "{checks} checks");
+        let mut outs = Vec::new();
+        for query in [&["r.x"][..], &["--query", "q=r.x"]] {
+            let _ = std::fs::remove_file(&snap);
+            let mut checks = 0;
+            let run = run_dripped(
+                &[&["--stream", "--checkpoint", &snap_str][..], query].concat(),
+                xml.as_bytes(),
+                64,
+                |at, out| {
+                    let Ok(bytes) = std::fs::read(&snap) else {
+                        return;
+                    };
+                    let delivered = Snapshot::decode(&bytes).unwrap().session.unwrap().delivered[0];
+                    assert!(
+                        delivered as usize <= lines(out),
+                        "{query:?} {at:?}: snapshot counts {delivered} delivered, stdout has {}",
+                        lines(out)
+                    );
+                    checks += 1;
+                },
+            );
+            assert_eq!(run.code, 0, "{query:?}: {}", run.err);
+            assert_eq!(run.out.lines().count(), 800);
+            assert!(checks > 100, "{query:?}: {checks} checks");
+            outs.push(run.out);
+        }
+        assert_eq!(outs[1], prefixed("q\t", &outs[0]));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -98,25 +98,22 @@ pub fn parse_query_file(text: &str) -> Result<Vec<(String, spex_query::Rpeq)>, S
         if line.is_empty() {
             continue;
         }
-        let (name, expr) = line
-            .split_once('=')
-            .ok_or_else(|| format!("line {lineno}: `{line}` is not of the form NAME=EXPR"))?;
-        let (name, expr) = (name.trim(), expr.trim());
-        if name.is_empty() {
-            return Err(format!("line {lineno}: empty query name"));
-        }
-        if queries.iter().any(|(n, _)| n == name) {
-            return Err(format!("line {lineno}: query name `{name}` given twice"));
-        }
-        let query: spex_query::Rpeq = expr
-            .parse()
-            .map_err(|e: spex_query::ParseError| format!("line {lineno}: query {name}: {e}"))?;
-        queries.push((name.to_string(), query));
+        crate::push_named_query(&mut queries, line, false)
+            .map_err(|e| format!("line {lineno}: {e}"))?;
     }
     if queries.is_empty() {
         return Err("no queries in file (every line blank or a comment)".to_string());
     }
     Ok(queries)
+}
+
+/// A `--*-timeout SECS` operand; 0 disables the deadline.
+fn timeout(
+    flag: &str,
+    it: &mut std::slice::Iter<'_, String>,
+) -> Result<Option<std::time::Duration>, String> {
+    let secs: u64 = crate::number(flag, it, "value")?;
+    Ok((secs > 0).then(|| std::time::Duration::from_secs(secs)))
 }
 
 /// Parse `spex serve` arguments (excluding `serve` itself).
@@ -141,72 +138,32 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeOptions, String> {
             continue;
         }
         match a.as_str() {
-            "--addr" => {
-                config.addr = it
-                    .next()
-                    .ok_or_else(|| "--addr needs host:port".to_string())?
-                    .clone()
-            }
-            "--workers" => config.workers = crate::number("--workers", &mut it, "value")?,
-            "--max-conns" => config.max_conns = crate::number("--max-conns", &mut it, "value")?,
-            "--max-frame" => config.max_frame = crate::number("--max-frame", &mut it, "value")?,
-            "--max-plans" => {
-                config.max_cached_plans = crate::number("--max-plans", &mut it, "value")?
-            }
-            "--read-timeout" => {
-                let secs: u64 = crate::number("--read-timeout", &mut it, "value")?;
-                config.read_timeout = if secs == 0 {
-                    None
-                } else {
-                    Some(std::time::Duration::from_secs(secs))
-                };
-            }
-            "--write-timeout" => {
-                let secs: u64 = crate::number("--write-timeout", &mut it, "value")?;
-                config.write_timeout = if secs == 0 {
-                    None
-                } else {
-                    Some(std::time::Duration::from_secs(secs))
-                };
-            }
-            "--idle-timeout" => {
-                let secs: u64 = crate::number("--idle-timeout", &mut it, "value")?;
-                config.idle_timeout = if secs == 0 {
-                    None
-                } else {
-                    Some(std::time::Duration::from_secs(secs))
-                };
-            }
+            "--addr" => config.addr = crate::operand(a, &mut it, "host:port")?,
+            "--workers" => config.workers = crate::number(a, &mut it, "value")?,
+            "--max-conns" => config.max_conns = crate::number(a, &mut it, "value")?,
+            "--max-frame" => config.max_frame = crate::number(a, &mut it, "value")?,
+            "--max-plans" => config.max_cached_plans = crate::number(a, &mut it, "value")?,
+            "--read-timeout" => config.read_timeout = timeout(a, &mut it)?,
+            "--write-timeout" => config.write_timeout = timeout(a, &mut it)?,
+            "--idle-timeout" => config.idle_timeout = timeout(a, &mut it)?,
             "--allow-remote-shutdown" => config.allow_remote_shutdown = true,
             "--queries" => {
-                let path = it
-                    .next()
-                    .ok_or_else(|| "--queries needs a file path".to_string())?;
+                let path = crate::operand(a, &mut it, "a file path")?;
                 let text =
-                    std::fs::read_to_string(path).map_err(|e| format!("--queries {path}: {e}"))?;
+                    std::fs::read_to_string(&path).map_err(|e| format!("--queries {path}: {e}"))?;
                 config.preload_queries =
                     parse_query_file(&text).map_err(|e| format!("--queries {path}: {e}"))?;
             }
             "--stats-json" => stats_json = true,
             "--durable-dir" => {
-                config.durable_dir = Some(
-                    it.next()
-                        .ok_or_else(|| "--durable-dir needs a directory path".to_string())?
-                        .clone(),
-                )
+                config.durable_dir = Some(crate::operand(a, &mut it, "a directory path")?)
             }
             "--fsync" => {
-                config.fsync = it
-                    .next()
-                    .ok_or_else(|| "--fsync needs a policy (always, document, never)".to_string())?
-                    .parse()?
+                config.fsync =
+                    crate::operand(a, &mut it, "a policy (always, document, never)")?.parse()?
             }
             "--trace-jsonl" => {
-                config.trace_jsonl = Some(
-                    it.next()
-                        .ok_or_else(|| "--trace-jsonl needs a file path".to_string())?
-                        .clone(),
-                )
+                config.trace_jsonl = Some(crate::operand(a, &mut it, "a file path")?)
             }
             "-h" | "--help" => help = true,
             other => return Err(format!("unknown `spex serve` option `{other}`")),

@@ -94,5 +94,5 @@ pub use sink::{
 };
 pub use snapshot::{FragmentState, SessionState, Snapshot, SnapshotError};
 pub use spex_xml::ScannerKind;
-pub use stats::{json_escape, stats_json, EngineStats, TransducerStats};
+pub use stats::{stats_json, EngineStats, FaultTotals, TransducerStats};
 pub use vm::{Engine, Machine, Plan, PlanRun};

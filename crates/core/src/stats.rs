@@ -14,6 +14,8 @@
 //! are readable while the run is live ([`crate::Machine::stats`],
 //! [`crate::Machine::transducer_stats`]).
 
+use spex_xml::{Fault, FaultKind};
+
 /// Measured resource usage of one evaluation run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EngineStats {
@@ -89,19 +91,6 @@ impl EngineStats {
     }
 }
 
-/// Escape `s` for inclusion in a JSON string literal (the workspace has no
-/// serde dependency; every JSON producer hand-rolls through this).
-pub fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
 /// Render run statistics as one line of JSON. This is *the* stats schema:
 /// the one-shot CLI (`--stats-json`), the server's `STAT` frames and
 /// `--stats-json` exit dump all emit exactly these bytes, so the bench
@@ -141,7 +130,7 @@ pub fn stats_json(
             "{{\"node\":{},\"kind\":\"{}\",\"messages\":{},\"max_depth_stack\":{},\
              \"max_cond_stack\":{},\"max_formula_size\":{}}}",
             t.node,
-            json_escape(&t.kind),
+            spex_trace::escape_json(&t.kind),
             t.messages,
             t.max_depth_stack,
             t.max_cond_stack,
@@ -150,17 +139,82 @@ pub fn stats_json(
     }
     out.push(']');
     if let Some(report) = report {
-        out.push_str(&format!(
-            ",\"faults\":{{\"total\":{},\"truncated\":{},\"delivered\":{},\"quarantined\":{},\
-             \"by_kind\":{{",
-            report.faults.len(),
+        let mut faults = FaultTotals::default();
+        faults.absorb(
+            &report.faults,
             report.truncated,
             report.results,
             report.dropped,
+        );
+        faults.push_json(&mut out);
+    }
+    out.push('}');
+    out
+}
+
+/// Fault accounting in the shape of the stats schema's `faults` object:
+/// per-kind counters plus the first and last fault observed (a long-lived
+/// server keeps no full fault list). [`stats_json`] folds a run's
+/// [`RunReport`](crate::RunReport) into one; `spex serve` aggregates every
+/// recovery session's.
+#[derive(Debug, Default, Clone)]
+pub struct FaultTotals {
+    /// Total faults repaired across all sessions.
+    pub total: u64,
+    /// Sessions that hit a truncated stream.
+    pub truncated_sessions: u64,
+    /// Fragments delivered by recovery sessions.
+    pub delivered: u64,
+    /// Fragments quarantined by recovery sessions.
+    pub quarantined: u64,
+    /// Faults per kind, indexed like [`FaultKind::ALL`].
+    pub by_kind: Vec<u64>,
+    /// First fault ever observed.
+    pub first: Option<Fault>,
+    /// Last fault observed so far.
+    pub last: Option<Fault>,
+}
+
+impl FaultTotals {
+    /// Fold one run's faults and delivery counts in.
+    pub fn absorb(&mut self, faults: &[Fault], truncated: bool, delivered: u64, quarantined: u64) {
+        if self.by_kind.is_empty() {
+            self.by_kind = vec![0; FaultKind::ALL.len()];
+        }
+        self.total += faults.len() as u64;
+        if truncated {
+            self.truncated_sessions += 1;
+        }
+        self.delivered += delivered;
+        self.quarantined += quarantined;
+        for f in faults {
+            if let Some(i) = FaultKind::ALL.iter().position(|k| *k == f.kind) {
+                self.by_kind[i] += 1;
+            }
+        }
+        if let Some(first) = faults.first() {
+            if self.first.is_none() {
+                self.first = Some(first.clone());
+            }
+        }
+        if let Some(last) = faults.last() {
+            self.last = Some(last.clone());
+        }
+    }
+
+    /// Append the stats schema's `,"faults":{…}` section to `out`.
+    pub fn push_json(&self, out: &mut String) {
+        out.push_str(&format!(
+            ",\"faults\":{{\"total\":{},\"truncated\":{},\"delivered\":{},\"quarantined\":{},\
+             \"by_kind\":{{",
+            self.total,
+            self.truncated_sessions > 0,
+            self.delivered,
+            self.quarantined,
         ));
         let mut first_kind = true;
-        for kind in spex_xml::FaultKind::ALL {
-            let n = report.fault_count(kind);
+        for (i, kind) in FaultKind::ALL.iter().enumerate() {
+            let n = self.by_kind.get(i).copied().unwrap_or(0);
             if n == 0 {
                 continue;
             }
@@ -171,7 +225,7 @@ pub fn stats_json(
             out.push_str(&format!("\"{}\":{n}", kind.as_str()));
         }
         out.push('}');
-        fn pos_json(label: &str, f: &spex_xml::Fault) -> String {
+        fn pos_json(label: &str, f: &Fault) -> String {
             format!(
                 ",\"{label}\":{{\"kind\":\"{}\",\"offset\":{},\"line\":{},\"column\":{}}}",
                 f.kind.as_str(),
@@ -180,14 +234,12 @@ pub fn stats_json(
                 f.position.column,
             )
         }
-        if let (Some(first), Some(last)) = (report.faults.first(), report.faults.last()) {
+        if let (Some(first), Some(last)) = (&self.first, &self.last) {
             out.push_str(&pos_json("first", first));
             out.push_str(&pos_json("last", last));
         }
         out.push('}');
     }
-    out.push('}');
-    out
 }
 
 /// Per-transducer measurements: one snapshot row per network node, in

@@ -115,10 +115,6 @@ impl Output {
         stats: &mut EngineStats,
         store: &EventStore,
     ) {
-        static DEBUG_OU: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        if *DEBUG_OU.get_or_init(|| std::env::var_os("SPEX_DEBUG_OU").is_some()) {
-            eprintln!("OU tick {now}: {msg}");
-        }
         match msg {
             Message::Activate(f) => {
                 stats.observe_formula(f.size());

@@ -23,6 +23,7 @@
 //! resumed session always opens a fresh segment at the recovered total, so
 //! a torn tail can never be mistaken for the live end of the log.
 
+use spex_core::snapshot::{crc32, Crc32};
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufWriter, Read, Write};
@@ -90,89 +91,6 @@ impl FromStr for FsyncPolicy {
             )),
         }
     }
-}
-
-/// CRC-32 (IEEE) lookup tables for the slicing-by-16 variant: `TABLES[0]`
-/// is the classic byte-at-a-time table, `TABLES[k]` advances a byte `k`
-/// positions further. The WAL checksums every input byte on the hot path,
-/// so the per-byte cost is part of the append overhead.
-const CRC_TABLES: [[u32; 256]; 16] = {
-    let mut tables = [[0u32; 256]; 16];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        tables[0][i] = c;
-        i += 1;
-    }
-    let mut t = 1;
-    while t < 16 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[t - 1][i];
-            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
-            i += 1;
-        }
-        t += 1;
-    }
-    tables
-};
-
-/// Incremental CRC-32 (IEEE) — same polynomial as the snapshot codec, kept
-/// local so the WAL format is self-contained. Incremental so a record's
-/// checksum can cover the kind byte plus the payload without concatenating
-/// them first.
-struct Crc32(u32);
-
-impl Crc32 {
-    fn new() -> Self {
-        Crc32(0xFFFF_FFFF)
-    }
-
-    fn update(&mut self, mut data: &[u8]) {
-        #[inline(always)]
-        fn word(data: &[u8], at: usize) -> u32 {
-            u32::from_le_bytes([data[at], data[at + 1], data[at + 2], data[at + 3]])
-        }
-        #[inline(always)]
-        fn fold(t: usize, w: u32) -> u32 {
-            CRC_TABLES[t + 3][(w & 0xFF) as usize]
-                ^ CRC_TABLES[t + 2][((w >> 8) & 0xFF) as usize]
-                ^ CRC_TABLES[t + 1][((w >> 16) & 0xFF) as usize]
-                ^ CRC_TABLES[t][(w >> 24) as usize]
-        }
-        let mut c = self.0;
-        while data.len() >= 16 {
-            c = fold(12, word(data, 0) ^ c)
-                ^ fold(8, word(data, 4))
-                ^ fold(4, word(data, 8))
-                ^ fold(0, word(data, 12));
-            data = &data[16..];
-        }
-        for &b in data {
-            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-        }
-        self.0 = c;
-    }
-
-    fn finish(self) -> u32 {
-        self.0 ^ 0xFFFF_FFFF
-    }
-}
-
-/// One-shot CRC-32 over `bytes`.
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = Crc32::new();
-    crc.update(bytes);
-    crc.finish()
 }
 
 /// True if `token` is safe to use as a directory name under the durable
@@ -573,25 +491,6 @@ mod tests {
 
     fn queries() -> Vec<(String, String)> {
         vec![("q".to_string(), "a.b".to_string())]
-    }
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // Standard IEEE CRC-32 check value, plus lengths that exercise both
-        // the slicing-by-8 fast path and the byte-at-a-time tail.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-        let long: Vec<u8> = (0..1021u32).map(|i| (i % 251) as u8).collect();
-        let mut slow = 0xFFFF_FFFFu32;
-        for &b in &long {
-            slow = CRC_TABLES[0][((slow ^ b as u32) & 0xFF) as usize] ^ (slow >> 8);
-        }
-        assert_eq!(crc32(&long), slow ^ 0xFFFF_FFFF);
-        // Incremental updates across an arbitrary split agree with one-shot.
-        let mut inc = Crc32::new();
-        inc.update(&long[..13]);
-        inc.update(&long[13..]);
-        assert_eq!(inc.finish(), crc32(&long));
     }
 
     #[test]

@@ -59,4 +59,4 @@ pub use protocol::{
 };
 pub use registry::{Registry, DEFAULT_PLAN_CAP};
 pub use server::{Server, ServerConfig, ServerHandle, ServerReport};
-pub use stats::{FaultTotals, ServerStats};
+pub use stats::ServerStats;

@@ -412,9 +412,9 @@ pub fn split_resume(payload: &[u8]) -> Option<(u8, &str, Vec<u64>)> {
 pub fn error_payload(class: &str, code: i32, message: &str) -> Vec<u8> {
     format!(
         "{{\"class\":\"{}\",\"code\":{},\"message\":\"{}\"}}",
-        spex_core::json_escape(class),
+        spex_trace::escape_json(class),
         code,
-        spex_core::json_escape(message),
+        spex_trace::escape_json(message),
     )
     .into_bytes()
 }

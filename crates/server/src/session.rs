@@ -1015,7 +1015,7 @@ fn fault_json(fault: &spex_xml::Fault) -> String {
         fault.position.line,
         fault.position.column,
         fault.action.as_str(),
-        spex_core::json_escape(&fault.detail),
+        spex_trace::escape_json(&fault.detail),
     )
 }
 

@@ -8,59 +8,10 @@
 //! serve-specific counters. Line-scanning tooling written for the one-shot
 //! schema parses a server dump unchanged.
 
-use spex_core::EngineStats;
-use spex_xml::{Fault, FaultKind};
+use spex_core::{EngineStats, FaultTotals};
+use spex_xml::Fault;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-
-/// Aggregated fault accounting for recovery sessions: per-kind counters plus
-/// the first and last fault observed, which is all the one-shot `faults`
-/// JSON shape needs (the full fault list would grow without bound in a
-/// long-lived server).
-#[derive(Debug, Default, Clone)]
-pub struct FaultTotals {
-    /// Total faults repaired across all sessions.
-    pub total: u64,
-    /// Sessions that hit a truncated stream.
-    pub truncated_sessions: u64,
-    /// Fragments delivered by recovery sessions.
-    pub delivered: u64,
-    /// Fragments quarantined by recovery sessions.
-    pub quarantined: u64,
-    /// Faults per kind, indexed like [`FaultKind::ALL`].
-    pub by_kind: Vec<u64>,
-    /// First fault ever observed.
-    pub first: Option<Fault>,
-    /// Last fault observed so far.
-    pub last: Option<Fault>,
-}
-
-impl FaultTotals {
-    fn absorb(&mut self, faults: &[Fault], truncated: bool, delivered: u64, quarantined: u64) {
-        if self.by_kind.is_empty() {
-            self.by_kind = vec![0; FaultKind::ALL.len()];
-        }
-        self.total += faults.len() as u64;
-        if truncated {
-            self.truncated_sessions += 1;
-        }
-        self.delivered += delivered;
-        self.quarantined += quarantined;
-        for f in faults {
-            if let Some(i) = FaultKind::ALL.iter().position(|k| *k == f.kind) {
-                self.by_kind[i] += 1;
-            }
-        }
-        if let Some(first) = faults.first() {
-            if self.first.is_none() {
-                self.first = Some(first.clone());
-            }
-        }
-        if let Some(last) = faults.last() {
-            self.last = Some(last.clone());
-        }
-    }
-}
 
 /// Thread-safe server-wide statistics. Counters are atomics; the aggregated
 /// engine statistics and fault totals sit behind a mutex taken once per
@@ -130,41 +81,7 @@ impl ServerStats {
         let closing = out.pop();
         debug_assert_eq!(closing, Some('}'));
         if faults.total > 0 || faults.truncated_sessions > 0 {
-            out.push_str(&format!(
-                ",\"faults\":{{\"total\":{},\"truncated\":{},\"delivered\":{},\
-                 \"quarantined\":{},\"by_kind\":{{",
-                faults.total,
-                faults.truncated_sessions > 0,
-                faults.delivered,
-                faults.quarantined,
-            ));
-            let mut first_kind = true;
-            for (i, kind) in FaultKind::ALL.iter().enumerate() {
-                let n = faults.by_kind.get(i).copied().unwrap_or(0);
-                if n == 0 {
-                    continue;
-                }
-                if !first_kind {
-                    out.push(',');
-                }
-                first_kind = false;
-                out.push_str(&format!("\"{}\":{n}", kind.as_str()));
-            }
-            out.push('}');
-            fn pos_json(label: &str, f: &Fault) -> String {
-                format!(
-                    ",\"{label}\":{{\"kind\":\"{}\",\"offset\":{},\"line\":{},\"column\":{}}}",
-                    f.kind.as_str(),
-                    f.position.offset,
-                    f.position.line,
-                    f.position.column,
-                )
-            }
-            if let (Some(first), Some(last)) = (&faults.first, &faults.last) {
-                out.push_str(&pos_json("first", first));
-                out.push_str(&pos_json("last", last));
-            }
-            out.push('}');
+            faults.push_json(&mut out);
         }
         out.push_str(&format!(
             ",\"server\":{{\"sessions_started\":{},\"sessions_completed\":{},\
@@ -186,6 +103,7 @@ impl ServerStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spex_xml::FaultKind;
 
     /// Brace depth of a JSON blob with no braces inside strings — zero for
     /// a well-formed object, nonzero when a section was spliced in after

@@ -4,9 +4,11 @@
 //! root; a rooted `crates/…`, `tests/…`, `examples/…` or `benchmark/…` path
 //! ending in `.rs` must name a file; and inside code (an inline span or a
 //! fenced block) a `harness <subcommand>` must be an arm of the harness's
-//! `main` match and a `cargo bench … --bench NAME` must name a `[[bench]]`
-//! target of some manifest. `benchmark/` is checked by its own runner;
-//! ROADMAP.md and CHANGES.md are history and not scanned.
+//! `main` match, a `cargo bench … --bench NAME` must name a `[[bench]]`
+//! target of some manifest, and a `--flag` on a `spex` command line must be
+//! in `spex --help` (`spex serve --help` after `spex serve`). `benchmark/`
+//! is checked by its own runner; ROADMAP.md and CHANGES.md are history and
+//! not scanned.
 
 use std::path::Path;
 
@@ -91,6 +93,48 @@ fn bench_target_citations(code: &str) -> Vec<String> {
     cited
 }
 
+/// Every `--flag` on a `spex` command line in `code`, paired with whether
+/// the command is `spex serve`. The command line ends at a pipe, `;`, `&`,
+/// a redirection or a `#` comment; `--a/--b` cites both flags and
+/// `--flag=VALUE` cites `--flag`. A `spex` binary passed to a harness rig
+/// (`--spex target/release/spex`) is not a command line.
+fn spex_flag_citations(code: &str) -> Vec<(bool, String)> {
+    let mut cited = Vec::new();
+    let mut words = code.split_whitespace().peekable();
+    let mut previous = "";
+    while let Some(word) = words.next() {
+        let invoked = (word == "spex" || word.ends_with("/spex")) && previous != "--spex";
+        previous = word;
+        if !invoked {
+            continue;
+        }
+        words.next_if_eq(&"--"); // `cargo run --bin spex -- serve …`
+        let serve = words.peek() == Some(&"serve");
+        for word in words.by_ref() {
+            if word.starts_with(['|', ';', '&', '>', '<', '#']) || word.starts_with("2>") {
+                break;
+            }
+            for flag in word
+                .split('/')
+                .filter(|w| w.len() > 2 && w.starts_with("--"))
+            {
+                let flag = flag.split('=').next().unwrap_or(flag);
+                let flag = flag.trim_end_matches([',', '.', ')', ';', '\'', '"']);
+                cited.push((serve, flag.to_string()));
+            }
+        }
+    }
+    cited
+}
+
+/// Does `usage` list `flag` as a whole word (not as a prefix of a longer
+/// flag)?
+fn usage_lists(usage: &str, flag: &str) -> bool {
+    usage.match_indices(flag).any(|(at, _)| {
+        !usage[at + flag.len()..].starts_with(|c: char| c.is_ascii_alphanumeric() || c == '-')
+    })
+}
+
 /// The `[[bench]]` target names of the root manifest and every crate's.
 fn bench_targets() -> Vec<String> {
     let crates = std::fs::read_dir(root().join("crates")).expect("crates/ is listable");
@@ -166,6 +210,16 @@ fn cited_artifacts_and_harness_subcommands_exist() {
                     ));
                 }
             }
+            for (serve, flag) in spex_flag_citations(&code) {
+                let (command, usage) = if serve {
+                    ("spex serve", spex_cli::serve::SERVE_USAGE)
+                } else {
+                    ("spex", spex_cli::USAGE)
+                };
+                if !usage_lists(usage, &flag) {
+                    missing.push(format!("{doc}:{line}: `{command} {flag}` is not an option"));
+                }
+            }
         }
     }
     assert!(
@@ -199,6 +253,25 @@ fn the_scanners_find_what_they_should() {
         ["fig14", "x"]
     );
     assert!(bench_target_citations("cargo bench --workspace; x --bench y").is_empty());
+    assert_eq!(
+        spex_flag_citations(
+            "target/release/spex --count --trace-jsonl=/tmp/t 'a' f | harness --x; \
+             cargo run --bin spex -- serve --addr 1 # --y; cargo test -p spex-cli -- --z; \
+             spex --checkpoint/--resume, 2>&1 --w; harness smoke --spex bin/spex --v"
+        ),
+        [
+            (false, "--count".to_string()),
+            (false, "--trace-jsonl".to_string()),
+            (true, "--addr".to_string()),
+            (false, "--checkpoint".to_string()),
+            (false, "--resume".to_string()),
+        ]
+    );
+    assert!(usage_lists(
+        "--limit-buffered-bytes N",
+        "--limit-buffered-bytes"
+    ));
+    assert!(!usage_lists("--limit-buffered-bytes N", "--limit-buffered"));
     let md = "a `harness x` b\n```\nharness y\n```\nharness z";
     assert_eq!(
         code_pieces(md),
