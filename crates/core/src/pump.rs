@@ -176,7 +176,7 @@ impl<S: ResultSink> Pump<S> {
         for (i, sink) in self.run.sinks_mut().iter_mut().enumerate() {
             sink.delivered = session.delivered.get(i).copied().unwrap_or(0);
             if let (Some(q), Some(held)) = (&mut sink.quarantine, session.quarantines.get(i)) {
-                q.import_fragments(held.clone());
+                q.import_fragments(held);
             }
         }
         Ok(())

@@ -34,7 +34,7 @@ use crate::limits::{LimitBreach, ResourceLimits};
 use crate::pump::Pump;
 use crate::sink::{ResultMeta, ResultSink};
 use crate::stats::{EngineStats, TransducerStats};
-use spex_xml::{Fault, FaultKind, RawEvent, RecoveryPolicy, XmlEvent};
+use spex_xml::{EventStore, Fault, FaultKind, RawEvent, RecoveryPolicy};
 use std::io::Read;
 
 /// How candidates still undetermined at an unexpected end of stream are
@@ -132,7 +132,8 @@ struct BufferedFragment {
     start: u64,
     last: u64,
     delivered: u64,
-    events: Vec<XmlEvent>,
+    /// Push indices of its events in the quarantine's store.
+    events: std::ops::Range<usize>,
 }
 
 /// Buffers all fragments until end of run so damaged ones can be withheld.
@@ -141,9 +142,10 @@ struct BufferedFragment {
 /// of the caller's sink, carries its fragments across snapshots, and
 /// [`Quarantine::drain_into`]s the survivors once the reader's faults are
 /// known — the one drain every recovering caller (one-shot, `spex serve`,
-/// crash-diff) shares.
-#[derive(Default)]
+/// crash-diff) shares. The fragments' events outlive the run's arena, so
+/// they are copied into a store of the quarantine's own.
 pub(crate) struct Quarantine {
+    store: EventStore,
     done: Vec<BufferedFragment>,
     current: Option<BufferedFragment>,
 }
@@ -152,7 +154,11 @@ impl Quarantine {
     /// An empty quarantine buffer.
     #[must_use]
     pub fn new() -> Self {
-        Quarantine::default()
+        Quarantine {
+            store: EventStore::new(),
+            done: Vec::new(),
+            current: None,
+        }
     }
 
     /// Export the buffered fragments for a durable checkpoint.
@@ -161,7 +167,8 @@ impl Quarantine {
     /// document boundaries, where no fragment is mid-delivery (`current` is
     /// `None`). The returned states round-trip through
     /// [`Quarantine::import_fragments`] so a restarted session withholds
-    /// exactly the fragments the uninterrupted run would have.
+    /// exactly the fragments the uninterrupted run would have. The owned
+    /// events of the snapshot's form are built here, at the checkpoint only.
     #[must_use]
     pub fn export_fragments(&self) -> Vec<crate::snapshot::FragmentState> {
         self.done
@@ -170,7 +177,11 @@ impl Quarantine {
                 start: f.start,
                 last: f.last,
                 delivered: f.delivered,
-                events: f.events.clone(),
+                events: self
+                    .store
+                    .ids(f.events.clone())
+                    .map(|id| self.store.get(id).to_owned_event())
+                    .collect(),
             })
             .collect()
     }
@@ -178,14 +189,19 @@ impl Quarantine {
     /// Restore fragments exported by [`Quarantine::export_fragments`] into
     /// this (empty) buffer, ahead of any fragments the resumed stream
     /// produces.
-    pub fn import_fragments(&mut self, frags: Vec<crate::snapshot::FragmentState>) {
-        self.done
-            .extend(frags.into_iter().map(|f| BufferedFragment {
+    pub fn import_fragments(&mut self, frags: &[crate::snapshot::FragmentState]) {
+        for f in frags {
+            let from = self.store.len();
+            for event in &f.events {
+                self.store.push_view(&event.into());
+            }
+            self.done.push(BufferedFragment {
                 start: f.start,
                 last: f.last,
                 delivered: f.delivered,
-                events: f.events,
-            }));
+                events: from..self.store.len(),
+            });
+        }
     }
 
     /// Replay the buffered fragments into `sink` in document order,
@@ -193,8 +209,8 @@ impl Quarantine {
     /// damage interval in `faults`. With
     /// [`TruncationOutcome::ForceFalse`], truncation faults do not taint
     /// (the synthesized closes are part of the result). Returns
-    /// `(delivered, dropped)` counts and leaves the buffer empty for the
-    /// next document.
+    /// `(delivered, dropped)` counts and leaves the buffer (and its store)
+    /// empty for the next document.
     pub fn drain_into(
         &mut self,
         faults: &[Fault],
@@ -223,30 +239,31 @@ impl Quarantine {
                 },
                 frag.delivered,
             );
-            for event in &frag.events {
-                sink.event(&RawEvent::from_event(event), frag.delivered);
+            for id in self.store.ids(frag.events) {
+                sink.event(&self.store.get(id), frag.delivered);
             }
             sink.end(frag.last);
         }
+        self.store.reset();
         (results, dropped)
     }
 }
 
 impl ResultSink for Quarantine {
     fn begin(&mut self, meta: ResultMeta, now: u64) {
+        let at = self.store.len();
         self.current = Some(BufferedFragment {
             start: meta.start_tick,
             last: now,
             delivered: now,
-            events: Vec::new(),
+            events: at..at,
         });
     }
 
     fn event(&mut self, event: &RawEvent<'_>, now: u64) {
         if let Some(cur) = &mut self.current {
-            // Quarantined fragments outlive the arena tick, so this sink is
-            // the one place the engine still materializes owned events.
-            cur.events.push(event.to_owned_event());
+            self.store.push_view(event);
+            cur.events.end = self.store.len();
             cur.last = cur.last.max(now);
         }
     }
@@ -438,26 +455,52 @@ mod tests {
 
     #[test]
     fn quarantine_fragments_survive_export_import() {
-        let xml = "<a><b/><c/></a>";
-        let q: spex_query::Rpeq = "a._".parse().unwrap();
-        let network = CompiledNetwork::compile(&q);
-        let mut quarantine = Quarantine::new();
-        evaluate_recovering(
-            &network,
-            std::io::Cursor::new(xml.as_bytes().to_vec()),
-            repair(),
-            ResourceLimits::default(),
-            &mut quarantine,
-        )
-        .unwrap();
-        let exported = quarantine.export_fragments();
-        assert_eq!(exported.len(), 2);
-        let mut restored = Quarantine::new();
-        restored.import_fragments(exported.clone());
-        assert_eq!(restored.export_fragments(), exported);
-        let mut collector = crate::sink::FragmentCollector::new();
-        restored.drain_into(&[], TruncationOutcome::Drop, &mut collector);
-        assert_eq!(collector.into_fragments(), vec!["<b></b>", "<c></c>"]);
+        // One clean document; then a stream whose damaged second document
+        // is withheld and whose held fragments carry attributes with
+        // entities, UTF-8 text, a comment and a PI.
+        let stream = RecoveryOptions {
+            multi_document: true,
+            ..repair()
+        };
+        let cases = [
+            (
+                "a._",
+                "<a><b/><c/></a>",
+                repair(),
+                vec!["<b></b>", "<c></c>"],
+            ),
+            (
+                "r.i",
+                "<r><i k='a &amp; b' n=\"&#233;\">grüße<!-- c --><?pi d?></i></r>\n\
+                 <r><i>x<j></i></r>\n<r><i k='&lt;'>東京<?p?></i></r>",
+                stream,
+                vec![
+                    "<i k=\"a &amp; b\" n=\"é\">grüße<!-- c --><?pi d?></i>",
+                    "<i k=\"&lt;\">東京<?p?></i>",
+                ],
+            ),
+        ];
+        for (query, xml, options, expected) in cases {
+            let (direct, _) = evaluate_str_recovering(query, xml, options).unwrap();
+            assert_eq!(direct, expected);
+            let mut quarantine = Quarantine::new();
+            evaluate_recovering(
+                &CompiledNetwork::compile(&query.parse().unwrap()),
+                std::io::Cursor::new(xml.as_bytes().to_vec()),
+                options,
+                ResourceLimits::default(),
+                &mut quarantine,
+            )
+            .unwrap();
+            let exported = quarantine.export_fragments();
+            let mut restored = Quarantine::new();
+            restored.import_fragments(&exported);
+            assert_eq!(restored.export_fragments(), exported);
+            let mut collector = crate::sink::FragmentCollector::new();
+            restored.drain_into(&[], TruncationOutcome::Drop, &mut collector);
+            assert_eq!(collector.into_fragments(), direct);
+            assert!(restored.store.is_empty());
+        }
     }
 
     #[test]

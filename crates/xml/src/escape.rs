@@ -47,77 +47,67 @@ pub fn unescape(raw: &str) -> Option<Cow<'_, str>> {
     if !raw.contains('&') {
         return Some(Cow::Borrowed(raw));
     }
-    let mut out = String::with_capacity(raw.len());
-    let mut rest = raw;
-    while let Some(amp) = rest.find('&') {
-        out.push_str(&rest[..amp]);
-        let tail = &rest[amp..];
-        let semi = tail.find(';')?;
-        let entity = &tail[1..semi];
-        match entity {
-            "lt" => out.push('<'),
-            "gt" => out.push('>'),
-            "amp" => out.push('&'),
-            "apos" => out.push('\''),
-            "quot" => out.push('"'),
-            _ => {
-                let code = if let Some(hex) = entity
-                    .strip_prefix("#x")
-                    .or_else(|| entity.strip_prefix("#X"))
-                {
-                    u32::from_str_radix(hex, 16).ok()?
-                } else if let Some(dec) = entity.strip_prefix('#') {
-                    dec.parse::<u32>().ok()?
-                } else {
-                    return None;
-                };
-                out.push(char::from_u32(code)?);
-            }
-        }
-        rest = &tail[semi + 1..];
-    }
-    out.push_str(rest);
-    Some(Cow::Owned(out))
+    let mut clean = true;
+    let decoded = unescape_lossy(raw, |_, _| clean = false);
+    clean.then_some(Cow::Owned(decoded))
 }
 
 /// Decode entity references *lossily*: every unknown, malformed or
 /// unterminated entity is replaced by U+FFFD (the Unicode replacement
-/// character) and the rest of the data is preserved. Returns the decoded
-/// text plus the number of replacements made (0 means [`unescape`] would
-/// have succeeded identically).
+/// character) and the rest of the data is preserved. Each replaced
+/// reference is reported to `bad` with its byte offset in `raw` and its
+/// text: from the `&` through the `;` — or, unterminated (a `&` or `<`
+/// before any `;`, or no `;` at all), up to that byte or the end, of which
+/// only the `&` is replaced. No report means [`unescape`] would have
+/// succeeded identically.
 ///
-/// Used by the reader's repair policies (see [`crate::recover`]): text is
-/// never worth aborting a stream over, because the query language is purely
+/// Text is never worth aborting a stream over under the reader's repair
+/// policies (see [`crate::recover`]), because the query language is purely
 /// structural.
-pub fn unescape_lossy(raw: &str) -> (String, usize) {
+pub fn unescape_lossy(raw: &str, mut bad: impl FnMut(usize, &str)) -> String {
     let mut out = String::with_capacity(raw.len());
-    let mut replaced = 0usize;
-    let mut rest = raw;
-    while let Some(amp) = rest.find('&') {
-        out.push_str(&rest[..amp]);
-        let tail = &rest[amp..];
-        // An entity reference ends at the first `;`; a `&` or `<` before it
-        // (or no `;` at all) means the reference is unterminated.
-        let semi = match tail[1..].find([';', '&', '<']) {
-            Some(i) if tail.as_bytes()[1 + i] == b';' => 1 + i,
-            _ => {
-                out.push('\u{FFFD}');
-                replaced += 1;
-                rest = &tail[1..];
-                continue;
-            }
-        };
-        match unescape(&tail[..semi + 1]) {
-            Some(decoded) => out.push_str(&decoded),
+    let mut from = 0;
+    while let Some(amp) = raw[from..].find('&').map(|i| from + i) {
+        out.push_str(&raw[from..amp]);
+        let tail = &raw[amp..];
+        let end = tail[1..]
+            .find([';', '&', '<'])
+            .map_or(tail.len(), |i| i + 1);
+        let terminated = tail[end..].starts_with(';');
+        match terminated.then(|| decode(&tail[1..end])).flatten() {
+            Some(c) => out.push(c),
             None => {
                 out.push('\u{FFFD}');
-                replaced += 1;
+                bad(amp, &tail[..end + usize::from(terminated)]);
             }
         }
-        rest = &tail[semi + 1..];
+        from = if terminated { amp + end + 1 } else { amp + 1 };
     }
-    out.push_str(rest);
-    (out, replaced)
+    out.push_str(&raw[from..]);
+    out
+}
+
+/// The character an entity reference's name (between `&` and `;`) stands
+/// for: one of the five predefined entities or a numeric reference.
+fn decode(entity: &str) -> Option<char> {
+    match entity {
+        "lt" => Some('<'),
+        "gt" => Some('>'),
+        "amp" => Some('&'),
+        "apos" => Some('\''),
+        "quot" => Some('"'),
+        _ => {
+            let code = if let Some(hex) = entity
+                .strip_prefix("#x")
+                .or_else(|| entity.strip_prefix("#X"))
+            {
+                u32::from_str_radix(hex, 16).ok()?
+            } else {
+                entity.strip_prefix('#')?.parse::<u32>().ok()?
+            };
+            char::from_u32(code)
+        }
+    }
 }
 
 #[cfg(test)]
@@ -128,6 +118,24 @@ mod tests {
     fn escape_borrows_when_clean() {
         assert!(matches!(escape_text("hello world"), Cow::Borrowed(_)));
         assert!(matches!(escape_attr("plain"), Cow::Borrowed(_)));
+    }
+
+    /// The decoded text and the number of references replaced.
+    fn lossy(raw: &str) -> (String, usize) {
+        let mut replaced = 0;
+        let decoded = unescape_lossy(raw, |_, _| replaced += 1);
+        (decoded, replaced)
+    }
+
+    #[test]
+    fn unescape_lossy_reports_each_bad_reference() {
+        let mut bad = Vec::new();
+        let decoded = unescape_lossy("a &nope; &lt;&#xZZ; x &amp y &a&lt;", |at, r| {
+            bad.push((at, r.to_string()))
+        });
+        assert_eq!(decoded, "a \u{FFFD} <\u{FFFD} x \u{FFFD}amp y \u{FFFD}a<");
+        let expected = [(2, "&nope;"), (13, "&#xZZ;"), (22, "&amp y "), (29, "&a")];
+        assert_eq!(bad, expected.map(|(at, r)| (at, r.to_string())));
     }
 
     #[test]
@@ -172,29 +180,29 @@ mod tests {
 
     #[test]
     fn unescape_lossy_replaces_and_counts() {
-        assert_eq!(unescape_lossy("a &lt; b"), ("a < b".to_string(), 0));
-        assert_eq!(unescape_lossy("x&nope;y"), ("x\u{FFFD}y".to_string(), 1));
+        assert_eq!(lossy("a &lt; b"), ("a < b".to_string(), 0));
+        assert_eq!(lossy("x&nope;y"), ("x\u{FFFD}y".to_string(), 1));
         assert_eq!(
-            unescape_lossy("&bad;&#xZZ;&amp;"),
+            lossy("&bad;&#xZZ;&amp;"),
             ("\u{FFFD}\u{FFFD}&".to_string(), 2)
         );
         // Unterminated reference: the `&` itself is replaced, the tail kept.
         assert_eq!(
-            unescape_lossy("5 & 6 are &lt; 7"),
+            lossy("5 & 6 are &lt; 7"),
             ("5 \u{FFFD} 6 are < 7".to_string(), 1)
         );
-        assert_eq!(unescape_lossy("&"), ("\u{FFFD}".to_string(), 1));
-        assert_eq!(unescape_lossy("&;"), ("\u{FFFD}".to_string(), 1));
+        assert_eq!(lossy("&"), ("\u{FFFD}".to_string(), 1));
+        assert_eq!(lossy("&;"), ("\u{FFFD}".to_string(), 1));
         // A `&` running into the next `&` only eats itself.
-        assert_eq!(unescape_lossy("&&amp;"), ("\u{FFFD}&".to_string(), 1));
+        assert_eq!(lossy("&&amp;"), ("\u{FFFD}&".to_string(), 1));
     }
 
     #[test]
     fn unescape_lossy_agrees_with_unescape_on_clean_input() {
         for s in ["", "plain", "&lt;&gt;&amp;&apos;&quot;", "&#65;&#x42;"] {
-            let (lossy, n) = unescape_lossy(s);
+            let (decoded, n) = lossy(s);
             assert_eq!(n, 0, "on {s:?}");
-            assert_eq!(lossy, unescape(s).unwrap(), "on {s:?}");
+            assert_eq!(decoded, unescape(s).unwrap(), "on {s:?}");
         }
     }
 

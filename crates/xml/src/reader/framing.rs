@@ -342,39 +342,10 @@ impl Buffer {
         self.examine(n);
     }
 
-    /// Consume bytes while `pred` holds, appending them to `out` (non-ASCII
-    /// bytes widened to chars, with `saw_high` recording that a
-    /// [`super::parse::fix_latin`] repack is needed).
-    pub(super) fn scan_into(
-        &mut self,
-        out: &mut String,
-        saw_high: &mut bool,
-        pred: impl Fn(u8) -> bool,
-    ) -> Scan {
-        let take = self.run(pred);
-        let consumed = &self.rest()[..take];
-        if consumed.is_ascii() {
-            out.push_str(std::str::from_utf8(consumed).unwrap_or_default());
-        } else {
-            *saw_high = true;
-            out.extend(consumed.iter().map(|&b| b as char));
-        }
-        self.skip(take)
-    }
-
-    /// Like [`Buffer::scan_into`] without collecting the consumed bytes.
+    /// Consume bytes while `pred` holds.
     pub(super) fn skip_while(&mut self, pred: impl Fn(u8) -> bool) -> Scan {
-        let take = self.run(pred);
-        self.skip(take)
-    }
-
-    /// Length of the buffered run of bytes satisfying `pred`.
-    fn run(&self, pred: impl Fn(u8) -> bool) -> usize {
         let rest = self.rest();
-        rest.iter().position(|&b| !pred(b)).unwrap_or(rest.len())
-    }
-
-    fn skip(&mut self, take: usize) -> Scan {
+        let take = rest.iter().position(|&b| !pred(b)).unwrap_or(rest.len());
         self.consume_bulk(take);
         if self.pos < self.len {
             Scan::Stopped
@@ -382,6 +353,14 @@ impl Buffer {
             self.hit_end = true;
             Scan::Eof
         }
+    }
+
+    /// [`Buffer::skip_while`], appending the consumed bytes to `out`.
+    pub(super) fn scan_into(&mut self, out: &mut Vec<u8>, pred: impl Fn(u8) -> bool) -> Scan {
+        let from = self.pos;
+        let scan = self.skip_while(pred);
+        out.extend_from_slice(&self.buf[from..self.pos]);
+        scan
     }
 
     // ----- the finder -----

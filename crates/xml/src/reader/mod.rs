@@ -28,11 +28,10 @@ mod recover;
 mod tests;
 
 use crate::error::{Position, Result, XmlError};
-use crate::event::{Attribute, XmlEvent};
+use crate::event::XmlEvent;
 use crate::recover::{Fault, FaultKind, RecoveryPolicy};
-use crate::store::{EventId, EventStore};
+use crate::store::{EventId, EventStore, StoredKind};
 use framing::{Buffer, Context, Input};
-use std::collections::VecDeque;
 use std::io::Read;
 use std::ops::{Deref, DerefMut};
 
@@ -50,9 +49,8 @@ use std::ops::{Deref, DerefMut};
 /// event-, fault- and position-identical by construction; `Classic`
 /// disables the fast path and serves as the differential oracle.
 ///
-/// The choice only affects the store-writing entry points
-/// ([`Parser::poll_into`], [`Reader::next_into`]); [`Reader::next_event`]
-/// always runs the classic state machine.
+/// Every entry point runs the configured scanner, the owned pull API
+/// ([`Reader::next_event`], the `Iterator`) included.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ScannerKind {
     /// SWAR delimiter search + structural fast path, classic fallback.
@@ -64,9 +62,9 @@ pub enum ScannerKind {
 
 /// What one [`Parser`] poll produced.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Poll<T = EventId> {
+pub enum Poll {
     /// The next event.
-    Event(T),
+    Event(EventId),
     /// The construct in flight is incomplete: [`Parser::feed`] more bytes
     /// (or close the input) and poll again. Never returned once the input
     /// is closed.
@@ -92,6 +90,81 @@ enum State {
     Done,
 }
 
+/// Element names packed into one `String`, so a steady-state parse
+/// allocates nothing per name: the open-element stack, and the element
+/// closes waiting to be delivered.
+#[derive(Debug, Default)]
+struct Names {
+    text: String,
+    /// Where each name ends in `text`.
+    ends: Vec<usize>,
+}
+
+impl Names {
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn get(&self, i: usize) -> &str {
+        let lo = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.text[lo..self.ends[i]]
+    }
+
+    fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    fn last(&self) -> Option<&str> {
+        Some(self.get(self.len().checked_sub(1)?))
+    }
+
+    fn push(&mut self, name: &str) {
+        self.text.push_str(name);
+        self.ends.push(self.text.len());
+    }
+
+    fn pop(&mut self) {
+        self.ends.pop();
+        self.text.truncate(self.ends.last().copied().unwrap_or(0));
+    }
+
+    fn clear(&mut self) {
+        self.text.clear();
+        self.ends.clear();
+    }
+}
+
+/// The events the parser synthesizes instead of reading, in delivery
+/// order: the close of an `<a/>`, and a repair's element closes and `</$>`.
+#[derive(Debug, Default)]
+struct Closes {
+    elements: Names,
+    /// How many of `elements` were delivered.
+    delivered: usize,
+    /// A `</$>` follows the element closes.
+    document: bool,
+}
+
+impl Closes {
+    fn is_empty(&self) -> bool {
+        self.delivered == self.elements.len() && !self.document
+    }
+
+    /// Write the next synthesized close into `store`.
+    fn pop_into(&mut self, store: &mut EventStore) -> Option<EventId> {
+        if self.delivered < self.elements.len() {
+            let id = store.push_end(self.elements.get(self.delivered));
+            self.delivered += 1;
+            if self.delivered == self.elements.len() {
+                self.elements.clear();
+                self.delivered = 0;
+            }
+            return Some(id);
+        }
+        std::mem::take(&mut self.document).then(|| store.push_end_document())
+    }
+}
+
 /// Resumable push parser. See the [module documentation](self).
 ///
 /// Input arrives through [`Parser::feed`] and is closed by
@@ -101,18 +174,16 @@ enum State {
 pub struct Parser {
     bytes: Buffer,
     state: State,
-    /// Open-element stack (names), bounded by the document depth.
-    stack: Vec<String>,
+    /// Open-element stack, bounded by the document depth.
+    stack: Names,
     /// Emitted-event index at which each open element's start event was
     /// delivered (parallel to `stack`); used to compute damage intervals.
     open_ticks: Vec<u64>,
-    /// An event parsed but not yet delivered (used for `<a/>`).
-    pending: Option<XmlEvent>,
-    /// Synthesized events awaiting delivery (recovery repairs can produce
-    /// several events at once, e.g. a cascade of auto-closes).
-    queue: VecDeque<XmlEvent>,
-    /// A recovery discard-scan in progress; it finishes before anything
-    /// queued is delivered.
+    /// Closes awaiting delivery (a repair can synthesize several at once,
+    /// e.g. a cascade of auto-closes).
+    closes: Closes,
+    /// A recovery discard-scan in progress; it finishes before any close
+    /// is delivered.
     skim: Option<recover::Skim>,
     /// Accept a sequence of documents back to back (see
     /// [`Parser::multi_document`]).
@@ -128,17 +199,15 @@ pub struct Parser {
     emitted: u64,
     /// Emitted-event index of the current document's root start element.
     root_open_tick: u64,
-    /// Recycled `String` buffers. Events handed out through
-    /// [`Parser::poll_into`] return their payload buffers here, so the
-    /// steady-state parse loop allocates nothing.
-    str_pool: Vec<String>,
-    /// Recycled attribute vectors (same lifecycle as `str_pool`).
-    attr_pool: Vec<Vec<Attribute>>,
     /// Scanning strategy for [`Parser::poll_into`] (see [`ScannerKind`]).
     scanner: ScannerKind,
-    /// Scratch attribute spans for the structural fast path, reused across
-    /// tags so the fast path never allocates.
-    fast_attrs: Vec<parse::AttrSpan>,
+    /// The classic state machine's bytes for the construct in flight (a
+    /// name, attribute names and values, text), reused across constructs.
+    scratch: Vec<u8>,
+    /// Attribute spans of the open tag in flight (into the input chunk on
+    /// the fast path, into `scratch` on the classic one), reused across
+    /// tags.
+    attrs: Vec<parse::AttrSpan>,
 }
 
 impl Default for Parser {
@@ -153,10 +222,9 @@ impl Parser {
         Parser {
             bytes: Buffer::new(),
             state: State::Fresh,
-            stack: Vec::new(),
+            stack: Names::default(),
             open_ticks: Vec::new(),
-            pending: None,
-            queue: VecDeque::new(),
+            closes: Closes::default(),
             skim: None,
             multi: false,
             lt_consumed: false,
@@ -164,10 +232,9 @@ impl Parser {
             faults: Vec::new(),
             emitted: 0,
             root_open_tick: 0,
-            str_pool: Vec::new(),
-            attr_pool: Vec::new(),
             scanner: ScannerKind::default(),
-            fast_attrs: Vec::new(),
+            scratch: Vec::new(),
+            attrs: Vec::new(),
         }
     }
 
@@ -306,44 +373,35 @@ impl Parser {
     /// policy discards); the incomplete one is untouched, so
     /// [`Parser::position`], [`Parser::faults`], [`Parser::events_emitted`],
     /// [`Parser::depth`] and [`Parser::resume_point`] stand at a construct
-    /// boundary and polling again without feeding changes none of them.
+    /// boundary, `store` holds no more events than before, and polling again
+    /// without feeding changes none of them.
     pub fn poll_into(&mut self, store: &mut EventStore) -> Result<Poll> {
-        if let Some(id) = self.fast_poll(store) {
-            self.emitted += 1;
-            return Ok(Poll::Event(id));
-        }
-        Ok(match self.poll_event()? {
-            Poll::Event(ev) => {
-                let id = store.push_owned(&ev);
-                self.recycle_event(ev);
-                Poll::Event(id)
-            }
-            Poll::NeedMore => Poll::NeedMore,
-            Poll::End => Poll::End,
-        })
-    }
-
-    /// Parse the next event as an owned [`XmlEvent`] (classic scanner).
-    fn poll_event(&mut self) -> Result<Poll<XmlEvent>> {
-        let polled = self.poll_classic()?;
+        let polled = match self.fast_poll(store) {
+            Some(id) => Poll::Event(id),
+            None => self.poll_classic(store)?,
+        };
         if matches!(polled, Poll::Event(_)) {
             self.emitted += 1;
         }
         Ok(polled)
     }
 
-    fn poll_classic(&mut self) -> Result<Poll<XmlEvent>> {
-        loop {
+    /// The classic state machine. Kept out of line so that `poll_into`, the
+    /// fast path's entry, stays small: inlined into it, this loop cost the
+    /// WordNet-shaped documents of `oneshot-flat` about 1.5% CPU.
+    #[inline(never)]
+    fn poll_classic(&mut self, store: &mut EventStore) -> Result<Poll> {
+        let id = loop {
             if !self.run_skim() {
                 return Ok(Poll::NeedMore);
             }
-            if let Some(e) = self.queue.pop_front().or_else(|| self.pending.take()) {
-                return Ok(Poll::Event(e));
+            if let Some(id) = self.closes.pop_into(store) {
+                break id;
             }
             let ctx = match self.state {
                 State::Fresh => {
                     self.state = State::Prolog;
-                    return Ok(Poll::Event(XmlEvent::StartDocument));
+                    break store.push_start_document();
                 }
                 State::Boundary => {
                     self.state = State::Fresh;
@@ -363,31 +421,31 @@ impl Parser {
             // buffer means end of input to the slice parsers; whether it
             // was is decided here.
             let mark = (self.bytes.begin(), self.state, self.lt_consumed);
-            let faults_before = self.faults.len();
-            let mut step = match self.state {
-                State::Prolog => self.prolog_event(),
-                State::Content => self.content_event(),
-                _ => self.epilog_event(),
-            };
+            let (faults_before, stored_before) = (self.faults.len(), store.mark());
+            self.scratch.clear();
+            let mut step = self.construct_event(store);
             if self.bytes.hit_end() {
                 match &self.bytes.input {
                     Input::Open => {
                         self.bytes.rollback(mark.0);
                         (self.state, self.lt_consumed) = (mark.1, mark.2);
                         self.faults.truncate(faults_before);
+                        store.truncate(stored_before);
                         self.bytes.start_find(ctx);
                         return Ok(Poll::NeedMore);
                     }
                     // A failed transport is an I/O error wherever a clean
                     // end would have been end of input — except that a
-                    // repair policy salvages the text received so far (the
-                    // failure resurfaces, as a truncation, on the next
-                    // poll).
+                    // repair policy salvages the text received so far
+                    // (the failure resurfaces, as a truncation, on the
+                    // next poll).
                     Input::Failed(msg)
                         if self.policy == RecoveryPolicy::Strict
-                            || !matches!(step, Ok(Some(XmlEvent::Text(_)))) =>
+                            || !matches!(step, Ok(Some(id))
+                                    if store.stored(id).kind == StoredKind::Text) =>
                     {
                         self.state = mark.1;
+                        store.truncate(stored_before);
                         step = Err(XmlError::Io(msg.clone()));
                     }
                     _ => {}
@@ -395,24 +453,32 @@ impl Parser {
             }
             self.bytes.construct_done();
             match step {
-                Ok(Some(e)) => return Ok(Poll::Event(e)),
-                // The epilog ended the document (end of input, or the next
-                // document's first construct).
+                Ok(Some(id)) => break id,
+                // The epilog ended the document (end of input, or the
+                // next document's first construct).
                 Ok(None) if matches!(self.state, State::Done | State::Boundary) => {
-                    return Ok(Poll::Event(XmlEvent::EndDocument));
+                    break store.push_end_document();
                 }
                 Ok(None) => {}
                 Err(e) if self.policy == RecoveryPolicy::Strict => return Err(e),
                 Err(e) => self.recover(e)?,
             }
-        }
+        };
+        Ok(Poll::Event(id))
+    }
+
+    /// Queue the close of the innermost open element and pop it, returning
+    /// the tick of its start event.
+    fn close_innermost(&mut self) -> Option<u64> {
+        self.closes.elements.push(self.stack.last()?);
+        self.stack.pop();
+        self.open_ticks.pop()
     }
 
     /// Stop after a fatal error: nothing further is delivered.
     fn abort(&mut self) {
         self.state = State::Done;
-        self.pending = None;
-        self.queue.clear();
+        self.closes = Closes::default();
         self.skim = None;
     }
 }
@@ -426,6 +492,9 @@ impl Parser {
 pub struct Reader<R: Read> {
     parser: Parser,
     input: R,
+    /// Where the owned pull API ([`Reader::next_event`]) parses each event
+    /// before converting it (made on its first use); empty between pulls.
+    owned: Option<EventStore>,
 }
 
 impl Reader<&'static [u8]> {
@@ -448,6 +517,7 @@ impl<R: Read> Reader<R> {
         Reader {
             parser: Parser::new(),
             input,
+            owned: None,
         }
     }
 
@@ -475,10 +545,15 @@ impl<R: Read> Reader<R> {
         self.parser.position()
     }
 
-    /// Pull the next event. `Ok(None)` means the stream finished cleanly
-    /// (after `EndDocument` was delivered).
+    /// Pull the next event as an owned [`XmlEvent`]: parsed into a private
+    /// store like any other, then copied out. `Ok(None)` means the stream
+    /// finished cleanly (after `EndDocument` was delivered).
     pub fn next_event(&mut self) -> Result<Option<XmlEvent>> {
-        self.pull(Parser::poll_event)
+        let owned = self.owned.get_or_insert_with(EventStore::new);
+        let id = pull(&mut self.parser, &mut self.input, owned);
+        let event = id.map(|id| id.map(|id| owned.get(id).to_owned_event()));
+        owned.reset();
+        event
     }
 
     /// Pull the next event directly into an [`EventStore`], returning its
@@ -486,7 +561,7 @@ impl<R: Read> Reader<R> {
     /// `while let Some(id) = reader.next_into(&mut store)? { … }` is the
     /// zero-copy producer side of the pipeline.
     pub fn next_into(&mut self, store: &mut EventStore) -> Result<Option<EventId>> {
-        self.pull(|parser| parser.poll_into(store))
+        pull(&mut self.parser, &mut self.input, store)
     }
 
     /// Read once from the byte source into the parser
@@ -495,18 +570,19 @@ impl<R: Read> Reader<R> {
     pub fn fill(&mut self) {
         self.parser.read_from(&mut self.input);
     }
+}
 
-    /// Poll until an event or the end, filling on `NeedMore`.
-    fn pull<T>(
-        &mut self,
-        mut poll: impl FnMut(&mut Parser) -> Result<Poll<T>>,
-    ) -> Result<Option<T>> {
-        loop {
-            match poll(&mut self.parser)? {
-                Poll::Event(event) => return Ok(Some(event)),
-                Poll::End => return Ok(None),
-                Poll::NeedMore => self.fill(),
-            }
+/// Poll until an event or the end, reading from `input` on `NeedMore`.
+fn pull<R: Read>(
+    parser: &mut Parser,
+    input: &mut R,
+    store: &mut EventStore,
+) -> Result<Option<EventId>> {
+    loop {
+        match parser.poll_into(store)? {
+            Poll::Event(id) => return Ok(Some(id)),
+            Poll::End => return Ok(None),
+            Poll::NeedMore => parser.read_from(input),
         }
     }
 }
@@ -551,9 +627,6 @@ pub fn parse_events_recovering(
     policy: RecoveryPolicy,
 ) -> Result<(Vec<XmlEvent>, Vec<Fault>)> {
     let mut reader = Reader::from_str(xml).with_recovery(policy);
-    let mut events = Vec::new();
-    while let Some(ev) = reader.next_event()? {
-        events.push(ev);
-    }
+    let events = (&mut reader).collect::<Result<_>>()?;
     Ok((events, reader.take_faults()))
 }

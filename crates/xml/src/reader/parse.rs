@@ -2,42 +2,67 @@
 //! the byte-at-a-time classic state machine, both over the bytes already
 //! buffered in [`super::framing::Buffer`].
 //!
-//! Nothing here waits for input. A classic parser that runs off the buffer
-//! sees end of input (`None`); the poll loop in [`super`] decides afterwards
-//! whether that was the real end or the attempt must be rolled back.
+//! Both write each event straight into the caller's [`EventStore`]. Nothing
+//! here waits for input. A classic parser that runs off the buffer sees end
+//! of input (`None`); the poll loop in [`super`] decides afterwards whether
+//! that was the real end or the attempt must be rolled back.
 
 use super::framing::Scan;
 use super::{Parser, ScannerKind, State};
-use crate::error::{Result, XmlError};
-use crate::escape::{unescape, unescape_lossy};
-use crate::event::{Attribute, XmlEvent};
+use crate::error::{Position, Result, XmlError};
+use crate::escape::unescape_lossy;
 use crate::recover::{FaultAction, FaultKind, RecoveryPolicy};
 use crate::scan::{memchr, memchr3_or_non_ascii};
 use crate::store::{EventId, EventStore};
+use std::borrow::Cow;
+use std::ops::Range;
 
-/// Chunk-relative byte spans of one attribute recognized by the structural
-/// fast path: `name` and `value` index into the parser's buffered chunk.
-#[derive(Debug, Clone, Copy)]
-pub(super) struct AttrSpan {
-    name_lo: usize,
-    name_hi: usize,
-    value_lo: usize,
-    value_hi: usize,
-}
+/// Byte spans of one attribute (name, value) of the open tag in flight:
+/// into the buffered chunk on the fast path, into the parser's scratch
+/// bytes on the classic one.
+pub(super) type AttrSpan = (Range<usize>, Range<usize>);
 
-/// View validated-ASCII bytes as `&str`. The fast path proves slices ASCII
-/// (via [`memchr3_or_non_ascii`]) before calling this; the fallback value is
-/// unreachable and exists only to keep the function total without `unwrap`.
-fn ascii_str(bytes: &[u8]) -> &str {
-    debug_assert!(bytes.is_ascii());
+/// View bytes already proven UTF-8 as `&str`: ASCII by the fast path's
+/// sweep ([`memchr3_or_non_ascii`]), or repaired by the classic parser's
+/// `finish_piece`. The fallback value is unreachable and exists only to
+/// keep the function total without `unwrap`.
+fn utf8(bytes: &[u8]) -> &str {
     std::str::from_utf8(bytes).unwrap_or_default()
 }
 
-/// Upper bound on pooled buffers; beyond this, buffers are simply dropped
-/// (a document with thousands of attributes should not pin memory forever).
-const POOL_CAP: usize = 64;
-
 impl Parser {
+    /// Push a start tag's event — `name` and the `attrs` spans index the
+    /// buffered chunk (`in_chunk`, the fast path) or `scratch` — and open
+    /// its element. Nothing enters the open-element stack for an `<a/>`:
+    /// its close is queued, for the next pull. The start event is delivered
+    /// right after this, so its tick is the current `emitted` index.
+    fn open_element(
+        &mut self,
+        store: &mut EventStore,
+        name: Range<usize>,
+        self_closing: bool,
+        in_chunk: bool,
+    ) -> EventId {
+        let bytes = if in_chunk {
+            self.bytes.rest()
+        } else {
+            &self.scratch
+        };
+        let name = utf8(&bytes[name]);
+        let attrs = self
+            .attrs
+            .iter()
+            .map(|(name, value)| (utf8(&bytes[name.clone()]), utf8(&bytes[value.clone()])));
+        let id = store.push_start(name, attrs);
+        if self_closing {
+            self.closes.elements.push(name);
+        } else {
+            self.stack.push(name);
+            self.open_ticks.push(self.emitted);
+        }
+        id
+    }
+
     // ----- structural fast path (ScannerKind::Fast; see DESIGN.md §18) -----
     //
     // Every method here either recognizes one *complete, well-formed*
@@ -50,11 +75,7 @@ impl Parser {
     /// Try to deliver the next event via the structural fast path. `None`
     /// means "no byte consumed, use the classic scanner".
     pub(super) fn fast_poll(&mut self, store: &mut EventStore) -> Option<EventId> {
-        if self.scanner != ScannerKind::Fast
-            || self.skim.is_some()
-            || !self.queue.is_empty()
-            || self.pending.is_some()
-        {
+        if self.scanner != ScannerKind::Fast || self.skim.is_some() || !self.closes.is_empty() {
             return None; // skims, repair events, the close of `<a/>`: classic order
         }
         // Prolog/epilog/boundary constructs are rare: classic. So is a
@@ -86,12 +107,12 @@ impl Parser {
     /// Fast text run: ASCII character data up to a `<` inside the buffered
     /// chunk, with no entity reference. One fused sweep finds the end *and*
     /// proves the run entity-free ASCII; the bytes go into the store
-    /// verbatim (entity decoding and the latin-1 widening repack are both
-    /// no-ops on this shape).
+    /// verbatim (entity decoding and the UTF-8 repair are both no-ops on
+    /// this shape).
     fn fast_text(&mut self, store: &mut EventStore) -> Option<EventId> {
         let chunk = self.bytes.rest();
         // A `&` hit is an entity reference (classic decode-and-fault path);
-        // a non-ASCII hit is UTF-8 text (classic widen/repack path).
+        // a non-ASCII hit is UTF-8 text (classic UTF-8 repair path).
         let Some(stop) = memchr3_or_non_ascii(b'<', b'&', b'&', chunk) else {
             let n = chunk.len();
             self.bytes.examine(n);
@@ -101,7 +122,7 @@ impl Parser {
             self.bytes.examine(stop);
             return None;
         }
-        let id = store.push_text(ascii_str(&chunk[..stop]));
+        let id = store.push_text(utf8(&chunk[..stop]));
         self.bytes.consume_bulk(stop);
         Some(id)
     }
@@ -132,10 +153,8 @@ impl Parser {
             Some(top) if top.as_bytes() == name => {}
             _ => return None, // mismatch/stray close: classic fault handling
         }
-        let id = store.push_end(ascii_str(name));
-        if let Some(popped) = self.stack.pop() {
-            self.recycle_string(popped);
-        }
+        let id = store.push_end(utf8(name));
+        self.stack.pop();
         self.open_ticks.pop();
         if self.stack.is_empty() {
             self.state = State::Epilog;
@@ -148,13 +167,13 @@ impl Parser {
     /// the buffered chunk, all ASCII, no entity reference or `<` anywhere in
     /// the tag. The attribute spans are collected into a reusable scratch
     /// vector, then handed to [`EventStore::push_start`] as borrowed `&str`s
-    /// straight out of the input buffer — no intermediate `String`.
+    /// straight out of the input buffer.
     ///
     /// A `>` inside a quoted attribute value makes the candidate fail
     /// validation (the quote never closes before the first `>`), so it falls
     /// back rather than mis-parsing.
     fn fast_open_tag(&mut self, store: &mut EventStore) -> Option<EventId> {
-        self.fast_attrs.clear();
+        self.attrs.clear();
         let chunk = self.bytes.rest();
         // One fused sweep: the first `>`, `<`, `&` or non-ASCII byte after
         // the opening `<`. Only a `>` keeps the candidate — anything else is
@@ -215,34 +234,9 @@ impl Parser {
             let value_lo = i;
             let value_hi = value_lo + memchr(quote, &chunk[i..gt])?;
             i = value_hi + 1;
-            self.fast_attrs.push(AttrSpan {
-                name_lo,
-                name_hi: attr_name_hi,
-                value_lo,
-                value_hi,
-            });
+            self.attrs.push((name_lo..attr_name_hi, value_lo..value_hi));
         }
-        let name = ascii_str(&chunk[1..name_hi]);
-        let attrs = self.fast_attrs.iter().map(|span| {
-            (
-                ascii_str(&chunk[span.name_lo..span.name_hi]),
-                ascii_str(&chunk[span.value_lo..span.value_hi]),
-            )
-        });
-        let id = store.push_start(name, attrs);
-        let mut open = self.str_pool.pop().unwrap_or_default();
-        open.clear();
-        open.push_str(name);
-        if self_closing {
-            // Same bookkeeping as the classic path: the close is pre-parsed
-            // into `pending` and delivered on the next pull.
-            self.pending = Some(XmlEvent::EndElement { name: open });
-        } else {
-            self.stack.push(open);
-            // The start event is delivered right after this return, so its
-            // tick is the current `emitted` index (as in the classic path).
-            self.open_ticks.push(self.emitted);
-        }
+        let id = self.open_element(store, 1..name_hi, self_closing, true);
         // The sweep and the attribute walk each passed over the tag once
         // before it is consumed.
         self.bytes.examine(gt + 1);
@@ -250,218 +244,118 @@ impl Parser {
         Some(id)
     }
 
-    // ----- buffer recycling (the no-allocation steady state) -----
-
-    fn take_string(&mut self) -> String {
-        let mut s = self.str_pool.pop().unwrap_or_default();
-        s.clear();
-        s
-    }
-
-    fn recycle_string(&mut self, s: String) {
-        if self.str_pool.len() < POOL_CAP && s.capacity() > 0 {
-            self.str_pool.push(s);
-        }
-    }
-
-    fn take_attrs(&mut self) -> Vec<Attribute> {
-        self.attr_pool.pop().unwrap_or_default()
-    }
-
-    /// Reclaim the payload buffers of a consumed event.
-    pub(super) fn recycle_event(&mut self, event: XmlEvent) {
-        match event {
-            XmlEvent::StartElement {
-                name,
-                mut attributes,
-            } => {
-                self.recycle_string(name);
-                for a in attributes.drain(..) {
-                    self.recycle_string(a.name);
-                    self.recycle_string(a.value);
-                }
-                if self.attr_pool.len() < POOL_CAP {
-                    self.attr_pool.push(attributes);
-                }
-            }
-            XmlEvent::EndElement { name } => self.recycle_string(name),
-            XmlEvent::Text(t) | XmlEvent::Comment(t) => self.recycle_string(t),
-            XmlEvent::ProcessingInstruction { target, data } => {
-                self.recycle_string(target);
-                self.recycle_string(data);
-            }
-            XmlEvent::StartDocument | XmlEvent::EndDocument => {}
-        }
-    }
-
     // ----- the classic state machine -----
+    //
+    // A construct's bytes collect in `scratch` (cleared by the poll loop
+    // before each attempt) and become an event in the store only once the
+    // construct is complete.
 
-    /// Handle one prolog construct. Returns an event to deliver, or `None`
-    /// if the construct was consumed silently (whitespace, XML declaration,
-    /// DOCTYPE).
-    pub(super) fn prolog_event(&mut self) -> Result<Option<XmlEvent>> {
-        if !self.lt_consumed {
+    /// Handle one construct of the prolog, the root element's content or
+    /// the epilog. `Ok(None)` means it produced no event of its own:
+    /// whitespace, an XML declaration or DOCTYPE, a repaired close tag
+    /// (which queues its closes instead), or the end of the document (the
+    /// state is then `Done` or `Boundary`).
+    pub(super) fn construct_event(&mut self, store: &mut EventStore) -> Result<Option<EventId>> {
+        let state = self.state;
+        let trailing = |p: &Self| XmlError::TrailingContent {
+            position: p.bytes.position,
+        };
+        if state != State::Content && !self.lt_consumed {
             self.skip_whitespace();
         }
-        match if self.lt_consumed {
-            Some(b'<')
-        } else {
-            self.bytes.peek()
-        } {
-            None => Err(XmlError::EmptyDocument),
-            Some(b'<') => {
-                if self.lt_consumed {
-                    self.lt_consumed = false;
-                } else {
+        // Multi-document mode: the previous document's epilog consumed this
+        // root's `<` already.
+        if !std::mem::take(&mut self.lt_consumed) {
+            match (self.bytes.peek(), state) {
+                (Some(b'<'), _) => {
                     self.bytes.next();
                 }
-                match self.bytes.peek() {
-                    Some(b'?') => {
-                        self.bytes.next();
-                        self.parse_pi()
-                    }
-                    Some(b'!') => {
-                        self.bytes.next();
-                        match self.bytes.peek() {
-                            Some(b'-') => Ok(Some(self.parse_comment()?)),
-                            Some(b'D') => {
-                                self.skip_doctype()?;
-                                Ok(None)
-                            }
-                            _ => Err(XmlError::syntax(
-                                "unexpected `<!` construct in prolog",
-                                self.bytes.position,
-                            )),
-                        }
-                    }
-                    Some(b'/') => Err(XmlError::syntax(
-                        "close tag before any element was opened",
-                        self.bytes.position,
-                    )),
-                    _ => {
-                        self.root_open_tick = self.emitted;
-                        let ev = self.parse_open_tag()?;
-                        // A self-closing root (`<a/>`) leaves the stack empty:
-                        // go straight to the epilog once the pending
-                        // `EndElement` is delivered.
-                        self.state = if self.stack.is_empty() {
-                            State::Epilog
-                        } else {
-                            State::Content
-                        };
-                        Ok(Some(ev))
-                    }
+                (None, State::Prolog) => return Err(XmlError::EmptyDocument),
+                (None, State::Content) => return Err(self.unexpected_eof()),
+                (None, _) => {
+                    self.state = State::Done;
+                    return Ok(None);
                 }
-            }
-            Some(_) => Err(XmlError::syntax(
-                "character data before the root element",
-                self.bytes.position,
-            )),
-        }
-    }
-
-    /// Handle one content construct. `Ok(None)` means the construct was
-    /// consumed without producing an event directly (a repaired close tag
-    /// queues its events instead).
-    pub(super) fn content_event(&mut self) -> Result<Option<XmlEvent>> {
-        match self.bytes.peek() {
-            None => Err(XmlError::UnexpectedEof {
-                open_element: self.stack.last().cloned(),
-                position: self.bytes.position,
-            }),
-            Some(b'<') => self.markup_event(),
-            Some(_) => {
-                let text = self.parse_text()?;
-                Ok(Some(XmlEvent::Text(text)))
+                (Some(_), State::Prolog) => {
+                    return Err(XmlError::syntax(
+                        "character data before the root element",
+                        self.bytes.position,
+                    ))
+                }
+                (Some(_), State::Content) => {
+                    let text = self.parse_text()?;
+                    return Ok(Some(store.push_text(utf8(&self.scratch[text]))));
+                }
+                (Some(_), _) => return Err(trailing(self)),
             }
         }
-    }
-
-    /// Parse a `<...>` construct in content context.
-    fn markup_event(&mut self) -> Result<Option<XmlEvent>> {
-        self.bytes.next(); // consume '<'
-        match self.bytes.peek() {
-            Some(b'/') => {
+        match (self.bytes.peek(), state) {
+            (Some(b'?'), _) => {
                 self.bytes.next();
-                self.parse_close_tag()
-            }
-            Some(b'?') => {
-                self.bytes.next();
-                match self.parse_pi()? {
-                    Some(ev) => Ok(Some(ev)),
-                    // The XML declaration is only legal at the very start;
-                    // treat it here as a syntax error.
-                    None => Err(XmlError::syntax(
+                match self.parse_pi(store)? {
+                    // The XML declaration is only legal at the very start.
+                    None if state == State::Content => Err(XmlError::syntax(
                         "XML declaration inside the document",
                         self.bytes.position,
                     )),
+                    pi => Ok(pi),
                 }
             }
-            Some(b'!') => {
+            (Some(b'!'), _) => {
                 self.bytes.next();
-                match self.bytes.peek() {
-                    Some(b'-') => self.parse_comment().map(Some),
-                    Some(b'[') => {
+                match (self.bytes.peek(), state) {
+                    (Some(b'-'), _) => self.parse_comment(store).map(Some),
+                    (Some(b'['), State::Content) => {
                         let text = self.parse_cdata()?;
-                        Ok(Some(XmlEvent::Text(text)))
+                        Ok(Some(store.push_text(utf8(&self.scratch[text]))))
                     }
-                    _ => Err(XmlError::syntax(
+                    (Some(b'D'), State::Prolog) => self.skip_doctype().map(|()| None),
+                    (Some(b'D'), State::Epilog) if self.multi => {
+                        // DOCTYPE of the *next* document.
+                        self.skip_doctype()?;
+                        self.state = State::Boundary;
+                        Ok(None)
+                    }
+                    (_, State::Prolog) => Err(XmlError::syntax(
+                        "unexpected `<!` construct in prolog",
+                        self.bytes.position,
+                    )),
+                    (_, State::Content) => Err(XmlError::syntax(
                         "unexpected `<!` construct in content",
                         self.bytes.position,
                     )),
+                    _ => Err(trailing(self)),
                 }
             }
-            _ => self.parse_open_tag().map(Some),
-        }
-    }
-
-    /// Handle one epilog construct. `Ok(None)` with the state moved to
-    /// `Done` or `Boundary` means the document ended.
-    pub(super) fn epilog_event(&mut self) -> Result<Option<XmlEvent>> {
-        self.skip_whitespace();
-        match self.bytes.peek() {
-            None => {
-                self.state = State::Done;
+            (Some(b'/'), State::Content) => {
+                self.bytes.next();
+                self.parse_close_tag()
+            }
+            (Some(b'/'), State::Prolog) => Err(XmlError::syntax(
+                "close tag before any element was opened",
+                self.bytes.position,
+            )),
+            (Some(b), State::Epilog) if self.multi && is_name_start(b) => {
+                // A new root element: document boundary. The next prolog
+                // continues right after the `<`.
+                self.state = State::Boundary;
+                self.lt_consumed = true;
                 Ok(None)
             }
-            Some(b'<') => {
-                self.bytes.next();
-                match self.bytes.peek() {
-                    Some(b'?') => {
-                        self.bytes.next();
-                        self.parse_pi()
-                    }
-                    Some(b'!') => {
-                        self.bytes.next();
-                        match self.bytes.peek() {
-                            Some(b'-') => Ok(Some(self.parse_comment()?)),
-                            Some(b'D') if self.multi => {
-                                // DOCTYPE of the *next* document.
-                                self.skip_doctype()?;
-                                self.state = State::Boundary;
-                                Ok(None)
-                            }
-                            _ => Err(XmlError::TrailingContent {
-                                position: self.bytes.position,
-                            }),
-                        }
-                    }
-                    Some(b) if self.multi && is_name_start(b) => {
-                        // A new root element: document boundary. The `<` is
-                        // already consumed; the next prolog continues after
-                        // it.
-                        self.state = State::Boundary;
-                        self.lt_consumed = true;
-                        Ok(None)
-                    }
-                    _ => Err(XmlError::TrailingContent {
-                        position: self.bytes.position,
-                    }),
-                }
+            (_, State::Epilog) => Err(trailing(self)),
+            (_, State::Content) => self.parse_open_tag(store).map(Some),
+            _ => {
+                self.root_open_tick = self.emitted;
+                let id = self.parse_open_tag(store)?;
+                // A self-closing root (`<a/>`) leaves the stack empty: go
+                // straight to the epilog once its close is delivered.
+                self.state = if self.stack.is_empty() {
+                    State::Epilog
+                } else {
+                    State::Content
+                };
+                Ok(Some(id))
             }
-            Some(_) => Err(XmlError::TrailingContent {
-                position: self.bytes.position,
-            }),
         }
     }
 
@@ -469,40 +363,85 @@ impl Parser {
         self.bytes.skip_while(|b| b.is_ascii_whitespace());
     }
 
-    /// Parse a name (element or attribute). The first byte must already be
-    /// valid; subsequent bytes follow the (ASCII-approximated) NameChar rules.
-    /// Non-ASCII bytes are accepted verbatim so UTF-8 names pass through.
-    fn parse_name(&mut self) -> Result<String> {
+    /// Turn the raw bytes `scratch[lo..]` into the piece's text in place:
+    /// invalid UTF-8 becomes U+FFFD and, for text and attribute values
+    /// (`refs` says where the raw bytes start in the input, and where a
+    /// repair reports them), entity references are decoded — under a repair
+    /// policy an undecodable one becomes U+FFFD and a
+    /// [`FaultKind::BadEntity`] fault. Returns the piece's range.
+    fn finish_piece(
+        &mut self,
+        lo: usize,
+        refs: Option<(Position, Position)>,
+    ) -> Result<Range<usize>> {
+        let raw = &self.scratch[lo..];
+        let text = String::from_utf8_lossy(raw);
+        // Replacements made, and the first bad reference: its text and how
+        // many `&` precede it.
+        let (mut replaced, mut first_bad) = (0, None);
+        let fixed = match refs {
+            // No reference, no work: the dominant path, and no copy.
+            Some(_) if text.contains('&') => Some(unescape_lossy(&text, |amp, entity| {
+                replaced += 1;
+                first_bad
+                    .get_or_insert_with(|| (text[..amp].matches('&').count(), entity.to_string()));
+            })),
+            _ => match text {
+                Cow::Owned(fixed) => Some(fixed),
+                Cow::Borrowed(_) => None,
+            },
+        };
+        if let (Some((at, fault_at)), Some((nth, entity))) = (refs, first_bad) {
+            if self.policy == RecoveryPolicy::Strict {
+                // The UTF-8 repair keeps ASCII bytes in order, so the bad
+                // reference's `&` is the `nth` one in `raw` too.
+                let amp = (0..raw.len()).filter(|&i| raw[i] == b'&').nth(nth);
+                let mut position = at;
+                position.advance_bulk(&raw[..amp.unwrap_or(0)]);
+                return Err(XmlError::BadEntity { entity, position });
+            }
+            self.record_fault(
+                FaultKind::BadEntity,
+                fault_at,
+                FaultAction::Replaced,
+                format!("replaced {replaced} undecodable entity reference(s)"),
+                self.emitted,
+                self.emitted,
+            );
+        }
+        if let Some(fixed) = fixed {
+            self.scratch.truncate(lo);
+            self.scratch.extend_from_slice(fixed.as_bytes());
+        }
+        Ok(lo..self.scratch.len())
+    }
+
+    /// Parse a name (element or attribute) into `scratch`. The first byte
+    /// must already be valid; subsequent bytes follow the
+    /// (ASCII-approximated) NameChar rules. Non-ASCII bytes are accepted
+    /// verbatim so UTF-8 names pass through.
+    fn parse_name(&mut self) -> Result<Range<usize>> {
         let start = self.bytes.position;
         match self.bytes.peek() {
             Some(b) if is_name_start(b) => {}
             _ => return Err(XmlError::syntax("expected a name", start)),
         }
-        let mut name = self.take_string();
-        let mut high = false;
+        let lo = self.scratch.len();
         // `b >= 0x80` passes through UTF-8 continuation/start bytes.
         self.bytes
-            .scan_into(&mut name, &mut high, |b| is_name_char(b) || b >= 0x80);
-        Ok(if high { fix_latin(name) } else { name })
+            .scan_into(&mut self.scratch, |b| is_name_char(b) || b >= 0x80);
+        self.finish_piece(lo, None)
     }
 
-    fn parse_open_tag(&mut self) -> Result<XmlEvent> {
+    fn parse_open_tag(&mut self, store: &mut EventStore) -> Result<EventId> {
         let name = self.parse_name()?;
-        let mut attributes = self.take_attrs();
-        loop {
+        self.attrs.clear();
+        let self_closing = loop {
             self.skip_whitespace();
             match self.bytes.peek() {
                 Some(b'>') => {
                     self.bytes.next();
-                    // Copy the name into a pooled buffer for the open-element
-                    // stack instead of `clone()`: no allocation once warm.
-                    let mut open = self.take_string();
-                    open.push_str(&name);
-                    self.stack.push(open);
-                    // The start event is delivered right after this return,
-                    // so its tick is the current `emitted` index.
-                    self.open_ticks.push(self.emitted);
-                    return Ok(XmlEvent::StartElement { name, attributes });
+                    break false;
                 }
                 Some(b'/') => {
                     self.bytes.next();
@@ -512,30 +451,23 @@ impl Parser {
                             self.bytes.position,
                         ));
                     }
-                    // Self-closing element: two events, nothing pushed to the
-                    // open-element stack (the element opens and closes
-                    // atomically). If this was the root element the caller
-                    // transitions to the epilog based on the empty stack.
-                    let mut close = self.take_string();
-                    close.push_str(&name);
-                    self.pending = Some(XmlEvent::EndElement { name: close });
-                    return Ok(XmlEvent::StartElement { name, attributes });
+                    break true;
                 }
                 Some(b) if is_name_start(b) => {
                     let attr_name = self.parse_name()?;
                     self.skip_whitespace();
                     if self.bytes.next_or_eof()? != b'=' {
                         return Err(XmlError::syntax(
-                            format!("expected `=` after attribute name `{attr_name}`"),
+                            format!(
+                                "expected `=` after attribute name `{}`",
+                                utf8(&self.scratch[attr_name])
+                            ),
                             self.bytes.position,
                         ));
                     }
                     self.skip_whitespace();
                     let value = self.parse_attr_value()?;
-                    attributes.push(Attribute {
-                        name: attr_name,
-                        value,
-                    });
+                    self.attrs.push((attr_name, value));
                 }
                 Some(_) => {
                     return Err(XmlError::syntax(
@@ -545,25 +477,26 @@ impl Parser {
                 }
                 None => {
                     return Err(XmlError::UnexpectedEof {
-                        open_element: Some(name),
+                        open_element: Some(utf8(&self.scratch[name]).to_string()),
                         position: self.bytes.position,
                     })
                 }
             }
-        }
+        };
+        Ok(self.open_element(store, name, self_closing, false))
     }
 
-    fn parse_attr_value(&mut self) -> Result<String> {
+    fn parse_attr_value(&mut self) -> Result<Range<usize>> {
         let start = self.bytes.position;
         let quote = self.bytes.next_or_eof()?;
         if quote != b'"' && quote != b'\'' {
             return Err(XmlError::syntax("attribute value must be quoted", start));
         }
-        let mut raw = self.take_string();
-        let mut high = false;
+        let value_at = self.bytes.position;
+        let lo = self.scratch.len();
         match self
             .bytes
-            .scan_into(&mut raw, &mut high, |b| b != quote && b != b'<')
+            .scan_into(&mut self.scratch, |b| b != quote && b != b'<')
         {
             Scan::Stopped => {
                 if self.bytes.next() != Some(quote) {
@@ -573,58 +506,16 @@ impl Parser {
                     ));
                 }
             }
-            Scan::Eof => {
-                return Err(XmlError::UnexpectedEof {
-                    open_element: self.stack.last().cloned(),
-                    position: self.bytes.position,
-                })
-            }
+            Scan::Eof => return Err(self.unexpected_eof()),
         }
-        let raw = if high { fix_latin(raw) } else { raw };
-        self.decode_entities(raw, start)
+        self.finish_piece(lo, Some((value_at, start)))
     }
 
-    /// Decode entity references in `raw`; under a repair policy undecodable
-    /// references become U+FFFD replacement text and are reported as a
-    /// [`FaultKind::BadEntity`] fault instead of an error.
-    fn decode_entities(&mut self, raw: String, start: crate::Position) -> Result<String> {
-        // No reference, no work: hand the buffer back untouched. (This is
-        // the dominant path; it also means no copy out of a pooled buffer.)
-        if !raw.contains('&') {
-            return Ok(raw);
-        }
-        match unescape(&raw) {
-            Some(v) => {
-                // `raw` contains `&`, so a successful decode is always owned.
-                let v = v.into_owned();
-                self.recycle_string(raw);
-                Ok(v)
-            }
-            None if self.policy == RecoveryPolicy::Strict => Err(XmlError::BadEntity {
-                entity: raw,
-                position: start,
-            }),
-            None => {
-                let (fixed, replaced) = unescape_lossy(&raw);
-                self.record_fault(
-                    FaultKind::BadEntity,
-                    start,
-                    FaultAction::Replaced,
-                    format!("replaced {replaced} undecodable entity reference(s)"),
-                    self.emitted,
-                    self.emitted,
-                );
-                self.recycle_string(raw);
-                Ok(fixed)
-            }
-        }
-    }
-
-    /// Parse a close tag (`</` already consumed). Under a repair policy a
-    /// mismatched close auto-closes the intervening open elements (queueing
-    /// their end events) and a stray close is dropped; both return
-    /// `Ok(None)` with a recorded [`crate::Fault`].
-    fn parse_close_tag(&mut self) -> Result<Option<XmlEvent>> {
+    /// Parse a close tag (`</` already consumed) and queue its close. Under
+    /// a repair policy a mismatched close first auto-closes the intervening
+    /// open elements and a stray close is dropped, each with a recorded
+    /// [`crate::Fault`].
+    fn parse_close_tag(&mut self) -> Result<Option<EventId>> {
         let pos = self.bytes.position;
         let name = self.parse_name()?;
         self.skip_whitespace();
@@ -634,188 +525,151 @@ impl Parser {
                 self.bytes.position,
             ));
         }
-        match self.stack.last() {
-            Some(open) if *open == name => {
-                if let Some(popped) = self.stack.pop() {
-                    self.recycle_string(popped);
-                }
-                self.open_ticks.pop();
-                if self.stack.is_empty() {
-                    self.state = State::Epilog;
-                }
-                Ok(Some(XmlEvent::EndElement { name }))
-            }
-            Some(open) if self.policy == RecoveryPolicy::Strict => Err(XmlError::MismatchedTag {
-                expected: open.clone(),
-                found: name,
+        let name = utf8(&self.scratch[name]);
+        let Some(open) = self.stack.last() else {
+            return Err(XmlError::syntax("close tag without open element", pos));
+        };
+        if open != name && self.policy == RecoveryPolicy::Strict {
+            return Err(XmlError::MismatchedTag {
+                expected: open.to_string(),
+                found: name.to_string(),
                 position: pos,
-            }),
-            Some(_) => {
-                if let Some(idx) = self.stack.iter().rposition(|n| *n == name) {
-                    // Mismatched close: auto-close everything above the
-                    // matching open, then close it. The damage interval
-                    // starts at the outermost auto-closed element's open:
-                    // every event since then may sit at the wrong depth.
-                    let auto = self.stack.len() - idx - 1;
-                    let damage_from = self.open_ticks.get(idx + 1).copied().unwrap_or(0);
-                    while self.stack.len() > idx {
-                        if let Some(top) = self.stack.pop() {
-                            self.open_ticks.pop();
-                            self.queue.push_back(XmlEvent::EndElement { name: top });
-                        }
-                    }
-                    self.record_fault(
-                        FaultKind::MismatchedClose,
-                        pos,
-                        FaultAction::AutoClosed,
-                        format!("auto-closed {auto} open element(s) at </{name}>"),
-                        damage_from,
-                        self.emitted + auto as u64,
-                    );
-                    if self.stack.is_empty() {
-                        self.state = State::Epilog;
-                    }
-                } else {
-                    // Stray close: no such element is open. Conservatively
-                    // taint everything since the innermost open element's
-                    // start (a duplicated close may have silently closed a
-                    // same-named ancestor earlier).
-                    let damage_from = self.open_ticks.last().copied().unwrap_or(0);
-                    self.record_fault(
-                        FaultKind::StrayClose,
-                        pos,
-                        FaultAction::Dropped,
-                        format!("dropped stray close tag </{name}>"),
-                        damage_from,
-                        self.emitted,
-                    );
-                }
-                Ok(None)
-            }
-            None => Err(XmlError::syntax("close tag without open element", pos)),
+            });
         }
+        let Some(idx) = (0..self.stack.len()).rfind(|&i| self.stack.get(i) == name) else {
+            // Stray close: no such element is open. Conservatively taint
+            // everything since the innermost open element's start (a
+            // duplicated close may have silently closed a same-named
+            // ancestor earlier).
+            let detail = format!("dropped stray close tag </{name}>");
+            let damage_from = self.open_ticks.last().copied().unwrap_or(0);
+            let to = self.emitted;
+            self.record_fault(
+                FaultKind::StrayClose,
+                pos,
+                FaultAction::Dropped,
+                detail,
+                damage_from,
+                to,
+            );
+            return Ok(None);
+        };
+        // The close is queued, after the auto-closes of a mismatched close:
+        // everything above the matching open. Their damage interval starts
+        // at the outermost auto-closed element's open: every event since
+        // then may sit at the wrong depth.
+        let auto = self.stack.len() - idx - 1;
+        if auto > 0 {
+            let detail = format!("auto-closed {auto} open element(s) at </{name}>");
+            let damage_from = self.open_ticks[idx + 1];
+            let to = self.emitted + auto as u64;
+            self.record_fault(
+                FaultKind::MismatchedClose,
+                pos,
+                FaultAction::AutoClosed,
+                detail,
+                damage_from,
+                to,
+            );
+        }
+        while self.stack.len() > idx {
+            self.close_innermost();
+        }
+        if self.stack.is_empty() {
+            self.state = State::Epilog;
+        }
+        Ok(None)
     }
 
-    /// Parse raw character data up to the next `<` (or the end of input),
-    /// decoding entities.
-    fn parse_text(&mut self) -> Result<String> {
+    /// Parse raw character data up to the next `<` (or the end of input)
+    /// into `scratch`, decoding entities.
+    fn parse_text(&mut self) -> Result<Range<usize>> {
         let start = self.bytes.position;
-        let mut raw = self.take_string();
-        let mut high = false;
-        self.bytes.scan_into(&mut raw, &mut high, |b| b != b'<');
-        let raw = if high { fix_latin(raw) } else { raw };
-        self.decode_entities(raw, start)
+        let lo = self.scratch.len();
+        self.bytes.scan_into(&mut self.scratch, |b| b != b'<');
+        self.finish_piece(lo, Some((start, start)))
     }
 
-    /// The `UnexpectedEof` raised inside a comment, CDATA section or PI.
-    fn eof_in_markup(&self) -> XmlError {
+    /// The `UnexpectedEof` raised in content, an attribute value, a comment,
+    /// CDATA section or PI.
+    fn unexpected_eof(&self) -> XmlError {
         XmlError::UnexpectedEof {
-            open_element: self.stack.last().cloned(),
+            open_element: self.stack.last().map(str::to_string),
             position: self.bytes.position,
         }
     }
 
+    /// Collect the raw bytes of a comment, CDATA section or PI into
+    /// `scratch`: up to a `>` after a run of at least `n` `term`s (`-->`,
+    /// `]]>`, `?>`), whose last `n` end the construct.
+    fn scan_until(&mut self, term: u8, n: usize) -> Result<()> {
+        let mut run = 0usize;
+        loop {
+            match self.bytes.next() {
+                None => return Err(self.unexpected_eof()),
+                Some(b) if b == term => run += 1,
+                Some(b'>') if run >= n => {
+                    self.scratch.resize(self.scratch.len() + run - n, term);
+                    return Ok(());
+                }
+                Some(b) => {
+                    self.scratch.resize(self.scratch.len() + run, term);
+                    run = 0;
+                    self.scratch.push(b);
+                }
+            }
+        }
+    }
+
     /// Parse a comment; the leading `<!` is already consumed and `-` peeked.
-    fn parse_comment(&mut self) -> Result<XmlEvent> {
+    fn parse_comment(&mut self, store: &mut EventStore) -> Result<EventId> {
         let pos = self.bytes.position;
         for _ in 0..2 {
             if self.bytes.next_or_eof()? != b'-' {
                 return Err(XmlError::syntax("malformed comment opener", pos));
             }
         }
-        let mut content = self.take_string();
-        let mut dashes = 0usize;
-        loop {
-            match self.bytes.next() {
-                None => return Err(self.eof_in_markup()),
-                Some(b'-') => dashes += 1,
-                Some(b'>') if dashes >= 2 => {
-                    // remove the two trailing dashes we buffered
-                    for _ in 0..dashes.saturating_sub(2) {
-                        content.push('-');
-                    }
-                    return Ok(XmlEvent::Comment(fix_latin(content)));
-                }
-                Some(b) => {
-                    for _ in 0..dashes {
-                        content.push('-');
-                    }
-                    dashes = 0;
-                    content.push(b as char);
-                }
-            }
-        }
+        self.scan_until(b'-', 2)?;
+        let comment = self.finish_piece(0, None)?;
+        Ok(store.push_comment(utf8(&self.scratch[comment])))
     }
 
-    /// Parse `<![CDATA[ ... ]]>`; `<!` consumed, `[` peeked.
-    fn parse_cdata(&mut self) -> Result<String> {
+    /// Parse `<![CDATA[ ... ]]>` into `scratch`; `<!` consumed, `[` peeked.
+    fn parse_cdata(&mut self) -> Result<Range<usize>> {
         let pos = self.bytes.position;
         for expected in b"[CDATA[" {
             if self.bytes.next_or_eof()? != *expected {
                 return Err(XmlError::syntax("malformed CDATA opener", pos));
             }
         }
-        let mut content = self.take_string();
-        let mut brackets = 0usize;
-        loop {
-            match self.bytes.next() {
-                None => return Err(self.eof_in_markup()),
-                Some(b']') => brackets += 1,
-                Some(b'>') if brackets >= 2 => {
-                    for _ in 0..brackets.saturating_sub(2) {
-                        content.push(']');
-                    }
-                    return Ok(fix_latin(content));
-                }
-                Some(b) => {
-                    for _ in 0..brackets {
-                        content.push(']');
-                    }
-                    brackets = 0;
-                    content.push(b as char);
-                }
-            }
-        }
+        self.scan_until(b']', 2)?;
+        self.finish_piece(0, None)
     }
 
     /// Parse a processing instruction; `<?` already consumed. Returns `None`
     /// for the XML declaration (`<?xml ...?>`), which is consumed silently.
-    fn parse_pi(&mut self) -> Result<Option<XmlEvent>> {
+    fn parse_pi(&mut self, store: &mut EventStore) -> Result<Option<EventId>> {
         let target = self.parse_name()?;
-        let mut data = self.take_string();
-        let mut question = false;
-        loop {
-            match self.bytes.next() {
-                None => return Err(self.eof_in_markup()),
-                Some(b'?') => {
-                    if question {
-                        data.push('?');
-                    }
-                    question = true;
-                }
-                Some(b'>') if question => break,
-                Some(b) => {
-                    if question {
-                        data.push('?');
-                        question = false;
-                    }
-                    data.push(b as char);
-                }
-            }
-        }
-        if target.eq_ignore_ascii_case("xml") {
-            self.recycle_string(target);
-            self.recycle_string(data);
+        self.scan_until(b'?', 1)?;
+        if utf8(&self.scratch[target.clone()]).eq_ignore_ascii_case("xml") {
             return Ok(None);
         }
-        // Trim in place rather than `data.trim().to_string()`.
-        data.truncate(data.trim_end().len());
-        let lead = data.len() - data.trim_start().len();
-        if lead > 0 {
-            data.drain(..lead);
-        }
-        let data = fix_latin(data);
-        Ok(Some(XmlEvent::ProcessingInstruction { target, data }))
+        // Trim the data. Bytes that are whitespace as latin-1 characters
+        // (U+0085 and U+00A0 too) are trimmed, as before UTF-8 decoding.
+        let space = |b: &u8| char::from(*b).is_whitespace();
+        let data = &self.scratch[target.end..];
+        let end = target.end + data.iter().rposition(|b| !space(b)).map_or(0, |i| i + 1);
+        let lead = self.scratch[target.end..end]
+            .iter()
+            .take_while(|b| space(b))
+            .count();
+        self.scratch.truncate(end);
+        self.scratch.drain(target.end..target.end + lead);
+        let data = self.finish_piece(target.end, None)?;
+        Ok(Some(store.push_pi(
+            utf8(&self.scratch[target]),
+            utf8(&self.scratch[data]),
+        )))
     }
 
     /// Skip `<!DOCTYPE ...>`, including an internal subset `[...]`.
@@ -835,29 +689,6 @@ impl Parser {
             }
         }
     }
-}
-
-/// Bytes were pushed into `String`s as single chars (latin-1 style); re-pack
-/// any bytes ≥ 0x80 back into proper UTF-8.
-///
-/// The parser reads byte-wise and stores each byte as a `char`; for ASCII
-/// documents this is already correct, and for UTF-8 input the bytes ≥ 0x80
-/// were widened to chars U+0080..U+00FF. This helper re-encodes them as the
-/// original byte sequence and validates the result as UTF-8; invalid UTF-8 is
-/// replaced (lossily) so the parser never fails on encoding alone.
-fn fix_latin(s: String) -> String {
-    if s.is_ascii() {
-        return s;
-    }
-    let bytes: Vec<u8> = s
-        .chars()
-        .map(|c| {
-            let v = c as u32;
-            debug_assert!(v < 0x100, "parser only widens single bytes");
-            v as u8
-        })
-        .collect();
-    String::from_utf8_lossy(&bytes).into_owned()
 }
 
 pub(super) fn is_name_start(b: u8) -> bool {

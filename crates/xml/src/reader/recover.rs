@@ -10,7 +10,6 @@
 use super::framing::{terminator_end, Input, TagScan};
 use super::{Parser, State};
 use crate::error::{Position, Result, XmlError};
-use crate::event::XmlEvent;
 use crate::recover::{Fault, FaultAction, FaultKind, RecoveryPolicy};
 use crate::scan::memchr;
 
@@ -85,7 +84,7 @@ impl Parser {
     }
 
     /// Central fault dispatcher: repair or contain `err`, queueing any
-    /// synthesized events and starting any skim. Errors returned from here
+    /// synthesized closes and starting any skim. Errors returned from here
     /// are terminal.
     pub(super) fn recover(&mut self, err: XmlError) -> Result<()> {
         let position = err.position().unwrap_or(self.bytes.position);
@@ -105,7 +104,7 @@ impl Parser {
                     self.emitted,
                     u64::MAX,
                 );
-                self.queue.push_back(XmlEvent::EndDocument);
+                self.closes.document = true;
                 self.state = State::Done;
             }
             XmlError::TrailingContent { .. } => self.drop_trailing(position),
@@ -140,12 +139,8 @@ impl Parser {
             self.emitted,
             u64::MAX,
         );
-        while let Some(name) = self.stack.pop() {
-            self.open_ticks.pop();
-            self.queue.push_back(XmlEvent::EndElement { name });
-        }
-        self.queue.push_back(XmlEvent::EndDocument);
-        self.pending = None;
+        while self.close_innermost().is_some() {}
+        self.closes.document = true;
         self.state = State::Done;
     }
 
@@ -167,19 +162,19 @@ impl Parser {
     /// the raw bytes until its real close tag, so sibling subtrees stay
     /// evaluable.
     fn skip_enclosing_subtree(&mut self, position: Position, what: &str) {
-        let Some(name) = self.stack.pop() else {
+        let Some(name) = self.stack.last() else {
             return self.resync_garbage(position, what);
         };
-        let open_tick = self.open_ticks.pop().unwrap_or(0);
+        let detail = format!("{what}; skipped the rest of <{name}>");
+        let open_tick = self.close_innermost().unwrap_or(0);
         self.record_fault(
             FaultKind::Garbage,
             position,
             FaultAction::SkippedSubtree,
-            format!("{what}; skipped the rest of <{name}>"),
+            detail,
             open_tick,
             self.emitted,
         );
-        self.queue.push_back(XmlEvent::EndElement { name });
         if self.stack.is_empty() {
             self.state = State::Epilog;
         }
@@ -297,7 +292,7 @@ impl Parser {
                 _ => {}
             }
             if matches!(skim, Skim::Rest) {
-                self.queue.push_back(XmlEvent::EndDocument);
+                self.closes.document = true;
                 self.state = State::Done;
             }
         }

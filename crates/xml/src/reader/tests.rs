@@ -1,5 +1,6 @@
 use super::framing::BUF_SIZE;
 use super::*;
+use crate::event::Attribute;
 use crate::recover::FaultAction;
 
 fn ok(xml: &str) -> Vec<XmlEvent> {
@@ -159,6 +160,17 @@ fn empty_document_detected() {
 #[test]
 fn bad_entity_detected() {
     assert!(matches!(err("<a>&nope;</a>"), XmlError::BadEntity { .. }));
+    // The first bad reference and its `&`, not the whole text run or
+    // attribute value.
+    for (xml, bad, offset) in [
+        ("<a>hello world &nope; tail</a>", "&nope;", 15),
+        ("<a k='x &amp; &bad; y'/>", "&bad;", 14),
+    ] {
+        let XmlError::BadEntity { entity, position } = err(xml) else {
+            panic!("expected BadEntity for {xml:?}");
+        };
+        assert_eq!((entity.as_str(), position.offset), (bad, offset));
+    }
 }
 
 #[test]
@@ -659,7 +671,11 @@ fn feed_in_chunks(parser: &mut Parser, xml: &[u8], chunk: usize) -> usize {
                 events += 1;
                 store.reset();
             }
-            Poll::NeedMore => return false,
+            Poll::NeedMore => {
+                // An attempt rolled back leaves the store as it found it.
+                assert!(store.is_empty(), "NeedMore left events in the store");
+                return false;
+            }
             Poll::End => return true,
         }
     };
@@ -701,6 +717,23 @@ fn failed_input_surfaces_after_the_buffered_events() {
     );
     assert!(parser.truncated());
     assert_eq!(parser.faults()[0].position.offset, 10);
+}
+
+#[test]
+fn rolled_back_attempts_leave_the_store_empty() {
+    // UTF-8 and entity text take the classic path, which writes its event
+    // before it can tell the input ran out: split anywhere, it is rolled
+    // back and the store holds nothing at `NeedMore` (`feed_in_chunks`).
+    let xml = "<r>grüße &amp; 東京<a k='v &lt; w'>x &lt; y</a>é<!--c--><?p d?></r>";
+    for (chunk, scanner) in
+        (2..xml.len()).flat_map(|n| [(n, ScannerKind::Fast), (n, ScannerKind::Classic)])
+    {
+        let mut parser = Parser::new().with_scanner(scanner);
+        assert_eq!(
+            feed_in_chunks(&mut parser, xml.as_bytes(), chunk),
+            ok(xml).len()
+        );
+    }
 }
 
 /// Satellite: constructs far larger than any chunk, fed one byte per

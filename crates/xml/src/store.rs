@@ -2,13 +2,15 @@
 //!
 //! A [`EventStore`] holds one run's document messages as compact
 //! [`StoredEvent`] records (an interned label [`Symbol`] plus a payload
-//! range) over a single shared byte buffer. Producers (the reader's
-//! [`crate::reader::Reader::next_into`]) append events once; every consumer
-//! downstream — transducer fan-out, candidate buffering, result
-//! serialization — copies only `u32` [`EventId`] handles. Events are read
-//! back as borrowing [`RawEvent`] views; an owned [`XmlEvent`] conversion
-//! ([`RawEvent::to_owned_event`]) remains for the tree/DOM oracle and for
-//! consumers that must outlive the arena (e.g. quarantined fragments).
+//! range) over a single shared byte buffer. The reader
+//! ([`crate::reader::Parser::poll_into`]) writes every event into one once,
+//! with both scanners; every consumer downstream — transducer fan-out,
+//! candidate buffering, result serialization, the recovery quarantine —
+//! copies only `u32` [`EventId`] handles, or a view into a store of its own
+//! ([`EventStore::push_view`]). Events are read back as borrowing
+//! [`RawEvent`] views; the owned [`XmlEvent`] conversion
+//! ([`RawEvent::to_owned_event`]) is for the edges that hand out owned
+//! events: the pull iterator and the tree/DOM oracle.
 //!
 //! The arena is reset between result-free stretches of the stream (the
 //! engine resets it whenever no undetermined candidate buffers any event),
@@ -88,6 +90,15 @@ pub struct StoredAttr {
     name_hi: u32,
     val_lo: u32,
     val_hi: u32,
+}
+
+/// How far an [`EventStore`] was filled; [`EventStore::truncate`] rolls
+/// back to it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StoreMark {
+    events: usize,
+    bytes: usize,
+    attrs: usize,
 }
 
 /// The per-run append-only event arena. See the module docs.
@@ -173,6 +184,34 @@ impl EventStore {
         self.attrs.clear();
     }
 
+    /// The store's current length, for [`Self::truncate`].
+    #[must_use]
+    pub fn mark(&self) -> StoreMark {
+        StoreMark {
+            events: self.events.len(),
+            bytes: self.bytes.len(),
+            attrs: self.attrs.len(),
+        }
+    }
+
+    /// Forget the events pushed since `mark` was taken (an attempt the
+    /// reader rolled back), keeping interned symbols. Their bytes never
+    /// count towards [`Self::peak_bytes`].
+    pub fn truncate(&mut self, mark: StoreMark) {
+        self.events.truncate(mark.events);
+        self.bytes.truncate(mark.bytes);
+        self.attrs.truncate(mark.attrs);
+    }
+
+    /// The handles of the events at push indices `range`.
+    ///
+    /// # Panics
+    /// Panics if `range` reaches past the stored events.
+    pub fn ids(&self, range: std::ops::Range<usize>) -> impl Iterator<Item = EventId> {
+        assert!(range.end <= self.events.len(), "event range out of bounds");
+        range.map(|i| EventId(u32::try_from(i).unwrap_or(u32::MAX)))
+    }
+
     fn push_record(&mut self, kind: StoredKind, sym: Symbol, lo: usize, hi: usize) -> EventId {
         let id = u32::try_from(self.events.len()).unwrap_or(u32::MAX);
         self.events.push(StoredEvent {
@@ -255,22 +294,22 @@ impl EventStore {
         )
     }
 
+    /// Append a copy of a view (of another store, or of an owned event).
+    pub fn push_view(&mut self, event: &RawEvent<'_>) -> EventId {
+        match *event {
+            RawEvent::StartDocument => self.push_start_document(),
+            RawEvent::EndDocument => self.push_end_document(),
+            RawEvent::StartElement { name, attributes } => self.push_start(name, attributes.iter()),
+            RawEvent::EndElement { name } => self.push_end(name),
+            RawEvent::Text(t) => self.push_text(t),
+            RawEvent::Comment(c) => self.push_comment(c),
+            RawEvent::ProcessingInstruction { target, data } => self.push_pi(target, data),
+        }
+    }
+
     /// Append an owned event by copying its payload into the arena.
     pub fn push_owned(&mut self, event: &XmlEvent) -> EventId {
-        match event {
-            XmlEvent::StartDocument => self.push_start_document(),
-            XmlEvent::EndDocument => self.push_end_document(),
-            XmlEvent::StartElement { name, attributes } => self.push_start(
-                name,
-                attributes
-                    .iter()
-                    .map(|a| (a.name.as_str(), a.value.as_str())),
-            ),
-            XmlEvent::EndElement { name } => self.push_end(name),
-            XmlEvent::Text(t) => self.push_text(t),
-            XmlEvent::Comment(c) => self.push_comment(c),
-            XmlEvent::ProcessingInstruction { target, data } => self.push_pi(target, data),
-        }
+        self.push_view(&RawEvent::from_event(event))
     }
 
     /// The compact record behind `id`.
@@ -351,8 +390,8 @@ pub enum RawEvent<'buf> {
 }
 
 impl<'buf> RawEvent<'buf> {
-    /// Borrow a view from an owned event (used to replay buffered owned
-    /// fragments through sinks that consume views).
+    /// Borrow a view from an owned event (to hand an owned event to code
+    /// that consumes views, such as [`EventStore::push_view`]).
     #[must_use]
     pub fn from_event(event: &'buf XmlEvent) -> Self {
         match event {
@@ -371,8 +410,8 @@ impl<'buf> RawEvent<'buf> {
         }
     }
 
-    /// Copy this view into an owned [`XmlEvent`] (the conversion kept for
-    /// the tree/DOM oracle and for buffers that outlive the arena).
+    /// Copy this view into an owned [`XmlEvent`] (the conversion at the
+    /// edges that hand out owned events).
     #[must_use]
     pub fn to_owned_event(&self) -> XmlEvent {
         match *self {
@@ -404,6 +443,12 @@ impl<'buf> RawEvent<'buf> {
             RawEvent::StartElement { name, .. } | RawEvent::EndElement { name } => Some(name),
             _ => None,
         }
+    }
+}
+
+impl<'buf> From<&'buf XmlEvent> for RawEvent<'buf> {
+    fn from(event: &'buf XmlEvent) -> Self {
+        RawEvent::from_event(event)
     }
 }
 

@@ -6,9 +6,11 @@
 //! fenced block) a `harness <subcommand>` must be an arm of the harness's
 //! `main` match, a `cargo bench … --bench NAME` must name a `[[bench]]`
 //! target of some manifest, and a `--flag` on a `spex` command line must be
-//! in `spex --help` (`spex serve --help` after `spex serve`). `benchmark/`
-//! is checked by its own runner; ROADMAP.md and CHANGES.md are history and
-//! not scanned.
+//! in `spex --help` (`spex serve --help` after `spex serve`). A
+//! `Type::member` in code must name a `struct`, `enum`, `trait` or `type`
+//! `Type` and a `fn member` or a `member:` field somewhere under `crates/`
+//! or `src/`. `benchmark/` is checked by its own runner; ROADMAP.md and
+//! CHANGES.md are history and not scanned.
 
 use std::path::Path;
 
@@ -166,6 +168,53 @@ fn path_citations(text: &str) -> Vec<String> {
         .collect()
 }
 
+/// Every `Type::member` in `code` (`spex_core::Pump::step` cites
+/// `Pump::step`).
+fn member_citations(code: &str) -> Vec<(&str, &str)> {
+    let ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    code.match_indices("::")
+        .filter_map(|(at, _)| {
+            let ty = code[..at].rsplit(|c| !ident(c)).next()?;
+            let member = code[at + 2..].split(|c| !ident(c)).next()?;
+            let lower = |c: char| c.is_ascii_lowercase() || c == '_';
+            (ty.starts_with(|c: char| c.is_ascii_uppercase()) && member.starts_with(lower))
+                .then_some((ty, member))
+        })
+        .collect()
+}
+
+/// Does the Rust `source` declare a type `ty` and a `fn member` or a
+/// `member: ` field?
+fn declares(source: &str, ty: &str, member: &str) -> bool {
+    let found = |prefix: &str, name: &str, next: &[&str]| {
+        let needle = format!("{prefix}{name}");
+        source.match_indices(&needle).any(|(at, _)| {
+            !source[..at].ends_with(|c: char| c.is_ascii_alphanumeric() || c == '_')
+                && next
+                    .iter()
+                    .any(|n| source[at + needle.len()..].starts_with(n))
+        })
+    };
+    ["struct ", "enum ", "trait ", "type "]
+        .iter()
+        .any(|kind| found(kind, ty, &[" ", "<", "(", ";"]))
+        && (found("fn ", member, &["(", "<"]) || found("", member, &[": "]))
+}
+
+/// All Rust source under `dir`, concatenated.
+fn rust_source(dir: &Path) -> String {
+    let entries = std::fs::read_dir(dir).into_iter().flatten().flatten();
+    entries
+        .map(|entry| match entry.path() {
+            path if path.is_dir() => rust_source(&path),
+            path if path.extension().is_some_and(|e| e == "rs") => {
+                std::fs::read_to_string(path).unwrap_or_default()
+            }
+            _ => String::new(),
+        })
+        .collect()
+}
+
 /// Every `BENCH_<n>` in `text`, as the artifact file name it cites.
 fn bench_citations(text: &str) -> Vec<String> {
     text.match_indices("BENCH_")
@@ -184,6 +233,7 @@ fn cited_artifacts_and_harness_subcommands_exist() {
     let arms = harness_subcommands();
     assert!(arms.contains(&"vm-diff".to_string()), "arms: {arms:?}");
     let targets = bench_targets();
+    let source = rust_source(&root().join("crates")) + &rust_source(&root().join("src"));
     let mut missing = Vec::new();
     for doc in DOCS {
         let text = read(doc);
@@ -208,6 +258,11 @@ fn cited_artifacts_and_harness_subcommands_exist() {
                     missing.push(format!(
                         "{doc}:{line}: `--bench {name}` is not a bench target"
                     ));
+                }
+            }
+            for (ty, member) in member_citations(&code) {
+                if !declares(&source, ty, member) {
+                    missing.push(format!("{doc}:{line}: `{ty}::{member}` names nothing"));
                 }
             }
             for (serve, flag) in spex_flag_citations(&code) {
@@ -272,6 +327,16 @@ fn the_scanners_find_what_they_should() {
         "--limit-buffered-bytes"
     ));
     assert!(!usage_lists("--limit-buffered-bytes N", "--limit-buffered"));
+    assert_eq!(
+        member_citations("spex_core::Pump::step(budget), Vec::<u8>::new, A::b::C"),
+        [("Pump", "step"), ("A", "b")]
+    );
+    assert!(declares(
+        "pub struct P<S> {\n    pub step: u8,",
+        "P",
+        "step"
+    ));
+    assert!(!declares("struct PP; fn step_two(", "P", "step"));
     let md = "a `harness x` b\n```\nharness y\n```\nharness z";
     assert_eq!(
         code_pieces(md),
