@@ -14,8 +14,10 @@
 //! harness formula_growth     §V: formula size vs depth and #qualified closures
 //! harness multiquery         §VIII/E12: many profiles over one stream
 //! harness transducers        §V per-transducer bounds, measured (messages, stacks)
-//! harness fault-sweep [R [C]]  robustness: R seeds × 6 mutators × 2 recovery
-//!                            policies over C-country Mondial (soundness check)
+//! harness fault-sweep [--rounds R] [--countries C]
+//!                            robustness: R (default 9) seeds × 6 mutators ×
+//!                            2 recovery policies over C-country (default
+//!                            30) Mondial (soundness check)
 //! harness vm-diff [--cases N] [--seed S] [--fault-rounds R]
 //!                            differential rig: N seeded random documents x
 //!                            random queries through the VM, the reference
@@ -29,12 +31,6 @@
 //!                            mutator x both policies);
 //!                            fragments, faults, quarantine sets and stats
 //!                            must be byte-identical or the run fails
-//! harness reactor-smoke [--spex PATH] [--conns N]
-//!                            process-level reactor check: a real `spex
-//!                            serve` child holds N (default 10,000) idle
-//!                            connections plus live sessions, then SIGTERM
-//!                            must drain and exit 0 with every idle
-//!                            connection still open
 //! harness crash-diff [--cases N] [--seed S] [--kills K]
 //!                            restart-transparency rig: N random streams x
 //!                            queries, killed at K random byte offsets per
@@ -60,11 +56,23 @@
 //!                            concatenated output byte-identical to the
 //!                            one-shot CLI (PATH defaults to the `spex`
 //!                            binary next to this harness)
-//! harness all                everything above except crash-smoke and
-//!                            reactor-smoke (which need the separately
-//!                            built `spex` binary)
-//! harness mem-probe P D C    (internal) run one evaluation and print peak RSS
+//! harness reactor-smoke [--spex PATH] [--conns N]
+//!                            process-level reactor check: a real `spex
+//!                            serve` child holds N (default 10,000) idle
+//!                            connections plus live sessions, then SIGTERM
+//!                            must drain and exit 0 with every idle
+//!                            connection still open
+//! harness mem-probe P D C F  (internal) run one evaluation and print peak RSS
+//! harness all                every table and rig above, in order, except
+//!                            crash-smoke and reactor-smoke (which need the
+//!                            separately built `spex` binary)
 //! ```
+//!
+//! Every subcommand reads its options through one strict parser
+//! (`spex_bench::rig::Flags`) and shares the exit codes: 0 pass, 1 a rig
+//! found a failure (each printed on stderr behind the rig's prefix, such as
+//! `DIVERGENCE: `), 2 usage (an unknown flag, a flag without its value or a
+//! malformed value; a usage line follows).
 //!
 //! DMOZ runs default to 1/10 of the paper's sizes; set `SPEX_BENCH_FULL=1`
 //! for the full 300 MB / 1 GB streams or `SPEX_BENCH_SCALE=x` for a custom
@@ -72,56 +80,98 @@
 
 #![forbid(unsafe_code)]
 
+use spex_bench::rig::{spawn_serve, Flags, Report};
 use spex_bench::{
-    dmoz_scale, mondial_events, peak_rss_kb, run_query, run_spex_streaming, stream_bytes,
-    wordnet_events, Processor, RunResult,
+    dmoz_scale, mondial_events, peak_rss_kb, run_query, run_spex_streaming, select_in_tree,
+    stream_bytes, wordnet_events, Processor, RunResult,
 };
 use spex_core::CompiledNetwork;
 use spex_query::{QueryMetrics, Rpeq};
 use spex_workloads::{dmoz_content, dmoz_structure, queries_for, Dataset, QuoteStream};
 use spex_xml::XmlEvent;
-use std::time::Instant;
+use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
+
+/// A subcommand's entry point, by what it is, which decides who runs it.
+/// Rigs return their report, or a usage error.
+enum Run {
+    /// Regenerates a table of the paper's evaluation; `harness all` runs it.
+    Table(fn()),
+    /// A correctness rig; `harness all` and CI run it.
+    Rig(fn(&Flags) -> Result<Report, String>),
+    /// A rig that drives the separately built `spex` binary; CI runs it.
+    Smoke(fn(&Flags) -> Result<Report, String>),
+    /// Neither: `all` runs the others, and `memory` runs `mem-probe`.
+    Other(fn(&Flags) -> Result<Report, String>),
+}
+use Run::*;
+
+/// One subcommand: its name, the options it reads as its usage line shows
+/// them (`--flag VALUE`, or a positional `NAME`), and its entry point.
+struct Command(&'static str, &'static [&'static str], Run);
+
+/// Every subcommand, in the order `harness all` runs them.
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    Command("fig14", &[], Table(fig14)),
+    Command("fig15", &[], Table(fig15)),
+    Command("memory", &[], Table(memory)),
+    Command("lemma_v1", &[], Table(lemma_v1)),
+    Command("scaling", &[], Table(scaling)),
+    Command("formula_growth", &[], Table(formula_growth)),
+    Command("multiquery", &[], Table(multiquery)),
+    Command("transducers", &[], Table(transducers)),
+    Command("fault-sweep", &["--rounds R", "--countries C"], Rig(fault_sweep_cmd)),
+    Command("vm-diff", &["--cases N", "--seed S", "--fault-rounds R"], Rig(vm_diff_cmd)),
+    Command("scan-diff", &["--cases N", "--seed S", "--fault-rounds R"], Rig(scan_diff_cmd)),
+    Command("crash-diff", &["--cases N", "--seed S", "--kills K"], Rig(crash_diff_cmd)),
+    Command("filter-bench", &["--max N"], Rig(filter_bench_cmd)),
+    Command("crash-smoke", &["--spex PATH"], Smoke(crash_smoke_cmd)),
+    Command("reactor-smoke", &["--spex PATH", "--conns N"], Smoke(reactor_smoke_cmd)),
+    Command("mem-probe", &["PROCESSOR", "DATASET", "CLASS", "FILE"], Other(mem_probe)),
+    Command("all", &[], Other(all)),
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cmd = args.first().map(|s| s.as_str()).unwrap_or("all");
-    match cmd {
-        "fig14" => fig14(),
-        "fig15" => fig15(),
-        "memory" => memory(),
-        "lemma_v1" => lemma_v1(),
-        "scaling" => scaling(),
-        "formula_growth" => formula_growth(),
-        "multiquery" => multiquery(),
-        "transducers" => transducers(),
-        "fault-sweep" => fault_sweep_cmd(&args[1..]),
-        "vm-diff" => vm_diff_cmd(&args[1..]),
-        "scan-diff" => scan_diff_cmd(&args[1..]),
-        "crash-diff" => crash_diff_cmd(&args[1..]),
-        "filter-bench" => filter_bench_cmd(&args[1..]),
-        "crash-smoke" => crash_smoke_cmd(&args[1..]),
-        "reactor-smoke" => reactor_smoke_cmd(&args[1..]),
-        "mem-probe" => mem_probe(&args[1..]),
-        "all" => {
-            fig14();
-            fig15();
-            memory();
-            lemma_v1();
-            scaling();
-            formula_growth();
-            multiquery();
-            transducers();
-            fault_sweep_cmd(&[]);
-            vm_diff_cmd(&[]);
-            scan_diff_cmd(&[]);
-            crash_diff_cmd(&[]);
-            filter_bench_cmd(&[]);
+    let name = args.first().map_or("all", String::as_str);
+    let Some(command) = COMMANDS.iter().find(|c| c.0 == name) else {
+        eprintln!("unknown subcommand `{name}`");
+        std::process::exit(2);
+    };
+    std::process::exit(run(command, args.get(1..).unwrap_or_default()));
+}
+
+/// Parse `args` for `command`, run it and print its report. Returns the
+/// exit code: 0 pass, 1 failure, 2 usage.
+fn run(Command(name, options, run): &Command, args: &[String]) -> i32 {
+    let report = Flags::parse(args, options).and_then(|flags| match run {
+        Table(table) => {
+            table();
+            Ok(Report::default())
         }
-        other => {
-            eprintln!("unknown subcommand `{other}`");
-            std::process::exit(2);
+        Rig(rig) | Smoke(rig) | Other(rig) => rig(&flags),
+    });
+    match report {
+        Ok(report) => report.print(),
+        Err(usage) => {
+            let options: String = options.iter().map(|o| format!(" [{o}]")).collect();
+            eprintln!("harness {name}: {usage}\nusage: harness {name}{options}");
+            2
         }
     }
+}
+
+/// `harness all`: every table and rig in table order, stopping at the
+/// first failure.
+fn all(_: &Flags) -> Result<Report, String> {
+    for command in COMMANDS.iter().filter(|c| matches!(c.2, Table(_) | Rig(_))) {
+        let code = run(command, &[]);
+        if code != 0 {
+            std::process::exit(code);
+        }
+    }
+    Ok(Report::default())
 }
 
 fn header(title: &str) {
@@ -195,7 +245,7 @@ fn fig15() {
                 }
             };
             let bytes: u64 = make().map(|e| e.to_string().len() as u64).sum();
-            let (r, _events) = run_spex_streaming(&q, make());
+            let r = run_spex_streaming(&q, make());
             println!(
                 "{:>6} {:<34} {:>10} {:>12.1} {:>9} {:>14}",
                 qc.class,
@@ -213,8 +263,8 @@ fn fig15() {
 }
 
 /// §VI memory claim: peak RSS per (processor, dataset), measured in a child
-/// process so each measurement is isolated. Datasets are written to disk
-/// first and the probes parse them *streaming from the file*, so the
+/// process so each measurement is isolated. Each dataset is written to disk
+/// once and the probes parse it *streaming from the file*, so the
 /// measured memory is the evaluation strategy's own — SPEX stays constant,
 /// the in-memory processors grow with the document.
 fn memory() {
@@ -222,46 +272,33 @@ fn memory() {
     let exe = std::env::current_exe().expect("own path");
     let dir = std::env::temp_dir().join("spex-bench-memory");
     std::fs::create_dir_all(&dir).expect("temp dir");
-    // Materialize the datasets as XML files once.
-    let files = [
-        ("mondial", Dataset::Mondial),
-        ("wordnet", Dataset::Wordnet),
-        ("dmoz-structure", Dataset::DmozStructure),
+    type Events = fn() -> Box<dyn Iterator<Item = XmlEvent>>;
+    let datasets: [(&str, Events); 3] = [
+        ("mondial", || {
+            Box::new(spex_workloads::mondial().into_iter())
+        }),
+        ("wordnet", || {
+            Box::new(spex_workloads::wordnet().into_iter())
+        }),
+        ("dmoz-structure", || Box::new(dmoz_structure(dmoz_scale()))),
     ];
     let scale_tag = format!("{}", dmoz_scale());
-    for (name, ds) in files {
-        let path = dir.join(format!("{name}-{scale_tag}.xml"));
-        if path.exists() {
-            continue;
-        }
-        let file = std::fs::File::create(&path).expect("create dataset file");
-        let mut w = spex_xml::Writer::new(std::io::BufWriter::new(file));
-        match ds {
-            Dataset::Mondial => {
-                for ev in spex_workloads::mondial() {
-                    w.write(&ev).expect("write");
-                }
-            }
-            Dataset::Wordnet => {
-                for ev in spex_workloads::wordnet() {
-                    w.write(&ev).expect("write");
-                }
-            }
-            _ => {
-                for ev in dmoz_structure(dmoz_scale()) {
-                    w.write(&ev).expect("write");
-                }
-            }
-        }
-    }
     println!(
         "{:>10} {:<18} {:>10} {:>12}",
         "processor", "dataset", "file", "peak RSS"
     );
-    for (name, _ds) in files {
+    for (name, events) in datasets {
+        // Materialize the dataset as an XML file once.
         let path = dir.join(format!("{name}-{scale_tag}.xml"));
+        if !path.exists() {
+            let file = std::fs::File::create(&path).expect("create dataset file");
+            let mut w = spex_xml::Writer::new(std::io::BufWriter::new(file));
+            for ev in events() {
+                w.write(&ev).expect("write");
+            }
+        }
         let size = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-        for proc in ["spex", "dom", "treenfa"] {
+        for proc in Processor::ALL.map(|p| p.label()) {
             let out = std::process::Command::new(&exe)
                 .args(["mem-probe", proc, name, "2", path.to_str().unwrap()])
                 .output()
@@ -281,20 +318,23 @@ fn memory() {
 }
 
 /// Internal: run one evaluation streaming from a file, print peak RSS (kB).
-fn mem_probe(args: &[String]) {
-    let proc = args.first().map(|s| s.as_str()).unwrap_or("spex");
-    let dataset = args.get(1).map(|s| s.as_str()).unwrap_or("mondial");
-    let class: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(2);
-    let path = args.get(3).expect("dataset file path");
-    let ds = match dataset {
+/// SPEX reads the file through the zero-copy pipeline the CLI runs; the
+/// in-memory processors build their tree from owned events.
+fn mem_probe(flags: &Flags) -> Result<Report, String> {
+    let proc: String = flags.value("PROCESSOR")?.unwrap_or_else(|| "spex".into());
+    let dataset: String = flags.value("DATASET")?.unwrap_or_else(|| "mondial".into());
+    let class: usize = flags.value("CLASS")?.unwrap_or(2);
+    let path: PathBuf = flags.value("FILE")?.ok_or("missing FILE")?;
+    let processor = Processor::ALL
+        .into_iter()
+        .find(|p| p.label() == proc)
+        .ok_or_else(|| format!("unknown processor `{proc}`"))?;
+    let ds = match dataset.as_str() {
         "mondial" => Dataset::Mondial,
         "wordnet" => Dataset::Wordnet,
         "dmoz-structure" => Dataset::DmozStructure,
         "dmoz-content" => Dataset::DmozContent,
-        _ => {
-            eprintln!("unknown dataset");
-            std::process::exit(2);
-        }
+        _ => return Err(format!("unknown dataset `{dataset}`")),
     };
     let q = queries_for(ds)
         .into_iter()
@@ -302,35 +342,25 @@ fn mem_probe(args: &[String]) {
         .expect("class exists")
         .rpeq();
     let file = std::fs::File::open(path).expect("dataset file");
-    let reader = spex_xml::Reader::new(std::io::BufReader::new(file));
-    match proc {
-        "spex" => {
-            let network = CompiledNetwork::compile(&q);
-            let mut sink = spex_core::CountingSink::new();
-            let mut eval = spex_core::Evaluator::new(&network, &mut sink);
-            for ev in reader {
-                eval.push(ev.expect("well-formed"));
-            }
-            eval.finish();
+    if processor == Processor::Spex {
+        let network = CompiledNetwork::compile(&q);
+        let mut sink = spex_core::CountingSink::new();
+        let mut eval = spex_core::Evaluator::new(&network, &mut sink);
+        eval.push_reader(file).expect("well-formed");
+        eval.finish();
+    } else {
+        // In-memory processors: build the tree from the streaming parser
+        // (no event buffering), then evaluate.
+        let reader = spex_xml::Reader::new(std::io::BufReader::new(file));
+        let mut builder = spex_xml::TreeBuilder::new();
+        for ev in reader {
+            builder.push(ev.expect("well-formed")).expect("tree");
         }
-        p => {
-            // In-memory processors: build the tree from the streaming
-            // parser (no event buffering), then evaluate.
-            let mut builder = spex_xml::TreeBuilder::new();
-            for ev in reader {
-                builder.push(ev.expect("well-formed")).expect("tree");
-            }
-            let doc = builder.finish().expect("tree");
-            let n = match parse_proc(p) {
-                Processor::Dom => spex_baseline::DomEvaluator::new(&doc).evaluate(&q).len(),
-                _ => spex_baseline::TreeNfaEvaluator::new(&doc)
-                    .evaluate(&q)
-                    .len(),
-            };
-            let _ = n;
-        }
+        let doc = builder.finish().expect("tree");
+        std::hint::black_box(select_in_tree(processor, &doc, &q));
     }
     println!("{}", peak_rss_kb().unwrap_or(0));
+    Ok(Report::default())
 }
 
 /// §V per-transducer bounds, measured: one row per network node for the
@@ -414,11 +444,10 @@ fn transducers() {
 /// Robustness sweep: seeds × mutators × recovery policies over the Mondial
 /// workload, asserting panic-freedom and subset soundness against the
 /// clean-stream oracle (fixed seed base 0xFA17 for reproducibility).
-fn fault_sweep_cmd(args: &[String]) {
-    let rounds: usize = args.first().and_then(|s| s.parse().ok()).unwrap_or(9);
-    let countries: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(30);
+fn fault_sweep_cmd(flags: &Flags) -> Result<Report, String> {
+    let rounds = flags.value("--rounds")?.unwrap_or(9);
+    let countries = flags.value("--countries")?.unwrap_or(30);
     header("robustness — fault-injection sweep (Mondial)");
-    let start = Instant::now();
     let workloads = spex_bench::fault::mondial_workloads(countries);
     println!(
         "{} queries x 6 mutators x {} seeds x 2 policies ({} countries)",
@@ -426,158 +455,71 @@ fn fault_sweep_cmd(args: &[String]) {
         rounds,
         countries
     );
-    let outcome = spex_bench::fault::fault_sweep(&workloads, 0xFA17, rounds);
-    println!(
-        "mutants: {}  unchanged: {}  runs with faults: {}  faults reported: {}",
-        outcome.mutants, outcome.unchanged, outcome.faulted_runs, outcome.faults_reported
-    );
-    println!(
-        "delivered: {}  quarantined: {}  elapsed: {:.2}s",
-        outcome.delivered,
-        outcome.quarantined,
-        start.elapsed().as_secs_f64()
-    );
-    if !outcome.violations.is_empty() {
-        for v in &outcome.violations {
-            eprintln!("VIOLATION: {}", v.detail);
-        }
-        eprintln!("{} soundness violation(s)", outcome.violations.len());
-        std::process::exit(1);
-    }
-    println!("soundness: every mutant's results are a subset of the clean oracle");
+    Ok(spex_bench::fault::fault_sweep(&workloads, 0xFA17, rounds).report())
 }
 
 /// The `vm-diff` subcommand: drive the PR-6 differential rig
 /// (`spex_bench::diff`) — seeded random documents × random queries through
 /// the bytecode VM, the reference executor, and the DOM baseline at once,
-/// clean and fault-repaired. Exits 1 on the first run with any divergence.
-fn vm_diff_cmd(args: &[String]) {
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse::<u64>().ok())
-    };
-    let cases = flag("--cases").unwrap_or(250) as usize;
-    let seed = flag("--seed").unwrap_or(0xd1ff);
-    let fault_rounds = flag("--fault-rounds").unwrap_or(1) as usize;
+/// clean and fault-repaired. Any divergence fails the run.
+fn vm_diff_cmd(flags: &Flags) -> Result<Report, String> {
+    let cases = flags.value("--cases")?.unwrap_or(250);
+    let seed = flags.value("--seed")?.unwrap_or(0xd1ff);
+    let fault_rounds = flags.value("--fault-rounds")?.unwrap_or(1);
     header(&format!(
         "vm-diff — {cases} random case(s), seed {seed}, {fault_rounds} fault round(s) each"
     ));
-    let outcome = spex_bench::diff::vm_diff(cases, seed, fault_rounds);
-    println!(
-        "{} clean case(s) compared ({} selected >=1 node, {} fragment(s) agreed byte-for-byte)",
-        outcome.cases, outcome.selecting_cases, outcome.fragments
-    );
-    println!(
-        "{} fault comparison(s) (mutator x policy x executor), {} divergence(s)",
-        outcome.fault_comparisons,
-        outcome.divergences.len()
-    );
-    for d in &outcome.divergences {
-        eprintln!("DIVERGENCE: {d}");
-    }
-    if !outcome.divergences.is_empty() {
-        std::process::exit(1);
-    }
+    Ok(spex_bench::diff::vm_diff(cases, seed, fault_rounds).report())
 }
 
 /// The `scan-diff` subcommand: the PR-10 scanner differential rig
 /// (`spex_bench::diff::scan_diff`) — the SWAR fast path against the classic
 /// scanner through the full recovery pipeline, clean and fault-injected.
-/// Exits 1 on any divergence.
-fn scan_diff_cmd(args: &[String]) {
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse::<u64>().ok())
-    };
-    let cases = flag("--cases").unwrap_or(150) as usize;
-    let seed = flag("--seed").unwrap_or(0x5ca7);
-    let fault_rounds = flag("--fault-rounds").unwrap_or(1) as usize;
+/// Any divergence fails the run.
+fn scan_diff_cmd(flags: &Flags) -> Result<Report, String> {
+    let cases = flags.value("--cases")?.unwrap_or(150);
+    let seed = flags.value("--seed")?.unwrap_or(0x5ca7);
+    let fault_rounds = flags.value("--fault-rounds")?.unwrap_or(1);
     header(&format!(
         "scan-diff — {cases} random case(s), seed {seed}, {fault_rounds} fault round(s) each"
     ));
-    let outcome = spex_bench::diff::scan_diff(cases, seed, fault_rounds);
-    println!(
-        "{} case(s) compared fast-vs-classic ({} selected >=1 node, {} fragment(s) delivered)",
-        outcome.cases, outcome.selecting_cases, outcome.fragments
-    );
-    println!(
-        "{} stream comparison(s) (clean + mutators, x policy), {} divergence(s)",
-        outcome.fault_comparisons,
-        outcome.divergences.len()
-    );
-    for d in &outcome.divergences {
-        eprintln!("SCANNER DIVERGENCE: {d}");
-    }
-    if !outcome.divergences.is_empty() {
-        std::process::exit(1);
-    }
+    Ok(spex_bench::diff::scan_diff(cases, seed, fault_rounds).report())
 }
 
-fn crash_diff_cmd(args: &[String]) {
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse::<u64>().ok())
-    };
-    let cases = flag("--cases").unwrap_or(125) as usize;
-    let seed = flag("--seed").unwrap_or(0xc4a5);
-    let kills = flag("--kills").unwrap_or(3) as usize;
+fn crash_diff_cmd(flags: &Flags) -> Result<Report, String> {
+    let cases = flags.value("--cases")?.unwrap_or(125);
+    let seed = flags.value("--seed")?.unwrap_or(0xc4a5);
+    let kills = flags.value("--kills")?.unwrap_or(3);
     header(&format!(
         "crash-diff — {cases} random case(s), seed {seed}, {kills} kill-point(s) per policy"
     ));
-    let outcome = spex_bench::crash::crash_diff(cases, seed, kills);
-    println!(
-        "{} case(s) x strict/repair/skip-subtree: {} kill-point(s) resumed \
-         ({} restored from a document-boundary snapshot)",
-        outcome.cases, outcome.kills, outcome.snapshot_resumes
-    );
-    println!(
-        "{} corrupt-snapshot / torn-WAL check(s), {} divergence(s)",
-        outcome.corruption_checks,
-        outcome.divergences.len()
-    );
-    for d in &outcome.divergences {
-        eprintln!("DIVERGENCE: {d}");
-    }
-    if !outcome.divergences.is_empty() {
-        std::process::exit(1);
-    }
+    Ok(spex_bench::crash::crash_diff(cases, seed, kills).report())
 }
 
-fn crash_smoke_cmd(args: &[String]) {
-    let spex = args
-        .iter()
-        .position(|a| a == "--spex")
-        .and_then(|i| args.get(i + 1))
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| {
-            // Default: the `spex` binary sitting next to this harness.
-            std::env::current_exe()
-                .ok()
-                .and_then(|p| p.parent().map(|d| d.join("spex")))
-                .unwrap_or_else(|| std::path::PathBuf::from("spex"))
-        });
-    header("crash-smoke — SIGKILL a live durable server, restart, resume by token");
+/// The `spex` binary a smoke drives: `--spex PATH`, or by default the one
+/// next to this harness.
+fn spex_binary(flags: &Flags) -> Result<PathBuf, String> {
+    let spex: PathBuf = flags.value("--spex")?.unwrap_or_else(|| {
+        std::env::current_exe()
+            .ok()
+            .and_then(|p| p.parent().map(|d| d.join("spex")))
+            .unwrap_or_else(|| PathBuf::from("spex"))
+    });
     if !spex.exists() {
-        eprintln!(
-            "crash-smoke: `{}` not found (build it with `cargo build --release -p spex-cli` \
+        return Err(format!(
+            "`{}` not found (build it with `cargo build --release -p spex-cli` \
              or pass --spex PATH)",
             spex.display()
-        );
-        std::process::exit(2);
+        ));
     }
-    match spex_bench::crash::crash_smoke(&spex) {
-        Ok(summary) => println!("{summary}"),
-        Err(e) => {
-            eprintln!("crash-smoke FAILED: {e}");
-            std::process::exit(1);
-        }
-    }
+    Ok(spex)
+}
+
+fn crash_smoke_cmd(flags: &Flags) -> Result<Report, String> {
+    let spex = spex_binary(flags)?;
+    header("crash-smoke — SIGKILL a live durable server, restart, resume by token");
+    let outcome = spex_bench::crash::crash_smoke(&spex);
+    Ok(Report::of(outcome, "crash-smoke FAILED: "))
 }
 
 /// The `reactor-smoke` subcommand: a real `spex serve` child process holds
@@ -586,36 +528,20 @@ fn crash_smoke_cmd(args: &[String]) {
 /// the idle peers. `tests/reactor.rs` holds the in-process versions (a
 /// 300-connection herd, a 16-session admission burst on one worker); this
 /// is the same reactor with real signals and real fds.
-fn reactor_smoke_cmd(args: &[String]) {
+fn reactor_smoke_cmd(flags: &Flags) -> Result<Report, String> {
+    let spex = spex_binary(flags)?;
+    let conns = flags.value("--conns")?.unwrap_or(10_000);
+    header("reactor-smoke — 10k idle connections + live traffic, SIGTERM must drain to exit 0");
+    Ok(Report::of(
+        reactor_smoke(&spex, conns),
+        "reactor-smoke FAILED: ",
+    ))
+}
+
+fn reactor_smoke(spex: &Path, conns_want: usize) -> Result<String, String> {
     use spex_serve::Client;
     use std::io::Read as _;
 
-    let spex = args
-        .iter()
-        .position(|a| a == "--spex")
-        .and_then(|i| args.get(i + 1))
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| {
-            std::env::current_exe()
-                .ok()
-                .and_then(|p| p.parent().map(|d| d.join("spex")))
-                .unwrap_or_else(|| std::path::PathBuf::from("spex"))
-        });
-    let conns_want = args
-        .iter()
-        .position(|a| a == "--conns")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(10_000);
-    header("reactor-smoke — 10k idle connections + live traffic, SIGTERM must drain to exit 0");
-    if !spex.exists() {
-        eprintln!(
-            "reactor-smoke: `{}` not found (build it with `cargo build --release -p spex-cli` \
-             or pass --spex PATH)",
-            spex.display()
-        );
-        std::process::exit(2);
-    }
     // This process holds one fd per idle connection; the child holds the
     // other end under its own (inherited) limit.
     let fd_budget = spex_serve::soft_fd_limit().unwrap_or(1024) as usize;
@@ -626,32 +552,8 @@ fn reactor_smoke_cmd(args: &[String]) {
              (raise `ulimit -n` for the full {conns_want})"
         );
     }
-    let log_path =
-        std::env::temp_dir().join(format!("spex-reactor-smoke-{}.log", std::process::id()));
-    let log = std::fs::File::create(&log_path).expect("create server log");
-    let mut child = std::process::Command::new(&spex)
-        .args(["serve", "--addr", "127.0.0.1:0", "--workers", "4"])
-        .stderr(log)
-        .stdout(std::process::Stdio::null())
-        .spawn()
-        .expect("spawn spex serve");
-    // The listen address is announced on stderr once the socket is bound.
-    let addr: std::net::SocketAddr = 'addr: {
-        for _ in 0..100 {
-            if let Ok(text) = std::fs::read_to_string(&log_path) {
-                if let Some(line) = text.lines().find(|l| l.contains("listening on ")) {
-                    let addr = line.rsplit("listening on ").next().unwrap().trim();
-                    break 'addr addr.parse().expect("parse listen address");
-                }
-            }
-            std::thread::sleep(std::time::Duration::from_millis(100));
-        }
-        let _ = child.kill();
-        panic!(
-            "server never announced its listen address (see {})",
-            log_path.display()
-        );
-    };
+    let mut server = spawn_serve(spex, &["--workers", "4"])?;
+    let addr = server.addr;
     // The idle herd: connected, never sends a byte, stays open through the
     // shutdown below.
     let mut idle: Vec<std::net::TcpStream> = Vec::with_capacity(conns);
@@ -660,15 +562,11 @@ fn reactor_smoke_cmd(args: &[String]) {
         let stream = loop {
             match std::net::TcpStream::connect(addr) {
                 Ok(s) => break s,
-                Err(e) if tries < 50 => {
+                Err(_) if tries < 50 => {
                     tries += 1;
-                    std::thread::sleep(std::time::Duration::from_millis(10));
-                    let _ = e;
+                    std::thread::sleep(Duration::from_millis(10));
                 }
-                Err(e) => {
-                    let _ = child.kill();
-                    panic!("idle conn {i}: {e}");
-                }
+                Err(e) => return Err(format!("idle conn {i}: {e}")),
             }
         };
         idle.push(stream);
@@ -683,61 +581,56 @@ fn reactor_smoke_cmd(args: &[String]) {
         .map(|c| {
             let xml = xml.clone();
             let (name, expr) = queries[c % queries.len()].clone();
-            std::thread::spawn(move || {
-                let mut client = Client::connect(addr).expect("connect live");
+            std::thread::spawn(move || -> Result<(), String> {
+                let mut client = Client::connect(addr).map_err(|e| format!("connect live: {e}"))?;
                 client.set_max_frame(16 * 1024 * 1024);
                 let t = client
                     .run_session(&[(name.as_str(), expr.as_str())], xml.as_bytes())
-                    .expect("live session");
-                assert!(t.clean_end && !t.busy, "live session did not complete");
-                assert!(t.errors.is_empty(), "live session errors: {:?}", t.errors);
+                    .map_err(|e| format!("live session: {e}"))?;
+                if !t.clean_end || t.busy || !t.errors.is_empty() {
+                    return Err(format!("live session did not complete: {:?}", t.errors));
+                }
+                Ok(())
             })
         })
         .collect();
     for t in live {
-        t.join().expect("live client thread");
+        t.join().map_err(|_| "live client thread panicked")??;
     }
     // SIGTERM with the whole herd still connected. `Child::kill` is
     // SIGKILL, so shell out for the graceful signal.
     let status = std::process::Command::new("kill")
-        .args(["-TERM", &child.id().to_string()])
+        .args(["-TERM", &server.child.id().to_string()])
         .status()
-        .expect("send SIGTERM");
-    assert!(status.success(), "kill -TERM failed");
-    let exit = 'exit: {
-        for _ in 0..300 {
-            if let Some(status) = child.try_wait().expect("wait on server") {
-                break 'exit status;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(100));
+        .map_err(|e| format!("send SIGTERM: {e}"))?;
+    if !status.success() {
+        return Err("kill -TERM failed".into());
+    }
+    let mut exit = None;
+    for _ in 0..300 {
+        exit = server.child.try_wait().map_err(|e| e.to_string())?;
+        if exit.is_some() {
+            break;
         }
-        let _ = child.kill();
-        panic!("server did not exit within 30s of SIGTERM with the idle herd connected");
-    };
+        std::thread::sleep(Duration::from_millis(100));
+    }
+    let exit =
+        exit.ok_or("server did not exit within 30s of SIGTERM with the idle herd connected")?;
     drop(idle);
-    assert!(
-        exit.success(),
-        "server exited non-zero after SIGTERM: {exit}"
-    );
-    let mut log_text = String::new();
-    let _ = std::fs::File::open(&log_path).and_then(|mut f| f.read_to_string(&mut log_text));
-    assert!(
-        log_text.contains("drained"),
-        "server log does not report a drained shutdown:\n{log_text}"
-    );
-    let _ = std::fs::remove_file(&log_path);
-    println!(
+    if !exit.success() {
+        return Err(format!("server exited non-zero after SIGTERM: {exit}"));
+    }
+    let mut log = String::new();
+    let _ = server.stderr.read_to_string(&mut log);
+    if !log.contains("drained") {
+        return Err(format!(
+            "server log does not report a drained shutdown:\n{log}"
+        ));
+    }
+    Ok(format!(
         "reactor-smoke survived: {conns} idle connection(s) held through 8 live session(s) \
          and a SIGTERM drain to exit 0"
-    );
-}
-
-fn parse_proc(p: &str) -> Processor {
-    match p {
-        "dom" => Processor::Dom,
-        "treenfa" => Processor::TreeNfa,
-        _ => Processor::Spex,
-    }
+    ))
 }
 
 /// Lemma V.1: translation time and network degree are linear in the query
@@ -776,7 +669,7 @@ fn scaling() {
         let bytes: u64 = dmoz_structure(scale)
             .map(|e| e.to_string().len() as u64)
             .sum();
-        let (r, _) = run_spex_streaming(&q, dmoz_structure(scale));
+        let r = run_spex_streaming(&q, dmoz_structure(scale));
         println!(
             "{:>10} {:>12.2} {:>10} {:>12.1}",
             scale,
@@ -884,28 +777,16 @@ fn multiquery() {
 fn filter_catalog_docs(count: usize, pool: usize) -> Vec<Vec<XmlEvent>> {
     (0..count)
         .map(|d| {
-            let mut ev = vec![
-                XmlEvent::StartDocument,
-                XmlEvent::open("catalog"),
-                XmlEvent::open("product"),
-            ];
-            if d % 2 == 0 {
-                ev.push(XmlEvent::open("meta"));
-                ev.push(XmlEvent::open("lang"));
-                ev.push(XmlEvent::text("en"));
-                ev.push(XmlEvent::close("lang"));
-                ev.push(XmlEvent::close("meta"));
-            }
-            for k in 0..8usize {
-                let fld = format!("fld{}", (d * 8 + k) % pool);
-                ev.push(XmlEvent::open(&fld));
-                ev.push(XmlEvent::text("v"));
-                ev.push(XmlEvent::close(&fld));
-            }
-            ev.push(XmlEvent::close("product"));
-            ev.push(XmlEvent::close("catalog"));
-            ev.push(XmlEvent::EndDocument);
-            ev
+            let meta = if d % 2 == 0 {
+                "<meta><lang>en</lang></meta>"
+            } else {
+                ""
+            };
+            let fields: String = (0..8)
+                .map(|k| format!("<fld{0}>v</fld{0}>", (d * 8 + k) % pool))
+                .collect();
+            let xml = format!("<catalog><product>{meta}{fields}</product></catalog>");
+            spex_xml::reader::parse_events(&xml).expect("catalog document")
         })
         .collect()
 }
@@ -916,18 +797,8 @@ fn filter_catalog_docs(count: usize, pool: usize) -> Vec<Vec<XmlEvent>> {
 fn filter_disjoint_docs(count: usize, cap: usize) -> Vec<Vec<XmlEvent>> {
     (0..count)
         .map(|d| {
-            let j = d % cap;
-            vec![
-                XmlEvent::StartDocument,
-                XmlEvent::open(format!("a{j}")),
-                XmlEvent::open(format!("b{j}")),
-                XmlEvent::open(format!("c{j}")),
-                XmlEvent::text("v"),
-                XmlEvent::close(format!("c{j}")),
-                XmlEvent::close(format!("b{j}")),
-                XmlEvent::close(format!("a{j}")),
-                XmlEvent::EndDocument,
-            ]
+            let xml = format!("<a{0}><b{0}><c{0}>v</c{0}></b{0}></a{0}>", d % cap);
+            spex_xml::reader::parse_events(&xml).expect("disjoint document")
         })
         .collect()
 }
@@ -962,13 +833,8 @@ fn filter_independent(queries: &[(String, Rpeq)], events: &[XmlEvent]) -> (Vec<u
 /// fails the run. The timings are single passes, for the table only; the
 /// degree facts behind E14's sublinearity are pinned by `tests/combine.rs`.
 /// `--max N` truncates the sweep (CI runs `--max 1000`).
-fn filter_bench_cmd(args: &[String]) {
-    let max = args
-        .iter()
-        .position(|a| a == "--max")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(10_000);
+fn filter_bench_cmd(flags: &Flags) -> Result<Report, String> {
+    let max = flags.value("--max")?.unwrap_or(10_000);
 
     const POOL: usize = 128; // distinct suffix fields across all tenants
     const INDEP_CAP: usize = 1_000; // past this, extrapolate the per-query baseline
@@ -979,7 +845,9 @@ fn filter_bench_cmd(args: &[String]) {
         .into_iter()
         .filter(|n| *n <= max)
         .collect();
-    assert!(!ns.is_empty(), "--max must be at least 10");
+    if ns.is_empty() {
+        return Err("`--max` must be at least 10".into());
+    }
 
     header(&format!(
         "filter-bench — multi-tenant combiner sweep, {} → {} standing queries",
@@ -1024,7 +892,7 @@ fn filter_bench_cmd(args: &[String]) {
         ),
     ];
 
-    let mut mismatches = 0usize;
+    let mut mismatches = Vec::new();
     for (profile, make, docs, filterable) in profiles {
         let events: Vec<XmlEvent> = docs.iter().flatten().cloned().collect();
         let per_event = |secs: f64| secs * 1e9 / events.len() as f64;
@@ -1071,10 +939,9 @@ fn filter_bench_cmd(args: &[String]) {
             for ((name, _), independent) in queries[..measured_n].iter().zip(&indep_counts) {
                 let shared = by_name.get(name.as_str()).copied().unwrap_or(usize::MAX);
                 if shared != *independent {
-                    eprintln!(
-                        "MISMATCH [{profile} n={n}] {name}: combined delivered {shared}, independent {independent}"
-                    );
-                    mismatches += 1;
+                    mismatches.push(format!(
+                        "[{profile} n={n}] {name}: combined delivered {shared}, independent {independent}"
+                    ));
                 }
             }
 
@@ -1112,12 +979,13 @@ fn filter_bench_cmd(args: &[String]) {
             );
         }
     }
-    println!(
-        "(filter column is boolean match/no-match per document — the NFA baseline cannot \
-         answer qualifier queries or extract fragments, the shared plan does both)"
-    );
-    if mismatches > 0 {
-        eprintln!("filter-bench: {mismatches} combined-vs-independent count mismatch(es)");
-        std::process::exit(1);
-    }
+    Ok(Report {
+        summary: vec![
+            "(filter column is boolean match/no-match per document — the NFA baseline \
+             cannot answer qualifier queries or extract fragments, the shared plan does both)"
+                .into(),
+        ],
+        prefix: "MISMATCH ",
+        failures: mismatches,
+    })
 }

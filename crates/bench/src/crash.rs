@@ -31,6 +31,7 @@
 
 use crate::diff::{gen_document, gen_query};
 use crate::fault::{mutate, Mutator};
+use crate::rig::{spawn_serve, Report};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spex_core::{CompiledNetwork, FragmentCollector, Pump, RecoveryOptions, Snapshot, Yield};
@@ -146,6 +147,28 @@ pub struct CrashOutcome {
     pub corruption_checks: usize,
     /// Every restart-transparency violation found; must be empty.
     pub divergences: Vec<String>,
+}
+
+impl CrashOutcome {
+    /// The sweep's report, as `harness crash-diff` prints it.
+    pub fn report(self) -> Report {
+        Report {
+            summary: vec![
+                format!(
+                    "{} case(s) x strict/repair/skip-subtree: {} kill-point(s) resumed \
+                     ({} restored from a document-boundary snapshot)",
+                    self.cases, self.kills, self.snapshot_resumes
+                ),
+                format!(
+                    "{} corrupt-snapshot / torn-WAL check(s), {} divergence(s)",
+                    self.corruption_checks,
+                    self.divergences.len()
+                ),
+            ],
+            prefix: "DIVERGENCE: ",
+            failures: self.divergences,
+        }
+    }
 }
 
 const POLICIES: [RecoveryPolicy; 3] = [
@@ -347,45 +370,12 @@ fn torn_wal_check(xml: &str, rng: &mut StdRng) -> Result<(), String> {
 /// sibling `spex` in `target/release`).
 pub fn crash_smoke(spex: &std::path::Path) -> Result<String, String> {
     use spex_serve::{split_result, Client, FrameKind};
-    use std::io::{BufRead, Write};
+    use std::io::Write;
 
     let dir = std::env::temp_dir().join(format!("spex-crash-smoke-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
-    let dir_arg = dir.to_str().ok_or("non-UTF-8 temp dir")?.to_string();
-
-    /// Start `spex serve` on a free port and parse the bound address from
-    /// its "listening on" banner.
-    fn spawn_server(
-        spex: &std::path::Path,
-        dir: &str,
-    ) -> Result<(std::process::Child, String), String> {
-        let mut child = std::process::Command::new(spex)
-            .args(["serve", "--addr", "127.0.0.1:0", "--durable-dir", dir])
-            .stdin(std::process::Stdio::null())
-            .stdout(std::process::Stdio::null())
-            .stderr(std::process::Stdio::piped())
-            .spawn()
-            .map_err(|e| format!("spawning {}: {e}", spex.display()))?;
-        let stderr = child.stderr.take().ok_or("no stderr pipe")?;
-        let mut lines = std::io::BufReader::new(stderr).lines();
-        let addr = loop {
-            let line = lines
-                .next()
-                .ok_or("server exited before its listening banner")?
-                .map_err(|e| e.to_string())?;
-            if let Some(addr) = line
-                .rsplit("listening on ")
-                .next()
-                .filter(|_| line.contains("listening on "))
-            {
-                break addr.trim().to_string();
-            }
-        };
-        // Keep draining stderr so the server never blocks on a full pipe.
-        std::thread::spawn(move || for _ in lines {});
-        Ok((child, addr))
-    }
+    let dir_arg = dir.to_str().ok_or("non-UTF-8 temp dir")?;
 
     let doc1: &[u8] = b"<r><x>one</x></r>";
     let doc2: &[u8] = b"<r><x>two</x><x>three</x></r>";
@@ -393,8 +383,8 @@ pub fn crash_smoke(spex: &std::path::Path) -> Result<String, String> {
     let cut = doc1.len() + 13; // mid-document: after "<r><x>two</x>"
 
     // --- Life one: stream past the first document boundary, then die. ----
-    let (mut server, addr) = spawn_server(spex, &dir_arg)?;
-    let mut a = Client::connect(&addr).map_err(|e| format!("connect {addr}: {e}"))?;
+    let mut server = spawn_serve(spex, &["--durable-dir", dir_arg])?;
+    let mut a = Client::connect(server.addr).map_err(|e| format!("connect: {e}"))?;
     a.register("q", "r.x").map_err(|e| e.to_string())?;
     let ack = a.next_frame().map_err(|e| e.to_string())?;
     if ack.map(|f| f.kind) != Some(FrameKind::Ok) {
@@ -432,16 +422,16 @@ pub fn crash_smoke(spex: &std::path::Path) -> Result<String, String> {
         }
     }
     let token = token.ok_or("no session token ack")?;
-    server.kill().map_err(|e| format!("SIGKILL: {e}"))?; // SIGKILL on unix
-    let status = server.wait().map_err(|e| e.to_string())?;
+    server.child.kill().map_err(|e| format!("SIGKILL: {e}"))?; // SIGKILL on unix
+    let status = server.child.wait().map_err(|e| e.to_string())?;
     if status.success() {
         return Err("server exited cleanly despite SIGKILL".into());
     }
     drop(a);
 
     // --- Life two: restart over the same durable root and resume. --------
-    let (mut server, addr) = spawn_server(spex, &dir_arg)?;
-    let mut b = Client::connect(&addr).map_err(|e| format!("connect {addr}: {e}"))?;
+    let mut server = spawn_serve(spex, &["--durable-dir", dir_arg])?;
+    let mut b = Client::connect(server.addr).map_err(|e| format!("connect: {e}"))?;
     b.register("q", "r.x").map_err(|e| e.to_string())?;
     let ack = b.next_frame().map_err(|e| e.to_string())?;
     if ack.map(|f| f.kind) != Some(FrameKind::Ok) {
@@ -512,11 +502,11 @@ pub fn crash_smoke(spex: &std::path::Path) -> Result<String, String> {
     }
 
     // --- Graceful teardown: 'Q' must drain and exit 0. --------------------
-    let mut q = Client::connect(&addr).map_err(|e| e.to_string())?;
+    let mut q = Client::connect(server.addr).map_err(|e| e.to_string())?;
     q.request_shutdown().map_err(|e| e.to_string())?;
     let _ = q.next_frame();
     drop(q);
-    let status = server.wait().map_err(|e| e.to_string())?;
+    let status = server.child.wait().map_err(|e| e.to_string())?;
     if !status.success() {
         return Err(format!("graceful shutdown exited {status}"));
     }

@@ -33,6 +33,7 @@
 //! Everything is deterministic per seed so a failing case replays exactly.
 
 use crate::fault::{mutate, Mutator};
+use crate::rig::Report;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spex_baseline::DomEvaluator;
@@ -367,6 +368,46 @@ pub struct DiffOutcome {
     pub selecting_cases: usize,
     /// Every divergence found; must be empty.
     pub divergences: Vec<String>,
+    /// Set by [`scan_diff`]: the sweep compared the two scanners, not the
+    /// executors.
+    pub scanners: bool,
+}
+
+impl DiffOutcome {
+    /// The sweep's report, as `harness vm-diff` or `harness scan-diff`
+    /// prints it.
+    pub fn report(self) -> Report {
+        let (compared, agreed, comparisons, prefix) = if self.scanners {
+            (
+                "case(s) compared fast-vs-classic",
+                "delivered",
+                "stream comparison(s) (clean + mutators, x policy)",
+                "SCANNER DIVERGENCE: ",
+            )
+        } else {
+            (
+                "clean case(s) compared",
+                "agreed byte-for-byte",
+                "fault comparison(s) (mutator x policy x executor)",
+                "DIVERGENCE: ",
+            )
+        };
+        Report {
+            summary: vec![
+                format!(
+                    "{} {compared} ({} selected >=1 node, {} fragment(s) {agreed})",
+                    self.cases, self.selecting_cases, self.fragments
+                ),
+                format!(
+                    "{} {comparisons}, {} divergence(s)",
+                    self.fault_comparisons,
+                    self.divergences.len()
+                ),
+            ],
+            prefix,
+            failures: self.divergences,
+        }
+    }
 }
 
 /// The rig's top-level driver: `cases` seeded random (document, query)
@@ -493,7 +534,10 @@ pub fn scan_diff_case(query: &Rpeq, xml: &str, seed: u64) -> Vec<String> {
 /// Deterministic per `seed`.
 pub fn scan_diff(cases: usize, seed: u64, fault_rounds: usize) -> DiffOutcome {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut outcome = DiffOutcome::default();
+    let mut outcome = DiffOutcome {
+        scanners: true,
+        ..DiffOutcome::default()
+    };
     for i in 0..cases {
         let query = gen_query(&mut rng);
         let xml = gen_document(&mut rng);

@@ -19,12 +19,14 @@
 //! The same mutators back `tests/recovery.rs` (table-driven, debug builds)
 //! and the `harness fault-sweep` subcommand (larger release-mode sweep).
 
+use crate::rig::Report;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spex_core::{
     evaluate_recovering, CompiledNetwork, FragmentCollector, RecoveryOptions, RunReport,
 };
 use spex_xml::RecoveryPolicy;
+use std::time::{Duration, Instant};
 
 /// One way of corrupting a well-formed stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -261,13 +263,6 @@ pub fn is_sub_multiset(sub: &[String], sup: &[String]) -> bool {
     })
 }
 
-/// One soundness violation found by [`fault_sweep`].
-#[derive(Debug, Clone)]
-pub struct Violation {
-    /// Human-readable description (query, mutator, seed, what went wrong).
-    pub detail: String,
-}
-
 /// Aggregate outcome of a sweep.
 #[derive(Debug, Clone, Default)]
 pub struct SweepOutcome {
@@ -283,8 +278,38 @@ pub struct SweepOutcome {
     pub delivered: usize,
     /// Result fragments quarantined across all runs.
     pub quarantined: usize,
-    /// Soundness or completion violations (must be empty).
-    pub violations: Vec<Violation>,
+    /// Soundness or completion violations, each naming the query, mutator
+    /// and seed (must be empty).
+    pub violations: Vec<String>,
+    /// Wall time of the sweep.
+    pub elapsed: Duration,
+}
+
+impl SweepOutcome {
+    /// The sweep's report, as `harness fault-sweep` prints it.
+    pub fn report(self) -> Report {
+        let mut summary = vec![
+            format!(
+                "mutants: {}  unchanged: {}  runs with faults: {}  faults reported: {}",
+                self.mutants, self.unchanged, self.faulted_runs, self.faults_reported
+            ),
+            format!(
+                "delivered: {}  quarantined: {}  elapsed: {:.2}s",
+                self.delivered,
+                self.quarantined,
+                self.elapsed.as_secs_f64()
+            ),
+        ];
+        if self.violations.is_empty() {
+            summary
+                .push("soundness: every mutant's results are a subset of the clean oracle".into());
+        }
+        Report {
+            summary,
+            prefix: "VIOLATION: ",
+            failures: self.violations,
+        }
+    }
 }
 
 /// Run one mutant through the recovery pipeline, appending to `outcome`.
@@ -310,22 +335,20 @@ fn check_mutant(
     ) {
         Ok(r) => r,
         Err(e) => {
-            outcome.violations.push(Violation {
-                detail: format!("{label}: {policy} run surfaced an error: {e}"),
-            });
+            outcome
+                .violations
+                .push(format!("{label}: {policy} run surfaced an error: {e}"));
             return None;
         }
     };
     let frags = collector.into_fragments();
     if !is_sub_multiset(&frags, oracle) {
-        outcome.violations.push(Violation {
-            detail: format!(
-                "{label}: {policy} results not a subset of the clean oracle \
-                 ({} delivered vs {} clean)",
-                frags.len(),
-                oracle.len()
-            ),
-        });
+        outcome.violations.push(format!(
+            "{label}: {policy} results not a subset of the clean oracle \
+             ({} delivered vs {} clean)",
+            frags.len(),
+            oracle.len()
+        ));
     }
     if !report.faults.is_empty() {
         outcome.faulted_runs += 1;
@@ -344,6 +367,7 @@ pub fn fault_sweep(
     seed_base: u64,
     rounds: usize,
 ) -> SweepOutcome {
+    let start = Instant::now();
     let mut outcome = SweepOutcome::default();
     for (wi, (query, xml)) in workloads.iter().enumerate() {
         let network = CompiledNetwork::compile(query);
@@ -351,9 +375,9 @@ pub fn fault_sweep(
         let oracle = match spex_core::evaluate_str(&query.to_string(), xml) {
             Ok(frags) => frags,
             Err(e) => {
-                outcome.violations.push(Violation {
-                    detail: format!("workload {wi}: clean stream failed to evaluate: {e}"),
-                });
+                outcome.violations.push(format!(
+                    "workload {wi}: clean stream failed to evaluate: {e}"
+                ));
                 continue;
             }
         };
@@ -378,6 +402,7 @@ pub fn fault_sweep(
             }
         }
     }
+    outcome.elapsed = start.elapsed();
     outcome
 }
 

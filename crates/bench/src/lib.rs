@@ -24,6 +24,7 @@
 pub mod crash;
 pub mod diff;
 pub mod fault;
+pub mod rig;
 
 use spex_baseline::{DomEvaluator, TreeNfaEvaluator};
 use spex_core::{CompiledNetwork, CountingSink, EngineStats, Evaluator, TransducerStats};
@@ -47,16 +48,7 @@ impl Processor {
     /// All processors, in the paper's presentation order.
     pub const ALL: [Processor; 3] = [Processor::Spex, Processor::Dom, Processor::TreeNfa];
 
-    /// Display name (paper name in parentheses).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Processor::Spex => "SPEX",
-            Processor::Dom => "DOM (Saxon stand-in)",
-            Processor::TreeNfa => "TreeNFA (Fxgrep stand-in)",
-        }
-    }
-
-    /// Short column label.
+    /// Short column label, and the name `harness mem-probe` takes.
     pub fn label(&self) -> &'static str {
         match self {
             Processor::Spex => "spex",
@@ -84,73 +76,45 @@ pub struct RunResult {
 /// the document tree — that is the cost SPEX avoids, exactly as in the
 /// paper's comparison.
 pub fn run_query(processor: Processor, query: &Rpeq, events: &[XmlEvent]) -> RunResult {
+    if processor == Processor::Spex {
+        return run_spex_streaming(query, events.iter().cloned());
+    }
+    let start = Instant::now();
+    let doc = Document::from_events(events.to_vec()).expect("well-formed");
+    RunResult {
+        results: select_in_tree(processor, &doc, query),
+        elapsed: start.elapsed(),
+        stats: None,
+        transducer_stats: None,
+    }
+}
+
+/// The number of nodes `query` selects in the materialized `doc`, by the
+/// in-memory `processor` (`Dom` or `TreeNfa`).
+pub fn select_in_tree(processor: Processor, doc: &Document, query: &Rpeq) -> usize {
     match processor {
-        Processor::Spex => {
-            let network = CompiledNetwork::compile(query);
-            let mut sink = CountingSink::new();
-            let start = Instant::now();
-            let mut eval = Evaluator::new(&network, &mut sink);
-            for ev in events {
-                eval.push(ev.clone());
-            }
-            let (stats, transducers) = eval.finish_full();
-            RunResult {
-                elapsed: start.elapsed(),
-                results: sink.results,
-                stats: Some(stats),
-                transducer_stats: Some(transducers),
-            }
-        }
-        Processor::Dom => {
-            let start = Instant::now();
-            let doc = Document::from_events(events.to_vec()).expect("well-formed");
-            let selected = DomEvaluator::new(&doc).evaluate(query);
-            RunResult {
-                elapsed: start.elapsed(),
-                results: selected.len(),
-                stats: None,
-                transducer_stats: None,
-            }
-        }
-        Processor::TreeNfa => {
-            let start = Instant::now();
-            let doc = Document::from_events(events.to_vec()).expect("well-formed");
-            let selected = TreeNfaEvaluator::new(&doc).evaluate(query);
-            RunResult {
-                elapsed: start.elapsed(),
-                results: selected.len(),
-                stats: None,
-                transducer_stats: None,
-            }
-        }
+        Processor::Dom => DomEvaluator::new(doc).evaluate(query).len(),
+        _ => TreeNfaEvaluator::new(doc).evaluate(query).len(),
     }
 }
 
 /// Evaluate with SPEX over a streaming event source (for datasets too large
 /// to buffer).
-pub fn run_spex_streaming(
-    query: &Rpeq,
-    events: impl Iterator<Item = XmlEvent>,
-) -> (RunResult, u64) {
+pub fn run_spex_streaming(query: &Rpeq, events: impl Iterator<Item = XmlEvent>) -> RunResult {
     let network = CompiledNetwork::compile(query);
     let mut sink = CountingSink::new();
     let start = Instant::now();
     let mut eval = Evaluator::new(&network, &mut sink);
-    let mut n = 0u64;
     for ev in events {
-        n += 1;
         eval.push(ev);
     }
     let (stats, transducers) = eval.finish_full();
-    (
-        RunResult {
-            elapsed: start.elapsed(),
-            results: sink.results,
-            stats: Some(stats),
-            transducer_stats: Some(transducers),
-        },
-        n,
-    )
+    RunResult {
+        elapsed: start.elapsed(),
+        results: sink.results,
+        stats: Some(stats),
+        transducer_stats: Some(transducers),
+    }
 }
 
 /// Cached MONDIAL events (generated once per process).

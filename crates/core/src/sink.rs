@@ -248,10 +248,9 @@ impl<W: std::io::Write> ResultSink for StreamingSink<W> {
 /// [`StreamingSink`] minus the trailing newline (same [`spex_xml::Writer`],
 /// fresh per fragment).
 ///
-/// This is the sink for consumers that multiplex several queries onto one
-/// output channel (the multi-query CLI, the `spex-serve` result frames):
-/// within-fragment progressiveness is traded for whole fragments that can be
-/// labeled and interleaved safely.
+/// Within-fragment progressiveness is traded for whole fragments that can
+/// be labeled and interleaved safely. Neither the CLI (`TaggedSink`) nor
+/// `spex-serve` (`SessionSink`) uses it; `benchmark/trace` does.
 pub struct FragmentFnSink<F: FnMut(&[u8])> {
     current: Option<spex_xml::Writer<Vec<u8>>>,
     deliver: F,

@@ -138,8 +138,8 @@ struct SessionSink {
     /// `client_received - snapshot_delivered`, the fragments the replayed
     /// input will regenerate.
     suppress: u64,
-    /// The fragment being serialized, byte for byte as
-    /// [`spex_core::FragmentFnSink`] (and so the one-shot CLI) writes it.
+    /// The fragment being serialized by a fresh [`spex_xml::Writer`], byte
+    /// for byte as the one-shot CLI writes it.
     current: Option<spex_xml::Writer<Vec<u8>>>,
 }
 

@@ -24,12 +24,12 @@
 //!
 //! ## Layout
 //!
-//! * [`metric`] — [`Counter`], [`Gauge`], [`Histogram`],
-//!   [`AtomicHistogram`]: the accumulating primitives,
+//! * [`metric`] — [`Histogram`], [`AtomicHistogram`]: the accumulating
+//!   primitives,
 //! * [`record`] — [`TraceRecord`], the unit of export, plus its JSONL
 //!   serialization ([`escape_json`]),
 //! * [`sink`] — the pluggable [`TraceSink`] trait and the three shipped
-//!   sinks: [`NullSink`], [`JsonlSink`], [`MemorySink`],
+//!   sinks: [`JsonlSink`], [`MemorySink`], [`TeeSink`],
 //! * [`tracer`] — [`Tracer`], the cheap cloneable handle the rest of the
 //!   workspace threads around, and [`Span`], its RAII monotonic-clock timer.
 //!
@@ -64,7 +64,7 @@ pub mod record;
 pub mod sink;
 pub mod tracer;
 
-pub use metric::{AtomicHistogram, Counter, Gauge, Histogram, HistogramSummary};
+pub use metric::{AtomicHistogram, Histogram, HistogramSummary};
 pub use record::{escape_json, summary_json, TraceRecord, Value};
-pub use sink::{JsonlSink, MemorySink, NullSink, TeeSink, TraceSink};
+pub use sink::{JsonlSink, MemorySink, TeeSink, TraceSink};
 pub use tracer::{Span, Tracer};

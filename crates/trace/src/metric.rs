@@ -1,5 +1,5 @@
-//! Accumulating metric primitives: counters, gauges, and power-of-two
-//! bucket histograms (plain and atomic).
+//! Accumulating metric primitives: power-of-two bucket histograms (plain
+//! and atomic).
 //!
 //! The histogram is the workhorse: determination latency (the paper's
 //! earliness measure), admission-queue wait, and session duration are all
@@ -34,75 +34,6 @@ fn bucket_upper(i: usize) -> u64 {
         u64::MAX
     } else {
         (1u64 << i) - 1
-    }
-}
-
-/// A monotonically increasing atomic counter.
-///
-/// Safe to bump from any thread; `Relaxed` ordering everywhere because the
-/// exported numbers are aggregates, not synchronization.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// A counter at zero.
-    pub const fn new() -> Self {
-        Counter(AtomicU64::new(0))
-    }
-
-    /// Add `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Add one.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// An atomic gauge: a last-written value plus a high-water mark.
-///
-/// `set` both stores the instantaneous value and folds it into the peak, so
-/// one gauge answers both "how many now?" and "how many at worst?" (the
-/// candidate-buffer high-water marks of the paper's §VI memory argument).
-#[derive(Debug, Default)]
-pub struct Gauge {
-    value: AtomicU64,
-    peak: AtomicU64,
-}
-
-impl Gauge {
-    /// A gauge at zero.
-    pub const fn new() -> Self {
-        Gauge {
-            value: AtomicU64::new(0),
-            peak: AtomicU64::new(0),
-        }
-    }
-
-    /// Store the instantaneous value and update the high-water mark.
-    #[inline]
-    pub fn set(&self, v: u64) {
-        self.value.store(v, Ordering::Relaxed);
-        self.peak.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// The last stored value.
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-
-    /// The largest value ever stored.
-    pub fn peak(&self) -> u64 {
-        self.peak.load(Ordering::Relaxed)
     }
 }
 
@@ -488,19 +419,6 @@ mod tests {
         let ah2 = AtomicHistogram::new();
         ah2.merge(&h);
         assert_eq!(ah2.summary(), h.summary());
-    }
-
-    #[test]
-    fn counter_and_gauge() {
-        let c = Counter::new();
-        c.inc();
-        c.add(9);
-        assert_eq!(c.get(), 10);
-        let g = Gauge::new();
-        g.set(5);
-        g.set(2);
-        assert_eq!(g.get(), 2);
-        assert_eq!(g.peak(), 5);
     }
 
     #[test]

@@ -3,13 +3,11 @@
 //! A [`TraceSink`] receives finished [`TraceRecord`]s. Three implementations
 //! ship:
 //!
-//! * [`NullSink`] — discards everything; with the [`crate::Tracer`]'s
-//!   `None` fast path this compiles down to nothing on the instrumented
-//!   paths,
 //! * [`JsonlSink`] — one JSON object per line to any `Write` (the CLI's
 //!   `--trace-jsonl PATH`, the server's tail-able live trace),
 //! * [`MemorySink`] — collects records in memory for tests and for the
-//!   CLI's `--trace-summary` rendering.
+//!   CLI's `--trace-summary` rendering,
+//! * [`TeeSink`] — fans every record out to several sinks.
 
 use crate::record::TraceRecord;
 use std::io::{BufWriter, Write};
@@ -27,14 +25,6 @@ pub trait TraceSink: Send + Sync {
     /// record boundaries by crash-sensitive producers so an abnormal exit
     /// loses at most the record being written. Default: no-op.
     fn sync(&self) {}
-}
-
-/// The no-op sink: every record is discarded.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn emit(&self, _record: &TraceRecord) {}
 }
 
 /// A line-per-record JSON sink over any writer (file, pipe, socket).

@@ -654,21 +654,12 @@ impl Parser {
         if utf8(&self.scratch[target.clone()]).eq_ignore_ascii_case("xml") {
             return Ok(None);
         }
-        // Trim the data. Bytes that are whitespace as latin-1 characters
-        // (U+0085 and U+00A0 too) are trimmed, as before UTF-8 decoding.
-        let space = |b: &u8| char::from(*b).is_whitespace();
-        let data = &self.scratch[target.end..];
-        let end = target.end + data.iter().rposition(|b| !space(b)).map_or(0, |i| i + 1);
-        let lead = self.scratch[target.end..end]
-            .iter()
-            .take_while(|b| space(b))
-            .count();
-        self.scratch.truncate(end);
-        self.scratch.drain(target.end..target.end + lead);
+        // The data is trimmed as decoded text, so a multi-byte character
+        // whose last byte is 0x85 or 0xA0 (`à` is C3 A0) stays whole.
         let data = self.finish_piece(target.end, None)?;
         Ok(Some(store.push_pi(
             utf8(&self.scratch[target]),
-            utf8(&self.scratch[data]),
+            utf8(&self.scratch[data]).trim(),
         )))
     }
 

@@ -517,15 +517,26 @@ fn comment_with_embedded_dashes() {
 }
 
 #[test]
-fn pi_with_question_marks() {
-    let evs = ok("<a><?p a?b??></a>");
-    assert_eq!(
-        evs[2],
-        XmlEvent::ProcessingInstruction {
-            target: "p".into(),
-            data: "a?b?".into()
+fn pi_data() {
+    for (xml, data) in [
+        ("<a><?p a?b??></a>", "a?b?"),
+        // Trimmed after decoding: `à` ends in the byte 0xA0, and U+00A0 is
+        // whitespace.
+        ("<a><?p voilà?></a>", "voilà"),
+        ("<a><?p café \u{A0}?></a>", "café"),
+    ] {
+        for scanner in [ScannerKind::Fast, ScannerKind::Classic] {
+            let evs: Vec<XmlEvent> = Reader::new(xml.as_bytes())
+                .with_scanner(scanner)
+                .collect::<Result<_>>()
+                .unwrap_or_else(|e| panic!("parse {xml:?}: {e}"));
+            let pi = XmlEvent::ProcessingInstruction {
+                target: "p".into(),
+                data: data.into(),
+            };
+            assert_eq!(evs[2], pi, "{xml:?} under {scanner:?}");
         }
-    );
+    }
 }
 
 // ----- structural fast path vs classic scanner (DESIGN.md §18) -----

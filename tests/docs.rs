@@ -3,14 +3,16 @@
 //! `BENCH_<n>` (with or without `.json`) must name a file at the repository
 //! root; a rooted `crates/…`, `tests/…`, `examples/…` or `benchmark/…` path
 //! ending in `.rs` must name a file; and inside code (an inline span or a
-//! fenced block) a `harness <subcommand>` must be an arm of the harness's
-//! `main` match, a `cargo bench … --bench NAME` must name a `[[bench]]`
+//! fenced block) a `harness <subcommand>` must be a row of the harness's
+//! command table, a `cargo bench … --bench NAME` must name a `[[bench]]`
 //! target of some manifest, and a `--flag` on a `spex` command line must be
 //! in `spex --help` (`spex serve --help` after `spex serve`). A
 //! `Type::member` in code must name a `struct`, `enum`, `trait` or `type`
 //! `Type` and a `fn member` or a `member:` field somewhere under `crates/`
-//! or `src/`. `benchmark/` is checked by its own runner; ROADMAP.md and
-//! CHANGES.md are history and not scanned.
+//! or `src/`. Outside comments, `.github/workflows/ci.yml` may cite only
+//! harness subcommands, and must run every rig of the table. `benchmark/`
+//! is checked by its own runner; ROADMAP.md and CHANGES.md are history and
+//! not scanned.
 
 use std::path::Path;
 
@@ -30,15 +32,18 @@ fn read(rel: &str) -> String {
     std::fs::read_to_string(root().join(rel)).unwrap_or_else(|e| panic!("read {rel}: {e}"))
 }
 
-/// The subcommands `harness` dispatches on: the string patterns of the
-/// match in its `fn main`.
-fn harness_subcommands() -> Vec<String> {
-    let src = read("crates/bench/src/bin/harness.rs");
-    let main = src.split("\nfn main()").nth(1).expect("harness has a main");
-    let main = &main[..main.find("\n}\n").expect("main ends")];
-    main.lines()
-        .filter_map(|l| l.trim().strip_prefix('"')?.split_once("\" =>"))
-        .map(|(name, _)| name.to_string())
+/// The subcommands of `harness`, from the `Command("name", …)` rows of its
+/// table, each with whether it is a rig (`Rig` or `Smoke`), which CI runs.
+fn harness_subcommands() -> Vec<(String, bool)> {
+    read("crates/bench/src/bin/harness.rs")
+        .lines()
+        .filter_map(|l| l.trim().strip_prefix("Command(\"")?.split_once('"'))
+        .map(|(name, row)| {
+            (
+                name.to_string(),
+                row.contains(" Rig(") || row.contains(" Smoke("),
+            )
+        })
         .collect()
 }
 
@@ -230,8 +235,12 @@ fn bench_citations(text: &str) -> Vec<String> {
 
 #[test]
 fn cited_artifacts_and_harness_subcommands_exist() {
-    let arms = harness_subcommands();
-    assert!(arms.contains(&"vm-diff".to_string()), "arms: {arms:?}");
+    let subcommands = harness_subcommands();
+    assert!(
+        subcommands.contains(&("vm-diff".into(), true)),
+        "{subcommands:?}"
+    );
+    let arms: Vec<String> = subcommands.iter().map(|(name, _)| name.clone()).collect();
     let targets = bench_targets();
     let source = rust_source(&root().join("crates")) + &rust_source(&root().join("src"));
     let mut missing = Vec::new();
@@ -275,6 +284,26 @@ fn cited_artifacts_and_harness_subcommands_exist() {
                     missing.push(format!("{doc}:{line}: `{command} {flag}` is not an option"));
                 }
             }
+        }
+    }
+    // CI's harness runs (comments aside) cite only subcommands, and every
+    // rig has one.
+    let ci = read(".github/workflows/ci.yml");
+    let mut ci_cited = Vec::new();
+    for (i, line) in ci.lines().enumerate() {
+        for cmd in harness_citations(line.split('#').next().unwrap_or("")) {
+            if !arms.contains(&cmd) {
+                missing.push(format!(
+                    "ci.yml:{}: `harness {cmd}` is not a subcommand",
+                    i + 1
+                ));
+            }
+            ci_cited.push(cmd);
+        }
+    }
+    for (rig, _) in subcommands.iter().filter(|(_, rig)| *rig) {
+        if !ci_cited.contains(rig) {
+            missing.push(format!("ci.yml runs no `harness {rig}`"));
         }
     }
     assert!(
