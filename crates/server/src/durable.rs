@@ -130,6 +130,9 @@ pub struct RecoveredSession {
     /// The full recovered WAL payload (every valid data record,
     /// concatenated in order).
     pub wal: Vec<u8>,
+    /// Input offset of `wal`'s first byte: the start of the earliest
+    /// retained segment (0 unless pruning ran).
+    pub wal_start: u64,
     /// True if the WAL records that the client already ended its stream.
     pub ended: bool,
 }
@@ -325,18 +328,14 @@ impl SessionLog {
     /// parse offset the latest snapshot resumes from). The active segment
     /// is never pruned.
     pub fn prune(&self, offset: u64) -> io::Result<()> {
-        for (start, path) in list_segments(&self.dir)? {
-            if start >= self.segment_start {
-                continue; // active (or later) segment
-            }
-            // A closed segment covers [start, next_start). It is safe to
-            // remove only if everything it holds is at or before `offset`,
-            // i.e. the *next* segment starts at or before `offset`.
-            let next_start = next_segment_start(&self.dir, start)?;
-            if let Some(next) = next_start {
-                if next <= offset {
-                    fs::remove_file(path)?;
-                }
+        let segments = list_segments(&self.dir)?;
+        // A closed segment covers [start, next_start). It is safe to
+        // remove only if everything it holds is at or before `offset`,
+        // i.e. the *next* segment starts at or before `offset`.
+        for pair in segments.windows(2) {
+            let ((start, path), (next, _)) = (&pair[0], &pair[1]);
+            if *start < self.segment_start && *next <= offset {
+                fs::remove_file(path)?;
             }
         }
         Ok(())
@@ -360,17 +359,6 @@ fn list_segments(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
     }
     segments.sort_by_key(|(s, _)| *s);
     Ok(segments)
-}
-
-/// Start offset of the segment that follows the one starting at `start`,
-/// if any.
-fn next_segment_start(dir: &Path, start: u64) -> io::Result<Option<u64>> {
-    let segments = list_segments(dir)?;
-    Ok(segments
-        .iter()
-        .map(|(s, _)| *s)
-        .filter(|s| *s > start)
-        .min())
 }
 
 /// Scan one segment file, appending every valid record's payload to `out`.
@@ -429,9 +417,9 @@ pub fn recover(root: &Path, token: &str) -> io::Result<Option<RecoveredSession>>
     let segments = list_segments(&dir)?;
     let mut wal = Vec::new();
     // After pruning, the earliest retained segment may start past 0; the
-    // recovered WAL then covers [first_start, total) and the caller maps
-    // offsets via [`recovered_wal_start`].
-    let mut total = segments.first().map(|(s, _)| *s).unwrap_or(0);
+    // recovered WAL then covers [wal_start, total).
+    let wal_start = segments.first().map(|(s, _)| *s).unwrap_or(0);
+    let mut total = wal_start;
     let mut ended = false;
     for (start, path) in segments {
         if start != total {
@@ -457,15 +445,9 @@ pub fn recover(root: &Path, token: &str) -> io::Result<Option<RecoveredSession>>
         queries,
         snapshot,
         wal,
+        wal_start,
         ended,
     }))
-}
-
-/// Parse offset of the first byte held in the recovered WAL — the start
-/// offset of the earliest retained segment (0 unless pruning ran).
-pub fn recovered_wal_start(root: &Path, token: &str) -> io::Result<u64> {
-    let segments = list_segments(&root.join(token))?;
-    Ok(segments.first().map(|(s, _)| *s).unwrap_or(0))
 }
 
 /// Remove a session's durable directory entirely (clean session end).
@@ -591,21 +573,32 @@ mod tests {
     fn snapshot_is_atomic_and_prune_keeps_needed_segments() {
         let root = temp_root("prune");
         let mut log = SessionLog::create(&root, "t1", &queries(), FsyncPolicy::Never).unwrap();
-        let chunk = vec![b'y'; 1024 * 1024];
-        log.append_data(&chunk).unwrap(); // fills segment 0, rotates
+        let mib = 1024 * 1024;
+        let chunk = vec![b'y'; mib as usize];
+        // Three closed segments starting at 0, 1 MiB and 2 MiB, and the
+        // active one at 3 MiB.
+        for _ in 0..3 {
+            log.append_data(&chunk).unwrap();
+        }
         log.append_data(b"doc2").unwrap();
         log.write_snapshot(b"SNAPSHOT").unwrap();
-        // Snapshot taken at offset 1 MiB + 4: segment 0 (ends at 1 MiB) is
-        // fully covered and prunable.
-        log.prune(1024 * 1024 + 4).unwrap();
+        let starts = |root: &Path| -> Vec<u64> {
+            let segs = list_segments(&root.join("t1")).unwrap();
+            segs.into_iter().map(|(start, _)| start).collect()
+        };
+        assert_eq!(starts(&root), [0, mib, 2 * mib, 3 * mib]);
+        // A snapshot at 2 MiB + 5 covers segment 0 and segment 1 (which
+        // ends at 2 MiB), but not segment 2.
+        log.prune(2 * mib + 5).unwrap();
+        assert_eq!(starts(&root), [2 * mib, 3 * mib]);
+        // The active segment survives even when the offset passes it.
+        log.prune(3 * mib + 4).unwrap();
         drop(log);
-        let segs = list_segments(&root.join("t1")).unwrap();
-        assert_eq!(segs.len(), 1);
-        assert_eq!(segs[0].0, 1024 * 1024);
+        assert_eq!(starts(&root), [3 * mib]);
         let rec = recover(&root, "t1").unwrap().unwrap();
         assert_eq!(rec.snapshot.as_deref(), Some(&b"SNAPSHOT"[..]));
         // Recovered WAL now starts at the retained segment's offset.
-        assert_eq!(recovered_wal_start(&root, "t1").unwrap(), 1024 * 1024);
+        assert_eq!(rec.wal_start, 3 * mib);
         assert_eq!(rec.wal, b"doc2");
         let _ = fs::remove_dir_all(&root);
     }

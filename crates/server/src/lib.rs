@@ -10,22 +10,24 @@
 //! one [`spex_core::CompiledNetwork`], so the compilation cost of a
 //! popular query set is paid once.
 //!
-//! The crate is std-only (the workspace vendors no async runtime): a
-//! single reactor thread owns every socket through a raw readiness poller
-//! (epoll on Linux), and sessions are nonblocking state machines advanced
-//! by a fixed pool of worker threads — so 10k+ mostly-idle connections
+//! The crate is std-only (the workspace vendors no async runtime): one
+//! thread accepts connections and hands each to a worker of a fixed pool;
+//! each worker owns its connections end to end through its own raw
+//! readiness poller (epoll on Linux) — sockets, frame decoders, session
+//! state machines and outbound buffers — so 10k+ mostly-idle connections
 //! cost file descriptors, not threads. The engine's `PlanRun` is
 //! intentionally single-threaded (`Rc`-backed interning); concurrency comes
-//! from one run per session, pinned to one worker, not from sharing a run.
+//! from one run per session, on the worker that owns its connection, not
+//! from sharing a run.
 //!
 //! Layers:
 //! - [`protocol`]: the length-prefixed frame grammar and codecs, including
-//!   the incremental [`FrameDecoder`] the reactor path decodes with.
+//!   the incremental [`FrameDecoder`] every session decodes with.
 //! - [`registry`]: the compiled-plan cache.
-//! - [`server`] / `reactor` / `session`: the event loop and per-tenant
-//!   scheduler, and the per-session state machine over the zero-copy
-//!   parser path (`poll` is the readiness backend, `conn` the shared
-//!   per-connection buffers).
+//! - [`server`] / `reactor` / `session`: the accept loop, the workers'
+//!   poll loops and per-tenant scheduler, and the per-session state
+//!   machine over the zero-copy parser path (`poll` is the readiness
+//!   backend).
 //! - [`stats`]: server-wide statistics in the one-shot `--stats-json`
 //!   schema.
 //! - [`client`]: a small blocking client for tests, benches and examples.
@@ -39,7 +41,6 @@
 #![deny(missing_docs)]
 
 pub mod client;
-mod conn;
 pub mod durable;
 mod poll;
 pub mod protocol;

@@ -1,7 +1,7 @@
-//! A tiny std-only readiness poller behind the reactor.
+//! A tiny std-only readiness poller behind the accept loop and the workers.
 //!
 //! The workspace vendors no async runtime and no `libc` crate, so the
-//! reactor talks to the kernel's readiness APIs directly: `epoll(7)` on
+//! server talks to the kernel's readiness APIs directly: `epoll(7)` on
 //! Linux (O(ready) wakeups, the only backend that makes 10k+ connections
 //! cheap), `poll(2)` on other unix systems, and a degraded timed-tick
 //! backend everywhere else (every registered token reports ready each
@@ -606,7 +606,7 @@ mod tests {
     use std::time::Duration;
 
     /// The selector reports a listener readable once a peer connects, and
-    /// a connection readable once bytes arrive — the reactor's two load-
+    /// a connection readable once bytes arrive — the server's two load-
     /// bearing readiness signals.
     #[test]
     fn poller_reports_accept_and_read_readiness() {

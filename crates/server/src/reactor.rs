@@ -1,66 +1,210 @@
-//! The reactor: one thread that owns every socket and does nothing but
-//! byte shoveling — accept, nonblocking reads into per-connection inboxes,
-//! outbound-buffer flushes, deadlines, close. All protocol work happens in
-//! [`SessionMachine`]s on the worker pool; the two sides meet only in the
-//! [`Conn`] buffers and a handful of atomics.
+//! The connection owners. The [`Acceptor`] runs on the thread that calls
+//! `Server::run`: it accepts, sheds `BUSY` past `max_conns`, watches
+//! signals, and hands each stream to worker `id % workers`. From then on
+//! that [`Worker`] owns the connection end to end: it polls the socket,
+//! reads into the session's decoder, runs the session one slice at a time,
+//! writes what a step produced as soon as the step returns, and keeps the
+//! connection's deadlines. The engine run is not `Send`, so a session
+//! never leaves the thread that created it, and no other thread touches
+//! its socket or buffers.
 //!
 //! ## Scheduling
 //!
-//! A connection becomes *ready* when its first bytes arrive, when input
-//! lands while its machine is suspended on [`WANT_INPUT`], or when the
-//! outbound backlog drains below [`OUT_LOW`] while it is suspended on
-//! [`WANT_WRITE`]. Ready connections are enqueued to the worker they are
-//! pinned to (connection id modulo pool size — the engine run is not
-//! `Send`, so a machine never migrates). Each worker's queue is fair *per
-//! tenant*: connections are bucketed by peer IP and buckets are served
-//! round-robin, so one tenant opening a thousand hot connections cannot
-//! starve another tenant's single session; within its slice a machine is
-//! bounded to a fixed event budget before it is rotated to the back.
-//!
-//! ## Suspend/resume protocol
-//!
-//! The worker, after a machine reports `NeedInput`/`NeedWrite`, sets the
-//! matching `Conn::needs` bit and *re-checks* the condition; the reactor,
-//! on the matching edge, *clears* the bit and enqueues if it was set.
-//! Whichever side loses the race still observes the other's write, so a
-//! wakeup is never lost.
+//! A connection is *ready* when its first bytes arrive, when input lands
+//! while its session waits for input, or when its outbound backlog drains
+//! below [`OUT_LOW`] while its session waits for the peer to read. A
+//! session's socket is read only while the session wants input; while it
+//! works or waits on a slow reader, TCP flow control holds the sender
+//! back. The ready queue is fair *per tenant*: connections are bucketed by
+//! peer IP and buckets are served round-robin, so one tenant opening a
+//! thousand hot connections cannot starve another tenant's single session;
+//! each turn is one slice of a bounded number of events.
 //!
 //! ## Deadlines
 //!
 //! A binary heap of `(instant, conn, kind)` with lazy re-validation: each
-//! entry is checked against the connection's authoritative clock when it
-//! pops, and pushed back if the clock moved. Read deadlines re-arm on any
-//! ingress; idle deadlines re-arm only on a *completed* frame (so a
-//! slowloris peer trickling single bytes is reaped); write deadlines fire
-//! when the peer accepts no bytes for the whole window while output is
-//! pending.
+//! entry is checked against the connection's clock when it pops, and
+//! pushed back if the clock moved. Read deadlines re-arm on any ingress;
+//! idle deadlines re-arm only on a *completed* frame (so a slowloris peer
+//! trickling single bytes is reaped); write deadlines fire when the peer
+//! accepts no bytes for the whole window while output is pending.
 
-use crate::conn::{Conn, INBOX_HIGH, INBOX_LOW, OUT_LOW, WANT_INPUT, WANT_WRITE};
-use crate::poll::{fd_of, fd_of_listener, soft_fd_limit, Interest, Poller, WAKE_TOKEN};
+use crate::poll::{fd_of, fd_of_listener, soft_fd_limit, Interest, Poller, Waker, WAKE_TOKEN};
+use crate::protocol::{write_frame, FrameKind};
 use crate::server::Shared;
-use crate::session::{Advance, SessionEnd, SessionMachine};
+use crate::session::{Advance, Inbound, OutCell, SessionEnd, SessionMachine, OUT_LOW};
 use crate::signal;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::io::{Read, Write};
-use std::net::{IpAddr, Ipv4Addr, TcpListener, TcpStream};
+use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// The listener's poll token; connection ids start at 1.
 const LISTENER_TOKEN: u64 = 0;
 
-/// How long a rejected (`BUSY`) or drain-abandoned connection may take to
-/// flush before it is dropped.
+/// How long a connection that never sent a byte may stay once shutdown
+/// has begun.
 const GRACE: Duration = Duration::from_millis(250);
 
 /// File descriptors reserved for everything that is not a connection
-/// (listener, waker pair, trace sink, durable logs, stdio).
+/// (listener, waker pairs, trace sink, durable logs, stdio).
 const FD_HEADROOM: u64 = 64;
 
-/// Fairness bucket for peers with no resolvable address.
-const NO_PEER: IpAddr = IpAddr::V4(Ipv4Addr::UNSPECIFIED);
+/// The longest any poll sleeps, so the accept loop sees signals promptly.
+const TICK: Duration = Duration::from_millis(100);
+
+/// Bytes read from one socket per turn, at most: a session's decoder holds
+/// one partial frame plus this much.
+const READ_BUDGET: usize = 256 * 1024;
+
+// --- Accept --------------------------------------------------------------
+
+/// A stream on its way from the acceptor to its worker.
+struct Handoff {
+    id: u64,
+    stream: TcpStream,
+    peer: SocketAddr,
+}
+
+/// One worker's intake: streams handed over but not yet adopted, whether
+/// the acceptor has stopped, and the waker that tells the worker to look.
+pub(crate) struct Intake {
+    queue: Mutex<(Vec<Handoff>, bool)>,
+    waker: Waker,
+}
+
+impl Intake {
+    pub(crate) fn new(waker: Waker) -> Intake {
+        Intake {
+            queue: Mutex::new((Vec::new(), false)),
+            waker,
+        }
+    }
+
+    /// Hand a stream over; the worker is woken only when its intake was
+    /// empty, so a burst of connections costs one wakeup.
+    fn push(&self, handoff: Handoff) {
+        let mut queue = self.queue.lock().expect("intake lock poisoned");
+        queue.0.push(handoff);
+        let wake = queue.0.len() == 1;
+        drop(queue);
+        if wake {
+            self.waker.wake();
+        }
+    }
+
+    fn close(&self) {
+        self.queue.lock().expect("intake lock poisoned").1 = true;
+        self.waker.wake();
+    }
+
+    /// The pending streams, and whether the acceptor has stopped (no
+    /// stream follows).
+    fn take(&self) -> (Vec<Handoff>, bool) {
+        let mut queue = self.queue.lock().expect("intake lock poisoned");
+        (std::mem::take(&mut queue.0), queue.1)
+    }
+}
+
+/// Accept a connection and make it nonblocking and no-delay: a result
+/// frame leaves as soon as its step is written, not when the peer's next
+/// ACK arrives.
+fn accept(listener: &TcpListener) -> std::io::Result<(TcpStream, SocketAddr)> {
+    let (stream, peer) = listener.accept()?;
+    stream.set_nonblocking(true)?;
+    stream.set_nodelay(true)?;
+    Ok((stream, peer))
+}
+
+/// The accept loop: the listener and the poller it waits on.
+pub(crate) struct Acceptor {
+    poller: Poller,
+    listener: TcpListener,
+}
+
+impl Acceptor {
+    pub(crate) fn new(listener: TcpListener) -> std::io::Result<Acceptor> {
+        listener.set_nonblocking(true)?;
+        let mut poller = Poller::new()?;
+        poller.register(fd_of_listener(&listener), LISTENER_TOKEN, Interest::READ)?;
+        Ok(Acceptor { poller, listener })
+    }
+
+    /// Wakes [`Acceptor::run`] (a shutdown request).
+    pub(crate) fn waker(&self) -> Waker {
+        self.poller.waker()
+    }
+
+    /// Accept until shutdown is requested, then close every intake; each
+    /// worker exits once its connections have drained.
+    pub(crate) fn run(mut self, shared: &Shared, intakes: &[Arc<Intake>]) {
+        let mut max_conns = shared.cfg.max_conns.max(1);
+        if let Some(limit) = soft_fd_limit() {
+            let usable = limit.saturating_sub(FD_HEADROOM).max(8) as usize;
+            max_conns = max_conns.min(usable);
+        }
+        let mut next_id = 1u64;
+        let mut events = Vec::new();
+        loop {
+            if shared.cfg.watch_signals && signal::requested() {
+                shared.begin_shutdown();
+            }
+            if shared.shutdown.load(Ordering::SeqCst) {
+                break;
+            }
+            events.clear();
+            if self.poller.wait(Some(TICK), &mut events).is_err() {
+                // A failed wait must not spin the thread; back off.
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            if !events.iter().any(|ev| ev.token == LISTENER_TOKEN) {
+                continue;
+            }
+            loop {
+                let (stream, peer) = match accept(&self.listener) {
+                    Ok(accepted) => accepted,
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                    // WouldBlock, or a transient failure (EMFILE, an
+                    // aborted handshake): the next readiness report retries.
+                    Err(_) => break,
+                };
+                if shared.live.load(Ordering::Acquire) >= max_conns {
+                    shed(shared, stream);
+                    continue;
+                }
+                shared.live.fetch_add(1, Ordering::AcqRel);
+                shared
+                    .stats
+                    .sessions_started
+                    .fetch_add(1, Ordering::Relaxed);
+                let id = next_id;
+                next_id += 1;
+                intakes[id as usize % intakes.len()].push(Handoff { id, stream, peer });
+            }
+        }
+        for intake in intakes {
+            intake.close();
+        }
+    }
+}
+
+/// Answer a connection past `max_conns` with one `BUSY` frame and close
+/// it. A fresh socket's send buffer always has room for five bytes.
+fn shed(shared: &Shared, mut stream: TcpStream) {
+    shared
+        .stats
+        .sessions_rejected
+        .fetch_add(1, Ordering::Relaxed);
+    let mut frame = Vec::with_capacity(5);
+    write_frame(&mut frame, FrameKind::Busy, b"").expect("a frame fits a Vec");
+    shared.trace.writes.fetch_add(1, Ordering::Relaxed);
+    let _ = stream.write(&frame);
+}
+
+// --- Workers ---------------------------------------------------------------
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum DlKind {
@@ -70,109 +214,218 @@ enum DlKind {
     Grace,
 }
 
-/// Reactor-side state for one registered socket.
-struct Active {
-    conn: Arc<Conn>,
+/// What a connection is waiting for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Wait {
+    /// Input: its first bytes (no session yet), or its session's next
+    /// frame.
+    Input,
+    /// The peer to read the backlog down to [`OUT_LOW`].
+    Write,
+    /// Its turn: it sits in the ready queue.
+    Turn,
+    /// Nothing: the session is over; close once the backlog is written.
+    Closing,
+}
+
+/// One connection, owned by its worker.
+struct Conn {
     stream: TcpStream,
+    peer: SocketAddr,
+    accepted_at: Instant,
+    inbound: Inbound,
+    out: OutCell,
+    /// Created on the connection's first bytes; gone once it finished.
+    session: Option<SessionMachine>,
+    wait: Wait,
     interest: Interest,
     /// Last time any bytes arrived (the read-deadline clock).
     last_ingress: Instant,
-    /// Set while a nonempty outbound buffer is making no progress (the
-    /// write-deadline clock); cleared on any accepted byte.
+    /// Set while a nonempty backlog makes no progress (the write-deadline
+    /// clock); cleared on any accepted byte.
     write_stall_since: Option<Instant>,
-    /// A `BUSY` shed: flush the one frame, then close. Never a machine.
-    reject: bool,
+    /// When the first bytes made the connection ready, until its first
+    /// turn (the admission-wait histogram).
+    first_ready: Option<Instant>,
 }
 
-pub(crate) struct Reactor {
-    shared: Arc<Shared>,
-    poller: Poller,
-    listener: Option<TcpListener>,
-    conns: HashMap<u64, Active>,
-    deadlines: BinaryHeap<Reverse<(Instant, u64, DlKind)>>,
-    next_id: u64,
-    /// Effective concurrent-connection cap: `cfg.max_conns` clamped under
-    /// the process's soft fd limit.
-    max_conns: usize,
-    draining: bool,
-    /// Scratch buffers reused across iterations.
-    events: Vec<crate::poll::PollEvent>,
-    cmds: Vec<u64>,
-}
-
-impl Reactor {
-    pub(crate) fn new(
-        shared: Arc<Shared>,
-        poller: Poller,
-        listener: TcpListener,
-    ) -> std::io::Result<Reactor> {
-        let mut poller = poller;
-        poller.register(fd_of_listener(&listener), LISTENER_TOKEN, Interest::READ)?;
-        let mut max_conns = shared.cfg.max_conns.max(1);
-        if let Some(limit) = soft_fd_limit() {
-            let usable = limit.saturating_sub(FD_HEADROOM).max(8) as usize;
-            max_conns = max_conns.min(usable);
+impl Conn {
+    /// Read what the socket holds, up to [`READ_BUDGET`], into the
+    /// session's decoder. Returns whether anything arrived: bytes, EOF or
+    /// an error.
+    fn read(&mut self, scratch: &mut [u8]) -> bool {
+        let mut arrived = 0usize;
+        let mut progressed = false;
+        while arrived < READ_BUDGET && !self.inbound.ended && self.inbound.error.is_none() {
+            match self.stream.read(scratch) {
+                Ok(0) => {
+                    self.inbound.ended = true;
+                    progressed = true;
+                }
+                Ok(n) => {
+                    self.inbound.decoder.push(&scratch[..n]);
+                    arrived += n;
+                    progressed = true;
+                    if n < scratch.len() {
+                        break;
+                    }
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => {
+                    self.inbound.error = Some(e.kind());
+                    progressed = true;
+                }
+            }
         }
-        Ok(Reactor {
-            shared,
-            poller,
-            listener: Some(listener),
-            conns: HashMap::new(),
-            deadlines: BinaryHeap::new(),
-            next_id: 1,
-            max_conns,
-            draining: false,
-            events: Vec::new(),
-            cmds: Vec::new(),
-        })
+        if progressed {
+            self.last_ingress = Instant::now();
+        }
+        progressed
     }
 
-    /// Shovel bytes until shutdown is requested and every connection has
-    /// drained. Never returns early on transient I/O errors.
+    /// Once a session is over, discard what the peer still sends: closing
+    /// a socket with unread input resets it, and the reset can overtake
+    /// the last frames.
+    fn discard(&mut self, scratch: &mut [u8]) {
+        loop {
+            match self.stream.read(scratch) {
+                Ok(0) => self.inbound.ended = true,
+                Ok(_) => continue,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+                Err(e) => self.inbound.error = Some(e.kind()),
+            }
+            return;
+        }
+    }
+
+    fn pending(&self) -> usize {
+        self.out.lock().expect("outbound lock poisoned").pending()
+    }
+}
+
+/// One worker's ready queue, fair per peer IP: each bucket yields one
+/// connection per round-robin turn.
+#[derive(Default)]
+struct Ready {
+    peers: HashMap<IpAddr, VecDeque<u64>>,
+    rr: VecDeque<IpAddr>,
+    last: Option<IpAddr>,
+    len: usize,
+}
+
+impl Ready {
+    /// Enqueue; returns the queue depth after the push.
+    fn push(&mut self, key: IpAddr, id: u64) -> usize {
+        let bucket = self.peers.entry(key).or_default();
+        if bucket.is_empty() {
+            self.rr.push_back(key);
+        }
+        bucket.push_back(id);
+        self.len += 1;
+        self.len
+    }
+
+    /// The next connection, and whether the round-robin rotated to a
+    /// different peer than the previous pop served.
+    fn pop(&mut self) -> Option<(u64, bool)> {
+        let key = self.rr.pop_front()?;
+        let bucket = self.peers.get_mut(&key).expect("rr key has a bucket");
+        let id = bucket.pop_front().expect("rr bucket is nonempty");
+        if bucket.is_empty() {
+            self.peers.remove(&key);
+        } else {
+            self.rr.push_back(key);
+        }
+        self.len -= 1;
+        let rotated = self.last != Some(key);
+        self.last = Some(key);
+        Some((id, rotated))
+    }
+}
+
+/// One worker thread and every connection pinned to it.
+pub(crate) struct Worker {
+    shared: Arc<Shared>,
+    poller: Poller,
+    intake: Arc<Intake>,
+    conns: HashMap<u64, Conn>,
+    ready: Ready,
+    deadlines: BinaryHeap<Reverse<(Instant, u64, DlKind)>>,
+    draining: bool,
+    /// The acceptor stopped: exit once every connection has closed.
+    closed: bool,
+    /// Scratch buffers reused across iterations.
+    events: Vec<crate::poll::PollEvent>,
+    scratch: Vec<u8>,
+}
+
+impl Worker {
+    pub(crate) fn new(shared: Arc<Shared>, poller: Poller, intake: Arc<Intake>) -> Worker {
+        Worker {
+            shared,
+            poller,
+            intake,
+            conns: HashMap::new(),
+            ready: Ready::default(),
+            deadlines: BinaryHeap::new(),
+            draining: false,
+            closed: false,
+            events: Vec::new(),
+            scratch: vec![0; 64 * 1024],
+        }
+    }
+
+    /// Serve this worker's connections until the acceptor has stopped and
+    /// every connection has closed.
     pub(crate) fn run(mut self) {
         loop {
-            if self.shared.cfg.watch_signals && signal::requested() {
-                self.shared.begin_shutdown();
-            }
             if !self.draining && self.shared.shutdown.load(Ordering::SeqCst) {
                 self.start_drain();
             }
-            if self.draining && self.conns.is_empty() {
+            if self.closed && self.conns.is_empty() {
                 return;
             }
-            let timeout = self.next_timeout();
+            let timeout = if self.ready.len > 0 {
+                Duration::ZERO
+            } else {
+                self.next_timeout()
+            };
             let mut events = std::mem::take(&mut self.events);
             events.clear();
             if self.poller.wait(Some(timeout), &mut events).is_err() {
-                // A failed wait (EBADF from a torn-down fd, say) must not
-                // spin the thread; back off and retry.
                 std::thread::sleep(Duration::from_millis(1));
             }
             for ev in &events {
-                match ev.token {
-                    LISTENER_TOKEN => self.accept_ready(),
-                    WAKE_TOKEN => {}
-                    id => {
-                        if ev.readable {
-                            self.read_ready(id);
-                        }
-                        if ev.writable {
-                            self.flush(id);
-                        }
-                    }
+                if ev.token == WAKE_TOKEN {
+                    self.adopt();
+                    continue;
+                }
+                if ev.readable {
+                    self.on_readable(ev.token);
+                }
+                if ev.writable {
+                    self.flush(ev.token);
                 }
             }
             self.events = events;
-            self.drain_notifier();
             self.fire_deadlines();
+            // One turn for every connection ready now; those that stay
+            // ready go again after the next poll.
+            for _ in 0..self.ready.len {
+                let Some((id, rotated)) = self.ready.pop() else {
+                    break;
+                };
+                self.turn(id, rotated);
+            }
         }
     }
 
-    fn next_timeout(&mut self) -> Duration {
-        let cap = Duration::from_millis(100);
+    fn next_timeout(&self) -> Duration {
         match self.deadlines.peek() {
-            Some(Reverse((when, _, _))) => when.saturating_duration_since(Instant::now()).min(cap),
-            None => cap,
+            Some(Reverse((when, _, _))) => when.saturating_duration_since(Instant::now()).min(TICK),
+            None => TICK,
         }
     }
 
@@ -180,227 +433,186 @@ impl Reactor {
         self.deadlines.push(Reverse((when, id, kind)));
     }
 
-    // --- Accept ----------------------------------------------------------
+    /// Register the streams the acceptor handed over (it wakes the worker
+    /// whenever the intake was empty).
+    fn adopt(&mut self) {
+        let (handoffs, closed) = self.intake.take();
+        self.closed = closed;
+        let now = Instant::now();
+        for Handoff { id, stream, peer } in handoffs {
+            if self
+                .poller
+                .register(fd_of(&stream), id, Interest::READ)
+                .is_err()
+            {
+                self.shared.live.fetch_sub(1, Ordering::AcqRel);
+                self.shared
+                    .stats
+                    .sessions_failed
+                    .fetch_add(1, Ordering::Relaxed);
+                continue;
+            }
+            if let Some(t) = self.shared.cfg.read_timeout {
+                self.arm(now + t, id, DlKind::Read);
+            }
+            if let Some(t) = self.shared.cfg.idle_timeout {
+                self.arm(now + t, id, DlKind::Idle);
+            }
+            if self.draining {
+                self.arm(now + GRACE, id, DlKind::Grace);
+            }
+            self.conns.insert(
+                id,
+                Conn {
+                    stream,
+                    peer,
+                    accepted_at: now,
+                    inbound: Inbound::new(self.shared.cfg.max_frame),
+                    out: OutCell::default(),
+                    session: None,
+                    wait: Wait::Input,
+                    interest: Interest::READ,
+                    last_ingress: now,
+                    write_stall_since: None,
+                    first_ready: None,
+                },
+            );
+        }
+    }
 
-    fn accept_ready(&mut self) {
-        loop {
-            let Some(listener) = &self.listener else {
+    fn on_readable(&mut self, id: u64) {
+        let Some(conn) = self.conns.get_mut(&id) else {
+            return;
+        };
+        match conn.wait {
+            Wait::Input => {
+                if conn.read(&mut self.scratch) {
+                    self.on_input(id);
+                }
+            }
+            Wait::Closing => {
+                conn.discard(&mut self.scratch);
+                self.settle(id);
+            }
+            // The session reads when it wants input.
+            Wait::Write | Wait::Turn => {}
+        }
+    }
+
+    /// Input arrived for a connection waiting for it: its first bytes
+    /// start a session; a peer that hung up (or failed) without a byte
+    /// never becomes one.
+    fn on_input(&mut self, id: u64) {
+        let Some(conn) = self.conns.get_mut(&id) else {
+            return;
+        };
+        if conn.session.is_none() {
+            if conn.inbound.decoder.buffered() == 0 {
+                let end = if conn.inbound.error.is_some() {
+                    SessionEnd::Failed
+                } else {
+                    SessionEnd::Completed
+                };
+                self.close(id, Some(end));
                 return;
-            };
-            match listener.accept() {
-                Ok((stream, peer)) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    if self.conns.len() >= self.max_conns {
-                        self.reject(stream, Some(peer));
-                        continue;
-                    }
-                    let id = self.next_id;
-                    self.next_id += 1;
-                    let worker = id as usize % self.shared.workers.len();
-                    let conn = Arc::new(Conn::new(id, Some(peer), worker));
-                    if self
-                        .poller
-                        .register(fd_of(&stream), id, Interest::READ)
-                        .is_err()
-                    {
-                        continue;
-                    }
-                    let now = Instant::now();
-                    if let Some(t) = self.shared.cfg.read_timeout {
-                        self.arm(now + t, id, DlKind::Read);
-                    }
-                    if let Some(t) = self.shared.cfg.idle_timeout {
-                        self.arm(now + t, id, DlKind::Idle);
-                    }
-                    self.conns.insert(
-                        id,
-                        Active {
-                            conn,
-                            stream,
-                            interest: Interest::READ,
-                            last_ingress: now,
-                            write_stall_since: None,
-                            reject: false,
-                        },
-                    );
-                    self.shared
-                        .stats
-                        .sessions_started
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                // Transient accept failures (EMFILE, aborted handshake):
-                // skip, the next readiness report retries.
-                Err(_) => return,
             }
+            conn.session = Some(SessionMachine::new(
+                Arc::clone(&self.shared),
+                Arc::clone(&conn.out),
+                Some(conn.peer),
+                conn.accepted_at,
+            ));
+            conn.first_ready = Some(Instant::now());
         }
+        self.make_ready(id);
     }
 
-    /// Shed a connection with a single `BUSY` frame. The frame usually
-    /// fits the socket buffer of a fresh connection; if it does not, the
-    /// socket is registered for writability under a short grace deadline.
-    fn reject(&mut self, stream: TcpStream, peer: Option<std::net::SocketAddr>) {
-        self.shared
-            .stats
-            .sessions_rejected
-            .fetch_add(1, Ordering::Relaxed);
-        let id = self.next_id;
-        self.next_id += 1;
-        let conn = Arc::new(Conn::new(id, peer, 0));
-        conn.send_frame(crate::protocol::FrameKind::Busy, b"");
-        let active = Active {
-            conn,
-            stream,
-            interest: Interest {
-                read: false,
-                write: true,
-            },
-            last_ingress: Instant::now(),
-            write_stall_since: None,
-            reject: true,
+    fn make_ready(&mut self, id: u64) {
+        let Some(conn) = self.conns.get_mut(&id) else {
+            return;
         };
-        self.conns.insert(id, active);
+        if conn.wait == Wait::Turn {
+            return;
+        }
+        conn.wait = Wait::Turn;
+        let depth = self.ready.push(conn.peer.ip(), id);
+        self.shared.trace.ready_depth.record(depth as u64);
+        self.settle(id);
+    }
+
+    /// One turn: advance the session by one slice, write what it produced,
+    /// and wait for whatever it reported. A panicking session must not
+    /// take its worker (and the server's capacity) down with it.
+    fn turn(&mut self, id: u64, rotated: bool) {
+        let shared = &self.shared;
+        let Some(conn) = self.conns.get_mut(&id) else {
+            return;
+        };
+        let Some(session) = conn.session.as_mut() else {
+            return;
+        };
+        shared.trace.slices.fetch_add(1, Ordering::Relaxed);
+        if rotated {
+            shared.trace.rotations.fetch_add(1, Ordering::Relaxed);
+        }
+        if let Some(t) = conn.first_ready.take() {
+            shared
+                .trace
+                .admission_wait_us
+                .record(t.elapsed().as_micros() as u64);
+        }
+        let inbound = &mut conn.inbound;
+        let outcome =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| session.advance(inbound)));
+        conn.wait = match outcome {
+            Ok(Advance::NeedInput) => Wait::Input,
+            Ok(Advance::NeedWrite) => Wait::Write,
+            Ok(Advance::Working) => {
+                // Back of the queue, so its siblings get their turn.
+                let depth = self.ready.push(conn.peer.ip(), id);
+                shared.trace.ready_depth.record(depth as u64);
+                Wait::Turn
+            }
+            Ok(Advance::Done(end)) => {
+                shared
+                    .trace
+                    .session_us
+                    .record(conn.accepted_at.elapsed().as_micros() as u64);
+                let counter = match end {
+                    SessionEnd::Completed => &shared.stats.sessions_completed,
+                    SessionEnd::Failed => &shared.stats.sessions_failed,
+                };
+                counter.fetch_add(1, Ordering::Relaxed);
+                conn.session = None;
+                Wait::Closing
+            }
+            Err(_) => {
+                shared.stats.sessions_failed.fetch_add(1, Ordering::Relaxed);
+                conn.session = None;
+                Wait::Closing
+            }
+        };
         self.flush(id);
-        if self.conns.contains_key(&id) {
-            let registered = {
-                let active = &self.conns[&id];
-                self.poller
-                    .register(
-                        fd_of(&active.stream),
-                        id,
-                        Interest {
-                            read: false,
-                            write: true,
-                        },
-                    )
-                    .is_ok()
-            };
-            if registered {
-                self.arm(Instant::now() + GRACE, id, DlKind::Grace);
-            } else {
-                self.conns.remove(&id);
+        // A session reads only when it wants input, and only once its
+        // output has left.
+        if let Some(conn) = self.conns.get_mut(&id) {
+            if conn.wait == Wait::Input && conn.read(&mut self.scratch) {
+                self.make_ready(id);
             }
         }
     }
 
-    // --- Socket I/O ------------------------------------------------------
-
-    fn read_ready(&mut self, id: u64) {
-        let Some(active) = self.conns.get_mut(&id) else {
-            return;
-        };
-        if active.reject {
-            // Anything the peer sends after a BUSY is discarded; a hangup
-            // shows up as the flush failing.
-            let mut sink = [0u8; 4096];
-            while matches!(active.stream.read(&mut sink), Ok(n) if n > 0) {}
-            return;
-        }
-        let mut buf = [0u8; 32 * 1024];
-        let mut ingress = false;
-        loop {
-            let full = {
-                let inbox = active.conn.inbox.lock().expect("inbox lock poisoned");
-                inbox.ended || inbox.error.is_some() || inbox.buf.len() >= INBOX_HIGH
-            };
-            if full {
-                break;
-            }
-            match active.stream.read(&mut buf) {
-                Ok(0) => {
-                    active.conn.inbox.lock().expect("inbox lock poisoned").ended = true;
-                    ingress = true;
-                    break;
-                }
-                Ok(n) => {
-                    let mut inbox = active.conn.inbox.lock().expect("inbox lock poisoned");
-                    inbox.buf.extend_from_slice(&buf[..n]);
-                    if inbox.buf.len() >= INBOX_HIGH {
-                        // Backpressure the sender through TCP: stop
-                        // reading until the machine drains the inbox.
-                        inbox.paused = true;
-                    }
-                    ingress = true;
-                    if n < buf.len() {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    let mut inbox = active.conn.inbox.lock().expect("inbox lock poisoned");
-                    if inbox.error.is_none() {
-                        inbox.error = Some(e.kind());
-                    }
-                    ingress = true;
-                    break;
-                }
-            }
-        }
-        if ingress {
-            active.last_ingress = Instant::now();
-            self.on_ingress(id);
-        }
-        self.update_interest(id);
-    }
-
-    /// React to new inbox content: spin up the session (first bytes), or
-    /// resume a machine suspended on input. Machine-less terminations (a probe that connected and hung
-    /// up without a byte) are settled here — the only sessions the reactor
-    /// itself counts.
-    fn on_ingress(&mut self, id: u64) {
-        let Some(active) = self.conns.get(&id) else {
-            return;
-        };
-        let conn = Arc::clone(&active.conn);
-        let (empty, ended, errored) = {
-            let inbox = conn.inbox.lock().expect("inbox lock poisoned");
-            (inbox.buf.is_empty(), inbox.ended, inbox.error.is_some())
-        };
-        if !conn.started.load(Ordering::Acquire) {
-            if !empty {
-                if !conn.started.swap(true, Ordering::AcqRel) {
-                    *conn.first_ready.lock().expect("first_ready lock poisoned") =
-                        Some(Instant::now());
-                    self.enqueue(&conn);
-                }
-            } else if errored {
-                self.close(id, Some(SessionEnd::Failed));
-            } else if ended {
-                self.close(id, Some(SessionEnd::Completed));
-            }
-            return;
-        }
-        if (!empty || ended || errored)
-            && conn.needs.fetch_and(!WANT_INPUT, Ordering::AcqRel) & WANT_INPUT != 0
-        {
-            self.enqueue(&conn);
-        }
-    }
-
-    /// Flush the outbound buffer toward the socket; track write-stall
-    /// time, resume write-suspended machines under the low watermark, and
-    /// close once a finished session has fully drained.
+    /// Write the backlog, then settle the connection's state.
     fn flush(&mut self, id: u64) {
-        let Some(active) = self.conns.get_mut(&id) else {
+        let Some(conn) = self.conns.get_mut(&id) else {
             return;
         };
-        let conn = Arc::clone(&active.conn);
-        // Snapshot `done` *before* the write loop: the worker appends every
-        // final frame before its `done.store(Release)`, so observing `done`
-        // here (Acquire) guarantees those frames are already visible to the
-        // flush below. Loading it after draining would race — the worker
-        // could append the session's closing frames between our last write
-        // and the load, and we would close with them still buffered.
-        let done = conn.done.load(Ordering::Acquire);
         let mut progressed = false;
         let pending = {
-            let mut out = conn.outbound.lock().expect("outbound lock poisoned");
+            let mut out = conn.out.lock().expect("outbound lock poisoned");
             while out.pending() > 0 && !out.dead {
-                match active.stream.write(&out.buf[out.pos..]) {
+                self.shared.trace.writes.fetch_add(1, Ordering::Relaxed);
+                match conn.stream.write(&out.buf[out.pos..]) {
                     Ok(0) => break,
                     Ok(n) => {
                         out.pos += n;
@@ -421,135 +633,66 @@ impl Reactor {
             out.compact();
             out.pending()
         };
-        if pending == 0 || progressed {
-            active.write_stall_since = None;
-        } else if active.write_stall_since.is_none() {
+        // The write-deadline clock runs from the last accepted byte while
+        // a backlog remains, so a socket that fills mid-write is timed too.
+        if pending == 0 {
+            conn.write_stall_since = None;
+        } else if progressed || conn.write_stall_since.is_none() {
             if let Some(t) = self.shared.cfg.write_timeout {
                 let now = Instant::now();
-                active.write_stall_since = Some(now);
-                self.arm(now + t, id, DlKind::Write);
+                if conn.write_stall_since.replace(now).is_none() {
+                    self.arm(now + t, id, DlKind::Write);
+                }
             }
         }
-        if pending <= OUT_LOW
-            && conn.needs.fetch_and(!WANT_WRITE, Ordering::AcqRel) & WANT_WRITE != 0
-        {
-            self.enqueue(&conn);
-        }
-        if pending == 0 {
-            let reject = self.conns.get(&id).map(|a| a.reject).unwrap_or(false);
-            if reject {
-                self.close(id, None);
-                return;
-            }
-            if done {
-                // The worker already counted this session.
-                self.close(id, None);
-                return;
-            }
-        }
-        self.update_interest(id);
+        self.settle(id);
     }
 
-    /// Reconcile the poller's interest set with the connection's state:
-    /// read while the inbox is open and under its watermark, write while
-    /// output is pending.
-    fn update_interest(&mut self, id: u64) {
-        let Some(active) = self.conns.get_mut(&id) else {
+    /// Act on the backlog: close a finished connection once it is written,
+    /// resume a write-suspended session under the low watermark, and poll
+    /// for what the connection waits on.
+    fn settle(&mut self, id: u64) {
+        let Some(conn) = self.conns.get_mut(&id) else {
             return;
         };
-        let want_read = if active.reject {
-            false
-        } else {
-            let inbox = active.conn.inbox.lock().expect("inbox lock poisoned");
-            !inbox.ended && inbox.error.is_none() && !inbox.paused
-        };
-        let want_write = active.conn.outbound_pending() > 0;
+        let pending = conn.pending();
+        if conn.wait == Wait::Closing && pending == 0 {
+            conn.discard(&mut self.scratch);
+            self.close(id, None);
+            return;
+        }
+        if conn.wait == Wait::Write && pending <= OUT_LOW {
+            self.make_ready(id);
+            return;
+        }
+        // Readability is watched except while the session waits on a slow
+        // reader: a report that finds the session busy is ignored (the
+        // socket is read only when it wants input), but one for a session
+        // that cannot run would spin the loop.
+        let open = !conn.inbound.ended && conn.inbound.error.is_none();
         let desired = Interest {
-            read: want_read,
-            write: want_write,
+            read: open && conn.wait != Wait::Write,
+            write: pending > 0,
         };
-        if desired != active.interest {
-            active.interest = desired;
-            let _ = self.poller.reregister(fd_of(&active.stream), id, desired);
+        if desired != conn.interest {
+            conn.interest = desired;
+            let _ = self.poller.reregister(fd_of(&conn.stream), id, desired);
         }
     }
 
-    fn enqueue(&self, conn: &Arc<Conn>) {
-        let depth = self.shared.workers[conn.worker].push(Arc::clone(conn));
-        if let Some(depth) = depth {
-            self.shared.trace.ready_depth.record(depth as u64);
-        }
-    }
-
-    /// Drop the connection. `count` settles machine-less sessions; worker-
-    /// counted sessions pass `None`.
+    /// Drop the connection. `count` settles sessions not counted yet.
     fn close(&mut self, id: u64, count: Option<SessionEnd>) {
-        let Some(active) = self.conns.remove(&id) else {
+        let Some(conn) = self.conns.remove(&id) else {
             return;
         };
-        let _ = self.poller.deregister(fd_of(&active.stream), id);
-        match count {
-            Some(SessionEnd::Completed) => {
-                self.shared
-                    .stats
-                    .sessions_completed
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            Some(SessionEnd::Failed) => {
-                self.shared
-                    .stats
-                    .sessions_failed
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            None => {}
-        }
-    }
-
-    /// Hard-close with a live machine: mark the connection killed so the
-    /// machine short-circuits to `Failed`, wake it, drop the socket now.
-    fn kill(&mut self, id: u64) {
-        let Some(active) = self.conns.get(&id) else {
-            return;
+        let _ = self.poller.deregister(fd_of(&conn.stream), id);
+        self.shared.live.fetch_sub(1, Ordering::AcqRel);
+        let counter = match count {
+            Some(SessionEnd::Completed) => &self.shared.stats.sessions_completed,
+            Some(SessionEnd::Failed) => &self.shared.stats.sessions_failed,
+            None => return,
         };
-        let conn = Arc::clone(&active.conn);
-        conn.killed.store(true, Ordering::Release);
-        {
-            let mut inbox = conn.inbox.lock().expect("inbox lock poisoned");
-            if inbox.error.is_none() {
-                inbox.error = Some(std::io::ErrorKind::TimedOut);
-            }
-        }
-        if conn.needs.fetch_and(0, Ordering::AcqRel) & (WANT_INPUT | WANT_WRITE) != 0 {
-            self.enqueue(&conn);
-        }
-        self.close(id, None);
-    }
-
-    // --- Worker notifications --------------------------------------------
-
-    fn drain_notifier(&mut self) {
-        let mut ids = std::mem::take(&mut self.cmds);
-        self.shared.notifier.drain(&mut ids);
-        for id in ids.drain(..) {
-            self.reconcile(id);
-        }
-        self.cmds = ids;
-    }
-
-    /// A worker changed this connection's shared state: flush any new
-    /// output (which also handles close-when-done), and resume reading if
-    /// the machine drained a paused inbox below the low watermark.
-    fn reconcile(&mut self, id: u64) {
-        let Some(active) = self.conns.get(&id) else {
-            return;
-        };
-        {
-            let mut inbox = active.conn.inbox.lock().expect("inbox lock poisoned");
-            if inbox.paused && inbox.buf.len() < INBOX_LOW {
-                inbox.paused = false;
-            }
-        }
-        self.flush(id);
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     // --- Deadlines --------------------------------------------------------
@@ -566,131 +709,94 @@ impl Reactor {
     }
 
     fn fire(&mut self, id: u64, kind: DlKind, now: Instant) {
-        let (conn, last_ingress, write_stall_since, reject) = match self.conns.get(&id) {
-            Some(a) => (
-                Arc::clone(&a.conn),
-                a.last_ingress,
-                a.write_stall_since,
-                a.reject,
-            ),
-            None => return,
+        let Some(conn) = self.conns.get(&id) else {
+            return;
         };
-        if conn.done.load(Ordering::Acquire) {
+        let cfg = &self.shared.cfg;
+        let (timeout, clock) = match kind {
+            DlKind::Read => (cfg.read_timeout, Some(conn.last_ingress)),
+            DlKind::Idle => (
+                cfg.idle_timeout,
+                Some(conn.inbound.last_frame.unwrap_or(conn.accepted_at)),
+            ),
+            DlKind::Write => (cfg.write_timeout, conn.write_stall_since),
+            DlKind::Grace => {
+                // Connections that never sent a byte when shutdown began.
+                if conn.session.is_none() && conn.wait == Wait::Input {
+                    self.close(id, Some(SessionEnd::Completed));
+                }
+                return;
+            }
+        };
+        let (Some(timeout), Some(clock)) = (timeout, clock) else {
+            return;
+        };
+        if clock + timeout > now {
+            self.arm(clock + timeout, id, kind);
             return;
         }
         match kind {
-            DlKind::Read => {
-                let Some(t) = self.shared.cfg.read_timeout else {
-                    return;
-                };
-                let due = last_ingress + t;
-                if due > now {
-                    self.arm(due, id, DlKind::Read);
-                    return;
-                }
-                self.expire_input(id, t, kind);
-            }
-            DlKind::Idle => {
-                let Some(t) = self.shared.cfg.idle_timeout else {
-                    return;
-                };
-                let ms = conn.last_frame_ms.load(Ordering::Relaxed);
-                let base = if ms == u64::MAX {
-                    conn.accepted_at
-                } else {
-                    conn.accepted_at + Duration::from_millis(ms)
-                };
-                let due = base + t;
-                if due > now {
-                    self.arm(due, id, DlKind::Idle);
-                    return;
-                }
-                self.expire_input(id, t, kind);
-            }
-            DlKind::Write => {
-                let Some(t) = self.shared.cfg.write_timeout else {
-                    return;
-                };
-                let Some(since) = write_stall_since else {
-                    return;
-                };
-                let due = since + t;
-                if due > now {
-                    self.arm(due, id, DlKind::Write);
-                    return;
-                }
-                if conn.outbound_pending() > 0 {
-                    // The peer stopped reading: with a machine the kill
-                    // marker makes it conclude `Failed`; a machine-less
-                    // stall (a shed BUSY frame) just drops.
-                    if reject || !conn.started.load(Ordering::Acquire) {
-                        self.close(id, None);
-                    } else {
-                        self.kill(id);
-                    }
-                }
-            }
-            DlKind::Grace => {
-                // Rejects that never flushed, and drain-abandoned idle
-                // connections.
-                if reject {
-                    self.close(id, None);
-                } else if !conn.started.load(Ordering::Acquire) {
-                    self.close(id, Some(SessionEnd::Completed));
-                }
-            }
+            DlKind::Write => self.cut_off(id),
+            _ => self.expire_input(id, timeout, kind),
         }
     }
 
-    /// An input-side deadline (read or idle) expired. A connection that
-    /// never spoke closes silently; a live machine gets a `TimedOut`
-    /// marker and a wakeup, and fails through its normal error path
-    /// (silently in the register phase, with an `io`-class error frame
-    /// mid-eval) — the same classes the blocking server's socket timeout
-    /// produced.
-    fn expire_input(&mut self, id: u64, timeout: Duration, kind: DlKind) {
-        let Some(active) = self.conns.get(&id) else {
+    /// The peer accepted no output for a whole write deadline: a live
+    /// session concludes `Failed`, and the socket closes now.
+    fn cut_off(&mut self, id: u64) {
+        let Some(conn) = self.conns.get_mut(&id) else {
             return;
         };
-        let conn = Arc::clone(&active.conn);
-        if !conn.started.load(Ordering::Acquire) {
-            self.close(id, Some(SessionEnd::Failed));
+        if conn.pending() == 0 {
             return;
         }
-        // A machine that is runnable (not waiting for input) is not
-        // stalled on the peer — recheck one timeout later.
-        if conn.needs.load(Ordering::Acquire) & WANT_INPUT == 0 {
-            self.arm(Instant::now() + timeout, id, kind);
+        let count = conn.session.take().map(|mut session| {
+            session.abandon();
+            self.shared
+                .trace
+                .session_us
+                .record(conn.accepted_at.elapsed().as_micros() as u64);
+            SessionEnd::Failed
+        });
+        self.close(id, count);
+    }
+
+    /// An input-side deadline (read or idle) expired. A connection that
+    /// never spoke closes silently; a session waiting for input gets a
+    /// `TimedOut` marker and a turn, and fails through its normal error
+    /// path (silently in the register phase, with an `io`-class error
+    /// frame mid-eval).
+    fn expire_input(&mut self, id: u64, timeout: Duration, kind: DlKind) {
+        let Some(conn) = self.conns.get_mut(&id) else {
             return;
-        }
-        {
-            let mut inbox = conn.inbox.lock().expect("inbox lock poisoned");
-            if inbox.error.is_none() {
-                inbox.error = Some(std::io::ErrorKind::TimedOut);
+        };
+        match (conn.wait, conn.session.is_some()) {
+            (Wait::Closing, _) => {}
+            (_, false) => self.close(id, Some(SessionEnd::Failed)),
+            // A session that is not waiting for input is not stalled on
+            // the peer — recheck one timeout later.
+            (Wait::Write | Wait::Turn, true) => self.arm(Instant::now() + timeout, id, kind),
+            (Wait::Input, true) => {
+                conn.inbound
+                    .error
+                    .get_or_insert(std::io::ErrorKind::TimedOut);
+                self.make_ready(id);
             }
-        }
-        if conn.needs.fetch_and(!WANT_INPUT, Ordering::AcqRel) & WANT_INPUT != 0 {
-            self.enqueue(&conn);
         }
     }
 
     // --- Drain ------------------------------------------------------------
 
-    /// Shutdown was requested: stop accepting, give connections that never
-    /// became sessions a short grace to hang up, let live machines run to
-    /// completion (bounded by their own timeouts).
+    /// Shutdown was requested: connections that never became sessions get
+    /// a short grace to hang up; live sessions run to completion (bounded
+    /// by their own deadlines).
     fn start_drain(&mut self) {
         self.draining = true;
-        if let Some(listener) = self.listener.take() {
-            let _ = self
-                .poller
-                .deregister(fd_of_listener(&listener), LISTENER_TOKEN);
-        }
         let grace_at = Instant::now() + GRACE;
         let idle: Vec<u64> = self
             .conns
             .iter()
-            .filter(|(_, a)| !a.reject && !a.conn.started.load(Ordering::Acquire))
+            .filter(|(_, c)| c.session.is_none() && c.wait == Wait::Input)
             .map(|(id, _)| *id)
             .collect();
         for id in idle {
@@ -699,179 +805,62 @@ impl Reactor {
     }
 }
 
-// --- Worker pool ---------------------------------------------------------
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Client, Server, ServerConfig};
 
-struct Ready {
-    peers: HashMap<IpAddr, VecDeque<Arc<Conn>>>,
-    rr: VecDeque<IpAddr>,
-    last: Option<IpAddr>,
-    exit: bool,
-}
-
-/// One worker's ready queue, fair per peer IP: each bucket yields one
-/// connection per round-robin turn.
-pub(crate) struct WorkerQueue {
-    ready: Mutex<Ready>,
-    cond: Condvar,
-}
-
-impl WorkerQueue {
-    pub(crate) fn new() -> WorkerQueue {
-        WorkerQueue {
-            ready: Mutex::new(Ready {
-                peers: HashMap::new(),
-                rr: VecDeque::new(),
-                last: None,
-                exit: false,
-            }),
-            cond: Condvar::new(),
-        }
+    /// Every accepted stream has Nagle's algorithm off.
+    #[test]
+    fn accepted_streams_are_no_delay() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = accept(&listener).unwrap();
+        assert_eq!(stream.nodelay().ok(), Some(true));
     }
 
-    /// Enqueue unless already queued. Returns the queue depth after the
-    /// push (for the ready-depth histogram), or `None` if deduplicated.
-    pub(crate) fn push(&self, conn: Arc<Conn>) -> Option<usize> {
-        if conn.queued.swap(true, Ordering::AcqRel) {
-            return None;
-        }
-        let key = conn.peer.map(|p| p.ip()).unwrap_or(NO_PEER);
-        let mut ready = self.ready.lock().expect("ready lock poisoned");
-        let bucket = ready.peers.entry(key).or_default();
-        let fresh = bucket.is_empty();
-        bucket.push_back(conn);
-        if fresh {
-            ready.rr.push_back(key);
-        }
-        let depth: usize = ready.peers.values().map(|q| q.len()).sum();
-        drop(ready);
-        self.cond.notify_one();
-        Some(depth)
-    }
+    /// A feed session's output leaves once per step: N one-document `DATA`
+    /// frames of nine results each cost at most N + 2 socket writes (the
+    /// registration ack and the closing frames being the other two).
+    #[test]
+    fn a_feed_session_writes_once_per_document() {
+        const DOCS: usize = 40;
+        let server = Server::bind(ServerConfig::default()).unwrap();
+        let addr = server.local_addr();
+        let handle = server.handle();
+        let join = std::thread::spawn(move || server.run());
 
-    /// Blocking pop; `None` means exit (shutdown and the queue is empty).
-    /// The `bool` reports whether the scheduler rotated to a different
-    /// peer than the previous pop served.
-    pub(crate) fn pop(&self) -> Option<(Arc<Conn>, bool)> {
-        let mut ready = self.ready.lock().expect("ready lock poisoned");
-        loop {
-            if let Some(key) = ready.rr.pop_front() {
-                let conn = {
-                    let bucket = ready.peers.get_mut(&key).expect("rr key has a bucket");
-                    let conn = bucket.pop_front().expect("rr bucket is nonempty");
-                    if bucket.is_empty() {
-                        ready.peers.remove(&key);
-                    } else {
-                        ready.rr.push_back(key);
-                    }
-                    conn
-                };
-                let rotated = ready.last != Some(key);
-                ready.last = Some(key);
-                return Some((conn, rotated));
+        let mut client = Client::connect(addr).unwrap();
+        let expect = |client: &mut Client, kind: FrameKind, want: usize| {
+            let mut seen = 0;
+            while seen < want {
+                let frame = client.next_frame().unwrap().unwrap();
+                assert_ne!(frame.kind, FrameKind::Error);
+                seen += usize::from(frame.kind == kind);
             }
-            if ready.exit {
-                return None;
-            }
-            let (guard, _) = self
-                .cond
-                .wait_timeout(ready, Duration::from_millis(200))
-                .expect("ready lock poisoned");
-            ready = guard;
+        };
+        client.register("q", "d.x").unwrap();
+        expect(&mut client, FrameKind::Ok, 1);
+        let doc = format!("<d>{}</d>", "<x/>".repeat(9));
+        for _ in 0..DOCS {
+            client.send_xml(doc.as_bytes()).unwrap();
+            expect(&mut client, FrameKind::Result, 9);
         }
-    }
+        client.end().unwrap();
+        expect(&mut client, FrameKind::SessionEnd, 1);
 
-    /// Tell the worker to exit once its queue is empty.
-    pub(crate) fn close(&self) {
-        self.ready.lock().expect("ready lock poisoned").exit = true;
-        self.cond.notify_all();
-    }
-}
-
-/// One worker thread: pop ready connections, lazily build their machines,
-/// advance them, and run the suspend/resume handshake for whatever the
-/// machine reported. Machines live in a thread-local map — the engine run
-/// is not `Send`, so a connection is pinned to this worker for life.
-pub(crate) fn worker_loop(index: usize, shared: &Arc<Shared>) {
-    let queue = Arc::clone(&shared.workers[index]);
-    let mut machines: HashMap<u64, SessionMachine> = HashMap::new();
-    while let Some((conn, rotated)) = queue.pop() {
-        conn.queued.store(false, Ordering::Release);
-        if rotated {
-            shared.trace.rotations.fetch_add(1, Ordering::Relaxed);
-        }
-        shared.trace.slices.fetch_add(1, Ordering::Relaxed);
-        if let Some(t) = conn
-            .first_ready
-            .lock()
-            .expect("first_ready lock poisoned")
-            .take()
-        {
-            shared
-                .trace
-                .admission_wait_us
-                .record(t.elapsed().as_micros() as u64);
-        }
-        if conn.done.load(Ordering::Acquire) {
-            machines.remove(&conn.id);
-            continue;
-        }
-        let machine = machines
-            .entry(conn.id)
-            .or_insert_with(|| SessionMachine::new(Arc::clone(&conn), Arc::clone(shared)));
-        // A panicking session must not take its worker (and the server's
-        // capacity) down with it.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| machine.advance()));
-        match outcome {
-            Err(_) => {
-                machines.remove(&conn.id);
-                shared.stats.sessions_failed.fetch_add(1, Ordering::Relaxed);
-                conn.done.store(true, Ordering::Release);
-                shared.notifier.sync(conn.id);
-            }
-            Ok(Advance::Done(end)) => {
-                machines.remove(&conn.id);
-                shared
-                    .trace
-                    .session_us
-                    .record(conn.accepted_at.elapsed().as_micros() as u64);
-                let counter = match end {
-                    SessionEnd::Completed => &shared.stats.sessions_completed,
-                    SessionEnd::Failed => &shared.stats.sessions_failed,
-                };
-                counter.fetch_add(1, Ordering::Relaxed);
-                conn.done.store(true, Ordering::Release);
-                shared.notifier.sync(conn.id);
-            }
-            Ok(Advance::Working) => {
-                // Rotate to the back so siblings get their turn; tell the
-                // reactor to flush whatever the slice produced.
-                shared.notifier.sync(conn.id);
-                queue.push(Arc::clone(&conn));
-            }
-            Ok(Advance::NeedInput) => {
-                conn.needs.fetch_or(WANT_INPUT, Ordering::AcqRel);
-                // Re-check after publishing the bit: if input raced in
-                // while the machine was deciding to suspend, the reactor
-                // saw the bit clear and did nothing — reclaim the wakeup.
-                let pending = conn.killed.load(Ordering::Acquire) || {
-                    let inbox = conn.inbox.lock().expect("inbox lock poisoned");
-                    !inbox.buf.is_empty() || inbox.ended || inbox.error.is_some()
-                };
-                if pending && conn.needs.fetch_and(!WANT_INPUT, Ordering::AcqRel) & WANT_INPUT != 0
-                {
-                    queue.push(Arc::clone(&conn));
-                }
-                shared.notifier.sync(conn.id);
-            }
-            Ok(Advance::NeedWrite) => {
-                conn.needs.fetch_or(WANT_WRITE, Ordering::AcqRel);
-                shared.notifier.sync(conn.id);
-                if conn.outbound_pending() <= OUT_LOW
-                    && conn.needs.fetch_and(!WANT_WRITE, Ordering::AcqRel) & WANT_WRITE != 0
-                {
-                    queue.push(Arc::clone(&conn));
-                }
-            }
-        }
+        let mut probe = Client::connect(addr).unwrap();
+        probe.request_trace().unwrap();
+        let json = String::from_utf8(probe.next_frame().unwrap().unwrap().payload).unwrap();
+        let writes: usize = json
+            .split("\"writes\":")
+            .nth(1)
+            .and_then(|rest| rest.split('}').next())
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("no write count in {json}"));
+        assert!(writes <= DOCS + 2, "{writes} writes for {DOCS} documents");
+        drop(probe);
+        handle.shutdown();
+        join.join().unwrap().unwrap();
     }
 }

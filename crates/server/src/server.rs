@@ -1,29 +1,28 @@
-//! The concurrent server: an epoll-style reactor thread (the caller of
-//! [`Server::run`]) that owns every socket, plus a fixed pool of worker
-//! threads that advance session state machines (`reactor`,
-//! `session`).
+//! The concurrent server: an accept loop on the thread that calls
+//! [`Server::run`], plus a fixed pool of worker threads, each of which
+//! owns its connections end to end — socket, frame decoder, session state
+//! machine and outbound buffer (`reactor`, `session`).
 //!
-//! Concurrency is no longer bounded by the worker count: an idle
-//! connection costs one file descriptor and a few hundred bytes of state,
-//! so tens of thousands of mostly-idle sessions coexist with a handful of
-//! hot ones. Admission control is the `max_conns` cap (clamped under the
-//! process's fd limit): past it a new connection is answered with a single
-//! `BUSY` frame and closed — the server sheds load instead of buffering it
-//! (the same philosophy as the engine's `ResourceLimits`: refuse, don't
-//! grow). A slow *reader* no longer pins a worker either: output buffered
-//! past a high watermark suspends the session until the peer catches up,
-//! so `BUSY` on the wire means admission overload, while backpressure is
+//! Concurrency is not bounded by the worker count: an idle connection
+//! costs one file descriptor and a few hundred bytes of state, so tens of
+//! thousands of mostly-idle sessions coexist with a handful of hot ones.
+//! Admission control is the `max_conns` cap (clamped under the process's
+//! fd limit): past it a new connection is answered with a single `BUSY`
+//! frame and closed — the server sheds load instead of buffering it (the
+//! same philosophy as the engine's `ResourceLimits`: refuse, don't grow).
+//! A slow *reader* does not pin a worker either: output buffered past a
+//! high watermark suspends the session until the peer catches up, so
+//! `BUSY` on the wire means admission overload, while backpressure is
 //! invisible flow control.
 //!
 //! Shutdown is cooperative. `SIGINT`/`SIGTERM` (when watched), the in-band
 //! `SHUTDOWN` frame, or [`ServerHandle::shutdown`] all set one flag; the
-//! reactor stops accepting, idle connections get a short grace then close,
-//! every live session runs to completion (no session is cut off
+//! accept loop stops accepting, idle connections get a short grace then
+//! close, every live session runs to completion (no session is cut off
 //! mid-stream), and [`Server::run`] returns a final [`ServerReport`].
 
-use crate::conn::Notifier;
-use crate::poll::Poller;
-use crate::reactor::{worker_loop, Reactor, WorkerQueue};
+use crate::poll::{Poller, Waker};
+use crate::reactor::{Acceptor, Intake, Worker};
 use crate::registry::Registry;
 use crate::signal;
 use crate::stats::ServerStats;
@@ -31,7 +30,7 @@ use spex_core::{EngineStats, ResourceLimits, TruncationOutcome};
 use spex_trace::{summary_json, AtomicHistogram, JsonlSink, Tracer};
 use spex_xml::RecoveryPolicy;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -78,7 +77,7 @@ pub struct ServerConfig {
     /// default: a loopback client can always stop its own server, but a
     /// remote client stopping a shared one is a denial of service.
     pub allow_remote_shutdown: bool,
-    /// Poll SIGINT/SIGTERM in the reactor loop (the CLI turns this on;
+    /// Poll SIGINT/SIGTERM in the accept loop (the CLI turns this on;
     /// tests drive shutdown through [`ServerHandle`] instead).
     pub watch_signals: bool,
     /// Write a JSONL trace (one record per line, DESIGN.md §13 schema) to
@@ -136,8 +135,8 @@ impl Default for ServerConfig {
 pub(crate) struct ServeTrace {
     /// Shared trace handle; disabled unless `ServerConfig::trace_jsonl`.
     pub(crate) tracer: Tracer,
-    /// Microseconds each session waited in a ready queue before its
-    /// machine's first advance.
+    /// Microseconds each session waited in a ready queue between its
+    /// first bytes and its machine's first advance.
     pub(crate) admission_wait_us: AtomicHistogram,
     /// Microseconds from accept to session close.
     pub(crate) session_us: AtomicHistogram,
@@ -154,6 +153,9 @@ pub(crate) struct ServeTrace {
     /// Slices where the per-tenant round-robin switched to a different
     /// peer than the previous slice served.
     pub(crate) rotations: AtomicU64,
+    /// Socket `write` calls: a session's output leaves in one write per
+    /// step unless the socket is full.
+    pub(crate) writes: AtomicU64,
 }
 
 impl ServeTrace {
@@ -167,6 +169,7 @@ impl ServeTrace {
             ready_depth: AtomicHistogram::new(),
             slices: AtomicU64::new(0),
             rotations: AtomicU64::new(0),
+            writes: AtomicU64::new(0),
         }
     }
 
@@ -177,7 +180,7 @@ impl ServeTrace {
         format!(
             "{{\"admission_wait_us\":{},\"session_us\":{},\"determination_latency\":{},\
              \"accept_to_first_frame_us\":{},\"ready_depth\":{},\
-             \"scheduler\":{{\"slices\":{},\"rotations\":{}}}}}",
+             \"scheduler\":{{\"slices\":{},\"rotations\":{},\"writes\":{}}}}}",
             summary_json(&self.admission_wait_us.summary()),
             summary_json(&self.session_us.summary()),
             summary_json(&self.det_latency.summary()),
@@ -185,6 +188,7 @@ impl ServeTrace {
             summary_json(&self.ready_depth.summary()),
             self.slices.load(Ordering::Relaxed),
             self.rotations.load(Ordering::Relaxed),
+            self.writes.load(Ordering::Relaxed),
         )
     }
 
@@ -235,7 +239,7 @@ impl ServeTrace {
     }
 }
 
-/// State shared by the reactor, the workers and every session.
+/// State shared by the accept loop, the workers and every session.
 pub(crate) struct Shared {
     pub(crate) cfg: ServerConfig,
     pub(crate) shutdown: AtomicBool,
@@ -244,18 +248,17 @@ pub(crate) struct Shared {
     pub(crate) trace: ServeTrace,
     /// Monotonic sequence for minting durable session tokens.
     pub(crate) seq: AtomicU64,
-    /// Worker → reactor command channel (and the reactor's waker).
-    pub(crate) notifier: Arc<Notifier>,
-    /// Per-worker ready queues; a connection is pinned to
-    /// `workers[conn.worker]` for life.
-    pub(crate) workers: Vec<Arc<WorkerQueue>>,
+    /// Open connections across all workers (the `max_conns` count).
+    pub(crate) live: AtomicUsize,
+    /// Wakes the accept loop.
+    acceptor: Waker,
 }
 
 impl Shared {
-    /// Flip the shutdown flag and wake the reactor.
+    /// Flip the shutdown flag and wake the accept loop.
     pub(crate) fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        self.notifier.wake();
+        self.acceptor.wake();
     }
 }
 
@@ -299,10 +302,9 @@ pub struct ServerReport {
 }
 
 /// A bound-but-not-yet-running server. [`Server::bind`] then
-/// [`Server::run`]; the run consumes the calling thread as the reactor.
+/// [`Server::run`]; the run consumes the calling thread as the accept loop.
 pub struct Server {
-    listener: TcpListener,
-    poller: Poller,
+    acceptor: Acceptor,
     addr: SocketAddr,
     shared: Arc<Shared>,
 }
@@ -312,12 +314,8 @@ impl Server {
     /// until [`Server::run`].
     pub fn bind(cfg: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
-        // Everything is nonblocking under the reactor, the listener
-        // included.
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let poller = Poller::new()?;
-        let notifier = Arc::new(Notifier::new(poller.waker()));
+        let acceptor = Acceptor::new(listener)?;
         let mut cfg = cfg;
         let registry = Registry::with_cap(cfg.max_cached_plans);
         if !cfg.preload_queries.is_empty() {
@@ -336,12 +334,7 @@ impl Server {
             Some(path) => Tracer::to_sink(Arc::new(JsonlSink::create(std::path::Path::new(path))?)),
             None => Tracer::disabled(),
         };
-        let workers = (0..cfg.workers.max(1))
-            .map(|_| Arc::new(WorkerQueue::new()))
-            .collect();
         Ok(Server {
-            listener,
-            poller,
             addr,
             shared: Arc::new(Shared {
                 cfg,
@@ -350,9 +343,10 @@ impl Server {
                 stats: ServerStats::new(),
                 trace: ServeTrace::new(tracer),
                 seq: AtomicU64::new(0),
-                notifier,
-                workers,
+                live: AtomicUsize::new(0),
+                acceptor: acceptor.waker(),
             }),
+            acceptor,
         })
     }
 
@@ -369,30 +363,35 @@ impl Server {
     }
 
     /// Serve until shutdown is requested, then drain and report. The
-    /// calling thread becomes the reactor.
+    /// calling thread becomes the accept loop.
     pub fn run(self) -> std::io::Result<ServerReport> {
         if self.shared.cfg.watch_signals {
             signal::install();
         }
-        let workers: Vec<_> = (0..self.shared.workers.len())
-            .map(|i| {
+        let pollers = (0..self.shared.cfg.workers.max(1))
+            .map(|_| Poller::new())
+            .collect::<std::io::Result<Vec<_>>>()?;
+        let intakes: Vec<_> = pollers
+            .iter()
+            .map(|p| Arc::new(Intake::new(p.waker())))
+            .collect();
+        let workers: Vec<_> = pollers
+            .into_iter()
+            .zip(&intakes)
+            .enumerate()
+            .map(|(i, (poller, intake))| {
                 let shared = Arc::clone(&self.shared);
+                let intake = Arc::clone(intake);
                 std::thread::Builder::new()
                     .name(format!("spex-serve-worker-{i}"))
-                    .spawn(move || worker_loop(i, &shared))
+                    .spawn(move || Worker::new(shared, poller, intake).run())
                     .expect("spawning a worker thread failed")
             })
             .collect();
-
-        let reactor = Reactor::new(Arc::clone(&self.shared), self.poller, self.listener)?;
-        // The reactor returns once shutdown was requested and every
-        // connection has drained — at that point every machine has either
-        // finished or sits in a worker queue one advance from finishing,
-        // so closing the queues lets the workers drain and exit.
-        reactor.run();
-        for queue in &self.shared.workers {
-            queue.close();
-        }
+        // The accept loop returns once shutdown was requested, after
+        // closing every intake; each worker exits once its connections
+        // have drained.
+        self.acceptor.run(&self.shared, &intakes);
         for worker in workers {
             let _ = worker.join();
         }

@@ -2,15 +2,16 @@
 //! the streaming eval phase, and the closing `STAT`/`END` exchange —
 //! driven by readiness instead of a dedicated blocking thread.
 //!
-//! The reactor (see [`crate::reactor`]) owns the socket and shovels bytes
-//! between it and the connection's [`Conn`] buffers; this module owns all
-//! protocol logic. A [`SessionMachine`] is pinned to one worker and advanced
-//! whenever its connection is ready: [`SessionMachine::advance`] consumes
-//! decoded frames, drives the session's [`Pump`], emits result frames into
-//! the bounded outbound buffer, and reports why it
-//! suspended ([`Advance::NeedInput`], [`Advance::NeedWrite`] for
-//! writability backpressure, [`Advance::Working`] when its CPU slice is
-//! spent) or how it finished.
+//! The worker that owns the connection (see [`crate::reactor`]) reads the
+//! socket into the session's [`Inbound`] decoder and writes its
+//! [`Outbound`] buffer; this module owns all protocol logic. A
+//! [`SessionMachine`] lives on that worker and is advanced whenever its
+//! connection is ready: [`SessionMachine::advance`] consumes decoded
+//! frames, drives the session's [`Pump`], appends frames to the bounded
+//! outbound buffer, and reports why it suspended ([`Advance::NeedInput`],
+//! [`Advance::NeedWrite`] for writability backpressure,
+//! [`Advance::Working`] when its CPU slice is spent) or how it finished.
+//! The worker writes what a step appended as soon as `advance` returns.
 //!
 //! The phases are unchanged from the blocking server:
 //!
@@ -27,19 +28,18 @@
 //!    the CPU slice is spent, or the outbound buffer is full. A
 //!    construct cut off by a frame edge simply stays in the parser until
 //!    the rest arrives; every wait is [`Advance::NeedInput`] under the
-//!    reactor's read/idle deadlines — a worker never waits for bytes.
+//!    worker's read/idle deadlines — a worker never waits for bytes.
 //! 3. **Close**: on `E` (or an error) the machine queues any `f` fault
 //!    frames, a `s` stats frame in the one-shot `--stats-json` schema, and
-//!    `n`; the reactor flushes and closes.
+//!    `n`; the worker flushes and closes.
 //!
 //! Errors mirror the one-shot CLI's exit-code classes (`usage`=1,
 //! `syntax`=2, `io`=3, `resource`=4) plus `protocol` for frame-grammar
 //! violations; an error closes *this* session only.
 
-use crate::conn::{Conn, Notifier, OUT_HIGH};
 use crate::durable::{self, SessionLog};
 use crate::protocol::{
-    error_payload, result_payload, split_resume, Frame, FrameDecoder, FrameKind, ProtocolError,
+    error_payload, split_resume, write_frame, Frame, FrameDecoder, FrameKind, ProtocolError,
     RESUME_VERSION,
 };
 use crate::server::Shared;
@@ -48,14 +48,99 @@ use spex_core::{
 };
 use spex_query::Rpeq;
 use spex_xml::{Parser, RawEvent};
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// Maximum events pushed per [`SessionMachine::advance`] before the
 /// machine yields [`Advance::Working`], so one firehose session cannot
 /// starve its worker's other ready sessions.
 const SLICE_EVENTS: usize = 4096;
+
+/// Suspend a session once this many unsent bytes are buffered outbound;
+/// it resumes when the peer has read enough (writability backpressure).
+pub(crate) const OUT_HIGH: usize = 256 * 1024;
+/// Resume a write-suspended session below this outbound backlog.
+pub(crate) const OUT_LOW: usize = 64 * 1024;
+
+/// The connection's input side: the decoder its worker reads the socket
+/// into, and how the byte stream ended.
+pub(crate) struct Inbound {
+    pub(crate) decoder: FrameDecoder,
+    /// The peer sent EOF (orderly shutdown of its write half).
+    pub(crate) ended: bool,
+    /// A socket error, or `TimedOut` from a read or idle deadline.
+    pub(crate) error: Option<std::io::ErrorKind>,
+    /// When the last *complete* frame was decoded — the idle-reaping
+    /// clock: a slowloris peer trickling bytes that never finish a frame
+    /// does not refresh it.
+    pub(crate) last_frame: Option<Instant>,
+}
+
+impl Inbound {
+    pub(crate) fn new(max_frame: usize) -> Inbound {
+        Inbound {
+            decoder: FrameDecoder::new(max_frame),
+            ended: false,
+            error: None,
+            last_frame: None,
+        }
+    }
+
+    /// Decode the next complete frame, refreshing the idle clock.
+    fn next_frame(&mut self) -> Result<Option<Frame>, ProtocolError> {
+        let frame = self.decoder.next_frame();
+        if let Ok(Some(_)) = frame {
+            self.last_frame = Some(Instant::now());
+        }
+        frame
+    }
+}
+
+/// Bytes queued toward the socket. The session appends, its worker
+/// writes; both run on the worker's thread, so the cell's lock is never
+/// contended.
+#[derive(Default)]
+pub(crate) struct Outbound {
+    pub(crate) buf: Vec<u8>,
+    /// Prefix of `buf` already written to the socket.
+    pub(crate) pos: usize,
+    /// Sticky write failure: further frames are dropped, the session
+    /// outcome is decided by the input side (or the write deadline).
+    pub(crate) dead: bool,
+}
+
+/// The outbound cell a session and its sinks append to.
+pub(crate) type OutCell = Arc<Mutex<Outbound>>;
+
+impl Outbound {
+    /// Unsent byte count.
+    pub(crate) fn pending(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    /// Reclaim the written prefix once it dominates the buffer.
+    pub(crate) fn compact(&mut self) {
+        if self.pos == self.buf.len() {
+            self.buf.clear();
+            self.pos = 0;
+        } else if self.pos > 4096 && self.pos * 2 >= self.buf.len() {
+            self.buf.drain(..self.pos);
+            self.pos = 0;
+        }
+    }
+}
+
+/// Append one frame to a session's outbound cell (dropped after a sticky
+/// write failure).
+fn send(out: &OutCell, kind: FrameKind, payload: &[u8]) {
+    let mut out = out.lock().expect("outbound lock poisoned");
+    if !out.dead {
+        write_frame(&mut out.buf, kind, payload).expect("a frame fits a Vec");
+    }
+}
 
 /// How the session ended, for the server-wide counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,8 +156,8 @@ pub(crate) enum SessionEnd {
 pub(crate) enum Advance {
     /// No complete frame/event is available; re-run when bytes arrive.
     NeedInput,
-    /// The outbound buffer is over its high watermark; re-run when the
-    /// reactor has drained it below the low watermark.
+    /// The outbound buffer is over its high watermark; re-run once the
+    /// peer has read it below the low watermark.
     NeedWrite,
     /// The CPU slice was spent with work remaining; re-queue (rotated
     /// behind other ready sessions).
@@ -132,43 +217,51 @@ fn classify(err: &EvalError, violation: Option<&ProtocolError>) -> SessionError 
 /// recovery policy when the pump's closing drain replays the survivors of
 /// its quarantine. The pump counts what reached the sink for snapshots.
 struct SessionSink {
-    name: String,
-    conn: Arc<Conn>,
+    /// The `RESULT` payload under construction, reused across fragments:
+    /// the query-name header, then the fragment serialized byte for byte
+    /// as the one-shot CLI writes it, then a newline.
+    payload: spex_xml::Writer<Vec<u8>>,
+    /// Length of the name header that stays in `payload`.
+    header: usize,
+    out: OutCell,
     /// Upcoming fragments to swallow instead of sending: at resume,
     /// `client_received - snapshot_delivered`, the fragments the replayed
     /// input will regenerate.
     suppress: u64,
-    /// The fragment being serialized by a fresh [`spex_xml::Writer`], byte
-    /// for byte as the one-shot CLI writes it.
-    current: Option<spex_xml::Writer<Vec<u8>>>,
+}
+
+impl SessionSink {
+    fn new(name: &str, out: OutCell, suppress: u64) -> SessionSink {
+        let header = crate::protocol::result_payload(name, b"");
+        SessionSink {
+            header: header.len(),
+            payload: spex_xml::Writer::new(header),
+            out,
+            suppress,
+        }
+    }
 }
 
 impl ResultSink for SessionSink {
-    fn begin(&mut self, _meta: ResultMeta, _now: u64) {
-        self.current = Some(spex_xml::Writer::new(Vec::new()));
-    }
+    fn begin(&mut self, _meta: ResultMeta, _now: u64) {}
 
     fn event(&mut self, event: &RawEvent<'_>, _now: u64) {
-        if let Some(w) = &mut self.current {
-            w.write_view(event)
-                .expect("writing a fragment to a Vec cannot fail");
-        }
+        self.payload
+            .write_view(event)
+            .expect("writing a fragment to a Vec cannot fail");
     }
 
     /// While `suppress` is positive the fragment is a replay the client
-    /// already holds, so it is not sent. The payload is the fragment plus a
-    /// newline (the one-shot CLI's per-line output) behind the query name
-    /// header.
+    /// already holds, so it is not sent.
     fn end(&mut self, _now: u64) {
-        let Some(w) = self.current.take() else { return };
+        let payload = self.payload.get_mut();
         if self.suppress > 0 {
             self.suppress -= 1;
-            return;
+        } else {
+            payload.push(b'\n');
+            send(&self.out, FrameKind::Result, payload);
         }
-        let fragment = w.into_inner().expect("flush to Vec cannot fail");
-        let mut payload = result_payload(&self.name, &fragment);
-        payload.push(b'\n');
-        self.conn.send_frame(FrameKind::Result, &payload);
+        payload.truncate(self.header);
     }
 }
 
@@ -195,28 +288,27 @@ fn shutdown_permitted(allow_remote: bool, peer: Option<std::net::SocketAddr>) ->
 }
 
 /// Queue the closing error (optional) + `END` frame sequence.
-fn close_frames(conn: &Conn, error: Option<&SessionError>) {
+fn close_frames(out: &OutCell, error: Option<&SessionError>) {
     if let Some(e) = error {
-        conn.send_frame(
+        send(
+            out,
             FrameKind::Error,
             &error_payload(e.class, e.code, &e.message),
         );
     }
-    conn.send_frame(FrameKind::SessionEnd, b"");
+    send(out, FrameKind::SessionEnd, b"");
 }
 
 /// The wire side of the eval phase: decodes frames out of the connection's
-/// inbox and hands the parser its input. `END` — or the peer hanging up at
-/// a frame boundary — ends the input (a hangup mid-document is then exactly
-/// a truncated stream: a syntax error under `strict`, a `truncated` fault
-/// under a recovery policy). Any other frame kind mid-stream is a protocol
-/// violation, a socket error or a hangup mid-frame an I/O failure; both
-/// fail the parser's input, which surfaces the failure only after the
-/// events already fed.
+/// [`Inbound`] and hands the parser its input. `END` — or the peer hanging
+/// up at a frame boundary — ends the input (a hangup mid-document is then
+/// exactly a truncated stream: a syntax error under `strict`, a
+/// `truncated` fault under a recovery policy). Any other frame kind
+/// mid-stream is a protocol violation, a socket error or a hangup
+/// mid-frame an I/O failure; both fail the parser's input, which surfaces
+/// the failure only after the events already fed.
+#[derive(Default)]
 struct EvalInput {
-    conn: Arc<Conn>,
-    notifier: Arc<Notifier>,
-    decoder: FrameDecoder,
     /// The frame-grammar violation that failed the input, if one did:
     /// `spex_xml::XmlError` stringifies I/O errors, so the session
     /// re-classifies the parser's I/O error as a protocol error from here.
@@ -230,24 +322,6 @@ impl EvalInput {
         e
     }
 
-    /// Move the inbox's bytes into the frame decoder; returns the inbox's
-    /// (sticky) hangup and socket-error state.
-    fn drain_inbox(&mut self) -> (bool, Option<std::io::ErrorKind>) {
-        let (drained, hangup, socket_err) = {
-            let mut inbox = self.conn.inbox.lock().expect("inbox lock poisoned");
-            let drained = !inbox.buf.is_empty();
-            if drained {
-                self.decoder.push(&inbox.buf);
-                inbox.buf.clear();
-            }
-            (drained, inbox.ended, inbox.error)
-        };
-        if drained {
-            self.conn.note_inbox_drained(&self.notifier);
-        }
-        (hangup, socket_err)
-    }
-
     /// Hand the parser the next piece of its input: one `DATA` payload, or
     /// the end (or failure) of the stream. `false` means nothing has
     /// arrived yet — the session suspends on [`Advance::NeedInput`].
@@ -258,42 +332,38 @@ impl EvalInput {
     /// logged twice. A WAL append failure fails the input (and so the
     /// session): input the engine consumed but the log lost could not be
     /// replayed.
-    fn pump(&mut self, parser: &mut Parser, mut log: Option<&mut SessionLog>) -> bool {
-        let mut frame = self.decoder.next_frame();
-        let mut closed = (false, None);
-        if matches!(frame, Ok(None)) {
-            closed = self.drain_inbox();
-            frame = self.decoder.next_frame();
-        }
+    fn pump(
+        &mut self,
+        inbound: &mut Inbound,
+        parser: &mut Parser,
+        mut log: Option<&mut SessionLog>,
+    ) -> bool {
         // Decoded frames come before any termination condition, as a
         // blocking reader would consume buffered data before hitting the
-        // socket error or hangup; both are sticky in the inbox and seen
-        // again once no frame is left.
-        let fed = match frame {
-            Ok(Some(frame)) => {
-                self.conn.note_frame_complete();
-                match frame.kind {
-                    FrameKind::Data => log
-                        .as_mut()
-                        .map_or(Ok(()), |log| log.append_data(&frame.payload))
-                        .map(|()| parser.feed(&frame.payload)),
-                    FrameKind::End => log
-                        .as_mut()
-                        .map_or(Ok(()), |log| log.append_end())
-                        .map(|()| parser.end_input()),
-                    other => Err(self.violate(ProtocolError::UnexpectedKind(other))),
-                }
-            }
+        // socket error or hangup; both are sticky and seen again once no
+        // frame is left.
+        let fed = match inbound.next_frame() {
+            Ok(Some(frame)) => match frame.kind {
+                FrameKind::Data => log
+                    .as_mut()
+                    .map_or(Ok(()), |log| log.append_data(&frame.payload))
+                    .map(|()| parser.feed(&frame.payload)),
+                FrameKind::End => log
+                    .as_mut()
+                    .map_or(Ok(()), |log| log.append_end())
+                    .map(|()| parser.end_input()),
+                other => Err(self.violate(ProtocolError::UnexpectedKind(other))),
+            },
             Err(p) => Err(self.violate(p)),
-            Ok(None) => match closed {
+            Ok(None) => match (inbound.ended, inbound.error) {
                 (_, Some(kind)) => Err(std::io::Error::from(kind)),
                 // Parity with the blocking `read_frame`: a cut-off frame
                 // header is a protocol-level truncation, a cut-off payload
                 // is an I/O-level unexpected EOF.
-                (true, None) if self.decoder.mid_frame() && self.decoder.buffered() < 5 => {
+                (true, None) if inbound.decoder.mid_frame() && inbound.decoder.buffered() < 5 => {
                     Err(self.violate(ProtocolError::TruncatedFrame))
                 }
-                (true, None) if self.decoder.mid_frame() => Err(std::io::Error::new(
+                (true, None) if inbound.decoder.mid_frame() => Err(std::io::Error::new(
                     std::io::ErrorKind::UnexpectedEof,
                     "connection closed mid-frame",
                 )),
@@ -313,12 +383,6 @@ impl EvalInput {
     }
 }
 
-/// The register phase's working state.
-struct RegisterPhase {
-    decoder: FrameDecoder,
-    queries: Vec<(String, Rpeq)>,
-}
-
 /// The eval phase's working state. The pump owns the parser, the plan
 /// share and the per-query sinks; `durable` owns the WAL.
 struct EvalPhase {
@@ -328,7 +392,8 @@ struct EvalPhase {
 }
 
 enum Phase {
-    Register(RegisterPhase),
+    /// Registering: the queries acknowledged so far.
+    Register(Vec<(String, Rpeq)>),
     Eval(Box<EvalPhase>),
     Finished,
 }
@@ -341,55 +406,57 @@ enum Step {
     Enter,
 }
 
-/// One connection's protocol state machine. Created by the pinned worker
-/// when the connection's first bytes arrive; dropped when
+/// One connection's protocol state machine. Created by the connection's
+/// worker when its first bytes arrive; dropped when
 /// [`SessionMachine::advance`] returns [`Advance::Done`].
 pub(crate) struct SessionMachine {
-    conn: Arc<Conn>,
     shared: Arc<Shared>,
+    out: OutCell,
+    accepted_at: Instant,
     shutdown_allowed: bool,
     span: spex_trace::Span,
     state: Phase,
 }
 
 impl SessionMachine {
-    pub(crate) fn new(conn: Arc<Conn>, shared: Arc<Shared>) -> SessionMachine {
-        let span = shared.trace.tracer.span("serve.session");
-        let shutdown_allowed = shutdown_permitted(shared.cfg.allow_remote_shutdown, conn.peer);
-        let max_frame = shared.cfg.max_frame;
+    pub(crate) fn new(
+        shared: Arc<Shared>,
+        out: OutCell,
+        peer: Option<SocketAddr>,
+        accepted_at: Instant,
+    ) -> SessionMachine {
         SessionMachine {
-            conn,
+            span: shared.trace.tracer.span("serve.session"),
+            shutdown_allowed: shutdown_permitted(shared.cfg.allow_remote_shutdown, peer),
             shared,
-            shutdown_allowed,
-            span,
-            state: Phase::Register(RegisterPhase {
-                decoder: FrameDecoder::new(max_frame),
-                queries: Vec::new(),
-            }),
+            out,
+            accepted_at,
+            state: Phase::Register(Vec::new()),
         }
     }
 
     /// Run until the session suspends or finishes. Never blocks; bounded by
     /// the CPU slice and the outbound watermark.
-    pub(crate) fn advance(&mut self) -> Advance {
-        if self.conn.killed.load(Ordering::Relaxed) && !matches!(self.state, Phase::Finished) {
-            // The reactor hard-closed the socket (write deadline,
-            // shutdown): there is no peer left to talk to.
-            return self.conclude(None, SessionEnd::Failed, false);
-        }
+    pub(crate) fn advance(&mut self, inbound: &mut Inbound) -> Advance {
         loop {
             match std::mem::replace(&mut self.state, Phase::Finished) {
-                Phase::Register(reg) => match self.step_register(reg) {
+                Phase::Register(queries) => match self.step_register(queries, inbound) {
                     Step::Ready(adv) => return adv,
                     Step::Enter => continue,
                 },
-                Phase::Eval(phase) => return self.step_eval(phase),
+                Phase::Eval(phase) => return self.step_eval(phase, inbound),
                 Phase::Finished => return Advance::NeedInput,
             }
         }
     }
 
-    /// Queue the closing frames (unless `silent`), stamp the span and
+    /// End the session without a word to the peer: its worker cut the
+    /// connection off (write deadline).
+    pub(crate) fn abandon(&mut self) {
+        self.conclude(None, SessionEnd::Failed, false);
+    }
+
+    /// Queue the closing frames (if `send_frames`), stamp the span and
     /// finish.
     fn conclude(
         &mut self,
@@ -398,7 +465,7 @@ impl SessionMachine {
         send_frames: bool,
     ) -> Advance {
         if send_frames {
-            close_frames(&self.conn, error);
+            close_frames(&self.out, error);
         }
         self.span.set_attr(
             "end",
@@ -413,31 +480,23 @@ impl SessionMachine {
 
     // --- Register phase -------------------------------------------------
 
-    fn step_register(&mut self, mut reg: RegisterPhase) -> Step {
-        let (hangup, socket_err) = {
-            let mut inbox = self.conn.inbox.lock().expect("inbox lock poisoned");
-            if !inbox.buf.is_empty() {
-                reg.decoder.push(&inbox.buf);
-                inbox.buf.clear();
-            }
-            (inbox.ended, inbox.error)
-        };
-        self.conn.note_inbox_drained(&self.shared.notifier);
+    fn step_register(&mut self, mut queries: Vec<(String, Rpeq)>, inbound: &mut Inbound) -> Step {
         loop {
-            match reg.decoder.next_frame() {
+            let first = inbound.last_frame.is_none();
+            match inbound.next_frame() {
                 Ok(Some(frame)) => {
-                    if self.conn.note_frame_complete() {
+                    if first {
                         self.shared
                             .trace
                             .accept_to_first_frame_us
-                            .record(self.conn.accepted_at.elapsed().as_micros() as u64);
+                            .record(self.accepted_at.elapsed().as_micros() as u64);
                     }
                     match frame.kind {
-                        FrameKind::Register => register_one(&frame, &mut reg.queries, &self.conn),
+                        FrameKind::Register => register_one(&frame, &mut queries, &self.out),
                         FrameKind::Resume => {
-                            return match handle_resume(&frame, &self.shared, &mut reg.queries) {
+                            return match handle_resume(&frame, &self.shared, &mut queries) {
                                 Ok(prep) => {
-                                    self.enter_eval(reg, FirstInput::Resume(Box::new(prep)))
+                                    self.enter_eval(queries, FirstInput::Resume(Box::new(prep)))
                                 }
                                 Err(e) => {
                                     Step::Ready(self.conclude(Some(&e), SessionEnd::Failed, true))
@@ -446,11 +505,11 @@ impl SessionMachine {
                         }
                         FrameKind::Stats => {
                             let json = self.shared.stats.to_json();
-                            self.conn.send_frame(FrameKind::Stat, json.as_bytes());
+                            send(&self.out, FrameKind::Stat, json.as_bytes());
                         }
                         FrameKind::TraceRequest => {
                             let json = self.shared.trace.to_json();
-                            self.conn.send_frame(FrameKind::Trace, json.as_bytes());
+                            send(&self.out, FrameKind::Trace, json.as_bytes());
                         }
                         FrameKind::Shutdown => {
                             // Loopback peers (or all peers, when the
@@ -461,9 +520,10 @@ impl SessionMachine {
                             // service.
                             if self.shutdown_allowed {
                                 self.shared.begin_shutdown();
-                                self.conn.send_frame(FrameKind::Ok, b"shutdown");
+                                send(&self.out, FrameKind::Ok, b"shutdown");
                             } else {
-                                self.conn.send_frame(
+                                send(
+                                    &self.out,
                                     FrameKind::Error,
                                     &error_payload(
                                         "usage",
@@ -475,14 +535,15 @@ impl SessionMachine {
                         }
                         FrameKind::Data => {
                             return self.enter_eval(
-                                reg,
+                                queries,
                                 FirstInput::Fresh {
                                     first_data: Some(frame.payload),
                                 },
                             );
                         }
                         FrameKind::End => {
-                            return self.enter_eval(reg, FirstInput::Fresh { first_data: None });
+                            return self
+                                .enter_eval(queries, FirstInput::Fresh { first_data: None });
                         }
                         other => {
                             let e = SessionError::protocol(
@@ -495,12 +556,12 @@ impl SessionMachine {
                 Ok(None) => {
                     // Socket-level failure: silent close, like the
                     // blocking server's `Err(ReadError::Io)` arm.
-                    if socket_err.is_some() {
+                    if inbound.error.is_some() {
                         return Step::Ready(self.conclude(None, SessionEnd::Failed, false));
                     }
-                    if hangup {
-                        if reg.decoder.mid_frame() {
-                            if reg.decoder.buffered() < 5 {
+                    if inbound.ended {
+                        if inbound.decoder.mid_frame() {
+                            if inbound.decoder.buffered() < 5 {
                                 let e = SessionError::protocol(
                                     ProtocolError::TruncatedFrame.to_string(),
                                 );
@@ -516,7 +577,7 @@ impl SessionMachine {
                         // no-op connection ran to completion.
                         return Step::Ready(self.conclude(None, SessionEnd::Completed, false));
                     }
-                    self.state = Phase::Register(reg);
+                    self.state = Phase::Register(queries);
                     return Step::Ready(Advance::NeedInput);
                 }
                 Err(p) => {
@@ -529,8 +590,7 @@ impl SessionMachine {
 
     // --- Register → eval transition -------------------------------------
 
-    fn enter_eval(&mut self, reg: RegisterPhase, first: FirstInput) -> Step {
-        let RegisterPhase { decoder, queries } = reg;
+    fn enter_eval(&mut self, queries: Vec<(String, Rpeq)>, first: FirstInput) -> Step {
         // Canonicalize the registration list once (sorted by name +
         // canonical expression, duplicates dropped): from here on every
         // positional index — plan sinks, delivered/suppress counters,
@@ -575,8 +635,7 @@ impl SessionMachine {
                 // replayed result frames so the client knows where to
                 // continue its stream from.
                 let total = ctx.log.total_bytes();
-                self.conn
-                    .send_frame(FrameKind::ResumeOk, &total.to_be_bytes());
+                send(&self.out, FrameKind::ResumeOk, &total.to_be_bytes());
                 (Some(ctx), replay, replay_ended)
             }
             FirstInput::Fresh { first_data } => {
@@ -602,7 +661,8 @@ impl SessionMachine {
                             });
                         match log {
                             Ok(log) => {
-                                self.conn.send_frame(
+                                send(
+                                    &self.out,
                                     FrameKind::Ok,
                                     format!("session={token}").as_bytes(),
                                 );
@@ -641,14 +701,11 @@ impl SessionMachine {
             .ids()
             .iter()
             .enumerate()
-            .map(|(i, name)| SessionSink {
-                name: name.clone(),
-                conn: Arc::clone(&self.conn),
-                suppress: durable_ctx
+            .map(|(i, name)| {
+                let suppress = durable_ctx
                     .as_ref()
-                    .and_then(|d| d.suppress.get(i).copied())
-                    .unwrap_or(0),
-                current: None,
+                    .and_then(|d| d.suppress.get(i).copied());
+                SessionSink::new(name, Arc::clone(&self.out), suppress.unwrap_or(0))
             })
             .collect();
         let mut run = plan.run_with_limits(sinks, self.shared.cfg.limits);
@@ -687,15 +744,9 @@ impl SessionMachine {
         if source_ended {
             pump.parser_mut().end_input();
         }
-        let input = EvalInput {
-            conn: Arc::clone(&self.conn),
-            notifier: Arc::clone(&self.shared.notifier),
-            decoder,
-            violation: None,
-        };
         self.state = Phase::Eval(Box::new(EvalPhase {
             pump,
-            input,
+            input: EvalInput::default(),
             durable: durable_ctx,
         }));
         Step::Enter
@@ -703,14 +754,14 @@ impl SessionMachine {
 
     // --- Eval phase ------------------------------------------------------
 
-    fn step_eval(&mut self, mut phase: Box<EvalPhase>) -> Advance {
+    fn step_eval(&mut self, mut phase: Box<EvalPhase>, inbound: &mut Inbound) -> Advance {
         let mut events = 0usize;
         loop {
             if events >= SLICE_EVENTS {
                 self.state = Phase::Eval(phase);
                 return Advance::Working;
             }
-            if self.conn.outbound_pending() > OUT_HIGH {
+            if self.out.lock().expect("outbound lock poisoned").pending() > OUT_HIGH {
                 self.state = Phase::Eval(phase);
                 return Advance::NeedWrite;
             }
@@ -724,7 +775,7 @@ impl SessionMachine {
                 }
                 Ok(Yield::NeedMore) => {
                     let log = phase.durable.as_mut().map(|d| &mut d.log);
-                    if !phase.input.pump(phase.pump.parser_mut(), log) {
+                    if !phase.input.pump(inbound, phase.pump.parser_mut(), log) {
                         self.state = Phase::Eval(phase);
                         return Advance::NeedInput;
                     }
@@ -764,8 +815,7 @@ impl SessionMachine {
         // before the surviving results arrive. A resumed session re-reports
         // the faults recorded before the crash.
         for fault in pump.faults() {
-            self.conn
-                .send_frame(FrameKind::Fault, fault_json(fault).as_bytes());
+            send(&self.out, FrameKind::Fault, fault_json(fault).as_bytes());
         }
         let done = pump.finish();
         shared.stats.absorb_engine(&done.stats);
@@ -793,7 +843,7 @@ impl SessionMachine {
         }
 
         let json = stats_json(&done.stats, &done.transducers, done.report.as_ref());
-        self.conn.send_frame(FrameKind::Stat, json.as_bytes());
+        send(&self.out, FrameKind::Stat, json.as_bytes());
         let end = if session_error.is_some() {
             SessionEnd::Failed
         } else {
@@ -904,8 +954,7 @@ fn handle_resume(
             queries.len()
         )));
     }
-    let wal_start = durable::recovered_wal_start(&root, token)
-        .map_err(io_err("reading durable WAL segments failed"))?;
+    let wal_start = recovered.wal_start;
     let total = wal_start + recovered.wal.len() as u64;
 
     // Decode the snapshot, tolerating corruption: a bad snapshot falls back
@@ -956,9 +1005,9 @@ fn handle_resume(
 
 /// Handle one `REGISTER` frame; acknowledges with `k` (payload = name) or
 /// an `e` frame that leaves the session usable.
-fn register_one(frame: &Frame, queries: &mut Vec<(String, Rpeq)>, conn: &Conn) {
+fn register_one(frame: &Frame, queries: &mut Vec<(String, Rpeq)>, out: &OutCell) {
     let reject = |message: String| {
-        conn.send_frame(FrameKind::Error, &error_payload("usage", 1, &message));
+        send(out, FrameKind::Error, &error_payload("usage", 1, &message));
     };
     let Ok(text) = std::str::from_utf8(&frame.payload) else {
         reject("registration is not valid UTF-8".to_string());
@@ -981,7 +1030,7 @@ fn register_one(frame: &Frame, queries: &mut Vec<(String, Rpeq)>, conn: &Conn) {
     match expr.parse::<Rpeq>() {
         Ok(q) => {
             queries.push((name.to_string(), q));
-            conn.send_frame(FrameKind::Ok, name.as_bytes());
+            send(out, FrameKind::Ok, name.as_bytes());
         }
         Err(e) => reject(format!("query `{expr}`: {e}")),
     }
@@ -1022,8 +1071,6 @@ fn fault_json(fault: &spex_xml::Fault) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::poll::Poller;
-    use crate::protocol::write_frame;
     use spex_xml::Poll;
 
     #[test]
@@ -1039,39 +1086,21 @@ mod tests {
         assert!(shutdown_permitted(true, None));
     }
 
-    fn test_input(conn: Arc<Conn>) -> EvalInput {
-        let poller = Poller::new().unwrap();
-        EvalInput {
-            conn,
-            notifier: Arc::new(Notifier::new(poller.waker())),
-            decoder: FrameDecoder::new(1024),
-            violation: None,
-        }
-    }
-
-    /// A `DATA` frame split across two inbox deliveries is fed only once
+    /// A `DATA` frame split across two socket reads is fed only once
     /// complete; until then the pump reports that nothing has arrived.
     #[test]
     fn pump_feeds_whole_payloads_and_waits_otherwise() {
-        let conn = Arc::new(Conn::new(1, None, 0));
         let mut framed = Vec::new();
         write_frame(&mut framed, FrameKind::Data, b"<a/>").unwrap();
-        let mut input = test_input(Arc::clone(&conn));
+        let mut inbound = Inbound::new(1024);
+        let mut input = EvalInput::default();
         let mut parser = Parser::new();
         let mut store = spex_xml::EventStore::new();
-        assert!(!input.pump(&mut parser, None));
-        conn.inbox
-            .lock()
-            .unwrap()
-            .buf
-            .extend_from_slice(&framed[..7]);
-        assert!(!input.pump(&mut parser, None));
-        conn.inbox
-            .lock()
-            .unwrap()
-            .buf
-            .extend_from_slice(&framed[7..]);
-        assert!(input.pump(&mut parser, None));
+        assert!(!input.pump(&mut inbound, &mut parser, None));
+        inbound.decoder.push(&framed[..7]);
+        assert!(!input.pump(&mut inbound, &mut parser, None));
+        inbound.decoder.push(&framed[7..]);
+        assert!(input.pump(&mut inbound, &mut parser, None));
         // `<$>`, `<a>`, `</a>`; the end of the document waits for more.
         for _ in 0..3 {
             assert!(matches!(parser.poll_into(&mut store), Ok(Poll::Event(_))));
@@ -1085,35 +1114,29 @@ mod tests {
     #[test]
     fn hangup_truncation_classes_match_blocking_decoder() {
         let mut store = spex_xml::EventStore::new();
-        let mut failure = |input: &mut EvalInput| {
+        let mut failure = |input: &mut EvalInput, inbound: &mut Inbound| {
             let mut parser = Parser::new();
-            assert!(input.pump(&mut parser, None));
+            assert!(input.pump(inbound, &mut parser, None));
             assert!(matches!(parser.poll_into(&mut store), Ok(Poll::Event(_))));
             parser.poll_into(&mut store).unwrap_err()
         };
 
         // Mid-payload: full header promising 10 bytes, only 3 delivered.
-        let conn = Arc::new(Conn::new(3, None, 0));
-        {
-            let mut inbox = conn.inbox.lock().unwrap();
-            inbox.buf.push(FrameKind::Data.byte());
-            inbox.buf.extend_from_slice(&10u32.to_be_bytes());
-            inbox.buf.extend_from_slice(b"abc");
-            inbox.ended = true;
-        }
-        let mut input = test_input(conn);
-        assert!(!failure(&mut input).kind().is_syntax_class());
+        let mut inbound = Inbound::new(1024);
+        inbound.decoder.push(&[FrameKind::Data.byte()]);
+        inbound.decoder.push(&10u32.to_be_bytes());
+        inbound.decoder.push(b"abc");
+        inbound.ended = true;
+        let mut input = EvalInput::default();
+        assert!(!failure(&mut input, &mut inbound).kind().is_syntax_class());
         assert!(input.violation.is_none());
 
         // Mid-header: three header bytes then EOF.
-        let conn = Arc::new(Conn::new(4, None, 0));
-        {
-            let mut inbox = conn.inbox.lock().unwrap();
-            inbox.buf.extend_from_slice(&[FrameKind::Data.byte(), 0, 0]);
-            inbox.ended = true;
-        }
-        let mut input = test_input(conn);
-        assert!(!failure(&mut input).kind().is_syntax_class());
+        let mut inbound = Inbound::new(1024);
+        inbound.decoder.push(&[FrameKind::Data.byte(), 0, 0]);
+        inbound.ended = true;
+        let mut input = EvalInput::default();
+        assert!(!failure(&mut input, &mut inbound).kind().is_syntax_class());
         assert!(matches!(
             input.violation,
             Some(ProtocolError::TruncatedFrame)
