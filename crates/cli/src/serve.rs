@@ -59,13 +59,17 @@ OPTIONS:
     --stats-json          dump server statistics as JSON to stderr on exit
     --trace-jsonl PATH    write a JSONL trace (per-session spans and engine
                           records, shutdown aggregates; DESIGN.md §13) to PATH
-    --durable-dir DIR     persist session state under DIR: a write-ahead log
-                          of input frames plus document-boundary snapshots,
-                          so a crashed or disconnected session resumes by
-                          token ('M' frame) with identical continuation
-                          output (DESIGN.md §15, PROTOCOL.md)
-    --fsync P             WAL durability policy under --durable-dir:
-                          always | document (default) | never
+    --durable-dir DIR     persist session state under DIR: one write-ahead
+                          log of input frames per session, opening with a
+                          document-boundary snapshot and rolled onto a new
+                          one as the input grows, so a crashed or
+                          disconnected session resumes by token ('M' frame)
+                          with identical continuation output (DESIGN.md §15,
+                          PROTOCOL.md)
+    --fsync P             log durability policy under --durable-dir: always
+                          (sync every record) | document (default: sync at
+                          a document end after new records, and every roll)
+                          | never (leave syncing to the OS)
     -h, --help            this text
 
 PROTOCOL (kind byte · u32 big-endian length · payload; see

@@ -1,63 +1,71 @@
-//! Durable session state: a per-session write-ahead log of input frames
-//! plus an atomically-replaced snapshot of engine state, so a killed
-//! server (or dropped connection) can resume a session with byte-identical
-//! continuation output.
+//! Durable session state: one self-contained write-ahead log per session,
+//! so a killed server (or dropped connection) can resume a session with
+//! byte-identical continuation output.
 //!
 //! Layout under the configured durable root (`--durable-dir`):
 //!
 //! ```text
 //! <root>/<token>/
-//!     queries.txt                 one `name=expr` line per registered query
-//!     wal-00000000000000000000.log  input segments; the filename encodes the
-//!     wal-00000000000001048576.log  total payload byte offset at which the
-//!     ...                           segment starts
-//!     snapshot.bin                latest quiescent-point snapshot (optional)
+//!     queries.txt                   one `name=expr` line per registered query
+//!     wal-00000000000000123456.log  the log: the snapshot that resumes at
+//!                                   input offset 123456 (none at offset 0),
+//!                                   then the input records after it
+//!     wal.tmp                       the next log, only while a roll writes it
 //! ```
 //!
-//! Each WAL record is `len: u32 LE` + `crc32: u32 LE` (over kind byte and
-//! payload) + `kind: u8` + payload. `kind` is [`REC_DATA`] for a data frame
-//! payload or [`REC_END`] for the end-of-stream marker (empty payload).
-//! Recovery takes the *longest valid prefix*: a torn or corrupted record
-//! ends its segment, and replay continues into the next segment only when
-//! that segment's start offset equals the bytes recovered so far — a
-//! resumed session always opens a fresh segment at the recovered total, so
-//! a torn tail can never be mistaken for the live end of the log.
+//! Each record is `len: u32 LE` + `crc32: u32 LE` (over kind byte and
+//! payload) + `kind: u8` + payload. `kind` is [`REC_SNAPSHOT`] for the head
+//! of a log past offset 0, [`REC_DATA`] for a data frame payload, or
+//! [`REC_END`] for the end-of-stream marker (empty payload).
+//!
+//! A *roll* ([`SessionLog::roll`]) replaces the log at a document boundary
+//! when one is due ([`SessionLog::roll_due`]): the snapshot, the input bytes
+//! the parser has not consumed yet and the END record (if logged) go into
+//! `wal.tmp`, which is synced unless `--fsync` is `never`, renamed to
+//! `wal-<boundary offset>.log`, and the older log is deleted. Recovery reads the log with the highest offset: a roll cut off
+//! before its rename leaves the old log whole, one cut off after it leaves
+//! an older log the newer one supersedes. It takes that log's longest valid
+//! prefix (a torn or corrupted record ends it), and a resume truncates the
+//! log to that prefix and appends after it.
 
 use spex_core::snapshot::{crc32, Crc32};
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, BufWriter, Read, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
-/// Rotate to a new WAL segment once the current one holds this many payload
-/// bytes (checked after each append, so a single oversized record still
-/// lands in one segment).
-const SEGMENT_BYTES: u64 = 1024 * 1024;
+/// Userspace write buffer on the log. Appends are coalesced into
+/// buffer-sized `write` calls; every sync point flushes the buffer first,
+/// so the durability guarantees of each [`FsyncPolicy`] are unchanged —
+/// only the per-append syscall cost goes away.
+const LOG_BUF: usize = 64 * 1024;
 
-/// Userspace write buffer on the active segment. Appends are coalesced into
-/// buffer-sized `write` calls; every fsync point (and rotation) flushes the
-/// buffer first, so the durability guarantees of each [`FsyncPolicy`] are
-/// unchanged — only the per-append syscall cost goes away.
-const SEGMENT_BUF: usize = 64 * 1024;
+/// The file a roll writes the next log into before renaming it.
+const ROLL_TMP: &str = "wal.tmp";
 
-/// WAL record kind: the payload of one `Data` frame.
+/// Log record kind: the payload of one `Data` frame.
 pub const REC_DATA: u8 = 1;
-/// WAL record kind: the client ended its input stream (empty payload).
+/// Log record kind: the client ended its input stream (empty payload).
 pub const REC_END: u8 = 2;
+/// Log record kind: the encoded snapshot that resumes at the log's offset.
+/// Only ever the first record of a log past offset 0.
+pub const REC_SNAPSHOT: u8 = 3;
 
-/// When the session log calls `fsync` on the active segment.
+/// When the session log calls `fsync`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FsyncPolicy {
     /// Sync after every appended record — maximal durability, slowest.
     Always,
-    /// Sync at document boundaries (just before a snapshot is taken) and
-    /// at end-of-stream. The default: a crash loses at most the tail of
-    /// the in-flight document, which the client still holds.
+    /// Sync at a document boundary when records were appended since the
+    /// last sync, at every roll and at end-of-stream. The default: a crash
+    /// loses at most the tail of the in-flight document, which the client
+    /// still holds.
     #[default]
     OnDocument,
     /// Never sync explicitly; rely on the OS flushing dirty pages. The
-    /// cheapest policy, used by the WAL-overhead benchmark.
+    /// cheapest policy: only a kernel or power failure can lose logged
+    /// bytes.
     Never,
 }
 
@@ -115,9 +123,23 @@ pub fn new_token(seq: u64) -> String {
     format!("s{seq}-{nanos}")
 }
 
-/// Segment filename for the segment whose first payload byte is `start`.
-fn segment_name(start: u64) -> String {
+/// Filename of the log whose head snapshot resumes at input offset `start`.
+fn log_name(start: u64) -> String {
     format!("wal-{start:020}.log")
+}
+
+/// Write one record; returns the bytes written.
+fn write_record(out: &mut impl Write, kind: u8, payload: &[u8]) -> io::Result<u64> {
+    let mut crc = Crc32::new();
+    crc.update(&[kind]);
+    crc.update(payload);
+    let mut header = [0u8; 9];
+    header[..4].copy_from_slice(&((1 + payload.len()) as u32).to_le_bytes());
+    header[4..8].copy_from_slice(&crc.finish().to_le_bytes());
+    header[8] = kind;
+    out.write_all(&header)?;
+    out.write_all(payload)?;
+    Ok((header.len() + payload.len()) as u64)
 }
 
 /// Everything read back from a session's durable directory at resume time.
@@ -125,16 +147,108 @@ fn segment_name(start: u64) -> String {
 pub struct RecoveredSession {
     /// Registered queries, in registration order, as `(name, expression)`.
     pub queries: Vec<(String, String)>,
-    /// The latest snapshot bytes, if a snapshot was ever written.
+    /// The log's head snapshot, absent for a log at offset 0.
     pub snapshot: Option<Vec<u8>>,
-    /// The full recovered WAL payload (every valid data record,
-    /// concatenated in order).
+    /// Every valid data record after the head, concatenated in order.
     pub wal: Vec<u8>,
-    /// Input offset of `wal`'s first byte: the start of the earliest
-    /// retained segment (0 unless pruning ran).
+    /// Input offset of `wal`'s first byte: the offset the head snapshot
+    /// resumes at (0 without one).
     pub wal_start: u64,
-    /// True if the WAL records that the client already ended its stream.
+    /// True if the log records that the client already ended its stream.
     pub ended: bool,
+}
+
+/// A session directory read back: the recovered state, the log it came
+/// from, that log's valid prefix, and the files an interrupted roll left.
+struct Scan {
+    recovered: RecoveredSession,
+    path: PathBuf,
+    valid: u64,
+    stale: Vec<PathBuf>,
+}
+
+/// Read the session directory `dir`; `Ok(None)` if it does not exist. A
+/// log past offset 0 that does not open with a snapshot record (a torn
+/// head, or the segment layout of earlier builds) is an `InvalidData`
+/// error: resuming without its snapshot would be a wrong resume.
+fn scan(dir: &Path) -> io::Result<Option<Scan>> {
+    if !dir.is_dir() {
+        return Ok(None);
+    }
+    let queries = fs::read_to_string(dir.join("queries.txt"))?
+        .lines()
+        .filter_map(|line| line.split_once('='))
+        .map(|(name, expr)| (name.to_string(), expr.to_string()))
+        .collect();
+    let mut logs = Vec::new();
+    let mut stale = Vec::new();
+    for entry in fs::read_dir(dir)? {
+        let path = entry?.path();
+        let name = path.file_name().unwrap_or_default().to_string_lossy();
+        let start = name
+            .strip_prefix("wal-")
+            .and_then(|rest| rest.strip_suffix(".log"))
+            .and_then(|digits| digits.parse::<u64>().ok());
+        match start {
+            Some(start) => logs.push((start, path)),
+            None if name == ROLL_TMP => stale.push(path),
+            None => {}
+        }
+    }
+    logs.sort();
+    // Created with `queries.txt` but killed before its first log: empty.
+    let (start, path) = logs.pop().unwrap_or_else(|| (0, dir.join(log_name(0))));
+    stale.extend(logs.into_iter().map(|(_, older)| older));
+    let bytes = match fs::read(&path) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
+        read => read?,
+    };
+
+    let mut recovered = RecoveredSession {
+        queries,
+        snapshot: None,
+        wal: Vec::new(),
+        wal_start: start,
+        ended: false,
+    };
+    let mut pos = 0usize;
+    while let Some((kind, payload)) = read_record(&bytes[pos..]) {
+        match kind {
+            REC_SNAPSHOT if pos == 0 && start > 0 => recovered.snapshot = Some(payload.to_vec()),
+            REC_DATA => recovered.wal.extend_from_slice(payload),
+            REC_END => recovered.ended = true,
+            _ => break, // unknown kind, or a snapshot out of place
+        }
+        pos += 9 + payload.len();
+    }
+    if start > 0 && recovered.snapshot.is_none() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("{} does not open with a snapshot", log_name(start)),
+        ));
+    }
+    Ok(Some(Scan {
+        recovered,
+        path,
+        valid: pos as u64,
+        stale,
+    }))
+}
+
+/// Decode the record at the front of `bytes`: `None` if it is torn (cut
+/// off, or shorter than its kind byte) or fails its checksum.
+fn read_record(bytes: &[u8]) -> Option<(u8, &[u8])> {
+    let len = u32::from_le_bytes(bytes.get(..4)?.try_into().ok()?) as usize;
+    let crc = u32::from_le_bytes(bytes.get(4..8)?.try_into().ok()?);
+    let body = bytes.get(8..8usize.checked_add(len)?)?;
+    (!body.is_empty() && crc32(body) == crc).then(|| (body[0], &body[1..]))
+}
+
+/// Read back everything the durable directory holds for `token`: queries,
+/// the log's head snapshot (if any), and the longest valid prefix of its
+/// input records. Returns `Ok(None)` if no such session directory exists.
+pub fn recover(root: &Path, token: &str) -> io::Result<Option<RecoveredSession>> {
+    Ok(scan(&root.join(token))?.map(|scan| scan.recovered))
 }
 
 /// A live per-session write-ahead log rooted at `<root>/<token>/`.
@@ -146,22 +260,30 @@ pub struct RecoveredSession {
 pub struct SessionLog {
     dir: PathBuf,
     fsync: FsyncPolicy,
-    segment: BufWriter<File>,
-    /// First payload byte offset of the active segment.
-    segment_start: u64,
-    /// Payload bytes appended to the active segment so far.
-    segment_bytes: u64,
-    /// Total payload bytes in the log (across all segments).
+    file: BufWriter<File>,
+    /// The live log, `wal-<start>.log`.
+    path: PathBuf,
+    /// Input offset the head snapshot resumes at (0: no head).
+    start: u64,
+    /// Encoded size of the head snapshot (0 without one).
+    head_bytes: u64,
+    /// Total input bytes recorded (parse offset of the next input byte).
     total: u64,
     ended: bool,
-    /// Raw bytes written to WAL segments (records incl. headers) — the
-    /// `wal.bytes` trace counter.
+    /// This handle has rolled the log at least once.
+    rolled: bool,
+    /// Records were appended since the last sync point.
+    dirty: bool,
+    /// Raw log bytes written by this handle (records incl. headers, rolls
+    /// included) — the `wal.bytes` trace counter.
     wal_bytes: u64,
+    /// `fdatasync` calls made by this handle.
+    syncs: u64,
 }
 
 impl SessionLog {
-    /// Create a fresh session directory and its first WAL segment, writing
-    /// `queries.txt` so the session can be re-registered at resume.
+    /// Create a fresh session directory, writing `queries.txt` so the
+    /// session can be re-registered at resume, and open its log at offset 0.
     pub fn create(
         root: &Path,
         token: &str,
@@ -175,61 +297,62 @@ impl SessionLog {
             writeln!(qf, "{name}={expr}")?;
         }
         qf.sync_all()?;
-        let segment = OpenOptions::new()
-            .create(true)
-            .truncate(true)
-            .write(true)
-            .open(dir.join(segment_name(0)))?;
-        Ok(SessionLog {
-            dir,
-            fsync,
-            segment: BufWriter::with_capacity(SEGMENT_BUF, segment),
-            segment_start: 0,
-            segment_bytes: 0,
-            total: 0,
-            ended: false,
-            wal_bytes: 0,
-        })
+        let (log, _) = SessionLog::resume(root, token, fsync)?.ok_or(io::ErrorKind::NotFound)?;
+        Ok(log)
     }
 
-    /// Reopen the log of a recovered session for further appends. A *new*
-    /// segment is started at `total` (truncating any torn segment of the
-    /// same name), which is what makes torn tails unambiguous: replay never
-    /// continues past a valid prefix into bytes a previous incarnation
-    /// wrote after it.
-    pub fn append_after(
+    /// Reopen the log of the session `token` for a new life: read it back
+    /// ([`recover`]), delete what an interrupted roll left, truncate the log
+    /// to its valid prefix and append after it. `Ok(None)` if there is no
+    /// such session.
+    pub fn resume(
         root: &Path,
         token: &str,
-        total: u64,
-        ended: bool,
         fsync: FsyncPolicy,
-    ) -> io::Result<Self> {
+    ) -> io::Result<Option<(Self, RecoveredSession)>> {
         let dir = root.join(token);
-        let segment = OpenOptions::new()
+        let Some(scan) = scan(&dir)? else {
+            return Ok(None);
+        };
+        for stale in &scan.stale {
+            fs::remove_file(stale)?;
+        }
+        let file = OpenOptions::new()
             .create(true)
-            .truncate(true)
-            .write(true)
-            .open(dir.join(segment_name(total)))?;
-        Ok(SessionLog {
+            .append(true)
+            .open(&scan.path)?;
+        file.set_len(scan.valid)?;
+        let rec = scan.recovered;
+        let log = SessionLog {
             dir,
             fsync,
-            segment: BufWriter::with_capacity(SEGMENT_BUF, segment),
-            segment_start: total,
-            segment_bytes: 0,
-            total,
-            ended,
+            file: BufWriter::with_capacity(LOG_BUF, file),
+            path: scan.path,
+            start: rec.wal_start,
+            head_bytes: rec.snapshot.as_ref().map_or(0, |s| s.len() as u64),
+            total: rec.wal_start + rec.wal.len() as u64,
+            ended: rec.ended,
+            rolled: false,
+            dirty: false,
             wal_bytes: 0,
-        })
+            syncs: 0,
+        };
+        Ok(Some((log, rec)))
     }
 
-    /// Total payload bytes recorded (parse offset of the next input byte).
+    /// Total input bytes recorded (parse offset of the next input byte).
     pub fn total_bytes(&self) -> u64 {
         self.total
     }
 
-    /// Raw segment bytes written by this handle (headers included).
+    /// Raw log bytes written by this handle (headers and rolls included).
     pub fn wal_bytes_written(&self) -> u64 {
         self.wal_bytes
+    }
+
+    /// `fdatasync` calls made by this handle.
+    pub fn syncs(&self) -> u64 {
+        self.syncs
     }
 
     /// True once [`SessionLog::append_end`] has been recorded.
@@ -237,45 +360,25 @@ impl SessionLog {
         self.ended
     }
 
-    fn append_record(&mut self, kind: u8, payload: &[u8]) -> io::Result<()> {
-        let mut crc = Crc32::new();
-        crc.update(&[kind]);
-        crc.update(payload);
-        let mut header = [0u8; 9];
-        header[..4].copy_from_slice(&((1 + payload.len()) as u32).to_le_bytes());
-        header[4..8].copy_from_slice(&crc.finish().to_le_bytes());
-        header[8] = kind;
-        self.segment.write_all(&header)?;
-        self.segment.write_all(payload)?;
-        self.wal_bytes += (header.len() + payload.len()) as u64;
-        self.segment_bytes += payload.len() as u64;
-        self.total += payload.len() as u64;
-        if self.fsync == FsyncPolicy::Always {
-            self.segment.flush()?;
-            self.segment.get_ref().sync_data()?;
+    /// Hand the buffered records to the OS and, unless the policy is
+    /// `never`, sync them.
+    fn sync(&mut self) -> io::Result<()> {
+        self.file.flush()?;
+        if self.fsync != FsyncPolicy::Never {
+            self.file.get_ref().sync_data()?;
+            self.syncs += 1;
         }
-        if self.segment_bytes >= SEGMENT_BYTES {
-            self.rotate()?;
-        }
+        self.dirty = false;
         Ok(())
     }
 
-    fn rotate(&mut self) -> io::Result<()> {
-        // Seal the finished segment before opening the next one — except
-        // under `Never`, where durability is explicitly best-effort and a
-        // rotation must not smuggle an fsync onto the hot path.
-        self.segment.flush()?;
-        if self.fsync != FsyncPolicy::Never {
-            self.segment.get_ref().sync_data()?;
+    fn append_record(&mut self, kind: u8, payload: &[u8]) -> io::Result<()> {
+        self.wal_bytes += write_record(&mut self.file, kind, payload)?;
+        self.total += payload.len() as u64;
+        self.dirty = true;
+        if self.fsync == FsyncPolicy::Always {
+            self.sync()?;
         }
-        self.segment_start = self.total;
-        self.segment_bytes = 0;
-        let segment = OpenOptions::new()
-            .create(true)
-            .truncate(true)
-            .write(true)
-            .open(self.dir.join(segment_name(self.segment_start)))?;
-        self.segment = BufWriter::with_capacity(SEGMENT_BUF, segment);
         Ok(())
     }
 
@@ -285,178 +388,82 @@ impl SessionLog {
         self.append_record(REC_DATA, payload)
     }
 
-    /// Record the client's end-of-stream marker.
+    /// Record the client's end-of-stream marker. It always reaches the OS —
+    /// even under `never` a clean process exit leaves a complete log.
     pub fn append_end(&mut self) -> io::Result<()> {
         self.append_record(REC_END, &[])?;
         self.ended = true;
-        // Always hand the END record to the OS — even under `Never` a clean
-        // process exit should leave a complete log on disk.
-        self.segment.flush()?;
-        if self.fsync != FsyncPolicy::Never {
-            self.segment.get_ref().sync_data()?;
-        }
-        Ok(())
+        self.sync()
     }
 
-    /// Document-boundary sync point: under [`FsyncPolicy::OnDocument`] (and
-    /// `Always`) the active segment is flushed to disk, so the snapshot
-    /// about to be written never refers to WAL bytes that could vanish.
+    /// Document-boundary sync point: the records appended since the last
+    /// one reach the OS, and are synced unless the policy is `never`. A
+    /// boundary with nothing new to sync costs nothing, so a frame of many
+    /// documents is synced once.
     pub fn sync_for_document(&mut self) -> io::Result<()> {
-        self.segment.flush()?;
-        if self.fsync != FsyncPolicy::Never {
-            self.segment.get_ref().sync_data()?;
+        if self.dirty {
+            self.sync()?;
         }
         Ok(())
     }
 
-    /// Atomically replace `snapshot.bin` with `bytes` (write to a temp file
-    /// in the same directory, sync, rename). Under [`FsyncPolicy::Never`]
-    /// the sync is skipped like every other one: the rename still keeps the
-    /// swap atomic, durability is best-effort by choice.
-    pub fn write_snapshot(&self, bytes: &[u8]) -> io::Result<()> {
-        let tmp = self.dir.join("snapshot.tmp");
-        let mut f = File::create(&tmp)?;
-        f.write_all(bytes)?;
-        if self.fsync != FsyncPolicy::Never {
-            f.sync_all()?;
-        }
-        drop(f);
-        fs::rename(&tmp, self.dir.join("snapshot.bin"))
+    /// Whether a roll at the boundary at input offset `offset`, carrying
+    /// `carried` unconsumed bytes, is due: at this handle's first boundary,
+    /// and after that once the input consumed since the head is at least
+    /// the head's snapshot size plus `carried`. Rolls then write at most
+    /// about as many bytes as the input, and a resume replays at most one
+    /// snapshot's worth of input plus one frame and one document.
+    pub fn roll_due(&self, offset: u64, carried: usize) -> bool {
+        !self.rolled || offset - self.start >= self.head_bytes + carried as u64
     }
 
-    /// Remove closed WAL segments that end at or before `offset` (the
-    /// parse offset the latest snapshot resumes from). The active segment
-    /// is never pruned.
-    pub fn prune(&self, offset: u64) -> io::Result<()> {
-        let segments = list_segments(&self.dir)?;
-        // A closed segment covers [start, next_start). It is safe to
-        // remove only if everything it holds is at or before `offset`,
-        // i.e. the *next* segment starts at or before `offset`.
-        for pair in segments.windows(2) {
-            let ((start, path), (next, _)) = (&pair[0], &pair[1]);
-            if *start < self.segment_start && *next <= offset {
-                fs::remove_file(path)?;
-            }
+    /// Remove the session's durable directory entirely (clean session end).
+    pub fn remove(self) -> io::Result<()> {
+        fs::remove_dir_all(&self.dir)
+    }
+
+    /// Replace the log at the document boundary at input offset `offset`:
+    /// write `snapshot` (which resumes there), the `unconsumed` input bytes
+    /// and, if logged, END into the roll's temp file, sync it unless the
+    /// policy is `never`, rename it to `wal-<offset>.log` and delete the
+    /// older log. A failure before the rename leaves the old log live.
+    pub fn roll(&mut self, offset: u64, snapshot: &[u8], unconsumed: &[u8]) -> io::Result<()> {
+        debug_assert_eq!(
+            offset + unconsumed.len() as u64,
+            self.total,
+            "a roll must carry every logged byte past its boundary"
+        );
+        let tmp = self.dir.join(ROLL_TMP);
+        let mut file = BufWriter::with_capacity(LOG_BUF, File::create(&tmp)?);
+        let mut bytes = write_record(&mut file, REC_SNAPSHOT, snapshot)?;
+        bytes += write_record(&mut file, REC_DATA, unconsumed)?;
+        if self.ended {
+            bytes += write_record(&mut file, REC_END, &[])?;
+        }
+        file.flush()?;
+        if self.fsync != FsyncPolicy::Never {
+            file.get_ref().sync_data()?;
+            self.syncs += 1;
+        }
+        let path = self.dir.join(log_name(offset));
+        fs::rename(&tmp, &path)?;
+        // The old log's buffered records are superseded: drop them unwritten.
+        let _ = std::mem::replace(&mut self.file, file).into_parts();
+        self.dirty = false;
+        let old = std::mem::replace(&mut self.path, path);
+        self.start = offset;
+        self.head_bytes = snapshot.len() as u64;
+        self.rolled = true;
+        self.wal_bytes += bytes;
+        if self.fsync != FsyncPolicy::Never {
+            // The rename is durable before the log it supersedes goes.
+            File::open(&self.dir)?.sync_all()?;
+        }
+        if old != self.path {
+            fs::remove_file(old)?;
         }
         Ok(())
     }
-}
-
-/// All WAL segments in `dir`, sorted by their start offset.
-fn list_segments(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
-    let mut segments = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if let Some(rest) = name.strip_prefix("wal-") {
-            if let Some(digits) = rest.strip_suffix(".log") {
-                if let Ok(start) = digits.parse::<u64>() {
-                    segments.push((start, entry.path()));
-                }
-            }
-        }
-    }
-    segments.sort_by_key(|(s, _)| *s);
-    Ok(segments)
-}
-
-/// Scan one segment file, appending every valid record's payload to `out`.
-/// Returns `(payload_bytes, ended, clean)`: `clean` is false if the scan
-/// stopped at a torn or corrupted record (payload bytes before the tear are
-/// still recovered).
-fn scan_segment(path: &Path, out: &mut Vec<u8>) -> io::Result<(u64, bool, bool)> {
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
-    let mut pos = 0usize;
-    let mut payload_bytes = 0u64;
-    let mut ended = false;
-    while pos + 8 <= bytes.len() {
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
-        let body_start = pos + 8;
-        let body_end = match body_start.checked_add(len) {
-            Some(e) if e <= bytes.len() && len >= 1 => e,
-            _ => return Ok((payload_bytes, ended, false)), // torn tail
-        };
-        let body = &bytes[body_start..body_end];
-        if crc32(body) != crc {
-            return Ok((payload_bytes, ended, false)); // corrupted record
-        }
-        match body[0] {
-            REC_DATA => {
-                out.extend_from_slice(&body[1..]);
-                payload_bytes += (len - 1) as u64;
-            }
-            REC_END => ended = true,
-            _ => return Ok((payload_bytes, ended, false)), // unknown kind
-        }
-        pos = body_end;
-    }
-    // Trailing partial header (< 8 bytes) is a torn tail too, but the
-    // records before it are all valid.
-    Ok((payload_bytes, ended, pos == bytes.len()))
-}
-
-/// Read back everything the durable directory holds for `token`: queries,
-/// the latest snapshot (if any), and the longest valid WAL prefix.
-/// Returns `Ok(None)` if no such session directory exists.
-pub fn recover(root: &Path, token: &str) -> io::Result<Option<RecoveredSession>> {
-    let dir = root.join(token);
-    if !dir.is_dir() {
-        return Ok(None);
-    }
-    let queries_text = fs::read_to_string(dir.join("queries.txt"))?;
-    let mut queries = Vec::new();
-    for line in queries_text.lines() {
-        if let Some((name, expr)) = line.split_once('=') {
-            queries.push((name.to_string(), expr.to_string()));
-        }
-    }
-    let snapshot = fs::read(dir.join("snapshot.bin")).ok();
-    let segments = list_segments(&dir)?;
-    let mut wal = Vec::new();
-    // After pruning, the earliest retained segment may start past 0; the
-    // recovered WAL then covers [wal_start, total).
-    let wal_start = segments.first().map(|(s, _)| *s).unwrap_or(0);
-    let mut total = wal_start;
-    let mut ended = false;
-    for (start, path) in segments {
-        if start != total {
-            break; // gap or duplicate: stop at the valid prefix
-        }
-        let (payload, seg_ended, _clean) = scan_segment(&path, &mut wal)?;
-        total += payload;
-        ended |= seg_ended;
-        if ended {
-            break; // END is always the last record
-        }
-        // A torn tail does NOT end the scan by itself: a resumed session
-        // opens a fresh segment named by the recovered total, so the
-        // `start != total` gate above is what distinguishes "torn final
-        // segment" (no successor at `total` → loop ends) from "torn
-        // mid-log segment followed by a resume's continuation".
-    }
-    // If pruning removed early segments, `wal` holds only bytes from the
-    // first remaining segment onward — but then a snapshot at or past that
-    // segment's start exists, so resume never needs the pruned bytes.
-    // Callers slice `wal` relative to the first retained segment's start.
-    Ok(Some(RecoveredSession {
-        queries,
-        snapshot,
-        wal,
-        wal_start,
-        ended,
-    }))
-}
-
-/// Remove a session's durable directory entirely (clean session end).
-pub fn remove(root: &Path, token: &str) -> io::Result<()> {
-    let dir = root.join(token);
-    if dir.is_dir() {
-        fs::remove_dir_all(dir)?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -473,6 +480,21 @@ mod tests {
 
     fn queries() -> Vec<(String, String)> {
         vec![("q".to_string(), "a.b".to_string())]
+    }
+
+    /// The file names in a session directory, sorted.
+    fn files(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// The input a recovered session stands for, from its resume offset on.
+    fn resumes_at(rec: &RecoveredSession) -> (u64, &[u8], bool) {
+        (rec.wal_start, &rec.wal, rec.ended)
     }
 
     #[test]
@@ -501,8 +523,8 @@ mod tests {
         drop(log);
         // Simulate a crash mid-write: append a record header that promises
         // more bytes than exist.
-        let seg = root.join("t1").join(segment_name(0));
-        let mut f = OpenOptions::new().append(true).open(&seg).unwrap();
+        let path = root.join("t1").join(log_name(0));
+        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
         f.write_all(&[0xFF, 0x00, 0x00, 0x00, 0xAA, 0xBB]).unwrap();
         drop(f);
         let rec = recover(&root, "t1").unwrap().unwrap();
@@ -512,94 +534,171 @@ mod tests {
     }
 
     #[test]
-    fn corrupted_crc_ends_the_segment() {
+    fn corrupted_crc_ends_the_log() {
         let root = temp_root("crc");
         let mut log = SessionLog::create(&root, "t1", &queries(), FsyncPolicy::Never).unwrap();
         log.append_data(b"first").unwrap();
         log.append_data(b"second").unwrap();
         drop(log);
         // Flip a byte inside the second record's payload.
-        let seg = root.join("t1").join(segment_name(0));
-        let mut bytes = fs::read(&seg).unwrap();
+        let path = root.join("t1").join(log_name(0));
+        let mut bytes = fs::read(&path).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
-        fs::write(&seg, &bytes).unwrap();
+        fs::write(&path, &bytes).unwrap();
         let rec = recover(&root, "t1").unwrap().unwrap();
         assert_eq!(rec.wal, b"first");
         let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
-    fn resume_opens_fresh_segment_past_torn_tail() {
+    fn resume_truncates_a_torn_tail_and_appends_after_it() {
         let root = temp_root("resume");
         let mut log = SessionLog::create(&root, "t1", &queries(), FsyncPolicy::Never).unwrap();
         log.append_data(b"alpha").unwrap();
         drop(log);
+        let path = root.join("t1").join(log_name(0));
+        let valid = fs::metadata(&path).unwrap().len();
         // Torn garbage after the valid record.
-        let seg = root.join("t1").join(segment_name(0));
-        let mut f = OpenOptions::new().append(true).open(&seg).unwrap();
+        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
         f.write_all(&[9, 0, 0, 0]).unwrap();
         drop(f);
-        let rec = recover(&root, "t1").unwrap().unwrap();
+        let (mut log, rec) = SessionLog::resume(&root, "t1", FsyncPolicy::Never)
+            .unwrap()
+            .unwrap();
         assert_eq!(rec.wal, b"alpha");
-        // Resume appends from the recovered total (5): a new segment.
-        let mut log = SessionLog::append_after(&root, "t1", 5, false, FsyncPolicy::Never).unwrap();
+        assert_eq!(log.total_bytes(), 5);
+        assert_eq!(fs::metadata(&path).unwrap().len(), valid, "tail not cut");
         log.append_data(b"-beta").unwrap();
         drop(log);
         let rec = recover(&root, "t1").unwrap().unwrap();
         assert_eq!(rec.wal, b"alpha-beta");
+        assert_eq!(files(&root.join("t1")), ["queries.txt", &log_name(0)]);
+        assert!(SessionLog::resume(&root, "t2", FsyncPolicy::Never)
+            .unwrap()
+            .is_none());
         let _ = fs::remove_dir_all(&root);
     }
 
+    /// A roll replaces the log with one that opens with the snapshot and
+    /// carries the unconsumed bytes: the session directory holds one log,
+    /// which recovers the same input, and appends continue after it.
     #[test]
-    fn segments_rotate_and_recover_in_order() {
-        let root = temp_root("rotate");
-        let mut log = SessionLog::create(&root, "t1", &queries(), FsyncPolicy::Never).unwrap();
-        let chunk = vec![b'x'; 700 * 1024];
-        log.append_data(&chunk).unwrap(); // < 1 MiB, stays in segment 0
-        log.append_data(&chunk).unwrap(); // crosses 1 MiB, rotates after
-        log.append_data(b"tail").unwrap(); // lands in segment at 1400 KiB
-        drop(log);
-        let segs = list_segments(&root.join("t1")).unwrap();
-        assert_eq!(segs.len(), 2, "one rotation expected");
-        assert_eq!(segs[1].0, 1400 * 1024);
+    fn a_roll_leaves_one_log_that_recovers_the_same_input() {
+        let root = temp_root("roll");
+        let mut log = SessionLog::create(&root, "t1", &queries(), FsyncPolicy::Always).unwrap();
+        log.append_data(b"<a/><b").unwrap();
+        log.append_data(b"/><c/>").unwrap();
+        assert!(log.roll_due(4, 8), "the first boundary of a life rolls");
+        log.roll(4, b"SNAP", b"<b/><c/>").unwrap();
+        assert_eq!(files(&root.join("t1")), ["queries.txt", &log_name(4)]);
         let rec = recover(&root, "t1").unwrap().unwrap();
-        assert_eq!(rec.wal.len(), 1400 * 1024 + 4);
-        assert!(rec.wal.ends_with(b"tail"));
+        assert_eq!(rec.snapshot.as_deref(), Some(&b"SNAP"[..]));
+        assert_eq!(resumes_at(&rec), (4, &b"<b/><c/>"[..], false));
+        // Due again once the input consumed since the head (offset 4) is
+        // the head's 4 snapshot bytes plus what the roll would carry.
+        assert!(!log.roll_due(8, 4));
+        assert!(log.roll_due(8, 0));
+        assert!(log.roll_due(12, 0));
+        log.append_data(b"<d/>").unwrap();
+        log.append_end().unwrap();
+        log.roll(12, b"SNAP2", b"<d/>").unwrap();
+        drop(log);
+        assert_eq!(files(&root.join("t1")), ["queries.txt", &log_name(12)]);
+        let rec = recover(&root, "t1").unwrap().unwrap();
+        assert_eq!(rec.snapshot.as_deref(), Some(&b"SNAP2"[..]));
+        assert_eq!(resumes_at(&rec), (12, &b"<d/>"[..], true));
         let _ = fs::remove_dir_all(&root);
     }
 
+    /// A roll cut off at any point recovers the same input: the temp file
+    /// torn at every byte (the old log is whole beside it), or renamed with
+    /// the old log not yet deleted. A resume then leaves one log.
     #[test]
-    fn snapshot_is_atomic_and_prune_keeps_needed_segments() {
-        let root = temp_root("prune");
+    fn a_roll_cut_off_anywhere_recovers_the_same_input() {
+        let root = temp_root("cut");
+        let input = b"<a/><b/><c/>";
         let mut log = SessionLog::create(&root, "t1", &queries(), FsyncPolicy::Never).unwrap();
-        let mib = 1024 * 1024;
-        let chunk = vec![b'y'; mib as usize];
-        // Three closed segments starting at 0, 1 MiB and 2 MiB, and the
-        // active one at 3 MiB.
-        for _ in 0..3 {
-            log.append_data(&chunk).unwrap();
-        }
-        log.append_data(b"doc2").unwrap();
-        log.write_snapshot(b"SNAPSHOT").unwrap();
-        let starts = |root: &Path| -> Vec<u64> {
-            let segs = list_segments(&root.join("t1")).unwrap();
-            segs.into_iter().map(|(start, _)| start).collect()
+        log.append_data(input).unwrap();
+        log.sync_for_document().unwrap();
+        let old = fs::read(root.join("t1").join(log_name(0))).unwrap();
+        log.roll(4, b"SNAPSHOT", &input[4..]).unwrap();
+        drop(log);
+        let rolled = fs::read(root.join("t1").join(log_name(4))).unwrap();
+        let full = |rec: &RecoveredSession| -> Vec<u8> {
+            let mut bytes = input[..rec.wal_start as usize].to_vec();
+            bytes.extend_from_slice(&rec.wal);
+            bytes
         };
-        assert_eq!(starts(&root), [0, mib, 2 * mib, 3 * mib]);
-        // A snapshot at 2 MiB + 5 covers segment 0 and segment 1 (which
-        // ends at 2 MiB), but not segment 2.
-        log.prune(2 * mib + 5).unwrap();
-        assert_eq!(starts(&root), [2 * mib, 3 * mib]);
-        // The active segment survives even when the offset passes it.
-        log.prune(3 * mib + 4).unwrap();
-        drop(log);
-        assert_eq!(starts(&root), [3 * mib]);
-        let rec = recover(&root, "t1").unwrap().unwrap();
-        assert_eq!(rec.snapshot.as_deref(), Some(&b"SNAPSHOT"[..]));
-        // Recovered WAL now starts at the retained segment's offset.
-        assert_eq!(rec.wal_start, 3 * mib);
-        assert_eq!(rec.wal, b"doc2");
+
+        let cut = |tmp: Option<&[u8]>, new: bool| {
+            let _ = fs::remove_dir_all(root.join("t2"));
+            drop(SessionLog::create(&root, "t2", &queries(), FsyncPolicy::Never).unwrap());
+            let dir = root.join("t2");
+            fs::write(dir.join(log_name(0)), &old).unwrap();
+            if let Some(tmp) = tmp {
+                fs::write(dir.join(ROLL_TMP), tmp).unwrap();
+            }
+            if new {
+                fs::write(dir.join(log_name(4)), &rolled).unwrap();
+            }
+            let rec = recover(&root, "t2").unwrap().unwrap();
+            assert_eq!(full(&rec), input, "tmp {tmp:?} new {new}");
+            assert!(!rec.ended);
+            assert_eq!(rec.snapshot.is_some(), new);
+            let (log, _) = SessionLog::resume(&root, "t2", FsyncPolicy::Never)
+                .unwrap()
+                .unwrap();
+            assert_eq!(log.total_bytes(), input.len() as u64);
+            let live = log_name(if new { 4 } else { 0 });
+            assert_eq!(files(&dir), ["queries.txt", &live]);
+        };
+        for torn in 0..=rolled.len() {
+            cut(Some(&rolled[..torn]), false);
+        }
+        cut(None, true);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// A directory in the segment layout of earlier builds — a log past
+    /// offset 0 that starts with a DATA record, beside `snapshot.bin` — is
+    /// an error, never a resume that skips the missing input.
+    #[test]
+    fn a_log_without_its_head_snapshot_is_an_error() {
+        let root = temp_root("layout");
+        drop(SessionLog::create(&root, "t1", &queries(), FsyncPolicy::Never).unwrap());
+        let dir = root.join("t1");
+        fs::remove_file(dir.join(log_name(0))).unwrap();
+        let mut segment = Vec::new();
+        write_record(&mut segment, REC_DATA, b"<b/>").unwrap();
+        fs::write(dir.join(log_name(1 << 20)), &segment).unwrap();
+        fs::write(dir.join("snapshot.bin"), b"SPXS").unwrap();
+        let err = recover(&root, "t1").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let err = SessionLog::resume(&root, "t1", FsyncPolicy::Never).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// `document` syncs at a boundary only when records were appended
+    /// since the last sync: one frame of a thousand documents, one sync.
+    #[test]
+    fn document_policy_syncs_once_per_append() {
+        let root = temp_root("syncs");
+        let syncs = |fsync: FsyncPolicy| {
+            let mut log = SessionLog::create(&root, fsync.as_str(), &queries(), fsync).unwrap();
+            log.append_data(b"<a/>").unwrap();
+            for _ in 0..1000 {
+                log.sync_for_document().unwrap();
+            }
+            log.append_data(b"<a/>").unwrap();
+            log.sync_for_document().unwrap();
+            log.sync_for_document().unwrap();
+            log.syncs()
+        };
+        assert_eq!(syncs(FsyncPolicy::OnDocument), 2);
+        assert_eq!(syncs(FsyncPolicy::Always), 2);
+        assert_eq!(syncs(FsyncPolicy::Never), 0);
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -637,9 +736,8 @@ mod tests {
     fn remove_deletes_session_dir() {
         let root = temp_root("remove");
         let log = SessionLog::create(&root, "t1", &queries(), FsyncPolicy::Never).unwrap();
-        drop(log);
         assert!(root.join("t1").is_dir());
-        remove(&root, "t1").unwrap();
+        log.remove().unwrap();
         assert!(!root.join("t1").exists());
         assert!(recover(&root, "t1").unwrap().is_none());
         let _ = fs::remove_dir_all(&root);

@@ -86,9 +86,9 @@ pub struct ServerConfig {
     /// in-memory histograms behind the `T` frame are still maintained —
     /// they cost one atomic increment per *session*, not per event).
     pub trace_jsonl: Option<String>,
-    /// Root directory for durable session state (write-ahead input logs +
-    /// document-boundary snapshots, see [`crate::durable`] and DESIGN.md
-    /// §15). `None` (the default) disables durability: sessions are
+    /// Root directory for durable session state (one write-ahead input
+    /// log per session, opening with its document-boundary snapshot, see
+    /// [`crate::durable`] and DESIGN.md §15). `None` (the default) disables durability: sessions are
     /// in-memory only and the `M` resume frame is refused.
     pub durable_dir: Option<String>,
     /// When the write-ahead log syncs to disk (only meaningful with
@@ -207,6 +207,7 @@ impl ServeTrace {
             ("serve.documents", &stats.documents),
             ("serve.plan_cache_hits", &stats.plan_cache_hits),
             ("serve.plan_cache_misses", &stats.plan_cache_misses),
+            ("serve.checkpoints", &stats.checkpoints),
         ] {
             t.counter(name, counter.load(Ordering::Relaxed));
         }

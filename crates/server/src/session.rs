@@ -28,7 +28,9 @@
 //!    the CPU slice is spent, or the outbound buffer is full. A
 //!    construct cut off by a frame edge simply stays in the parser until
 //!    the rest arrives; every wait is [`Advance::NeedInput`] under the
-//!    worker's read/idle deadlines — a worker never waits for bytes.
+//!    worker's read/idle deadlines — a worker never waits for bytes. At a
+//!    document boundary a durable session rolls its log when a roll is due
+//!    ([`SessionLog::roll_due`]), and syncs it otherwise.
 //! 3. **Close**: on `E` (or an error) the machine queues any `f` fault
 //!    frames, a `s` stats frame in the one-shot `--stats-json` schema, and
 //!    `n`; the worker flushes and closes.
@@ -49,7 +51,7 @@ use spex_core::{
 use spex_query::Rpeq;
 use spex_xml::{Parser, RawEvent};
 use std::net::SocketAddr;
-use std::path::PathBuf;
+use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -265,15 +267,14 @@ impl ResultSink for SessionSink {
     }
 }
 
-/// Everything the eval phase needs to keep a session durable: where its
-/// state lives, the live WAL handle, and (for resumes) the recovered
-/// continuation.
+/// Everything the eval phase needs to keep a session durable: its token,
+/// the live log (which owns the session's directory), and (for resumes)
+/// the recovered continuation.
 struct DurableCtx {
-    root: PathBuf,
     token: String,
     log: SessionLog,
-    /// The snapshot to restore before consuming input (resumes whose
-    /// snapshot is usable; the others replay the whole WAL).
+    /// The log's head snapshot, restored before consuming input (resumes
+    /// past offset 0 only).
     snapshot: Option<Snapshot>,
     /// Per-query count of replayed fragments to suppress.
     suppress: Vec<u64>,
@@ -643,14 +644,14 @@ impl SessionMachine {
                 let preload = first_data.unwrap_or_default();
                 match self.shared.cfg.durable_dir.as_deref() {
                     Some(root) => {
-                        let root = PathBuf::from(root);
+                        let root = Path::new(root);
                         let token =
                             durable::new_token(self.shared.seq.fetch_add(1, Ordering::Relaxed));
                         let exprs: Vec<(String, String)> = queries
                             .iter()
                             .map(|(n, q)| (n.clone(), q.to_string()))
                             .collect();
-                        let log = SessionLog::create(&root, &token, &exprs, self.shared.cfg.fsync)
+                        let log = SessionLog::create(root, &token, &exprs, self.shared.cfg.fsync)
                             .and_then(|mut log| {
                                 if was_end {
                                     log.append_end()?;
@@ -667,7 +668,6 @@ impl SessionMachine {
                                     format!("session={token}").as_bytes(),
                                 );
                                 let ctx = DurableCtx {
-                                    root,
                                     token,
                                     log,
                                     snapshot: None,
@@ -829,7 +829,7 @@ impl SessionMachine {
             .as_ref()
             .map(|e| classify(e, input.violation.as_ref()));
 
-        if let Some(d) = &durable {
+        if let Some(d) = durable {
             shared
                 .trace
                 .tracer
@@ -838,7 +838,7 @@ impl SessionMachine {
             // resumed; a hangup or error keeps the durable state for a
             // later `M` frame.
             if session_error.is_none() && d.log.ended() {
-                let _ = durable::remove(&d.root, &d.token);
+                let _ = d.log.remove();
             }
         }
 
@@ -862,26 +862,21 @@ enum FirstInput {
     Resume(Box<(DurableCtx, Vec<u8>, bool)>),
 }
 
-/// Handle an `M` frame: validate it, read the session's durable state back
-/// (queries, latest snapshot, longest-valid WAL prefix) and reopen the log
-/// for appending. Returns the assembled [`DurableCtx`], the WAL tail to
-/// replay (input bytes past the snapshot's resume offset) and whether the
-/// WAL already holds the end-of-stream marker.
+/// Handle an `M` frame: validate it and reopen the session's log for a new
+/// life (queries, head snapshot, longest valid prefix of the records after
+/// it). Returns the assembled [`DurableCtx`], the logged input to replay
+/// (the bytes past the head snapshot's resume offset) and whether the log
+/// already holds the end-of-stream marker.
 fn handle_resume(
     frame: &Frame,
     shared: &Arc<Shared>,
     queries: &mut Vec<(String, Rpeq)>,
 ) -> Result<(DurableCtx, Vec<u8>, bool), SessionError> {
-    let io_err = |what: &str| {
-        let what = what.to_string();
-        move |e: std::io::Error| SessionError::new("io", 3, format!("{what}: {e}"))
-    };
     let Some(root) = shared.cfg.durable_dir.as_deref() else {
         return Err(SessionError::usage(
             "resume requires a server started with --durable-dir",
         ));
     };
-    let root = PathBuf::from(root);
     let Some((version, token, received)) = split_resume(&frame.payload) else {
         return Err(SessionError::protocol("malformed RESUME payload"));
     };
@@ -895,9 +890,14 @@ fn handle_resume(
             "invalid session token `{token}`"
         )));
     }
-    let recovered =
-        durable::recover(&root, token).map_err(io_err("reading durable session state failed"))?;
-    let Some(recovered) = recovered else {
+    let resumed = SessionLog::resume(Path::new(root), token, shared.cfg.fsync).map_err(|e| {
+        SessionError::new(
+            "io",
+            3,
+            format!("reading durable session state failed: {e}"),
+        )
+    })?;
+    let Some((log, recovered)) = resumed else {
         return Err(SessionError::usage(format!(
             "unknown session token `{token}`"
         )));
@@ -954,31 +954,22 @@ fn handle_resume(
             queries.len()
         )));
     }
-    let wal_start = recovered.wal_start;
-    let total = wal_start + recovered.wal.len() as u64;
-
-    // Decode the snapshot, tolerating corruption: a bad snapshot falls back
-    // to replaying the whole WAL (possible until pruning discards early
-    // segments) — a structured error either way, never a panic.
+    // The head snapshot must resume exactly where the logged input starts;
+    // one that does not is a structured error, never a wrong resume.
     let snapshot = recovered
         .snapshot
         .as_deref()
-        .and_then(|bytes| Snapshot::decode(bytes).ok())
-        .filter(|snap| {
-            snap.session
-                .as_ref()
-                .is_some_and(|s| s.position.offset >= wal_start && s.position.offset <= total)
-        });
-    if snapshot.is_none() && wal_start > 0 {
+        .map(Snapshot::decode)
+        .transpose()
+        .map_err(|e| SessionError::new("io", 3, format!("durable snapshot is corrupt: {e}")))?;
+    let session = snapshot.as_ref().and_then(|snap| snap.session.as_ref());
+    if session.map_or(0, |s| s.position.offset) != recovered.wal_start {
         return Err(SessionError::new(
             "io",
             3,
-            "durable snapshot is unusable and early WAL segments were pruned",
+            "durable snapshot does not resume where its log starts",
         ));
     }
-    let session = snapshot.as_ref().and_then(|snap| snap.session.as_ref());
-    let offset = session.map_or(0, |s| s.position.offset);
-    let replay = recovered.wal[(offset - wal_start) as usize..].to_vec();
     let suppress = received
         .iter()
         .enumerate()
@@ -987,19 +978,15 @@ fn handle_resume(
             received.saturating_sub(base.unwrap_or(0))
         })
         .collect();
-    let log = SessionLog::append_after(&root, token, total, recovered.ended, shared.cfg.fsync)
-        .map_err(io_err("reopening the durable session log failed"))?;
-    let ended = recovered.ended;
     Ok((
         DurableCtx {
-            root,
             token: token.to_string(),
             log,
             snapshot,
             suppress,
         },
-        replay,
-        ended,
+        recovered.wal,
+        recovered.ended,
     ))
 }
 
@@ -1036,22 +1023,26 @@ fn register_one(frame: &Frame, queries: &mut Vec<(String, Rpeq)>, out: &OutCell)
     }
 }
 
-/// Document-boundary checkpoint: the pump's snapshot (run, faults,
-/// quarantines, delivery counts, parser resume point), durably persisted,
-/// then the WAL pruned. All disk failures are absorbed — a failed checkpoint
-/// costs replay time on the next resume, never the live session.
+/// Document-boundary checkpoint: when a roll is due, the log is rolled onto
+/// the pump's snapshot (run, faults, quarantines, delivery counts, parser
+/// resume point) and the parser's unconsumed bytes; otherwise it is synced.
+/// All disk failures are absorbed — a failed checkpoint costs replay time
+/// on the next resume, never the live session.
 fn checkpoint(d: &mut DurableCtx, pump: &Pump<SessionSink>, shared: &Arc<Shared>) {
+    let parser = pump.parser();
+    let (offset, unconsumed) = (parser.position().offset, parser.unconsumed());
     // `None` at a `</$>` synthesized for a truncated stream: the client
     // resends that document's tail to the next life.
-    let Some(snap) = pump.checkpoint() else {
+    let due = d.log.roll_due(offset, unconsumed.len());
+    let Some(snap) = due.then(|| pump.checkpoint()).flatten() else {
+        let _ = d.log.sync_for_document();
         return;
     };
     let mut span = shared.trace.tracer.span("serve.checkpoint");
     span.set_attr("token", d.token.as_str());
-    let bytes = snap.encode();
-    let _ = d.log.sync_for_document();
-    let _ = d.log.write_snapshot(&bytes);
-    let _ = d.log.prune(pump.parser().position().offset);
+    if d.log.roll(offset, &snap.encode(), unconsumed).is_ok() {
+        shared.stats.checkpoints.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 /// One fault as a line of JSON (same field names as the one-shot schema's

@@ -32,6 +32,9 @@ pub struct ServerStats {
     pub plan_cache_hits: AtomicU64,
     /// Compiled-plan cache misses (fresh compilations).
     pub plan_cache_misses: AtomicU64,
+    /// Durable session logs rolled (a snapshot written at a document
+    /// boundary, DESIGN.md §15).
+    pub checkpoints: AtomicU64,
     engine: Mutex<(EngineStats, FaultTotals)>,
 }
 
@@ -86,7 +89,7 @@ impl ServerStats {
         out.push_str(&format!(
             ",\"server\":{{\"sessions_started\":{},\"sessions_completed\":{},\
              \"sessions_rejected\":{},\"sessions_failed\":{},\"documents\":{},\
-             \"plan_cache_hits\":{},\"plan_cache_misses\":{}}}",
+             \"plan_cache_hits\":{},\"plan_cache_misses\":{},\"checkpoints\":{}}}",
             self.sessions_started.load(Ordering::Relaxed),
             self.sessions_completed.load(Ordering::Relaxed),
             self.sessions_rejected.load(Ordering::Relaxed),
@@ -94,6 +97,7 @@ impl ServerStats {
             self.documents.load(Ordering::Relaxed),
             self.plan_cache_hits.load(Ordering::Relaxed),
             self.plan_cache_misses.load(Ordering::Relaxed),
+            self.checkpoints.load(Ordering::Relaxed),
         ));
         out.push('}');
         out
@@ -142,6 +146,7 @@ mod tests {
         }
         // …plus the server section.
         assert!(json.contains("\"server\":{\"sessions_started\":2"));
+        assert!(json.contains("\"plan_cache_misses\":0,\"checkpoints\":0}"));
         // No recovery sessions ran: no faults key, like a Strict one-shot.
         assert!(!json.contains("\"faults\""));
         assert!(json.ends_with('}'));

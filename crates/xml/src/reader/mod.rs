@@ -285,6 +285,14 @@ impl Parser {
         (self.emitted, self.bytes.position, self.lt_consumed)
     }
 
+    /// The bytes fed but not consumed yet: `position().offset` plus their
+    /// length is the number of bytes fed so far. At a document boundary
+    /// they are exactly what a parser restored at [`Parser::resume_point`]
+    /// must be fed before any later input.
+    pub fn unconsumed(&self) -> &[u8] {
+        self.bytes.rest()
+    }
+
     /// Restore a *fresh* parser to a document-boundary resume point captured
     /// by [`Parser::resume_point`]. The bytes fed afterwards must start at
     /// `position.offset` — the caller skips the input the original parser

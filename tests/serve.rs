@@ -502,7 +502,9 @@ fn durable_recovery_session_resumes_byte_identically() {
         }
         let token = token.as_deref().expect("session token ack");
         assert!(
-            dir.join(token).join("snapshot.bin").exists(),
+            spex_serve::durable::recover(&dir, token)
+                .unwrap()
+                .is_some_and(|rec| rec.snapshot.is_some()),
             "no checkpoint was written before the hangup"
         );
         assert!(received(&got).iter().all(|&n| n > 0), "nothing to suppress");
