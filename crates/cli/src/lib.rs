@@ -60,20 +60,18 @@ impl CliError {
 
 impl From<XmlError> for CliError {
     fn from(e: XmlError) -> Self {
-        if e.kind().is_syntax_class() {
-            CliError::Syntax(e.to_string())
-        } else {
-            CliError::Io(e.to_string())
-        }
+        EvalError::Xml(e).into()
     }
 }
 
 impl From<EvalError> for CliError {
     fn from(e: EvalError) -> Self {
-        match e {
-            EvalError::Query(_) | EvalError::Compile(_) => CliError::Usage(e.to_string()),
-            EvalError::Xml(x) => x.into(),
-            EvalError::ResourceExhausted { .. } => CliError::Resource(e.to_string()),
+        let message = e.to_string();
+        match e.class().1 {
+            1 => CliError::Usage(message),
+            2 => CliError::Syntax(message),
+            3 => CliError::Io(message),
+            _ => CliError::Resource(message),
         }
     }
 }

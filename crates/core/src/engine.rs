@@ -47,6 +47,19 @@ pub enum EvalError {
     },
 }
 
+impl EvalError {
+    /// The failure class and its exit code — the one taxonomy behind the
+    /// CLI's exit codes and the server's `e` frames.
+    pub fn class(&self) -> (&'static str, i32) {
+        match self {
+            EvalError::Query(_) | EvalError::Compile(_) => ("usage", 1),
+            EvalError::Xml(e) if e.kind().is_syntax_class() => ("syntax", 2),
+            EvalError::Xml(_) => ("io", 3),
+            EvalError::ResourceExhausted { .. } => ("resource", 4),
+        }
+    }
+}
+
 impl fmt::Display for EvalError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -202,7 +215,7 @@ impl<S: ResultSink> Evaluator<S> {
     }
 
     /// Reset the evaluator for the next document of a long-lived session:
-    /// drops stale candidate buffers, recycles the event arena, and truncates
+    /// drops stale candidates, recycles the event arena, and truncates
     /// the symbol table back to the query-label baseline, while keeping the
     /// compiled network, accumulated statistics, and allocated capacity. See
     /// [`Machine::reset_session`].

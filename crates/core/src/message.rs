@@ -13,8 +13,9 @@
 //! the run's [`spex_xml::EventStore`]) so the label comparisons in the
 //! child/closure transducers are integer compares. Event payloads live in
 //! the run's append-only event arena; document messages carry a 4-byte
-//! [`EventId`] handle, so fan-out through split transducers and candidate
-//! buffering copy `u32`s, never text.
+//! [`EventId`] handle, so fan-out through split transducers copies `u32`s,
+//! never text, and an output candidate is an interval of arena indices
+//! (`transducers::output`).
 
 use spex_formula::{CondVar, Formula};
 use spex_xml::EventId;

@@ -446,10 +446,9 @@ impl<'n, S: ResultSink> Run<'n, S> {
     }
 
     fn outputs_idle(&self) -> bool {
-        self.nodes.iter().all(|n| match n {
-            NodeInstance::Output(o) => o.buffered_events() == 0 && o.live_candidates() == 0,
-            _ => true,
-        })
+        self.nodes
+            .iter()
+            .all(|n| !matches!(n, NodeInstance::Output(o) if o.live_candidates() > 0))
     }
 
     fn push_unchecked(&mut self, id: EventId) {

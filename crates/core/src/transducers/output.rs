@@ -16,7 +16,7 @@
 //!   completely emitted* (document order), and *progressively*: an accepted
 //!   frontier candidate's content is forwarded as it arrives rather than
 //!   buffered,
-//! * **rejected** when its formula becomes `false` — its buffer is released
+//! * **rejected** when its formula becomes `false` — its events are released
 //!   immediately ("SPEX does store parts of the input data stream in memory
 //!   only if their appartenence to the query result is not yet determined",
 //!   §I).
@@ -27,32 +27,36 @@
 //! for the nested-result query `_*._`, where the outermost fragment stays
 //! open for the whole stream and everything behind it must wait its turn.
 //!
-//! Two auxiliary indexes keep the per-message work constant-ish:
+//! The stream is stored once: the run's event arena ([`EventStore`]) holds
+//! every event in order and is not reset while a candidate is live, so a
+//! candidate is an *interval* of arena indices, `from` (the first event not
+//! yet forwarded) to `to` (one past its close; unset while open). The OU
+//! tracks the index of the last event it was handed, not the arena's
+//! length, which may already hold events the OU has not seen.
 //!
-//! * `open_stack` — the currently *open* candidates (nested, so they form a
-//!   stack); content routing touches only these, never the complete-but-
-//!   blocked ones,
-//! * `var_index` — condition variable → candidates whose formula mentions
-//!   it; a determination touches only the affected candidates.
+//! Routing a document event is O(1): `open_live` buffered events are added
+//! (one per open, unrejected candidate), and a close completes at most the
+//! innermost open candidate (`open_stack`'s top, if its depth matches).
+//! `var_index` (condition variable → candidates whose formula mentions it)
+//! makes a determination touch only the affected candidates.
 
 use crate::message::{Determination, DocEvent, Message};
 use crate::sink::{ResultMeta, ResultSink};
 use crate::stats::EngineStats;
 use spex_formula::{CondVar, Formula};
 use spex_trace::Histogram;
-use spex_xml::{EventId, EventStore};
+use spex_xml::EventStore;
 use std::collections::{HashMap, VecDeque};
 
 #[derive(Debug)]
 struct Candidate {
     formula: Formula,
     start_tick: u64,
-    /// Number of currently open elements within the fragment; 0 once the
-    /// fragment is complete.
-    open_depth: usize,
-    /// Buffered content not yet forwarded to the sink: 4-byte arena handles,
-    /// resolved against the run's [`EventStore`] at emission time.
-    buffer: Vec<EventId>,
+    /// Arena index of the first event not yet forwarded to the sink.
+    from: usize,
+    /// One past the arena index of the fragment's closing event; `None`
+    /// while the fragment is open.
+    to: Option<usize>,
     /// `begin` has been sent to the sink (the candidate is accepted and is
     /// the emission frontier).
     begin_sent: bool,
@@ -63,12 +67,9 @@ struct Candidate {
 }
 
 impl Candidate {
-    fn decided_true(&self) -> bool {
-        self.formula.is_true()
-    }
-
-    fn complete(&self) -> bool {
-        self.open_depth == 0
+    /// One past the last event held, `next` being [`Output::next`].
+    fn end(&self, next: usize) -> usize {
+        self.to.unwrap_or(next)
     }
 }
 
@@ -82,11 +83,19 @@ pub struct Output {
     candidates: VecDeque<Candidate>,
     /// Sequence id of `candidates[0]`.
     base: u64,
-    /// Sequence ids of the currently open candidates, outermost first.
-    open_stack: Vec<u64>,
+    /// Element depth of the stream handed to the OU (`<$>` counts).
+    depth: usize,
+    /// Open candidates, outermost first: sequence id and element depth. A
+    /// rejected one popped from `candidates` while open completes nothing.
+    open_stack: Vec<(u64, usize)>,
+    /// Open candidates that are not rejected.
+    open_live: usize,
+    /// One past the arena index of the last event handed to the OU.
+    next: usize,
     /// Condition variable → sequence ids of candidates mentioning it.
     var_index: HashMap<CondVar, Vec<u64>>,
-    /// Current number of buffered events (for peak statistics).
+    /// Current number of buffered events (for peak statistics): the sum of
+    /// the candidates' interval lengths.
     buffered: usize,
     /// Determination latency in *events*: for every candidate, the ticks
     /// elapsed between entering the buffer and its formula becoming decided
@@ -101,9 +110,23 @@ impl Output {
         Output::default()
     }
 
-    fn candidate_mut(&mut self, id: u64) -> Option<&mut Candidate> {
+    /// Index in `candidates` of sequence id `id`, unless it is already
+    /// emitted or dropped.
+    fn index(&self, id: u64) -> Option<usize> {
         let idx = id.checked_sub(self.base)? as usize;
-        self.candidates.get_mut(idx)
+        (idx < self.candidates.len()).then_some(idx)
+    }
+
+    /// Reject the candidate at index `idx`: its events are released at
+    /// once, and while open it no longer collects content.
+    fn reject(&mut self, idx: usize, stats: &mut EngineStats) {
+        let cand = &mut self.candidates[idx];
+        cand.rejected = true;
+        self.buffered -= cand.end(self.next) - cand.from;
+        if cand.to.is_none() {
+            self.open_live -= 1;
+        }
+        stats.dropped += 1;
     }
 
     /// Process one message arriving at the network sink.
@@ -136,13 +159,10 @@ impl Output {
                 };
                 let mut reindex: Vec<(CondVar, u64)> = Vec::new();
                 for id in ids {
-                    let base = self.base;
-                    if id < base {
-                        continue; // already emitted or dropped
-                    }
-                    let Some(cand) = self.candidate_mut(id) else {
+                    let Some(idx) = self.index(id) else {
                         continue;
                     };
+                    let cand = &mut self.candidates[idx];
                     if cand.rejected {
                         continue;
                     }
@@ -150,25 +170,16 @@ impl Output {
                     // The determination moment: the formula just became
                     // constant. Record the earliness measure (events between
                     // buffer entry and decision) exactly once per candidate.
-                    let newly_decided =
-                        !cand.determined && (cand.formula.is_false() || cand.formula.is_true());
-                    let lat = now.saturating_sub(cand.start_tick);
-                    if newly_decided {
+                    if !cand.determined && (cand.formula.is_false() || cand.formula.is_true()) {
                         cand.determined = true;
+                        self.latency.record(now.saturating_sub(cand.start_tick));
                     }
                     if cand.formula.is_false() {
-                        cand.rejected = true;
-                        let released = cand.buffer.len();
-                        cand.buffer.clear();
-                        self.buffered -= released;
-                        stats.dropped += 1;
+                        self.reject(idx, stats);
                     } else if conditional {
                         for nv in cand.formula.vars() {
                             reindex.push((nv, id));
                         }
-                    }
-                    if newly_decided {
-                        self.latency.record(lat);
                     }
                 }
                 for (nv, id) in reindex {
@@ -180,82 +191,44 @@ impl Output {
                 self.flush(sink, now, stats, store);
             }
             Message::Doc(doc) => {
-                let payload = doc.payload();
-                // Content goes to every open candidate (they form a stack).
-                let is_open = matches!(doc, DocEvent::Open { .. });
-                let is_close = matches!(doc, DocEvent::Close { .. });
-                // A rejected front candidate may have been popped while
-                // still open; drop its stale stack entry.
-                let base = self.base;
-                self.open_stack.retain(|id| *id >= base);
-                for i in 0..self.open_stack.len() {
-                    let id = self.open_stack[i];
-                    let buffered = &mut self.buffered;
-                    let Some(cand) = self.candidates.get_mut((id - base) as usize) else {
-                        continue;
-                    };
-                    if is_open {
-                        cand.open_depth += 1;
-                    } else if is_close {
-                        cand.open_depth -= 1;
-                    }
-                    if !cand.rejected {
-                        cand.buffer.push(payload);
-                        *buffered += 1;
-                    }
-                }
-                // Only the innermost open candidate can complete at a close.
-                if is_close {
-                    while let Some(&last) = self.open_stack.last() {
-                        let done = self
-                            .candidate_mut(last)
-                            .map(|c| c.complete())
-                            .unwrap_or(true);
-                        if done {
-                            self.open_stack.pop();
-                        } else {
-                            break;
+                let at = doc.payload().index();
+                debug_assert!(
+                    self.candidates.is_empty() || at == self.next,
+                    "event {at} handed to the output transducer while a candidate is live \
+                     does not follow event {}",
+                    self.next.wrapping_sub(1)
+                );
+                self.next = at + 1;
+                // Content belongs to every open candidate: each interval
+                // grows by this one event.
+                self.buffered += self.open_live;
+                match doc {
+                    DocEvent::Open { .. } => {
+                        self.depth += 1;
+                        // A pending activation plus an opening message
+                        // create a new candidate.
+                        if !self.pending.is_empty() {
+                            self.create(at, now, stats);
                         }
                     }
-                }
-                // A pending activation plus an opening message create a new
-                // candidate.
-                if is_open {
-                    if !self.pending.is_empty() {
-                        // The singleton pop keeps `pending`'s capacity for
-                        // the next activation; `disj` of one normalized
-                        // formula is that formula.
-                        let formula = if self.pending.len() == 1 {
-                            self.pending.pop().expect("length checked")
-                        } else {
-                            Formula::disj(std::mem::take(&mut self.pending))
-                        };
-                        if !formula.is_false() {
-                            stats.candidates_created += 1;
-                            let id = self.base + self.candidates.len() as u64;
-                            for v in formula.vars() {
-                                self.var_index.entry(v).or_default().push(id);
+                    DocEvent::Close { .. } => {
+                        // Only the innermost open candidate can complete at
+                        // a close.
+                        if self.open_stack.last().is_some_and(|e| e.1 == self.depth) {
+                            let (id, _) = self.open_stack.pop().expect("checked above");
+                            if let Some(idx) = self.index(id) {
+                                let cand = &mut self.candidates[idx];
+                                cand.to = Some(self.next);
+                                if !cand.rejected {
+                                    self.open_live -= 1;
+                                }
                             }
-                            // A past condition decides the candidate at
-                            // birth: zero determination latency.
-                            let determined = formula.is_true();
-                            if determined {
-                                self.latency.record(0);
-                            }
-                            self.candidates.push_back(Candidate {
-                                formula,
-                                start_tick: now,
-                                open_depth: 1,
-                                buffer: vec![payload],
-                                begin_sent: false,
-                                rejected: false,
-                                determined,
-                            });
-                            self.open_stack.push(id);
-                            self.buffered += 1;
                         }
+                        self.depth = self.depth.saturating_sub(1);
                     }
-                } else {
+                    DocEvent::Item { .. } => {}
+                }
+                if !matches!(doc, DocEvent::Open { .. }) {
                     // An activation not followed by an open message cannot
                     // denote a fragment; the compiler never produces this.
                     debug_assert!(
@@ -269,6 +242,43 @@ impl Output {
                 stats.peak_buffered_events = stats.peak_buffered_events.max(self.buffered);
             }
         }
+    }
+
+    /// Open a candidate at arena index `at` (unless its formula is `false`).
+    fn create(&mut self, at: usize, now: u64, stats: &mut EngineStats) {
+        // The singleton pop keeps `pending`'s capacity for the next
+        // activation; `disj` of one normalized formula is that formula.
+        let formula = if self.pending.len() == 1 {
+            self.pending.pop().expect("length checked")
+        } else {
+            Formula::disj(std::mem::take(&mut self.pending))
+        };
+        if formula.is_false() {
+            return;
+        }
+        stats.candidates_created += 1;
+        let id = self.base + self.candidates.len() as u64;
+        for v in formula.vars() {
+            self.var_index.entry(v).or_default().push(id);
+        }
+        // A past condition decides the candidate at birth: zero
+        // determination latency.
+        let determined = formula.is_true();
+        if determined {
+            self.latency.record(0);
+        }
+        self.candidates.push_back(Candidate {
+            formula,
+            start_tick: now,
+            from: at,
+            to: None,
+            begin_sent: false,
+            rejected: false,
+            determined,
+        });
+        self.open_stack.push((id, self.depth));
+        self.open_live += 1;
+        self.buffered += 1;
     }
 
     /// Emit every decidable frontier candidate, preserving document order.
@@ -285,39 +295,73 @@ impl Output {
                 self.base += 1;
                 continue;
             }
-            if front.decided_true() {
-                if !front.begin_sent {
-                    sink.begin(
-                        ResultMeta {
-                            start_tick: front.start_tick,
-                        },
-                        now,
-                    );
-                    front.begin_sent = true;
-                }
-                // Stream out whatever is buffered, resolving the handles
-                // against the arena (views borrow; nothing is copied).
-                for id in front.buffer.drain(..) {
-                    self.buffered -= 1;
-                    sink.event(&store.get(id), now);
-                }
-                if front.complete() {
-                    sink.end(now);
-                    stats.results += 1;
-                    self.candidates.pop_front();
-                    self.base += 1;
-                    continue;
-                }
+            if !front.formula.is_true() {
+                // Undetermined: wait for more input.
+                break;
             }
-            // Undetermined, or accepted but still open: wait for more input.
-            break;
+            if !front.begin_sent {
+                sink.begin(
+                    ResultMeta {
+                        start_tick: front.start_tick,
+                    },
+                    now,
+                );
+                front.begin_sent = true;
+            }
+            // Stream out whatever is buffered, resolving the interval
+            // against the arena (views borrow; nothing is copied).
+            let end = front.end(self.next);
+            for id in store.ids(front.from..end) {
+                sink.event(&store.get(id), now);
+            }
+            self.buffered -= end - front.from;
+            front.from = end;
+            if front.to.is_none() {
+                // Accepted but still open: wait for more input.
+                break;
+            }
+            sink.end(now);
+            stats.results += 1;
+            self.candidates.pop_front();
+            self.base += 1;
         }
     }
 
-    /// End of stream: every remaining variable's scope has closed, so any
-    /// still-undetermined variable can never become true — resolve remaining
-    /// formulas to `false` and flush. (With a complete network VC has
-    /// already determined everything and this is a no-op.)
+    /// No further input will be processed: every remaining variable's scope
+    /// has closed, so a still-undetermined variable can never become true.
+    /// Resolve every remaining formula (end of input is itself the
+    /// determination) and reject the false ones.
+    fn resolve_remaining(&mut self, now: u64, stats: &mut EngineStats) {
+        for idx in 0..self.candidates.len() {
+            let cand = &mut self.candidates[idx];
+            if cand.rejected {
+                continue;
+            }
+            for v in cand.formula.vars() {
+                cand.formula = cand.formula.assign(v, false);
+            }
+            if !cand.determined {
+                cand.determined = true;
+                self.latency.record(now.saturating_sub(cand.start_tick));
+            }
+            if cand.formula.is_false() {
+                self.reject(idx, stats);
+            }
+        }
+    }
+
+    fn clear(&mut self) {
+        self.candidates.clear();
+        self.open_stack.clear();
+        self.open_live = 0;
+        self.var_index.clear();
+        self.pending.clear();
+        self.buffered = 0;
+    }
+
+    /// End of stream: resolve the remaining formulas and flush. (With a
+    /// complete network VC has already determined everything and this is a
+    /// no-op.)
     pub fn finish(
         &mut self,
         sink: &mut dyn ResultSink,
@@ -325,47 +369,20 @@ impl Output {
         stats: &mut EngineStats,
         store: &EventStore,
     ) {
-        for cand in &mut self.candidates {
-            if cand.rejected {
-                continue;
-            }
-            for v in cand.formula.vars() {
-                cand.formula = cand.formula.assign(v, false);
-            }
-            // End of input is itself the determination: whatever is still
-            // open resolves now.
-            if !cand.determined {
-                cand.determined = true;
-                self.latency.record(now.saturating_sub(cand.start_tick));
-            }
-            if cand.formula.is_false() {
-                cand.rejected = true;
-                self.buffered -= cand.buffer.len();
-                cand.buffer.clear();
-                stats.dropped += 1;
-            }
-        }
+        self.resolve_remaining(now, stats);
         self.flush(sink, now, stats, store);
         debug_assert!(
             self.candidates.is_empty(),
             "incomplete candidates at end of stream"
         );
-        self.candidates.clear();
-        self.open_stack.clear();
-        self.var_index.clear();
-        self.pending.clear();
-        self.buffered = 0;
+        self.clear();
     }
 
-    /// Abort the evaluation early (resource exhaustion): emit every result
-    /// whose membership is already determined, release every undetermined
-    /// buffer, and leave the transducer empty.
-    ///
-    /// No further input will be processed, so — exactly as at end of stream —
-    /// a still-undetermined variable can never become true and resolves to
-    /// `false`. Fragments cut off mid-flight by the abort are delivered
-    /// truncated only if they had already begun streaming (the sink's
-    /// `begin` cannot be unsent); otherwise they are dropped.
+    /// Abort the evaluation early (resource exhaustion): resolve the
+    /// remaining formulas as at end of stream, emit every accepted result,
+    /// and leave the transducer empty. An accepted fragment cut off
+    /// mid-flight is delivered truncated (the sink's `begin` cannot be
+    /// unsent); an undetermined one resolves to `false` and is dropped.
     pub fn abort(
         &mut self,
         sink: &mut dyn ResultSink,
@@ -373,60 +390,29 @@ impl Output {
         stats: &mut EngineStats,
         store: &EventStore,
     ) {
-        for cand in &mut self.candidates {
-            if cand.rejected {
-                continue;
-            }
-            for v in cand.formula.vars() {
-                cand.formula = cand.formula.assign(v, false);
-            }
-            // End of input is itself the determination: whatever is still
-            // open resolves now.
-            if !cand.determined {
-                cand.determined = true;
-                self.latency.record(now.saturating_sub(cand.start_tick));
-            }
-            if cand.formula.is_false() {
-                cand.rejected = true;
-                self.buffered -= cand.buffer.len();
-                cand.buffer.clear();
-                stats.dropped += 1;
-            }
-        }
+        self.resolve_remaining(now, stats);
         // Alternate flushing decided-and-complete candidates with force-
         // closing the (accepted but incomplete) frontier fragment, so the
         // complete results queued behind an open one still get out.
         loop {
             self.flush(sink, now, stats, store);
+            // Every formula is constant now, so `flush` stopped at an
+            // accepted fragment that is still open.
             let Some(front) = self.candidates.pop_front() else {
                 break;
             };
+            debug_assert!(front.begin_sent && front.to.is_none());
             self.base += 1;
-            if front.rejected {
-                continue;
-            }
-            self.buffered -= front.buffer.len();
-            if front.begin_sent {
-                sink.end(now);
-                stats.results += 1;
-            } else {
-                stats.dropped += 1;
-            }
+            sink.end(now);
+            stats.results += 1;
         }
-        self.open_stack.clear();
-        self.var_index.clear();
-        self.pending.clear();
-        self.buffered = 0;
+        self.clear();
     }
 
-    /// Number of live (buffering or streaming) candidates.
+    /// Number of live (buffering or streaming) candidates. An OU with none
+    /// buffers nothing.
     pub fn live_candidates(&self) -> usize {
         self.candidates.len()
-    }
-
-    /// Number of buffered events.
-    pub fn buffered_events(&self) -> usize {
-        self.buffered
     }
 
     /// Determination-latency histogram: for every candidate decided so far,
@@ -452,16 +438,29 @@ mod tests {
         let mut out = Output::new();
         let mut sink = FragmentCollector::new();
         let mut stats = EngineStats::default();
-        let mut now = 0;
+        let now = drive(&mut out, messages, 0, &mut sink, &mut stats, store);
+        out.finish(&mut sink, now, &mut stats, store);
+        (sink, stats)
+    }
+
+    /// Step `out` through `messages` from tick `now`, advancing the tick
+    /// after each document message; returns the tick reached.
+    fn drive(
+        out: &mut Output,
+        messages: Vec<Message>,
+        mut now: u64,
+        sink: &mut FragmentCollector,
+        stats: &mut EngineStats,
+        store: &EventStore,
+    ) -> u64 {
         for m in messages {
             let is_doc = m.is_doc();
-            out.step(m, &mut sink, now, &mut stats, store);
+            out.step(m, sink, now, stats, store);
             if is_doc {
                 now += 1;
             }
         }
-        out.finish(&mut sink, now, &mut stats, store);
-        (sink, stats)
+        now
     }
 
     #[test]
@@ -504,7 +503,8 @@ mod tests {
         assert_eq!(sink.fragments(), ["<b>t</b>".to_string()]);
         // Delivery only began at tick 5 (when the variable was determined).
         assert_eq!(sink.timing, vec![(2, 5)]);
-        assert!(stats.peak_buffered_events >= 3);
+        // `<b>`, `t`, `</b>` waited for the determination.
+        assert_eq!(stats.peak_buffered_events, 3);
     }
 
     #[test]
@@ -622,8 +622,134 @@ mod tests {
         let (sink, stats) = run(msgs, &store);
         assert!(sink.fragments().is_empty());
         assert_eq!(stats.dropped, 1);
-        // Buffer peak stays at the prefix seen before rejection.
-        assert!(stats.peak_buffered_events <= 4);
+        // Buffer peak stays at the prefix seen before rejection: `<b><x>`.
+        assert_eq!(stats.peak_buffered_events, 2);
+    }
+
+    #[test]
+    fn nested_candidates_buffer_exactly_their_intervals() {
+        // Both undetermined until after `</b>`: `<b>` holds `<b><c>t</c></b>`
+        // (5 events) and the nested `<c>` holds `<c>t</c>` (3 events) — the
+        // arena stores each event once, but each candidate counts its own.
+        let mut store = EventStore::new();
+        let stream = stream_of(&mut store, "<a><b><c>t</c></b></a>");
+        let v = CondVar::new(0, 1);
+        let mut msgs = Vec::new();
+        for (i, m) in stream.iter().enumerate() {
+            if i == 2 || i == 3 {
+                msgs.push(Message::Activate(Formula::Var(v))); // <b>, <c>
+            }
+            if i == 7 {
+                msgs.push(Message::Determine(v, Determination::True)); // before </a>
+            }
+            msgs.push(m.clone());
+        }
+        let (sink, stats) = run(msgs, &store);
+        assert_eq!(
+            sink.fragments(),
+            ["<b><c>t</c></b>".to_string(), "<c>t</c>".to_string()]
+        );
+        assert_eq!(stats.peak_buffered_events, 8);
+        assert_eq!(sink.timing, vec![(2, 7), (3, 7)]);
+    }
+
+    #[test]
+    fn accepted_frontier_streams_while_open() {
+        // An accepted frontier candidate forwards each event as it arrives:
+        // its interval's start advances mid-fragment and nothing stays
+        // buffered.
+        let mut store = EventStore::new();
+        let stream = stream_of(&mut store, "<a><b><x/>t<y/></b></a>");
+        let mut out = Output::new();
+        let mut sink = FragmentCollector::new();
+        let mut stats = EngineStats::default();
+        for (i, m) in stream.iter().enumerate() {
+            let now = i as u64;
+            if i == 2 {
+                out.step(
+                    Message::Activate(Formula::True),
+                    &mut sink,
+                    now,
+                    &mut stats,
+                    &store,
+                );
+            }
+            out.step(m.clone(), &mut sink, now, &mut stats, &store);
+            if (2..8).contains(&i) {
+                // `<b>` through `</y>`: open, and forwarded up to event i.
+                assert_eq!(out.candidates[0].from, i + 1);
+                assert_eq!(out.candidates[0].to, None);
+                assert_eq!(out.buffered, 0);
+            }
+        }
+        out.finish(&mut sink, stream.len() as u64, &mut stats, &store);
+        assert_eq!(sink.fragments(), ["<b><x></x>t<y></y></b>".to_string()]);
+        assert_eq!(stats.peak_buffered_events, 0);
+
+        // A streaming outer candidate leaves the interval of an undetermined
+        // inner one alone: `<c>` keeps `<c>t</c>` while `<b>` moves on.
+        let mut store = EventStore::new();
+        let stream = stream_of(&mut store, "<a><b><c>t</c></b></a>");
+        let v = CondVar::new(0, 1);
+        let mut msgs = Vec::new();
+        for (i, m) in stream.iter().enumerate() {
+            match i {
+                2 => msgs.push(Message::Activate(Formula::True)), // <b>
+                3 => msgs.push(Message::Activate(Formula::Var(v))), // <c>
+                7 => msgs.push(Message::Determine(v, Determination::True)),
+                _ => {}
+            }
+            msgs.push(m.clone());
+        }
+        let (sink, stats) = run(msgs, &store);
+        assert_eq!(
+            sink.fragments(),
+            ["<b><c>t</c></b>".to_string(), "<c>t</c>".to_string()]
+        );
+        assert_eq!(sink.timing, vec![(2, 2), (3, 7)]);
+        assert_eq!(stats.peak_buffered_events, 3);
+    }
+
+    #[test]
+    fn rejected_outer_candidate_popped_while_open_leaves_inner_intact() {
+        // `<b>` is rejected mid-flight and popped from the front while still
+        // open. Its stale `open_stack` entry must neither complete the inner
+        // `<c>` nor disturb `<d>`, opened above it later; at `</b>` it
+        // completes nothing.
+        let mut store = EventStore::new();
+        let stream = stream_of(&mut store, "<a><b><c>t</c><d/></b></a>");
+        let v = CondVar::new(0, 1);
+        let mut msgs = Vec::new();
+        for (i, m) in stream.iter().enumerate() {
+            match i {
+                2 => msgs.push(Message::Activate(Formula::Var(v))), // <b>
+                3 | 6 => msgs.push(Message::Activate(Formula::True)), // <c>, <d>
+                4 => msgs.push(Message::Determine(v, Determination::False)),
+                _ => {}
+            }
+            msgs.push(m.clone());
+        }
+        let mut out = Output::new();
+        let mut sink = FragmentCollector::new();
+        let mut stats = EngineStats::default();
+        let split = msgs.len() - 4; // up to and including `<d>`
+        let rest = msgs.split_off(split);
+        let now = drive(&mut out, msgs, 0, &mut sink, &mut stats, &store);
+        // `<b>`'s entry is stale (below `base`), `<d>`'s is live above it.
+        assert_eq!(out.open_stack.len(), 2);
+        assert!(out.open_stack[0].0 < out.base);
+        assert_eq!(out.open_live, 1);
+        let now = drive(&mut out, rest, now, &mut sink, &mut stats, &store);
+        assert!(out.open_stack.is_empty());
+        assert_eq!(out.open_live, 0);
+        out.finish(&mut sink, now, &mut stats, &store);
+        assert_eq!(
+            sink.fragments(),
+            ["<c>t</c>".to_string(), "<d></d>".to_string()]
+        );
+        assert_eq!((stats.results, stats.dropped), (2, 1));
+        // `<b>` held `<b><c>` and `<c>` held `<c>` when the rejection came.
+        assert_eq!(stats.peak_buffered_events, 3);
     }
 
     #[test]

@@ -692,8 +692,8 @@ impl Machine {
             self.abort(sinks);
             return Err(b.into());
         }
-        // Once no output operator buffers any candidate event, every
-        // outstanding handle is dead: recycle the arena (keeps symbols and
+        // Once no output operator holds a live candidate, no arena
+        // interval is outstanding: recycle the arena (keeps symbols and
         // capacity). This is what bounds memory to the undetermined
         // fragments of the paper's §VI argument.
         if self.outputs_idle() {
@@ -703,13 +703,9 @@ impl Machine {
     }
 
     fn outputs_idle(&self) -> bool {
-        self.plan.outputs.iter().all(|&id| {
-            if let OpState::Emit(o) = &self.ops[id as usize] {
-                o.buffered_events() == 0 && o.live_candidates() == 0
-            } else {
-                true
-            }
-        })
+        self.plan.outputs.iter().all(
+            |&id| !matches!(&self.ops[id as usize], OpState::Emit(o) if o.live_candidates() > 0),
+        )
     }
 
     fn push_unchecked(&mut self, id: EventId, sinks: &mut dyn SlotSinks) {

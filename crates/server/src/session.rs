@@ -99,6 +99,37 @@ impl Inbound {
         }
         frame
     }
+
+    /// Where the input stands once no complete frame is left to decode —
+    /// the one end-of-input rule of both session phases. Decoded frames
+    /// come first, as a blocking reader would consume buffered data before
+    /// hitting the socket error or hangup; both are sticky.
+    fn end(&self) -> InputEnd {
+        match (self.ended, self.error) {
+            (_, Some(kind)) => InputEnd::Failed(kind),
+            (false, None) => InputEnd::Open,
+            (true, None) if !self.decoder.mid_frame() => InputEnd::Closed,
+            // Parity with the blocking `read_frame`: a cut-off frame header
+            // (5 bytes) is a protocol-level truncation, a cut-off payload an
+            // I/O-level unexpected EOF.
+            (true, None) if self.decoder.buffered() < 5 => InputEnd::TruncatedHeader,
+            (true, None) => InputEnd::TruncatedPayload,
+        }
+    }
+}
+
+/// See [`Inbound::end`].
+enum InputEnd {
+    /// No hangup and no failure yet: wait for bytes.
+    Open,
+    /// A socket error, or `TimedOut` from a read or idle deadline.
+    Failed(std::io::ErrorKind),
+    /// The peer hung up mid-header: [`ProtocolError::TruncatedFrame`].
+    TruncatedHeader,
+    /// The peer hung up mid-payload: an I/O unexpected EOF.
+    TruncatedPayload,
+    /// The peer hung up at a frame boundary: the input is over.
+    Closed,
 }
 
 /// Bytes queued toward the socket. The session appends, its worker
@@ -190,26 +221,6 @@ impl SessionError {
 
     fn protocol(message: impl Into<String>) -> Self {
         SessionError::new("protocol", 1, message)
-    }
-}
-
-/// Classify an engine error exactly like the CLI's exit-code mapping, with
-/// `violation` taking precedence: an `EvalError::Xml(Io)` caused by the
-/// peer breaking the frame grammar is a protocol error, not an I/O error.
-fn classify(err: &EvalError, violation: Option<&ProtocolError>) -> SessionError {
-    if let Some(v) = violation {
-        return SessionError::protocol(v.to_string());
-    }
-    match err {
-        EvalError::Query(_) | EvalError::Compile(_) => SessionError::usage(err.to_string()),
-        EvalError::Xml(e) => {
-            if e.kind().is_syntax_class() {
-                SessionError::new("syntax", 2, err.to_string())
-            } else {
-                SessionError::new("io", 3, err.to_string())
-            }
-        }
-        EvalError::ResourceExhausted { .. } => SessionError::new("resource", 4, err.to_string()),
     }
 }
 
@@ -339,10 +350,6 @@ impl EvalInput {
         parser: &mut Parser,
         mut log: Option<&mut SessionLog>,
     ) -> bool {
-        // Decoded frames come before any termination condition, as a
-        // blocking reader would consume buffered data before hitting the
-        // socket error or hangup; both are sticky and seen again once no
-        // frame is left.
         let fed = match inbound.next_frame() {
             Ok(Some(frame)) => match frame.kind {
                 FrameKind::Data => log
@@ -356,25 +363,20 @@ impl EvalInput {
                 other => Err(self.violate(ProtocolError::UnexpectedKind(other))),
             },
             Err(p) => Err(self.violate(p)),
-            Ok(None) => match (inbound.ended, inbound.error) {
-                (_, Some(kind)) => Err(std::io::Error::from(kind)),
-                // Parity with the blocking `read_frame`: a cut-off frame
-                // header is a protocol-level truncation, a cut-off payload
-                // is an I/O-level unexpected EOF.
-                (true, None) if inbound.decoder.mid_frame() && inbound.decoder.buffered() < 5 => {
-                    Err(self.violate(ProtocolError::TruncatedFrame))
-                }
-                (true, None) if inbound.decoder.mid_frame() => Err(std::io::Error::new(
+            Ok(None) => match inbound.end() {
+                InputEnd::Open => return false,
+                InputEnd::Failed(kind) => Err(std::io::Error::from(kind)),
+                InputEnd::TruncatedHeader => Err(self.violate(ProtocolError::TruncatedFrame)),
+                InputEnd::TruncatedPayload => Err(std::io::Error::new(
                     std::io::ErrorKind::UnexpectedEof,
                     "connection closed mid-frame",
                 )),
-                // Hangup at a frame boundary: same as END — the XML layer
-                // decides whether the byte stream was complete.
-                (true, None) => {
+                // Same as END: the XML layer decides whether the byte stream
+                // was complete.
+                InputEnd::Closed => {
                     parser.end_input();
                     Ok(())
                 }
-                (false, None) => return false,
             },
         };
         if let Err(e) = fed {
@@ -555,31 +557,26 @@ impl SessionMachine {
                     }
                 }
                 Ok(None) => {
-                    // Socket-level failure: silent close, like the
-                    // blocking server's `Err(ReadError::Io)` arm.
-                    if inbound.error.is_some() {
-                        return Step::Ready(self.conclude(None, SessionEnd::Failed, false));
-                    }
-                    if inbound.ended {
-                        if inbound.decoder.mid_frame() {
-                            if inbound.decoder.buffered() < 5 {
-                                let e = SessionError::protocol(
-                                    ProtocolError::TruncatedFrame.to_string(),
-                                );
-                                return Step::Ready(self.conclude(
-                                    Some(&e),
-                                    SessionEnd::Failed,
-                                    true,
-                                ));
-                            }
-                            return Step::Ready(self.conclude(None, SessionEnd::Failed, false));
+                    return Step::Ready(match inbound.end() {
+                        InputEnd::Open => {
+                            self.state = Phase::Register(queries);
+                            Advance::NeedInput
+                        }
+                        // Socket-level failure or a cut-off payload: silent
+                        // close, like the blocking server's
+                        // `Err(ReadError::Io)` arm.
+                        InputEnd::Failed(_) | InputEnd::TruncatedPayload => {
+                            self.conclude(None, SessionEnd::Failed, false)
+                        }
+                        InputEnd::TruncatedHeader => {
+                            let e =
+                                SessionError::protocol(ProtocolError::TruncatedFrame.to_string());
+                            self.conclude(Some(&e), SessionEnd::Failed, true)
                         }
                         // Clean hangup before streaming: a stats-only or
                         // no-op connection ran to completion.
-                        return Step::Ready(self.conclude(None, SessionEnd::Completed, false));
-                    }
-                    self.state = Phase::Register(queries);
-                    return Step::Ready(Advance::NeedInput);
+                        InputEnd::Closed => self.conclude(None, SessionEnd::Completed, false),
+                    });
                 }
                 Err(p) => {
                     let e = SessionError::protocol(p.to_string());
@@ -825,9 +822,16 @@ impl SessionMachine {
                 .absorb_faults(&r.faults, r.truncated, r.results, r.dropped);
         }
 
-        let session_error = error
-            .as_ref()
-            .map(|e| classify(e, input.violation.as_ref()));
+        // Classified by `EvalError::class`, as the CLI's exit codes are,
+        // unless the peer broke the frame grammar: the I/O error that the
+        // violation caused is a protocol error.
+        let session_error = error.as_ref().map(|e| match &input.violation {
+            Some(v) => SessionError::protocol(v.to_string()),
+            None => {
+                let (class, code) = e.class();
+                SessionError::new(class, code, e.to_string())
+            }
+        });
 
         if let Some(d) = durable {
             shared

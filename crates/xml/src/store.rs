@@ -6,14 +6,15 @@
 //! ([`crate::reader::Parser::poll_into`]) writes every event into one once,
 //! with both scanners; every consumer downstream — transducer fan-out,
 //! candidate buffering, result serialization, the recovery quarantine —
-//! copies only `u32` [`EventId`] handles, or a view into a store of its own
+//! copies only `u32` [`EventId`] handles or push-index ranges
+//! ([`EventStore::ids`]), or a view into a store of its own
 //! ([`EventStore::push_view`]). Events are read back as borrowing
 //! [`RawEvent`] views; the owned [`XmlEvent`] conversion
 //! ([`RawEvent::to_owned_event`]) is for the edges that hand out owned
 //! events: the pull iterator and the tree/DOM oracle.
 //!
 //! The arena is reset between result-free stretches of the stream (the
-//! engine resets it whenever no undetermined candidate buffers any event),
+//! engine resets it whenever no output candidate is live),
 //! so its high-water mark — exposed via [`EventStore::peak_bytes`] — tracks
 //! exactly the paper's notion of "buffering only undetermined fragments"
 //! (§VI), measured in bytes rather than event counts.
@@ -27,8 +28,7 @@ use crate::symbol::{Symbol, SymbolTable};
 /// A handle to an event stored in an [`EventStore`].
 ///
 /// Handles are dense indices in push order; they are `Copy` and 4 bytes,
-/// which is the whole point: fan-out and candidate buffers move handles,
-/// never event payloads.
+/// which is the whole point: fan-out moves handles, never event payloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EventId(u32);
 

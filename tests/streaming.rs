@@ -170,3 +170,40 @@ fn deep_document_stacks() {
     assert_eq!(stats.max_stream_depth, depth + 2); // $, n0..n199, leaf
     assert!(stats.max_depth_stack <= depth + 2);
 }
+
+/// The output transducer's accounting, pinned through `--stats-json` on a
+/// small deep document: `_*._` keeps every element open behind the
+/// outermost one (Lemma V.2 (5)'s nested results), and `_*.a[b]._` mixes
+/// accepted and rejected nested candidates. Nested candidates each count
+/// the events they share.
+#[test]
+fn nested_candidate_accounting_is_pinned() {
+    let xml = "<a><b/><a><c>t</c><a><b/><d/></a></a><e><a><c/></a></e></a>";
+    for (query, results, dropped, peak) in [("_*._", 10, 0, 38), ("_*.a[b]._", 5, 3, 13)] {
+        let options = spex_cli::Options {
+            query: Some(query.to_string()),
+            count: true,
+            stats_json: true,
+            ..spex_cli::Options::default()
+        };
+        let (mut stdout, mut stderr) = (Vec::new(), Vec::new());
+        let code = spex_cli::run(&options, &mut xml.as_bytes(), &mut stdout, &mut stderr);
+        assert_eq!(code, 0, "{query}");
+        assert_eq!(String::from_utf8(stdout).unwrap(), format!("{results}\n"));
+        let stderr = String::from_utf8(stderr).unwrap();
+        let json = stderr
+            .lines()
+            .find(|l| l.starts_with('{'))
+            .expect("stats line");
+        for (key, value) in [
+            ("results", results),
+            ("dropped", dropped),
+            ("peak_buffered_events", peak),
+        ] {
+            assert!(
+                json.contains(&format!("\"{key}\":{value},")),
+                "{query}: expected {key} = {value} in {json}"
+            );
+        }
+    }
+}
