@@ -1,9 +1,14 @@
 //! The VM ↔ reference-executor differential test rig.
 //!
-//! The transducer network runs as a flat bytecode [`spex_core::Plan`]
-//! executed by [`spex_core::PlanRun`]; [`spex_core::network::Run`] steps the
-//! same transducers the obvious way and is the reference the VM's scheduling
-//! is compared against. This module is the proof obligation: seeded random
+//! The transducer network runs as a flat [`spex_core::Plan`] executed by
+//! [`spex_core::PlanRun`]; [`spex_core::network::Run`] is a second schedule
+//! over the same [`spex_core::Machine`] — its own wiring and queues, every
+//! node stepped on every tick, per-message accounting — and is the
+//! reference the VM's scheduling is compared against. The two share
+//! everything around a tick (operator states, limits, arena recycling,
+//! latency, session reset), so a divergence points at the VM's own
+//! schedule: its CSR wiring, fast paths, inert-tick bypass or batched
+//! accounting. This module is the proof obligation: seeded random
 //! documents × seeded random rpeq queries are evaluated by **both**
 //! executors (plus the DOM baseline as an outside witness), and the first
 //! divergence in delivered fragments, engine statistics, per-transducer
@@ -23,7 +28,7 @@
 //!    quarantine — is judged against DOM by `tests/recovery.rs`.)
 //! 3. **Volume** ([`vm_diff`]) — the `harness vm-diff` subcommand and the CI
 //!    `vm-diff-smoke` job drive thousands of seeded cases; any entry in
-//!    [`DiffOutcome::divergences`] is a bug in the VM lowering.
+//!    [`DiffOutcome::divergences`] is a bug in the VM's schedule.
 //! 4. **Scanners** ([`scan_diff`]) — PR 10 adds a SWAR fast path to the XML
 //!    reader; the same generators compare the fast and classic scanners
 //!    (clean stream + every mutator × both policies) through the full
@@ -146,8 +151,9 @@ struct Outcome {
     latency: Vec<(usize, HistogramSummary)>,
 }
 
-/// Drive `$run` (a `PlanRun` or the reference `Run` — same methods, no
-/// shared trait) over `$events`, delivering into `$sink`. `finish` is for
+/// Drive `$run` (a `PlanRun` or the reference `Run`, which derefs to the
+/// same `Machine`; `push` and `finish_full` are each type's own, so a
+/// macro rather than a trait) over `$events`, delivering into `$sink`. `finish` is for
 /// streams that end at a document boundary; one cut at a terminal reader
 /// error is compared in the state it reached.
 macro_rules! drive {

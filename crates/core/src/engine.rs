@@ -140,8 +140,27 @@ impl From<crate::compile::CompileError> for EvalError {
 /// ([`Evaluator::push_from`]); a caller that feeds bytes as they arrive,
 /// checkpoints, or recovers from malformed input runs a
 /// [`crate::Pump`].
+///
+/// The evaluator derefs to its [`PlanRun`] (and through it to the
+/// [`Machine`]): `push` and `try_push` feed owned events, and `stats`,
+/// `reset_session`, `checkpoint`, `set_tracer`, `determination_latency` and
+/// the rest read or steer the run directly.
 pub struct Evaluator<S: ResultSink> {
     run: PlanRun<S>,
+}
+
+impl<S: ResultSink> std::ops::Deref for Evaluator<S> {
+    type Target = PlanRun<S>;
+
+    fn deref(&self) -> &PlanRun<S> {
+        &self.run
+    }
+}
+
+impl<S: ResultSink> std::ops::DerefMut for Evaluator<S> {
+    fn deref_mut(&mut self) -> &mut PlanRun<S> {
+        &mut self.run
+    }
 }
 
 impl<S: ResultSink> Evaluator<S> {
@@ -164,18 +183,6 @@ impl<S: ResultSink> Evaluator<S> {
         Evaluator {
             run: network.run_with_limits(vec![sink], limits),
         }
-    }
-
-    /// Feed one stream event. Infallible: after a resource-limit breach the
-    /// event is silently discarded (use [`Evaluator::try_push`] to observe
-    /// the breach; with no limits set nothing is ever discarded).
-    pub fn push(&mut self, event: XmlEvent) {
-        self.run.push(event);
-    }
-
-    /// Feed one stream event, reporting a resource-limit breach.
-    pub fn try_push(&mut self, event: XmlEvent) -> Result<(), EvalError> {
-        self.run.try_push(event)
     }
 
     /// Parse `xml` and feed every event (one complete document).
@@ -207,72 +214,6 @@ impl<S: ResultSink> Evaluator<S> {
                 Yield::Boundary | Yield::Budget => {}
             }
         }
-    }
-
-    /// The first limit breach, if any cap was exceeded.
-    pub fn exhausted(&self) -> Option<LimitBreach> {
-        self.run.exhausted()
-    }
-
-    /// Reset the evaluator for the next document of a long-lived session:
-    /// drops stale candidates, recycles the event arena, and truncates
-    /// the symbol table back to the query-label baseline, while keeping the
-    /// compiled network, accumulated statistics, and allocated capacity. See
-    /// [`Machine::reset_session`].
-    pub fn reset_session(&mut self) {
-        self.run.reset_session();
-    }
-
-    /// Capture the run's accumulator state at a quiescent document boundary
-    /// (see [`Machine::checkpoint`]). Call right after
-    /// [`Evaluator::reset_session`]; returns
-    /// [`crate::SnapshotError::NotQuiescent`] anywhere else.
-    pub fn checkpoint(&self) -> Result<crate::Snapshot, crate::SnapshotError> {
-        self.run.checkpoint()
-    }
-
-    /// Restore a snapshot into this freshly built evaluator (see
-    /// [`Machine::restore`]).
-    pub fn restore(&mut self, snap: &crate::Snapshot) -> Result<(), crate::SnapshotError> {
-        self.run.restore(snap)
-    }
-
-    /// Attach a trace export handle (see [`Machine::set_tracer`]): the engine
-    /// emits its counters, buffer high-water marks and per-output-node
-    /// determination-latency histograms when the evaluation finishes.
-    pub fn set_tracer(&mut self, tracer: spex_trace::Tracer) {
-        self.run.set_tracer(tracer);
-    }
-
-    /// Determination-latency histograms, one `(node id, histogram)` pair
-    /// per output node (see [`Machine::determination_latency`]). Latency is
-    /// counted in *events* between a candidate entering the output buffer
-    /// and its condition formula becoming determined — the paper's
-    /// earliness measure. Snapshot the value before calling
-    /// [`Evaluator::finish`] (which consumes the evaluator); end-of-stream
-    /// determinations are folded in once the stream's end has been pushed.
-    pub fn determination_latency(&self) -> Vec<(usize, spex_trace::Histogram)> {
-        self.run.determination_latency()
-    }
-
-    /// Per-transducer snapshots so far, indexed by node id.
-    pub fn transducer_stats(&self) -> &[TransducerStats] {
-        self.run.transducer_stats()
-    }
-
-    /// Enable transition tracing (see [`Machine::set_tracing`]).
-    pub fn set_tracing(&mut self, on: bool) {
-        self.run.set_tracing(on);
-    }
-
-    /// Drain per-node transition traces.
-    pub fn take_traces(&mut self) -> Vec<String> {
-        self.run.take_traces()
-    }
-
-    /// Statistics so far.
-    pub fn stats(&self) -> &EngineStats {
-        self.run.stats()
     }
 
     /// Finish the evaluation, flushing the output transducer.
@@ -483,7 +424,8 @@ mod tests {
                 first_doc_peak
             );
         }
-        // `Evaluator` and the reference `Run`: same methods, no shared trait.
+        // `Evaluator` derefs to a `PlanRun`, the reference `Run` to its
+        // `Machine`: the same method names on both, no shared trait.
         macro_rules! thousand_documents {
             ($run:expr) => {{
                 let mut run = $run;

@@ -19,17 +19,20 @@
 //!   are reproduced verbatim by the test suite),
 //! * [`network`] — the network DAG (Definition 3): its spec, its builder,
 //!   and the *reference* executor — the tick discipline of §III.2 written
-//!   the obvious way, which only tests and `harness vm-diff` run,
+//!   the obvious way, as a second schedule over the VM's [`Machine`]
+//!   (its own wiring and queues, every node stepped, per-message
+//!   accounting), which only tests and `harness vm-diff` run,
 //! * [`compile`] — the denotational translation `C` of Fig. 11 and
 //!   [`CompiledNetwork`], the one compiled-program type: one query, a
 //!   conjunctive query, or a multi-query set from the `spex-combine`
 //!   combiner (the optimization named in the paper's conclusion),
-//! * [`vm`] — the engine: the network lowered to a flat bytecode [`Plan`]
-//!   and executed tick-synchronously by [`PlanRun`] ("at any time there is
-//!   only one \[document\] message in the network", §III.2), which owns
-//!   what it runs on — a share of the plan, the run-wide variable namespace
-//!   and its sinks; everything below runs on it, and a differential rig
-//!   keeps its scheduling equal to the reference executor's (DESIGN.md §14),
+//! * [`vm`] — the engine: the network lowered to a flat [`Plan`] (the
+//!   spec's nodes plus CSR wiring) and executed tick-synchronously by
+//!   [`PlanRun`] ("at any time there is only one \[document\] message in
+//!   the network", §III.2), which owns what it runs on — a share of the
+//!   plan, the run-wide variable namespace and its sinks; everything below
+//!   runs on it, and a differential rig keeps its scheduling equal to the
+//!   reference executor's (DESIGN.md §14),
 //! * [`pump`] — the one loop from bytes to results: [`Pump`] owns the push
 //!   parser, the run and the recovery policy, resets the run at every
 //!   document boundary, snapshots it there for durable callers, and drains
@@ -47,7 +50,7 @@
 //! evaluators share, §9 the resource limits and per-transducer stats, §10
 //! the recovery layer ([`evaluate_recovering`]), §11 the zero-copy event
 //! pipeline, and §13 the trace records the engine emits when a
-//! [`spex_trace::Tracer`] is attached ([`Evaluator::set_tracer`]).
+//! [`spex_trace::Tracer`] is attached ([`Machine::set_tracer`]).
 //!
 //! ## Quick start
 //!

@@ -8,36 +8,26 @@
 //! lowers it and [`crate::vm::PlanRun`] executes it.
 //!
 //! [`Run`] is the *reference* executor: the paper's tick discipline written
-//! the obvious way — one boxed transducer per node, a fresh queue per port
-//! per tick, every node stepped on every tick. Nothing in production reaches
-//! it; `harness vm-diff` and the test suite compare the VM's scheduling
-//! against it, so it carries only what a rig compares (fragments in delivery
-//! order, statistics, determination latency, limit breaches, transition
-//! traces, session reset) and documents itself by pointing at [`PlanRun`].
+//! the obvious way, as a second schedule over the VM's own [`Machine`]. It
+//! keeps only what makes it a reference — its wiring, read from the spec's
+//! input lists; a fresh queue per port per tick; every node stepped on
+//! every tick, in topological order; accounting message by message — and
+//! shares the rest with the VM: the operator states, the event-to-message
+//! mapping, limits, arena recycling, latency, session reset and finish.
+//! Nothing in production reaches it; `harness vm-diff` and the test suite
+//! compare the VM's scheduling against it, so a divergence can only come
+//! from the VM's own schedule (its CSR wiring, its fast paths, the inert-tick
+//! bypass, its batched accounting).
 
 use crate::engine::EvalError;
-use crate::limits::{LimitBreach, ResourceLimits};
 use crate::message::{DocEvent, Message};
-use crate::sink::{ResultSink, SinkBank, Slot};
+use crate::sink::{ResultSink, Slot, SlotSinks};
 use crate::stats::{EngineStats, TransducerStats};
-use crate::transducers::child::{Child, MatchLabel};
-use crate::transducers::closure::Closure;
-use crate::transducers::input::Input;
-use crate::transducers::join::Join;
-use crate::transducers::output::Output;
-use crate::transducers::split::Split;
-use crate::transducers::union_::Union;
-use crate::transducers::var_creator::VarCreator;
-use crate::transducers::var_determinant::VarDeterminant;
-use crate::transducers::var_filter::VarFilter;
-use crate::transducers::Transducer;
-#[cfg(doc)]
-use crate::vm::{Machine, PlanRun};
-use spex_formula::{QualifierId, VarFactory};
+use crate::vm::{Machine, OpState, Plan, PlanRun};
+use spex_formula::QualifierId;
 use spex_query::Label;
-use spex_trace::Histogram;
-use spex_xml::{EventId, EventStore, StoredKind, XmlEvent};
-
+use spex_xml::XmlEvent;
+use std::sync::Arc;
 /// The template of one network node — which transducer to instantiate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NodeSpec {
@@ -228,96 +218,21 @@ impl NetworkBuilder {
     }
 }
 
-enum NodeInstance {
-    Single(Box<dyn Transducer>),
-    Join(Join),
-    Output(Box<Output>),
-}
-
-/// Instantiate every node of `spec`, resolving match labels against
-/// `symbols`. Returns the instances plus, for output nodes, which sink slot
-/// each one feeds. Shared by [`Run::new`] and [`Run::reset_session`] (the
-/// latter rebuilds the instances so no per-document transducer state can
-/// survive into the next document).
-fn build_nodes(
-    spec: &NetworkSpec,
-    symbols: &mut spex_xml::SymbolTable,
-) -> (Vec<NodeInstance>, Vec<usize>) {
-    let mut nodes = Vec::with_capacity(spec.nodes.len());
-    let mut sink_index = vec![usize::MAX; spec.nodes.len()];
-    for (i, n) in spec.nodes.iter().enumerate() {
-        let inst = match n {
-            NodeSpec::Input => NodeInstance::Single(Box::new(Input::new())),
-            NodeSpec::Child(l) => {
-                NodeInstance::Single(Box::new(Child::new(MatchLabel::resolve(l, symbols))))
-            }
-            NodeSpec::Closure(l) => {
-                NodeInstance::Single(Box::new(Closure::new(MatchLabel::resolve(l, symbols))))
-            }
-            NodeSpec::Following(l) => NodeInstance::Single(Box::new(
-                crate::transducers::following::Following::new(MatchLabel::resolve(l, symbols)),
-            )),
-            NodeSpec::Preceding(l, q) => NodeInstance::Single(Box::new(
-                crate::transducers::preceding::Preceding::new(MatchLabel::resolve(l, symbols), *q),
-            )),
-            NodeSpec::VarCreator(q) => NodeInstance::Single(Box::new(VarCreator::new(*q))),
-            NodeSpec::VarFilterPos(q, inner) => {
-                NodeInstance::Single(Box::new(VarFilter::positive(*q, inner.0..inner.1)))
-            }
-            NodeSpec::VarFilterNeg(q) => NodeInstance::Single(Box::new(VarFilter::negative(*q))),
-            NodeSpec::VarDeterminant(q, inner) => {
-                NodeInstance::Single(Box::new(VarDeterminant::new(*q, inner.0..inner.1)))
-            }
-            NodeSpec::Split => NodeInstance::Single(Box::new(Split::new())),
-            NodeSpec::Union => NodeInstance::Single(Box::new(Union::new())),
-            NodeSpec::Join => NodeInstance::Join(Join::new()),
-            NodeSpec::Output => {
-                let idx = spec
-                    .sinks
-                    .iter()
-                    .position(|s| *s == i)
-                    .expect("output node registered as sink");
-                sink_index[i] = idx;
-                NodeInstance::Output(Box::new(Output::new()))
-            }
-        };
-        nodes.push(inst);
-    }
-    (nodes, sink_index)
-}
-
-/// The reference executor: a running instantiation of a network over one
-/// stream, pushing results into its sinks (one per logical query). Same
-/// contract as [`PlanRun`], method for method.
-pub struct Run<'n, S: ResultSink> {
-    spec: &'n NetworkSpec,
-    nodes: Vec<NodeInstance>,
-    /// Which sink (index into `sinks`) each node feeds, for output nodes.
-    sink_index: Vec<usize>,
-    /// inbox[node][port] — messages for the current tick.
-    inbox: Vec<Vec<Vec<Message>>>,
-    /// consumers[node] — (downstream node, port) pairs.
+/// The reference executor: a [`PlanRun`] over the spec's network, ticked by
+/// its own schedule. Same contract as [`PlanRun`] for pushing and finishing;
+/// everything else (statistics, limits, tracing, latency, session reset) is
+/// the [`Machine`] it derefs to.
+pub struct Run<S: ResultSink> {
+    run: PlanRun<S>,
+    /// `consumers[u]`: the `(node, port)` pairs reading node `u`'s output,
+    /// in ascending node order — taken from [`NetworkSpec`]'s input lists,
+    /// not from the plan's lowering of them.
     consumers: Vec<Vec<(usize, usize)>>,
-    store: EventStore,
-    vars: VarFactory,
-    sinks: SinkBank<S>,
-    stats: EngineStats,
-    /// Per-node measurements, same indexing as `nodes`.
-    node_stats: Vec<TransducerStats>,
-    limits: ResourceLimits,
-    exhausted: Option<LimitBreach>,
-    tick: u64,
-    depth: usize,
-    tracing: bool,
-    symbol_baseline: usize,
-    /// Accumulated across [`Run::reset_session`] rebuilds, indexed like
-    /// `nodes`.
-    det_latency: Vec<Histogram>,
 }
 
-impl<'n, S: ResultSink> Run<'n, S> {
+impl<S: ResultSink> Run<S> {
     /// Instantiate `spec` with one sink per network sink node.
-    pub fn new(spec: &'n NetworkSpec, sinks: Vec<S>) -> Self {
+    pub fn new(spec: &NetworkSpec, sinks: Vec<S>) -> Self {
         let identity: Vec<usize> = (0..spec.sinks.len()).collect();
         Self::with_slots(spec, sinks, &identity)
     }
@@ -325,91 +240,17 @@ impl<'n, S: ResultSink> Run<'n, S> {
     /// Instantiate `spec` with one sink per logical query, `slot_of[i]`
     /// naming the network sink node serving `sinks[i]` (see
     /// [`PlanRun::new`]).
-    pub fn with_slots(spec: &'n NetworkSpec, sinks: Vec<S>, slot_of: &[usize]) -> Self {
-        let sinks = SinkBank::new(sinks, slot_of, spec.sinks.len());
-        let mut store = EventStore::new();
-        let (nodes, sink_index) = build_nodes(spec, store.symbols_mut());
-        let symbol_baseline = store.symbols().len();
-        // Wire consumers: node u feeds (v, port) for each input edge of v.
-        let mut consumers: Vec<Vec<(usize, usize)>> = vec![Vec::new(); spec.nodes.len()];
+    pub fn with_slots(spec: &NetworkSpec, sinks: Vec<S>, slot_of: &[usize]) -> Self {
+        let mut consumers = vec![Vec::new(); spec.nodes.len()];
         for (v, ins) in spec.inputs.iter().enumerate() {
-            for (port, u) in ins.iter().enumerate() {
-                consumers[*u].push((v, port));
+            for (port, &u) in ins.iter().enumerate() {
+                consumers[u].push((v, port));
             }
         }
-        let inbox = spec
-            .inputs
-            .iter()
-            .map(|ins| vec![Vec::new(); ins.len().max(1)])
-            .collect();
-        let node_stats = spec
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(node, n)| TransducerStats {
-                node,
-                kind: n.describe(),
-                ..TransducerStats::default()
-            })
-            .collect();
-        let det_latency = vec![Histogram::new(); spec.nodes.len()];
         Run {
-            spec,
-            nodes,
-            sink_index,
-            inbox,
+            run: PlanRun::new(Arc::new(Plan::compile(spec)), sinks, slot_of),
             consumers,
-            store,
-            vars: VarFactory::new(),
-            sinks,
-            stats: EngineStats::default(),
-            node_stats,
-            limits: ResourceLimits::default(),
-            exhausted: None,
-            tick: 0,
-            depth: 0,
-            tracing: false,
-            symbol_baseline,
-            det_latency,
         }
-    }
-
-    /// See [`Machine::set_limits`].
-    pub fn set_limits(&mut self, limits: ResourceLimits) {
-        self.limits = limits;
-    }
-
-    /// See [`Machine::exhausted`].
-    pub fn exhausted(&self) -> Option<LimitBreach> {
-        self.exhausted
-    }
-
-    /// See [`Machine::set_tracing`].
-    pub fn set_tracing(&mut self, on: bool) {
-        self.tracing = on;
-        for n in &mut self.nodes {
-            match n {
-                NodeInstance::Single(t) => t.set_tracing(on),
-                NodeInstance::Join(j) => j.set_tracing(on),
-                NodeInstance::Output(_) => {}
-            }
-        }
-    }
-
-    /// See [`Machine::take_traces`].
-    pub fn take_traces(&mut self) -> Vec<String> {
-        self.nodes
-            .iter_mut()
-            .map(|n| match n {
-                NodeInstance::Single(t) => {
-                    crate::transducers::format_transitions(&t.take_transitions())
-                }
-                NodeInstance::Join(j) => {
-                    crate::transducers::format_transitions(&j.take_transitions())
-                }
-                NodeInstance::Output(_) => String::new(),
-            })
-            .collect()
     }
 
     /// See [`PlanRun::push`].
@@ -419,241 +260,86 @@ impl<'n, S: ResultSink> Run<'n, S> {
 
     /// See [`PlanRun::try_push`].
     pub fn try_push(&mut self, event: XmlEvent) -> Result<(), EvalError> {
-        if let Some(b) = self.exhausted {
+        let (machine, sinks) = self.run.parts();
+        if let Some(b) = machine.exhausted() {
             return Err(b.into());
         }
-        let id = self.store.push_owned(&event);
-        self.try_push_id(id)
-    }
-
-    /// One tick, then the limit check — see [`PlanRun::try_push_id`].
-    fn try_push_id(&mut self, id: EventId) -> Result<(), EvalError> {
-        if let Some(b) = self.exhausted {
-            return Err(b.into());
-        }
-        self.push_unchecked(id);
-        self.stats.peak_arena_bytes = self.stats.peak_arena_bytes.max(self.store.bytes_used());
-        self.stats.interned_symbols = self.stats.interned_symbols.max(self.store.symbols().len());
-        if let Err(b) = self.limits.check(&self.stats) {
-            self.exhausted = Some(b);
-            self.abort();
-            return Err(b.into());
-        }
-        if self.outputs_idle() {
-            self.store.reset();
-        }
-        Ok(())
-    }
-
-    fn outputs_idle(&self) -> bool {
-        self.nodes
-            .iter()
-            .all(|n| !matches!(n, NodeInstance::Output(o) if o.live_candidates() > 0))
-    }
-
-    fn push_unchecked(&mut self, id: EventId) {
-        let rec = self.store.stored(id);
-        let doc = match rec.kind {
-            StoredKind::StartDocument | StoredKind::Start => DocEvent::Open {
-                label: rec.sym,
-                payload: id,
-            },
-            StoredKind::EndDocument | StoredKind::End => DocEvent::Close {
-                label: rec.sym,
-                payload: id,
-            },
-            StoredKind::Text | StoredKind::Comment | StoredKind::Pi => {
-                DocEvent::Item { payload: id }
-            }
-        };
-        match &doc {
-            DocEvent::Open { .. } => {
-                self.depth += 1;
-                self.stats.max_stream_depth = self.stats.max_stream_depth.max(self.depth);
-            }
-            DocEvent::Close { .. } => self.depth = self.depth.saturating_sub(1),
-            DocEvent::Item { .. } => {}
-        }
-        self.inbox[0][0].push(Message::Doc(doc));
-        self.run_tick();
-        self.tick += 1;
-    }
-
-    fn run_tick(&mut self) {
-        let mut outbuf: Vec<Message> = Vec::new();
-        for id in 0..self.nodes.len() {
-            outbuf.clear();
-            match &mut self.nodes[id] {
-                NodeInstance::Single(t) => {
-                    let msgs = std::mem::take(&mut self.inbox[id][0]);
-                    for m in msgs {
-                        self.stats.messages += 1;
-                        self.node_stats[id].messages += 1;
-                        let size = m.formula_size();
-                        self.stats.observe_formula(size);
-                        self.node_stats[id].max_formula_size =
-                            self.node_stats[id].max_formula_size.max(size);
-                        t.step(m, &mut self.vars, &mut outbuf);
-                    }
-                    let (d, c) = t.stack_sizes();
-                    self.stats.observe_stacks(d, c);
-                    self.node_stats[id].max_depth_stack =
-                        self.node_stats[id].max_depth_stack.max(d);
-                    self.node_stats[id].max_cond_stack = self.node_stats[id].max_cond_stack.max(c);
-                }
-                NodeInstance::Join(j) => {
-                    let left = std::mem::take(&mut self.inbox[id][0]);
-                    let right = std::mem::take(&mut self.inbox[id][1]);
-                    self.stats.messages += (left.len() + right.len()) as u64;
-                    self.node_stats[id].messages += (left.len() + right.len()) as u64;
-                    j.step2(left, right, &mut outbuf);
-                }
-                NodeInstance::Output(_) => {
-                    let msgs = std::mem::take(&mut self.inbox[id][0]);
-                    let sink_idx = self.sink_index[id];
-                    // Split borrow: re-borrow the node mutably inside.
-                    if let NodeInstance::Output(o) = &mut self.nodes[id] {
-                        for m in msgs {
-                            self.stats.messages += 1;
-                            self.node_stats[id].messages += 1;
-                            let size = m.formula_size();
-                            self.stats.observe_formula(size);
-                            self.node_stats[id].max_formula_size =
-                                self.node_stats[id].max_formula_size.max(size);
-                            o.step(
-                                m,
-                                &mut Slot(&mut self.sinks, sink_idx),
-                                self.tick,
-                                &mut self.stats,
-                                &self.store,
-                            );
-                        }
-                    }
-                    continue;
-                }
-            }
-            // Fan out to consumers; the last consumer takes ownership.
-            let consumers = &self.consumers[id];
-            match consumers.len() {
-                0 => {}
-                1 => {
-                    let (v, p) = consumers[0];
-                    self.inbox[v][p].append(&mut outbuf);
-                }
-                _ => {
-                    for (v, p) in &consumers[..consumers.len() - 1] {
-                        self.inbox[*v][*p].extend(outbuf.iter().cloned());
-                    }
-                    let (v, p) = consumers[consumers.len() - 1];
-                    self.inbox[v][p].append(&mut outbuf);
-                }
-            }
-        }
-    }
-
-    /// Drain the run after a limit breach: flush already-determined results,
-    /// release undetermined buffers, discard in-flight messages.
-    fn abort(&mut self) {
-        for id in 0..self.nodes.len() {
-            let sink_idx = self.sink_index[id];
-            if let NodeInstance::Output(o) = &mut self.nodes[id] {
-                o.abort(
-                    &mut Slot(&mut self.sinks, sink_idx),
-                    self.tick,
-                    &mut self.stats,
-                    &self.store,
-                );
-            }
-        }
-        for ports in &mut self.inbox {
-            for p in ports {
-                p.clear();
-            }
-        }
+        let id = machine.store_mut().push_owned(&event);
+        let consumers = &self.consumers;
+        machine.tick_with(id, sinks, |m, doc, sinks| {
+            reference_tick(m, doc, sinks, consumers)
+        })
     }
 
     /// See [`PlanRun::finish`].
     pub fn finish(self) -> EngineStats {
-        self.finish_full().0
+        self.run.finish()
     }
 
     /// See [`PlanRun::finish_full`].
-    pub fn finish_full(mut self) -> (EngineStats, Vec<TransducerStats>) {
-        for id in 0..self.nodes.len() {
-            let sink_idx = self.sink_index[id];
-            if let NodeInstance::Output(o) = &mut self.nodes[id] {
-                o.finish(
-                    &mut Slot(&mut self.sinks, sink_idx),
-                    self.tick,
-                    &mut self.stats,
-                    &self.store,
-                );
-            }
-        }
-        self.stats.ticks = self.tick;
-        self.stats.vars_created = u64::from(self.vars.minted());
-        self.stats.peak_arena_bytes = self.stats.peak_arena_bytes.max(self.store.peak_bytes());
-        self.stats.interned_symbols = self.stats.interned_symbols.max(self.store.symbols().len());
-        self.harvest_latency();
-        (self.stats, self.node_stats)
+    pub fn finish_full(self) -> (EngineStats, Vec<TransducerStats>) {
+        self.run.finish_full()
     }
+}
 
-    /// Fold the live output transducers' determination-latency histograms
-    /// into the across-reset accumulators.
-    fn harvest_latency(&mut self) {
-        for (id, n) in self.nodes.iter().enumerate() {
-            if let NodeInstance::Output(o) = n {
-                self.det_latency[id].merge(o.determination_latency());
-            }
-        }
+impl<S: ResultSink> std::ops::Deref for Run<S> {
+    type Target = Machine;
+
+    fn deref(&self) -> &Machine {
+        &self.run
     }
+}
 
-    /// See [`Machine::determination_latency`].
-    pub fn determination_latency(&self) -> Vec<(usize, Histogram)> {
+impl<S: ResultSink> std::ops::DerefMut for Run<S> {
+    fn deref_mut(&mut self) -> &mut Machine {
+        &mut self.run
+    }
+}
+
+/// One tick of the paper's discipline (§III.2), the obvious way: every
+/// node, in topological order, takes the messages its producers emitted
+/// this tick, steps them one at a time with per-message accounting, and
+/// copies its output to each consumer.
+fn reference_tick(
+    m: &mut Machine,
+    doc: DocEvent,
+    sinks: &mut dyn SlotSinks,
+    consumers: &[Vec<(usize, usize)>],
+) {
+    let mut inbox: Vec<[Vec<Message>; 2]> = vec![Default::default(); consumers.len()];
+    inbox[0][0].push(Message::Doc(doc));
+    for id in 0..consumers.len() {
+        let [msgs, right] = std::mem::take(&mut inbox[id]);
         let mut out = Vec::new();
-        for (id, n) in self.nodes.iter().enumerate() {
-            if let NodeInstance::Output(o) = n {
-                let mut h = self.det_latency[id].clone();
-                h.merge(o.determination_latency());
-                out.push((id, h));
+        if let OpState::Join(j) = &mut m.ops[id] {
+            let consumed = (msgs.len() + right.len()) as u64;
+            m.stats.messages += consumed;
+            m.node_stats[id].messages += consumed;
+            j.step2(msgs, right, &mut out);
+        } else {
+            for msg in msgs {
+                m.stats.messages += 1;
+                m.node_stats[id].messages += 1;
+                let size = msg.formula_size();
+                m.stats.observe_formula(size);
+                m.node_stats[id].max_formula_size = m.node_stats[id].max_formula_size.max(size);
+                match &mut m.ops[id] {
+                    OpState::Emit(o) => {
+                        let slot = m.plan.sink_of[id] as usize;
+                        o.step(msg, &mut Slot(sinks, slot), m.tick, &mut m.stats, &m.store);
+                    }
+                    op => op.step(msg, &mut m.vars, &mut out),
+                }
             }
         }
-        out
-    }
-
-    /// See [`Machine::reset_session`]: every transducer instance is rebuilt
-    /// from the spec.
-    pub fn reset_session(&mut self) {
-        self.harvest_latency();
-        self.store.reset();
-        self.store.symbols_mut().truncate(self.symbol_baseline);
-        let (nodes, sink_index) = build_nodes(self.spec, self.store.symbols_mut());
-        self.nodes = nodes;
-        self.sink_index = sink_index;
-        for ports in &mut self.inbox {
-            for p in ports {
-                p.clear();
-            }
+        let (d, c) = m.ops[id].stack_sizes();
+        m.stats.observe_stacks(d, c);
+        let ns = &mut m.node_stats[id];
+        ns.max_depth_stack = ns.max_depth_stack.max(d);
+        ns.max_cond_stack = ns.max_cond_stack.max(c);
+        for &(v, port) in &consumers[id] {
+            inbox[v][port].extend(out.iter().cloned());
         }
-        self.depth = 0;
-        if self.tracing {
-            self.set_tracing(true);
-        }
-    }
-
-    /// See [`Machine::stats`].
-    pub fn stats(&self) -> &EngineStats {
-        &self.stats
-    }
-
-    /// See [`Machine::transducer_stats`].
-    pub fn transducer_stats(&self) -> &[TransducerStats] {
-        &self.node_stats
-    }
-
-    /// See [`Machine::tick`].
-    pub fn tick(&self) -> u64 {
-        self.tick
     }
 }
 

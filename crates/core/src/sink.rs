@@ -245,14 +245,16 @@ impl<W: std::io::Write> ResultSink for StreamingSink<W> {
 
 /// Serializes each fragment into a private buffer and hands the completed
 /// bytes to a callback — the serialization is byte-identical to
-/// [`StreamingSink`] minus the trailing newline (same [`spex_xml::Writer`],
-/// fresh per fragment).
+/// [`StreamingSink`] minus the trailing newline (same [`spex_xml::Writer`]).
+/// The buffer is one for the sink's lifetime: cleared after each delivery,
+/// it keeps its capacity, so steady-state delivery allocates nothing.
 ///
 /// Within-fragment progressiveness is traded for whole fragments that can
 /// be labeled and interleaved safely. Neither the CLI (`TaggedSink`) nor
 /// `spex-serve` (`SessionSink`) uses it; `benchmark/trace` does.
 pub struct FragmentFnSink<F: FnMut(&[u8])> {
-    current: Option<spex_xml::Writer<Vec<u8>>>,
+    /// The fragment being serialized.
+    buffer: spex_xml::Writer<Vec<u8>>,
     deliver: F,
     /// Completed fragments so far.
     pub results: u64,
@@ -262,7 +264,7 @@ impl<F: FnMut(&[u8])> FragmentFnSink<F> {
     /// Deliver each completed fragment's serialized bytes to `deliver`.
     pub fn new(deliver: F) -> Self {
         FragmentFnSink {
-            current: None,
+            buffer: spex_xml::Writer::new(Vec::new()),
             deliver,
             results: 0,
         }
@@ -270,23 +272,19 @@ impl<F: FnMut(&[u8])> FragmentFnSink<F> {
 }
 
 impl<F: FnMut(&[u8])> ResultSink for FragmentFnSink<F> {
-    fn begin(&mut self, _meta: ResultMeta, _now: u64) {
-        self.current = Some(spex_xml::Writer::new(Vec::new()));
-    }
+    fn begin(&mut self, _meta: ResultMeta, _now: u64) {}
 
     fn event(&mut self, event: &RawEvent<'_>, _now: u64) {
-        if let Some(w) = &mut self.current {
-            w.write_view(event)
-                .expect("writing a fragment to a Vec cannot fail");
-        }
+        self.buffer
+            .write_view(event)
+            .expect("writing a fragment to a Vec cannot fail");
     }
 
     fn end(&mut self, _now: u64) {
-        if let Some(w) = self.current.take() {
-            let bytes = w.into_inner().expect("flush to Vec cannot fail");
-            self.results += 1;
-            (self.deliver)(&bytes);
-        }
+        self.results += 1;
+        let bytes = self.buffer.get_mut();
+        (self.deliver)(bytes);
+        bytes.clear();
     }
 }
 
@@ -521,6 +519,56 @@ mod tests {
         s.flush();
         assert_eq!(s.out.0.iter().sum::<usize>(), delivered);
         assert!(s.take_error().is_none());
+    }
+
+    /// Three fragments with text and attributes arrive byte-identical to
+    /// the collector's, through the one reused buffer.
+    #[test]
+    fn fragment_fn_sink_matches_the_collector() {
+        let open_with = |name: &str, key: &str, value: &str| XmlEvent::StartElement {
+            name: name.into(),
+            attributes: vec![spex_xml::Attribute::new(key, value)],
+        };
+        let fragments = [
+            vec![
+                open_with("a", "k", "v & w"),
+                XmlEvent::text("x < y"),
+                XmlEvent::close("a"),
+            ],
+            vec![XmlEvent::open("b"), XmlEvent::close("b")],
+            vec![
+                open_with("c", "n", "1"),
+                XmlEvent::open("d"),
+                XmlEvent::text("t"),
+                XmlEvent::close("d"),
+                XmlEvent::close("c"),
+            ],
+        ];
+        let mut delivered = Vec::new();
+        let mut collector = FragmentCollector::new();
+        {
+            let mut s = FragmentFnSink::new(|b: &[u8]| delivered.push(b.to_vec()));
+            for (i, events) in fragments.iter().enumerate() {
+                let meta = ResultMeta {
+                    start_tick: i as u64,
+                };
+                s.begin(meta, 0);
+                collector.begin(meta, 0);
+                for ev in events {
+                    s.event(&RawEvent::from_event(ev), 0);
+                    collector.event(&RawEvent::from_event(ev), 0);
+                }
+                s.end(0);
+                collector.end(0);
+            }
+            assert_eq!(s.results, 3);
+        }
+        let delivered: Vec<String> = delivered
+            .into_iter()
+            .map(|b| String::from_utf8(b).unwrap())
+            .collect();
+        assert_eq!(delivered, collector.fragments());
+        assert_eq!(delivered[0], r#"<a k="v &amp; w">x &lt; y</a>"#);
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! The execution engine: a flat bytecode plan for the transducer network,
-//! executed by a small VM.
+//! The execution engine: a flat plan for the transducer network, executed
+//! by a small VM.
 //!
 //! [`Plan::compile`] lowers a built [`NetworkSpec`] into a flat instruction
 //! table:
 //!
-//! * one dense [`Op`] per node (opcode + resolved operand indices) in
-//!   topological order,
+//! * one instruction per node in topological order — the spec's own
+//!   [`NodeSpec`], from which each run instantiates the node's transducer,
 //! * the inbox ports of all nodes laid out contiguously in one slot array
 //!   (CSR layout: `port_base[node] + port`),
 //! * the consumer fan-out edges flattened the same way
@@ -22,11 +22,13 @@
 //! reaches: [`crate::Evaluator`], the multi-query and conjunctive-query
 //! runs, the recovery driver and the server sessions all run on it. Its
 //! scheduling is checked against the reference executor in
-//! [`crate::network`], which steps the *same* transducer structs one boxed
-//! node at a time: `harness vm-diff` and the proptest suite drive random
-//! documents × random queries through both (plus the DOM baseline) and fail
-//! on the first divergence in outputs, statistics or earliness. See
-//! DESIGN.md §14 for the plan IR and a worked lowering example.
+//! [`crate::network`], a second schedule over the same [`Machine`]: it
+//! takes its wiring from the spec, steps every node on every tick and
+//! accounts message by message. `harness vm-diff` and the proptest suite
+//! drive random documents × random queries through both (plus the DOM
+//! baseline) and fail on the first divergence in outputs, statistics or
+//! earliness. See DESIGN.md §14 for the plan IR and a worked lowering
+//! example.
 
 use crate::engine::EvalError;
 use crate::limits::{LimitBreach, ResourceLimits};
@@ -48,8 +50,7 @@ use crate::transducers::var_creator::VarCreator;
 use crate::transducers::var_determinant::VarDeterminant;
 use crate::transducers::var_filter::VarFilter;
 use crate::transducers::Transducer;
-use spex_formula::{QualifierId, VarFactory};
-use spex_query::Label;
+use spex_formula::VarFactory;
 use spex_trace::{Histogram, Tracer, Value};
 use spex_xml::{EventId, EventStore, StoredKind, XmlEvent};
 use std::sync::Arc;
@@ -63,49 +64,14 @@ pub enum Engine {
     Vm,
 }
 
-/// One instruction of the flat plan: the opcode for a network node with its
-/// operands resolved to dense indices. `Copy`, 16 bytes, one per node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Op {
-    /// The input transducer IN (always instruction 0).
-    Input,
-    /// Child transducer CH; the operand indexes the plan's label pool.
-    Child(u32),
-    /// Closure transducer CL.
-    Closure(u32),
-    /// Following transducer FO.
-    Following(u32),
-    /// Preceding transducer PR with its speculative qualifier id.
-    Preceding(u32, QualifierId),
-    /// Variable creator VC(q).
-    VarCreate(QualifierId),
-    /// Positive variable filter VF(q+) with the nested qualifier id range.
-    VarFilterPos(QualifierId, (u32, u32)),
-    /// Negative variable filter VF(q−).
-    VarFilterNeg(QualifierId),
-    /// Variable determinant VD(q) with the nested id range.
-    VarDeterminant(QualifierId, (u32, u32)),
-    /// Split SP.
-    Split,
-    /// Join JO — the only two-port instruction.
-    Join,
-    /// Union connector UN.
-    Union,
-    /// Output transducer OU: deliver to the plan-assigned sink.
-    Emit,
-}
-
 /// A compiled, immutable execution plan — the flat lowering of one
 /// [`NetworkSpec`]. Shareable across threads and runs; instantiate with
 /// [`crate::CompiledNetwork::run`] (or via [`crate::Evaluator`]).
 #[derive(Debug, Clone)]
 pub struct Plan {
-    /// One instruction per node, topological order.
-    code: Vec<Op>,
-    /// Match-label operand pool (deduplicated).
-    labels: Vec<Label>,
-    /// Node descriptions in the paper's notation (for per-node stats).
-    kinds: Vec<String>,
+    /// One instruction per node, topological order: the spec's node, which
+    /// names the transducer each run instantiates.
+    code: Vec<NodeSpec>,
     /// `port_base[v]..port_base[v + 1]` are node `v`'s inbox slots.
     port_base: Vec<u32>,
     /// Consumer CSR offsets into [`Plan::cons`].
@@ -114,7 +80,7 @@ pub struct Plan {
     cons: Vec<u32>,
     /// For output nodes, which sink (result stream) they feed; `u32::MAX`
     /// everywhere else.
-    sink_of: Vec<u32>,
+    pub(crate) sink_of: Vec<u32>,
     /// Node ids of the output instructions, ascending.
     outputs: Vec<u32>,
     /// Per-node document-message inflow on an *inert* tick (a text, comment
@@ -135,45 +101,18 @@ impl Plan {
     /// Lower `spec` into a flat plan. Linear in the network degree.
     pub fn compile(spec: &NetworkSpec) -> Plan {
         let n = spec.nodes.len();
-        let mut labels: Vec<Label> = Vec::new();
-        let label_idx = |l: &Label, labels: &mut Vec<Label>| -> u32 {
-            match labels.iter().position(|x| x == l) {
-                Some(i) => i as u32,
-                None => {
-                    labels.push(l.clone());
-                    (labels.len() - 1) as u32
-                }
-            }
-        };
-        let mut code = Vec::with_capacity(n);
         let mut sink_of = vec![u32::MAX; n];
         let mut outputs = Vec::new();
         for (i, node) in spec.nodes.iter().enumerate() {
-            let op = match node {
-                NodeSpec::Input => Op::Input,
-                NodeSpec::Child(l) => Op::Child(label_idx(l, &mut labels)),
-                NodeSpec::Closure(l) => Op::Closure(label_idx(l, &mut labels)),
-                NodeSpec::Following(l) => Op::Following(label_idx(l, &mut labels)),
-                NodeSpec::Preceding(l, q) => Op::Preceding(label_idx(l, &mut labels), *q),
-                NodeSpec::VarCreator(q) => Op::VarCreate(*q),
-                NodeSpec::VarFilterPos(q, inner) => Op::VarFilterPos(*q, *inner),
-                NodeSpec::VarFilterNeg(q) => Op::VarFilterNeg(*q),
-                NodeSpec::VarDeterminant(q, inner) => Op::VarDeterminant(*q, *inner),
-                NodeSpec::Split => Op::Split,
-                NodeSpec::Join => Op::Join,
-                NodeSpec::Union => Op::Union,
-                NodeSpec::Output => {
-                    let idx = spec
-                        .sinks
-                        .iter()
-                        .position(|s| *s == i)
-                        .expect("output node registered as sink");
-                    sink_of[i] = idx as u32;
-                    outputs.push(i as u32);
-                    Op::Emit
-                }
-            };
-            code.push(op);
+            if *node == NodeSpec::Output {
+                let idx = spec
+                    .sinks
+                    .iter()
+                    .position(|s| *s == i)
+                    .expect("output node registered as sink");
+                sink_of[i] = idx as u32;
+                outputs.push(i as u32);
+            }
         }
         // Contiguous inbox slots: every node gets max(ports, 1) slots.
         let mut port_base = Vec::with_capacity(n + 1);
@@ -221,9 +160,7 @@ impl Plan {
         }
         let item_total = item_flow.iter().map(|&f| u64::from(f)).sum();
         Plan {
-            code,
-            labels,
-            kinds: spec.describe(),
+            code: spec.nodes.clone(),
             port_base,
             cons_base,
             cons,
@@ -249,11 +186,6 @@ impl Plan {
         self.outputs.len()
     }
 
-    /// The instruction table (for tests and `--explain`-style dumps).
-    pub fn code(&self) -> &[Op] {
-        &self.code
-    }
-
     /// Human-readable disassembly, one instruction per line.
     pub fn dump(&self) -> String {
         let mut out = String::new();
@@ -265,7 +197,7 @@ impl Plan {
                 .collect();
             out.push_str(&format!(
                 "{i:3}: {:<12} -> [{}]\n",
-                self.kinds[i],
+                self.code[i].describe(),
                 cons.join(", ")
             ));
         }
@@ -273,41 +205,36 @@ impl Plan {
     }
 
     /// Instantiate the per-run operator states, resolving match labels
-    /// against `symbols` in instruction order (the same interning order the
-    /// reference executor uses, so symbol ids agree between the two).
+    /// against `symbols` in instruction order — so a run's symbol ids are a
+    /// function of the spec alone, and a snapshot's symbol list lines up
+    /// with any run of the same network.
     fn instantiate(&self, symbols: &mut spex_xml::SymbolTable) -> Vec<OpState> {
         self.code
             .iter()
-            .map(|op| match *op {
-                Op::Input => OpState::Input(Input::new()),
-                Op::Child(l) => OpState::Child(Child::new(MatchLabel::resolve(
-                    &self.labels[l as usize],
-                    symbols,
-                ))),
-                Op::Closure(l) => OpState::Closure(Closure::new(MatchLabel::resolve(
-                    &self.labels[l as usize],
-                    symbols,
-                ))),
-                Op::Following(l) => OpState::Following(Following::new(MatchLabel::resolve(
-                    &self.labels[l as usize],
-                    symbols,
-                ))),
-                Op::Preceding(l, q) => OpState::Preceding(Preceding::new(
-                    MatchLabel::resolve(&self.labels[l as usize], symbols),
-                    q,
-                )),
-                Op::VarCreate(q) => OpState::VarCreator(VarCreator::new(q)),
-                Op::VarFilterPos(q, inner) => {
-                    OpState::VarFilter(VarFilter::positive(q, inner.0..inner.1))
+            .map(|node| match node {
+                NodeSpec::Input => OpState::Input(Input::new()),
+                NodeSpec::Child(l) => OpState::Child(Child::new(MatchLabel::resolve(l, symbols))),
+                NodeSpec::Closure(l) => {
+                    OpState::Closure(Closure::new(MatchLabel::resolve(l, symbols)))
                 }
-                Op::VarFilterNeg(q) => OpState::VarFilter(VarFilter::negative(q)),
-                Op::VarDeterminant(q, inner) => {
-                    OpState::VarDeterminant(VarDeterminant::new(q, inner.0..inner.1))
+                NodeSpec::Following(l) => {
+                    OpState::Following(Following::new(MatchLabel::resolve(l, symbols)))
                 }
-                Op::Split => OpState::Split(Split::new()),
-                Op::Join => OpState::Join(Join::new()),
-                Op::Union => OpState::Union(Union::new()),
-                Op::Emit => OpState::Emit(Box::new(Output::new())),
+                NodeSpec::Preceding(l, q) => {
+                    OpState::Preceding(Preceding::new(MatchLabel::resolve(l, symbols), *q))
+                }
+                NodeSpec::VarCreator(q) => OpState::VarCreator(VarCreator::new(*q)),
+                NodeSpec::VarFilterPos(q, inner) => {
+                    OpState::VarFilter(VarFilter::positive(*q, inner.0..inner.1))
+                }
+                NodeSpec::VarFilterNeg(q) => OpState::VarFilter(VarFilter::negative(*q)),
+                NodeSpec::VarDeterminant(q, inner) => {
+                    OpState::VarDeterminant(VarDeterminant::new(*q, inner.0..inner.1))
+                }
+                NodeSpec::Split => OpState::Split(Split::new()),
+                NodeSpec::Join => OpState::Join(Join::new()),
+                NodeSpec::Union => OpState::Union(Union::new()),
+                NodeSpec::Output => OpState::Emit(Box::new(Output::new())),
             })
             .collect()
     }
@@ -317,7 +244,7 @@ impl Plan {
 /// the VM dispatches with a jump table instead of a vtable. The output
 /// transducer is boxed (it is by far the largest variant); everything on the
 /// per-message hot path is inline.
-enum OpState {
+pub(crate) enum OpState {
     Input(Input),
     Child(Child),
     Closure(Closure),
@@ -336,7 +263,7 @@ impl OpState {
     /// Statically dispatched step for the single-input operators.
     /// Join and Emit are handled directly by the tick loop.
     #[inline]
-    fn step(&mut self, msg: Message, vars: &mut VarFactory, out: &mut Vec<Message>) {
+    pub(crate) fn step(&mut self, msg: Message, vars: &mut VarFactory, out: &mut Vec<Message>) {
         match self {
             OpState::Input(t) => t.step(msg, vars, out),
             OpState::Child(t) => t.step(msg, vars, out),
@@ -352,7 +279,7 @@ impl OpState {
         }
     }
 
-    fn stack_sizes(&self) -> (usize, usize) {
+    pub(crate) fn stack_sizes(&self) -> (usize, usize) {
         match self {
             OpState::Input(t) => t.stack_sizes(),
             OpState::Child(t) => t.stack_sizes(),
@@ -447,8 +374,8 @@ impl<S: ResultSink> std::ops::DerefMut for PlanRun<S> {
 /// tick every instruction, in topological order, consumes the messages its
 /// producers emitted and appends its output to its consumers' inbox slots.
 pub struct Machine {
-    plan: Arc<Plan>,
-    ops: Vec<OpState>,
+    pub(crate) plan: Arc<Plan>,
+    pub(crate) ops: Vec<OpState>,
     /// Flat inbox slots (`plan.port_base` layout). Persistent: capacities
     /// survive across ticks, so the hot path never re-grows a queue.
     inbox: Vec<Vec<Message>>,
@@ -462,16 +389,16 @@ pub struct Machine {
     /// (labels are interned at push time). Reset whenever no output
     /// operator is buffering, so its high-water mark measures the bytes
     /// buffered for undetermined candidates (paper §VI).
-    store: EventStore,
+    pub(crate) store: EventStore,
     /// The run-wide variable namespace of §III.5, handed to every step.
-    vars: VarFactory,
-    stats: EngineStats,
+    pub(crate) vars: VarFactory,
+    pub(crate) stats: EngineStats,
     /// Per-node measurements, indexed by instruction id.
-    node_stats: Vec<TransducerStats>,
+    pub(crate) node_stats: Vec<TransducerStats>,
     limits: ResourceLimits,
     /// The first limit breach, latched; further input is refused.
     exhausted: Option<LimitBreach>,
-    tick: u64,
+    pub(crate) tick: u64,
     depth: usize,
     tracing: bool,
     /// Symbol-table size right after the query labels were resolved; session
@@ -505,12 +432,12 @@ impl<S: ResultSink> PlanRun<S> {
             .map(|_| Vec::new())
             .collect();
         let node_stats = plan
-            .kinds
+            .code
             .iter()
             .enumerate()
-            .map(|(node, kind)| TransducerStats {
+            .map(|(node, spec)| TransducerStats {
                 node,
-                kind: kind.clone(),
+                kind: spec.describe(),
                 ..TransducerStats::default()
             })
             .collect();
@@ -681,10 +608,28 @@ impl Machine {
         id: EventId,
         sinks: &mut dyn SlotSinks,
     ) -> Result<(), EvalError> {
+        self.tick_with(id, sinks, Machine::dispatch)
+    }
+
+    /// Push the arena event `id` through one tick that `schedule` runs, and
+    /// do everything around it that does not depend on the schedule: map
+    /// the event to its document message and track the stream depth before;
+    /// after, count the tick, fold the arena and symbol peaks, check the
+    /// resource limits (aborting on a breach) and recycle the arena. The VM
+    /// passes [`Machine::dispatch`]; the reference executor in
+    /// [`crate::network`] passes its own schedule.
+    pub(crate) fn tick_with(
+        &mut self,
+        id: EventId,
+        sinks: &mut dyn SlotSinks,
+        schedule: impl FnOnce(&mut Machine, DocEvent, &mut dyn SlotSinks),
+    ) -> Result<(), EvalError> {
         if let Some(b) = self.exhausted {
             return Err(b.into());
         }
-        self.push_unchecked(id, sinks);
+        let doc = self.doc_event(id);
+        schedule(self, doc, sinks);
+        self.tick += 1;
         self.stats.peak_arena_bytes = self.stats.peak_arena_bytes.max(self.store.bytes_used());
         self.stats.interned_symbols = self.stats.interned_symbols.max(self.store.symbols().len());
         if let Err(b) = self.limits.check(&self.stats) {
@@ -708,7 +653,9 @@ impl Machine {
         )
     }
 
-    fn push_unchecked(&mut self, id: EventId, sinks: &mut dyn SlotSinks) {
+    /// The document message of arena event `id`, with the stream depth
+    /// tracked across it.
+    fn doc_event(&mut self, id: EventId) -> DocEvent {
         let rec = self.store.stored(id);
         let doc = match rec.kind {
             StoredKind::StartDocument | StoredKind::Start => DocEvent::Open {
@@ -729,21 +676,22 @@ impl Machine {
                 self.stats.max_stream_depth = self.stats.max_stream_depth.max(self.depth);
             }
             DocEvent::Close { .. } => self.depth = self.depth.saturating_sub(1),
-            DocEvent::Item { .. } => {
-                // Inert tick: the event traverses the DAG unchanged (no
-                // operator state, no transitions, no formulas), so the plan's
-                // static flow replaces the full propagation. Transition
-                // tracing observes per message, so it forces the slow path.
-                if !self.tracing {
-                    self.run_item_tick(doc, sinks);
-                    self.tick += 1;
-                    return;
-                }
-            }
+            DocEvent::Item { .. } => {}
         }
-        self.inbox[0].push(Message::Doc(doc));
-        self.run_tick(sinks);
-        self.tick += 1;
+        doc
+    }
+
+    /// The VM's schedule for one tick. An inert event traverses the DAG
+    /// unchanged (no operator state, no transitions, no formulas), so the
+    /// plan's static flow replaces the full propagation; transition tracing
+    /// observes per message, so it forces the slow path.
+    fn dispatch(&mut self, doc: DocEvent, sinks: &mut dyn SlotSinks) {
+        if matches!(doc, DocEvent::Item { .. }) && !self.tracing {
+            self.run_item_tick(doc, sinks);
+        } else {
+            self.inbox[0].push(Message::Doc(doc));
+            self.run_tick(sinks);
+        }
     }
 
     /// Execute one inert tick (text/comment/PI): account the statically
@@ -1306,12 +1254,10 @@ mod tests {
         let net = CompiledNetwork::compile(&"_*.a[b].c".parse().unwrap());
         let plan = Plan::compile(net.spec());
         assert_eq!(plan.len(), net.degree());
-        assert_eq!(plan.code()[0], Op::Input);
-        assert_eq!(*plan.code().last().unwrap(), Op::Emit);
+        assert_eq!(plan.code, net.spec().nodes);
+        assert_eq!(plan.code[0], NodeSpec::Input);
+        assert_eq!(*plan.code.last().unwrap(), NodeSpec::Output);
         assert_eq!(plan.sink_count(), 1);
-        // The wildcard closure and the two named children share the label
-        // pool: `_`, `a`, `b`, `c`.
-        assert_eq!(plan.labels.len(), 4);
         let dump = plan.dump();
         assert!(dump.contains("CL(_)"), "{dump}");
         assert!(dump.contains("VC(q0)"), "{dump}");
