@@ -404,6 +404,15 @@ fn transducers() {
         sum, stats.messages,
         "per-transducer sum must equal the global count"
     );
+    let stepped = r.ops_stepped.expect("spex operator steps");
+    println!(
+        "{:>5} {:<16} {:>12}   ({:.2} per event; stepping every node: {})",
+        "",
+        "ops stepped",
+        stepped,
+        stepped as f64 / stats.ticks as f64,
+        rows.len()
+    );
 
     // Faults section: the same query over a deliberately corrupted stream,
     // evaluated under the Repair policy. Shows what the recovery layer

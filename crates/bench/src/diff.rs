@@ -7,8 +7,8 @@
 //! reference the VM's scheduling is compared against. The two share
 //! everything around a tick (operator states, limits, arena recycling,
 //! latency, session reset), so a divergence points at the VM's own
-//! schedule: its CSR wiring, fast paths, inert-tick bypass or batched
-//! accounting. This module is the proof obligation: seeded random
+//! schedule: its CSR wiring, wake sets, document register, static
+//! document-message accounting or batched accounting. This module is the proof obligation: seeded random
 //! documents × seeded random rpeq queries are evaluated by **both**
 //! executors (plus the DOM baseline as an outside witness), and the first
 //! divergence in delivered fragments, engine statistics, per-transducer
@@ -26,10 +26,16 @@
 //!    and that one sequence goes through both executors under the same
 //!    comparison. (The recovery driver's own bookkeeping — `RunReport`,
 //!    quarantine — is judged against DOM by `tests/recovery.rs`.)
-//! 3. **Volume** ([`vm_diff`]) — the `harness vm-diff` subcommand and the CI
+//! 3. **Sessions** (`diff_session_case`) — a combined set of up to 32
+//!    random queries over several random documents in one run, reset at
+//!    every `</$>` (one case in four cuts a document short before its
+//!    reset): both executors must agree as above, and each document's
+//!    fragments must equal a fresh run's over that document alone — the
+//!    oracle for the in-place session reset, which both executors share.
+//! 4. **Volume** ([`vm_diff`]) — the `harness vm-diff` subcommand and the CI
 //!    `vm-diff-smoke` job drive thousands of seeded cases; any entry in
 //!    [`DiffOutcome::divergences`] is a bug in the VM's schedule.
-//! 4. **Scanners** ([`scan_diff`]) — PR 10 adds a SWAR fast path to the XML
+//! 5. **Scanners** ([`scan_diff`]) — PR 10 adds a SWAR fast path to the XML
 //!    reader; the same generators compare the fast and classic scanners
 //!    (clean stream + every mutator × both policies) through the full
 //!    recovery pipeline so the byte-scanning optimization stays
@@ -300,6 +306,158 @@ fn check_dom_witness(query: &Rpeq, xml: &str, fragments: &[String], divergences:
     }
 }
 
+/// One session of a combined query set over several documents: the events
+/// of each document, and whether it is cut short before its reset.
+struct SessionDocument {
+    events: Vec<XmlEvent>,
+    cut: bool,
+}
+
+/// What one executor delivered over a session: per document, the fragments
+/// each query delivered, plus the run's end-of-run measurements.
+struct SessionOutcome {
+    per_document: Vec<Vec<Vec<String>>>,
+    stats: spex_core::EngineStats,
+    transducers: Vec<spex_core::TransducerStats>,
+    latency: Vec<(usize, HistogramSummary)>,
+}
+
+/// Drive `$run` (a `PlanRun` or the reference `Run`) over the session's
+/// documents, resetting after each, and record which fragments each
+/// document delivered.
+macro_rules! drive_session {
+    ($run:expr, $documents:expr) => {{
+        let mut run = $run;
+        let mut per_document = Vec::new();
+        let mut seen = vec![0; run.sinks().len()];
+        for doc in $documents {
+            for ev in &doc.events {
+                run.push(ev.clone());
+            }
+            run.reset_session();
+            per_document.push(
+                run.sinks()
+                    .iter()
+                    .zip(&mut seen)
+                    .map(|(sink, seen)| {
+                        let new = sink.fragments()[*seen..].to_vec();
+                        *seen += new.len();
+                        new
+                    })
+                    .collect::<Vec<_>>(),
+            );
+        }
+        let latency = run
+            .determination_latency()
+            .iter()
+            .map(|(id, h)| (*id, h.summary()))
+            .collect();
+        let (stats, transducers) = run.finish_full();
+        SessionOutcome {
+            per_document,
+            stats,
+            transducers,
+            latency,
+        }
+    }};
+}
+
+/// A session case: `queries` combined into one network, run over
+/// `documents` with a session reset after each, on the VM and on the
+/// reference executor. They must agree on every document's fragments and on
+/// the statistics and determination latency of the whole session; and each
+/// document's fragments must equal those of a fresh VM run of the set over
+/// that document alone (a cut document's: those its prefix delivered, with
+/// no end-of-stream flush). Returns one line per divergence.
+fn diff_session_case(queries: &[Rpeq], documents: &[SessionDocument]) -> Vec<String> {
+    let named: Vec<(String, Rpeq)> = queries
+        .iter()
+        .enumerate()
+        .map(|(i, q)| (format!("q{i}"), q.clone()))
+        .collect();
+    let set = match spex_combine::combine(&named) {
+        Ok(c) => c.set,
+        Err(e) => return vec![format!("query set failed to combine: {e}")],
+    };
+    let collectors = || -> Vec<FragmentCollector> {
+        (0..set.ids().len())
+            .map(|_| FragmentCollector::new())
+            .collect()
+    };
+    let vm = drive_session!(set.run(collectors()), documents);
+    let reference = drive_session!(
+        spex_core::network::Run::with_slots(set.spec(), collectors(), set.slot_of()),
+        documents
+    );
+    let mut divergences = Vec::new();
+    if vm.per_document != reference.per_document {
+        divergences.push(format!(
+            "session fragments diverge: vm delivered {:?}, network {:?}",
+            vm.per_document, reference.per_document
+        ));
+    }
+    if vm.stats != reference.stats {
+        divergences.push(format!(
+            "session engine stats diverge: vm {:?}, network {:?}",
+            vm.stats, reference.stats
+        ));
+    }
+    if vm.transducers != reference.transducers {
+        divergences.push("session per-transducer stats diverge".to_string());
+    }
+    if vm.latency != reference.latency {
+        divergences.push(format!(
+            "session determination-latency histograms diverge: vm {:?}, network {:?}",
+            vm.latency, reference.latency
+        ));
+    }
+    for (k, doc) in documents.iter().enumerate() {
+        let mut run = set.run(collectors());
+        for ev in &doc.events {
+            run.push(ev.clone());
+        }
+        let fresh: Vec<Vec<String>> = if doc.cut {
+            run.into_sinks()
+        } else {
+            run.finish_into_sinks().2
+        }
+        .into_iter()
+        .map(FragmentCollector::into_fragments)
+        .collect();
+        if vm.per_document[k] != fresh {
+            divergences.push(format!(
+                "document {k}{} after a session reset delivered {:?}, a fresh run {:?}",
+                if doc.cut { " (cut short)" } else { "" },
+                vm.per_document[k],
+                fresh
+            ));
+        }
+    }
+    divergences
+}
+
+/// A seeded random session: 1–32 queries over 2–6 documents; in one case
+/// out of four, one document is cut short (before its `</$>`).
+fn gen_session(rng: &mut StdRng) -> (Vec<Rpeq>, Vec<SessionDocument>) {
+    let queries = (0..rng.gen_range(1..33usize))
+        .map(|_| gen_query(rng))
+        .collect();
+    let n = rng.gen_range(2..7usize);
+    let cut = rng.gen_bool(0.25).then(|| rng.gen_range(0..n));
+    let documents = (0..n)
+        .map(|k| {
+            let mut events =
+                spex_xml::reader::parse_events(&gen_document(rng)).expect("generated XML parses");
+            let cut = cut == Some(k);
+            if cut {
+                events.truncate(rng.gen_range(1..events.len()));
+            }
+            SessionDocument { events, cut }
+        })
+        .collect();
+    (queries, documents)
+}
+
 /// Run every PR-2 fault mutator × recovery policy over `xml`: each mutant's
 /// repaired event sequence (cut at the terminal error under `strict`) goes
 /// through the VM and the reference executor, which must agree on
@@ -368,6 +526,12 @@ pub struct DiffOutcome {
     pub cases: usize,
     /// Corrupted-stream (mutator × policy pair) comparisons run.
     pub fault_comparisons: usize,
+    /// Session cases compared.
+    pub sessions: usize,
+    /// Documents the session cases ran.
+    pub session_documents: usize,
+    /// Session documents cut short before their reset.
+    pub session_cuts: usize,
     /// Fragments delivered (and agreed on) across all clean cases.
     pub fragments: usize,
     /// Clean cases that selected at least one node.
@@ -398,18 +562,23 @@ impl DiffOutcome {
                 "DIVERGENCE: ",
             )
         };
+        let mut summary = vec![format!(
+            "{} {compared} ({} selected >=1 node, {} fragment(s) {agreed})",
+            self.cases, self.selecting_cases, self.fragments
+        )];
+        if self.sessions > 0 {
+            summary.push(format!(
+                "{} session case(s) compared ({} document(s), {} cut short, reset at each </$>)",
+                self.sessions, self.session_documents, self.session_cuts
+            ));
+        }
+        summary.push(format!(
+            "{} {comparisons}, {} divergence(s)",
+            self.fault_comparisons,
+            self.divergences.len()
+        ));
         Report {
-            summary: vec![
-                format!(
-                    "{} {compared} ({} selected >=1 node, {} fragment(s) {agreed})",
-                    self.cases, self.selecting_cases, self.fragments
-                ),
-                format!(
-                    "{} {comparisons}, {} divergence(s)",
-                    self.fault_comparisons,
-                    self.divergences.len()
-                ),
-            ],
+            summary,
             prefix,
             failures: self.divergences,
         }
@@ -418,11 +587,25 @@ impl DiffOutcome {
 
 /// The rig's top-level driver: `cases` seeded random (document, query)
 /// pairs through [`diff_case`], plus `fault_rounds` seeds of
-/// [`diff_fault_case`] per pair. Deterministic per `seed`.
+/// [`diff_fault_case`] per pair, plus one session case
+/// (`diff_session_case`) per pair, drawn from a second stream so the
+/// pairs stay those of the same seed without sessions. Deterministic per
+/// `seed`.
 pub fn vm_diff(cases: usize, seed: u64, fault_rounds: usize) -> DiffOutcome {
     let mut rng = StdRng::seed_from_u64(seed);
+    let mut session_rng = StdRng::seed_from_u64(seed ^ 0x5e55_1011);
     let mut outcome = DiffOutcome::default();
     for i in 0..cases {
+        let (queries, documents) = gen_session(&mut session_rng);
+        outcome.sessions += 1;
+        outcome.session_documents += documents.len();
+        outcome.session_cuts += documents.iter().filter(|d| d.cut).count();
+        for d in diff_session_case(&queries, &documents) {
+            let set: Vec<String> = queries.iter().map(ToString::to_string).collect();
+            outcome
+                .divergences
+                .push(format!("session {i} (seed {seed}, queries {set:?}): {d}"));
+        }
         let query = gen_query(&mut rng);
         let xml = gen_document(&mut rng);
         let label = format!("case {i} (seed {seed}, query `{query}`)");
@@ -629,6 +812,19 @@ mod tests {
             let d = diff_fault_case(&query, xml, 77);
             assert!(d.is_empty(), "query {q}: {d:?}");
         }
+    }
+
+    #[test]
+    fn session_sweep_is_divergence_free() {
+        let mut rng = StdRng::seed_from_u64(0x5e55);
+        let mut cuts = 0;
+        for _ in 0..40 {
+            let (queries, documents) = gen_session(&mut rng);
+            cuts += documents.iter().filter(|d| d.cut).count();
+            let d = diff_session_case(&queries, &documents);
+            assert!(d.is_empty(), "{d:#?}");
+        }
+        assert!(cuts > 0, "no session cut a document short");
     }
 
     #[test]

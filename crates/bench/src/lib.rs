@@ -69,6 +69,9 @@ pub struct RunResult {
     pub stats: Option<EngineStats>,
     /// Per-transducer snapshots (SPEX only).
     pub transducer_stats: Option<Vec<TransducerStats>>,
+    /// Operator steps the VM's schedule took (SPEX only; see
+    /// `Machine::ops_stepped`).
+    pub ops_stepped: Option<u64>,
 }
 
 /// Evaluate `query` over `events` with `processor`, returning time and
@@ -86,6 +89,7 @@ pub fn run_query(processor: Processor, query: &Rpeq, events: &[XmlEvent]) -> Run
         elapsed: start.elapsed(),
         stats: None,
         transducer_stats: None,
+        ops_stepped: None,
     }
 }
 
@@ -108,12 +112,14 @@ pub fn run_spex_streaming(query: &Rpeq, events: impl Iterator<Item = XmlEvent>) 
     for ev in events {
         eval.push(ev);
     }
+    let ops_stepped = eval.ops_stepped();
     let (stats, transducers) = eval.finish_full();
     RunResult {
         elapsed: start.elapsed(),
         results: sink.results,
         stats: Some(stats),
         transducer_stats: Some(transducers),
+        ops_stepped: Some(ops_stepped),
     }
 }
 

@@ -32,6 +32,8 @@ pub enum DocEvent {
         label: Symbol,
         /// Arena handle of the original event.
         payload: EventId,
+        /// Stream depth of the element that opens (`<$>` is at depth 1).
+        depth: u32,
     },
     /// `</l>` — an element (or `</$>`) closes. Affects tree depth.
     Close {
@@ -39,6 +41,8 @@ pub enum DocEvent {
         label: Symbol,
         /// Arena handle of the original event.
         payload: EventId,
+        /// Stream depth of the element that closes — its `Open`'s depth.
+        depth: u32,
     },
     /// Depth-neutral content: text, comments, processing instructions. The
     /// paper omits these "for reasons of conciseness"; transducers forward
@@ -144,8 +148,10 @@ impl fmt::Display for Message {
     /// paper notation.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Message::Doc(DocEvent::Open { label, payload }) => write!(f, "<{label}{payload}>"),
-            Message::Doc(DocEvent::Close { label, payload }) => write!(f, "</{label}{payload}>"),
+            Message::Doc(DocEvent::Open { label, payload, .. }) => write!(f, "<{label}{payload}>"),
+            Message::Doc(DocEvent::Close { label, payload, .. }) => {
+                write!(f, "</{label}{payload}>")
+            }
             Message::Doc(DocEvent::Item { payload }) => write!(f, "({payload})"),
             Message::Activate(formula) => write!(f, "[{formula}]"),
             Message::Determine(c, v) => write!(f, "{{{c},{v}}}"),
@@ -179,6 +185,7 @@ mod tests {
         let open = DocEvent::Open {
             label: 3,
             payload: open_id,
+            depth: 2,
         };
         assert_eq!(open.label(), Some(3));
         let text_id = store.push_owned(&XmlEvent::text("t"));
@@ -203,6 +210,7 @@ mod tests {
         let doc = Message::Doc(DocEvent::Open {
             label: 1,
             payload: id,
+            depth: 1,
         });
         assert_eq!(doc.to_string(), "<1@0>");
         assert_eq!(store.get(id).to_string(), "<a>");

@@ -16,12 +16,13 @@
 //! mapping, limits, arena recycling, latency, session reset and finish.
 //! Nothing in production reaches it; `harness vm-diff` and the test suite
 //! compare the VM's scheduling against it, so a divergence can only come
-//! from the VM's own schedule (its CSR wiring, its fast paths, the inert-tick
-//! bypass, its batched accounting).
+//! from the VM's own schedule (its CSR wiring, its wake sets, its document
+//! register and static document-message accounting, its batched
+//! accounting): stepping only the woken nodes must equal stepping them all.
 
 use crate::engine::EvalError;
 use crate::message::{DocEvent, Message};
-use crate::sink::{ResultSink, Slot, SlotSinks};
+use crate::sink::{ResultSink, SlotSinks};
 use crate::stats::{EngineStats, TransducerStats};
 use crate::vm::{Machine, OpState, Plan, PlanRun};
 use spex_formula::QualifierId;
@@ -271,6 +272,11 @@ impl<S: ResultSink> Run<S> {
         })
     }
 
+    /// See [`PlanRun::sinks`].
+    pub fn sinks(&self) -> &[S] {
+        self.run.sinks()
+    }
+
     /// See [`PlanRun::finish`].
     pub fn finish(self) -> EngineStats {
         self.run.finish()
@@ -306,6 +312,8 @@ fn reference_tick(
     sinks: &mut dyn SlotSinks,
     consumers: &[Vec<(usize, usize)>],
 ) {
+    m.touch_all();
+    m.ops_stepped += consumers.len() as u64;
     let mut inbox: Vec<[Vec<Message>; 2]> = vec![Default::default(); consumers.len()];
     inbox[0][0].push(Message::Doc(doc));
     for id in 0..consumers.len() {
@@ -324,15 +332,12 @@ fn reference_tick(
                 m.stats.observe_formula(size);
                 m.node_stats[id].max_formula_size = m.node_stats[id].max_formula_size.max(size);
                 match &mut m.ops[id] {
-                    OpState::Emit(o) => {
-                        let slot = m.plan.sink_of[id] as usize;
-                        o.step(msg, &mut Slot(sinks, slot), m.tick, &mut m.stats, &m.store);
-                    }
+                    OpState::Emit(_) => m.step_output(id, msg, sinks),
                     op => op.step(msg, &mut m.vars, &mut out),
                 }
             }
         }
-        let (d, c) = m.ops[id].stack_sizes();
+        let (d, c) = m.ops[id].stack_sizes(m.depth);
         m.stats.observe_stacks(d, c);
         let ns = &mut m.node_stats[id];
         ns.max_depth_stack = ns.max_depth_stack.max(d);
@@ -437,11 +442,7 @@ mod tests {
         let per_node: u64 = run.transducer_stats().iter().map(|t| t.messages).sum();
         assert_eq!(per_node, run.stats().messages);
         // Snapshots carry the node descriptions, in topological order.
-        let kinds: Vec<&str> = run
-            .transducer_stats()
-            .iter()
-            .map(|t| t.kind.as_str())
-            .collect();
+        let kinds: Vec<String> = run.transducer_stats().into_iter().map(|t| t.kind).collect();
         assert_eq!(kinds, net.spec().describe());
         assert_eq!(run.transducer_stats()[0].kind, "IN");
         // Every node's stacks obey the paper's per-transducer bound.

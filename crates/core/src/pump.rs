@@ -351,8 +351,8 @@ impl<S: ResultSink> Pump<S> {
 
 /// The per-event loop, compiled once: poll the next event into the arena,
 /// push it through the plan, and at `</$>` reset the run — the next document
-/// starts from a freshly instantiated plan with this one's symbols and arena
-/// bytes forgotten.
+/// starts from operators in their fresh state with this one's symbols and
+/// arena bytes forgotten.
 pub(crate) fn pump_events(
     parser: &mut Parser,
     machine: &mut Machine,

@@ -8,8 +8,9 @@
 //! output candidate is determined, the event arena is empty, the per-node
 //! pushdown stacks are at depth zero, and the inter-transducer inboxes are
 //! drained. After [`crate::Machine::reset_session`] the live transducer
-//! state is byte-for-byte what a freshly built run would hold — so a
-//! snapshot needs only the *accumulators*: engine statistics, per-node
+//! state is what a freshly built run would hold (the output operators'
+//! latency histograms aside, which are accumulators) — so a snapshot needs
+//! only the *accumulators*: engine statistics, per-node
 //! statistics, determination-latency histograms, the condition-variable
 //! serial high-water mark, the interned symbol list, and (for fault-tolerant
 //! runs) the quarantine sets and damage intervals. That is what this module

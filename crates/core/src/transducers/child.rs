@@ -6,27 +6,48 @@
 //! of children of the activator); the condition stack carries the formulas
 //! of active activations.
 //!
+//! The depth stack is stored sparsely, as entries `(stream depth, symbol)`
+//! at *activated* levels only: the activator's level (transition 5, an `l`)
+//! and a nested activator's (11, 12, an `m`). Every other level is implied
+//! by the stream depth each document message carries: the `m` of a child of
+//! the activator (7, 8) is the level one below the top entry, and every
+//! level deeper is a plain `l` (2, 3). So is the state: with an activator's
+//! level on top, the child is *matching* while the stream is at that level
+//! and *waiting* while the stream is inside one of its children. The logical
+//! stack height is the stream depth; a close finds the symbol the dense
+//! stack would have on top from its depth. The condition stack is already
+//! sparse (one formula per activation).
+//!
+//! A child whose stack holds no entry reacts to nothing but an activation;
+//! one with entries only to the events its [`Watch`] names: an open one
+//! level below the top entry's (7, 8) and the close of the top entry's
+//! level (9, 10). The other events fire (2), (3) or (4), which change
+//! nothing stored.
+//!
 //! The transition numbers below are exactly those of Fig. 2; the traces of
 //! Fig. 4 (example III.1, query `a.c`) are reproduced in the tests.
 
-use super::{Trace, Transducer};
+use super::{Trace, Transducer, Watch};
 use crate::message::{DocEvent, Message};
 use spex_formula::{Formula, VarFactory};
 use spex_query::Label;
 
-/// Depth-stack alphabet Γ_depth = {m, l} of Fig. 2.
+/// Depth-stack alphabet Γ_depth = {m, l} of Fig. 2, for the stored
+/// (activated) levels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Depth {
-    /// `l` — an ordinary tree level.
+    /// `l` — an activator's level, pushed by transition 5.
     Level,
-    /// `m` — the match level of an activation scope.
+    /// `m` — a nested activator's level, pushed by transitions 11 and 12:
+    /// the match level of the activation below it.
     Match,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
-    Waiting,
-    Matching,
+    /// `waiting` or `matching`: which one, the stream depth tells (see the
+    /// module documentation).
+    Settled,
     /// Activated out of `waiting`: the next document message opens the
     /// activator element.
     Activated1,
@@ -42,8 +63,13 @@ pub struct Child {
     /// except the virtual root `$`).
     label: MatchLabel,
     state: State,
-    depth: Vec<Depth>,
+    /// The depth stack's activated levels, `(stream depth, symbol)`,
+    /// bottom first.
+    depth: Vec<(u32, Depth)>,
     cond: Vec<Formula>,
+    /// The stream depth after the last document message (see
+    /// [`Child::catch_up`]).
+    at: u32,
     trace: Trace,
 }
 
@@ -65,6 +91,14 @@ impl MatchLabel {
         }
     }
 
+    /// The one symbol this label matches, if it is not the wildcard.
+    pub fn symbol(&self) -> Option<crate::message::Symbol> {
+        match self {
+            MatchLabel::Wildcard => None,
+            MatchLabel::Symbol(s) => Some(*s),
+        }
+    }
+
     /// Does an element with interned label `sym` match?
     pub fn matches(&self, sym: crate::message::Symbol) -> bool {
         match self {
@@ -80,11 +114,30 @@ impl Child {
     pub fn new(label: MatchLabel) -> Self {
         Child {
             label,
-            state: State::Waiting,
+            state: State::Settled,
             depth: Vec::new(),
             cond: Vec::new(),
+            at: 0,
             trace: Trace::default(),
         }
+    }
+
+    /// Tell a child that sat out the events since its last step where the
+    /// stream is now (the depth after the last event): the one thing an
+    /// activation needs to tell `waiting` (1) from `matching` (6). A child
+    /// stepped on every document message keeps track itself.
+    pub fn catch_up(&mut self, stream_depth: u32) {
+        self.at = stream_depth;
+    }
+
+    /// `matching` (a settled child whose stream is at its top entry's level).
+    fn matching(&self) -> bool {
+        self.depth.last().is_some_and(|e| e.0 == self.at)
+    }
+
+    /// The stream depth one below the top entry's: where its children open.
+    fn child_level(&self) -> Option<u32> {
+        self.depth.last().map(|e| e.0 + 1)
     }
 }
 
@@ -92,17 +145,17 @@ impl Transducer for Child {
     fn step(&mut self, msg: Message, _vars: &mut VarFactory, out: &mut Vec<Message>) {
         match msg {
             Message::Activate(f) => match self.state {
-                // (1) activation while waiting.
-                State::Waiting => {
-                    self.trace.fire(1);
-                    self.cond.push(f);
-                    self.state = State::Activated1;
-                }
                 // (6) activation while matching.
-                State::Matching => {
+                State::Settled if self.matching() => {
                     self.trace.fire(6);
                     self.cond.push(f);
                     self.state = State::Activated2;
+                }
+                // (1) activation while waiting.
+                State::Settled => {
+                    self.trace.fire(1);
+                    self.cond.push(f);
+                    self.state = State::Activated1;
                 }
                 // Not in the paper's table: a second activation for the same
                 // document message. The compiler inserts union connectors so
@@ -115,46 +168,20 @@ impl Transducer for Child {
                 }
             },
             Message::Doc(doc) => match &doc {
-                DocEvent::Open { label, .. } => {
-                    let label = *label;
+                DocEvent::Open { label, depth, .. } => {
+                    let (label, at) = (*label, *depth);
                     match self.state {
-                        // (2) a level opens while waiting.
-                        State::Waiting => {
-                            self.trace.fire(2);
-                            self.depth.push(Depth::Level);
-                            out.push(Message::Doc(doc));
-                        }
                         // (5) the activator element opens.
                         State::Activated1 => {
                             self.trace.fire(5);
-                            self.depth.push(Depth::Level);
-                            self.state = State::Matching;
-                            out.push(Message::Doc(doc));
+                            self.depth.push((at, Depth::Level));
+                            self.state = State::Settled;
                         }
-                        State::Matching => {
-                            if self.label.matches(label) {
-                                // (7) match: emit an activation with the top
-                                // formula, remember the match level.
-                                self.trace.fire(7);
-                                let f = self.cond.last().cloned().unwrap_or(Formula::True);
-                                self.depth.push(Depth::Match);
-                                self.state = State::Waiting;
-                                out.push(Message::Activate(f));
-                                out.push(Message::Doc(doc));
-                            } else {
-                                // (8) no match: remember the level anyway so
-                                // the close message restores `matching`.
-                                self.trace.fire(8);
-                                self.depth.push(Depth::Match);
-                                self.state = State::Waiting;
-                                out.push(Message::Doc(doc));
-                            }
-                        }
+                        // The element both sits at the *old* activation's
+                        // match level and opens the *new* activation's
+                        // scope. A match therefore uses the second formula
+                        // from the top (the old activation).
                         State::Activated2 => {
-                            // The element both sits at the *old* activation's
-                            // match level and opens the *new* activation's
-                            // scope. A match therefore uses the second
-                            // formula from the top (the old activation).
                             if self.label.matches(label) {
                                 // (11)
                                 self.trace.fire(11);
@@ -165,53 +192,63 @@ impl Transducer for Child {
                                 } else {
                                     self.cond.last().cloned().unwrap_or(Formula::True)
                                 };
-                                self.depth.push(Depth::Match);
-                                self.state = State::Matching;
                                 out.push(Message::Activate(f2));
-                                out.push(Message::Doc(doc));
                             } else {
                                 // (12)
                                 self.trace.fire(12);
-                                self.depth.push(Depth::Match);
-                                self.state = State::Matching;
-                                out.push(Message::Doc(doc));
+                            }
+                            self.depth.push((at, Depth::Match));
+                            self.state = State::Settled;
+                        }
+                        // A child of the activator opens: its `m` level is
+                        // implied, and the child is waiting inside it.
+                        State::Settled if self.child_level() == Some(at) => {
+                            if self.label.matches(label) {
+                                // (7) match: emit an activation with the top
+                                // formula.
+                                self.trace.fire(7);
+                                let f = self.cond.last().cloned().unwrap_or(Formula::True);
+                                out.push(Message::Activate(f));
+                            } else {
+                                // (8) no match.
+                                self.trace.fire(8);
                             }
                         }
+                        // (2) a level opens while waiting: an implied `l`.
+                        State::Settled => self.trace.fire(2),
                     }
+                    self.at = at;
+                    out.push(Message::Doc(doc));
                 }
-                DocEvent::Close { .. } => {
+                DocEvent::Close { depth, .. } => {
+                    let at = *depth;
                     match (self.state, self.depth.last().copied()) {
-                        // (3) closing an ordinary level while waiting.
-                        (State::Waiting, Some(Depth::Level)) => {
-                            self.trace.fire(3);
-                            self.depth.pop();
-                        }
-                        // (4) closing the match level: resume matching.
-                        (State::Waiting, Some(Depth::Match)) => {
-                            self.trace.fire(4);
-                            self.depth.pop();
-                            self.state = State::Matching;
-                        }
                         // (9) the activator element closes: the activation is
                         // finished, pop its formula.
-                        (State::Matching, Some(Depth::Level)) => {
+                        (State::Settled, Some((d, Depth::Level))) if d == at => {
                             self.trace.fire(9);
                             self.depth.pop();
                             self.cond.pop();
-                            self.state = State::Waiting;
                         }
                         // (10) a nested activator (from activated2) closes:
                         // drop the nested activation's formula, keep matching
                         // for the outer one.
-                        (State::Matching, Some(Depth::Match)) => {
+                        (State::Settled, Some((d, Depth::Match))) if d == at => {
                             self.trace.fire(10);
                             self.depth.pop();
                             self.cond.pop();
                         }
-                        // Defensive: close with an empty depth stack (cannot
-                        // happen on well-formed input).
+                        // (4) closing the implied match level: resume
+                        // matching.
+                        (State::Settled, Some((d, _))) if d + 1 == at => self.trace.fire(4),
+                        // (3) closing an implied `l` while waiting.
+                        (State::Settled, _) if at > 0 => self.trace.fire(3),
+                        // Defensive: close with an empty depth stack, or
+                        // right after an activation (cannot happen on
+                        // well-formed input).
                         _ => {}
                     }
+                    self.at = at.saturating_sub(1);
                     out.push(Message::Doc(doc));
                 }
                 // Depth-neutral content: forward (implicit transition).
@@ -228,8 +265,39 @@ impl Transducer for Child {
         }
     }
 
-    fn stack_sizes(&self) -> (usize, usize) {
-        (self.depth.len(), self.cond.len())
+    fn stack_sizes(&self, stream_depth: usize) -> (usize, usize) {
+        (stream_depth, self.cond.len())
+    }
+
+    fn watch(&self) -> Watch {
+        match self.state {
+            // A child of the activator that matches opens one level below
+            // it (7; a non-matching one, 8, changes nothing stored); the
+            // activator's close ends the activation (9, 10). Nothing in
+            // between changes what is stored.
+            State::Settled => match self.depth.last() {
+                Some(&(d, _)) => Watch {
+                    open: Some(d + 1),
+                    open_label: self.label.symbol(),
+                    close: Some(d),
+                },
+                None => Watch::default(),
+            },
+            // Within a tick only: the activator's open follows.
+            State::Activated1 | State::Activated2 => Watch {
+                open: Some(Watch::ANY_OPEN),
+                open_label: None,
+                close: None,
+            },
+        }
+    }
+
+    fn reset(&mut self) {
+        self.state = State::Settled;
+        self.depth.clear();
+        self.cond.clear();
+        self.at = 0;
+        self.trace.clear();
     }
 
     fn set_tracing(&mut self, on: bool) {
@@ -342,22 +410,44 @@ mod tests {
     }
 
     #[test]
-    fn stack_sizes_track_depth() {
+    fn depth_entries_only_at_activated_levels() {
         let mut vars = VarFactory::new();
         let mut store = EventStore::new();
         let stream =
             crate::transducers::test_util::stream_of(&mut store, "<a><b><b><b/></b></b></a>");
-        let mut t = Child::new(MatchLabel::Symbol(store.symbols_mut().intern("a")));
-        let mut max_depth = 0;
+        let b = store.symbols_mut().intern("b");
+        let mut t = Child::new(MatchLabel::Symbol(b));
         let mut out = Vec::new();
-        // Never activated: the depth stack still tracks every level.
-        for msg in stream {
-            t.step(msg, &mut vars, &mut out);
-            max_depth = max_depth.max(t.stack_sizes().0);
-            assert_eq!(t.stack_sizes().1, 0);
+        // Never activated: every level is an implied `l`, nothing is stored
+        // and nothing wakes the transducer.
+        for msg in &stream {
+            t.step(msg.clone(), &mut vars, &mut out);
+            assert!(t.depth.is_empty());
+            assert_eq!(t.watch(), Watch::default());
         }
-        assert_eq!(max_depth, 5); // $, a, b, b, b
-        assert_eq!(t.stack_sizes(), (0, 0)); // balanced at end
+        // Activated at `<a>` (depth 2): the activator's level is the only
+        // entry, however deep the stream goes, and the child wakes only for
+        // the opens of `<a>`'s `<b>` children and for `</a>`.
+        t.step(stream[0].clone(), &mut vars, &mut out); // <$>
+        t.step(Message::Activate(Formula::True), &mut vars, &mut out);
+        t.step(stream[1].clone(), &mut vars, &mut out); // <a> (5)
+        let watch = Watch {
+            open: Some(3),
+            open_label: Some(b),
+            close: Some(2),
+        };
+        assert_eq!(t.watch(), watch);
+        for msg in &stream[2..5] {
+            t.step(msg.clone(), &mut vars, &mut out); // <b> (7), <b> (2), <b> (2)
+        }
+        assert_eq!(t.depth, vec![(2, Depth::Level)]);
+        assert_eq!(t.stack_sizes(5), (5, 1));
+        assert_eq!(t.watch(), watch);
+        for msg in &stream[5..] {
+            t.step(msg.clone(), &mut vars, &mut out);
+        }
+        assert!(t.depth.is_empty() && t.cond.is_empty());
+        assert_eq!(t.watch(), Watch::default());
     }
 
     #[test]

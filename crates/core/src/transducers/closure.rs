@@ -13,18 +13,27 @@
 //! nesting and the nested activation. The disjunction is normalized so "a
 //! formula contains at most one reference to a condition variable" (§III.4).
 //!
+//! The depth stack is stored sparsely: an entry `(stream depth, symbol)`
+//! for each `s`, `ns` and `e`. Every `l` is implied by the stream depth each
+//! document message carries: while matching, the levels above the top entry
+//! are the matched chain elements of transition (7), closed by (9); while
+//! waiting, they are the plain levels of (2), closed by (3). Neither changes
+//! the stored state, so a closure in a live scope wakes on every open and
+//! on the close of its top entry's level, and an idle one on nothing but an
+//! activation.
+//!
 //! The transition numbers are exactly those of Fig. 3; the traces of Fig. 5
 //! (example III.2, query `a+.c+`) are reproduced in the tests.
 
 use super::child::MatchLabel;
-use super::{Trace, Transducer};
+use super::{Trace, Transducer, Watch};
 use crate::message::{DocEvent, Message};
 use spex_formula::{Formula, VarFactory};
 
 /// Depth-stack alphabet Γ_depth = {l, s, ns, e} of Fig. 3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Depth {
-    /// `l` — ordinary level (inside a matched chain element).
+    /// `l` — ordinary level (never stored: implied by the stream depth).
     Level,
     /// `s` — scope start (outermost activation scope).
     Scope,
@@ -47,7 +56,9 @@ enum State {
 pub struct Closure {
     label: MatchLabel,
     state: State,
-    depth: Vec<Depth>,
+    /// The depth stack's `s`, `ns` and `e` entries, `(stream depth,
+    /// symbol)`, bottom first.
+    depth: Vec<(u32, Depth)>,
     cond: Vec<Formula>,
     trace: Trace,
 }
@@ -61,6 +72,16 @@ impl Closure {
             depth: Vec::new(),
             cond: Vec::new(),
             trace: Trace::default(),
+        }
+    }
+
+    /// The dense stack's top symbol when the element at stream depth `at`
+    /// closes (see [`super::child`]).
+    fn top_at(&self, at: u32) -> Option<Depth> {
+        match self.depth.last() {
+            Some(&(d, symbol)) if d == at => Some(symbol),
+            _ if at > 0 => Some(Depth::Level),
+            _ => None,
         }
     }
 }
@@ -92,36 +113,35 @@ impl Transducer for Closure {
                 }
             },
             Message::Doc(doc) => match &doc {
-                DocEvent::Open { label, .. } => {
-                    let label = *label;
+                DocEvent::Open { label, depth, .. } => {
+                    let (label, at) = (*label, *depth);
                     match self.state {
-                        // (2) a level opens while waiting.
+                        // (2) a level opens while waiting: an implied `l`.
                         State::Waiting => {
                             self.trace.fire(2);
-                            self.depth.push(Depth::Level);
                             out.push(Message::Doc(doc));
                         }
                         // (5) the activator element opens a fresh scope.
                         State::Activated1 => {
                             self.trace.fire(5);
-                            self.depth.push(Depth::Scope);
+                            self.depth.push((at, Depth::Scope));
                             self.state = State::Matching;
                             out.push(Message::Doc(doc));
                         }
                         State::Matching => {
                             if self.label.matches(label) {
                                 // (7) match: stay matching — descendants of a
-                                // matched element continue the chain.
+                                // matched element continue the chain. Its `l`
+                                // is implied.
                                 self.trace.fire(7);
                                 let f = self.cond.last().cloned().unwrap_or(Formula::True);
-                                self.depth.push(Depth::Level);
                                 out.push(Message::Activate(f));
                                 out.push(Message::Doc(doc));
                             } else {
                                 // (8) chain broken: excursion until the
                                 // element closes.
                                 self.trace.fire(8);
-                                self.depth.push(Depth::Excursion);
+                                self.depth.push((at, Depth::Excursion));
                                 self.state = State::Waiting;
                                 out.push(Message::Doc(doc));
                             }
@@ -136,7 +156,7 @@ impl Transducer for Closure {
                                 let f1 = self.cond.pop().unwrap_or(Formula::True);
                                 let f2 = self.cond.last().cloned().unwrap_or(Formula::True);
                                 self.cond.push(Formula::or(f1, f2.clone()));
-                                self.depth.push(Depth::NestedScope);
+                                self.depth.push((at, Depth::NestedScope));
                                 self.state = State::Matching;
                                 out.push(Message::Activate(f2));
                                 out.push(Message::Doc(doc));
@@ -147,19 +167,18 @@ impl Transducer for Closure {
                                 // here), so the incoming formula stays on
                                 // top.
                                 self.trace.fire(13);
-                                self.depth.push(Depth::NestedScope);
+                                self.depth.push((at, Depth::NestedScope));
                                 self.state = State::Matching;
                                 out.push(Message::Doc(doc));
                             }
                         }
                     }
                 }
-                DocEvent::Close { .. } => {
-                    match (self.state, self.depth.last().copied()) {
+                DocEvent::Close { depth, .. } => {
+                    match (self.state, self.top_at(*depth)) {
                         // (3) ordinary level closes while waiting.
                         (State::Waiting, Some(Depth::Level)) => {
                             self.trace.fire(3);
-                            self.depth.pop();
                         }
                         // (4) excursion ends: resume matching.
                         (State::Waiting, Some(Depth::Excursion)) => {
@@ -171,7 +190,6 @@ impl Transducer for Closure {
                         // matching at the level above (same scope).
                         (State::Matching, Some(Depth::Level)) => {
                             self.trace.fire(9);
-                            self.depth.pop();
                         }
                         // (10) a nested scope ends: drop its (merged)
                         // formula, the outer scope is still active.
@@ -204,8 +222,34 @@ impl Transducer for Closure {
         }
     }
 
-    fn stack_sizes(&self) -> (usize, usize) {
-        (self.depth.len(), self.cond.len())
+    fn stack_sizes(&self, stream_depth: usize) -> (usize, usize) {
+        (stream_depth, self.cond.len())
+    }
+
+    fn watch(&self) -> Watch {
+        let top = self.depth.last().map(|e| e.0);
+        match self.state {
+            // Waiting: only the top excursion's close (4) matters.
+            State::Waiting => Watch {
+                open: None,
+                open_label: None,
+                close: top,
+            },
+            // A live scope: every open matches (7) or breaks the chain (8);
+            // the scope's own close ends it (10, 11).
+            State::Matching | State::Activated1 | State::Activated2 => Watch {
+                open: Some(Watch::ANY_OPEN),
+                open_label: None,
+                close: top,
+            },
+        }
+    }
+
+    fn reset(&mut self) {
+        self.state = State::Waiting;
+        self.depth.clear();
+        self.cond.clear();
+        self.trace.clear();
     }
 
     fn set_tracing(&mut self, on: bool) {
@@ -350,6 +394,7 @@ mod tests {
                 t.step(m, &mut vars, &mut out);
             }
         }
-        assert_eq!(t.stack_sizes(), (0, 0));
+        assert_eq!(t.stack_sizes(0), (0, 0));
+        assert!(t.depth.is_empty());
     }
 }

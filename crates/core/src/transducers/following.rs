@@ -129,8 +129,16 @@ impl Transducer for Following {
         }
     }
 
-    fn stack_sizes(&self) -> (usize, usize) {
+    fn stack_sizes(&self, _stream_depth: usize) -> (usize, usize) {
         (self.depth.len(), self.pending.len())
+    }
+
+    fn reset(&mut self) {
+        self.depth.clear();
+        self.pending.clear();
+        self.closed = Formula::False;
+        self.armed = false;
+        self.trace.clear();
     }
 
     fn set_tracing(&mut self, on: bool) {
@@ -205,7 +213,7 @@ mod tests {
             t.step(m.clone(), &mut vars, &mut tape);
         }
         assert!(tape.iter().all(|m| !matches!(m, Message::Activate(_))));
-        assert_eq!(t.stack_sizes(), (0, 0));
+        assert_eq!(t.stack_sizes(0), (0, 0));
     }
 
     #[test]

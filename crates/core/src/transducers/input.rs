@@ -7,7 +7,7 @@
 //! one-message-at-a-time discipline is realized by the tick-synchronous
 //! network executor.
 
-use super::{Trace, Transducer};
+use super::{Trace, Transducer, Watch};
 use crate::message::{DocEvent, Message, DOC_SYMBOL};
 use spex_formula::{Formula, VarFactory};
 
@@ -34,6 +34,19 @@ impl Transducer for Input {
             out.push(Message::Activate(Formula::True));
         }
         out.push(msg);
+    }
+
+    fn watch(&self) -> Watch {
+        // `<$>` is the only open at depth 1.
+        Watch {
+            open: Some(1),
+            open_label: None,
+            close: None,
+        }
+    }
+
+    fn reset(&mut self) {
+        self.trace.clear();
     }
 
     fn set_tracing(&mut self, on: bool) {

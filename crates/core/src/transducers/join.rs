@@ -31,6 +31,9 @@ use crate::message::Message;
 /// per-tick message queues of both inputs at once.
 #[derive(Debug, Default)]
 pub struct Join {
+    /// Determinations held back behind the tick's activations (empty
+    /// between steps; kept for its capacity).
+    determinations: Vec<Message>,
     trace: Trace,
 }
 
@@ -68,7 +71,7 @@ impl Join {
             }
             return;
         }
-        let mut determinations: Vec<Message> = Vec::new();
+        let mut determinations = std::mem::take(&mut self.determinations);
         let mut doc: Option<Message> = None;
         for queue in [left, right] {
             for m in queue.drain(..) {
@@ -94,9 +97,29 @@ impl Join {
             }
         }
         out.append(&mut determinations);
+        self.determinations = determinations;
         if let Some(d) = doc {
             out.push(d);
         }
+    }
+
+    /// Like [`Join::step2_drain`] for a tick whose document message is not
+    /// on the tapes but in the run's document register: merge the control
+    /// messages of both branches, then synchronize the register's two copies
+    /// (1).
+    pub fn step_register(
+        &mut self,
+        left: &mut Vec<Message>,
+        right: &mut Vec<Message>,
+        out: &mut Vec<Message>,
+    ) {
+        self.step2_drain(left, right, out);
+        self.trace.fire(1);
+    }
+
+    /// Return to the freshly created state (a session reset).
+    pub fn reset(&mut self) {
+        self.trace.clear();
     }
 
     /// Enable transition tracing.

@@ -23,6 +23,13 @@
 //! Each `step` records the numbers of the transitions it fires (when tracing
 //! is enabled), which lets the test suite reproduce the transition traces of
 //! Figs. 4, 5 and 13 of the paper verbatim.
+//!
+//! A document message carries the stream depth of its element, so the
+//! downward transducers (child, closure, variable-creator) keep depth-stack
+//! entries only at the levels an activation marked: a plain level `l` pushed
+//! by an open and popped by its close is implied by the depth itself (see
+//! DESIGN.md §14). That is also what lets the VM leave such a transducer
+//! alone on every event its [`Watch`] does not name.
 
 pub mod child;
 pub mod closure;
@@ -64,6 +71,34 @@ impl Trace {
     pub fn take(&mut self) -> Vec<u8> {
         std::mem::take(&mut self.fired)
     }
+
+    /// Forget the recorded transition numbers (a session reset); recording
+    /// stays as it was.
+    pub fn clear(&mut self) {
+        self.fired.clear();
+    }
+}
+
+/// The document events that can change a transducer's state when no control
+/// message reaches it: its wake-up conditions in the VM's schedule. Every
+/// other open, close or content event leaves the transducer as it was, so
+/// the VM does not step it. Empty (the default) for a transducer that only
+/// control messages can change.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Watch {
+    /// An open that reaches this stream depth; [`Watch::ANY_OPEN`] for
+    /// every open.
+    pub open: Option<u32>,
+    /// With `open`: only an open of this label (an element with another
+    /// label changes nothing).
+    pub open_label: Option<crate::message::Symbol>,
+    /// The close of the element at this stream depth.
+    pub close: Option<u32>,
+}
+
+impl Watch {
+    /// `open` value for "every open" (no element opens at depth 0).
+    pub const ANY_OPEN: u32 = 0;
 }
 
 /// A single-input transducer. (The two-input join and the sink output
@@ -74,10 +109,23 @@ pub trait Transducer {
     /// transducers that mint instances (VC, PR) touch it.
     fn step(&mut self, msg: Message, vars: &mut VarFactory, out: &mut Vec<Message>);
 
-    /// Current (depth stack, condition stack) heights, for instrumentation.
-    fn stack_sizes(&self) -> (usize, usize) {
+    /// Current (depth stack, condition stack) heights, for instrumentation,
+    /// with the stream at `stream_depth`. A transducer whose every open
+    /// pushes one depth entry and every close pops one reports
+    /// `stream_depth`, however sparsely it stores the entries.
+    fn stack_sizes(&self, _stream_depth: usize) -> (usize, usize) {
         (0, 0)
     }
+
+    /// The document events that can change this transducer's state when no
+    /// control message reaches it, given its current state.
+    fn watch(&self) -> Watch {
+        Watch::default()
+    }
+
+    /// Return to the freshly created state (a session reset), keeping every
+    /// allocation and the tracing switch.
+    fn reset(&mut self);
 
     /// Enable transition tracing.
     fn set_tracing(&mut self, on: bool);
@@ -110,12 +158,13 @@ pub(crate) mod test_util {
     /// Parse `xml` into document messages: events go into the arena, labels
     /// are interned by the store's symbol table.
     pub fn stream_of(store: &mut EventStore, xml: &str) -> Vec<Message> {
+        let mut depth = 0;
         spex_xml::reader::parse_events(xml)
             .expect("well-formed test document")
             .iter()
             .map(|ev| {
                 let id = store.push_owned(ev);
-                Message::Doc(doc_event(store, id))
+                Message::Doc(doc_event(store, id, &mut depth))
             })
             .collect()
     }
@@ -130,18 +179,27 @@ pub(crate) mod test_util {
         }
     }
 
-    /// Build the document message for an event already in the arena.
-    pub fn doc_event(store: &EventStore, id: EventId) -> DocEvent {
+    /// Build the document message for an event already in the arena, with
+    /// the stream at `depth` before it (updated past it).
+    pub fn doc_event(store: &EventStore, id: EventId, depth: &mut u32) -> DocEvent {
         let rec = store.stored(id);
         match rec.kind {
-            StoredKind::StartDocument | StoredKind::Start => DocEvent::Open {
-                label: rec.sym,
-                payload: id,
-            },
-            StoredKind::EndDocument | StoredKind::End => DocEvent::Close {
-                label: rec.sym,
-                payload: id,
-            },
+            StoredKind::StartDocument | StoredKind::Start => {
+                *depth += 1;
+                DocEvent::Open {
+                    label: rec.sym,
+                    payload: id,
+                    depth: *depth,
+                }
+            }
+            StoredKind::EndDocument | StoredKind::End => {
+                *depth -= 1;
+                DocEvent::Close {
+                    label: rec.sym,
+                    payload: id,
+                    depth: *depth + 1,
+                }
+            }
             StoredKind::Text | StoredKind::Comment | StoredKind::Pi => {
                 DocEvent::Item { payload: id }
             }

@@ -36,7 +36,10 @@
 //!
 //! Routing a document event is O(1): `open_live` buffered events are added
 //! (one per open, unrejected candidate), and a close completes at most the
-//! innermost open candidate (`open_stack`'s top, if its depth matches).
+//! innermost open candidate (`open_stack`'s top, if the closing element's
+//! stream depth, which the document message carries, matches). An OU with
+//! no live candidate therefore keeps no state about the stream: the VM
+//! steps it only while it holds a candidate or receives a message.
 //! `var_index` (condition variable → candidates whose formula mentions it)
 //! makes a determination touch only the affected candidates.
 
@@ -83,24 +86,26 @@ pub struct Output {
     candidates: VecDeque<Candidate>,
     /// Sequence id of `candidates[0]`.
     base: u64,
-    /// Element depth of the stream handed to the OU (`<$>` counts).
-    depth: usize,
-    /// Open candidates, outermost first: sequence id and element depth. A
-    /// rejected one popped from `candidates` while open completes nothing.
-    open_stack: Vec<(u64, usize)>,
+    /// Open candidates, outermost first: sequence id and the stream depth
+    /// of the element. A rejected one popped from `candidates` while open
+    /// completes nothing.
+    open_stack: Vec<(u64, u32)>,
     /// Open candidates that are not rejected.
     open_live: usize,
     /// One past the arena index of the last event handed to the OU.
     next: usize,
     /// Condition variable → sequence ids of candidates mentioning it.
     var_index: HashMap<CondVar, Vec<u64>>,
+    /// Emptied `var_index` lists, kept for the next variable's.
+    spare: Vec<Vec<u64>>,
     /// Current number of buffered events (for peak statistics): the sum of
     /// the candidates' interval lengths.
     buffered: usize,
     /// Determination latency in *events*: for every candidate, the ticks
     /// elapsed between entering the buffer and its formula becoming decided
     /// (accepted or rejected) — the paper's earliness measure, exported via
-    /// the trace layer (DESIGN.md §13).
+    /// the trace layer (DESIGN.md §13). Accumulates across
+    /// [`Output::reset`].
     latency: Histogram,
 }
 
@@ -149,16 +154,21 @@ impl Output {
                 }
                 // A conditional determination `{c := c ∨ r}` keeps the
                 // candidates dependent on `c` (another match may still
-                // satisfy the instance) and additionally makes them depend
-                // on the residual's variables.
-                let conditional = matches!(v, Determination::Implied(_));
-                let ids = if conditional {
+                // satisfy the instance; their ids stay indexed under `c`)
+                // and additionally makes them depend on the residual's
+                // variables, which are indexed here.
+                let residual = match &v {
+                    Determination::Implied(r) => Some(r.vars()),
+                    _ => None,
+                };
+                let conditional = residual.is_some();
+                let mut ids = if conditional {
                     self.var_index.get(&c).cloned().unwrap_or_default()
                 } else {
                     self.var_index.remove(&c).unwrap_or_default()
                 };
                 let mut reindex: Vec<(CondVar, u64)> = Vec::new();
-                for id in ids {
+                for &id in &ids {
                     let Some(idx) = self.index(id) else {
                         continue;
                     };
@@ -176,17 +186,20 @@ impl Output {
                     }
                     if cand.formula.is_false() {
                         self.reject(idx, stats);
-                    } else if conditional {
-                        for nv in cand.formula.vars() {
-                            reindex.push((nv, id));
+                    } else if let Some(residual) = &residual {
+                        for &nv in residual {
+                            if nv != c && cand.formula.contains(nv) {
+                                reindex.push((nv, id));
+                            }
                         }
                     }
                 }
                 for (nv, id) in reindex {
-                    let entry = self.var_index.entry(nv).or_default();
-                    if entry.last() != Some(&id) {
-                        entry.push(id);
-                    }
+                    self.index_var(nv, id);
+                }
+                if ids.capacity() > 0 {
+                    ids.clear();
+                    self.spare.push(ids);
                 }
                 self.flush(sink, now, stats, store);
             }
@@ -203,18 +216,17 @@ impl Output {
                 // grows by this one event.
                 self.buffered += self.open_live;
                 match doc {
-                    DocEvent::Open { .. } => {
-                        self.depth += 1;
+                    DocEvent::Open { depth, .. } => {
                         // A pending activation plus an opening message
                         // create a new candidate.
                         if !self.pending.is_empty() {
-                            self.create(at, now, stats);
+                            self.create(at, depth, now, stats);
                         }
                     }
-                    DocEvent::Close { .. } => {
+                    DocEvent::Close { depth, .. } => {
                         // Only the innermost open candidate can complete at
                         // a close.
-                        if self.open_stack.last().is_some_and(|e| e.1 == self.depth) {
+                        if self.open_stack.last().is_some_and(|e| e.1 == depth) {
                             let (id, _) = self.open_stack.pop().expect("checked above");
                             if let Some(idx) = self.index(id) {
                                 let cand = &mut self.candidates[idx];
@@ -224,7 +236,6 @@ impl Output {
                                 }
                             }
                         }
-                        self.depth = self.depth.saturating_sub(1);
                     }
                     DocEvent::Item { .. } => {}
                 }
@@ -244,8 +255,21 @@ impl Output {
         }
     }
 
-    /// Open a candidate at arena index `at` (unless its formula is `false`).
-    fn create(&mut self, at: usize, now: u64, stats: &mut EngineStats) {
+    /// Record that candidate `id` mentions `v`.
+    fn index_var(&mut self, v: CondVar, id: u64) {
+        let spare = &mut self.spare;
+        let ids = self
+            .var_index
+            .entry(v)
+            .or_insert_with(|| spare.pop().unwrap_or_default());
+        if ids.last() != Some(&id) {
+            ids.push(id);
+        }
+    }
+
+    /// Open a candidate at arena index `at`, the element at stream depth
+    /// `depth` (unless its formula is `false`).
+    fn create(&mut self, at: usize, depth: u32, now: u64, stats: &mut EngineStats) {
         // The singleton pop keeps `pending`'s capacity for the next
         // activation; `disj` of one normalized formula is that formula.
         let formula = if self.pending.len() == 1 {
@@ -258,9 +282,7 @@ impl Output {
         }
         stats.candidates_created += 1;
         let id = self.base + self.candidates.len() as u64;
-        for v in formula.vars() {
-            self.var_index.entry(v).or_default().push(id);
-        }
+        formula.for_each_var(&mut |v| self.index_var(v, id));
         // A past condition decides the candidate at birth: zero
         // determination latency.
         let determined = formula.is_true();
@@ -276,7 +298,7 @@ impl Output {
             rejected: false,
             determined,
         });
-        self.open_stack.push((id, self.depth));
+        self.open_stack.push((id, depth));
         self.open_live += 1;
         self.buffered += 1;
     }
@@ -354,9 +376,20 @@ impl Output {
         self.candidates.clear();
         self.open_stack.clear();
         self.open_live = 0;
-        self.var_index.clear();
+        for (_, mut ids) in self.var_index.drain() {
+            ids.clear();
+            self.spare.push(ids);
+        }
         self.pending.clear();
         self.buffered = 0;
+    }
+
+    /// Return to the freshly created state (a session reset), keeping every
+    /// allocation and the determination-latency histogram.
+    pub fn reset(&mut self) {
+        self.clear();
+        self.base = 0;
+        self.next = 0;
     }
 
     /// End of stream: resolve the remaining formulas and flush. (With a

@@ -133,7 +133,14 @@ impl Transducer for Preceding {
         }
     }
 
-    fn stack_sizes(&self) -> (usize, usize) {
+    fn reset(&mut self) {
+        self.depth.clear();
+        self.open_vars.clear();
+        self.closed_vars.clear();
+        self.trace.clear();
+    }
+
+    fn stack_sizes(&self, _stream_depth: usize) -> (usize, usize) {
         (
             self.depth.len(),
             self.open_vars.len() + self.closed_vars.len(),

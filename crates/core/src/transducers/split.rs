@@ -31,6 +31,10 @@ impl Transducer for Split {
         out.push(msg);
     }
 
+    fn reset(&mut self) {
+        self.trace.clear();
+    }
+
     fn set_tracing(&mut self, on: bool) {
         self.trace.set_enabled(on);
     }

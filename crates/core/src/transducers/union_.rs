@@ -92,8 +92,14 @@ impl Transducer for Union {
         }
     }
 
-    fn stack_sizes(&self) -> (usize, usize) {
+    fn stack_sizes(&self, _stream_depth: usize) -> (usize, usize) {
         (0, self.pending.len())
+    }
+
+    fn reset(&mut self) {
+        self.pending.clear();
+        self.pending_dets.clear();
+        self.trace.clear();
     }
 
     fn set_tracing(&mut self, on: bool) {

@@ -6,19 +6,16 @@
 //! element — closes without the qualifier having been satisfied for good,
 //! VC emits the determination `{c, false}` (transition 4). The
 //! variable-determinant VD is responsible for `{c, true}`.
+//!
+//! The depth stack is stored sparsely: only the `s` entries, as the stream
+//! depth of each instance's scope, one per condition-stack variable. The
+//! `l` levels of transitions (2) and (3) are implied by the stream depth
+//! every document message carries, so a variable creator wakes only on the
+//! close of its innermost scope.
 
-use super::{Trace, Transducer};
+use super::{Trace, Transducer, Watch};
 use crate::message::{DocEvent, Message};
 use spex_formula::{CondVar, Formula, QualifierId, VarFactory};
-
-/// Depth-stack alphabet Γ_depth = {l, s} of Fig. 6.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Depth {
-    /// `l` — ordinary level.
-    Level,
-    /// `s` — scope start: the level of an activating element.
-    Scope,
-}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
@@ -33,7 +30,9 @@ enum State {
 pub struct VarCreator {
     qualifier: QualifierId,
     state: State,
-    depth: Vec<Depth>,
+    /// The depth stack's `s` entries (Γ_depth = {l, s} of Fig. 6): the
+    /// stream depth of each open instance's scope, bottom first.
+    scopes: Vec<u32>,
     /// Condition stack: the variable names of open instances (Fig. 6 keeps
     /// `c` entries, not formulas).
     vars: Vec<CondVar>,
@@ -47,7 +46,7 @@ impl VarCreator {
         VarCreator {
             qualifier,
             state: State::Working,
-            depth: Vec::new(),
+            scopes: Vec::new(),
             vars: Vec::new(),
             trace: Trace::default(),
         }
@@ -71,43 +70,33 @@ impl Transducer for VarCreator {
                 out.push(Message::Activate(Formula::and(f, Formula::Var(c))));
             }
             Message::Doc(doc) => match &doc {
-                DocEvent::Open { .. } => match self.state {
-                    // (2) ordinary level.
+                DocEvent::Open { depth, .. } => match self.state {
+                    // (2) ordinary level: an implied `l`.
                     State::Working => {
                         self.trace.fire(2);
-                        self.depth.push(Depth::Level);
                         out.push(Message::Doc(doc));
                     }
                     // (5) the scope of the newest instance opens.
                     State::Activate => {
                         self.trace.fire(5);
-                        self.depth.push(Depth::Scope);
+                        self.scopes.push(*depth);
                         self.state = State::Working;
                         out.push(Message::Doc(doc));
                     }
                 },
-                DocEvent::Close { .. } => {
-                    match self.depth.last().copied() {
-                        // (3) ordinary level closes.
-                        Some(Depth::Level) => {
-                            self.trace.fire(3);
-                            self.depth.pop();
-                            out.push(Message::Doc(doc));
-                        }
+                DocEvent::Close { depth, .. } => {
+                    if self.scopes.last() == Some(depth) {
                         // (4) an instance's scope closes: invalidate it.
-                        Some(Depth::Scope) => {
-                            self.trace.fire(4);
-                            self.depth.pop();
-                            if let Some(c) = self.vars.pop() {
-                                out.push(Message::Determine(
-                                    c,
-                                    crate::message::Determination::False,
-                                ));
-                            }
-                            out.push(Message::Doc(doc));
+                        self.trace.fire(4);
+                        self.scopes.pop();
+                        if let Some(c) = self.vars.pop() {
+                            out.push(Message::Determine(c, crate::message::Determination::False));
                         }
-                        None => out.push(Message::Doc(doc)),
+                    } else if *depth > 0 {
+                        // (3) ordinary level closes.
+                        self.trace.fire(3);
                     }
+                    out.push(Message::Doc(doc));
                 }
                 DocEvent::Item { .. } => out.push(Message::Doc(doc)),
             },
@@ -120,8 +109,24 @@ impl Transducer for VarCreator {
         }
     }
 
-    fn stack_sizes(&self) -> (usize, usize) {
-        (self.depth.len(), self.vars.len())
+    fn stack_sizes(&self, stream_depth: usize) -> (usize, usize) {
+        (stream_depth, self.vars.len())
+    }
+
+    fn watch(&self) -> Watch {
+        Watch {
+            // Within a tick only: the scope's open follows the activation.
+            open: (self.state == State::Activate).then_some(Watch::ANY_OPEN),
+            open_label: None,
+            close: self.scopes.last().copied(),
+        }
+    }
+
+    fn reset(&mut self) {
+        self.state = State::Working;
+        self.scopes.clear();
+        self.vars.clear();
+        self.trace.clear();
     }
 
     fn set_tracing(&mut self, on: bool) {
@@ -176,7 +181,7 @@ mod tests {
         assert_eq!(tape.len(), 2);
         assert!(matches!(&tape[0], Message::Determine(c, Determination::False) if c.serial == 1));
         assert!(matches!(&tape[1], Message::Doc(DocEvent::Close { .. })));
-        assert_eq!(t.stack_sizes().1, 0);
+        assert_eq!(t.stack_sizes(2).1, 0);
     }
 
     #[test]
@@ -191,7 +196,7 @@ mod tests {
         t.step(stream[1].clone(), &mut vars, &mut tape); // outer <a>: scope of c1
         t.step(Message::Activate(Formula::True), &mut vars, &mut tape);
         t.step(stream[2].clone(), &mut vars, &mut tape); // inner <a>: scope of c2
-        assert_eq!(t.stack_sizes().1, 2);
+        assert_eq!(t.stack_sizes(3).1, 2);
         tape.clear();
         t.step(stream[3].clone(), &mut vars, &mut tape); // inner </a>: {c2,false}
         assert!(matches!(&tape[0], Message::Determine(c, Determination::False) if c.serial == 2));

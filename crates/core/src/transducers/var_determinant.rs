@@ -78,6 +78,10 @@ impl Transducer for VarDeterminant {
         }
     }
 
+    fn reset(&mut self) {
+        self.trace.clear();
+    }
+
     fn set_tracing(&mut self, on: bool) {
         self.trace.set_enabled(on);
     }

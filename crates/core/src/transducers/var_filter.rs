@@ -68,7 +68,7 @@ impl Transducer for VarFilter {
         match msg {
             Message::Activate(f) => {
                 if self.positive {
-                    if !f.vars_of(self.qualifier).is_empty() {
+                    if f.mentions(self.qualifier) {
                         self.trace.fire(1);
                         out.push(Message::Activate(f));
                     }
@@ -95,6 +95,10 @@ impl Transducer for VarFilter {
             }
             doc @ Message::Doc(_) => out.push(doc),
         }
+    }
+
+    fn reset(&mut self) {
+        self.trace.clear();
     }
 
     fn set_tracing(&mut self, on: bool) {

@@ -15,8 +15,22 @@
 //! [`PlanRun`] executes the plan with **no boxed trait objects and no queue
 //! re-allocation on the hot path**: operator state lives in a flat
 //! `Vec<OpState>` (an enum over the concrete transducer structs — statically
-//! dispatched), message buffers are persistent and recycled by
-//! `swap`/`drain`, and nodes whose inbox is empty are skipped entirely.
+//! dispatched), and message buffers are persistent and recycled by
+//! `swap`/`drain`.
+//!
+//! The schedule is **activation-driven**. A tick publishes its document
+//! message once, in the document register (the `DocEvent` handed to every
+//! step, carrying the stream depth); inboxes carry only activations and
+//! determinations. A tick steps, in topological order, only the nodes in its
+//! *wake set*: those whose inbox a producer filled this tick, those whose
+//! [`crate::transducers::Watch`] names this event (the open of a child
+//! element with a child transducer's label below its activator, the close of
+//! a sparse depth entry's level, an open inside a closure's live scope, `<$>`
+//! for the input), the output operators holding a live candidate, and the
+//! following/preceding operators on every open and close. Every other node would only forward the document message, so its
+//! per-node message count is the static `doc ticks × item_flow[v]`, added
+//! when statistics are read. A session reset clears in place only the nodes
+//! stepped since the last one.
 //!
 //! [`PlanRun`] is the only executor anything outside a differential rig
 //! reaches: [`crate::Evaluator`], the multi-query and conjunctive-query
@@ -49,10 +63,12 @@ use crate::transducers::union_::Union;
 use crate::transducers::var_creator::VarCreator;
 use crate::transducers::var_determinant::VarDeterminant;
 use crate::transducers::var_filter::VarFilter;
-use crate::transducers::Transducer;
+use crate::transducers::{Transducer, Watch};
 use spex_formula::VarFactory;
 use spex_trace::{Histogram, Tracer, Value};
 use spex_xml::{EventId, EventStore, StoredKind, XmlEvent};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 // Only for `benchmark/trace` (frozen in this PR), which names `Engine::Vm`; the next `benchmark` PR drops it.
@@ -81,20 +97,28 @@ pub struct Plan {
     /// For output nodes, which sink (result stream) they feed; `u32::MAX`
     /// everywhere else.
     pub(crate) sink_of: Vec<u32>,
+    /// The node owning each inbox slot.
+    slot_node: Vec<u32>,
     /// Node ids of the output instructions, ascending.
     outputs: Vec<u32>,
-    /// Per-node document-message inflow on an *inert* tick (a text, comment
-    /// or PI event). Every transducer forwards such events verbatim without
-    /// touching its state or firing a transition, so the per-node message
-    /// counts are a static property of the wiring: splits duplicate the
-    /// message, joins deduplicate it, everything else forwards one copy per
-    /// copy received. The VM uses this to bypass the full propagation on
-    /// inert ticks — only the output operators (which buffer the event into
-    /// live candidates) actually run.
+    /// Per-node document-message inflow on every tick. Every transducer
+    /// forwards each document message exactly once, after the control
+    /// messages the step emits, so the per-node counts are a static property
+    /// of the wiring: splits duplicate the message, joins deduplicate it,
+    /// everything else forwards one copy per copy received. The VM accounts
+    /// them from here instead of moving the message through the inboxes.
     item_flow: Vec<u32>,
-    /// Sum of [`Plan::item_flow`] — the engine-wide message count of one
-    /// inert tick.
+    /// Sum of [`Plan::item_flow`] — the engine-wide document-message count
+    /// of one tick.
     item_total: u64,
+    /// Nodes stepped on every open and close: the following and preceding
+    /// operators (their dense stacks are outside the downward-only class),
+    /// and any node but a join that receives other than one copy of the
+    /// document message per tick (none in a network the builder makes).
+    always: Vec<u32>,
+    /// Whether any node keeps a depth stack (whose height is the stream
+    /// depth).
+    has_depth_ops: bool,
 }
 
 impl Plan {
@@ -137,10 +161,16 @@ impl Plan {
             cons.extend_from_slice(edges);
         }
         cons_base.push(cons.len() as u32);
-        // Static document-message flow for inert ticks: one forward pass in
-        // topological (ascending id) order. A node consumes what its
-        // producers emit; a join collapses its two copies back into one, the
-        // outputs consume theirs, everything else forwards.
+        let mut slot_node = vec![0u32; slots as usize];
+        for v in 0..n {
+            for slot in &mut slot_node[port_base[v] as usize..port_base[v + 1] as usize] {
+                *slot = v as u32;
+            }
+        }
+        // Static document-message flow: one forward pass in topological
+        // (ascending id) order. A node consumes what its producers emit; a
+        // join collapses its two copies back into one, the outputs consume
+        // theirs, everything else forwards.
         let mut inflow = vec![0u32; n];
         let mut item_flow = vec![0u32; n];
         for (v, node) in spec.nodes.iter().enumerate() {
@@ -159,15 +189,26 @@ impl Plan {
             }
         }
         let item_total = item_flow.iter().map(|&f| u64::from(f)).sum();
+        let always = (0..n)
+            .filter(|&v| match &spec.nodes[v] {
+                NodeSpec::Following(_) | NodeSpec::Preceding(..) => true,
+                NodeSpec::Join => false,
+                _ => item_flow[v] != 1,
+            })
+            .map(|v| v as u32)
+            .collect();
         Plan {
             code: spec.nodes.clone(),
             port_base,
             cons_base,
             cons,
             sink_of,
+            slot_node,
             outputs,
             item_flow,
             item_total,
+            always,
+            has_depth_ops: spec.nodes.iter().any(tracks_depth),
         }
     }
 
@@ -240,6 +281,19 @@ impl Plan {
     }
 }
 
+/// Does the node keep a depth stack, one entry per open level (however
+/// sparsely stored)? Its height is then the stream depth.
+fn tracks_depth(node: &NodeSpec) -> bool {
+    matches!(
+        node,
+        NodeSpec::Child(_)
+            | NodeSpec::Closure(_)
+            | NodeSpec::VarCreator(_)
+            | NodeSpec::Following(_)
+            | NodeSpec::Preceding(..)
+    )
+}
+
 /// Per-node operator state: the concrete transducer structs, enum-tagged so
 /// the VM dispatches with a jump table instead of a vtable. The output
 /// transducer is boxed (it is by far the largest variant); everything on the
@@ -279,19 +333,51 @@ impl OpState {
         }
     }
 
-    pub(crate) fn stack_sizes(&self) -> (usize, usize) {
+    /// (depth stack, condition stack) heights with the stream at
+    /// `stream_depth`.
+    pub(crate) fn stack_sizes(&self, stream_depth: usize) -> (usize, usize) {
         match self {
-            OpState::Input(t) => t.stack_sizes(),
-            OpState::Child(t) => t.stack_sizes(),
-            OpState::Closure(t) => t.stack_sizes(),
-            OpState::Following(t) => t.stack_sizes(),
-            OpState::Preceding(t) => t.stack_sizes(),
-            OpState::VarCreator(t) => t.stack_sizes(),
-            OpState::VarFilter(t) => t.stack_sizes(),
-            OpState::VarDeterminant(t) => t.stack_sizes(),
-            OpState::Split(t) => t.stack_sizes(),
-            OpState::Union(t) => t.stack_sizes(),
+            OpState::Input(t) => t.stack_sizes(stream_depth),
+            OpState::Child(t) => t.stack_sizes(stream_depth),
+            OpState::Closure(t) => t.stack_sizes(stream_depth),
+            OpState::Following(t) => t.stack_sizes(stream_depth),
+            OpState::Preceding(t) => t.stack_sizes(stream_depth),
+            OpState::VarCreator(t) => t.stack_sizes(stream_depth),
+            OpState::VarFilter(t) => t.stack_sizes(stream_depth),
+            OpState::VarDeterminant(t) => t.stack_sizes(stream_depth),
+            OpState::Split(t) => t.stack_sizes(stream_depth),
+            OpState::Union(t) => t.stack_sizes(stream_depth),
             OpState::Join(_) | OpState::Emit(_) => (0, 0),
+        }
+    }
+
+    /// The document events that can change this node's state with no
+    /// control message (see [`Transducer::watch`]).
+    fn watch(&self) -> Watch {
+        match self {
+            OpState::Input(t) => t.watch(),
+            OpState::Child(t) => t.watch(),
+            OpState::Closure(t) => t.watch(),
+            OpState::VarCreator(t) => t.watch(),
+            _ => Watch::default(),
+        }
+    }
+
+    /// Back to the freshly instantiated state, in place.
+    fn reset(&mut self) {
+        match self {
+            OpState::Input(t) => t.reset(),
+            OpState::Child(t) => t.reset(),
+            OpState::Closure(t) => t.reset(),
+            OpState::Following(t) => t.reset(),
+            OpState::Preceding(t) => t.reset(),
+            OpState::VarCreator(t) => t.reset(),
+            OpState::VarFilter(t) => t.reset(),
+            OpState::VarDeterminant(t) => t.reset(),
+            OpState::Split(t) => t.reset(),
+            OpState::Union(t) => t.reset(),
+            OpState::Join(j) => j.reset(),
+            OpState::Emit(o) => o.reset(),
         }
     }
 
@@ -370,20 +456,45 @@ impl<S: ResultSink> std::ops::DerefMut for PlanRun<S> {
 /// names one. Built only as part of a [`PlanRun`].
 ///
 /// Each stream event is one *tick*: the paper's discipline that "at any time
-/// there is only one \[document\] message in the network" (§III.2). Within a
-/// tick every instruction, in topological order, consumes the messages its
-/// producers emitted and appends its output to its consumers' inbox slots.
+/// there is only one \[document\] message in the network" (§III.2). The tick's
+/// document message sits in one register; within the tick every node in the
+/// wake set, in topological order, consumes the control messages its
+/// producers emitted, then the document message, and appends the control
+/// messages it emits to its consumers' inbox slots (waking them).
 pub struct Machine {
     pub(crate) plan: Arc<Plan>,
     pub(crate) ops: Vec<OpState>,
-    /// Flat inbox slots (`plan.port_base` layout). Persistent: capacities
-    /// survive across ticks, so the hot path never re-grows a queue.
+    /// Flat inbox slots (`plan.port_base` layout), holding activations and
+    /// determinations only. Persistent: capacities survive across ticks, so
+    /// the hot path never re-grows a queue. Empty between ticks.
     inbox: Vec<Vec<Message>>,
-    /// Recycled drain buffers (second one for the join's right port).
+    /// Recycled drain buffer.
     scratch: Vec<Message>,
-    scratch2: Vec<Message>,
     /// Recycled per-node output buffer.
     outbuf: Vec<Message>,
+    /// The nodes left to step this tick.
+    wake: WakeSet,
+    /// Per-depth wake lists: nodes whose watch names an open (a close) at
+    /// that stream depth.
+    opens: Watchers,
+    closes: Watchers,
+    /// Output nodes holding a live candidate; its length is the count that
+    /// decides when the arena may be recycled.
+    live: LiveOutputs,
+    /// Nodes stepped since the last session reset (each once), and the
+    /// reference schedule's "all of them".
+    touched: Vec<u32>,
+    is_touched: Vec<bool>,
+    all_touched: bool,
+    /// Ticks the VM schedule accounted statically and `node_stats` does not
+    /// include yet: node `v` consumed `item_flow[v]` document messages in
+    /// each.
+    doc_ticks: u64,
+    /// Deepest stream depth the VM schedule accounted statically: the depth
+    /// stack height every depth-tracking node reached.
+    depth_peak: usize,
+    /// Node steps taken (see [`Machine::ops_stepped`]).
+    pub(crate) ops_stepped: u64,
     /// The run's event arena: payload bytes live here exactly once; the
     /// plan only moves [`spex_xml::EventId`] handles. Owns the symbol table
     /// (labels are interned at push time). Reset whenever no output
@@ -393,23 +504,248 @@ pub struct Machine {
     /// The run-wide variable namespace of §III.5, handed to every step.
     pub(crate) vars: VarFactory,
     pub(crate) stats: EngineStats,
-    /// Per-node measurements, indexed by instruction id.
+    /// Per-node measurements, indexed by instruction id. Under the VM
+    /// schedule the document messages of the last `doc_ticks` ticks are not
+    /// in `messages` yet; read them through [`Machine::transducer_stats`].
     pub(crate) node_stats: Vec<TransducerStats>,
     limits: ResourceLimits,
     /// The first limit breach, latched; further input is refused.
     exhausted: Option<LimitBreach>,
     pub(crate) tick: u64,
-    depth: usize,
+    pub(crate) depth: usize,
     tracing: bool,
     /// Symbol-table size right after the query labels were resolved; session
     /// reuse truncates the table back to this baseline between documents.
     symbol_baseline: usize,
     /// Trace export handle (disabled by default; see [`Machine::set_tracer`]).
     tracer: Tracer,
-    /// Determination-latency histograms accumulated across
-    /// [`Machine::reset_session`] rebuilds, indexed by instruction id (only
-    /// output instructions ever record).
+    /// Determination-latency histograms restored from a snapshot, indexed by
+    /// instruction id (only output instructions ever record); each output
+    /// operator keeps its own across session resets.
     det_latency: Vec<Histogram>,
+}
+
+const NIL: u32 = u32::MAX;
+
+/// The nodes to step in one tick: a two-level bitset, popped in ascending
+/// id — topological — order. A node only ever wakes a consumer, whose id is
+/// larger, so the pops stay ordered while the set grows.
+#[derive(Debug)]
+struct WakeSet {
+    words: Vec<u64>,
+    /// Bit `w` set iff `words[w]` is non-zero.
+    summary: Vec<u64>,
+}
+
+impl WakeSet {
+    fn new(n: usize) -> WakeSet {
+        let words = n.div_ceil(64);
+        WakeSet {
+            words: vec![0; words],
+            summary: vec![0; words.div_ceil(64)],
+        }
+    }
+
+    #[inline]
+    fn insert(&mut self, id: usize) {
+        let w = id >> 6;
+        self.words[w] |= 1 << (id & 63);
+        self.summary[w >> 6] |= 1 << (w & 63);
+    }
+
+    #[inline]
+    fn pop_min(&mut self) -> Option<usize> {
+        let s = self.summary.iter().position(|&bits| bits != 0)?;
+        let bits = self.summary[s];
+        let w = (s << 6) | bits.trailing_zeros() as usize;
+        let word = self.words[w];
+        let rest = word & (word - 1);
+        self.words[w] = rest;
+        if rest == 0 {
+            self.summary[s] = bits & (bits - 1);
+        }
+        Some((w << 6) | word.trailing_zeros() as usize)
+    }
+}
+
+/// The key of a wake list: a stream depth and, for opens, the label an
+/// element must have to wake the list (every label for `None`).
+fn wake_key(depth: u32, label: Option<crate::message::Symbol>) -> u64 {
+    (u64::from(depth) << 32) | u64::from(label.unwrap_or(u32::MAX))
+}
+
+const NO_KEY: u64 = u64::MAX;
+
+/// Hashes a [`wake_key`] with one multiply: a tick looks up to three keys,
+/// so the general-purpose hasher would cost more than the lookup saves.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = (key ^ (key >> 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+/// Wake lists for one kind of document event, by [`wake_key`]. A node sits
+/// in at most one list (intrusive and doubly linked), so moving it is O(1)
+/// and an event drains exactly the nodes it names. Lists for any label sit
+/// in a vector by depth; labelled lists, which only a child's open makes,
+/// in a map that holds only non-empty ones.
+#[derive(Debug)]
+struct Watchers {
+    by_depth: Vec<u32>,
+    by_label: HashMap<u64, u32, BuildHasherDefault<KeyHasher>>,
+    next: Vec<u32>,
+    prev: Vec<u32>,
+    /// The key whose list holds the node, or `NO_KEY`.
+    at: Vec<u64>,
+}
+
+impl Watchers {
+    fn new(n: usize) -> Watchers {
+        Watchers {
+            by_depth: Vec::new(),
+            by_label: HashMap::default(),
+            next: vec![NIL; n],
+            prev: vec![NIL; n],
+            at: vec![NO_KEY; n],
+        }
+    }
+
+    /// The head of the list of `key`, created empty if need be.
+    fn head(&mut self, key: u64) -> &mut u32 {
+        if key as u32 == u32::MAX {
+            let depth = (key >> 32) as usize;
+            if depth >= self.by_depth.len() {
+                self.by_depth.resize(depth + 1, NIL);
+            }
+            &mut self.by_depth[depth]
+        } else {
+            self.by_label.entry(key).or_insert(NIL)
+        }
+    }
+
+    /// Take the list of `key` (`NIL` if it is empty).
+    fn take(&mut self, key: u64) -> u32 {
+        if key as u32 == u32::MAX {
+            self.by_depth
+                .get_mut((key >> 32) as usize)
+                .map_or(NIL, |h| std::mem::replace(h, NIL))
+        } else if self.by_label.is_empty() {
+            NIL
+        } else {
+            self.by_label.remove(&key).unwrap_or(NIL)
+        }
+    }
+
+    /// Put node `id` on the list of `key` (off every list for `None`).
+    #[inline]
+    fn set(&mut self, id: usize, key: Option<u64>) {
+        let k = key.unwrap_or(NO_KEY);
+        if self.at[id] == k {
+            return;
+        }
+        self.unlink(id);
+        if k == NO_KEY {
+            return;
+        }
+        let h = std::mem::replace(self.head(k), id as u32);
+        self.next[id] = h;
+        self.prev[id] = NIL;
+        if h != NIL {
+            self.prev[h as usize] = id as u32;
+        }
+        self.at[id] = k;
+    }
+
+    fn unlink(&mut self, id: usize) {
+        let k = self.at[id];
+        if k == NO_KEY {
+            return;
+        }
+        let (p, n) = (self.prev[id], self.next[id]);
+        if p != NIL {
+            self.next[p as usize] = n;
+        } else if n == NIL {
+            self.take(k);
+        } else {
+            *self.head(k) = n;
+        }
+        if n != NIL {
+            self.prev[n as usize] = p;
+        }
+        self.at[id] = NO_KEY;
+    }
+
+    /// Move every node on the list of `key` into `wake`.
+    #[inline]
+    fn drain(&mut self, key: u64, wake: &mut WakeSet) {
+        let mut id = self.take(key);
+        while id != NIL {
+            let i = id as usize;
+            wake.insert(i);
+            self.at[i] = NO_KEY;
+            id = self.next[i];
+        }
+    }
+}
+
+/// File node `id`'s watch in the open and close wake lists.
+#[inline]
+fn file_watch(opens: &mut Watchers, closes: &mut Watchers, id: usize, w: Watch) {
+    opens.set(id, w.open.map(|d| wake_key(d, w.open_label)));
+    closes.set(id, w.close.map(|d| wake_key(d, None)));
+}
+
+/// The output nodes holding a live candidate, with O(1) insert and remove.
+#[derive(Debug)]
+struct LiveOutputs {
+    list: Vec<u32>,
+    /// Index of each node in `list`, or `NIL`.
+    pos: Vec<u32>,
+}
+
+impl LiveOutputs {
+    fn new(n: usize) -> LiveOutputs {
+        LiveOutputs {
+            list: Vec::new(),
+            pos: vec![NIL; n],
+        }
+    }
+
+    /// Record whether output node `id` holds a live candidate after a step.
+    #[inline]
+    fn note(&mut self, id: usize, live: bool) {
+        let p = self.pos[id];
+        if live && p == NIL {
+            self.pos[id] = self.list.len() as u32;
+            self.list.push(id as u32);
+        } else if !live && p != NIL {
+            self.list.swap_remove(p as usize);
+            if let Some(&moved) = self.list.get(p as usize) {
+                self.pos[moved as usize] = p;
+            }
+            self.pos[id] = NIL;
+        }
+    }
+
+    fn clear(&mut self) {
+        for &id in &self.list {
+            self.pos[id as usize] = NIL;
+        }
+        self.list.clear();
+    }
 }
 
 impl<S: ResultSink> PlanRun<S> {
@@ -428,9 +764,14 @@ impl<S: ResultSink> PlanRun<S> {
         let mut store = EventStore::new();
         let ops = plan.instantiate(store.symbols_mut());
         let symbol_baseline = store.symbols().len();
+        let n = plan.code.len();
         let inbox = (0..*plan.port_base.last().expect("non-empty plan"))
             .map(|_| Vec::new())
             .collect();
+        let (mut opens, mut closes) = (Watchers::new(n), Watchers::new(n));
+        for (id, op) in ops.iter().enumerate() {
+            file_watch(&mut opens, &mut closes, id, op.watch());
+        }
         let node_stats = plan
             .code
             .iter()
@@ -441,14 +782,23 @@ impl<S: ResultSink> PlanRun<S> {
                 ..TransducerStats::default()
             })
             .collect();
-        let det_latency = vec![Histogram::new(); plan.code.len()];
+        let det_latency = vec![Histogram::new(); n];
         let machine = Machine {
             plan,
             ops,
             inbox,
             scratch: Vec::new(),
-            scratch2: Vec::new(),
             outbuf: Vec::new(),
+            wake: WakeSet::new(n),
+            opens,
+            closes,
+            live: LiveOutputs::new(n),
+            touched: Vec::new(),
+            is_touched: vec![false; n],
+            all_touched: false,
+            doc_ticks: 0,
+            depth_peak: 0,
+            ops_stepped: 0,
             store,
             vars: VarFactory::new(),
             stats: EngineStats::default(),
@@ -540,10 +890,8 @@ impl<S: ResultSink> PlanRun<S> {
     /// logical-query order) with everything the flush delivered.
     pub fn finish_into_sinks(mut self) -> (EngineStats, Vec<TransducerStats>, Vec<S>) {
         self.machine.finish(&mut self.sinks);
-        let Machine {
-            stats, node_stats, ..
-        } = self.machine;
-        (stats, node_stats, self.sinks.sinks)
+        let transducers = self.machine.transducer_stats();
+        (self.machine.stats, transducers, self.sinks.sinks)
     }
 }
 
@@ -574,7 +922,9 @@ impl Machine {
     }
 
     /// Enable transition tracing on every operator (for the golden
-    /// paper-trace tests).
+    /// paper-trace tests). While it is on, every tick steps every node, so
+    /// each fires the transitions the paper's tables list for it — the
+    /// implied `l` levels' (2) and (3) included.
     pub fn set_tracing(&mut self, on: bool) {
         self.tracing = on;
         for op in &mut self.ops {
@@ -641,306 +991,241 @@ impl Machine {
         // interval is outstanding: recycle the arena (keeps symbols and
         // capacity). This is what bounds memory to the undetermined
         // fragments of the paper's §VI argument.
-        if self.outputs_idle() {
+        if self.live.list.is_empty() {
             self.store.reset();
         }
         Ok(())
     }
 
-    fn outputs_idle(&self) -> bool {
-        self.plan.outputs.iter().all(
-            |&id| !matches!(&self.ops[id as usize], OpState::Emit(o) if o.live_candidates() > 0),
-        )
-    }
-
-    /// The document message of arena event `id`, with the stream depth
+    /// The document message of arena event `id` — the tick's document
+    /// register, carrying the stream depth of its element — with the depth
     /// tracked across it.
     fn doc_event(&mut self, id: EventId) -> DocEvent {
         let rec = self.store.stored(id);
-        let doc = match rec.kind {
-            StoredKind::StartDocument | StoredKind::Start => DocEvent::Open {
-                label: rec.sym,
-                payload: id,
-            },
-            StoredKind::EndDocument | StoredKind::End => DocEvent::Close {
-                label: rec.sym,
-                payload: id,
-            },
+        match rec.kind {
+            StoredKind::StartDocument | StoredKind::Start => {
+                self.depth += 1;
+                self.stats.max_stream_depth = self.stats.max_stream_depth.max(self.depth);
+                DocEvent::Open {
+                    label: rec.sym,
+                    payload: id,
+                    depth: self.depth as u32,
+                }
+            }
+            StoredKind::EndDocument | StoredKind::End => {
+                let depth = self.depth as u32;
+                self.depth = self.depth.saturating_sub(1);
+                DocEvent::Close {
+                    label: rec.sym,
+                    payload: id,
+                    depth,
+                }
+            }
             StoredKind::Text | StoredKind::Comment | StoredKind::Pi => {
                 DocEvent::Item { payload: id }
             }
-        };
-        match &doc {
-            DocEvent::Open { .. } => {
-                self.depth += 1;
-                self.stats.max_stream_depth = self.stats.max_stream_depth.max(self.depth);
-            }
-            DocEvent::Close { .. } => self.depth = self.depth.saturating_sub(1),
-            DocEvent::Item { .. } => {}
         }
-        doc
     }
 
-    /// The VM's schedule for one tick. An inert event traverses the DAG
-    /// unchanged (no operator state, no transitions, no formulas), so the
-    /// plan's static flow replaces the full propagation; transition tracing
-    /// observes per message, so it forces the slow path.
+    /// Mark every node as stepped this session (the reference schedule steps
+    /// them all).
+    pub(crate) fn touch_all(&mut self) {
+        self.all_touched = true;
+    }
+
+    /// Step output node `id` over one message and keep the live-output
+    /// count current (the reference schedule's output step).
+    pub(crate) fn step_output(&mut self, id: usize, msg: Message, sinks: &mut dyn SlotSinks) {
+        if let OpState::Emit(o) = &mut self.ops[id] {
+            let slot = self.plan.sink_of[id] as usize;
+            o.step(
+                msg,
+                &mut Slot(sinks, slot),
+                self.tick,
+                &mut self.stats,
+                &self.store,
+            );
+            self.live.note(id, o.live_candidates() > 0);
+        }
+    }
+
+    /// The VM's schedule for one tick: account the document message's static
+    /// flow, build the wake set, then step the woken nodes in topological
+    /// order — each over its inbox, then the register — fanning their
+    /// control messages out to (and waking) their consumers. Transition
+    /// tracing wakes every node.
     fn dispatch(&mut self, doc: DocEvent, sinks: &mut dyn SlotSinks) {
-        if matches!(doc, DocEvent::Item { .. }) && !self.tracing {
-            self.run_item_tick(doc, sinks);
-        } else {
-            self.inbox[0].push(Message::Doc(doc));
-            self.run_tick(sinks);
-        }
-    }
-
-    /// Execute one inert tick (text/comment/PI): account the statically
-    /// known per-node message counts, then step only the output operators —
-    /// the sole operators whose behaviour depends on such events (they
-    /// buffer the event into live candidate fragments).
-    fn run_item_tick(&mut self, doc: DocEvent, sinks: &mut dyn SlotSinks) {
-        let plan: &Plan = &self.plan;
-        self.stats.messages += plan.item_total;
-        for (v, &f) in plan.item_flow.iter().enumerate() {
-            self.node_stats[v].messages += u64::from(f);
-        }
-        for &id in &plan.outputs {
-            let sink_idx = plan.sink_of[id as usize] as usize;
-            if let OpState::Emit(o) = &mut self.ops[id as usize] {
-                for _ in 0..plan.item_flow[id as usize] {
-                    o.step(
-                        Message::Doc(doc),
-                        &mut Slot(sinks, sink_idx),
-                        self.tick,
-                        &mut self.stats,
-                        &self.store,
-                    );
+        let Machine {
+            plan,
+            ops,
+            inbox,
+            scratch,
+            outbuf,
+            wake,
+            opens,
+            closes,
+            live,
+            touched,
+            is_touched,
+            doc_ticks,
+            depth_peak,
+            ops_stepped,
+            store,
+            vars,
+            stats,
+            node_stats,
+            tick,
+            depth,
+            tracing,
+            ..
+        } = self;
+        let plan: &Plan = plan;
+        stats.messages += plan.item_total;
+        *doc_ticks += 1;
+        // Wake what this event can change, and note the stream depth before
+        // it.
+        let before = match doc {
+            DocEvent::Open {
+                depth: d, label, ..
+            } => {
+                opens.drain(wake_key(d, None), wake);
+                opens.drain(wake_key(d, Some(label)), wake);
+                opens.drain(wake_key(Watch::ANY_OPEN, None), wake);
+                if plan.has_depth_ops {
+                    // Every depth stack grew to the stream depth.
+                    stats.observe_stacks(d as usize, 0);
+                    *depth_peak = (*depth_peak).max(d as usize);
                 }
+                d - 1
+            }
+            DocEvent::Close { depth: d, .. } => {
+                closes.drain(wake_key(d, None), wake);
+                d
+            }
+            DocEvent::Item { .. } => *depth as u32,
+        };
+        if !matches!(doc, DocEvent::Item { .. }) {
+            for &id in &plan.always {
+                wake.insert(id as usize);
             }
         }
-    }
-
-    /// One tick: execute every instruction, in order, over the messages its
-    /// inbox slots hold. Empty nodes are skipped (their stacks cannot have
-    /// changed since the last message they consumed, so the observed peaks
-    /// are those of stepping every node).
-    fn run_tick(&mut self, sinks: &mut dyn SlotSinks) {
-        let plan: &Plan = &self.plan;
-        for id in 0..plan.code.len() {
+        for &id in &live.list {
+            wake.insert(id as usize);
+        }
+        if *tracing {
+            for id in 0..plan.code.len() {
+                wake.insert(id);
+            }
+        }
+        while let Some(id) = wake.pop_min() {
+            *ops_stepped += 1;
+            if !is_touched[id] {
+                is_touched[id] = true;
+                touched.push(id as u32);
+            }
             let base = plan.port_base[id] as usize;
-            let two_ports = plan.port_base[id + 1] as usize - base == 2;
-            if self.inbox[base].is_empty() && (!two_ports || self.inbox[base + 1].is_empty()) {
-                continue;
-            }
-            debug_assert!(self.outbuf.is_empty());
-            match &mut self.ops[id] {
-                OpState::Split(_) if !self.tracing => {
-                    // A split forwards every message verbatim (the fan-out
-                    // below duplicates); with no transition trace to record,
-                    // the whole inbox slot moves to the consumers in bulk.
-                    std::mem::swap(&mut self.inbox[base], &mut self.scratch);
-                    let consumed = self.scratch.len() as u64;
-                    self.stats.messages += consumed;
-                    self.node_stats[id].messages += consumed;
-                    let mut max_formula = 0usize;
-                    for m in &self.scratch {
-                        if let Message::Activate(f) = m {
-                            max_formula = max_formula.max(f.size());
-                        }
-                    }
-                    if max_formula > 0 {
-                        self.stats.observe_formula(max_formula);
-                        self.node_stats[id].max_formula_size =
-                            self.node_stats[id].max_formula_size.max(max_formula);
-                    }
-                    let cs =
-                        &plan.cons[plan.cons_base[id] as usize..plan.cons_base[id + 1] as usize];
-                    if let Some((&last, rest)) = cs.split_last() {
-                        for &s in rest {
-                            self.inbox[s as usize].extend(self.scratch.iter().cloned());
-                        }
-                        let s = last as usize;
-                        if self.inbox[s].is_empty() {
-                            std::mem::swap(&mut self.inbox[s], &mut self.scratch);
-                        } else {
-                            self.inbox[s].append(&mut self.scratch);
-                        }
-                    }
-                    self.scratch.clear();
-                    continue;
-                }
+            let ns = &mut node_stats[id];
+            match &mut ops[id] {
                 OpState::Join(j) => {
-                    std::mem::swap(&mut self.inbox[base], &mut self.scratch);
-                    std::mem::swap(&mut self.inbox[base + 1], &mut self.scratch2);
-                    let consumed = (self.scratch.len() + self.scratch2.len()) as u64;
-                    self.stats.messages += consumed;
-                    self.node_stats[id].messages += consumed;
-                    let cs =
-                        &plan.cons[plan.cons_base[id] as usize..plan.cons_base[id + 1] as usize];
-                    if cs.len() == 1 {
-                        // Single consumer: emit straight into its inbox slot,
-                        // skipping the outbuf round trip.
-                        let s = cs[0] as usize;
-                        j.step2_drain(&mut self.scratch, &mut self.scratch2, &mut self.inbox[s]);
-                        std::mem::swap(&mut self.inbox[base], &mut self.scratch);
-                        std::mem::swap(&mut self.inbox[base + 1], &mut self.scratch2);
-                        continue;
-                    }
-                    j.step2_drain(&mut self.scratch, &mut self.scratch2, &mut self.outbuf);
-                    std::mem::swap(&mut self.inbox[base], &mut self.scratch);
-                    std::mem::swap(&mut self.inbox[base + 1], &mut self.scratch2);
+                    let (left, right) = inbox.split_at_mut(base + 1);
+                    let (left, right) = (&mut left[base], &mut right[0]);
+                    let consumed = (left.len() + right.len()) as u64;
+                    stats.messages += consumed;
+                    ns.messages += consumed;
+                    j.step_register(left, right, outbuf);
                 }
                 OpState::Emit(o) => {
-                    if self.inbox[base].len() == 1 {
-                        // Common tick: exactly one message (the document
-                        // event) — pop it straight through, no buffer swaps.
-                        self.stats.messages += 1;
-                        self.node_stats[id].messages += 1;
-                        let m = self.inbox[base].pop().expect("length checked");
-                        if let Message::Activate(f) = &m {
-                            let size = f.size();
-                            self.stats.observe_formula(size);
-                            self.node_stats[id].max_formula_size =
-                                self.node_stats[id].max_formula_size.max(size);
+                    let mut sink = Slot(sinks, plan.sink_of[id] as usize);
+                    if !inbox[base].is_empty() {
+                        std::mem::swap(&mut inbox[base], scratch);
+                        let consumed = scratch.len() as u64;
+                        stats.messages += consumed;
+                        ns.messages += consumed;
+                        for m in scratch.drain(..) {
+                            if let Message::Activate(f) = &m {
+                                ns.max_formula_size = ns.max_formula_size.max(f.size());
+                            }
+                            o.step(m, &mut sink, *tick, stats, store);
                         }
-                        let sink_idx = plan.sink_of[id] as usize;
-                        o.step(
-                            m,
-                            &mut Slot(sinks, sink_idx),
-                            self.tick,
-                            &mut self.stats,
-                            &self.store,
-                        );
-                        continue;
+                        std::mem::swap(&mut inbox[base], scratch);
                     }
-                    std::mem::swap(&mut self.inbox[base], &mut self.scratch);
-                    let sink_idx = plan.sink_of[id] as usize;
-                    // Counters batch over the drained slot, and only Activate
-                    // messages carry a formula — `formula_size()` is 0 for
-                    // everything else and `observe_formula` is a pure max, so
-                    // skipping the zeros is observationally identical to
-                    // per-message accounting.
-                    let consumed = self.scratch.len() as u64;
-                    self.stats.messages += consumed;
-                    self.node_stats[id].messages += consumed;
-                    let mut sink = Slot(sinks, sink_idx);
-                    for m in self.scratch.drain(..) {
-                        if let Message::Activate(f) = &m {
-                            let size = f.size();
-                            self.stats.observe_formula(size);
-                            self.node_stats[id].max_formula_size =
-                                self.node_stats[id].max_formula_size.max(size);
-                        }
-                        o.step(m, &mut sink, self.tick, &mut self.stats, &self.store);
+                    for _ in 0..plan.item_flow[id] {
+                        o.step(Message::Doc(doc), &mut sink, *tick, stats, store);
                     }
-                    std::mem::swap(&mut self.inbox[base], &mut self.scratch);
+                    live.note(id, o.live_candidates() > 0);
                     continue;
                 }
                 op => {
-                    let cs =
-                        &plan.cons[plan.cons_base[id] as usize..plan.cons_base[id + 1] as usize];
-                    let single = if cs.len() == 1 {
-                        Some(cs[0] as usize)
-                    } else {
-                        None
-                    };
-                    if let Some(s) = single {
-                        if self.inbox[base].len() == 1 {
-                            // Common tick: one message, one consumer — pop it
-                            // straight through, no buffer swaps or drains.
-                            self.stats.messages += 1;
-                            self.node_stats[id].messages += 1;
-                            let m = self.inbox[base].pop().expect("length checked");
-                            if let Message::Activate(f) = &m {
-                                let size = f.size();
-                                self.stats.observe_formula(size);
-                                self.node_stats[id].max_formula_size =
-                                    self.node_stats[id].max_formula_size.max(size);
-                            }
-                            op.step(m, &mut self.vars, &mut self.inbox[s]);
-                            let (d, c) = op.stack_sizes();
-                            self.stats.observe_stacks(d, c);
-                            self.node_stats[id].max_depth_stack =
-                                self.node_stats[id].max_depth_stack.max(d);
-                            self.node_stats[id].max_cond_stack =
-                                self.node_stats[id].max_cond_stack.max(c);
-                            continue;
-                        }
-                    }
-                    std::mem::swap(&mut self.inbox[base], &mut self.scratch);
-                    let consumed = self.scratch.len() as u64;
-                    self.stats.messages += consumed;
-                    self.node_stats[id].messages += consumed;
-                    if let Some(s) = single {
-                        // Hot path, single consumer: counters batched above,
-                        // emissions go straight into the consumer's inbox
-                        // slot (skipping the outbuf round trip), and only
-                        // formula-carrying messages need a tree walk.
-                        let mut max_formula = 0usize;
-                        for m in self.scratch.drain(..) {
-                            if let Message::Activate(f) = &m {
+                    // A split forwards every control message verbatim (the
+                    // fan-out below duplicates) and does nothing with the
+                    // register: with no transition trace to record, its
+                    // inbox moves out in bulk.
+                    let bulk = !*tracing && matches!(op, OpState::Split(_));
+                    if !inbox[base].is_empty() {
+                        let consumed = inbox[base].len() as u64;
+                        stats.messages += consumed;
+                        ns.messages += consumed;
+                        let mut max_formula = 0;
+                        for m in &inbox[base] {
+                            if let Message::Activate(f) = m {
                                 max_formula = max_formula.max(f.size());
                             }
-                            op.step(m, &mut self.vars, &mut self.inbox[s]);
                         }
                         if max_formula > 0 {
-                            self.stats.observe_formula(max_formula);
-                            self.node_stats[id].max_formula_size =
-                                self.node_stats[id].max_formula_size.max(max_formula);
+                            stats.observe_formula(max_formula);
+                            ns.max_formula_size = ns.max_formula_size.max(max_formula);
                         }
-                        std::mem::swap(&mut self.inbox[base], &mut self.scratch);
-                        let (d, c) = op.stack_sizes();
-                        self.stats.observe_stacks(d, c);
-                        self.node_stats[id].max_depth_stack =
-                            self.node_stats[id].max_depth_stack.max(d);
-                        self.node_stats[id].max_cond_stack =
-                            self.node_stats[id].max_cond_stack.max(c);
-                        continue;
-                    } else {
-                        // Hot path, fan-out (or sink) node: batch as above,
-                        // buffer emissions for the consumer loop below.
-                        let mut max_formula = 0usize;
-                        for m in self.scratch.drain(..) {
-                            if let Message::Activate(f) = &m {
-                                max_formula = max_formula.max(f.size());
+                        if bulk {
+                            std::mem::swap(&mut inbox[base], outbuf);
+                        } else {
+                            if let OpState::Child(c) = op {
+                                c.catch_up(before);
                             }
-                            op.step(m, &mut self.vars, &mut self.outbuf);
-                        }
-                        if max_formula > 0 {
-                            self.stats.observe_formula(max_formula);
-                            self.node_stats[id].max_formula_size =
-                                self.node_stats[id].max_formula_size.max(max_formula);
+                            std::mem::swap(&mut inbox[base], scratch);
+                            for m in scratch.drain(..) {
+                                op.step(m, vars, outbuf);
+                            }
+                            std::mem::swap(&mut inbox[base], scratch);
                         }
                     }
-                    std::mem::swap(&mut self.inbox[base], &mut self.scratch);
-                    let (d, c) = op.stack_sizes();
-                    self.stats.observe_stacks(d, c);
-                    self.node_stats[id].max_depth_stack =
-                        self.node_stats[id].max_depth_stack.max(d);
-                    self.node_stats[id].max_cond_stack = self.node_stats[id].max_cond_stack.max(c);
+                    if !bulk {
+                        for _ in 0..plan.item_flow[id] {
+                            op.step(Message::Doc(doc), vars, outbuf);
+                            // The step forwarded the register last; the
+                            // consumers read it from there.
+                            let forwarded = outbuf.pop();
+                            debug_assert!(matches!(forwarded, Some(Message::Doc(_))));
+                        }
+                        let (d, c) = op.stack_sizes(*depth);
+                        stats.observe_stacks(d, c);
+                        ns.max_depth_stack = ns.max_depth_stack.max(d);
+                        ns.max_cond_stack = ns.max_cond_stack.max(c);
+                        file_watch(opens, closes, id, op.watch());
+                    }
                 }
             }
-            // Fan out to the consumer slots; the last one takes ownership
-            // (and, when its slot is empty, the whole buffer by swap).
+            if outbuf.is_empty() {
+                continue;
+            }
+            // Fan out to the consumer slots, waking their nodes; the last
+            // takes ownership (and, when its slot is empty, the whole buffer
+            // by swap).
             let cs = &plan.cons[plan.cons_base[id] as usize..plan.cons_base[id + 1] as usize];
-            match cs.len() {
-                0 => self.outbuf.clear(),
-                1 => {
-                    let s = cs[0] as usize;
-                    if self.inbox[s].is_empty() {
-                        std::mem::swap(&mut self.inbox[s], &mut self.outbuf);
-                    } else {
-                        self.inbox[s].append(&mut self.outbuf);
-                    }
-                }
-                _ => {
-                    for &s in &cs[..cs.len() - 1] {
-                        self.inbox[s as usize].extend(self.outbuf.iter().cloned());
-                    }
-                    let s = cs[cs.len() - 1] as usize;
-                    self.inbox[s].append(&mut self.outbuf);
-                }
+            let Some((&last, rest)) = cs.split_last() else {
+                outbuf.clear();
+                continue;
+            };
+            for &s in rest {
+                inbox[s as usize].extend(outbuf.iter().cloned());
+                wake.insert(plan.slot_node[s as usize] as usize);
             }
+            let s = last as usize;
+            if inbox[s].is_empty() {
+                std::mem::swap(&mut inbox[s], outbuf);
+            } else {
+                inbox[s].append(outbuf);
+            }
+            wake.insert(plan.slot_node[s] as usize);
         }
     }
 
@@ -958,6 +1243,7 @@ impl Machine {
                 );
             }
         }
+        self.live.clear();
         for slot in &mut self.inbox {
             slot.clear();
         }
@@ -977,27 +1263,19 @@ impl Machine {
                 );
             }
         }
+        self.live.clear();
         self.stats.ticks = self.tick;
         self.stats.vars_created = u64::from(self.vars.minted());
         self.stats.peak_arena_bytes = self.stats.peak_arena_bytes.max(self.store.peak_bytes());
         self.stats.interned_symbols = self.stats.interned_symbols.max(self.store.symbols().len());
-        self.harvest_latency();
         if self.tracer.enabled() {
             self.emit_trace();
         }
     }
 
-    fn harvest_latency(&mut self) {
-        for &id in &self.plan.outputs {
-            if let OpState::Emit(o) = &self.ops[id as usize] {
-                self.det_latency[id as usize].merge(o.determination_latency());
-            }
-        }
-    }
-
     /// Determination-latency histograms, one `(node id, histogram)` pair per
     /// output node, including latencies accumulated across
-    /// [`Machine::reset_session`] rebuilds. See
+    /// [`Machine::reset_session`] and restored from a snapshot. See
     /// [`Output::determination_latency`] for the measure's definition.
     pub fn determination_latency(&self) -> Vec<(usize, Histogram)> {
         let mut out = Vec::new();
@@ -1018,6 +1296,7 @@ impl Machine {
         let t = &self.tracer;
         t.counter("engine.ticks", self.stats.ticks);
         t.counter("engine.messages", self.stats.messages);
+        t.counter("engine.ops_stepped", self.ops_stepped);
         t.counter("engine.results", self.stats.results);
         t.counter("engine.dropped", self.stats.dropped);
         t.counter("engine.candidates_created", self.stats.candidates_created);
@@ -1038,7 +1317,7 @@ impl Machine {
             "engine.max_stream_depth",
             self.stats.max_stream_depth as u64,
         );
-        for ns in &self.node_stats {
+        for ns in &self.transducer_stats() {
             t.counter_with(
                 "engine.node.messages",
                 ns.messages,
@@ -1048,55 +1327,56 @@ impl Machine {
                 ],
             );
         }
-        // harvest_latency already folded the live outputs in; reading the
-        // accumulators directly avoids double counting.
-        for &id in &self.plan.outputs {
+        for (id, h) in self.determination_latency() {
             t.hist(
                 "engine.determination_latency",
-                &self.det_latency[id as usize],
-                &[
-                    ("node", Value::U64(u64::from(id))),
-                    ("kind", Value::from("OU")),
-                ],
+                &h,
+                &[("node", Value::U64(id as u64)), ("kind", Value::from("OU"))],
             );
         }
     }
 
     /// Reset the run for the next document of a long-lived session, keeping
-    /// the plan, the accumulated statistics, and every allocation (inbox
-    /// slots, drain buffers, the arena's capacity).
+    /// the plan, the accumulated statistics, and every allocation (operator
+    /// stacks, inbox slots, drain buffers, the arena's capacity).
     ///
     /// Call at a document boundary. The reset releases everything the
     /// previous document could leak into the next one:
     ///
-    /// * every operator state is re-instantiated from the plan, so stale
-    ///   candidate buffers, pending activations, and half-popped stacks
-    ///   (e.g. after a truncated document) cannot survive,
-    /// * in-flight inbox messages are discarded,
+    /// * every operator the document stepped returns, in place, to its
+    ///   freshly instantiated state, so stale candidate buffers, pending
+    ///   activations, and half-popped stacks (e.g. after a truncated
+    ///   document) cannot survive; an operator the document never stepped
+    ///   is still in that state,
     /// * the arena's event bytes are recycled (the high-water mark is folded
     ///   into the stats),
     /// * interned symbols beyond the query-label baseline are forgotten, so
     ///   a session streaming documents with disjoint vocabularies cannot
     ///   grow the symbol table without bound.
     ///
-    /// Accumulated statistics and the tick counter continue across the
-    /// reset. A latched resource-limit breach is *not* cleared: an exhausted
-    /// run stays exhausted (the session must be torn down).
+    /// Accumulated statistics, determination latencies and the tick counter
+    /// continue across the reset. A latched resource-limit breach is *not*
+    /// cleared: an exhausted run stays exhausted (the session must be torn
+    /// down).
     pub fn reset_session(&mut self) {
-        // The rebuild below discards the output operators (and with them
-        // the per-document determination latencies) — fold them into the
-        // across-reset accumulators first.
-        self.harvest_latency();
         self.store.reset();
         self.store.symbols_mut().truncate(self.symbol_baseline);
-        self.ops = self.plan.instantiate(self.store.symbols_mut());
-        for slot in &mut self.inbox {
-            slot.clear();
+        if self.all_touched {
+            self.all_touched = false;
+            self.touched.clear();
+            self.touched.extend(0..self.ops.len() as u32);
         }
+        for &id in &self.touched {
+            let id = id as usize;
+            self.is_touched[id] = false;
+            let op = &mut self.ops[id];
+            op.reset();
+            file_watch(&mut self.opens, &mut self.closes, id, op.watch());
+        }
+        self.touched.clear();
+        self.live.clear();
+        debug_assert!(self.inbox.iter().all(Vec::is_empty));
         self.depth = 0;
-        if self.tracing {
-            self.set_tracing(true);
-        }
     }
 
     /// Capture the run's accumulator state as a [`Snapshot`], valid only at
@@ -1109,17 +1389,12 @@ impl Machine {
     /// mark, limits, and the interned symbols. The returned snapshot has no
     /// session section; drivers attach one before encoding.
     pub fn checkpoint(&self) -> Result<Snapshot, SnapshotError> {
-        if self.depth != 0 || !self.outputs_idle() || !self.store.is_empty() {
+        if self.depth != 0 || !self.live.list.is_empty() || !self.store.is_empty() {
             return Err(SnapshotError::NotQuiescent);
         }
-        // Merge live output latencies into a copy of the accumulators: this
-        // is exactly what the continuing run folds in at its next
-        // harvest, so checkpoint-then-restore and plain continuation agree.
         let mut det_latency = self.det_latency.clone();
-        for &id in &self.plan.outputs {
-            if let OpState::Emit(o) = &self.ops[id as usize] {
-                det_latency[id as usize].merge(o.determination_latency());
-            }
+        for (id, h) in self.determination_latency() {
+            det_latency[id] = h;
         }
         let symbols = (0..self.store.symbols().len())
             .map(|i| self.store.symbols().name(i as u32).to_string())
@@ -1127,7 +1402,7 @@ impl Machine {
         Ok(Snapshot {
             tick: self.tick,
             stats: self.stats.clone(),
-            transducers: self.node_stats.clone(),
+            transducers: self.transducer_stats(),
             minted: self.vars.minted(),
             det_latency,
             exhausted: self.exhausted,
@@ -1207,9 +1482,31 @@ impl Machine {
 
     /// Per-transducer snapshots so far, indexed by instruction id
     /// (topological order). `sum(messages)` equals
-    /// [`EngineStats::messages`].
-    pub fn transducer_stats(&self) -> &[TransducerStats] {
-        &self.node_stats
+    /// [`EngineStats::messages`]. Built on each call: the document messages
+    /// the VM accounts statically are folded in here.
+    pub fn transducer_stats(&self) -> Vec<TransducerStats> {
+        let plan = &self.plan;
+        self.node_stats
+            .iter()
+            .zip(&plan.code)
+            .zip(&plan.item_flow)
+            .map(|((ns, node), &flow)| {
+                let mut t = ns.clone();
+                t.messages += self.doc_ticks * u64::from(flow);
+                if tracks_depth(node) {
+                    t.max_depth_stack = t.max_depth_stack.max(self.depth_peak);
+                }
+                t
+            })
+            .collect()
+    }
+
+    /// Operator steps taken so far: under the VM's schedule, the nodes its
+    /// wake sets held, summed over ticks (the reference executor steps every
+    /// node on every tick). Not part of [`EngineStats`] or a snapshot: it
+    /// measures the schedule, not the paper's network.
+    pub fn ops_stepped(&self) -> u64 {
+        self.ops_stepped
     }
 
     /// The current tick number (document messages pushed so far).
@@ -1265,10 +1562,10 @@ mod tests {
 
     #[test]
     fn vm_matches_network_on_the_paper_examples() {
-        // The second document carries a text event: the VM takes the
-        // inert-tick bypass for it (static per-node message counts, only the
-        // outputs step) while the reference steps every node, so equal
-        // statistics assert the bypass's accounting.
+        // The second document carries a text event: the VM steps only the
+        // live outputs on it and accounts every node's document message
+        // statically, while the reference steps every node, so equal
+        // statistics assert the static accounting.
         for xml in [FIG1, "<a><a><c/></a><b/><c>t</c></a>"] {
             for query in ["a.c", "a+.c+", "_*.a[b].c", "_*._", "a|b", "a?.c", "b*"] {
                 let (vf, vs) = run_vm(query, xml);

@@ -43,14 +43,25 @@ impl Formula {
         Formula::Var(v)
     }
 
-    /// Binary conjunction (normalized).
+    /// Binary conjunction (normalized). A constant operand folds without
+    /// building a children list (the common `[true ∧ c]` of a variable
+    /// creator).
     pub fn and(a: Formula, b: Formula) -> Formula {
-        Formula::conj(vec![a, b])
+        match (a, b) {
+            (Formula::True, x) | (x, Formula::True) => x,
+            (Formula::False, _) | (_, Formula::False) => Formula::False,
+            (a, b) => Formula::conj(vec![a, b]),
+        }
     }
 
-    /// Binary disjunction (normalized).
+    /// Binary disjunction (normalized), folding a constant operand like
+    /// [`Formula::and`].
     pub fn or(a: Formula, b: Formula) -> Formula {
-        Formula::disj(vec![a, b])
+        match (a, b) {
+            (Formula::False, x) | (x, Formula::False) => x,
+            (Formula::True, _) | (_, Formula::True) => Formula::True,
+            (a, b) => Formula::disj(vec![a, b]),
+        }
     }
 
     /// N-ary conjunction (normalized).
@@ -225,6 +236,29 @@ impl Formula {
         let mut out = BTreeSet::new();
         self.collect_vars(&mut out);
         out.into_iter().collect()
+    }
+
+    /// Call `f` on every variable occurrence (a variable occurring twice is
+    /// visited twice), without collecting them.
+    pub fn for_each_var(&self, f: &mut impl FnMut(CondVar)) {
+        match self {
+            Formula::True | Formula::False => {}
+            Formula::Var(v) => f(*v),
+            Formula::And(kids) | Formula::Or(kids) => {
+                for k in kids {
+                    k.for_each_var(f);
+                }
+            }
+        }
+    }
+
+    /// Does the formula mention a variable of `qualifier`?
+    pub fn mentions(&self, qualifier: QualifierId) -> bool {
+        match self {
+            Formula::True | Formula::False => false,
+            Formula::Var(v) => v.qualifier == qualifier,
+            Formula::And(kids) | Formula::Or(kids) => kids.iter().any(|k| k.mentions(qualifier)),
+        }
     }
 
     /// All variables belonging to `qualifier` (used by the positive
