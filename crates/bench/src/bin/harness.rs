@@ -404,7 +404,8 @@ fn transducers() {
         sum, stats.messages,
         "per-transducer sum must equal the global count"
     );
-    let stepped = r.ops_stepped.expect("spex operator steps");
+    let by_kind = r.ops_stepped.expect("spex operator steps");
+    let stepped: u64 = by_kind.iter().map(|k| k.1).sum();
     println!(
         "{:>5} {:<16} {:>12}   ({:.2} per event; stepping every node: {})",
         "",
@@ -413,6 +414,15 @@ fn transducers() {
         stepped as f64 / stats.ticks as f64,
         rows.len()
     );
+    for (kind, steps) in by_kind {
+        println!(
+            "{:>5} {:<16} {:>12}   ({:.2} per event)",
+            "",
+            format!("  {kind} steps"),
+            steps,
+            steps as f64 / stats.ticks as f64
+        );
+    }
 
     // Faults section: the same query over a deliberately corrupted stream,
     // evaluated under the Repair policy. Shows what the recovery layer

@@ -368,8 +368,9 @@ macro_rules! drive_session {
 /// the statistics and determination latency of the whole session; and each
 /// document's fragments must equal those of a fresh VM run of the set over
 /// that document alone (a cut document's: those its prefix delivered, with
-/// no end-of-stream flush). Returns one line per divergence.
-fn diff_session_case(queries: &[Rpeq], documents: &[SessionDocument]) -> Vec<String> {
+/// no end-of-stream flush). Returns one line per divergence, and whether the
+/// set's plan runs a label switch.
+fn diff_session_case(queries: &[Rpeq], documents: &[SessionDocument]) -> (Vec<String>, bool) {
     let named: Vec<(String, Rpeq)> = queries
         .iter()
         .enumerate()
@@ -377,7 +378,7 @@ fn diff_session_case(queries: &[Rpeq], documents: &[SessionDocument]) -> Vec<Str
         .collect();
     let set = match spex_combine::combine(&named) {
         Ok(c) => c.set,
-        Err(e) => return vec![format!("query set failed to combine: {e}")],
+        Err(e) => return (vec![format!("query set failed to combine: {e}")], false),
     };
     let collectors = || -> Vec<FragmentCollector> {
         (0..set.ids().len())
@@ -433,7 +434,7 @@ fn diff_session_case(queries: &[Rpeq], documents: &[SessionDocument]) -> Vec<Str
             ));
         }
     }
-    divergences
+    (divergences, set.plan().switch_count() > 0)
 }
 
 /// A seeded random session: 1–32 queries over 2–6 documents; in one case
@@ -536,6 +537,10 @@ pub struct DiffOutcome {
     pub fragments: usize,
     /// Clean cases that selected at least one node.
     pub selecting_cases: usize,
+    /// Cases whose clean query or session set formed a label switch.
+    pub switch_cases: usize,
+    /// Cases whose clean query formed a label switch.
+    pub clean_switch_cases: usize,
     /// Every divergence found; must be empty.
     pub divergences: Vec<String>,
     /// Set by [`scan_diff`]: the sweep compared the two scanners, not the
@@ -566,21 +571,34 @@ impl DiffOutcome {
             "{} {compared} ({} selected >=1 node, {} fragment(s) {agreed})",
             self.cases, self.selecting_cases, self.fragments
         )];
+        let mut failures = self.divergences;
         if self.sessions > 0 {
             summary.push(format!(
                 "{} session case(s) compared ({} document(s), {} cut short, reset at each </$>)",
                 self.sessions, self.session_documents, self.session_cuts
             ));
+            summary.push(format!(
+                "{} case(s) formed a label switch ({} by the clean query)",
+                self.switch_cases, self.clean_switch_cases
+            ));
+            // A change that silently stops forming switches would leave the
+            // switched schedule uncompared.
+            if self.switch_cases * 100 < self.cases {
+                failures.push(format!(
+                    "only {} of {} case(s) formed a label switch; at least 1 in 100 must",
+                    self.switch_cases, self.cases
+                ));
+            }
         }
         summary.push(format!(
             "{} {comparisons}, {} divergence(s)",
             self.fault_comparisons,
-            self.divergences.len()
+            failures.len()
         ));
         Report {
             summary,
             prefix,
-            failures: self.divergences,
+            failures,
         }
     }
 }
@@ -600,7 +618,8 @@ pub fn vm_diff(cases: usize, seed: u64, fault_rounds: usize) -> DiffOutcome {
         outcome.sessions += 1;
         outcome.session_documents += documents.len();
         outcome.session_cuts += documents.iter().filter(|d| d.cut).count();
-        for d in diff_session_case(&queries, &documents) {
+        let (session, session_switch) = diff_session_case(&queries, &documents);
+        for d in session {
             let set: Vec<String> = queries.iter().map(ToString::to_string).collect();
             outcome
                 .divergences
@@ -610,6 +629,10 @@ pub fn vm_diff(cases: usize, seed: u64, fault_rounds: usize) -> DiffOutcome {
         let xml = gen_document(&mut rng);
         let label = format!("case {i} (seed {seed}, query `{query}`)");
         outcome.cases += 1;
+        let clean_switch =
+            CompiledNetwork::try_compile(&query).is_ok_and(|n| n.plan().switch_count() > 0);
+        outcome.clean_switch_cases += usize::from(clean_switch);
+        outcome.switch_cases += usize::from(clean_switch || session_switch);
         let clean = diff_case(&query, &xml);
         if clean.is_empty() {
             let n = count_results(&query, &xml);
@@ -821,7 +844,7 @@ mod tests {
         for _ in 0..40 {
             let (queries, documents) = gen_session(&mut rng);
             cuts += documents.iter().filter(|d| d.cut).count();
-            let d = diff_session_case(&queries, &documents);
+            let (d, _) = diff_session_case(&queries, &documents);
             assert!(d.is_empty(), "{d:#?}");
         }
         assert!(cuts > 0, "no session cut a document short");

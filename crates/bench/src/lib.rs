@@ -69,9 +69,9 @@ pub struct RunResult {
     pub stats: Option<EngineStats>,
     /// Per-transducer snapshots (SPEX only).
     pub transducer_stats: Option<Vec<TransducerStats>>,
-    /// Operator steps the VM's schedule took (SPEX only; see
-    /// `Machine::ops_stepped`).
-    pub ops_stepped: Option<u64>,
+    /// Operator steps the VM's schedule took, by node kind (SPEX only; see
+    /// `Machine::ops_stepped_by_kind`).
+    pub ops_stepped: Option<Vec<(String, u64)>>,
 }
 
 /// Evaluate `query` over `events` with `processor`, returning time and
@@ -112,7 +112,7 @@ pub fn run_spex_streaming(query: &Rpeq, events: impl Iterator<Item = XmlEvent>) 
     for ev in events {
         eval.push(ev);
     }
-    let ops_stepped = eval.ops_stepped();
+    let ops_stepped = eval.ops_stepped_by_kind();
     let (stats, transducers) = eval.finish_full();
     RunResult {
         elapsed: start.elapsed(),

@@ -313,7 +313,7 @@ fn reference_tick(
     consumers: &[Vec<(usize, usize)>],
 ) {
     m.touch_all();
-    m.ops_stepped += consumers.len() as u64;
+    m.count_every_step();
     let mut inbox: Vec<[Vec<Message>; 2]> = vec![Default::default(); consumers.len()];
     inbox[0][0].push(Message::Doc(doc));
     for id in 0..consumers.len() {

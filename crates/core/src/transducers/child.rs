@@ -80,6 +80,10 @@ pub enum MatchLabel {
     Wildcard,
     /// Matches one interned symbol.
     Symbol(crate::message::Symbol),
+    /// A label switch's test: matches each symbol `s` with `members[s]`
+    /// set, the index of the switch member whose label `s` is (`u32::MAX`
+    /// for none). See [`crate::vm`].
+    OneOf(Box<[u32]>),
 }
 
 impl MatchLabel {
@@ -91,11 +95,11 @@ impl MatchLabel {
         }
     }
 
-    /// The one symbol this label matches, if it is not the wildcard.
+    /// The one symbol this label matches, if there is just one.
     pub fn symbol(&self) -> Option<crate::message::Symbol> {
         match self {
-            MatchLabel::Wildcard => None,
             MatchLabel::Symbol(s) => Some(*s),
+            MatchLabel::Wildcard | MatchLabel::OneOf(_) => None,
         }
     }
 
@@ -105,6 +109,18 @@ impl MatchLabel {
             // `_` matches every node label, but `$` is not a node label.
             MatchLabel::Wildcard => sym != crate::message::DOC_SYMBOL,
             MatchLabel::Symbol(s) => *s == sym,
+            MatchLabel::OneOf(_) => self.member(sym).is_some(),
+        }
+    }
+
+    /// For a switch's test, the member whose label `sym` is.
+    pub fn member(&self, sym: crate::message::Symbol) -> Option<usize> {
+        match self {
+            MatchLabel::OneOf(members) => members
+                .get(sym as usize)
+                .filter(|&&m| m != u32::MAX)
+                .map(|&m| m as usize),
+            _ => None,
         }
     }
 }
@@ -128,6 +144,11 @@ impl Child {
     /// stepped on every document message keeps track itself.
     pub fn catch_up(&mut self, stream_depth: u32) {
         self.at = stream_depth;
+    }
+
+    /// The label this child matches.
+    pub fn label(&self) -> &MatchLabel {
+        &self.label
     }
 
     /// `matching` (a settled child whose stream is at its top entry's level).
@@ -274,7 +295,8 @@ impl Transducer for Child {
             // A child of the activator that matches opens one level below
             // it (7; a non-matching one, 8, changes nothing stored); the
             // activator's close ends the activation (9, 10). Nothing in
-            // between changes what is stored.
+            // between changes what is stored. A switch's test names no one
+            // label, so it watches every open there.
             State::Settled => match self.depth.last() {
                 Some(&(d, _)) => Watch {
                     open: Some(d + 1),
@@ -407,6 +429,11 @@ mod tests {
         assert!(!MatchLabel::Wildcard.matches(crate::message::DOC_SYMBOL));
         assert!(MatchLabel::Symbol(3).matches(3));
         assert!(!MatchLabel::Symbol(3).matches(4));
+        let switch = MatchLabel::OneOf(vec![u32::MAX, 1, u32::MAX, 0].into());
+        assert!(switch.matches(1) && switch.matches(3));
+        assert!(!switch.matches(0) && !switch.matches(2) && !switch.matches(9));
+        assert_eq!((switch.member(3), switch.member(1)), (Some(0), Some(1)));
+        assert_eq!(switch.symbol(), None);
     }
 
     #[test]

@@ -347,6 +347,19 @@ impl Output {
             self.candidates.pop_front();
             self.base += 1;
         }
+        if self.candidates.is_empty() && !self.var_index.is_empty() {
+            // Every indexed id is gone: an idle output indexes nothing.
+            self.unindex_all();
+        }
+    }
+
+    /// Empty `var_index`, keeping its lists for the next variables.
+    #[cold]
+    fn unindex_all(&mut self) {
+        for (_, mut ids) in self.var_index.drain() {
+            ids.clear();
+            self.spare.push(ids);
+        }
     }
 
     /// No further input will be processed: every remaining variable's scope
@@ -376,10 +389,7 @@ impl Output {
         self.candidates.clear();
         self.open_stack.clear();
         self.open_live = 0;
-        for (_, mut ids) in self.var_index.drain() {
-            ids.clear();
-            self.spare.push(ids);
-        }
+        self.unindex_all();
         self.pending.clear();
         self.buffered = 0;
     }
@@ -440,6 +450,12 @@ impl Output {
             stats.results += 1;
         }
         self.clear();
+    }
+
+    /// No candidate and no pending activation: a determination would
+    /// change nothing here (nothing holds a formula to apply it to).
+    pub fn idle(&self) -> bool {
+        self.candidates.is_empty() && self.pending.is_empty()
     }
 
     /// Number of live (buffering or streaming) candidates. An OU with none
@@ -514,6 +530,35 @@ mod tests {
         assert_eq!(stats.dropped, 0);
         // Progressive: delivery began at the tick of the opening message.
         assert_eq!(sink.timing, vec![(2, 2)]);
+    }
+
+    #[test]
+    fn an_idle_output_indexes_nothing() {
+        // `v1 ∨ v2` is accepted by `v1` alone: once the fragment is out,
+        // `v2` indexes no candidate, and a determination of it (which the
+        // VM counts at an idle output without stepping it) has nothing to
+        // clean up.
+        let mut store = EventStore::new();
+        let stream = stream_of(&mut store, "<a><b>t</b></a>");
+        let (v1, v2) = (CondVar::new(0, 1), CondVar::new(0, 2));
+        let mut msgs = Vec::new();
+        for (i, m) in stream.iter().enumerate() {
+            if i == 2 {
+                let f = Formula::or(Formula::Var(v1), Formula::Var(v2));
+                msgs.push(Message::Activate(f));
+            }
+            if i == 4 {
+                msgs.push(Message::Determine(v1, Determination::True));
+            }
+            msgs.push(m.clone());
+        }
+        let mut out = Output::new();
+        let (mut sink, mut stats) = (FragmentCollector::new(), EngineStats::default());
+        assert!(out.idle());
+        drive(&mut out, msgs, 0, &mut sink, &mut stats, &store);
+        assert_eq!(sink.fragments(), ["<b>t</b>".to_string()]);
+        assert!(out.idle());
+        assert!(out.var_index.is_empty());
     }
 
     #[test]

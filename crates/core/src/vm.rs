@@ -32,6 +32,13 @@
 //! when statistics are read. A session reset clears in place only the nodes
 //! stepped since the last one.
 //!
+//! The child steps one producer feeds, when their names are pairwise
+//! distinct, run as one *label switch*: one child testing all their labels,
+//! which sends an activation only to the consumers of the member whose label
+//! opened (every member reads the same inbox, so their states differ only in
+//! the label test). A batch of determinations only that reaches an output
+//! with nothing to apply it to is counted there, not stepped.
+//!
 //! [`PlanRun`] is the only executor anything outside a differential rig
 //! reaches: [`crate::Evaluator`], the multi-query and conjunctive-query
 //! runs, the recovery driver and the server sessions all run on it. Its
@@ -65,6 +72,7 @@ use crate::transducers::var_determinant::VarDeterminant;
 use crate::transducers::var_filter::VarFilter;
 use crate::transducers::{Transducer, Watch};
 use spex_formula::VarFactory;
+use spex_query::Label;
 use spex_trace::{Histogram, Tracer, Value};
 use spex_xml::{EventId, EventStore, StoredKind, XmlEvent};
 use std::collections::HashMap;
@@ -119,6 +127,16 @@ pub struct Plan {
     /// Whether any node keeps a depth stack (whose height is the stream
     /// depth).
     has_depth_ops: bool,
+    /// The end of each node's consumer edges under the switched schedule
+    /// (`cons[cons_base[v]..cons_cut[v]]`): a producer feeding a label
+    /// switch lists the switch's first member there and the others after
+    /// the cut.
+    cons_cut: Vec<u32>,
+    /// Label switches: each one's members, ascending. The first member's id
+    /// is the switch's place in the schedule.
+    switches: Vec<Box<[u32]>>,
+    /// The switch each first member leads, `NIL` for every other node.
+    switch_of: Vec<u32>,
 }
 
 impl Plan {
@@ -146,21 +164,14 @@ impl Plan {
             slots += ins.len().max(1) as u32;
         }
         port_base.push(slots);
-        // Consumer edges, flattened in producer order (ascending consumer id
-        // within each producer, exactly like the reference executor's wiring).
-        let mut per_node: Vec<Vec<u32>> = vec![Vec::new(); n];
+        // Consumer edges `(node, slot)`, per producer in ascending consumer
+        // id, like the reference executor's wiring.
+        let mut per_node: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
         for (v, ins) in spec.inputs.iter().enumerate() {
             for (port, u) in ins.iter().enumerate() {
-                per_node[*u].push(port_base[v] + port as u32);
+                per_node[*u].push((v as u32, port_base[v] + port as u32));
             }
         }
-        let mut cons_base = Vec::with_capacity(n + 1);
-        let mut cons = Vec::new();
-        for edges in &per_node {
-            cons_base.push(cons.len() as u32);
-            cons.extend_from_slice(edges);
-        }
-        cons_base.push(cons.len() as u32);
         let mut slot_node = vec![0u32; slots as usize];
         for v in 0..n {
             for slot in &mut slot_node[port_base[v] as usize..port_base[v + 1] as usize] {
@@ -189,6 +200,40 @@ impl Plan {
             }
         }
         let item_total = item_flow.iter().map(|&f| u64::from(f)).sum();
+        // Label switches: the CH consumers of one producer whose names are
+        // pairwise distinct (a name two of them share, and the wildcard,
+        // stay out). Their members sort to the end of the producer's edges,
+        // the first of them before the cut.
+        let mut switches = Vec::new();
+        let mut switch_of = vec![NIL; n];
+        let mut cons_base = Vec::with_capacity(n + 1);
+        let mut cons_cut = Vec::with_capacity(n);
+        let mut cons = Vec::new();
+        for edges in &mut per_node {
+            let name = |v: u32| match &spec.nodes[v as usize] {
+                NodeSpec::Child(Label::Name(l)) if item_flow[v as usize] == 1 => Some(l),
+                _ => None,
+            };
+            let mut uses: HashMap<&str, u32> = HashMap::new();
+            for &(v, _) in edges.iter() {
+                if let Some(l) = name(v) {
+                    *uses.entry(l).or_default() += 1;
+                }
+            }
+            let member = |v: u32| name(v).is_some_and(|l| uses[l.as_str()] == 1);
+            let members: Box<[u32]> = edges.iter().map(|e| e.0).filter(|&v| member(v)).collect();
+            cons_base.push(cons.len() as u32);
+            let mut hidden = 0;
+            if members.len() >= 2 {
+                switch_of[members[0] as usize] = switches.len() as u32;
+                edges.sort_by_key(|&(v, _)| member(v) && v != members[0]);
+                hidden = members.len() - 1;
+                switches.push(members);
+            }
+            cons.extend(edges.iter().map(|e| e.1));
+            cons_cut.push((cons.len() - hidden) as u32);
+        }
+        cons_base.push(cons.len() as u32);
         let always = (0..n)
             .filter(|&v| match &spec.nodes[v] {
                 NodeSpec::Following(_) | NodeSpec::Preceding(..) => true,
@@ -209,7 +254,27 @@ impl Plan {
             item_total,
             always,
             has_depth_ops: spec.nodes.iter().any(tracks_depth),
+            cons_cut,
+            switches,
+            switch_of,
         }
+    }
+
+    /// Node `v`'s consumer slots: under the switched schedule, where a
+    /// label switch's first member stands for them all, or every edge.
+    fn consumers(&self, v: usize, switched: bool) -> &[u32] {
+        let end = if switched {
+            self.cons_cut[v]
+        } else {
+            self.cons_base[v + 1]
+        };
+        &self.cons[self.cons_base[v] as usize..end as usize]
+    }
+
+    /// The number of label switches the VM runs for this plan (see
+    /// DESIGN.md §14).
+    pub fn switch_count(&self) -> usize {
+        self.switches.len()
     }
 
     /// The number of instructions (== the network degree).
@@ -279,6 +344,31 @@ impl Plan {
             })
             .collect()
     }
+
+    /// Instantiate the label switches: one child each, testing its members'
+    /// labels (already in `symbols`, so nothing new is interned).
+    fn instantiate_switches(&self, symbols: &mut spex_xml::SymbolTable) -> Vec<Switch> {
+        self.switches
+            .iter()
+            .map(|members| {
+                let mut table = Vec::new();
+                for (i, &m) in members.iter().enumerate() {
+                    let NodeSpec::Child(l) = &self.code[m as usize] else {
+                        unreachable!("switch members are child steps")
+                    };
+                    let sym = MatchLabel::resolve(l, symbols).symbol().expect("named") as usize;
+                    if sym >= table.len() {
+                        table.resize(sym + 1, NIL);
+                    }
+                    table[sym] = i as u32;
+                }
+                Switch {
+                    op: OpState::Child(Child::new(MatchLabel::OneOf(table.into()))),
+                    stats: TransducerStats::default(),
+                }
+            })
+            .collect()
+    }
 }
 
 /// Does the node keep a depth stack, one entry per open level (however
@@ -313,107 +403,71 @@ pub(crate) enum OpState {
     Emit(Box<Output>),
 }
 
+/// `$body` over the transducer `$t` of a single-input operator state; the
+/// join and the output, which have interfaces of their own, take the
+/// `Join` and `Emit` arms.
+macro_rules! each_op {
+    ($op:expr, $t:ident => $body:expr, Join($j:pat) => $join:expr, Emit($o:pat) => $emit:expr) => {
+        match $op {
+            OpState::Input($t) => $body,
+            OpState::Child($t) => $body,
+            OpState::Closure($t) => $body,
+            OpState::Following($t) => $body,
+            OpState::Preceding($t) => $body,
+            OpState::VarCreator($t) => $body,
+            OpState::VarFilter($t) => $body,
+            OpState::VarDeterminant($t) => $body,
+            OpState::Split($t) => $body,
+            OpState::Union($t) => $body,
+            OpState::Join($j) => $join,
+            OpState::Emit($o) => $emit,
+        }
+    };
+}
+
 impl OpState {
     /// Statically dispatched step for the single-input operators.
     /// Join and Emit are handled directly by the tick loop.
     #[inline]
     pub(crate) fn step(&mut self, msg: Message, vars: &mut VarFactory, out: &mut Vec<Message>) {
-        match self {
-            OpState::Input(t) => t.step(msg, vars, out),
-            OpState::Child(t) => t.step(msg, vars, out),
-            OpState::Closure(t) => t.step(msg, vars, out),
-            OpState::Following(t) => t.step(msg, vars, out),
-            OpState::Preceding(t) => t.step(msg, vars, out),
-            OpState::VarCreator(t) => t.step(msg, vars, out),
-            OpState::VarFilter(t) => t.step(msg, vars, out),
-            OpState::VarDeterminant(t) => t.step(msg, vars, out),
-            OpState::Split(t) => t.step(msg, vars, out),
-            OpState::Union(t) => t.step(msg, vars, out),
-            OpState::Join(_) | OpState::Emit(_) => unreachable!("handled by the tick loop"),
-        }
+        each_op!(self, t => t.step(msg, vars, out),
+            Join(_) => unreachable!("handled by the tick loop"),
+            Emit(_) => unreachable!("handled by the tick loop"))
     }
 
     /// (depth stack, condition stack) heights with the stream at
     /// `stream_depth`.
     pub(crate) fn stack_sizes(&self, stream_depth: usize) -> (usize, usize) {
-        match self {
-            OpState::Input(t) => t.stack_sizes(stream_depth),
-            OpState::Child(t) => t.stack_sizes(stream_depth),
-            OpState::Closure(t) => t.stack_sizes(stream_depth),
-            OpState::Following(t) => t.stack_sizes(stream_depth),
-            OpState::Preceding(t) => t.stack_sizes(stream_depth),
-            OpState::VarCreator(t) => t.stack_sizes(stream_depth),
-            OpState::VarFilter(t) => t.stack_sizes(stream_depth),
-            OpState::VarDeterminant(t) => t.stack_sizes(stream_depth),
-            OpState::Split(t) => t.stack_sizes(stream_depth),
-            OpState::Union(t) => t.stack_sizes(stream_depth),
-            OpState::Join(_) | OpState::Emit(_) => (0, 0),
-        }
+        each_op!(self, t => t.stack_sizes(stream_depth), Join(_) => (0, 0), Emit(_) => (0, 0))
     }
 
     /// The document events that can change this node's state with no
     /// control message (see [`Transducer::watch`]).
     fn watch(&self) -> Watch {
-        match self {
-            OpState::Input(t) => t.watch(),
-            OpState::Child(t) => t.watch(),
-            OpState::Closure(t) => t.watch(),
-            OpState::VarCreator(t) => t.watch(),
-            _ => Watch::default(),
-        }
+        each_op!(self, t => t.watch(), Join(_) => Watch::default(), Emit(_) => Watch::default())
     }
 
     /// Back to the freshly instantiated state, in place.
     fn reset(&mut self) {
-        match self {
-            OpState::Input(t) => t.reset(),
-            OpState::Child(t) => t.reset(),
-            OpState::Closure(t) => t.reset(),
-            OpState::Following(t) => t.reset(),
-            OpState::Preceding(t) => t.reset(),
-            OpState::VarCreator(t) => t.reset(),
-            OpState::VarFilter(t) => t.reset(),
-            OpState::VarDeterminant(t) => t.reset(),
-            OpState::Split(t) => t.reset(),
-            OpState::Union(t) => t.reset(),
-            OpState::Join(j) => j.reset(),
-            OpState::Emit(o) => o.reset(),
-        }
+        each_op!(self, t => t.reset(), Join(j) => j.reset(), Emit(o) => o.reset())
     }
 
     fn set_tracing(&mut self, on: bool) {
-        match self {
-            OpState::Input(t) => t.set_tracing(on),
-            OpState::Child(t) => t.set_tracing(on),
-            OpState::Closure(t) => t.set_tracing(on),
-            OpState::Following(t) => t.set_tracing(on),
-            OpState::Preceding(t) => t.set_tracing(on),
-            OpState::VarCreator(t) => t.set_tracing(on),
-            OpState::VarFilter(t) => t.set_tracing(on),
-            OpState::VarDeterminant(t) => t.set_tracing(on),
-            OpState::Split(t) => t.set_tracing(on),
-            OpState::Union(t) => t.set_tracing(on),
-            OpState::Join(j) => j.set_tracing(on),
-            OpState::Emit(_) => {}
-        }
+        each_op!(self, t => t.set_tracing(on), Join(j) => j.set_tracing(on), Emit(_) => {})
     }
 
     fn take_transitions(&mut self) -> Vec<u8> {
-        match self {
-            OpState::Input(t) => t.take_transitions(),
-            OpState::Child(t) => t.take_transitions(),
-            OpState::Closure(t) => t.take_transitions(),
-            OpState::Following(t) => t.take_transitions(),
-            OpState::Preceding(t) => t.take_transitions(),
-            OpState::VarCreator(t) => t.take_transitions(),
-            OpState::VarFilter(t) => t.take_transitions(),
-            OpState::VarDeterminant(t) => t.take_transitions(),
-            OpState::Split(t) => t.take_transitions(),
-            OpState::Union(t) => t.take_transitions(),
-            OpState::Join(j) => j.take_transitions(),
-            OpState::Emit(_) => Vec::new(),
-        }
+        each_op!(self, t => t.take_transitions(), Join(j) => j.take_transitions(), Emit(_) => Vec::new())
     }
+}
+
+/// A label switch's run state: the one child every member would hold (all
+/// read the same inbox, so they differ only in the label test), testing all
+/// their labels at once, and the measurements each member's
+/// [`TransducerStats`] folds in when read.
+struct Switch {
+    op: OpState,
+    stats: TransducerStats,
 }
 
 /// A running instantiation of a [`Plan`] over one stream — the VM, and the
@@ -493,8 +547,11 @@ pub struct Machine {
     /// Deepest stream depth the VM schedule accounted statically: the depth
     /// stack height every depth-tracking node reached.
     depth_peak: usize,
-    /// Node steps taken (see [`Machine::ops_stepped`]).
-    pub(crate) ops_stepped: u64,
+    /// Steps taken, by node and by switches (see [`Machine::ops_stepped`]).
+    node_steps: Vec<u64>,
+    switch_steps: u64,
+    /// The label switches' run states, by switch.
+    switches: Vec<Switch>,
     /// The run's event arena: payload bytes live here exactly once; the
     /// plan only moves [`spex_xml::EventId`] handles. Owns the symbol table
     /// (labels are interned at push time). Reset whenever no output
@@ -708,6 +765,76 @@ fn file_watch(opens: &mut Watchers, closes: &mut Watchers, id: usize, w: Watch) 
     closes.set(id, w.close.map(|d| wake_key(d, None)));
 }
 
+/// What one step's fan-out writes: its consumers' inboxes, the wake set, and
+/// the message counts of the outputs a batch is counted at instead.
+struct Fan<'a> {
+    plan: &'a Plan,
+    ops: &'a [OpState],
+    inbox: &'a mut [Vec<Message>],
+    wake: &'a mut WakeSet,
+    stats: &'a mut EngineStats,
+    node_stats: &'a mut [TransducerStats],
+}
+
+impl Fan<'_> {
+    /// A switch's fan-out: the activation (7, 11) to the consumers of the
+    /// member whose label opened, the determinations (13) to every
+    /// member's. Out of line, so the tick loop stays small for plans
+    /// without switches.
+    #[inline(never)]
+    fn route(&mut self, members: &[u32], op: &OpState, doc: DocEvent, outbuf: &mut Vec<Message>) {
+        let matched = match (op, doc) {
+            (OpState::Child(c), DocEvent::Open { label, .. }) => c.label().member(label),
+            _ => None,
+        };
+        if let Some(i) = matched {
+            self.deliver(self.plan.consumers(members[i] as usize, true), outbuf, true);
+            outbuf.retain(|m| matches!(m, Message::Determine(..)));
+        }
+        if !outbuf.is_empty() {
+            for (i, &m) in members.iter().enumerate() {
+                if matched != Some(i) {
+                    self.deliver(self.plan.consumers(m as usize, true), outbuf, true);
+                }
+            }
+        }
+        outbuf.clear();
+    }
+
+    /// Append `batch` to the consumer slots `cs`, waking their nodes. Unless
+    /// `keep`, the last slot takes the buffer itself (by swap when empty),
+    /// leaving `batch` empty. A batch of determinations only that reaches
+    /// an output with no candidate and no pending activation is counted
+    /// there, not delivered: it would change nothing.
+    #[inline(always)]
+    fn deliver(&mut self, cs: &[u32], batch: &mut Vec<Message>, keep: bool) {
+        let inert = batch.iter().all(|m| matches!(m, Message::Determine(..)));
+        let mut last = None;
+        for &s in cs {
+            let v = self.plan.slot_node[s as usize] as usize;
+            if inert && matches!(&self.ops[v], OpState::Emit(o) if o.idle()) {
+                let n = batch.len() as u64;
+                self.stats.messages += n;
+                self.node_stats[v].messages += n;
+                continue;
+            }
+            if let Some(p) = last.replace(s as usize) {
+                self.inbox[p].extend(batch.iter().cloned());
+            }
+            self.wake.insert(v);
+        }
+        match last {
+            Some(s) if keep => self.inbox[s].extend(batch.iter().cloned()),
+            Some(s) if self.inbox[s].is_empty() => std::mem::swap(&mut self.inbox[s], batch),
+            Some(s) => self.inbox[s].append(batch),
+            None => {}
+        }
+        if !keep {
+            batch.clear();
+        }
+    }
+}
+
 /// The output nodes holding a live candidate, with O(1) insert and remove.
 #[derive(Debug)]
 struct LiveOutputs {
@@ -763,6 +890,7 @@ impl<S: ResultSink> PlanRun<S> {
         let sinks = SinkBank::new(sinks, slot_of, plan.sink_count());
         let mut store = EventStore::new();
         let ops = plan.instantiate(store.symbols_mut());
+        let switches = plan.instantiate_switches(store.symbols_mut());
         let symbol_baseline = store.symbols().len();
         let n = plan.code.len();
         let inbox = (0..*plan.port_base.last().expect("non-empty plan"))
@@ -798,7 +926,9 @@ impl<S: ResultSink> PlanRun<S> {
             all_touched: false,
             doc_ticks: 0,
             depth_peak: 0,
-            ops_stepped: 0,
+            node_steps: vec![0; n],
+            switch_steps: 0,
+            switches,
             store,
             vars: VarFactory::new(),
             stats: EngineStats::default(),
@@ -924,7 +1054,9 @@ impl Machine {
     /// Enable transition tracing on every operator (for the golden
     /// paper-trace tests). While it is on, every tick steps every node, so
     /// each fires the transitions the paper's tables list for it — the
-    /// implied `l` levels' (2) and (3) included.
+    /// implied `l` levels' (2) and (3) included — and each label switch
+    /// member steps as itself. Switch it at a document boundary (depth 0):
+    /// a switch's state and its members' do not carry over to each other.
     pub fn set_tracing(&mut self, on: bool) {
         self.tracing = on;
         for op in &mut self.ops {
@@ -1052,8 +1184,9 @@ impl Machine {
     /// The VM's schedule for one tick: account the document message's static
     /// flow, build the wake set, then step the woken nodes in topological
     /// order — each over its inbox, then the register — fanning their
-    /// control messages out to (and waking) their consumers. Transition
-    /// tracing wakes every node.
+    /// control messages out to (and waking) their consumers. A label
+    /// switch steps in its first member's place. Transition tracing wakes
+    /// every node, and steps each switch member as itself.
     fn dispatch(&mut self, doc: DocEvent, sinks: &mut dyn SlotSinks) {
         let Machine {
             plan,
@@ -1069,7 +1202,9 @@ impl Machine {
             is_touched,
             doc_ticks,
             depth_peak,
-            ops_stepped,
+            node_steps,
+            switch_steps,
+            switches,
             store,
             vars,
             stats,
@@ -1117,15 +1252,29 @@ impl Machine {
                 wake.insert(id);
             }
         }
+        // A plan without switches skips their lookup on every step.
+        let untraced = !*tracing;
+        let switched = untraced && !plan.switches.is_empty();
         while let Some(id) = wake.pop_min() {
-            *ops_stepped += 1;
             if !is_touched[id] {
                 is_touched[id] = true;
                 touched.push(id as u32);
             }
             let base = plan.port_base[id] as usize;
-            let ns = &mut node_stats[id];
-            match &mut ops[id] {
+            // A switch consumes, once, the messages each member would.
+            let sw = if switched { plan.switch_of[id] } else { NIL };
+            let (op, ns, copies) = match switches.get_mut(sw as usize) {
+                Some(s) => {
+                    *switch_steps += 1;
+                    let copies = plan.switches[sw as usize].len() as u64;
+                    (&mut s.op, &mut s.stats, copies)
+                }
+                None => {
+                    node_steps[id] += 1;
+                    (&mut ops[id], &mut node_stats[id], 1)
+                }
+            };
+            match op {
                 OpState::Join(j) => {
                     let (left, right) = inbox.split_at_mut(base + 1);
                     let (left, right) = (&mut left[base], &mut right[0]);
@@ -1160,10 +1309,10 @@ impl Machine {
                     // fan-out below duplicates) and does nothing with the
                     // register: with no transition trace to record, its
                     // inbox moves out in bulk.
-                    let bulk = !*tracing && matches!(op, OpState::Split(_));
+                    let bulk = untraced && matches!(op, OpState::Split(_));
                     if !inbox[base].is_empty() {
                         let consumed = inbox[base].len() as u64;
-                        stats.messages += consumed;
+                        stats.messages += consumed * copies;
                         ns.messages += consumed;
                         let mut max_formula = 0;
                         for m in &inbox[base] {
@@ -1207,25 +1356,19 @@ impl Machine {
             if outbuf.is_empty() {
                 continue;
             }
-            // Fan out to the consumer slots, waking their nodes; the last
-            // takes ownership (and, when its slot is empty, the whole buffer
-            // by swap).
-            let cs = &plan.cons[plan.cons_base[id] as usize..plan.cons_base[id + 1] as usize];
-            let Some((&last, rest)) = cs.split_last() else {
-                outbuf.clear();
+            let mut fan = Fan {
+                plan,
+                ops,
+                inbox,
+                wake,
+                stats,
+                node_stats,
+            };
+            let Some(Switch { op, .. }) = switches.get(sw as usize) else {
+                fan.deliver(plan.consumers(id, switched), outbuf, false);
                 continue;
             };
-            for &s in rest {
-                inbox[s as usize].extend(outbuf.iter().cloned());
-                wake.insert(plan.slot_node[s as usize] as usize);
-            }
-            let s = last as usize;
-            if inbox[s].is_empty() {
-                std::mem::swap(&mut inbox[s], outbuf);
-            } else {
-                inbox[s].append(outbuf);
-            }
-            wake.insert(plan.slot_node[s] as usize);
+            fan.route(&plan.switches[sw as usize], op, doc, outbuf);
         }
     }
 
@@ -1296,7 +1439,14 @@ impl Machine {
         let t = &self.tracer;
         t.counter("engine.ticks", self.stats.ticks);
         t.counter("engine.messages", self.stats.messages);
-        t.counter("engine.ops_stepped", self.ops_stepped);
+        t.counter("engine.ops_stepped", self.ops_stepped());
+        for (kind, steps) in self.ops_stepped_by_kind() {
+            t.counter_with(
+                "engine.ops_stepped",
+                steps,
+                &[("kind", Value::from(kind.as_str()))],
+            );
+        }
         t.counter("engine.results", self.stats.results);
         t.counter("engine.dropped", self.stats.dropped);
         t.counter("engine.candidates_created", self.stats.candidates_created);
@@ -1369,6 +1519,9 @@ impl Machine {
         for &id in &self.touched {
             let id = id as usize;
             self.is_touched[id] = false;
+            if let Some(s) = self.switches.get_mut(self.plan.switch_of[id] as usize) {
+                s.op.reset();
+            }
             let op = &mut self.ops[id];
             op.reset();
             file_watch(&mut self.opens, &mut self.closes, id, op.watch());
@@ -1483,10 +1636,12 @@ impl Machine {
     /// Per-transducer snapshots so far, indexed by instruction id
     /// (topological order). `sum(messages)` equals
     /// [`EngineStats::messages`]. Built on each call: the document messages
-    /// the VM accounts statically are folded in here.
+    /// the VM accounts statically, and what each label switch measured for
+    /// every member, are folded in here.
     pub fn transducer_stats(&self) -> Vec<TransducerStats> {
         let plan = &self.plan;
-        self.node_stats
+        let mut out: Vec<TransducerStats> = self
+            .node_stats
             .iter()
             .zip(&plan.code)
             .zip(&plan.item_flow)
@@ -1498,7 +1653,16 @@ impl Machine {
                 }
                 t
             })
-            .collect()
+            .collect();
+        for (sw, members) in self.switches.iter().zip(&plan.switches) {
+            for &m in members.iter() {
+                let t = &mut out[m as usize];
+                t.messages += sw.stats.messages;
+                t.max_cond_stack = t.max_cond_stack.max(sw.stats.max_cond_stack);
+                t.max_formula_size = t.max_formula_size.max(sw.stats.max_formula_size);
+            }
+        }
+        out
     }
 
     /// Operator steps taken so far: under the VM's schedule, the nodes its
@@ -1506,7 +1670,32 @@ impl Machine {
     /// node on every tick). Not part of [`EngineStats`] or a snapshot: it
     /// measures the schedule, not the paper's network.
     pub fn ops_stepped(&self) -> u64 {
-        self.ops_stepped
+        self.node_steps.iter().sum::<u64>() + self.switch_steps
+    }
+
+    /// [`Machine::ops_stepped`] by node kind (`CH`, `OU`, …, and `SW` for
+    /// a label switch), for every kind the plan has.
+    pub fn ops_stepped_by_kind(&self) -> Vec<(String, u64)> {
+        let mut kinds: Vec<(String, u64)> = Vec::new();
+        for (node, &steps) in self.plan.code.iter().zip(&self.node_steps) {
+            let describe = node.describe();
+            let kind = describe.split('(').next().unwrap_or_default();
+            match kinds.iter_mut().find(|k| k.0 == kind) {
+                Some(k) => k.1 += steps,
+                None => kinds.push((kind.to_string(), steps)),
+            }
+        }
+        if !self.plan.switches.is_empty() {
+            kinds.push(("SW".to_string(), self.switch_steps));
+        }
+        kinds
+    }
+
+    /// Count one step of every node (the reference schedule's tick).
+    pub(crate) fn count_every_step(&mut self) {
+        for n in &mut self.node_steps {
+            *n += 1;
+        }
     }
 
     /// The current tick number (document messages pushed so far).

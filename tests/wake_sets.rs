@@ -1,8 +1,9 @@
 //! The activation-driven schedule, counted: over the served feed's query
 //! set (128 `p`/`g` query pairs plus `end`, one combined network of 524
-//! nodes), the VM steps only the operators an event can change, while the
-//! paper's per-message accounting stays exactly what stepping every operator
-//! gives — across a session reset at every document.
+//! nodes), the VM steps only the operators an event can change — sibling
+//! child steps as one label switch — while the paper's per-message
+//! accounting stays exactly what stepping every operator gives, across a
+//! session reset at every document.
 
 use spex::core::sink::ResultSink;
 use spex::core::CountingSink;
@@ -71,6 +72,9 @@ fn feed_steps_only_what_an_event_can_change() {
         .expect("feed queries combine")
         .set;
     assert_eq!(set.degree(), 524);
+    // `product|end` under `catalog`, and the fields of `product` and of
+    // `product[meta.lang]`.
+    assert_eq!(set.plan().switch_count(), 3);
     let mut sinks: Vec<CountingSink> = (0..set.ids().len()).map(|_| CountingSink::new()).collect();
     let mut run = set.run(sinks.iter_mut().map(|s| s as &mut dyn ResultSink).collect());
     let mut text = Rng(1);
@@ -93,13 +97,39 @@ fn feed_steps_only_what_an_event_can_change() {
     }
     let ticks = run.tick();
     let stepped = run.ops_stepped();
+    let by_kind = run.ops_stepped_by_kind();
     let per_node: u64 = run.transducer_stats().iter().map(|t| t.messages).sum();
     let stats = run.finish();
     assert_eq!(ticks, 7400);
-    // Stepping every operator on every event would be 524 steps per tick.
+    // Stepping every operator on every event would be 524 steps per tick;
+    // waking every `CH(fld…)` on each `<product>` and `</product>`, and each
+    // output on every determination, was 26.1.
     assert!(
-        stepped <= 100 * ticks,
+        stepped <= 8 * ticks,
         "{stepped} operator steps over {ticks} ticks"
+    );
+    // The 256 `CH(fld…)` run as two label switches, woken by the children of
+    // `<product>` and its close; an output without a candidate only counts
+    // the determinations that reach it.
+    let steps = |kinds: &[&str]| -> u64 {
+        by_kind
+            .iter()
+            .filter(|(k, _)| kinds.contains(&k.as_str()))
+            .map(|(_, n)| n)
+            .sum()
+    };
+    let (child, output) = (steps(&["CH", "SW"]), steps(&["OU"]));
+    assert!(
+        2 * child <= 3 * ticks,
+        "{child} CH and switch steps over {ticks} ticks: {by_kind:?}"
+    );
+    assert!(
+        output <= 6 * ticks,
+        "{output} OU steps over {ticks} ticks: {by_kind:?}"
+    );
+    assert_eq!(
+        steps(&["IN", "CH", "CL", "VC", "VF", "VD", "SP", "JO", "UN", "OU", "SW"]),
+        stepped
     );
     // The paper's per-message accounting, as the executor that stepped
     // every operator counted it.
