@@ -274,7 +274,8 @@ pub struct Snapshot {
     pub transducers: Vec<TransducerStats>,
     /// Condition-variable serials minted so far.
     pub minted: u32,
-    /// Per-output determination-latency accumulators.
+    /// Determination-latency accumulators, one per node by id (only
+    /// outputs record; every other entry is empty).
     pub det_latency: Vec<Histogram>,
     /// A resource breach recorded before the checkpoint, if any.
     pub exhausted: Option<LimitBreach>,

@@ -473,6 +473,12 @@ impl Output {
     pub fn determination_latency(&self) -> &Histogram {
         &self.latency
     }
+
+    /// Put back the histogram a snapshot carried (a restore into a fresh
+    /// run).
+    pub fn restore_latency(&mut self, latency: Histogram) {
+        self.latency = latency;
+    }
 }
 
 #[cfg(test)]

@@ -7,9 +7,12 @@
 //!
 //! * `{c, true}` when the match is unconditional (the paper's transition 1),
 //! * `{c := c ∨ r}` when the match itself still depends on *inner* qualifier
-//!   instances — `r` is the residual of `f` after projecting out `c` and
-//!   every variable of a non-inner qualifier (those express the validity of
-//!   the *outer* context, which is structurally guaranteed here). This
+//!   instances — `r` is the residual of `f` after setting `c` true, every
+//!   other instance of `q` false (a union merges the activations of two
+//!   alternatives into one formula, each disjunct carrying one instance, so
+//!   the others do not hold on `c`'s path), and every variable of a
+//!   non-inner qualifier true (those express the validity of the *outer*
+//!   context, which is structurally guaranteed here). This
 //!   conditional form is what makes nested qualifiers (`a[b[c]]`) correct:
 //!   the paper's Fig. 7 only covers the unconditional case.
 //!
@@ -55,9 +58,14 @@ impl Transducer for VarDeterminant {
                     // variable conditioning the *outer* context are
                     // structurally satisfied at this point; only inner
                     // qualifier variables remain as genuine conditions.
+                    // Each disjunct of a merged activation carries one
+                    // instance, so the other instances are false on `c`'s
+                    // path.
                     let mut r = f.assign(c, true);
                     for v in r.vars() {
-                        if !self.inner.contains(&v.qualifier.0) {
+                        if v.qualifier == self.qualifier {
+                            r = r.assign(v, false);
+                        } else if !self.inner.contains(&v.qualifier.0) {
                             r = r.assign(v, true);
                         }
                     }
@@ -143,6 +151,33 @@ mod tests {
                 assert_eq!(*r, Formula::Var(inner));
             }
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn other_instances_do_not_satisfy_an_instance() {
+        let mut vars = VarFactory::new();
+        // `_*[%[a]|b]` over `<b/>`: at `<b>` the union merged the
+        // ε-alternative's `c0.2 ∧ c1.3` with the `b` alternative's `c0.1`
+        // (from the root). `c0.2` holds only if its inner instance does.
+        let mut t = VarDeterminant::new(QualifierId(0), 1..2);
+        let mut out = Vec::new();
+        let (root, b, inner) = (CondVar::new(0, 1), CondVar::new(0, 2), CondVar::new(1, 3));
+        let f = Formula::or(
+            Formula::and(Formula::Var(b), Formula::Var(inner)),
+            Formula::Var(root),
+        );
+        t.step(Message::Activate(f), &mut vars, &mut out);
+        assert_eq!(out.len(), 2);
+        for m in &out {
+            match m {
+                Message::Determine(v, Determination::True) => assert_eq!(*v, root),
+                Message::Determine(v, Determination::Implied(r)) => {
+                    assert_eq!(*v, b);
+                    assert_eq!(*r, Formula::Var(inner));
+                }
+                other => panic!("unexpected {other:?}"),
+            }
         }
     }
 

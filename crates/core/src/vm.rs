@@ -27,10 +27,13 @@
 //! element with a child transducer's label below its activator, the close of
 //! a sparse depth entry's level, an open inside a closure's live scope, `<$>`
 //! for the input), the output operators holding a live candidate, and the
-//! following/preceding operators on every open and close. Every other node would only forward the document message, so its
-//! per-node message count is the static `doc ticks × item_flow[v]`, added
-//! when statistics are read. A session reset clears in place only the nodes
-//! stepped since the last one.
+//! following/preceding operators on every open and close. A node's watch
+//! files it on one wake list per stream depth; an open walks its depth's
+//! list and tests a child's label there. Every other node would only
+//! forward the document message, so its per-node message count is the
+//! static `doc ticks × item_flow[v]`, added when statistics are read (with
+//! each node's name, from the plan). A session reset clears in place only
+//! the nodes stepped since the last one.
 //!
 //! The child steps one producer feeds, when their names are pairwise
 //! distinct, run as one *label switch*: one child testing all their labels,
@@ -76,7 +79,6 @@ use spex_query::Label;
 use spex_trace::{Histogram, Tracer, Value};
 use spex_xml::{EventId, EventStore, StoredKind, XmlEvent};
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 // Only for `benchmark/trace` (frozen in this PR), which names `Engine::Vm`; the next `benchmark` PR drops it.
@@ -529,7 +531,7 @@ pub struct Machine {
     /// The nodes left to step this tick.
     wake: WakeSet,
     /// Per-depth wake lists: nodes whose watch names an open (a close) at
-    /// that stream depth.
+    /// that stream depth (see [`Watchers`]).
     opens: Watchers,
     closes: Watchers,
     /// Output nodes holding a live candidate; its length is the count that
@@ -561,9 +563,10 @@ pub struct Machine {
     /// The run-wide variable namespace of §III.5, handed to every step.
     pub(crate) vars: VarFactory,
     pub(crate) stats: EngineStats,
-    /// Per-node measurements, indexed by instruction id. Under the VM
-    /// schedule the document messages of the last `doc_ticks` ticks are not
-    /// in `messages` yet; read them through [`Machine::transducer_stats`].
+    /// Per-node counters, indexed by instruction id (`node` and `kind` are
+    /// filled in from the plan when read). Under the VM schedule the
+    /// document messages of the last `doc_ticks` ticks are not in
+    /// `messages` yet; read them through [`Machine::transducer_stats`].
     pub(crate) node_stats: Vec<TransducerStats>,
     limits: ResourceLimits,
     /// The first limit breach, latched; further input is refused.
@@ -576,10 +579,6 @@ pub struct Machine {
     symbol_baseline: usize,
     /// Trace export handle (disabled by default; see [`Machine::set_tracer`]).
     tracer: Tracer,
-    /// Determination-latency histograms restored from a snapshot, indexed by
-    /// instruction id (only output instructions ever record); each output
-    /// operator keeps its own across session resets.
-    det_latency: Vec<Histogram>,
 }
 
 const NIL: u32 = u32::MAX;
@@ -625,135 +624,89 @@ impl WakeSet {
     }
 }
 
-/// The key of a wake list: a stream depth and, for opens, the label an
-/// element must have to wake the list (every label for `None`).
-fn wake_key(depth: u32, label: Option<crate::message::Symbol>) -> u64 {
-    (u64::from(depth) << 32) | u64::from(label.unwrap_or(u32::MAX))
-}
-
-const NO_KEY: u64 = u64::MAX;
-
-/// Hashes a [`wake_key`] with one multiply: a tick looks up to three keys,
-/// so the general-purpose hasher would cost more than the lookup saves.
-#[derive(Default)]
-struct KeyHasher(u64);
-
-impl Hasher for KeyHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-
-    fn write_u64(&mut self, key: u64) {
-        self.0 = (key ^ (key >> 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
-/// Wake lists for one kind of document event, by [`wake_key`]. A node sits
-/// in at most one list (intrusive and doubly linked), so moving it is O(1)
-/// and an event drains exactly the nodes it names. Lists for any label sit
-/// in a vector by depth; labelled lists, which only a child's open makes,
-/// in a map that holds only non-empty ones.
+/// Wake lists for one kind of document event: one list per stream depth,
+/// intrusive and doubly linked. A node sits in at most one list, so moving
+/// it is O(1). Beside each node sits the label an open must have to wake it
+/// (a child's `Watch::open_label`): an open walks its depth's list, wakes
+/// the nodes filed with no label or with its own, and leaves the rest
+/// linked.
 #[derive(Debug)]
 struct Watchers {
-    by_depth: Vec<u32>,
-    by_label: HashMap<u64, u32, BuildHasherDefault<KeyHasher>>,
+    heads: Vec<u32>,
     next: Vec<u32>,
     prev: Vec<u32>,
-    /// The key whose list holds the node, or `NO_KEY`.
-    at: Vec<u64>,
+    /// The depth whose list holds the node, or `NIL`.
+    at: Vec<u32>,
+    /// The label that wakes the node on an open, or `NIL` for every label.
+    label: Vec<u32>,
 }
 
 impl Watchers {
     fn new(n: usize) -> Watchers {
         Watchers {
-            by_depth: Vec::new(),
-            by_label: HashMap::default(),
+            heads: Vec::new(),
             next: vec![NIL; n],
             prev: vec![NIL; n],
-            at: vec![NO_KEY; n],
+            at: vec![NIL; n],
+            label: vec![NIL; n],
         }
     }
 
-    /// The head of the list of `key`, created empty if need be.
-    fn head(&mut self, key: u64) -> &mut u32 {
-        if key as u32 == u32::MAX {
-            let depth = (key >> 32) as usize;
-            if depth >= self.by_depth.len() {
-                self.by_depth.resize(depth + 1, NIL);
-            }
-            &mut self.by_depth[depth]
-        } else {
-            self.by_label.entry(key).or_insert(NIL)
-        }
-    }
-
-    /// Take the list of `key` (`NIL` if it is empty).
-    fn take(&mut self, key: u64) -> u32 {
-        if key as u32 == u32::MAX {
-            self.by_depth
-                .get_mut((key >> 32) as usize)
-                .map_or(NIL, |h| std::mem::replace(h, NIL))
-        } else if self.by_label.is_empty() {
-            NIL
-        } else {
-            self.by_label.remove(&key).unwrap_or(NIL)
-        }
-    }
-
-    /// Put node `id` on the list of `key` (off every list for `None`).
+    /// File node `id` on the list of `depth` (off every list for `None`),
+    /// woken by an open only of `label` if one is given.
     #[inline]
-    fn set(&mut self, id: usize, key: Option<u64>) {
-        let k = key.unwrap_or(NO_KEY);
-        if self.at[id] == k {
+    fn set(&mut self, id: usize, depth: Option<u32>, label: Option<crate::message::Symbol>) {
+        self.label[id] = label.unwrap_or(NIL);
+        let d = depth.unwrap_or(NIL);
+        if self.at[id] == d {
             return;
         }
         self.unlink(id);
-        if k == NO_KEY {
+        if d == NIL {
             return;
         }
-        let h = std::mem::replace(self.head(k), id as u32);
+        if d as usize >= self.heads.len() {
+            self.heads.resize(d as usize + 1, NIL);
+        }
+        let h = std::mem::replace(&mut self.heads[d as usize], id as u32);
         self.next[id] = h;
         self.prev[id] = NIL;
         if h != NIL {
             self.prev[h as usize] = id as u32;
         }
-        self.at[id] = k;
+        self.at[id] = d;
     }
 
     fn unlink(&mut self, id: usize) {
-        let k = self.at[id];
-        if k == NO_KEY {
+        let d = self.at[id];
+        if d == NIL {
             return;
         }
         let (p, n) = (self.prev[id], self.next[id]);
-        if p != NIL {
-            self.next[p as usize] = n;
-        } else if n == NIL {
-            self.take(k);
+        if p == NIL {
+            self.heads[d as usize] = n;
         } else {
-            *self.head(k) = n;
+            self.next[p as usize] = n;
         }
         if n != NIL {
             self.prev[n as usize] = p;
         }
-        self.at[id] = NO_KEY;
+        self.at[id] = NIL;
     }
 
-    /// Move every node on the list of `key` into `wake`.
+    /// Move into `wake` the nodes on the list of `depth` that an event
+    /// with `label` wakes: every node for `None` (a close), else those
+    /// filed with no label or with `label`.
     #[inline]
-    fn drain(&mut self, key: u64, wake: &mut WakeSet) {
-        let mut id = self.take(key);
+    fn drain(&mut self, depth: u32, label: Option<crate::message::Symbol>, wake: &mut WakeSet) {
+        let mut id = self.heads.get(depth as usize).copied().unwrap_or(NIL);
         while id != NIL {
             let i = id as usize;
-            wake.insert(i);
-            self.at[i] = NO_KEY;
             id = self.next[i];
+            if label.is_none_or(|l| self.label[i] == NIL || self.label[i] == l) {
+                self.unlink(i);
+                wake.insert(i);
+            }
         }
     }
 }
@@ -761,8 +714,8 @@ impl Watchers {
 /// File node `id`'s watch in the open and close wake lists.
 #[inline]
 fn file_watch(opens: &mut Watchers, closes: &mut Watchers, id: usize, w: Watch) {
-    opens.set(id, w.open.map(|d| wake_key(d, w.open_label)));
-    closes.set(id, w.close.map(|d| wake_key(d, None)));
+    opens.set(id, w.open, w.open_label);
+    closes.set(id, w.close, None);
 }
 
 /// What one step's fan-out writes: its consumers' inboxes, the wake set, and
@@ -900,17 +853,6 @@ impl<S: ResultSink> PlanRun<S> {
         for (id, op) in ops.iter().enumerate() {
             file_watch(&mut opens, &mut closes, id, op.watch());
         }
-        let node_stats = plan
-            .code
-            .iter()
-            .enumerate()
-            .map(|(node, spec)| TransducerStats {
-                node,
-                kind: spec.describe(),
-                ..TransducerStats::default()
-            })
-            .collect();
-        let det_latency = vec![Histogram::new(); n];
         let machine = Machine {
             plan,
             ops,
@@ -932,7 +874,7 @@ impl<S: ResultSink> PlanRun<S> {
             store,
             vars: VarFactory::new(),
             stats: EngineStats::default(),
-            node_stats,
+            node_stats: vec![TransducerStats::default(); n],
             limits: ResourceLimits::default(),
             exhausted: None,
             tick: 0,
@@ -940,7 +882,6 @@ impl<S: ResultSink> PlanRun<S> {
             tracing: false,
             symbol_baseline,
             tracer: Tracer::disabled(),
-            det_latency,
         };
         PlanRun { machine, sinks }
     }
@@ -1223,9 +1164,8 @@ impl Machine {
             DocEvent::Open {
                 depth: d, label, ..
             } => {
-                opens.drain(wake_key(d, None), wake);
-                opens.drain(wake_key(d, Some(label)), wake);
-                opens.drain(wake_key(Watch::ANY_OPEN, None), wake);
+                opens.drain(d, Some(label), wake);
+                opens.drain(Watch::ANY_OPEN, Some(label), wake);
                 if plan.has_depth_ops {
                     // Every depth stack grew to the stream depth.
                     stats.observe_stacks(d as usize, 0);
@@ -1234,7 +1174,7 @@ impl Machine {
                 d - 1
             }
             DocEvent::Close { depth: d, .. } => {
-                closes.drain(wake_key(d, None), wake);
+                closes.drain(d, None, wake);
                 d
             }
             DocEvent::Item { .. } => *depth as u32,
@@ -1421,15 +1361,11 @@ impl Machine {
     /// [`Machine::reset_session`] and restored from a snapshot. See
     /// [`Output::determination_latency`] for the measure's definition.
     pub fn determination_latency(&self) -> Vec<(usize, Histogram)> {
-        let mut out = Vec::new();
-        for &id in &self.plan.outputs {
-            if let OpState::Emit(o) = &self.ops[id as usize] {
-                let mut h = self.det_latency[id as usize].clone();
-                h.merge(o.determination_latency());
-                out.push((id as usize, h));
-            }
-        }
-        out
+        let latency = |&id: &u32| match &self.ops[id as usize] {
+            OpState::Emit(o) => Some((id as usize, o.determination_latency().clone())),
+            _ => None,
+        };
+        self.plan.outputs.iter().filter_map(latency).collect()
     }
 
     /// Export the end-of-run measurements as trace records (the engine
@@ -1545,7 +1481,8 @@ impl Machine {
         if self.depth != 0 || !self.live.list.is_empty() || !self.store.is_empty() {
             return Err(SnapshotError::NotQuiescent);
         }
-        let mut det_latency = self.det_latency.clone();
+        // The format carries one histogram per node; only outputs record.
+        let mut det_latency = vec![Histogram::new(); self.ops.len()];
         for (id, h) in self.determination_latency() {
             det_latency[id] = h;
         }
@@ -1568,32 +1505,33 @@ impl Machine {
 
     /// Restore a snapshot into this run. The run must be freshly built over
     /// the *same* network (same query set, same sink count); the snapshot's
-    /// per-node kind list is verified against this run's nodes and its
-    /// symbol list must extend this run's query-label baseline.
+    /// per-node kind list is verified against the plan's nodes and its
+    /// symbol list must extend this run's query-label baseline. Each
+    /// output's latency histogram goes back into that output.
     pub fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapshotError> {
         if self.tick != 0 || self.depth != 0 || !self.store.is_empty() {
             return Err(SnapshotError::NotQuiescent);
         }
-        if snap.transducers.len() != self.node_stats.len() {
+        let n = self.plan.code.len();
+        if snap.transducers.len() != n {
             return Err(SnapshotError::Mismatch(format!(
-                "snapshot has {} nodes, run has {}",
-                snap.transducers.len(),
-                self.node_stats.len()
+                "snapshot has {} nodes, run has {n}",
+                snap.transducers.len()
             )));
         }
-        for (t, mine) in snap.transducers.iter().zip(&self.node_stats) {
-            if t.node != mine.node || t.kind != mine.kind {
+        for (v, (t, node)) in snap.transducers.iter().zip(&self.plan.code).enumerate() {
+            let kind = node.describe();
+            if t.node != v || t.kind != kind {
                 return Err(SnapshotError::Mismatch(format!(
-                    "node {} is {} in the snapshot but {} in the run",
-                    mine.node, t.kind, mine.kind
+                    "node {v} is {} in the snapshot but {kind} in the run",
+                    t.kind
                 )));
             }
         }
-        if snap.det_latency.len() != self.det_latency.len() {
+        if snap.det_latency.len() != n {
             return Err(SnapshotError::Mismatch(format!(
-                "snapshot has {} latency accumulators, run has {}",
-                snap.det_latency.len(),
-                self.det_latency.len()
+                "snapshot has {} latency accumulators, run has {n}",
+                snap.det_latency.len()
             )));
         }
         let baseline = self.symbol_baseline;
@@ -1618,8 +1556,16 @@ impl Machine {
         }
         self.tick = snap.tick;
         self.stats = snap.stats.clone();
-        self.node_stats = snap.transducers.clone();
-        self.det_latency = snap.det_latency.clone();
+        let counters = |t: &TransducerStats| TransducerStats {
+            kind: String::new(),
+            ..*t
+        };
+        self.node_stats = snap.transducers.iter().map(counters).collect();
+        for &id in &self.plan.outputs {
+            if let OpState::Emit(o) = &mut self.ops[id as usize] {
+                o.restore_latency(snap.det_latency[id as usize].clone());
+            }
+        }
         self.exhausted = snap.exhausted;
         self.limits = snap.limits;
         self.vars.restore_minted(snap.minted);
@@ -1635,9 +1581,9 @@ impl Machine {
 
     /// Per-transducer snapshots so far, indexed by instruction id
     /// (topological order). `sum(messages)` equals
-    /// [`EngineStats::messages`]. Built on each call: the document messages
-    /// the VM accounts statically, and what each label switch measured for
-    /// every member, are folded in here.
+    /// [`EngineStats::messages`]. Built on each call: each node's name comes
+    /// from the plan, and the document messages the VM accounts statically
+    /// and what each label switch measured for every member are folded in.
     pub fn transducer_stats(&self) -> Vec<TransducerStats> {
         let plan = &self.plan;
         let mut out: Vec<TransducerStats> = self
@@ -1645,8 +1591,13 @@ impl Machine {
             .iter()
             .zip(&plan.code)
             .zip(&plan.item_flow)
-            .map(|((ns, node), &flow)| {
-                let mut t = ns.clone();
+            .enumerate()
+            .map(|(v, ((ns, node), &flow))| {
+                let mut t = TransducerStats {
+                    node: v,
+                    kind: node.describe(),
+                    ..*ns
+                };
                 t.messages += self.doc_ticks * u64::from(flow);
                 if tracks_depth(node) {
                     t.max_depth_stack = t.max_depth_stack.max(self.depth_peak);
@@ -1813,6 +1764,58 @@ mod tests {
         }
         run.finish();
         assert_eq!(sink.fragments(), ["<c>fresh</c>".to_string()]);
+    }
+
+    fn woken(wake: &mut WakeSet) -> Vec<usize> {
+        std::iter::from_fn(|| wake.pop_min()).collect()
+    }
+
+    #[test]
+    fn wake_lists_test_the_label_in_the_walk() {
+        let mut w = Watchers::new(5);
+        let mut wake = WakeSet::new(5);
+        w.set(0, Some(2), None);
+        w.set(1, Some(2), Some(7));
+        w.set(2, Some(2), Some(8));
+        w.set(3, Some(3), None);
+        // An open of label 7 at depth 2 wakes the unlabelled node and the
+        // one filed with 7; node 2 stays linked.
+        w.drain(2, Some(7), &mut wake);
+        assert_eq!(woken(&mut wake), [0, 1]);
+        assert_eq!(w.at, [NIL, NIL, 2, 3, NIL]);
+        w.drain(2, Some(7), &mut wake);
+        assert_eq!(woken(&mut wake), [] as [usize; 0]);
+        // A node moves between depths.
+        w.set(2, Some(3), Some(8));
+        w.drain(2, Some(8), &mut wake);
+        assert_eq!(woken(&mut wake), [] as [usize; 0]);
+        w.set(4, Some(3), Some(9));
+        // A close drains its whole depth, labels or not.
+        w.drain(3, None, &mut wake);
+        assert_eq!(woken(&mut wake), [2, 3, 4]);
+        assert_eq!(w.at, [NIL; 5]);
+        assert_eq!(w.heads, [NIL; 4]);
+    }
+
+    #[test]
+    fn a_child_step_wakes_only_for_its_label() {
+        let net = CompiledNetwork::compile(&"r.x".parse().unwrap());
+        let mut sink = FragmentCollector::new();
+        let mut run = net.run(vec![&mut sink]);
+        let xml = format!("<r>{}<x/></r>", "<y/>".repeat(1000));
+        for ev in spex_xml::reader::parse_events(&xml).unwrap() {
+            run.push(ev);
+        }
+        let x = (0..run.plan.code.len())
+            .find(|&v| run.plan.code[v].describe() == "CH(x)")
+            .expect("a CH(x) node");
+        assert!(
+            run.node_steps[x] <= 4,
+            "CH(x) stepped {}",
+            run.node_steps[x]
+        );
+        run.finish();
+        assert_eq!(sink.fragments(), ["<x></x>".to_string()]);
     }
 
     #[test]
