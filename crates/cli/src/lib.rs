@@ -796,8 +796,11 @@ fn evaluate(
         match pump.step(usize::MAX) {
             Ok(Yield::NeedMore) => pump.parser_mut().read_from(&mut *input),
             Ok(Yield::Boundary) => {
-                if let (Some(path), Some(snap)) = (&options.checkpoint, pump.checkpoint()) {
-                    write_snapshot_file(path, &snap.encode())?;
+                // Only a `--checkpoint` run builds a snapshot.
+                if let Some(path) = &options.checkpoint {
+                    if let Some(snap) = pump.checkpoint() {
+                        write_snapshot_file(path, &snap.encode())?;
+                    }
                 }
             }
             Ok(Yield::Budget) => {}

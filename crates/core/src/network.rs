@@ -10,10 +10,12 @@
 //! [`Run`] is the *reference* executor: the paper's tick discipline written
 //! the obvious way, as a second schedule over the VM's own [`Machine`]. It
 //! keeps only what makes it a reference — its wiring, read from the spec's
-//! input lists; a fresh queue per port per tick; every node stepped on
-//! every tick, in topological order; accounting message by message — and
-//! shares the rest with the VM: the operator states, the event-to-message
-//! mapping, limits, arena recycling, latency, session reset and finish.
+//! input lists; a plan lowered without label switches; a fresh queue per
+//! port per tick; every node stepped on every tick, in topological order;
+//! accounting message by message — and shares the rest with the VM: the
+//! operator states, the event-to-message mapping, limits, arena recycling,
+//! latency, session reset and finish. Because it steps every node as
+//! itself, transition tracing (the paper's per-message view) is its own.
 //! Nothing in production reaches it; `harness vm-diff` and the test suite
 //! compare the VM's scheduling against it, so a divergence can only come
 //! from the VM's own schedule (its CSR wiring, its wake sets, its document
@@ -101,7 +103,8 @@ impl Tape {
 /// input wiring.
 #[derive(Debug, Clone)]
 pub struct NetworkSpec {
-    pub(crate) nodes: Vec<NodeSpec>,
+    /// Shared with every [`Plan`] lowered from this spec.
+    pub(crate) nodes: Arc<[NodeSpec]>,
     /// For each node, its input tapes (upstream node ids) in port order.
     pub(crate) inputs: Vec<Vec<usize>>,
     /// Sink node ids (one per query head).
@@ -212,17 +215,18 @@ impl NetworkBuilder {
     pub fn finish(self) -> NetworkSpec {
         debug_assert!(!self.sinks.is_empty(), "a network needs at least one sink");
         NetworkSpec {
-            nodes: self.nodes,
+            nodes: self.nodes.into(),
             inputs: self.inputs,
             sinks: self.sinks,
         }
     }
 }
 
-/// The reference executor: a [`PlanRun`] over the spec's network, ticked by
-/// its own schedule. Same contract as [`PlanRun`] for pushing and finishing;
-/// everything else (statistics, limits, tracing, latency, session reset) is
-/// the [`Machine`] it derefs to.
+/// The reference executor: a [`PlanRun`] over the spec's network, lowered
+/// without label switches, ticked by its own schedule. Same contract as
+/// [`PlanRun`] for pushing and finishing; transition tracing is its own;
+/// everything else (statistics, limits, latency, session reset) is the
+/// [`Machine`] it derefs to.
 pub struct Run<S: ResultSink> {
     run: PlanRun<S>,
     /// `consumers[u]`: the `(node, port)` pairs reading node `u`'s output,
@@ -249,9 +253,29 @@ impl<S: ResultSink> Run<S> {
             }
         }
         Run {
-            run: PlanRun::new(Arc::new(Plan::compile(spec)), sinks, slot_of),
+            run: PlanRun::new(Arc::new(Plan::lower(spec, false)), sinks, slot_of),
             consumers,
         }
+    }
+
+    /// Enable transition tracing on every operator (for the golden
+    /// paper-trace tests). This schedule steps every node on every tick, so
+    /// each fires the transitions the paper's tables list for it, the
+    /// implied `l` levels' (2) and (3) included.
+    pub fn set_tracing(&mut self, on: bool) {
+        for op in &mut self.run.ops {
+            op.set_tracing(on);
+        }
+    }
+
+    /// Drain per-node transition traces fired since the last call, rendered
+    /// in the paper's `"1,5"` style, indexed by node id.
+    pub fn take_traces(&mut self) -> Vec<String> {
+        self.run
+            .ops
+            .iter_mut()
+            .map(|op| crate::transducers::format_transitions(&op.take_transitions()))
+            .collect()
     }
 
     /// See [`PlanRun::push`].
@@ -317,13 +341,13 @@ fn reference_tick(
     let mut inbox: Vec<[Vec<Message>; 2]> = vec![Default::default(); consumers.len()];
     inbox[0][0].push(Message::Doc(doc));
     for id in 0..consumers.len() {
-        let [msgs, right] = std::mem::take(&mut inbox[id]);
+        let [mut msgs, mut right] = std::mem::take(&mut inbox[id]);
         let mut out = Vec::new();
         if let OpState::Join(j) = &mut m.ops[id] {
             let consumed = (msgs.len() + right.len()) as u64;
             m.stats.messages += consumed;
             m.node_stats[id].messages += consumed;
-            j.step2(msgs, right, &mut out);
+            j.step2_drain(&mut msgs, &mut right, &mut out);
         } else {
             for msg in msgs {
                 m.stats.messages += 1;

@@ -43,18 +43,9 @@ impl Join {
         Join::default()
     }
 
-    /// Process one tick: all messages of the left and right input tapes.
-    pub fn step2(
-        &mut self,
-        mut left: Vec<Message>,
-        mut right: Vec<Message>,
-        out: &mut Vec<Message>,
-    ) {
-        self.step2_drain(&mut left, &mut right, out);
-    }
-
-    /// Like [`Join::step2`], draining the queues in place so the caller can
-    /// keep their allocated capacity across ticks (the VM's hot path).
+    /// Process one tick: all messages of the left and right input tapes,
+    /// draining the queues in place so the caller can keep their allocated
+    /// capacity across ticks.
     pub fn step2_drain(
         &mut self,
         left: &mut Vec<Message>,
@@ -151,7 +142,7 @@ mod tests {
         let a = doc(&mut store, "<a/>", 1);
         let mut j = Join::new();
         let mut out = Vec::new();
-        j.step2(vec![a.clone()], vec![a], &mut out);
+        j.step2_drain(&mut vec![a.clone()], &mut vec![a], &mut out);
         assert_eq!(out.len(), 1);
         assert!(out[0].is_doc());
     }
@@ -164,7 +155,7 @@ mod tests {
         let f = Message::Activate(Formula::True);
         let mut j = Join::new();
         let mut out = Vec::new();
-        j.step2(vec![f, a.clone()], vec![a], &mut out);
+        j.step2_drain(&mut vec![f, a.clone()], &mut vec![a], &mut out);
         let rendered: Vec<String> = out.iter().map(|m| render(&store, m)).collect();
         assert_eq!(rendered, vec!["[true]", "<a>"]);
     }
@@ -178,7 +169,7 @@ mod tests {
         let det = Message::Determine(CondVar::new(1, 1), Determination::True);
         let mut j = Join::new();
         let mut out = Vec::new();
-        j.step2(vec![b.clone()], vec![det, b], &mut out);
+        j.step2_drain(&mut vec![b.clone()], &mut vec![det, b], &mut out);
         let rendered: Vec<String> = out.iter().map(|m| render(&store, m)).collect();
         assert_eq!(rendered, vec!["{c1.1,true}", "<b>"]);
     }
@@ -193,7 +184,7 @@ mod tests {
         let det = Message::Determine(CondVar::new(1, 1), Determination::False);
         let mut j = Join::new();
         let mut out = Vec::new();
-        j.step2(vec![det, a.clone()], vec![f, a], &mut out);
+        j.step2_drain(&mut vec![det, a.clone()], &mut vec![f, a], &mut out);
         let rendered: Vec<String> = out.iter().map(|m| render(&store, m)).collect();
         assert_eq!(rendered, vec!["[true]", "{c1.1,false}", "<a>"]);
     }
@@ -207,15 +198,15 @@ mod tests {
         let a = doc(&mut store, "<a/>", 1);
         let c1 = CondVar::new(0, 1);
         let c2 = CondVar::new(1, 2);
-        let left = vec![
+        let mut left = vec![
             Message::Determine(c1, Determination::True),
             Message::Activate(Formula::Var(c2)),
             a.clone(),
         ];
-        let right = vec![Message::Determine(c2, Determination::True), a];
+        let mut right = vec![Message::Determine(c2, Determination::True), a];
         let mut j = Join::new();
         let mut out = Vec::new();
-        j.step2(left, right, &mut out);
+        j.step2_drain(&mut left, &mut right, &mut out);
         let rendered: Vec<String> = out.iter().map(|m| render(&store, m)).collect();
         assert_eq!(
             rendered,
@@ -231,7 +222,7 @@ mod tests {
         let f2 = Message::Activate(Formula::Var(CondVar::new(0, 2)));
         let mut j = Join::new();
         let mut out = Vec::new();
-        j.step2(vec![f1, a.clone()], vec![f2, a], &mut out);
+        j.step2_drain(&mut vec![f1, a.clone()], &mut vec![f2, a], &mut out);
         let rendered: Vec<String> = out.iter().map(|m| render(&store, m)).collect();
         assert_eq!(rendered, vec!["[c0.1]", "[c0.2]", "<a>"]);
     }
@@ -244,7 +235,7 @@ mod tests {
         let d2 = Message::Determine(CondVar::new(1, 2), Determination::False);
         let mut j = Join::new();
         let mut out = Vec::new();
-        j.step2(vec![a.clone()], vec![d1, d2, a], &mut out);
+        j.step2_drain(&mut vec![a.clone()], &mut vec![d1, d2, a], &mut out);
         let rendered: Vec<String> = out.iter().map(|m| render(&store, m)).collect();
         assert_eq!(rendered, vec!["{c1.1,true}", "{c1.2,false}", "<a>"]);
     }
@@ -256,7 +247,7 @@ mod tests {
         let mut j = Join::new();
         let mut out = Vec::new();
         for m in &stream {
-            j.step2(vec![m.clone()], vec![m.clone()], &mut out);
+            j.step2_drain(&mut vec![m.clone()], &mut vec![m.clone()], &mut out);
         }
         assert_eq!(out.len(), stream.len());
     }

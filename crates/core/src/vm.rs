@@ -36,19 +36,22 @@
 //! the nodes stepped since the last one.
 //!
 //! The child steps one producer feeds, when their names are pairwise
-//! distinct, run as one *label switch*: one child testing all their labels,
-//! which sends an activation only to the consumers of the member whose label
-//! opened (every member reads the same inbox, so their states differ only in
-//! the label test). A batch of determinations only that reaches an output
-//! with nothing to apply it to is counted there, not stepped.
+//! distinct, run as one *label switch*: the first member's operator is one
+//! child testing all their labels, which sends an activation only to the
+//! consumers of the member whose label opened; the producer feeds only that
+//! first member, and the others are never stepped (every member reads the
+//! same inbox, so their states, and their statistics, differ only in the
+//! label test). A batch of determinations only that reaches an output with
+//! nothing to apply it to is counted there, not stepped.
 //!
 //! [`PlanRun`] is the only executor anything outside a differential rig
 //! reaches: [`crate::Evaluator`], the multi-query and conjunctive-query
 //! runs, the recovery driver and the server sessions all run on it. Its
 //! scheduling is checked against the reference executor in
 //! [`crate::network`], a second schedule over the same [`Machine`]: it
-//! takes its wiring from the spec, steps every node on every tick and
-//! accounts message by message. `harness vm-diff` and the proptest suite
+//! takes its wiring from the spec, runs a plan lowered without switches,
+//! steps every node on every tick and accounts message by message, and it
+//! alone traces transitions. `harness vm-diff` and the proptest suite
 //! drive random documents × random queries through both (plus the DOM
 //! baseline) and fail on the first divergence in outputs, statistics or
 //! earliness. See DESIGN.md §14 for the plan IR and a worked lowering
@@ -95,14 +98,15 @@ pub enum Engine {
 /// [`crate::CompiledNetwork::run`] (or via [`crate::Evaluator`]).
 #[derive(Debug, Clone)]
 pub struct Plan {
-    /// One instruction per node, topological order: the spec's node, which
-    /// names the transducer each run instantiates.
-    code: Vec<NodeSpec>,
+    /// One instruction per node, topological order: the spec's node (shared
+    /// with the spec), which names the transducer each run instantiates.
+    code: Arc<[NodeSpec]>,
     /// `port_base[v]..port_base[v + 1]` are node `v`'s inbox slots.
     port_base: Vec<u32>,
     /// Consumer CSR offsets into [`Plan::cons`].
     cons_base: Vec<u32>,
     /// Flat consumer edges: the inbox slot each produced message lands in.
+    /// A producer feeding a label switch lists only its first member.
     cons: Vec<u32>,
     /// For output nodes, which sink (result stream) they feed; `u32::MAX`
     /// everywhere else.
@@ -129,13 +133,8 @@ pub struct Plan {
     /// Whether any node keeps a depth stack (whose height is the stream
     /// depth).
     has_depth_ops: bool,
-    /// The end of each node's consumer edges under the switched schedule
-    /// (`cons[cons_base[v]..cons_cut[v]]`): a producer feeding a label
-    /// switch lists the switch's first member there and the others after
-    /// the cut.
-    cons_cut: Vec<u32>,
-    /// Label switches: each one's members, ascending. The first member's id
-    /// is the switch's place in the schedule.
+    /// Label switches: each one's members, ascending. The first member's
+    /// operator is the switch; the others are never stepped.
     switches: Vec<Box<[u32]>>,
     /// The switch each first member leads, `NIL` for every other node.
     switch_of: Vec<u32>,
@@ -144,6 +143,12 @@ pub struct Plan {
 impl Plan {
     /// Lower `spec` into a flat plan. Linear in the network degree.
     pub fn compile(spec: &NetworkSpec) -> Plan {
+        Plan::lower(spec, true)
+    }
+
+    /// Lower `spec`, forming label switches if `switch` (the VM's plan) or
+    /// none (the reference executor's, where every node steps as itself).
+    pub(crate) fn lower(spec: &NetworkSpec, switch: bool) -> Plan {
         let n = spec.nodes.len();
         let mut sink_of = vec![u32::MAX; n];
         let mut outputs = Vec::new();
@@ -204,12 +209,10 @@ impl Plan {
         let item_total = item_flow.iter().map(|&f| u64::from(f)).sum();
         // Label switches: the CH consumers of one producer whose names are
         // pairwise distinct (a name two of them share, and the wildcard,
-        // stay out). Their members sort to the end of the producer's edges,
-        // the first of them before the cut.
+        // stay out). The producer's edges keep only the first member.
         let mut switches = Vec::new();
         let mut switch_of = vec![NIL; n];
         let mut cons_base = Vec::with_capacity(n + 1);
-        let mut cons_cut = Vec::with_capacity(n);
         let mut cons = Vec::new();
         for edges in &mut per_node {
             let name = |v: u32| match &spec.nodes[v as usize] {
@@ -224,16 +227,13 @@ impl Plan {
             }
             let member = |v: u32| name(v).is_some_and(|l| uses[l.as_str()] == 1);
             let members: Box<[u32]> = edges.iter().map(|e| e.0).filter(|&v| member(v)).collect();
-            cons_base.push(cons.len() as u32);
-            let mut hidden = 0;
-            if members.len() >= 2 {
+            if switch && members.len() >= 2 {
                 switch_of[members[0] as usize] = switches.len() as u32;
-                edges.sort_by_key(|&(v, _)| member(v) && v != members[0]);
-                hidden = members.len() - 1;
+                edges.retain(|&(v, _)| !member(v) || v == members[0]);
                 switches.push(members);
             }
+            cons_base.push(cons.len() as u32);
             cons.extend(edges.iter().map(|e| e.1));
-            cons_cut.push((cons.len() - hidden) as u32);
         }
         cons_base.push(cons.len() as u32);
         let always = (0..n)
@@ -245,7 +245,7 @@ impl Plan {
             .map(|v| v as u32)
             .collect();
         Plan {
-            code: spec.nodes.clone(),
+            code: Arc::clone(&spec.nodes),
             port_base,
             cons_base,
             cons,
@@ -256,21 +256,14 @@ impl Plan {
             item_total,
             always,
             has_depth_ops: spec.nodes.iter().any(tracks_depth),
-            cons_cut,
             switches,
             switch_of,
         }
     }
 
-    /// Node `v`'s consumer slots: under the switched schedule, where a
-    /// label switch's first member stands for them all, or every edge.
-    fn consumers(&self, v: usize, switched: bool) -> &[u32] {
-        let end = if switched {
-            self.cons_cut[v]
-        } else {
-            self.cons_base[v + 1]
-        };
-        &self.cons[self.cons_base[v] as usize..end as usize]
+    /// Node `v`'s consumer slots.
+    fn consumers(&self, v: usize) -> &[u32] {
+        &self.cons[self.cons_base[v] as usize..self.cons_base[v + 1] as usize]
     }
 
     /// The number of label switches the VM runs for this plan (see
@@ -298,11 +291,7 @@ impl Plan {
     pub fn dump(&self) -> String {
         let mut out = String::new();
         for i in 0..self.code.len() {
-            let cons: Vec<String> = self.cons
-                [self.cons_base[i] as usize..self.cons_base[i + 1] as usize]
-                .iter()
-                .map(|s| format!("@{s}"))
-                .collect();
+            let cons: Vec<String> = self.consumers(i).iter().map(|s| format!("@{s}")).collect();
             out.push_str(&format!(
                 "{i:3}: {:<12} -> [{}]\n",
                 self.code[i].describe(),
@@ -315,9 +304,11 @@ impl Plan {
     /// Instantiate the per-run operator states, resolving match labels
     /// against `symbols` in instruction order — so a run's symbol ids are a
     /// function of the spec alone, and a snapshot's symbol list lines up
-    /// with any run of the same network.
+    /// with any run of the same network. A label switch's first member is
+    /// the switch: one child testing every member's label.
     fn instantiate(&self, symbols: &mut spex_xml::SymbolTable) -> Vec<OpState> {
-        self.code
+        let mut ops: Vec<OpState> = self
+            .code
             .iter()
             .map(|node| match node {
                 NodeSpec::Input => OpState::Input(Input::new()),
@@ -344,32 +335,22 @@ impl Plan {
                 NodeSpec::Union => OpState::Union(Union::new()),
                 NodeSpec::Output => OpState::Emit(Box::new(Output::new())),
             })
-            .collect()
-    }
-
-    /// Instantiate the label switches: one child each, testing its members'
-    /// labels (already in `symbols`, so nothing new is interned).
-    fn instantiate_switches(&self, symbols: &mut spex_xml::SymbolTable) -> Vec<Switch> {
-        self.switches
-            .iter()
-            .map(|members| {
-                let mut table = Vec::new();
-                for (i, &m) in members.iter().enumerate() {
-                    let NodeSpec::Child(l) = &self.code[m as usize] else {
-                        unreachable!("switch members are child steps")
-                    };
-                    let sym = MatchLabel::resolve(l, symbols).symbol().expect("named") as usize;
-                    if sym >= table.len() {
-                        table.resize(sym + 1, NIL);
-                    }
-                    table[sym] = i as u32;
+            .collect();
+        for members in &self.switches {
+            let mut table = Vec::new();
+            for (i, &m) in members.iter().enumerate() {
+                let OpState::Child(c) = &ops[m as usize] else {
+                    unreachable!("switch members are child steps")
+                };
+                let sym = c.label().symbol().expect("named") as usize;
+                if sym >= table.len() {
+                    table.resize(sym + 1, NIL);
                 }
-                Switch {
-                    op: OpState::Child(Child::new(MatchLabel::OneOf(table.into()))),
-                    stats: TransducerStats::default(),
-                }
-            })
-            .collect()
+                table[sym] = i as u32;
+            }
+            ops[members[0] as usize] = OpState::Child(Child::new(MatchLabel::OneOf(table.into())));
+        }
+        ops
     }
 }
 
@@ -454,22 +435,13 @@ impl OpState {
         each_op!(self, t => t.reset(), Join(j) => j.reset(), Emit(o) => o.reset())
     }
 
-    fn set_tracing(&mut self, on: bool) {
+    pub(crate) fn set_tracing(&mut self, on: bool) {
         each_op!(self, t => t.set_tracing(on), Join(j) => j.set_tracing(on), Emit(_) => {})
     }
 
-    fn take_transitions(&mut self) -> Vec<u8> {
+    pub(crate) fn take_transitions(&mut self) -> Vec<u8> {
         each_op!(self, t => t.take_transitions(), Join(j) => j.take_transitions(), Emit(_) => Vec::new())
     }
-}
-
-/// A label switch's run state: the one child every member would hold (all
-/// read the same inbox, so they differ only in the label test), testing all
-/// their labels at once, and the measurements each member's
-/// [`TransducerStats`] folds in when read.
-struct Switch {
-    op: OpState,
-    stats: TransducerStats,
 }
 
 /// A running instantiation of a [`Plan`] over one stream — the VM, and the
@@ -549,11 +521,8 @@ pub struct Machine {
     /// Deepest stream depth the VM schedule accounted statically: the depth
     /// stack height every depth-tracking node reached.
     depth_peak: usize,
-    /// Steps taken, by node and by switches (see [`Machine::ops_stepped`]).
+    /// Steps taken, by node (see [`Machine::ops_stepped`]).
     node_steps: Vec<u64>,
-    switch_steps: u64,
-    /// The label switches' run states, by switch.
-    switches: Vec<Switch>,
     /// The run's event arena: payload bytes live here exactly once; the
     /// plan only moves [`spex_xml::EventId`] handles. Owns the symbol table
     /// (labels are interned at push time). Reset whenever no output
@@ -573,7 +542,6 @@ pub struct Machine {
     exhausted: Option<LimitBreach>,
     pub(crate) tick: u64,
     pub(crate) depth: usize,
-    tracing: bool,
     /// Symbol-table size right after the query labels were resolved; session
     /// reuse truncates the table back to this baseline between documents.
     symbol_baseline: usize,
@@ -735,19 +703,19 @@ impl Fan<'_> {
     /// member's. Out of line, so the tick loop stays small for plans
     /// without switches.
     #[inline(never)]
-    fn route(&mut self, members: &[u32], op: &OpState, doc: DocEvent, outbuf: &mut Vec<Message>) {
-        let matched = match (op, doc) {
+    fn route(&mut self, members: &[u32], doc: DocEvent, outbuf: &mut Vec<Message>) {
+        let matched = match (&self.ops[members[0] as usize], doc) {
             (OpState::Child(c), DocEvent::Open { label, .. }) => c.label().member(label),
             _ => None,
         };
         if let Some(i) = matched {
-            self.deliver(self.plan.consumers(members[i] as usize, true), outbuf, true);
+            self.deliver(self.plan.consumers(members[i] as usize), outbuf, true);
             outbuf.retain(|m| matches!(m, Message::Determine(..)));
         }
         if !outbuf.is_empty() {
             for (i, &m) in members.iter().enumerate() {
                 if matched != Some(i) {
-                    self.deliver(self.plan.consumers(m as usize, true), outbuf, true);
+                    self.deliver(self.plan.consumers(m as usize), outbuf, true);
                 }
             }
         }
@@ -843,7 +811,6 @@ impl<S: ResultSink> PlanRun<S> {
         let sinks = SinkBank::new(sinks, slot_of, plan.sink_count());
         let mut store = EventStore::new();
         let ops = plan.instantiate(store.symbols_mut());
-        let switches = plan.instantiate_switches(store.symbols_mut());
         let symbol_baseline = store.symbols().len();
         let n = plan.code.len();
         let inbox = (0..*plan.port_base.last().expect("non-empty plan"))
@@ -869,8 +836,6 @@ impl<S: ResultSink> PlanRun<S> {
             doc_ticks: 0,
             depth_peak: 0,
             node_steps: vec![0; n],
-            switch_steps: 0,
-            switches,
             store,
             vars: VarFactory::new(),
             stats: EngineStats::default(),
@@ -879,7 +844,6 @@ impl<S: ResultSink> PlanRun<S> {
             exhausted: None,
             tick: 0,
             depth: 0,
-            tracing: false,
             symbol_baseline,
             tracer: Tracer::disabled(),
         };
@@ -990,28 +954,6 @@ impl Machine {
     /// The first limit breach, if any cap was exceeded.
     pub fn exhausted(&self) -> Option<LimitBreach> {
         self.exhausted
-    }
-
-    /// Enable transition tracing on every operator (for the golden
-    /// paper-trace tests). While it is on, every tick steps every node, so
-    /// each fires the transitions the paper's tables list for it — the
-    /// implied `l` levels' (2) and (3) included — and each label switch
-    /// member steps as itself. Switch it at a document boundary (depth 0):
-    /// a switch's state and its members' do not carry over to each other.
-    pub fn set_tracing(&mut self, on: bool) {
-        self.tracing = on;
-        for op in &mut self.ops {
-            op.set_tracing(on);
-        }
-    }
-
-    /// Drain per-node transition traces fired since the last call, rendered
-    /// in the paper's `"1,5"` style, indexed by instruction id.
-    pub fn take_traces(&mut self) -> Vec<String> {
-        self.ops
-            .iter_mut()
-            .map(|op| crate::transducers::format_transitions(&op.take_transitions()))
-            .collect()
     }
 
     /// The run's event arena (for zero-copy producers:
@@ -1126,8 +1068,7 @@ impl Machine {
     /// flow, build the wake set, then step the woken nodes in topological
     /// order — each over its inbox, then the register — fanning their
     /// control messages out to (and waking) their consumers. A label
-    /// switch steps in its first member's place. Transition tracing wakes
-    /// every node, and steps each switch member as itself.
+    /// switch is its first member's operator, and routes for every member.
     fn dispatch(&mut self, doc: DocEvent, sinks: &mut dyn SlotSinks) {
         let Machine {
             plan,
@@ -1144,15 +1085,12 @@ impl Machine {
             doc_ticks,
             depth_peak,
             node_steps,
-            switch_steps,
-            switches,
             store,
             vars,
             stats,
             node_stats,
             tick,
             depth,
-            tracing,
             ..
         } = self;
         let plan: &Plan = plan;
@@ -1187,34 +1125,18 @@ impl Machine {
         for &id in &live.list {
             wake.insert(id as usize);
         }
-        if *tracing {
-            for id in 0..plan.code.len() {
-                wake.insert(id);
-            }
-        }
         // A plan without switches skips their lookup on every step.
-        let untraced = !*tracing;
-        let switched = untraced && !plan.switches.is_empty();
+        let switched = !plan.switches.is_empty();
         while let Some(id) = wake.pop_min() {
             if !is_touched[id] {
                 is_touched[id] = true;
                 touched.push(id as u32);
             }
+            node_steps[id] += 1;
             let base = plan.port_base[id] as usize;
-            // A switch consumes, once, the messages each member would.
             let sw = if switched { plan.switch_of[id] } else { NIL };
-            let (op, ns, copies) = match switches.get_mut(sw as usize) {
-                Some(s) => {
-                    *switch_steps += 1;
-                    let copies = plan.switches[sw as usize].len() as u64;
-                    (&mut s.op, &mut s.stats, copies)
-                }
-                None => {
-                    node_steps[id] += 1;
-                    (&mut ops[id], &mut node_stats[id], 1)
-                }
-            };
-            match op {
+            let ns = &mut node_stats[id];
+            match &mut ops[id] {
                 OpState::Join(j) => {
                     let (left, right) = inbox.split_at_mut(base + 1);
                     let (left, right) = (&mut left[base], &mut right[0]);
@@ -1247,12 +1169,14 @@ impl Machine {
                 op => {
                     // A split forwards every control message verbatim (the
                     // fan-out below duplicates) and does nothing with the
-                    // register: with no transition trace to record, its
-                    // inbox moves out in bulk.
-                    let bulk = untraced && matches!(op, OpState::Split(_));
+                    // register: its inbox moves out in bulk.
+                    let bulk = matches!(op, OpState::Split(_));
                     if !inbox[base].is_empty() {
                         let consumed = inbox[base].len() as u64;
-                        stats.messages += consumed * copies;
+                        // A switch consumes, once, the messages each member
+                        // would.
+                        let copies = plan.switches.get(sw as usize).map_or(1, |m| m.len());
+                        stats.messages += consumed * copies as u64;
                         ns.messages += consumed;
                         let mut max_formula = 0;
                         for m in &inbox[base] {
@@ -1304,11 +1228,10 @@ impl Machine {
                 stats,
                 node_stats,
             };
-            let Some(Switch { op, .. }) = switches.get(sw as usize) else {
-                fan.deliver(plan.consumers(id, switched), outbuf, false);
-                continue;
-            };
-            fan.route(&plan.switches[sw as usize], op, doc, outbuf);
+            match plan.switches.get(sw as usize) {
+                Some(members) => fan.route(members, doc, outbuf),
+                None => fan.deliver(plan.consumers(id), outbuf, false),
+            }
         }
     }
 
@@ -1455,9 +1378,6 @@ impl Machine {
         for &id in &self.touched {
             let id = id as usize;
             self.is_touched[id] = false;
-            if let Some(s) = self.switches.get_mut(self.plan.switch_of[id] as usize) {
-                s.op.reset();
-            }
             let op = &mut self.ops[id];
             op.reset();
             file_watch(&mut self.opens, &mut self.closes, id, op.watch());
@@ -1519,7 +1439,12 @@ impl Machine {
                 snap.transducers.len()
             )));
         }
-        for (v, (t, node)) in snap.transducers.iter().zip(&self.plan.code).enumerate() {
+        for (v, (t, node)) in snap
+            .transducers
+            .iter()
+            .zip(self.plan.code.iter())
+            .enumerate()
+        {
             let kind = node.describe();
             if t.node != v || t.kind != kind {
                 return Err(SnapshotError::Mismatch(format!(
@@ -1583,13 +1508,14 @@ impl Machine {
     /// (topological order). `sum(messages)` equals
     /// [`EngineStats::messages`]. Built on each call: each node's name comes
     /// from the plan, and the document messages the VM accounts statically
-    /// and what each label switch measured for every member are folded in.
+    /// are folded in. A label switch's members read one inbox, so each
+    /// reports the switch's row, which its first member's counters hold.
     pub fn transducer_stats(&self) -> Vec<TransducerStats> {
         let plan = &self.plan;
         let mut out: Vec<TransducerStats> = self
             .node_stats
             .iter()
-            .zip(&plan.code)
+            .zip(plan.code.iter())
             .zip(&plan.item_flow)
             .enumerate()
             .map(|(v, ((ns, node), &flow))| {
@@ -1605,12 +1531,14 @@ impl Machine {
                 t
             })
             .collect();
-        for (sw, members) in self.switches.iter().zip(&plan.switches) {
-            for &m in members.iter() {
-                let t = &mut out[m as usize];
-                t.messages += sw.stats.messages;
-                t.max_cond_stack = t.max_cond_stack.max(sw.stats.max_cond_stack);
-                t.max_formula_size = t.max_formula_size.max(sw.stats.max_formula_size);
+        for members in plan.switches.iter() {
+            for &m in &members[1..] {
+                let (node, kind) = (m as usize, std::mem::take(&mut out[m as usize].kind));
+                out[node] = TransducerStats {
+                    node,
+                    kind,
+                    ..out[members[0] as usize]
+                };
             }
         }
         out
@@ -1621,23 +1549,29 @@ impl Machine {
     /// node on every tick). Not part of [`EngineStats`] or a snapshot: it
     /// measures the schedule, not the paper's network.
     pub fn ops_stepped(&self) -> u64 {
-        self.node_steps.iter().sum::<u64>() + self.switch_steps
+        self.node_steps.iter().sum()
     }
 
     /// [`Machine::ops_stepped`] by node kind (`CH`, `OU`, …, and `SW` for
-    /// a label switch), for every kind the plan has.
+    /// the label switches, whose steps are their first members'), for every
+    /// kind the plan has.
     pub fn ops_stepped_by_kind(&self) -> Vec<(String, u64)> {
         let mut kinds: Vec<(String, u64)> = Vec::new();
-        for (node, &steps) in self.plan.code.iter().zip(&self.node_steps) {
+        let mut switched = 0;
+        for (v, node) in self.plan.code.iter().enumerate() {
             let describe = node.describe();
             let kind = describe.split('(').next().unwrap_or_default();
+            let mut steps = self.node_steps[v];
+            if self.plan.switch_of[v] != NIL {
+                switched += std::mem::take(&mut steps);
+            }
             match kinds.iter_mut().find(|k| k.0 == kind) {
                 Some(k) => k.1 += steps,
                 None => kinds.push((kind.to_string(), steps)),
             }
         }
         if !self.plan.switches.is_empty() {
-            kinds.push(("SW".to_string(), self.switch_steps));
+            kinds.push(("SW".to_string(), switched));
         }
         kinds
     }
@@ -1714,38 +1648,6 @@ mod tests {
                 assert_eq!(vs, ns, "stats diverge for `{query}`");
             }
         }
-    }
-
-    #[test]
-    fn vm_reproduces_figure_5_transition_traces() {
-        // `a+.c+` over the Fig. 1 stream fires exactly the transitions of
-        // Fig. 5.
-        let net = CompiledNetwork::compile(&"a+.c+".parse().unwrap());
-        let mut sink = FragmentCollector::new();
-        let mut run = net.run(vec![&mut sink]);
-        run.set_tracing(true);
-        let mut t1 = Vec::new();
-        let mut t2 = Vec::new();
-        for ev in spex_xml::reader::parse_events(FIG1).unwrap() {
-            run.push(ev);
-            let traces = run.take_traces();
-            t1.push(traces[1].clone());
-            t2.push(traces[2].clone());
-        }
-        assert_eq!(
-            t1,
-            vec!["1,5", "7", "7", "8", "4", "9", "8", "4", "8", "4", "9", "11"]
-        );
-        // DAG order within a tick: CL(c) receives an activation (1, 6) on
-        // exactly the ticks CL(a) matched an `<a>` (7) — it consumed, in the
-        // same tick, what its producer had just appended.
-        assert_eq!(
-            t2,
-            vec!["2", "1,5", "6,13", "7", "9", "10", "8", "4", "7", "9", "11", "3"]
-        );
-        // Every consumed message is accounted to exactly one node.
-        let per_node: u64 = run.transducer_stats().iter().map(|t| t.messages).sum();
-        assert_eq!(per_node, run.stats().messages);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! guard against silently dead rows in the implementations of Figs. 2, 3,
 //! 6, 7 and 10.
 
-use spex_core::{CompiledNetwork, CountingSink, Evaluator};
+use spex_core::{CompiledNetwork, CountingSink};
 use std::collections::{BTreeSet, HashMap};
 
 /// Run `query` over `xml` with tracing and accumulate the fired transition
@@ -12,7 +12,7 @@ fn collect(query: &str, xml: &str, seen: &mut HashMap<String, BTreeSet<u8>>) {
     let net = CompiledNetwork::compile(&query.parse().unwrap());
     let desc = net.spec().describe();
     let mut sink = CountingSink::new();
-    let mut eval = Evaluator::new(&net, &mut sink);
+    let mut eval = spex_core::network::Run::new(net.spec(), vec![&mut sink]);
     eval.set_tracing(true);
     for ev in spex_xml::reader::parse_events(xml).unwrap() {
         eval.push(ev);

@@ -22,7 +22,7 @@ fn traces(query: &str) -> (Vec<String>, Vec<Vec<String>>, Vec<String>) {
     let net = CompiledNetwork::compile(&q);
     let desc = net.spec().describe();
     let mut sink = FragmentCollector::new();
-    let mut eval = Evaluator::new(&net, &mut sink);
+    let mut eval = spex::core::network::Run::new(net.spec(), vec![&mut sink]);
     eval.set_tracing(true);
     let mut per_tick: Vec<Vec<String>> = Vec::new();
     for ev in parse_events(FIG1).unwrap() {

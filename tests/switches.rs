@@ -116,11 +116,11 @@ fn check(queries: &[&str], xml: &str, switches: usize, limits: ResourceLimits) -
     vm
 }
 
-/// The transitions each node fires over `xml`, traced (every member of a
-/// switch then steps as itself).
+/// The transitions each node fires over `xml`, traced by the reference
+/// executor (which steps every member of a switch as itself).
 fn transitions(query: &str, xml: &str) -> Vec<BTreeSet<u8>> {
     let net = CompiledNetwork::compile(&query.parse().unwrap());
-    let mut run = net.run(vec![FragmentCollector::new()]);
+    let mut run = spex::core::network::Run::new(net.spec(), vec![FragmentCollector::new()]);
     run.set_tracing(true);
     let mut fired = vec![BTreeSet::new(); net.degree()];
     for ev in parse_events(xml).unwrap() {
